@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race audit-race fib-race span-race tsdb-race conv-smoke vet lint lint-json bench bench-json fuzz figures testbed results clean
+.PHONY: all build test race audit-race fib-race span-race tsdb-race conv-smoke vet lint lint-json bench bench-json perf perf-compare fuzz figures testbed results clean
 
 all: build test
 
@@ -76,7 +76,18 @@ conv-smoke:
 	$(GO) run ./cmd/mifo-conv -events -min-events 6 /tmp/mifo-spans.jsonl
 
 bench:
-	$(GO) test -run xxx -bench=. -benchmem . ./internal/dataplane ./internal/audit ./internal/bgp ./internal/lpm ./internal/obs/span ./internal/obs/tsdb
+	$(GO) test -run xxx -bench=. -benchmem . ./internal/dataplane ./internal/audit ./internal/bgp ./internal/lpm ./internal/obs/span ./internal/obs/tsdb ./internal/netsim ./internal/netd
+
+# The repo's benchmark (BENCHMARK.json, bench/README.md): five workloads end
+# to end with their outputs checked, about 25 s each. Every performance
+# claim is made against its metric names.
+perf:
+	bash bench/run.sh
+
+# Gate a change on two saved results (bash bench/run.sh -out FILE on each
+# side): exit 1 when a metric is worse than its BENCHMARK.json bound.
+perf-compare:
+	bash bench/run.sh -compare $(OLD) $(NEW)
 
 # Machine-readable benchmark results for regression tracking: the
 # forwarding hot path plus the flight recorder at every setting
@@ -101,6 +112,7 @@ fuzz:
 	$(GO) test ./internal/audit -fuzz FuzzChecker -fuzztime 30s
 	$(GO) test ./internal/bgp -fuzz FuzzIncrementalTable -fuzztime 30s
 	$(GO) test ./internal/bgp -fuzz FuzzCompactDest -fuzztime 30s
+	$(GO) test ./internal/netsim -fuzz FuzzFairShare -fuzztime 30s
 
 # Regenerate every figure at default scale into results/.
 figures:

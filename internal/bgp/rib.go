@@ -84,8 +84,17 @@ func PathVia(d *Dest, v, via int) []int {
 	if !d.Reachable(via) {
 		return nil
 	}
-	path := make([]int, 0, int(d.hops16(via))+2)
-	path = append(path, v)
+	return PathViaInto(d, v, via, make([]int, 0, int(d.hops16(via))+2))
+}
+
+// PathViaInto is PathVia building into buf[:0] (growing it if needed), for
+// call sites that splice many candidate paths and keep at most one. The
+// result aliases buf's backing array when it fits.
+func PathViaInto(d *Dest, v, via int, buf []int) []int {
+	if !d.Reachable(via) {
+		return nil
+	}
+	path := append(buf[:0], v)
 	for x := via; ; x = int(d.next32(x)) {
 		path = append(path, x)
 		if int32(x) == d.dst {

@@ -118,6 +118,16 @@ func TestPathVia(t *testing.T) {
 	if PathVia(d, 1, 1) == nil {
 		t.Error("PathVia through a reachable AS should not be nil")
 	}
+	// PathViaInto builds the same path in the caller's buffer, from its
+	// start, whatever the buffer held.
+	buf := make([]int, 2, 8)
+	q := PathViaInto(d, 1, 2, buf)
+	if len(q) != 3 || q[0] != want[0] || q[1] != want[1] || q[2] != want[2] {
+		t.Errorf("PathViaInto = %v, want %v", q, want)
+	}
+	if &q[0] != &buf[0] {
+		t.Error("PathViaInto should build in the buffer it was given when the path fits")
+	}
 }
 
 // Property: on generated topologies, the best route equals the top of the

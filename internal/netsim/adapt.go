@@ -80,7 +80,7 @@ func (s *Sim) adaptFlow(st *flowState, table *bgp.Dest) bool {
 		// Entry bit at u: set when the packet entered from a customer or
 		// originated here.
 		bit := i == 0 || s.g.IsCustomer(u, st.path[i-1])
-		if newPath, claim, ok := s.bestAlternative(table, st.path, i, bit, expected); ok {
+		if newPath, claim, ok := s.bestAlternative(table, st.path, st.links, i, bit, expected); ok {
 			if s.cfg.Trace.Enabled() {
 				s.cfg.Trace.Emit(obs.Event{
 					Time: int64(s.now * 1e9), Type: obs.EvDeflect,
@@ -119,26 +119,40 @@ func (s *Sim) adaptFlow(st *flowState, table *bgp.Dest) bool {
 const deflectGain = 1.1
 
 // bestAlternative selects the alternative path at hop i of the current
-// path: among RIB entries other than the current next hop, admissible
-// under the valley-free check and loop-free after splicing, pick the one
-// with the best quality (probe: spliced-path bottleneck spare; local-link:
-// spare of the direct link). The winner must beat the flow's expected rate
-// by deflectGain. It returns the full new path and the rate the flow can
-// expect there (the quality estimate).
+// path (links are its link ids): among RIB entries other than the current
+// next hop, admissible under the valley-free check and loop-free after
+// splicing, pick the one with the best quality (probe: spliced-path
+// bottleneck spare; local-link: spare of the direct link). The winner must
+// beat the flow's expected rate by deflectGain. It returns the full new
+// path and the rate the flow can expect there (the quality estimate).
+//
+// Candidates are spliced in Sim scratch (the RIB in ribBuf, the route from
+// u onward in cand, its link ids in candLinks) and only the winner is
+// copied out, so an epoch that moves no flow allocates nothing here.
 //
 // When the trace is enabled it also rebuilds s.rank with every admissible
 // candidate's quality estimate ("AS<via>:<spare bps>", RIB order), so the
 // caller's deflection event records the ranking that drove the choice.
-func (s *Sim) bestAlternative(table *bgp.Dest, path []int, i int, bit bool, expected float64) ([]int, float64, bool) {
+func (s *Sim) bestAlternative(table *bgp.Dest, path []int, links []int32, i int, bit bool, expected float64) ([]int, float64, bool) {
 	u := path[i]
 	curNext := path[i+1]
 	ranking := s.cfg.Trace.Enabled()
 	if ranking {
 		s.rank = s.rank[:0]
 	}
-	var bestPath []int
+	// Never splice across a failed link: the border router's RIB entry may
+	// predate the failure, but its line card knows the link is down. The
+	// hops before u are the same for every candidate.
+	if s.crossesDead(links[:i]) {
+		return nil, -1, false
+	}
+	found := false
 	bestSpare := -1.0
-	for _, alt := range bgp.RIB(s.g, table, u) {
+	alts := bgp.RIBInto(s.g, table, u, s.ribBuf)
+	if alts != nil {
+		s.ribBuf = alts[:0]
+	}
+	for _, alt := range alts {
 		if int(alt.Via) == curNext {
 			continue
 		}
@@ -154,15 +168,14 @@ func (s *Sim) bestAlternative(table *bgp.Dest, path []int, i int, bit bool, expe
 		if sp <= 0 || sp <= expected*deflectGain {
 			continue // not enough local headroom to be worth a switch
 		}
-		cand := s.splice(path[:i], table, u, int(alt.Via))
-		if cand == nil {
-			continue // splicing would revisit an AS
+		if !s.splice(path[:i], table, u, int(alt.Via)) {
+			continue // splicing would revisit an AS or cross a failed link
 		}
 		switch s.cfg.Quality {
 		case QualityProbe:
 			// Selective probing: quality is the bottleneck spare of the
 			// path from the deflection point onward.
-			sp = s.bottleneckSpare(s.pathLinks(cand[i:]))
+			sp = s.bottleneckSpare(s.candLinks)
 			if sp <= expected*deflectGain {
 				continue
 			}
@@ -172,46 +185,61 @@ func (s *Sim) bestAlternative(table *bgp.Dest, path []int, i int, bit bool, expe
 			if ranking {
 				s.rank = append(s.rank, fmt.Sprintf("AS%d:%.0f", alt.Via, sp))
 			}
-			return cand, sp, true
+			return joinPath(path[:i], s.cand), sp, true
 		}
 		if ranking {
 			s.rank = append(s.rank, fmt.Sprintf("AS%d:%.0f", alt.Via, sp))
 		}
 		if sp > bestSpare {
-			bestPath, bestSpare = cand, sp
+			// Keep the candidate; the next one is built in the other buffer.
+			s.cand, s.bestCand = s.bestCand, s.cand
+			bestSpare, found = sp, true
 		}
 	}
-	return bestPath, bestSpare, bestPath != nil
+	if !found {
+		return nil, -1, false
+	}
+	return joinPath(path[:i], s.bestCand), bestSpare, true
 }
 
-// splice builds prefix + u's RIB route via the given neighbor, rejecting
-// paths that would revisit an AS. (The valley-free check makes true
-// forwarding loops impossible; a revisit can still arise transiently in
-// the fluid model when the prefix itself was already deflected, so we
-// refuse such splices the way the loop filter would.)
-func (s *Sim) splice(prefix []int, table *bgp.Dest, u, via int) []int {
-	suffix := bgp.PathVia(table, u, via)
+// splice builds u's RIB route via the given neighbor in s.cand and its link
+// ids in s.candLinks, and reports whether prefix + that route is usable: it
+// must not revisit an AS nor cross a failed link. (The valley-free check
+// makes true forwarding loops impossible; a revisit can still arise
+// transiently in the fluid model when the prefix itself was already
+// deflected, so we refuse such splices the way the loop filter would.)
+func (s *Sim) splice(prefix []int, table *bgp.Dest, u, via int) bool {
+	suffix := bgp.PathViaInto(table, u, via, s.cand)
 	if suffix == nil {
-		return nil
+		return false
 	}
+	s.cand = suffix
+	// asSeen[v] == seenGen marks v as on this candidate.
+	if s.asSeen == nil {
+		s.asSeen = make([]uint32, s.g.N())
+	}
+	s.seenGen++
+	if s.seenGen == 0 { // wrapped: old marks could read as current
+		clear(s.asSeen)
+		s.seenGen = 1
+	}
+	for _, part := range [2][]int{prefix, suffix} {
+		for _, v := range part {
+			if s.asSeen[v] == s.seenGen {
+				return false
+			}
+			s.asSeen[v] = s.seenGen
+		}
+	}
+	s.candLinks = s.appendPathLinks(s.candLinks[:0], suffix)
+	return !s.crossesDead(s.candLinks)
+}
+
+// joinPath returns prefix + suffix in a slice of its own.
+func joinPath(prefix, suffix []int) []int {
 	path := make([]int, 0, len(prefix)+len(suffix))
 	path = append(path, prefix...)
-	path = append(path, suffix...)
-	seen := make(map[int]struct{}, len(path))
-	for _, v := range path {
-		if _, dup := seen[v]; dup {
-			return nil
-		}
-		seen[v] = struct{}{}
-	}
-	// Never splice across a failed link: the border router's RIB entry may
-	// predate the failure, but its line card knows the link is down.
-	for i := 0; i+1 < len(path); i++ {
-		if s.capac[s.linkID(path[i], path[i+1])] <= 0 {
-			return nil
-		}
-	}
-	return path
+	return append(path, suffix...)
 }
 
 // setPath moves a flow onto a new path, releasing its current rate from
@@ -250,8 +278,8 @@ func (s *Sim) miroChoose(st *flowState, table *bgp.Dest) {
 	bestSpare := s.bottleneckSpare(st.links)
 	var bestPath []int
 	for _, a := range alts {
-		links := s.pathLinks(a.Path)
-		if sp := s.bottleneckSpare(links); sp > bestSpare {
+		s.candLinks = s.appendPathLinks(s.candLinks[:0], a.Path)
+		if sp := s.bottleneckSpare(s.candLinks); sp > bestSpare {
 			bestSpare = sp
 			bestPath = a.Path
 		}

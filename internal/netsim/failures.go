@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"fmt"
+
 	"repro/internal/bgp"
+	"repro/internal/topo"
 )
 
 // LinkFailure describes one injected failure of an undirected inter-AS
@@ -17,9 +20,6 @@ type LinkFailure struct {
 // data plane immediately (a dead egress is the ultimate congestion signal);
 // everything else waits for control-plane reconvergence.
 func (s *Sim) handleFail(f LinkFailure) {
-	if !s.validLink(f) {
-		return
-	}
 	s.capac[s.linkID(f.A, f.B)] = 0
 	s.capac[s.linkID(f.B, f.A)] = 0
 	if s.repairedTab == nil {
@@ -48,9 +48,6 @@ func (s *Sim) handleFail(f LinkFailure) {
 // handleRecover restores the link and schedules control-plane convergence
 // back to the original best paths.
 func (s *Sim) handleRecover(f LinkFailure) {
-	if !s.validLink(f) {
-		return
-	}
 	s.capac[s.linkID(f.A, f.B)] = s.cfg.LinkCapacityBps
 	s.capac[s.linkID(f.B, f.A)] = s.cfg.LinkCapacityBps
 	if s.repairedTab != nil {
@@ -142,13 +139,20 @@ func (s *Sim) crossesDead(links []int32) bool {
 	return false
 }
 
-// validLink reports whether the failure names an existing inter-AS link.
-func (s *Sim) validLink(f LinkFailure) bool {
-	n := s.g.N()
-	if f.A < 0 || f.A >= n || f.B < 0 || f.B >= n {
-		return false
+// validateFailures rejects a failure that names no inter-AS link of g. Run
+// and RunStream call it before simulating, so a mistyped failure is an
+// error and not a clean run with no failure in it; the handlers rely on it.
+func validateFailures(g *topo.Graph, failures []LinkFailure) error {
+	n := g.N()
+	for i, f := range failures {
+		if f.A < 0 || f.A >= n || f.B < 0 || f.B >= n {
+			return fmt.Errorf("netsim: failure %d names link %d-%d, outside the AS range [0, %d)", i, f.A, f.B, n)
+		}
+		if !g.HasLink(f.A, f.B) {
+			return fmt.Errorf("netsim: failure %d names link %d-%d, which the topology does not have", i, f.A, f.B)
+		}
 	}
-	return s.g.HasLink(f.A, f.B)
+	return nil
 }
 
 func samePath(a, b []int) bool {

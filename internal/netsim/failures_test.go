@@ -130,7 +130,7 @@ func TestFailureOnUnusedLinkIsHarmless(t *testing.T) {
 	flows := []traffic.Flow{{ID: 0, Src: 3, Dst: 0, SizeBits: 10 * mb, Arrival: 0}}
 	res, err := Run(g, flows, Config{
 		Policy:   PolicyBGP,
-		Failures: []LinkFailure{{A: 3, B: 2, At: 0.01}, {A: 9, B: 1, At: 0.01}},
+		Failures: []LinkFailure{{A: 3, B: 2, At: 0.01}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +138,29 @@ func TestFailureOnUnusedLinkIsHarmless(t *testing.T) {
 	f := res.Flows[0]
 	if f.StalledTime > 0 || f.Stalled || f.Reroutes != 0 {
 		t.Errorf("unrelated failure affected the flow: %+v", f)
+	}
+}
+
+// A failure that names no link of the topology is a configuration error,
+// not a run without that failure.
+func TestFailureNamingNoLinkIsAnError(t *testing.T) {
+	g := failGraph(t)
+	flows := []traffic.Flow{{ID: 0, Src: 3, Dst: 0, SizeBits: 10 * mb, Arrival: 0}}
+	for name, f := range map[string]LinkFailure{
+		"AS out of range":   {A: 9, B: 1, At: 0.01},
+		"negative AS":       {A: 1, B: -1, At: 0.01},
+		"ASes not adjacent": {A: 1, B: 2, At: 0.01, RecoverAt: 0.02},
+	} {
+		cfg := Config{Policy: PolicyMIFO, Failures: []LinkFailure{{A: 3, B: 1, At: 0.2}, f}}
+		if _, err := Run(g, flows, cfg); err == nil {
+			t.Errorf("Run, %s: want an error", name)
+		}
+		if _, err := Run(g, nil, cfg); err == nil {
+			t.Errorf("Run without flows, %s: want an error", name)
+		}
+		if _, err := RunStream(g, &sliceStream{flows: flows}, []int{0}, 0, cfg); err == nil {
+			t.Errorf("RunStream, %s: want an error", name)
+		}
 	}
 }
 

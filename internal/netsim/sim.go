@@ -255,6 +255,10 @@ type Sim struct {
 	count    []int32   // scratch for max-min
 	flowsOn  [][]int32 // scratch: active flow indices per link
 	touched  []int32   // links referenced by active flows
+	pos      []int32   // scratch for max-min: a touched link's index in touched
+	tree     fairTree  // scratch for max-min: bottleneck selection (rates.go)
+	dirty    []int32   // scratch for max-min: links one round's freezes moved
+	isDirty  []bool    // scratch for max-min: link is in dirty
 	rank     []string  // scratch: candidate ranking for trace notes
 
 	// Failure state. repairedTab is the control plane's post-failure view:
@@ -283,6 +287,15 @@ type Sim struct {
 	// common outcome is "path unchanged", so the walk reuses one buffer and
 	// only paths that actually moved are copied out.
 	pathScratch []int
+
+	// Candidate scratch for bestAlternative (adapt.go): most candidates
+	// lose, so they are built here and only a winner is copied out.
+	ribBuf    []bgp.Alt // the deciding AS's RIB
+	cand      []int     // the candidate being judged, from the deflection point on
+	bestCand  []int     // the best candidate so far, same form
+	candLinks []int32   // link ids of cand
+	asSeen    []uint32  // per AS: == seenGen when on the candidate being checked
+	seenGen   uint32
 
 	// Streaming mode (RunStream): flows are pulled one at a time from
 	// stream, retired flows recycle their slot through free, and outcomes
@@ -324,6 +337,9 @@ const (
 // results in flow order.
 func Run(g *topo.Graph, flows []traffic.Flow, cfg Config) (*Results, error) {
 	cfg = cfg.withDefaults()
+	if err := validateFailures(g, cfg.Failures); err != nil {
+		return nil, err
+	}
 	if len(flows) == 0 {
 		return &Results{Capacity: cfg.LinkCapacityBps}, nil
 	}
@@ -435,6 +451,8 @@ func (s *Sim) buildLinks() {
 	s.residual = make([]float64, s.numLinks)
 	s.count = make([]int32, s.numLinks)
 	s.flowsOn = make([][]int32, s.numLinks)
+	s.pos = make([]int32, s.numLinks)
+	s.isDirty = make([]bool, s.numLinks)
 }
 
 // linkID returns the id of the directed link v -> u. u must be a neighbor.
@@ -646,9 +664,13 @@ func (s *Sim) afterTopologyChange() {
 
 // pathLinks maps an AS path to directed link ids.
 func (s *Sim) pathLinks(path []int) []int32 {
-	links := make([]int32, len(path)-1)
+	return s.appendPathLinks(make([]int32, 0, len(path)-1), path)
+}
+
+// appendPathLinks appends the path's directed link ids to links.
+func (s *Sim) appendPathLinks(links []int32, path []int) []int32 {
 	for i := 0; i+1 < len(path); i++ {
-		links[i] = s.linkID(path[i], path[i+1])
+		links = append(links, s.linkID(path[i], path[i+1]))
 	}
 	return links
 }

@@ -155,6 +155,9 @@ func (r *StreamResults) OffloadFraction() float64 {
 // peak number of concurrently active flows, not to maxFlows.
 func RunStream(g *topo.Graph, src traffic.Stream, dsts []int, maxFlows int, cfg Config) (*StreamResults, error) {
 	cfg = cfg.withDefaults()
+	if err := validateFailures(g, cfg.Failures); err != nil {
+		return nil, err
+	}
 	for _, d := range dsts {
 		if d < 0 || d >= g.N() {
 			return nil, fmt.Errorf("netsim: destination %d out of range [0, %d)", d, g.N())
