@@ -2,7 +2,11 @@
 
 GO ?= go
 
-.PHONY: all build test race audit-race fib-race span-race tsdb-race conv-smoke vet lint lint-json bench bench-json perf perf-compare fuzz figures testbed results clean
+.PHONY: all build test race ring-race audit-race fib-race span-race tsdb-race conv-smoke vet lint lint-json bench bench-smoke bench-json perf perf-compare fuzz figures testbed results clean
+
+# Every package with micro-benchmarks: what `make bench` measures and
+# what CI's `make bench-smoke` keeps runnable.
+BENCH_PKGS = . ./internal/dataplane ./internal/audit ./internal/bgp ./internal/lpm ./internal/ring ./internal/obs/span ./internal/obs/tsdb ./internal/netsim ./internal/netd
 
 all: build test
 
@@ -14,9 +18,8 @@ vet:
 
 # mifolint: the repository's own analyzer suite (internal/lint) — FIB
 # generation immutability, the //mifo:hotpath cost budget, obs metric and
-# span naming, lock-scope hygiene, the //mifo:ring publish protocol
-# (ringorder), builder-published arena freezing (arenafreeze), goroutine
-# lifecycle ownership (lifecycle), and the
+# span naming, lock-scope hygiene, builder-published arena freezing
+# (arenafreeze), goroutine lifecycle ownership (lifecycle), and the
 # shadow/unusedwrite/nilness/droppederr sweeps. Standalone mode enables
 # the whole-tree checks; the same binary also runs as
 # `go vet -vettool=$$(which mifo-lint) ./...`. The driver reports its own
@@ -38,6 +41,13 @@ race:
 	$(GO) test -race -count=2 ./internal/obs ./internal/netsim
 	$(GO) test -race ./...
 
+# The two lock-free ring protocols every asynchronous observer is built
+# on (internal/ring): producers against the drain goroutine, the writer
+# against snapshot readers. These tests are what holds the publish
+# ordering; the race detector is part of how they do it.
+ring-race:
+	$(GO) test -race -count=5 ./internal/ring
+
 # The flight recorder's concurrency surface: hop hooks fire from simulator
 # workers and netd receive loops while the batcher drains rings, seals
 # Merkle batches, and answers Stats/Flush/Close barriers. Stress the async
@@ -53,18 +63,18 @@ audit-race:
 fib-race:
 	$(GO) test -race -count=2 ./internal/dataplane ./internal/lpm ./internal/core ./internal/bgp
 
-# The convergence tracer's concurrency surface: producers push spans into
-# lock-free ring segments from simulator/daemon goroutines while the
-# collector drains, counts sheds, and answers Flush/Close barriers — and
-# the netsim mirror deployment drives the whole pipeline per failure.
+# The convergence tracer's concurrency surface: producers offer spans
+# from simulator/daemon goroutines while the collector drains, counts
+# sheds, and answers Flush/Close barriers — and the netsim mirror
+# deployment drives the whole pipeline per failure.
 span-race:
 	$(GO) test -race -count=5 ./internal/obs/span
 	$(GO) test -race -count=2 -run 'Convergence|Trace' ./internal/netsim ./internal/bgpsim
 
 # The tsdb concurrency surface: the single-writer sample path racing
-# snapshot/query/episode readers — both the store's own torn-read tests
-# and the debug mux serving every endpoint while a sampler runs flat out,
-# plus the simulator feeding a live store per epoch.
+# snapshot/query/episode readers — the debug mux serving every endpoint
+# while a sampler runs flat out, plus the simulator feeding a live store
+# per epoch. (The torn-read tests of the ring itself are ring-race's.)
 tsdb-race:
 	$(GO) test -race -count=5 ./internal/obs/tsdb
 	$(GO) test -race -count=2 -run 'TSDB|DebugTSDB' ./internal/obs ./internal/netsim ./internal/packetsim
@@ -76,7 +86,11 @@ conv-smoke:
 	$(GO) run ./cmd/mifo-conv -events -min-events 6 /tmp/mifo-spans.jsonl
 
 bench:
-	$(GO) test -run xxx -bench=. -benchmem . ./internal/dataplane ./internal/audit ./internal/bgp ./internal/lpm ./internal/obs/span ./internal/obs/tsdb ./internal/netsim ./internal/netd
+	$(GO) test -run xxx -bench=. -benchmem $(BENCH_PKGS)
+
+# One iteration of every benchmark: they still build and run.
+bench-smoke:
+	$(GO) test -run xxx -bench=. -benchtime=1x $(BENCH_PKGS)
 
 # The repo's benchmark (BENCHMARK.json, bench/README.md): five workloads end
 # to end with their outputs checked, about 25 s each. Every performance

@@ -2,10 +2,10 @@
 // static enforcement of the repository's concurrency and hot-path
 // contracts — generation immutability of the versioned FIB and LPM trie,
 // the //mifo:hotpath allocation/lock budget, obs metric naming,
-// lock-scope hygiene, the //mifo:ring publish protocol (ringorder), the
-// builder-publish freeze of arena memory (arenafreeze), and goroutine
-// lifecycle ownership (lifecycle) — plus native ports of the non-default
-// vet passes shadow, unusedwrite, nilness, and the dropped-error sweep.
+// lock-scope hygiene, the builder-publish freeze of arena memory
+// (arenafreeze), and goroutine lifecycle ownership (lifecycle) — plus
+// native ports of the non-default vet passes shadow, unusedwrite,
+// nilness, and the dropped-error sweep.
 //
 // Two modes:
 //

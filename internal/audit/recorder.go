@@ -2,14 +2,13 @@ package audit
 
 import (
 	"io"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataplane"
 	"repro/internal/jsonl"
 	"repro/internal/obs"
+	"repro/internal/ring"
 	"repro/internal/topo"
 )
 
@@ -75,7 +74,8 @@ type Stats struct {
 	Violations  uint64
 	ByInvariant [numInvariants]uint64
 	// RingDropped counts hop records shed because a ring segment stayed
-	// full (the journeys they belonged to are incomplete or missing);
+	// full, or because a flow path had more steps than a segment holds
+	// (the journeys they belonged to are incomplete or missing);
 	// Backpressure counts ring-full events where the producer yielded
 	// once before retrying.
 	RingDropped  uint64
@@ -107,49 +107,28 @@ type journey struct {
 	chk Checker
 }
 
-// batcher commands.
-type cmdKind uint8
-
-const (
-	// cmdDrain: drain every ring segment and return (Stats barrier).
-	cmdDrain cmdKind = iota
-	// cmdSeal: drain, then seal the current partial batch (Flush).
-	cmdSeal
-	// cmdClose: drain, finalize in-flight journeys as lost, seal the
-	// final partial batch, and stop the batcher.
-	cmdClose
-)
-
-type cmd struct {
-	kind cmdKind
-	done chan error
-}
-
 // Recorder is the packet flight recorder: it accumulates journeys from
 // dataplane hop hooks (packet granularity) and from netsim path installs
 // (flow granularity), checks invariants online, and streams finished
 // records as a tamper-evident JSONL log. All methods are safe for
 // concurrent use.
 //
-// The record path is asynchronous: hooks write fixed-size hop records
-// into lock-free ring segments (see ring.go) and return; a background
-// batcher drains the rings, assembles journeys, runs the invariant
-// checker, and seals Merkle-committed batches (see merkle.go). Stats,
-// Flush, Close and ViolatingRecords are synchronization barriers — each
-// drains everything the hooks pushed before the call.
+// The record path is asynchronous: hooks offer fixed-size hop records
+// (see hoprec.go) to a ring.Drainer and return; its drain goroutine, the
+// batcher, assembles journeys, runs the invariant checker, and seals
+// Merkle-committed batches (see merkle.go). Stats, Flush, Close and
+// ViolatingRecords are synchronization barriers — each drains
+// everything the hooks pushed before the call.
 type Recorder struct {
 	sampleLimit uint32
-	segs        []segment
-	segMask     uint64
-
-	// Hot-side shed accounting; mirrored into Stats and obs by the
-	// batcher so producers touch nothing but these atomics.
-	hotDropped      atomic.Int64
-	hotBackpressure atomic.Int64
-
-	closed atomic.Bool
-	cmds   chan cmd
-	done   chan struct{}
+	// rings carries hop records to the batcher. Every record of one
+	// journey is offered under the same key, so the batcher sees its hops
+	// in push order.
+	rings *ring.Drainer[hopRec]
+	// The hooks read the two fields above on every hop, and the batcher
+	// writes the ones below for every journey: keep them a cache line
+	// apart.
+	_ [64]byte
 
 	// mu guards the snapshot state shared with callers: stats and the
 	// retained violating records. The first sink error lives in the jsonl
@@ -164,7 +143,6 @@ type Recorder struct {
 	plain      bool
 	batchSize  int
 	flushEvery time.Duration
-	poll       time.Duration
 	inflight   map[asmKey]*journey
 	// One-entry journey cache: consecutive hops of the same journey (the
 	// overwhelmingly common drain pattern, since a journey's hops are
@@ -181,7 +159,6 @@ type Recorder struct {
 	batchNo                     uint64
 	prevSeal                    [32]byte
 	leaves                      [][32]byte
-	highwater                   uint64
 	pubDropped, pubBackpressure int64
 	keep                        int
 	trace                       *obs.Trace
@@ -192,15 +169,6 @@ type Recorder struct {
 	batchesSealed, proofsEmitted    *obs.Counter
 	queueDepth, queueHigh           *obs.Gauge
 	flushSeconds, batchRecords      *obs.Histogram
-}
-
-// ceilPow2 rounds n up to a power of two (minimum 1).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // NewRecorder builds a recorder from options and starts its batcher.
@@ -215,8 +183,6 @@ func NewRecorder(o Options) *Recorder {
 		plain:       o.Plain,
 		batchSize:   o.BatchSize,
 		flushEvery:  o.FlushInterval,
-		cmds:        make(chan cmd),
-		done:        make(chan struct{}),
 	}
 	if o.Sample > 0 && o.Sample < 1 {
 		rec.sampleLimit = uint32(o.Sample * float64(^uint32(0)))
@@ -233,27 +199,14 @@ func NewRecorder(o Options) *Recorder {
 	if rec.flushEvery <= 0 {
 		rec.flushEvery = 50 * time.Millisecond
 	}
-	rec.poll = rec.flushEvery / 16
-	if rec.poll < 200*time.Microsecond {
-		rec.poll = 200 * time.Microsecond
-	}
-	if rec.poll > 2*time.Millisecond {
-		rec.poll = 2 * time.Millisecond
-	}
+	poll := min(max(rec.flushEvery/16, 200*time.Microsecond), 2*time.Millisecond)
 	nseg := o.Segments
 	if nseg <= 0 {
 		nseg = 8
 	}
-	nseg = ceilPow2(nseg)
 	segCap := o.SegmentCap
 	if segCap <= 0 {
 		segCap = 2048
-	}
-	segCap = ceilPow2(segCap)
-	rec.segs = make([]segment, nseg)
-	rec.segMask = uint64(nseg - 1)
-	for i := range rec.segs {
-		rec.segs[i].init(segCap)
 	}
 	if o.Registry != nil {
 		rec.recTotal = o.Registry.Counter("audit_records_total", "flight records finalized")
@@ -271,7 +224,7 @@ func NewRecorder(o Options) *Recorder {
 		rec.batchRecords = o.Registry.Histogram("audit_batch_records", "journeys per sealed batch",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 	}
-	go rec.run()
+	rec.rings = ring.NewDrainer(nseg, segCap, poll, rec.process, rec.barrier)
 	return rec
 }
 
@@ -282,39 +235,28 @@ func NewRecorder(o Options) *Recorder {
 func (rec *Recorder) Sampled(flowHash uint32) bool { return flowHash <= rec.sampleLimit }
 
 // mix64 spreads a flow ID over 32 bits (splitmix64 finalizer) so integer
-// flow IDs sample uniformly.
-func mix64(x uint64) uint32 { return uint32(jmix(x) >> 32) }
-
-// segFor picks the ring segment for a journey key. Every record of one
-// journey hashes to the same segment, so the batcher observes its hops
-// in push order.
-//
-//mifo:hotpath
-func (rec *Recorder) segFor(flowID uint64, dst int32, id uint16) *segment {
-	k := flowID ^ uint64(uint32(dst))<<29 ^ uint64(id)<<47
-	return &rec.segs[jmix(k)&rec.segMask]
+// flow IDs sample uniformly. It is the sampling decision, part of what a
+// flight log means, so it does not share the rings' segment hash.
+func mix64(x uint64) uint32 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return uint32(x >> 32)
 }
 
-// offer pushes one record group into seg with the shed policy: on a full
-// ring, count backpressure, yield once to let the batcher drain, retry,
-// and drop (counted) if the ring is still full. The forwarding engine
-// never blocks on the recorder.
+// journeyKey folds a journey's identity into the key its hop records are
+// offered under.
 //
 //mifo:hotpath
-func (rec *Recorder) offer(seg *segment, h *hopRec, rest []hopRec) {
-	if seg.tryPushN(h, rest) {
-		return
-	}
-	rec.hotBackpressure.Add(1)
-	runtime.Gosched()
-	if seg.tryPushN(h, rest) {
-		return
-	}
-	rec.hotDropped.Add(int64(1 + len(rest)))
+func journeyKey(flowID uint64, dst int32, id uint16) uint64 {
+	return flowID ^ uint64(uint32(dst))<<29 ^ uint64(id)<<47
 }
 
 // hookHop is the per-forwarding-decision record path: one flow hash, a
-// sampling compare, one fixed-size hopRec copied into a lock-free ring.
+// sampling compare, one fixed-size hopRec copied into a lock-free ring;
+// a full ring sheds the record rather than stall the forwarding engine.
 // No allocation, no lock, no formatting — mifolint enforces the budget
 // transitively from here.
 //
@@ -334,7 +276,7 @@ func (rec *Recorder) hookHop(p *dataplane.Packet, h dataplane.HopInfo) {
 		reason:  h.Reason,
 		step:    stepFromHop(h),
 	}
-	rec.offer(rec.segFor(hr.flowID, hr.dst, hr.pktID), &hr, nil)
+	rec.rings.Offer(journeyKey(hr.flowID, hr.dst, hr.pktID), &hr, nil)
 }
 
 // RouterHook returns the hop hook to install as dataplane.Router.Hop on
@@ -363,7 +305,7 @@ func (rec *Recorder) Lost(p *dataplane.Packet, detail string) {
 		pktID:  p.ID,
 		detail: detail,
 	}
-	rec.offer(rec.segFor(hr.flowID, hr.dst, hr.pktID), &hr, nil)
+	rec.rings.Offer(journeyKey(hr.flowID, hr.dst, hr.pktID), &hr, nil)
 }
 
 // PathRecord is a flow-granularity journey: one path installed for one
@@ -408,7 +350,7 @@ func (rec *Recorder) RecordPath(pr PathRecord) {
 			rest[len(rest)-1].flags = flagPathLast
 		}
 	}
-	rec.offer(rec.segFor(pr.Flow, pr.Dst, 0), &head, rest)
+	rec.rings.Offer(journeyKey(pr.Flow, pr.Dst, 0), &head, rest)
 }
 
 // PathSteps converts an AS-level path into checker steps against the
@@ -475,55 +417,24 @@ func stepFromHop(h dataplane.HopInfo) Step {
 	return s
 }
 
-// run is the batcher: it drains the ring segments on a short poll,
-// assembles journeys, seals batches on size or deadline, and services
-// the barrier commands behind Stats, Flush and Close.
-func (rec *Recorder) run() {
-	defer close(rec.done)
-	tick := time.NewTicker(rec.poll)
-	defer tick.Stop()
-	for {
-		select {
-		case c := <-rec.cmds:
-			rec.drainAll()
-			if c.kind == cmdClose {
-				rec.loseInflight()
-			}
-			if c.kind != cmdDrain {
-				rec.sealBatch()
-			}
-			rec.publish()
-			c.done <- rec.firstSinkErr()
-			if c.kind == cmdClose {
-				return
-			}
-		case <-tick.C:
-			rec.drainAll()
-			rec.maybeSeal()
-			rec.publish()
-		}
+// barrier runs on the batcher after each sweep of the rings: it seals
+// batches on deadline (poll ticks) or on demand (Flush, Close), mirrors
+// the counters, and answers the barrier with the first sink error.
+func (rec *Recorder) barrier(kind ring.Barrier, load ring.Load) error {
+	switch kind {
+	case ring.Tick:
+		rec.maybeSeal()
+	case ring.Flush:
+		rec.sealBatch()
+	case ring.Close:
+		rec.loseInflight()
+		rec.sealBatch()
 	}
-}
-
-// drainAll sweeps every segment until one full sweep finds nothing,
-// bounded so a saturating producer cannot starve the command channel.
-func (rec *Recorder) drainAll() {
-	for sweep := 0; sweep < 1024; sweep++ {
-		var depth uint64
-		for i := range rec.segs {
-			depth += rec.segs[i].pending()
-		}
-		if depth > rec.highwater {
-			rec.highwater = depth
-		}
-		n := 0
-		for i := range rec.segs {
-			n += rec.segs[i].drain(rec.process)
-		}
-		if n == 0 {
-			return
-		}
+	rec.publish(load)
+	if rec.sink == nil {
+		return nil
 	}
+	return rec.sink.Err()
 }
 
 // lookup resolves a journey through the one-entry cache, then the map.
@@ -800,54 +711,28 @@ func (rec *Recorder) loseInflight() {
 	}
 }
 
-// publish mirrors the hot-side shed counters and queue gauges into the
+// publish mirrors the rings' shed counters and queue gauges into the
 // stats snapshot and the obs registry (batcher only).
-func (rec *Recorder) publish() {
-	d := rec.hotDropped.Load()
-	bp := rec.hotBackpressure.Load()
+func (rec *Recorder) publish(load ring.Load) {
 	rec.mu.Lock()
-	rec.stats.RingDropped = uint64(d)
-	rec.stats.Backpressure = uint64(bp)
+	rec.stats.RingDropped = uint64(load.Dropped)
+	rec.stats.Backpressure = uint64(load.Backpressure)
 	rec.mu.Unlock()
 	if rec.droppedTotal == nil {
 		return
 	}
-	rec.droppedTotal.Add(d - rec.pubDropped)
-	rec.pubDropped = d
-	rec.backpressureTotal.Add(bp - rec.pubBackpressure)
-	rec.pubBackpressure = bp
-	var depth uint64
-	for i := range rec.segs {
-		depth += rec.segs[i].pending()
-	}
-	rec.queueDepth.Set(float64(depth))
-	rec.queueHigh.Set(float64(rec.highwater))
-}
-
-// firstSinkErr snapshots the sink's retained first error.
-func (rec *Recorder) firstSinkErr() error {
-	if rec.sink == nil {
-		return nil
-	}
-	return rec.sink.Err()
-}
-
-// command runs one barrier command through the batcher; after Close it
-// degrades to reporting the retained sink error.
-func (rec *Recorder) command(kind cmdKind) error {
-	c := cmd{kind: kind, done: make(chan error, 1)}
-	select {
-	case rec.cmds <- c:
-		return <-c.done
-	case <-rec.done:
-		return rec.firstSinkErr()
-	}
+	rec.droppedTotal.Add(load.Dropped - rec.pubDropped)
+	rec.pubDropped = load.Dropped
+	rec.backpressureTotal.Add(load.Backpressure - rec.pubBackpressure)
+	rec.pubBackpressure = load.Backpressure
+	rec.queueDepth.Set(float64(load.Depth))
+	rec.queueHigh.Set(float64(load.Highwater))
 }
 
 // Flush drains everything the hooks have pushed, seals the current
 // partial batch, and returns the first sink error seen so far.
 func (rec *Recorder) Flush() error {
-	return rec.command(cmdSeal)
+	return rec.rings.Wait(ring.Flush)
 }
 
 // Close drains every ring segment, finalizes journeys still in flight
@@ -855,21 +740,13 @@ func (rec *Recorder) Flush() error {
 // and returns the first sink error. Hooks left installed after Close are
 // harmless: their pushes land in the rings and are never drained.
 func (rec *Recorder) Close() error {
-	if rec.closed.Swap(true) {
-		return rec.command(cmdDrain)
-	}
-	return rec.command(cmdClose)
+	return rec.rings.Close()
 }
 
 // Stats drains everything the hooks have pushed (without sealing) and
 // returns a snapshot of the recorder's counters.
 func (rec *Recorder) Stats() Stats {
-	c := cmd{kind: cmdDrain, done: make(chan error, 1)}
-	select {
-	case rec.cmds <- c:
-		<-c.done
-	case <-rec.done:
-	}
+	rec.rings.Wait(ring.Drain) // sink errors are for Flush and Close to report
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	return rec.stats
@@ -879,12 +756,7 @@ func (rec *Recorder) Stats() Stats {
 // violations, for post-mortem inspection without a JSONL sink. Like
 // Stats, it is a drain barrier.
 func (rec *Recorder) ViolatingRecords() []Record {
-	c := cmd{kind: cmdDrain, done: make(chan error, 1)}
-	select {
-	case rec.cmds <- c:
-		<-c.done
-	case <-rec.done:
-	}
+	rec.rings.Wait(ring.Drain) // as in Stats
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	return append([]Record(nil), rec.bad...)

@@ -245,6 +245,29 @@ func TestRecordPathAndPathSteps(t *testing.T) {
 	}
 }
 
+// TestRecordPathLongerThanSegment: a path with more steps than a ring
+// segment holds can never be buffered. That is not congestion: the whole
+// path is shed and counted at once, with no backpressure event, and the
+// recorder goes on recording what does fit.
+func TestRecordPathLongerThanSegment(t *testing.T) {
+	rec := NewRecorder(Options{Segments: 1, SegmentCap: 4})
+	defer rec.Close()
+	step := func(as int32) Step { return Step{Router: -1, AS: as, Edge: EdgeDown} }
+	long := PathRecord{Flow: 1, Dst: 9, BaselineLen: 5}
+	for as := int32(0); as < 6; as++ {
+		long.Steps = append(long.Steps, step(as))
+	}
+	rec.RecordPath(long)
+	rec.RecordPath(PathRecord{Flow: 2, Dst: 9, BaselineLen: 1, Steps: []Step{step(0), step(1)}})
+	st := rec.Stats()
+	if st.RingDropped != 6 || st.Backpressure != 0 {
+		t.Fatalf("stats = %+v, want 6 records dropped and no backpressure", st)
+	}
+	if st.Paths != 1 || st.Steps != 2 {
+		t.Fatalf("stats = %+v, want the short path recorded", st)
+	}
+}
+
 // failWriter fails every write after the first `after`.
 type failWriter struct {
 	after  int

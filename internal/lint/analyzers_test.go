@@ -40,10 +40,6 @@ func TestDroppederr(t *testing.T) {
 	checkCorpus(t, "droppederr", Droppederr())
 }
 
-func TestRingorder(t *testing.T) {
-	checkCorpus(t, "ringorder", Ringorder())
-}
-
 func TestArenafreeze(t *testing.T) {
 	checkCorpus(t, "arenafreeze", Arenafreeze(DefaultArenafreezeConfig()))
 }

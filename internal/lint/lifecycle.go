@@ -231,16 +231,44 @@ func finishLifecycle(s *State, report func(Diagnostic)) {
 	interp := getInterpFacts(s)
 	lfacts := getLifecycleFacts(s)
 
+	// ctorOwns: calling this constructor leaves the caller holding a
+	// goroutine — its own, or that of a constructor whose result it wraps.
+	ctorMemo := map[string]bool{}
+	var ctorOwns func(key string) bool
+	ctorOwns = func(key string) bool {
+		if owns, seen := ctorMemo[key]; seen {
+			return owns
+		}
+		ctorMemo[key] = false // break cycles
+		fi := interp.funcs[key]
+		if fi == nil || fi.isMethod || fi.joinedBody {
+			return false
+		}
+		owns := len(fi.spawns) > 0
+		if !owns && len(interp.closers[fi.resultTypeKey]) > 0 {
+			for _, c := range fi.calls {
+				if ctorOwns(c) {
+					owns = true
+					break
+				}
+			}
+		}
+		ctorMemo[key] = owns
+		return owns
+	}
+
 	// owners: type keys whose goroutines come from a method or whose
 	// constructor returns them.
 	owners := map[string]bool{}
-	for _, fi := range interp.funcs {
-		if len(fi.spawns) == 0 || fi.joinedBody || isTestFunc(fi) {
+	for key, fi := range interp.funcs {
+		if isTestFunc(fi) {
 			continue
 		}
-		if fi.isMethod && fi.recvTypeKey != "" {
-			owners[fi.recvTypeKey] = true
-		} else if fi.resultTypeKey != "" {
+		if fi.isMethod {
+			if len(fi.spawns) > 0 && !fi.joinedBody && fi.recvTypeKey != "" {
+				owners[fi.recvTypeKey] = true
+			}
+		} else if fi.resultTypeKey != "" && ctorOwns(key) {
 			owners[fi.resultTypeKey] = true
 		}
 	}
@@ -305,8 +333,7 @@ func finishLifecycle(s *State, report func(Diagnostic)) {
 		if site.handled {
 			continue
 		}
-		fi := interp.funcs[site.calleeKey]
-		if fi == nil || len(fi.spawns) == 0 || fi.joinedBody || fi.isMethod {
+		if !ctorOwns(site.calleeKey) {
 			continue
 		}
 		report(Diagnostic{

@@ -24,10 +24,6 @@
 //     once per name across the tree.
 //   - locksafe: no sync.Mutex/RWMutex is held across a channel send, a
 //     generation Commit, or a blocking network/sleep call.
-//   - ringorder: //mifo:ring-annotated lock-free rings follow the publish
-//     protocol — payload writes happen-before the atomic cursor publish,
-//     readers acquire the cursor first and re-load it to discard lapped
-//     windows, role fields stay atomic and encapsulated.
 //   - arenafreeze: builder-published arena memory (topo.Graph CSR,
 //     bgp.Dest packed routes) is frozen after publish; interior slices
 //     handed out by accessors are provably read-only, transitively.
@@ -164,12 +160,6 @@ const IgnoreDirective = "//mifolint:ignore"
 
 // HotpathDirective marks a function as hot-path in its doc comment.
 const HotpathDirective = "//mifo:hotpath"
-
-// RingDirective marks a struct type as a lock-free ring in its doc
-// comment, declaring the field roles ringorder enforces:
-//
-//	//mifo:ring payload=<f>[,<f>...] cursor=<f> [read=<f>] [latch=<f>] [init=<func>[,<func>...]]
-const RingDirective = "//mifo:ring"
 
 // ignoreRule is one parsed ignore directive.
 type ignoreRule struct {
@@ -329,7 +319,6 @@ func Suite() []*Analyzer {
 		Unusedwrite(),
 		Nilness(),
 		Droppederr(),
-		Ringorder(),
 		Arenafreeze(DefaultArenafreezeConfig()),
 		Lifecycle(),
 	}

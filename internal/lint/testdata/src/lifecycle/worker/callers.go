@@ -19,6 +19,17 @@ func Forget() {
 	_ = p
 }
 
+// DropStation discards a wrapper around a goroutine-owning result.
+func DropStation() {
+	NewStation() // want `never closed`
+}
+
+// UseStation closes the wrapper, which closes the Pump.
+func UseStation() {
+	s := NewStation()
+	defer s.Close()
+}
+
 // UseWatch invokes the returned stop function: fine.
 func UseWatch() {
 	stop := Watch()

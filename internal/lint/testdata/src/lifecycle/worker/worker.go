@@ -35,6 +35,20 @@ func (p *Pump) Close() {
 	<-p.done
 }
 
+// Station wraps a Pump: it starts no goroutine itself but owns the
+// Pump's, so its callers owe it a Close.
+type Station struct {
+	p *Pump
+}
+
+// NewStation hands the Pump's lifecycle to the Station.
+func NewStation() *Station {
+	return &Station{p: NewPump()}
+}
+
+// Close reaches the Pump's drain barrier.
+func (s *Station) Close() { s.p.Close() }
+
 // Orphan spawns a goroutine nobody can stop.
 type Orphan struct {
 	ch chan int

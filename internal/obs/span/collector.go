@@ -3,11 +3,11 @@ package span
 import (
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/jsonl"
 	"repro/internal/obs"
+	"repro/internal/ring"
 )
 
 // Options configure a Tracer. The zero value keeps spans in memory only
@@ -51,30 +51,10 @@ type Stats struct {
 	Backpressure uint64
 }
 
-// collector commands.
-type cmdKind uint8
-
-const (
-	// cmdDrain: drain every ring segment and return (Stats/Flush barrier).
-	cmdDrain cmdKind = iota
-	// cmdClose: drain, publish, and stop the collector.
-	cmdClose
-)
-
-type cmd struct {
-	kind cmdKind
-	done chan error
-}
-
-// collector is the cold half of the Tracer: a background goroutine
-// drains the ring segments on a short poll, writes records as JSONL,
-// and mirrors counters into obs. The fields are grouped here so span.go
-// stays all hot path.
+// collector is the cold half of the Tracer: what the rings' drain
+// goroutine does with each record — write it as JSONL, mirror counters
+// into obs. The fields are grouped here so span.go stays all hot path.
 type collector struct {
-	closed atomic.Bool
-	cmds   chan cmd
-	done   chan struct{}
-
 	// mu guards the snapshot state shared with callers. The first sink
 	// error lives in the jsonl sink itself.
 	mu    sync.Mutex
@@ -83,9 +63,7 @@ type collector struct {
 	// Collector-goroutine-owned state; no locking (single goroutine). The
 	// sink serializes internally and retains the first write error.
 	sink                        *jsonl.Sink
-	poll                        time.Duration
 	records, roots              uint64
-	highwater                   uint64
 	pubDropped, pubBackpressure int64
 
 	recTotal, rootTotal             *obs.Counter
@@ -95,15 +73,6 @@ type collector struct {
 	// stageHist caches label resolution so the drain loop skips the
 	// family lock for names it has already seen.
 	stageHist map[string]*obs.Histogram
-}
-
-// ceilPow2 rounds n up to a power of two (minimum 1).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // New builds a tracer from options, enabled, and starts its collector.
@@ -119,15 +88,11 @@ func New(o Options) *Tracer {
 		t.tscScale = tscScale
 		t.tscEpoch = rdtsc()
 	}
-	t.cmds = make(chan cmd)
-	t.done = make(chan struct{})
-	t.poll = o.Poll
-	if t.poll <= 0 {
-		t.poll = time.Millisecond
+	poll := o.Poll
+	if poll <= 0 {
+		poll = time.Millisecond
 	}
-	if t.poll < 200*time.Microsecond {
-		t.poll = 200 * time.Microsecond
-	}
+	poll = max(poll, 200*time.Microsecond)
 	if o.Writer != nil {
 		t.sink = jsonl.New(o.Writer)
 	}
@@ -135,16 +100,9 @@ func New(o Options) *Tracer {
 	if nseg <= 0 {
 		nseg = 8
 	}
-	nseg = ceilPow2(nseg)
 	segCap := o.SegmentCap
 	if segCap <= 0 {
 		segCap = 4096
-	}
-	segCap = ceilPow2(segCap)
-	t.segs = make([]segment, nseg)
-	t.segMask = uint64(nseg - 1)
-	for i := range t.segs {
-		t.segs[i].init(segCap)
 	}
 	if o.Registry != nil {
 		t.recTotal = o.Registry.Counter("span_records_total", "spans collected from the tracing rings")
@@ -157,52 +115,9 @@ func New(o Options) *Tracer {
 			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1}, "stage")
 		t.stageHist = make(map[string]*obs.Histogram)
 	}
+	t.rings = ring.NewDrainer(nseg, segCap, poll, t.process, t.publish)
 	t.enabled.Store(true)
-	go t.run()
 	return t
-}
-
-// run is the collector loop: drain on a short poll, service the barrier
-// commands behind Stats, Flush and Close.
-func (t *Tracer) run() {
-	defer close(t.done)
-	tick := time.NewTicker(t.poll)
-	defer tick.Stop()
-	for {
-		select {
-		case c := <-t.cmds:
-			t.drainAll()
-			t.publish()
-			c.done <- t.firstSinkErr()
-			if c.kind == cmdClose {
-				return
-			}
-		case <-tick.C:
-			t.drainAll()
-			t.publish()
-		}
-	}
-}
-
-// drainAll sweeps every segment until one full sweep finds nothing,
-// bounded so a saturating producer cannot starve the command channel.
-func (t *Tracer) drainAll() {
-	for sweep := 0; sweep < 1024; sweep++ {
-		var depth uint64
-		for i := range t.segs {
-			depth += t.segs[i].pending()
-		}
-		if depth > t.highwater {
-			t.highwater = depth
-		}
-		n := 0
-		for i := range t.segs {
-			n += t.segs[i].drain(t.process)
-		}
-		if n == 0 {
-			return
-		}
-	}
 }
 
 // process handles one drained record: count it, observe its stage
@@ -229,57 +144,35 @@ func (t *Tracer) process(rec *Record) {
 	}
 }
 
-// publish mirrors collector-owned counters and the hot-side shed
-// accounting into the stats snapshot and the obs registry (collector
-// only).
-func (t *Tracer) publish() {
-	d := t.hotDropped.Load()
-	bp := t.hotBackpressure.Load()
+// publish runs on the collector after each sweep of the rings, whatever
+// the barrier: it mirrors the collector's counters and the rings' shed
+// accounting into the stats snapshot and the obs registry, and answers
+// with the first sink error.
+func (t *Tracer) publish(_ ring.Barrier, load ring.Load) error {
 	t.mu.Lock()
 	t.stats.Records = t.records
 	t.stats.Roots = t.roots
-	t.stats.Dropped = uint64(d)
-	t.stats.Backpressure = uint64(bp)
+	t.stats.Dropped = uint64(load.Dropped)
+	t.stats.Backpressure = uint64(load.Backpressure)
 	t.mu.Unlock()
-	if t.droppedTotal == nil {
-		return
+	if t.droppedTotal != nil {
+		t.droppedTotal.Add(load.Dropped - t.pubDropped)
+		t.pubDropped = load.Dropped
+		t.backpressureTotal.Add(load.Backpressure - t.pubBackpressure)
+		t.pubBackpressure = load.Backpressure
+		t.queueDepth.Set(float64(load.Depth))
+		t.queueHigh.Set(float64(load.Highwater))
 	}
-	t.droppedTotal.Add(d - t.pubDropped)
-	t.pubDropped = d
-	t.backpressureTotal.Add(bp - t.pubBackpressure)
-	t.pubBackpressure = bp
-	var depth uint64
-	for i := range t.segs {
-		depth += t.segs[i].pending()
-	}
-	t.queueDepth.Set(float64(depth))
-	t.queueHigh.Set(float64(t.highwater))
-}
-
-// firstSinkErr snapshots the sink's retained first error.
-func (t *Tracer) firstSinkErr() error {
 	if t.sink == nil {
 		return nil
 	}
 	return t.sink.Err()
 }
 
-// command runs one barrier command through the collector; after Close
-// it degrades to reporting the retained sink error.
-func (t *Tracer) command(kind cmdKind) error {
-	c := cmd{kind: kind, done: make(chan error, 1)}
-	select {
-	case t.cmds <- c:
-		return <-c.done
-	case <-t.done:
-		return t.firstSinkErr()
-	}
-}
-
 // Flush drains every span pushed before the call into the sink and
 // returns the first sink error seen so far.
 func (t *Tracer) Flush() error {
-	return t.command(cmdDrain)
+	return t.rings.Wait(ring.Flush)
 }
 
 // Close disables the tracer, drains every ring segment, stops the
@@ -291,10 +184,7 @@ func (t *Tracer) Close() error {
 		return nil
 	}
 	t.enabled.Store(false)
-	if t.closed.Swap(true) {
-		return t.command(cmdDrain)
-	}
-	return t.command(cmdClose)
+	return t.rings.Close()
 }
 
 // Stats drains everything pushed before the call and returns a snapshot
@@ -303,11 +193,7 @@ func (t *Tracer) Stats() Stats {
 	if t == nil {
 		return Stats{}
 	}
-	t.command(cmdDrain)
-	return t.statsSnapshot()
-}
-
-func (t *Tracer) statsSnapshot() Stats {
+	t.rings.Wait(ring.Drain) // sink errors are for Flush and Close to report
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.stats

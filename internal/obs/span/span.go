@@ -10,16 +10,18 @@
 // generation-swap race against local deflection spends its time.
 //
 // The record path follows the same shed-not-stall discipline as the audit
-// recorder's rings: a finished span is one fixed-size record pushed into
-// a lock-free ring segment — no allocation, no mutex, no formatting — and
-// a background collector drains the rings into JSONL and the span_*
-// metrics. A disabled tracer costs one atomic load per Start.
+// recorder: a finished span is one fixed-size record offered to a
+// ring.Drainer — no allocation, no mutex, no formatting — whose drain
+// goroutine, the collector, writes JSONL and the span_* metrics. A
+// disabled tracer costs one atomic load per Start.
 package span
 
 import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // Context is a span's causal identity: the trace (root span) it belongs
@@ -100,7 +102,7 @@ type Span struct {
 func (s *Span) Context() Context { return Context{Trace: s.trace, Span: s.id} }
 
 // Tracer assigns span identities, timestamps spans on one monotonic
-// clock, and owns the ring segments finished spans are pushed into. A nil
+// clock, and owns the rings finished spans are pushed into. A nil
 // *Tracer is valid and permanently disabled, so instrumented code can
 // hold an optional tracer without nil checks.
 type Tracer struct {
@@ -113,13 +115,14 @@ type Tracer struct {
 	tscEpoch int64
 	tscScale uint64
 
-	segs    []segment
-	segMask uint64
-
-	// Hot-side shed accounting, mirrored into Stats and span_* metrics by
-	// the collector.
-	hotDropped      atomic.Int64
-	hotBackpressure atomic.Int64
+	// rings carries finished spans to the collector, keyed by span ID so
+	// concurrent producers spread over segments. Order across segments
+	// does not matter: every Record carries its own timestamps and parent
+	// link, and the analyzer reassembles trees by ID.
+	rings *ring.Drainer[Record]
+	// Producers read the fields above for every span, and the collector
+	// writes its own for every record: keep them a cache line apart.
+	_ [64]byte
 
 	collector
 }
@@ -220,27 +223,5 @@ func (t *Tracer) record(s *Span) {
 		Start: s.start, End: t.now(),
 		Node: s.Node, A: s.A, B: s.B, V: s.V,
 	}
-	seg := &t.segs[jmix(s.id)&t.segMask]
-	if seg.tryPush(&rec) {
-		return
-	}
-	t.hotBackpressure.Add(1)
-	yield()
-	if seg.tryPush(&rec) {
-		return
-	}
-	t.hotDropped.Add(1)
-}
-
-// jmix spreads a span ID over 64 bits (splitmix64 finalizer) for segment
-// selection, so concurrent producers land on different latches.
-//
-//mifo:hotpath
-func jmix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	t.rings.Offer(s.id, &rec, nil)
 }

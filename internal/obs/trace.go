@@ -148,11 +148,15 @@ func (t *Trace) SetEnabled(on bool) {
 //
 //mifo:hotpath
 func (t *Trace) Emit(e Event) {
-	if t == nil || !t.enabled.Load() || cap(t.buf) == 0 {
+	if t == nil || !t.enabled.Load() {
 		return
 	}
 	//mifolint:ignore hotpathalloc only reached when tracing is on; the Enabled() guard keeps the default path lock-free
 	t.mu.Lock()
+	if cap(t.buf) == 0 { // read under the lock: the append below rewrites the slice header
+		t.mu.Unlock()
+		return
+	}
 	t.total++
 	e.Seq = t.total
 	if len(t.buf) < cap(t.buf) {

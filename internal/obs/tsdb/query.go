@@ -63,63 +63,36 @@ func (b Bucket) Avg() float64 {
 }
 
 // Raw snapshots the series' retained raw points, oldest first, appending
-// to buf. The reader copies the window and then re-loads the cursor:
-// every copied index the writer could have been inside concurrently is
-// discarded. The writer may be mid-write at index newCursor (its ring
-// slot aliases index newCursor-cap) before advancing the cursor, so
-// indices <= newCursor-cap are unsafe even when the cursor did not move
-// — once the ring has wrapped, a snapshot therefore retains at most
-// capacity-1 points.
+// to buf. Once the ring has wrapped a snapshot retains at most
+// capacity-1 points (see ring.Words).
 func (s *Series) Raw(buf []Point) []Point {
-	capacity := uint64(len(s.ts))
-	end := s.cur.Load()
-	lo := uint64(0)
-	if end > capacity {
-		lo = end - capacity
-	}
+	w := s.raw.Snapshot()
 	out := buf[:0]
-	for i := lo; i < end; i++ {
-		out = append(out, Point{
-			TS: s.ts[i&s.mask].Load(),
-			V:  math.Float64frombits(s.val[i&s.mask].Load()),
-		})
+	if n := len(w) / pointWords; cap(out) < n {
+		out = make([]Point, 0, n)
 	}
-	end2 := s.cur.Load()
-	var safeLo uint64
-	if end2+1 > capacity {
-		safeLo = end2 + 1 - capacity
-	}
-	if safeLo > lo {
-		drop := safeLo - lo
-		if drop >= uint64(len(out)) {
-			return out[:0]
-		}
-		out = append(out[:0], out[drop:]...)
+	for ; len(w) >= pointWords; w = w[pointWords:] {
+		out = append(out, pointOf(w))
 	}
 	return out
 }
 
 // Latest returns the most recent point, if any.
 func (s *Series) Latest() (Point, bool) {
-	for {
-		end := s.cur.Load()
-		if end == 0 {
-			return Point{}, false
-		}
-		i := end - 1
-		p := Point{
-			TS: s.ts[i&s.mask].Load(),
-			V:  math.Float64frombits(s.val[i&s.mask].Load()),
-		}
-		if s.cur.Load() == end {
-			return p, true
-		}
+	var buf [pointWords]uint64
+	w, ok := s.raw.Last(buf[:])
+	if !ok {
+		return Point{}, false
 	}
+	return pointOf(w), true
+}
+
+func pointOf(w []uint64) Point {
+	return Point{TS: int64(w[0]), V: math.Float64frombits(w[1])}
 }
 
 // Tier snapshots a downsampling tier's sealed buckets, oldest first
-// (level 1 = 10 raw points per bucket, level 2 = 100). Same torn-read
-// discipline as Raw.
+// (level 1 = 10 raw points per bucket, level 2 = 100), appending to buf.
 func (s *Series) Tier(level int, buf []Bucket) []Bucket {
 	var t *tier
 	switch level {
@@ -130,35 +103,20 @@ func (s *Series) Tier(level int, buf []Bucket) []Bucket {
 	default:
 		return buf[:0]
 	}
-	capacity := uint64(len(t.start))
-	end := t.cur.Load()
-	lo := uint64(0)
-	if end > capacity {
-		lo = end - capacity
-	}
+	w := t.ring.Snapshot()
 	out := buf[:0]
-	for i := lo; i < end; i++ {
-		j := i & t.mask
+	if n := len(w) / bucketWords; cap(out) < n {
+		out = make([]Bucket, 0, n)
+	}
+	for ; len(w) >= bucketWords; w = w[bucketWords:] {
 		out = append(out, Bucket{
-			Start: t.start[j].Load(),
-			End:   t.end[j].Load(),
-			Min:   math.Float64frombits(t.minB[j].Load()),
-			Max:   math.Float64frombits(t.maxB[j].Load()),
-			Sum:   math.Float64frombits(t.sumB[j].Load()),
-			Count: t.cntB[j].Load(),
+			Start: int64(w[0]),
+			End:   int64(w[1]),
+			Min:   math.Float64frombits(w[2]),
+			Max:   math.Float64frombits(w[3]),
+			Sum:   math.Float64frombits(w[4]),
+			Count: int64(w[5]),
 		})
-	}
-	end2 := t.cur.Load()
-	var safeLo uint64
-	if end2+1 > capacity {
-		safeLo = end2 + 1 - capacity
-	}
-	if safeLo > lo {
-		drop := safeLo - lo
-		if drop >= uint64(len(out)) {
-			return out[:0]
-		}
-		out = append(out[:0], out[drop:]...)
 	}
 	return out
 }

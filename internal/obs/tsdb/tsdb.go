@@ -17,11 +17,9 @@
 // The sample path is the contract that makes the store usable from the
 // netd link monitor and the simulators' per-epoch hooks: one writer per
 // series, no locks, no allocation (//mifo:hotpath, enforced by
-// mifolint). Points land in parallel atomic arrays (the timestamp and
-// the value's bits), and the series cursor is advanced with an atomic
-// store only after the point is written, so concurrent readers snapshot
-// consistent windows without ever blocking the writer (see the
-// torn-read discipline in query.go).
+// mifolint). Points and buckets land in ring.Words, the single-writer
+// overwriting ring of internal/ring, so concurrent readers snapshot
+// consistent windows without ever blocking the writer.
 package tsdb
 
 import (
@@ -30,6 +28,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/ring"
 )
 
 // Options size a Store's rings. The zero value uses defaults.
@@ -56,18 +56,7 @@ func (o Options) withDefaults() Options {
 	if o.TierCap < 16 {
 		o.TierCap = 16
 	}
-	o.RawCap = ceilPow2(o.RawCap)
-	o.TierCap = ceilPow2(o.TierCap)
 	return o
-}
-
-// ceilPow2 rounds n up to a power of two (minimum 1).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // tierFanout is the cascading downsampling ratio: raw -> 10x -> 100x.
@@ -230,32 +219,31 @@ func joinKey(values []string) string {
 // Series is one fixed-memory time series: a raw point ring and two
 // downsampled bucket tiers. Exactly one goroutine may call Sample; any
 // number may snapshot or query concurrently.
-//
-//mifo:ring payload=ts,val cursor=cur init=newSeries
 type Series struct {
 	name   string
 	labels []string
 	values []string
 
-	mask uint64
-	ts   []atomic.Int64
-	val  []atomic.Uint64
-	cur  atomic.Uint64 // points ever written; next write index
-
+	raw    ring.Words // pointWords per point: timestamp, value bits
 	t1, t2 tier
 }
+
+// Record sizes in the rings, in 64-bit words (see Raw and Tier for the
+// field order).
+const (
+	pointWords  = 2
+	bucketWords = 6
+)
 
 func newSeries(name string, labels, values []string, opt Options) *Series {
 	s := &Series{
 		name:   name,
 		labels: labels,
 		values: append([]string(nil), values...),
-		mask:   uint64(opt.RawCap - 1),
-		ts:     make([]atomic.Int64, opt.RawCap),
-		val:    make([]atomic.Uint64, opt.RawCap),
 	}
-	s.t1.init(opt.TierCap)
-	s.t2.init(opt.TierCap)
+	s.raw.Init(opt.RawCap, pointWords)
+	s.t1.ring.Init(opt.TierCap, bucketWords)
+	s.t2.ring.Init(opt.TierCap, bucketWords)
 	return s
 }
 
@@ -266,21 +254,17 @@ func (s *Series) Name() string { return s.name }
 func (s *Series) LabelValues() []string { return s.values }
 
 // Total returns how many points were ever sampled.
-func (s *Series) Total() uint64 { return s.cur.Load() }
+func (s *Series) Total() uint64 { return s.raw.Len() }
 
 // Sample records one point. Single writer per series; timestamps must be
-// non-decreasing (the store never reorders). The raw point is published
-// with a release-ordered cursor advance, then cascaded into the
-// downsampling tiers — all plain stores to writer-private accumulators
-// and atomic stores to the bucket rings, so the whole path is lock- and
-// allocation-free.
+// non-decreasing (the store never reorders). The raw point goes into
+// its ring, then cascades into the downsampling tiers — all plain
+// stores to writer-private accumulators and ring puts, so the whole
+// path is lock- and allocation-free.
 //
 //mifo:hotpath
 func (s *Series) Sample(ts int64, v float64) {
-	i := s.cur.Load()
-	s.ts[i&s.mask].Store(ts)
-	s.val[i&s.mask].Store(math.Float64bits(v))
-	s.cur.Store(i + 1)
+	s.raw.Put(uint64(ts), math.Float64bits(v))
 	if s.t1.feed(ts, ts, v, v, v, 1) {
 		t := &s.t1
 		s.t2.feed(t.lastStart, t.lastEnd, t.lastMin, t.lastMax, t.lastSum, t.lastCnt)
@@ -290,18 +274,9 @@ func (s *Series) Sample(ts int64, v float64) {
 // tier is one downsampling level: a bucket ring plus the writer-private
 // partial accumulator for the bucket being built. The sealed-bucket
 // fields (last*) hand a completed bucket to the next tier without
-// re-reading the atomics.
-//
-//mifo:ring payload=start,end,minB,maxB,sumB,cntB cursor=cur
+// re-reading the ring.
 type tier struct {
-	mask  uint64
-	start []atomic.Int64
-	end   []atomic.Int64
-	minB  []atomic.Uint64
-	maxB  []atomic.Uint64
-	sumB  []atomic.Uint64
-	cntB  []atomic.Int64
-	cur   atomic.Uint64
+	ring ring.Words
 
 	// Writer-private partial accumulator (never read by snapshots).
 	feeds  int
@@ -317,16 +292,6 @@ type tier struct {
 	lastMin, lastMax   float64
 	lastSum            float64
 	lastCnt            int64
-}
-
-func (t *tier) init(capacity int) {
-	t.mask = uint64(capacity - 1)
-	t.start = make([]atomic.Int64, capacity)
-	t.end = make([]atomic.Int64, capacity)
-	t.minB = make([]atomic.Uint64, capacity)
-	t.maxB = make([]atomic.Uint64, capacity)
-	t.sumB = make([]atomic.Uint64, capacity)
-	t.cntB = make([]atomic.Int64, capacity)
 }
 
 // feed folds one raw point or sealed lower-tier bucket into the partial
@@ -357,20 +322,13 @@ func (t *tier) feed(start, end int64, mn, mx, sum float64, cnt int64) bool {
 	return true
 }
 
-// seal publishes the partial accumulator as one bucket: field stores
-// first, cursor advance last, mirroring the raw ring's ordering.
+// seal publishes the partial accumulator as one bucket.
 //
 //mifo:hotpath
 func (t *tier) seal() {
-	i := t.cur.Load()
-	j := i & t.mask
-	t.start[j].Store(t.pStart)
-	t.end[j].Store(t.pEnd)
-	t.minB[j].Store(math.Float64bits(t.pMin))
-	t.maxB[j].Store(math.Float64bits(t.pMax))
-	t.sumB[j].Store(math.Float64bits(t.pSum))
-	t.cntB[j].Store(t.pCnt)
-	t.cur.Store(i + 1)
+	t.ring.Put(uint64(t.pStart), uint64(t.pEnd),
+		math.Float64bits(t.pMin), math.Float64bits(t.pMax), math.Float64bits(t.pSum),
+		uint64(t.pCnt))
 	t.lastStart, t.lastEnd = t.pStart, t.pEnd
 	t.lastMin, t.lastMax = t.pMin, t.pMax
 	t.lastSum, t.lastCnt = t.pSum, t.pCnt

