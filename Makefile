@@ -6,7 +6,7 @@ GO ?= go
 
 # Every package with micro-benchmarks: what `make bench` measures and
 # what CI's `make bench-smoke` keeps runnable.
-BENCH_PKGS = . ./internal/dataplane ./internal/audit ./internal/bgp ./internal/lpm ./internal/ring ./internal/obs/span ./internal/obs/tsdb ./internal/netsim ./internal/netd
+BENCH_PKGS = . ./internal/dataplane ./internal/audit ./internal/topo ./internal/bgp ./internal/lpm ./internal/ring ./internal/obs/span ./internal/obs/tsdb ./internal/netsim ./internal/netd
 
 all: build test
 
@@ -39,7 +39,11 @@ race:
 	# Extra -count on the packages with the most cross-goroutine traffic
 	# (metrics/trace hot paths, simulator epochs) before the full sweep.
 	$(GO) test -race -count=2 ./internal/obs ./internal/netsim
-	$(GO) test -race ./...
+	# -short skips the single-goroutine sweeps that `make test` runs in
+	# full (bgp's every-destination oracle comparisons at N=3,000 and
+	# 44,340, the tree-wide self-lint); there is no race in them to find
+	# and the detector makes them ten times slower.
+	$(GO) test -race -short ./...
 
 # The two lock-free ring protocols every asynchronous observer is built
 # on (internal/ring): producers against the drain goroutine, the writer
@@ -61,7 +65,7 @@ audit-race:
 # real routers' FIBs while packets forward, and the incremental route table
 # feeding them.
 fib-race:
-	$(GO) test -race -count=2 ./internal/dataplane ./internal/lpm ./internal/core ./internal/bgp
+	$(GO) test -race -short -count=2 ./internal/dataplane ./internal/lpm ./internal/core ./internal/bgp
 
 # The convergence tracer's concurrency surface: producers offer spans
 # from simulator/daemon goroutines while the collector drains, counts

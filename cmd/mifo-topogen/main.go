@@ -61,9 +61,9 @@ func main() {
 			fmt.Print(sum)
 		}
 		m := g.MemStats()
-		fmt.Printf("adjacency arena: %.2f MiB CSR (%.1f B/link: %.2f MiB offsets + %.2f MiB neighbors)\n",
+		fmt.Printf("adjacency arena: %.2f MiB CSR (%.1f B/link: %.2f MiB offsets + %.2f MiB neighbors + %.2f MiB grouped by relationship)\n",
 			float64(m.TotalBytes)/(1<<20), m.BytesPerLink,
-			float64(m.OffsetBytes)/(1<<20), float64(m.NeighborBytes)/(1<<20))
+			float64(m.OffsetBytes)/(1<<20), float64(m.NeighborBytes)/(1<<20), float64(m.GroupedBytes)/(1<<20))
 	}
 
 	if *detail {

@@ -16,7 +16,9 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -196,49 +198,82 @@ func (d *Dest) onBestPath(n, v int) bool {
 	}
 }
 
-// computeScratch is the dense working state the three-phase algorithm runs
-// on before the result is packed. Pooled: at paper scale each instance is
-// ~7 bytes × 44,340 and Compute runs once per destination per recompute,
-// so per-call allocation would dominate the incremental path.
+// computeScratch is the frontier of one route computation: which ASes to
+// visit, never what their routes are (those are written straight into the
+// result's packed words). Pooled, because Compute runs once per destination
+// per recompute and the queue reaches N entries. Nothing in it is sized by
+// the graph, so one instance serves graphs of different N in turn.
 type computeScratch struct {
-	class []Class
-	hops  []int16
-	next  []int32
+	// buckets[h] lists the ASes whose best route is h hops long, each
+	// once, in the order they got it. Every phase walks it as its queue.
+	buckets [][]int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(computeScratch) }}
 
-func getScratch(n int) *computeScratch {
-	sc := scratchPool.Get().(*computeScratch)
-	if cap(sc.class) < n {
-		sc.class = make([]Class, n)
-		sc.hops = make([]int16, n)
-		sc.next = make([]int32, n)
+// push queues v as an AS whose route is h hops long.
+func (sc *computeScratch) push(v int32, h int) {
+	for h >= len(sc.buckets) {
+		sc.buckets = append(sc.buckets, nil)
 	}
-	sc.class = sc.class[:n]
-	sc.hops = sc.hops[:n]
-	sc.next = sc.next[:n]
-	return sc
+	sc.buckets[h] = append(sc.buckets[h], v)
 }
 
-// pack converts the dense scratch into the compact representation,
-// allocating the packed array from a (or the heap when a is nil).
-func (sc *computeScratch) pack(dst int32, a *Arena) *Dest {
-	d := &Dest{dst: dst, packed: a.alloc(len(sc.class))}
-	for v, c := range sc.class {
-		if c == ClassUnreachable {
-			d.packed[v] = unreachableEntry
-			continue
-		}
-		h := sc.hops[v]
-		field := uint32(h)
-		if h >= hopsSentinel {
-			field = hopsSentinel
-			d.overflow = append(d.overflow, hopOverflow{as: int32(v), hops: h})
-		}
-		d.packed[v] = field<<hopsShift | uint32(c)<<classShift | uint32(sc.next[v]+1)
+// level returns the first width ASes of buckets[h], the ones about to
+// offer their h-hop routes. Routes too long for the inline hops field all
+// carry the same sentinel there, so offer cannot break their ties; their
+// level is sorted instead, and the first offer to reach an AS is then the
+// one with the lowest next hop.
+func (sc *computeScratch) level(h, width int) []int32 {
+	level := sc.buckets[h][:width]
+	if h+1 >= hopsSentinel {
+		slices.Sort(level)
 	}
-	return d
+	return level
+}
+
+// overflow returns the side table of the routes too long for the inline
+// field, sorted by AS, or nil when there are none.
+func (sc *computeScratch) overflow() []hopOverflow {
+	var out []hopOverflow
+	for h := hopsSentinel; h < len(sc.buckets); h++ {
+		for _, v := range sc.buckets[h] {
+			out = append(out, hopOverflow{as: v, hops: int16(h)})
+		}
+	}
+	slices.SortFunc(out, func(a, b hopOverflow) int { return cmp.Compare(a.as, b.as) })
+	return out
+}
+
+// routeWord packs an h-hop route of class c learned from AS via.
+func routeWord(h int, c Class, via int32) uint32 {
+	if h > hopsSentinel {
+		h = hopsSentinel
+	}
+	return uint32(h)<<hopsShift | uint32(c)<<classShift | uint32(via+1)
+}
+
+// offer presents AS v with the route cand and reports whether it is v's
+// first route, in which case the caller queues v.
+//
+// Each phase offers routes of one class in nondecreasing path length, so a
+// route v already holds is never a longer one of that class, and cand
+// replaces it only when it has the same length and class and a lower next
+// hop: the packed words then differ in the next-hop field alone and compare
+// like the next hops. Because every offer is compared with the stored best,
+// the result does not depend on the order of offers of one length. (Words
+// carrying the hops sentinel may stand for different lengths and are never
+// replaced; see level.)
+func offer(packed []uint32, v int32, cand uint32) bool {
+	cur := packed[v]
+	if cur == unreachableEntry {
+		packed[v] = cand
+		return true
+	}
+	if cur>>classShift == cand>>classShift && cand < cur && cand < hopsSentinel<<hopsShift {
+		packed[v] = cand
+	}
+	return false
 }
 
 // Compute derives every AS's best route towards dst with the three-phase
@@ -251,117 +286,81 @@ func Compute(g *topo.Graph, dst int) *Dest { return ComputeArena(g, dst, nil) }
 // Arena so a 44k-destination table is a few thousand slab allocations
 // instead of 44k individually GC-tracked arrays.
 func ComputeArena(g *topo.Graph, dst int, a *Arena) *Dest {
-	n := g.N()
-	if n > MaxASes {
+	if n := g.N(); n > MaxASes {
 		panic(fmt.Sprintf("bgp: topology has %d ASes, exceeding the packed-entry limit of %d", n, MaxASes))
 	}
-	sc := getScratch(n)
+	sc := scratchPool.Get().(*computeScratch)
 	defer scratchPool.Put(sc)
-	for i := range sc.class {
-		sc.class[i] = ClassUnreachable
-		sc.next[i] = -1
-	}
-	sc.class[dst] = ClassOrigin
-	sc.hops[dst] = 0
-	sc.next[dst] = -1
+	return sc.compute(g, dst, a)
+}
 
-	// Phase 1: customer routes, BFS "uphill" over customer->provider edges,
-	// level-by-level so the lowest-next-hop tie-break is exact.
-	cur := []int32{int32(dst)}
-	level := int16(0)
-	for len(cur) > 0 {
-		level++
-		var nextLevel []int32
-		for _, c := range cur {
-			for _, nb := range g.Neighbors(int(c)) {
-				if nb.Rel != topo.Provider {
-					continue // only c's providers learn c's customer route
-				}
-				p := nb.AS
-				switch {
-				case sc.class[p] == ClassUnreachable:
-					sc.class[p] = ClassCustomer
-					sc.hops[p] = level
-					sc.next[p] = c
-					nextLevel = append(nextLevel, p)
-				case sc.class[p] == ClassCustomer && sc.hops[p] == level && c < sc.next[p]:
-					sc.next[p] = c // same length: lowest next-hop AS wins
-				}
-			}
-		}
-		cur = nextLevel
+// compute is the three-phase algorithm, with sc as its queue. Each phase
+// reads only the adjacency entries that can carry its routes, through the
+// graph's relationship-grouped view: the providers of the uphill cone, the
+// peers of the cone, and the customers of every AS with a route. At paper
+// scale that is ~75 k entries per destination, nearly all of them in
+// phase 3.
+func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
+	// Empty the queue but keep its arrays; levels only an earlier, deeper
+	// computation reached stay behind as empty buckets.
+	for h := range sc.buckets {
+		sc.buckets[h] = sc.buckets[h][:0]
 	}
 
-	// Phase 2: peer routes. An AS with no customer route takes the best
-	// customer (or origin) route offered by a peer.
-	for v := 0; v < n; v++ {
-		if sc.class[v] != ClassUnreachable {
-			continue
-		}
-		bestHops := int16(-1)
-		bestPeer := int32(-1)
-		for _, nb := range g.Neighbors(v) {
-			if nb.Rel != topo.Peer {
-				continue
+	packed := a.alloc(g.N())
+	for v := range packed {
+		packed[v] = unreachableEntry
+	}
+	packed[dst] = routeWord(0, ClassOrigin, -1)
+	sc.push(int32(dst), 0)
+
+	// Phase 1: customer routes. The destination, then each AS that learned
+	// a customer route, offers it to its providers, level by level. The
+	// ASes queued when this ends are the uphill cone.
+	for h := 0; h < len(sc.buckets); h++ {
+		for _, c := range sc.level(h, len(sc.buckets[h])) {
+			cand := routeWord(h+1, ClassCustomer, c)
+			for _, p := range g.Providers(int(c)) {
+				if offer(packed, p, cand) {
+					sc.push(p, h+1)
+				}
 			}
-			u := nb.AS
-			if sc.class[u] != ClassOrigin && sc.class[u] != ClassCustomer {
-				continue // peers only export customer routes
-			}
-			h := sc.hops[u] + 1
-			if bestPeer < 0 || h < bestHops || (h == bestHops && u < bestPeer) {
-				bestHops, bestPeer = h, u
-			}
-		}
-		if bestPeer >= 0 {
-			sc.class[v] = ClassPeer
-			sc.hops[v] = bestHops
-			sc.next[v] = bestPeer
 		}
 	}
 
-	// Phase 3: provider routes, propagated "downhill" in increasing path
-	// length with a bucket queue (providers export their best route —
-	// whatever its class — to customers).
-	maxHops := 0
-	buckets := make([][]int32, 1, 16)
-	push := func(v int32, h int) {
-		for h >= len(buckets) {
-			buckets = append(buckets, nil)
+	// Phase 2: peer routes. Peers export only customer (and origin) routes,
+	// so the offers come from the cone alone, and an AS holding a customer
+	// route ignores them. The takers queue up behind the cone's own ASes,
+	// whose count per level is read before the first of them arrives.
+	levels, width := len(sc.buckets), 1
+	for h := 0; h < levels; h++ {
+		cone := sc.level(h, width)
+		if h+1 < levels {
+			width = len(sc.buckets[h+1])
 		}
-		buckets[h] = append(buckets[h], v)
-		if h > maxHops {
-			maxHops = h
-		}
-	}
-	for v := 0; v < n; v++ {
-		if sc.class[v] != ClassUnreachable {
-			push(int32(v), int(sc.hops[v]))
-		}
-	}
-	for h := 0; h <= maxHops; h++ {
-		for _, x := range buckets[h] {
-			if int(sc.hops[x]) != h {
-				continue // stale tentative entry superseded by a shorter route
-			}
-			for _, nb := range g.Neighbors(int(x)) {
-				if nb.Rel != topo.Customer {
-					continue // x exports downhill to customers only
-				}
-				c := nb.AS
-				switch {
-				case sc.class[c] == ClassUnreachable:
-					sc.class[c] = ClassProvider
-					sc.hops[c] = int16(h + 1)
-					sc.next[c] = x
-					push(c, h+1)
-				case sc.class[c] == ClassProvider && int(sc.hops[c]) == h+1 && x < sc.next[c]:
-					sc.next[c] = x
+		for _, u := range cone {
+			cand := routeWord(h+1, ClassPeer, u)
+			for _, v := range g.Peers(int(u)) {
+				if offer(packed, v, cand) {
+					sc.push(v, h+1)
 				}
 			}
 		}
 	}
-	return sc.pack(int32(dst), a)
+
+	// Phase 3: provider routes. Every AS with a route, whatever its class,
+	// offers it to its customers, shortest first.
+	for h := 0; h < len(sc.buckets); h++ {
+		for _, x := range sc.level(h, len(sc.buckets[h])) {
+			cand := routeWord(h+1, ClassProvider, x)
+			for _, c := range g.Customers(int(x)) {
+				if offer(packed, c, cand) {
+					sc.push(c, h+1)
+				}
+			}
+		}
+	}
+	return &Dest{dst: int32(dst), packed: packed, overflow: sc.overflow()}
 }
 
 // ComputeAll computes Dest tables for every destination in dsts, in

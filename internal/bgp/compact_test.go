@@ -1,12 +1,15 @@
 package bgp
 
-// Representation-equivalence suite: the packed 4-byte route entries must be
-// observationally identical to the dense class/hops/next arrays they
-// replaced. denseDest + computeDenseOracle below are a verbatim copy of the
-// old representation and algorithm, kept test-only as the differential
-// oracle; every accessor is compared for every AS across topologies and
-// link-event schedules, and FuzzCompactDest drives the same comparison from
-// fuzzed inputs.
+// Equivalence suite for both the representation and the algorithm: the
+// packed 4-byte route entries must be observationally identical to the
+// dense class/hops/next arrays they replaced, and the computation that
+// writes them (relationship-grouped adjacency, offers from the cone, one
+// bucket queue) must pick exactly the routes of the one it replaced.
+// denseDest + computeDenseOracle below are a verbatim copy of the old
+// representation and algorithm, which scans every neighbor of every AS in
+// every phase, kept test-only as the differential oracle; every accessor is
+// compared for every AS across topologies and link-event schedules, and
+// FuzzCompactDest drives the same comparison from fuzzed inputs.
 
 import (
 	"math/rand"
@@ -245,6 +248,156 @@ func TestCompactHopOverflow(t *testing.T) {
 	// And in the other direction (customer routes uphill at the far end).
 	d2 := Compute(g, chain-1)
 	requireMatchesDense(t, g, d2, computeDenseOracle(g, chain-1))
+}
+
+// deepGraph builds a graph whose routes run past the inline hops field in
+// every class, with ties to break out there: a ladder of `rungs` levels,
+// two ASes a level, every AS a customer of one or both ASes of the level
+// above; peering links between random rungs; and stubs hanging off random
+// rungs. AS indices are shuffled, so the order a level is discovered in
+// says nothing about which of its ASes has the lower index.
+func deepGraph(t *testing.T, rng *rand.Rand, rungs int) *topo.Graph {
+	t.Helper()
+	const peerings, stubs = 30, 30
+	n := 2*rungs + stubs
+	as := rng.Perm(n)
+	rung := func(level, side int) int { return as[2*level+side] }
+	b := topo.NewBuilder(n)
+	for level := 0; level+1 < rungs; level++ {
+		for side := 0; side < 2; side++ {
+			switch rng.Intn(3) {
+			case 0:
+				b.AddPC(rung(level+1, side), rung(level, side))
+			case 1:
+				b.AddPC(rung(level+1, 1-side), rung(level, side))
+			default:
+				b.AddPC(rung(level+1, 0), rung(level, side)).AddPC(rung(level+1, 1), rung(level, side))
+			}
+		}
+	}
+	for i := 0; i < peerings; i++ {
+		x, y := rung(rng.Intn(rungs), rng.Intn(2)), rung(rng.Intn(rungs), rng.Intn(2))
+		if x != y && !b.HasLink(x, y) {
+			b.AddPeer(x, y)
+		}
+	}
+	for i := 0; i < stubs; i++ {
+		stub := as[2*rungs+i]
+		b.AddPC(rung(rng.Intn(rungs), rng.Intn(2)), stub)
+		if p := rung(rng.Intn(rungs), rng.Intn(2)); !b.HasLink(p, stub) {
+			b.AddPC(p, stub)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestCompactHopOverflowBranches is TestCompactHopOverflow away from the
+// chain: customer, peer and provider routes longer than the inline field
+// can say, several ASes a level, tie-breaks among them.
+func TestCompactHopOverflowBranches(t *testing.T) {
+	deep := map[Class]int{}
+	for seed := int64(1); seed <= 12; seed++ {
+		g := deepGraph(t, rand.New(rand.NewSource(seed)), 90)
+		for dst := 0; dst < g.N(); dst++ {
+			d := Compute(g, dst)
+			requireMatchesDense(t, g, d, computeDenseOracle(g, dst))
+			for _, o := range d.overflow {
+				deep[d.Class(int(o.as))]++
+			}
+		}
+	}
+	for _, c := range []Class{ClassCustomer, ClassPeer, ClassProvider} {
+		if deep[c] == 0 {
+			t.Errorf("no %v route of %d hops or more was computed: the test does not reach that branch", c, hopsSentinel)
+		}
+	}
+	t.Logf("routes past the inline field, by class: %v", deep)
+}
+
+// removeRandomLinks returns g without k of its links picked by rng.
+func removeRandomLinks(t *testing.T, g *topo.Graph, rng *rand.Rand, k int) *topo.Graph {
+	t.Helper()
+	var cut []topo.LinkRef
+	for len(cut) < k {
+		v := rng.Intn(g.N())
+		if g.Degree(v) > 0 {
+			cut = append(cut, topo.LinkRef{A: v, B: int(g.Neighbors(v)[rng.Intn(g.Degree(v))].AS)})
+		}
+	}
+	out, err := topo.RemoveLinks(g, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestComputeMatchesOracleEveryDest holds Compute to the oracle on every
+// destination of generated Internets of three sizes, intact and with a
+// random tenth of N links removed (which leaves some ASes unreachable).
+func TestComputeMatchesOracleEveryDest(t *testing.T) {
+	sizes := []int{60, 400, 3000}
+	if testing.Short() {
+		sizes = sizes[:2]
+	}
+	for _, n := range sizes {
+		for seed := int64(1); seed <= 3; seed++ {
+			g, err := topo.Generate(topo.GenConfig{N: n, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := removeRandomLinks(t, g, rand.New(rand.NewSource(seed)), n/10)
+			for _, on := range []*topo.Graph{g, cut} {
+				for dst := 0; dst < on.N(); dst++ {
+					requireMatchesDense(t, on, Compute(on, dst), computeDenseOracle(on, dst))
+				}
+			}
+		}
+	}
+}
+
+// TestComputeMatchesOraclePaperScale is the same comparison on 64
+// destinations of the 44,340-AS graph the repo benchmark builds.
+func TestComputeMatchesOraclePaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the 44,340-AS graph")
+	}
+	g, err := topo.Generate(topo.PaperScaleConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range scaleDests(g, 64) {
+		requireMatchesDense(t, g, Compute(g, dst), computeDenseOracle(g, dst))
+	}
+}
+
+// TestComputeScratchAcrossGraphs runs one scratch, as the pool would hand
+// it on, through graphs of different sizes and depths in turn; each result
+// must equal that of a scratch never used before.
+func TestComputeScratchAcrossGraphs(t *testing.T) {
+	big, err := topo.Generate(topo.GenConfig{N: 500, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := topo.Generate(topo.GenConfig{N: 40, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := deepGraph(t, rand.New(rand.NewSource(5)), 90)
+	reused := new(computeScratch)
+	for round := 0; round < 3; round++ {
+		for _, g := range []*topo.Graph{big, deep, small, big, small, deep} {
+			dst := (7 * (round + 1)) % g.N()
+			got := reused.compute(g, dst, nil)
+			if want := new(computeScratch).compute(g, dst, nil); !got.Equal(want) {
+				t.Fatalf("round %d, N=%d, dst %d: a reused scratch and a fresh one disagree", round, g.N(), dst)
+			}
+			requireMatchesDense(t, g, got, computeDenseOracle(g, dst))
+		}
+	}
 }
 
 func TestASPathIntoReusesBuffer(t *testing.T) {

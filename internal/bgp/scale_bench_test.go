@@ -81,3 +81,45 @@ func BenchmarkTableScaleIncremental(b *testing.B) {
 		b.ReportMetric(100*float64(st.CleanSkipped)/float64(total), "%skipped")
 	}
 }
+
+// entriesRead derives, from a finished table, the adjacency entries
+// Compute read to build it: the providers and peers of every AS of the
+// uphill cone (phases 1 and 2) and the customers of every AS with a route
+// (phase 3).
+func entriesRead(g *topo.Graph, d *Dest) int {
+	read := 0
+	for v := 0; v < g.N(); v++ {
+		switch d.Class(v) {
+		case ClassUnreachable:
+			continue
+		case ClassOrigin, ClassCustomer:
+			read += len(g.Providers(v)) + len(g.Peers(v))
+		}
+		read += len(g.Customers(v))
+	}
+	return read
+}
+
+// BenchmarkComputePaperScale is the budget every paper-scale figure
+// multiplies out: one goroutine computing 128 destinations spread over the
+// 44,340-AS graph the repo benchmark uses, reported per destination
+// together with the adjacency entries each computation reads.
+func BenchmarkComputePaperScale(b *testing.B) {
+	g, err := topo.Generate(topo.PaperScaleConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dsts := scaleDests(g, 128)
+	read := 0
+	for _, dst := range dsts {
+		read += entriesRead(g, Compute(g, dst))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, dst := range dsts {
+			Compute(g, dst)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dsts)), "ns/dest")
+	b.ReportMetric(float64(read)/float64(len(dsts)), "entries/dest")
+}

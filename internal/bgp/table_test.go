@@ -108,6 +108,28 @@ func TestTableLinkEdgeCases(t *testing.T) {
 	}
 	tab.LinkUp(2, 3)
 	checkAgainstScratch(t, tab, "after down/up cycle")
+
+	// A pair that names no link is a no-op whichever way round it is
+	// written: an endpoint past the last AS, a negative one, a == b.
+	before := tab.Stats()
+	for _, l := range [][2]int{{9999, 0}, {0, 9999}, {-1, 2}, {2, -1}, {-3, 9999}, {3, 3}} {
+		a, b := l[0], l[1]
+		if n := tab.LinkDown(a, b); n != 0 {
+			t.Errorf("LinkDown(%d, %d) recomputed %d", a, b, n)
+		}
+		if tab.LinkFailed(a, b) {
+			t.Errorf("LinkFailed(%d, %d) after a LinkDown that names no link", a, b)
+		}
+		if n := tab.LinkUp(a, b); n != 0 {
+			t.Errorf("LinkUp(%d, %d) recomputed %d", a, b, n)
+		}
+	}
+	if after := tab.Stats(); after != before {
+		t.Errorf("no-op link events moved the counters: %+v -> %+v", before, after)
+	}
+	if tab.Graph() != g || tab.FailedLinks() != 0 {
+		t.Errorf("no-op link events changed the topology: %d failed links", tab.FailedLinks())
+	}
 }
 
 // TestTableCloneIsolation proves incremental work on a clone leaves the

@@ -52,19 +52,20 @@ type ArenafreezeConfig struct {
 func DefaultArenafreezeConfig() ArenafreezeConfig {
 	return ArenafreezeConfig{Types: []FrozenType{
 		{
-			// The CSR topology: off/nbrs packed once by Builder.Build, or
-			// filtered into a fresh Graph by RemoveLinks (a copy; the
-			// source graph is only read).
+			// The CSR topology: off/nbrs and the relationship-grouped
+			// goff/grp, packed once by Builder.Build or filtered into a
+			// fresh Graph by RemoveLinks (a copy; the source graph is only
+			// read).
 			PkgSuffix:      "internal/topo",
 			TypeName:       "Graph",
 			AllowedWriters: []string{"Builder.Build", "RemoveLinks"},
 		},
 		{
 			// Per-destination packed route entries, possibly arena-backed:
-			// written only when the dense scratch is packed.
+			// written only by the route computation that returns them.
 			PkgSuffix:      "internal/bgp",
 			TypeName:       "Dest",
-			AllowedWriters: []string{"computeScratch.pack"},
+			AllowedWriters: []string{"computeScratch.compute"},
 		},
 	}}
 }

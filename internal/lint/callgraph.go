@@ -479,13 +479,15 @@ var stdlibReadonlyPkgs = map[string]bool{
 // stdlibReadonlyFuncs allowlists individual read-only functions from
 // otherwise-mutating packages, keyed "pkg\x00Name".
 var stdlibReadonlyFuncs = map[string]bool{
-	"sort\x00Search":        true,
-	"sort\x00SearchInts":    true,
+	"sort\x00Search":         true,
+	"sort\x00SearchInts":     true,
 	"sort\x00SearchFloat64s": true,
 	"sort\x00SearchStrings":  true,
 	"sort\x00IsSorted":       true,
 	"sort\x00SliceIsSorted":  true,
 	"sort\x00IntsAreSorted":  true,
+	"slices\x00Equal":        true,
+	"slices\x00IsSorted":     true,
 }
 
 // paramMutates resolves, transitively, whether calleeKey's parameter idx

@@ -13,11 +13,11 @@ func CustomerCone(g *Graph, v int) []int {
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, nb := range g.Neighbors(x) {
-			if nb.Rel == Customer && !visited[int(nb.AS)] {
-				visited[int(nb.AS)] = true
-				cone = append(cone, int(nb.AS))
-				stack = append(stack, int(nb.AS))
+		for _, c := range g.Customers(x) {
+			if !visited[int(c)] {
+				visited[int(c)] = true
+				cone = append(cone, int(c))
+				stack = append(stack, int(c))
 			}
 		}
 	}

@@ -63,14 +63,28 @@ type Neighbor struct {
 // Graph is an immutable AS-level topology. ASes are dense indices [0, N).
 //
 // Adjacency is stored CSR-style in one arena: a single offsets array plus
-// one packed neighbor array shared by every AS, so a 44,340-AS / 109,360-
-// link Internet graph is exactly two allocations (~1.9 MB) instead of one
-// slice header + backing array per AS. Per-AS adjacency segments are
-// sorted by neighbor index, enabling binary-search relationship lookups on
-// hub ASes with thousands of neighbors.
+// one packed neighbor array shared by every AS, instead of one slice header
+// + backing array per AS. Per-AS adjacency segments are sorted by neighbor
+// index, enabling binary-search relationship lookups on hub ASes with
+// thousands of neighbors.
+//
+// Beside it sits a second view of the same adjacency, grouped by
+// relationship (Customers, Peers, Providers), for code that walks one kind
+// of edge only: route computation climbs providers, crosses peers and
+// descends customers, and never wants to test Rel on entries it will skip.
+// It is a second CSR of 3N rows, row rel*N+v holding v's neighbors of
+// relationship rel: all customer lists first, then all peer lists, then all
+// provider lists, so a walk over one kind of edge touches one third of the
+// offsets and one stretch of the entries. It is a side index rather than a
+// re-sort of nbrs because link numbering, RIB order and simulated outcomes
+// all follow the order of Neighbors. A 44,340-AS / 107,819-link Internet
+// graph is four allocations, ~3.3 MB: ~1.9 MB for off+nbrs and ~1.4 MB for
+// goff+grp.
 type Graph struct {
 	off       []int32    // len N()+1; AS v's neighbors live in nbrs[off[v]:off[v+1]]
 	nbrs      []Neighbor // len 2*Links(), sorted by neighbor index within each segment
+	goff      []int32    // len 3*N()+1; row r = rel*N()+v of the grouped view is grp[goff[r]:goff[r+1]]
+	grp       []int32    // len 2*Links(), neighbor indices, ascending within each row
 	pcLinks   int
 	peerLinks int
 }
@@ -95,6 +109,25 @@ func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
 // modify it.
 func (g *Graph) Neighbors(v int) []Neighbor { return g.nbrs[g.off[v]:g.off[v+1]] }
 
+// Customers returns the ASes v provides transit to, ascending. Like
+// Neighbors, the slice aliases the graph's arena; callers must not modify
+// it.
+func (g *Graph) Customers(v int) []int32 { return g.grp[g.goff[v]:g.goff[v+1]] }
+
+// Peers returns v's settlement-free peers, ascending, under the same
+// aliasing rule as Customers.
+func (g *Graph) Peers(v int) []int32 {
+	r := g.N() + v
+	return g.grp[g.goff[r]:g.goff[r+1]]
+}
+
+// Providers returns the ASes v buys transit from, ascending, under the
+// same aliasing rule as Customers.
+func (g *Graph) Providers(v int) []int32 {
+	r := 2*g.N() + v
+	return g.grp[g.goff[r]:g.goff[r+1]]
+}
+
 // MemStats accounts the graph's memory footprint.
 type MemStats struct {
 	// Nodes and Links mirror N() and Links().
@@ -104,6 +137,9 @@ type MemStats struct {
 	// NeighborBytes is the size of the packed neighbor arena
 	// (two directed entries per undirected link).
 	NeighborBytes int64
+	// GroupedBytes is the size of the relationship-grouped view: its
+	// offsets and its packed AS indices.
+	GroupedBytes int64
 	// TotalBytes is the sum of the above — the whole adjacency footprint.
 	TotalBytes int64
 	// BytesPerLink is TotalBytes per undirected link.
@@ -117,8 +153,9 @@ func (g *Graph) MemStats() MemStats {
 		Links:         g.Links(),
 		OffsetBytes:   int64(cap(g.off)) * int64(unsafe.Sizeof(int32(0))),
 		NeighborBytes: int64(cap(g.nbrs)) * int64(unsafe.Sizeof(Neighbor{})),
+		GroupedBytes:  int64(cap(g.goff)+cap(g.grp)) * int64(unsafe.Sizeof(int32(0))),
 	}
-	m.TotalBytes = m.OffsetBytes + m.NeighborBytes
+	m.TotalBytes = m.OffsetBytes + m.NeighborBytes + m.GroupedBytes
 	if m.Links > 0 {
 		m.BytesPerLink = float64(m.TotalBytes) / float64(m.Links)
 	}
@@ -126,9 +163,13 @@ func (g *Graph) MemStats() MemStats {
 }
 
 // Rel returns the relationship of neighbor u as seen from v, and whether a
-// link (v, u) exists. Adjacency segments are sorted, so this is a binary
-// search — O(log degree) even on hub ASes (see BenchmarkGraphRelHub).
+// link (v, u) exists; an endpoint outside [0, N) names no link. Adjacency
+// segments are sorted, so this is a binary search — O(log degree) even on
+// hub ASes (see BenchmarkGraphRelHub).
 func (g *Graph) Rel(v, u int) (Rel, bool) {
+	if n := g.N(); v < 0 || v >= n || u < 0 || u >= n {
+		return 0, false
+	}
 	list := g.Neighbors(v)
 	i := sort.Search(len(list), func(i int) bool { return list[i].AS >= int32(u) })
 	if i < len(list) && list[i].AS == int32(u) {
@@ -150,28 +191,12 @@ func (g *Graph) IsCustomer(v, u int) bool {
 }
 
 // CustomerCount returns the number of customers of v.
-func (g *Graph) CustomerCount(v int) int {
-	n := 0
-	for _, nb := range g.Neighbors(v) {
-		if nb.Rel == Customer {
-			n++
-		}
-	}
-	return n
-}
+func (g *Graph) CustomerCount(v int) int { return len(g.Customers(v)) }
 
 // TransitNeighborCount returns the number of providers plus peers of v —
 // the ranking metric the paper uses for content providers ("by the number
 // of providers and peers").
-func (g *Graph) TransitNeighborCount(v int) int {
-	n := 0
-	for _, nb := range g.Neighbors(v) {
-		if nb.Rel != Customer {
-			n++
-		}
-	}
-	return n
-}
+func (g *Graph) TransitNeighborCount(v int) int { return g.Degree(v) - g.CustomerCount(v) }
 
 // IsStub reports whether v has no customers.
 func (g *Graph) IsStub(v int) bool { return g.CustomerCount(v) == 0 }
@@ -307,7 +332,8 @@ func (b *Builder) Degree(v int) int { return len(b.adj[v]) }
 // paper's loop-freedom proof relies on).
 //
 // Build packs the per-AS lists into the CSR arena (one offsets array, one
-// neighbor array) and sorts each AS's segment by neighbor index.
+// neighbor array), sorts each AS's segment by neighbor index, and deals the
+// sorted segments out into the rows of the relationship-grouped view.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -315,6 +341,8 @@ func (b *Builder) Build() (*Graph, error) {
 	g := &Graph{
 		off:  make([]int32, b.n+1),
 		nbrs: make([]Neighbor, 0, b.edges),
+		goff: make([]int32, 3*b.n+1),
+		grp:  make([]int32, b.edges),
 	}
 	for v := 0; v < b.n; v++ {
 		seg := b.adj[v]
@@ -324,6 +352,7 @@ func (b *Builder) Build() (*Graph, error) {
 		sort.Slice(pack, func(i, j int) bool { return pack[i].AS < pack[j].AS })
 		g.off[v+1] = int32(len(g.nbrs))
 		for _, nb := range pack {
+			g.goff[int(nb.Rel)*b.n+v+1]++ // row lengths, summed into offsets below
 			switch nb.Rel {
 			case Customer:
 				g.pcLinks++ // counted once, from the provider side
@@ -332,6 +361,17 @@ func (b *Builder) Build() (*Graph, error) {
 					g.peerLinks++
 				}
 			}
+		}
+	}
+	for r := 0; r < 3*b.n; r++ {
+		g.goff[r+1] += g.goff[r]
+	}
+	next := append([]int32(nil), g.goff...) // where each row's next entry goes
+	for v := 0; v < b.n; v++ {
+		for _, nb := range g.Neighbors(v) {
+			r := int(nb.Rel)*b.n + v
+			g.grp[next[r]] = nb.AS
+			next[r]++
 		}
 	}
 	if cycle := g.findPCCycle(); cycle {
@@ -345,11 +385,7 @@ func (g *Graph) findPCCycle() bool {
 	n := g.N()
 	indeg := make([]int, n) // number of providers
 	for v := 0; v < n; v++ {
-		for _, nb := range g.Neighbors(v) {
-			if nb.Rel == Provider {
-				indeg[v]++
-			}
-		}
+		indeg[v] = len(g.Providers(v))
 	}
 	queue := make([]int, 0, n)
 	for v := 0; v < n; v++ {
@@ -362,12 +398,10 @@ func (g *Graph) findPCCycle() bool {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, nb := range g.Neighbors(v) {
-			if nb.Rel == Customer {
-				indeg[nb.AS]--
-				if indeg[nb.AS] == 0 {
-					queue = append(queue, int(nb.AS))
-				}
+		for _, c := range g.Customers(v) {
+			indeg[c]--
+			if indeg[c] == 0 {
+				queue = append(queue, int(c))
 			}
 		}
 	}
