@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all build test race ring-race audit-race fib-race span-race tsdb-race conv-smoke vet lint lint-json bench bench-smoke bench-json perf perf-compare fuzz figures testbed results clean
+.PHONY: all build test race ring-race audit-race fib-race span-race tsdb-race conv-smoke vet lint lint-json bench bench-smoke perf perf-compare fuzz figures testbed results clean
 
 # Every package with micro-benchmarks: what `make bench` measures and
 # what CI's `make bench-smoke` keeps runnable.
-BENCH_PKGS = . ./internal/dataplane ./internal/audit ./internal/topo ./internal/bgp ./internal/lpm ./internal/ring ./internal/obs/span ./internal/obs/tsdb ./internal/netsim ./internal/netd
+BENCH_PKGS = . ./internal/dataplane ./internal/audit ./internal/topo ./internal/bgp ./internal/ring ./internal/obs/span ./internal/obs/tsdb ./internal/netsim ./internal/netd
 
 all: build test
 
@@ -61,11 +61,10 @@ audit-race:
 	$(GO) test -race -count=2 ./internal/audit ./internal/dataplane ./internal/netsim ./internal/packetsim ./internal/netd
 
 # The versioned-FIB concurrency surface: wait-free lookups racing batched
-# generation commits (map FIB and LPM trie), plus the daemon runtime driving
-# real routers' FIBs while packets forward, and the incremental route table
-# feeding them.
+# generation commits, plus the daemon runtime driving real routers' FIBs
+# while packets forward, and the incremental route table feeding them.
 fib-race:
-	$(GO) test -race -short -count=2 ./internal/dataplane ./internal/lpm ./internal/core ./internal/bgp
+	$(GO) test -race -short -count=2 ./internal/dataplane ./internal/core ./internal/bgp
 
 # The convergence tracer's concurrency surface: producers offer spans
 # from simulator/daemon goroutines while the collector drains, counts
@@ -106,21 +105,6 @@ perf:
 # side): exit 1 when a metric is worse than its BENCHMARK.json bound.
 perf-compare:
 	bash bench/run.sh -compare $(OLD) $(NEW)
-
-# Machine-readable benchmark results for regression tracking: the
-# forwarding hot path plus the flight recorder at every setting
-# (disabled / unsampled flow / full sampling). The committed
-# BENCH_dataplane.json is the reference snapshot backing the <2%
-# disabled-recorder overhead claim.
-bench-json:
-	$(GO) test -run xxx -bench 'Forward|Journey' -benchmem -json ./internal/dataplane ./internal/audit > BENCH_dataplane.json
-	@echo "wrote BENCH_dataplane.json"
-	$(GO) test -run xxx -bench 'FIBLookup|FIBCommit|TableIncremental|TableFullRebuild' -benchmem -json ./internal/dataplane ./internal/bgp > BENCH_routing.json
-	@echo "wrote BENCH_routing.json"
-	$(GO) test -run xxx -bench 'Sample|Query|Analyze' -benchmem -json ./internal/obs/tsdb > BENCH_tsdb.json
-	@echo "wrote BENCH_tsdb.json"
-	$(GO) test -run xxx -bench 'TableScale|GraphRel|GraphRemoveLinks' -benchmem -timeout 30m -json ./internal/bgp ./internal/topo > BENCH_scale.json
-	@echo "wrote BENCH_scale.json"
 
 # Short fuzzing pass over every fuzz target.
 fuzz:

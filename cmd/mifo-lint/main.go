@@ -1,6 +1,6 @@
 // Command mifo-lint runs the mifolint analyzer suite (internal/lint): the
 // static enforcement of the repository's concurrency and hot-path
-// contracts — generation immutability of the versioned FIB and LPM trie,
+// contracts — generation immutability of the versioned FIB,
 // the //mifo:hotpath allocation/lock budget, obs metric naming,
 // lock-scope hygiene, the builder-publish freeze of arena memory
 // (arenafreeze), and goroutine lifecycle ownership (lifecycle) — plus

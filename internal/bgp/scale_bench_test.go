@@ -1,6 +1,6 @@
 package bgp
 
-// Paper-scale routing benchmarks (the BENCH_scale.json suite): full-table
+// Paper-scale routing benchmarks (BenchmarkTableScale*, `make bench`): full-table
 // compute and incremental recompute on a 50k-AS generated Internet, with
 // bytes/dest reported from the table's own memory accounting.
 

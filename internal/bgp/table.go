@@ -84,44 +84,26 @@ func (t *Table) SetTracer(tr *span.Tracer) { t.spans = tr }
 
 // NewTable computes tables for every destination in dsts over g, in
 // parallel with the given worker bound (0 = all CPUs). The initial build
-// allocates all packed arrays from one shared arena (see Arena).
+// allocates all packed arrays from one shared arena (see Arena), which
+// lives as long as the Table. With no destinations it returns an empty
+// Table to populate with Install or AddDest; a caller whose initial
+// tables must stay collectable (they will be superseded by link events)
+// installs the result of ComputeAll, which allocates from the heap.
 func NewTable(g *topo.Graph, dsts []int, workers int) *Table {
-	t := NewEmptyTable(g, workers)
-	t.arena = NewArena()
-	tables := computeAllArena(g, dsts, workers, t.arena)
-	for _, d := range tables {
-		t.install(d)
-	}
-	t.stats.FullComputes += int64(len(dsts))
-	return t
-}
-
-// NewHeapTable is NewTable with per-destination heap allocation instead of
-// the shared build arena: tables superseded by link events become
-// collectable, so a long convergence workload's footprint tracks the live
-// table rather than live + the retained initial build. Tables that are
-// built once and then only queried should prefer NewTable.
-func NewHeapTable(g *topo.Graph, dsts []int, workers int) *Table {
-	t := NewEmptyTable(g, workers)
-	for _, d := range computeAllArena(g, dsts, workers, nil) {
-		t.install(d)
-	}
-	t.stats.FullComputes += int64(len(dsts))
-	return t
-}
-
-// NewEmptyTable returns a Table over g with no destinations installed yet;
-// populate it with Install or AddDest.
-func NewEmptyTable(g *topo.Graph, workers int) *Table {
 	t := &Table{
 		base:    g,
 		cur:     g,
 		failed:  make(map[topo.LinkRef]bool),
 		workers: workers,
+		arena:   NewArena(),
 	}
 	for s := range t.shards {
 		t.shards[s].dests = make(map[int32]*Dest)
 	}
+	for _, d := range computeAllArena(g, dsts, workers, t.arena) {
+		t.Install(d)
+	}
+	t.stats.FullComputes += int64(len(dsts))
 	return t
 }
 
@@ -156,19 +138,16 @@ func (t *Table) All() []*Dest {
 	return out
 }
 
-// install records d, tracking the destination count.
-func (t *Table) install(d *Dest) {
+// Install records a computed table, replacing any previous one for the
+// same destination. The caller is responsible for d matching the Table's
+// current topology.
+func (t *Table) Install(d *Dest) {
 	sh := &t.shards[shardOf(d.Dst())]
 	if _, ok := sh.dests[d.dst]; !ok {
 		t.count++
 	}
 	sh.dests[d.dst] = d
 }
-
-// Install records an externally computed table, replacing any previous one
-// for the same destination. The caller is responsible for d matching the
-// Table's current topology.
-func (t *Table) Install(d *Dest) { t.install(d) }
 
 // AddDest computes (on the current topology) and installs the table for a
 // new destination, returning it. Installed destinations are recomputed in
@@ -177,7 +156,7 @@ func (t *Table) Install(d *Dest) { t.install(d) }
 // never reclaimed.
 func (t *Table) AddDest(dst int) *Dest {
 	d := Compute(t.cur, dst)
-	t.install(d)
+	t.Install(d)
 	t.stats.FullComputes++
 	return d
 }

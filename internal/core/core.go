@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/dataplane"
-	"repro/internal/lpm"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/obs/tsdb"
@@ -43,11 +42,6 @@ type Config struct {
 	// CongestionThreshold overrides the routers' queue-ratio threshold
 	// when > 0.
 	CongestionThreshold float64
-	// UsePrefixFIB programs routers with longest-prefix-match tables
-	// (internal/lpm) instead of dense identifier maps: destination d is
-	// installed as the prefix PrefixAddr(d)/32, the representation the
-	// paper's kernel fib_table uses.
-	UsePrefixFIB bool
 }
 
 // Deployment is a fully wired MIFO network: the AS graph, the router-level
@@ -106,17 +100,13 @@ func (d *Deployment) AttachTSDB(db *tsdb.Store) {
 }
 
 // SetTracer attaches a span tracer to the deployment's control pipeline
-// and to every router's map FIB, so control epochs, per-router FIB
-// commits, and data-plane generation swaps emit causally linked spans.
-// (Prefix-FIB routers trace down to fib_commit; the trie's swap is not
-// separately instrumented.) Pass the parent context per call via
-// RefreshAllCtx / InstallDestinationsCtx.
+// and to every router's FIB, so control epochs, per-router FIB commits,
+// and data-plane generation swaps emit causally linked spans. Pass the
+// parent context per call via RefreshAllCtx / InstallDestinationsCtx.
 func (d *Deployment) SetTracer(tr *span.Tracer) {
 	d.spans = tr
 	for _, r := range d.Net.Routers {
-		if r.FIB != nil {
-			r.FIB.SetTracer(tr, int32(r.ID))
-		}
+		r.FIB.SetTracer(tr, int32(r.ID))
 	}
 }
 
@@ -141,7 +131,7 @@ func NewDeployment(g *topo.Graph, cfg Config) *Deployment {
 		egress:    make([]map[int32]portRef, g.N()),
 		daemons:   make([]*Daemon, g.N()),
 		ibgp:      make(map[dataplane.RouterID]map[dataplane.RouterID]int),
-		tables:    bgp.NewEmptyTable(g, 0),
+		tables:    bgp.NewTable(g, nil, 0),
 	}
 	expanded := make([]bool, g.N())
 	for _, v := range cfg.ExpandASes {
@@ -160,9 +150,6 @@ func NewDeployment(g *topo.Graph, cfg Config) *Deployment {
 			r.MIFOEnabled = capable(v)
 			if cfg.CongestionThreshold > 0 {
 				r.CongestionThreshold = cfg.CongestionThreshold
-			}
-			if cfg.UsePrefixFIB {
-				r.PrefixFIB = lpm.New[dataplane.FIBEntry]()
 			}
 			d.routersOf[v] = append(d.routersOf[v], r.ID)
 		}
@@ -269,9 +256,12 @@ func (d *Deployment) InstallDestinationsCtx(ts []*bgp.Dest, parent span.Context)
 		d.tables.Install(t)
 	}
 	d.tablesMu.Unlock()
-	txs := make([]fibTx, len(d.Net.Routers))
+	// Each transaction holds its router's writer lock until commit;
+	// forwarding lookups stay wait-free on the published generation.
+	txs := make([]*dataplane.FIBTx, len(d.Net.Routers))
 	for i, r := range d.Net.Routers {
-		txs[i] = beginFIB(r, parent)
+		txs[i] = r.FIB.Begin()
+		txs[i].TraceUnder(parent)
 	}
 	for _, t := range ts {
 		dst := int32(t.Dst())
@@ -287,16 +277,16 @@ func (d *Deployment) InstallDestinationsCtx(ts []*bgp.Dest, parent span.Context)
 				// so its packets drop as no-route instead of following a
 				// stale entry from an earlier install into a black hole.
 				for _, id := range d.routersOf[v] {
-					txs[id].del(dst)
+					txs[id].Delete(dst)
 				}
 				continue
 			}
 			ref := d.egress[v][int32(t.NextHop(v))]
 			for _, id := range d.routersOf[v] {
 				if id == ref.router {
-					txs[id].set(dst, dataplane.FIBEntry{Out: ref.port, Alt: -1, AltVia: -1})
+					txs[id].Set(dst, dataplane.FIBEntry{Out: ref.port, Alt: -1, AltVia: -1})
 				} else {
-					txs[id].set(dst, dataplane.FIBEntry{
+					txs[id].Set(dst, dataplane.FIBEntry{
 						Out: d.ibgp[id][ref.router], Alt: -1, AltVia: ref.router,
 					})
 				}
@@ -308,89 +298,16 @@ func (d *Deployment) InstallDestinationsCtx(ts []*bgp.Dest, parent span.Context)
 	}
 }
 
-// fibTx stages updates against whichever FIB representation a router runs —
-// the dense identifier map or the longest-prefix-match trie — behind one
-// transactional surface, so the daemon's epoch batching does not care which
-// one the deployment uses. Exactly one of the two fields is non-nil.
-type fibTx struct {
-	fib *dataplane.FIBTx
-	px  *lpm.Txn[dataplane.FIBEntry]
-}
-
-// beginFIB opens a transaction on r's FIB, parenting its eventual
-// fib_swap span under parent. The transaction holds the router's writer
-// lock until commit; forwarding lookups stay wait-free on the published
-// generation throughout.
-func beginFIB(r *dataplane.Router, parent span.Context) fibTx {
-	if r.PrefixFIB != nil {
-		return fibTx{px: r.PrefixFIB.Begin()}
-	}
-	tx := r.FIB.Begin()
-	tx.TraceUnder(parent)
-	return fibTx{fib: tx}
-}
-
-// set stages an install or replacement of the entry for dst.
-func (tx fibTx) set(dst int32, e dataplane.FIBEntry) {
-	if tx.px != nil {
-		// Installation of a /32 cannot fail: the address has no host bits
-		// beyond the mask.
-		if err := tx.px.Insert(dataplane.PrefixAddr(dst), 32, e); err != nil {
-			panic("core: prefix install: " + err.Error())
-		}
-		return
-	}
-	tx.fib.Set(dst, e)
-}
-
-// setAlt stages a rewrite of only the alternative of an existing entry,
-// reporting whether dst had one.
-func (tx fibTx) setAlt(dst int32, alt int, via dataplane.RouterID) bool {
-	if tx.px != nil {
-		return tx.px.Update(dataplane.PrefixAddr(dst), 32, func(e dataplane.FIBEntry) dataplane.FIBEntry {
-			e.Alt = alt
-			e.AltVia = via
-			return e
-		})
-	}
-	return tx.fib.SetAlt(dst, alt, via)
-}
-
-// del stages withdrawal of the entry for dst (a no-op when absent).
-func (tx fibTx) del(dst int32) {
-	if tx.px != nil {
-		tx.px.Remove(dataplane.PrefixAddr(dst), 32)
-		return
-	}
-	tx.fib.Delete(dst)
-}
-
-// commit publishes the staged generation and returns its id.
-func (tx fibTx) commit() uint64 {
-	if tx.px != nil {
-		return tx.px.Commit()
-	}
-	return tx.fib.Commit()
-}
-
-// dirty reports whether the transaction staged an effective change.
-func (tx fibTx) dirty() bool {
-	if tx.px != nil {
-		return tx.px.Dirty()
-	}
-	return tx.fib.Dirty()
-}
-
 // commitTx publishes one router's staged generation under a fib_commit
 // span — the single Start site shared by epoch refreshes and bulk
 // installs. Clean transactions commit without a span: nothing was
 // published, so there is nothing to time.
-func (d *Deployment) commitTx(tx fibTx, id dataplane.RouterID, parent span.Context) uint64 {
-	if !tx.dirty() {
-		return tx.commit()
+func (d *Deployment) commitTx(tx *dataplane.FIBTx, id dataplane.RouterID, parent span.Context) uint64 {
+	if !tx.Dirty() {
+		return tx.Commit()
 	}
 	sp := d.spans.Start("fib_commit", parent, int32(id))
-	gen := tx.commit()
+	gen := tx.Commit()
 	sp.A = int64(gen)
 	sp.End()
 	return gen

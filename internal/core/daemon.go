@@ -101,7 +101,7 @@ func better(a, b Selection) bool {
 // every given destination and publishes the results as exactly one FIB
 // commit per border router of the AS. The forwarding engine therefore sees
 // either the whole previous epoch or the whole new one — never a half-
-// updated mix — and the per-commit map/trie copy is amortized over every
+// updated mix — and the per-commit map copy is amortized over every
 // destination instead of paid per entry.
 func (dm *Daemon) RefreshAll(tables []*bgp.Dest) {
 	dm.RefreshAllCtx(tables, span.Context{})
@@ -117,9 +117,10 @@ func (dm *Daemon) RefreshAllCtx(tables []*bgp.Dest, parent span.Context) {
 	start := time.Now()
 	ep := dep.spans.Start("daemon_epoch", parent, int32(dm.as))
 	ep.A = int64(len(tables))
-	txs := make([]fibTx, len(rs))
+	txs := make([]*dataplane.FIBTx, len(rs))
 	for i, id := range rs {
-		txs[i] = beginFIB(dep.Net.Router(id), ep.Context())
+		txs[i] = dep.Net.Router(id).FIB.Begin()
+		txs[i].TraceUnder(ep.Context())
 	}
 	for _, t := range tables {
 		dm.refreshInto(txs, t)
@@ -149,7 +150,7 @@ func (dm *Daemon) RefreshDestination(t *bgp.Dest) {
 
 // refreshInto stages one destination's alt re-selection into the epoch's
 // per-router transactions (txs parallel to routersOf[dm.as]).
-func (dm *Daemon) refreshInto(txs []fibTx, t *bgp.Dest) {
+func (dm *Daemon) refreshInto(txs []*dataplane.FIBTx, t *bgp.Dest) {
 	dst := int32(t.Dst())
 	var sel Selection
 	var ok bool
@@ -157,7 +158,7 @@ func (dm *Daemon) refreshInto(txs []fibTx, t *bgp.Dest) {
 	rs := dm.dep.routersOf[dm.as]
 	if !ok {
 		for i := range rs {
-			txs[i].setAlt(dst, -1, -1)
+			txs[i].SetAlt(dst, -1, -1)
 		}
 		dm.traceUpdate(dst, Selection{Port: -1}, false)
 		return
@@ -165,9 +166,9 @@ func (dm *Daemon) refreshInto(txs []fibTx, t *bgp.Dest) {
 	for i, id := range rs {
 		if id == sel.Router {
 			r := dm.dep.Net.Router(id)
-			txs[i].setAlt(dst, sel.Port, r.Ports[sel.Port].Peer)
+			txs[i].SetAlt(dst, sel.Port, r.Ports[sel.Port].Peer)
 		} else {
-			txs[i].setAlt(dst, dm.dep.ibgp[id][sel.Router], sel.Router)
+			txs[i].SetAlt(dst, dm.dep.ibgp[id][sel.Router], sel.Router)
 		}
 	}
 	dm.noteSelection(sel)

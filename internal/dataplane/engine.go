@@ -48,7 +48,7 @@ func (r *Router) Forward(p *Packet, in int) Action {
 		h.AltRel = h.OutRel
 	case act.Reason == DropValleyFree:
 		// The refused alternative: re-resolve the entry the engine used.
-		if e, ok := r.lookupEntry(p); ok && e.Alt >= 0 && e.Alt < len(r.Ports) {
+		if e, ok := r.FIB.Lookup(p.Dst); ok && e.Alt >= 0 && e.Alt < len(r.Ports) {
 			h.AltTried = true
 			h.AltRel = r.Ports[e.Alt].Rel
 		}
@@ -78,14 +78,10 @@ func (r *Router) forward(p *Packet, in int) Action {
 		return Action{Verdict: VerdictDeliver}
 	}
 
-	// Line 4: FIB lookup — longest-prefix match on the destination
-	// address when a prefix FIB is installed, dense identifier otherwise.
-	e, ok := r.lookupEntry(p)
+	// Line 4: FIB lookup.
+	e, ok := r.FIB.Lookup(p.Dst)
 	if !ok {
 		return r.countDrop(DropNoRoute, p)
-	}
-	if e.Out < 0 {
-		return Action{Verdict: VerdictDeliver}
 	}
 
 	// Lines 5-10: at the packet entering point, tag one bit with the

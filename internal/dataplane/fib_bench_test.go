@@ -7,7 +7,7 @@ import (
 
 // lockedFIB replicates the pre-refactor FIB — a map guarded by a
 // read-write lock — as the benchmark baseline the generation-swapped
-// design is measured against (BENCH_routing.json).
+// design is measured against (`make bench`, BenchmarkFIBLookup).
 type lockedFIB struct {
 	mu      sync.RWMutex
 	entries map[int32]FIBEntry

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/lpm"
 	"repro/internal/obs"
 	"repro/internal/topo"
 )
@@ -110,11 +109,6 @@ type Router struct {
 	Ports []Port
 	// FIB is the forwarding table keyed by dense destination identifiers.
 	FIB *FIB
-	// PrefixFIB, when non-nil, takes precedence over FIB: the engine then
-	// resolves the packet's real destination address by longest-prefix
-	// match, the way the paper's kernel fib_table does. Entries with
-	// Out < 0 deliver locally.
-	PrefixFIB *lpm.Table[FIBEntry]
 	// Local marks destination prefixes delivered by this router.
 	Local map[int32]bool
 	// CongestionThreshold is the tx-queue ratio at which a port counts as
@@ -255,17 +249,6 @@ type HopInfo struct {
 // HopFunc observes forwarding decisions. The packet pointer is only valid
 // for the duration of the call.
 type HopFunc func(p *Packet, h HopInfo)
-
-// lookupEntry resolves the packet's FIB entry the way Forward does:
-// longest-prefix match when a prefix FIB is installed, dense id otherwise.
-//
-//mifo:hotpath
-func (r *Router) lookupEntry(p *Packet) (FIBEntry, bool) {
-	if r.PrefixFIB != nil {
-		return r.PrefixFIB.Lookup(p.Flow.DstAddr)
-	}
-	return r.FIB.Lookup(p.Dst)
-}
 
 // DropExpired records a TTL-exhausted packet: transports that manage TTL
 // outside Forward (Network.Send, netd, packetsim) route the drop through

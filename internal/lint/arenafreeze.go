@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // arenafreeze enforces the publish-then-freeze contract on arena-backed
@@ -27,8 +28,8 @@ import (
 //     structure, or passing it to a callee the analyzer cannot prove
 //     read-only is a finding.
 //
-// The versioned FIB and trie generations keep their own, stricter
-// analyzer (fibtxn); arenafreeze covers the builder-published arenas that
+// The versioned FIB generations keep their own, stricter analyzer
+// (fibtxn); arenafreeze covers the builder-published arenas that
 // have no transaction API — their entire write surface is the builder.
 
 // FrozenType names one arena-published type and its construction surface.
@@ -37,8 +38,8 @@ type FrozenType struct {
 	PkgSuffix string
 	// TypeName is the frozen type's name.
 	TypeName string
-	// AllowedWriters are funcKeys ("Recv.Name", "Name", or "Recv.*") in
-	// the declaring package that may write the fields: the builder path.
+	// AllowedWriters are funcKeys ("Recv.Name" or "Name") in the declaring
+	// package that may write the fields: the builder path.
 	AllowedWriters []string
 }
 
@@ -138,7 +139,7 @@ func runArenafreeze(pass *Pass, cfg ArenafreezeConfig) {
 			inBuilder := false
 			if ownPkg(pass, cfg, fd) {
 				for i := range cfg.Types {
-					if matchFunc(cfg.Types[i].AllowedWriters, key) {
+					if slices.Contains(cfg.Types[i].AllowedWriters, key) {
 						inBuilder = true
 					}
 				}

@@ -3,40 +3,39 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // fibtxn enforces generation immutability across the RIB->FIB pipeline:
-// once a FIB generation or trie node is published behind the atomic
-// pointer, nothing may write to it. The paper's kernel fib_table split
-// (Section IV) only works because the forwarding engine can walk the
-// table without locks — which in turn is only safe if every mutation goes
-// through the Begin/Set/Commit transaction (map FIB) or the path-copy
-// helpers (LPM trie), and the published pointer is stored only at
-// construction and Commit.
+// once a FIB generation is published behind the atomic pointer, nothing
+// may write to it. The paper's kernel fib_table split (Section IV) only
+// works because the forwarding engine can walk the table without locks —
+// which in turn is only safe if every mutation goes through the
+// Begin/Set/Commit transaction, and the published pointer is stored only
+// at construction and Commit.
 //
 // Concretely the analyzer flags, per protected struct type:
 //   - assignments (including op-assign and ++/--) to a field of the type,
 //   - writes through a field of the type (map index stores, element
 //     stores via a slice/array field),
-// outside the configured allowlist of writer functions; and, per
-// protected publish point, calls to <field>.Store outside its allowlist.
+// anywhere; and, per protected publish point, calls to <field>.Store
+// outside its allowlist.
 // Composite literals are always allowed: building a generation before it
 // is published is the whole point of the scheme.
 
-// ProtectedStruct declares one struct type whose fields are
-// transaction-private.
+// ProtectedStruct declares one struct type no function may write the
+// fields of: values are built as composite literals and never touched
+// again.
 type ProtectedStruct struct {
 	// PkgSuffix and TypeName identify the struct (path-suffix match, so
 	// testdata corpora can exercise the analyzer with local types).
 	PkgSuffix string
 	TypeName  string
-	// AllowedWriters lists the functions that may write fields, as
-	// "Func", "Recv.Method", or "Recv.*".
-	AllowedWriters []string
 }
 
 // ProtectedPublish declares one atomic publish point: calls to
-// <TypeName>.<FieldName>.Store are confined to AllowedWriters.
+// <TypeName>.<FieldName>.Store are confined to AllowedWriters ("Func" or
+// "Recv.Method").
 type ProtectedPublish struct {
 	PkgSuffix      string
 	TypeName       string
@@ -55,19 +54,14 @@ type FibtxnConfig struct {
 func DefaultFibtxnConfig() FibtxnConfig {
 	return FibtxnConfig{
 		Structs: []ProtectedStruct{
-			// A published map-FIB generation is immutable, full stop: it is
+			// A published FIB generation is immutable, full stop: it is
 			// built as a composite literal inside Begin/Commit and never
-			// written again, so no function may assign its fields.
+			// written again.
 			{PkgSuffix: "internal/dataplane", TypeName: "fibGen"},
-			// Trie nodes may only be written by the transaction that owns
-			// them, i.e. inside the Txn path-copy helpers.
-			{PkgSuffix: "internal/lpm", TypeName: "node", AllowedWriters: []string{"Txn.*"}},
 		},
 		Publishes: []ProtectedPublish{
 			{PkgSuffix: "internal/dataplane", TypeName: "FIB", FieldName: "cur",
 				AllowedWriters: []string{"NewFIB", "FIBTx.Commit"}},
-			{PkgSuffix: "internal/lpm", TypeName: "Table", FieldName: "cur",
-				AllowedWriters: []string{"New", "Txn.Commit"}},
 		},
 	}
 }
@@ -76,7 +70,7 @@ func DefaultFibtxnConfig() FibtxnConfig {
 func Fibtxn(cfg FibtxnConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "fibtxn",
-		Doc:  "writes to published FIB generations / trie nodes must go through the transaction API",
+		Doc:  "writes to published FIB generations must go through the transaction API",
 	}
 	a.Run = func(pass *Pass) { runFibtxn(pass, cfg) }
 	return a
@@ -130,12 +124,8 @@ func runFibtxn(pass *Pass, cfg FibtxnConfig) {
 		if ps == nil {
 			return
 		}
-		fd := enclosingFunc(file, lhs.Pos())
-		if fd != nil && matchFunc(ps.AllowedWriters, funcKey(fd)) {
-			return
-		}
 		where := "package scope"
-		if fd != nil {
+		if fd := enclosingFunc(file, lhs.Pos()); fd != nil {
 			where = funcKey(fd)
 		}
 		pass.Reportf(lhs.Pos(), "write to %s.%s outside the transaction API (in %s): published generations are immutable",
@@ -163,17 +153,14 @@ func runFibtxn(pass *Pass, cfg FibtxnConfig) {
 				checkWrite(file, st.X)
 			case *ast.UnaryExpr:
 				// &gen.field escaping would allow writes out of view of this
-				// analyzer; treat taking the address of a protected field
-				// outside an allowed writer as a violation too.
+				// analyzer; treat taking the address of a protected field as
+				// a violation too.
 				if st.Op.String() != "&" {
 					return true
 				}
 				if ps, sel := lvalueOwner(st.X); ps != nil {
-					fd := enclosingFunc(file, st.Pos())
-					if fd == nil || !matchFunc(ps.AllowedWriters, funcKey(fd)) {
-						pass.Reportf(st.Pos(), "taking the address of %s.%s outside the transaction API: published generations are immutable",
-							ps.TypeName, sel.Sel.Name)
-					}
+					pass.Reportf(st.Pos(), "taking the address of %s.%s outside the transaction API: published generations are immutable",
+						ps.TypeName, sel.Sel.Name)
 				}
 			case *ast.CallExpr:
 				// <recv>.<field>.Store(...) — the publish point.
@@ -194,7 +181,7 @@ func runFibtxn(pass *Pass, cfg FibtxnConfig) {
 					return true
 				}
 				fd := enclosingFunc(file, st.Pos())
-				if fd != nil && matchFunc(pp.AllowedWriters, funcKey(fd)) {
+				if fd != nil && slices.Contains(pp.AllowedWriters, funcKey(fd)) {
 					return true
 				}
 				pass.Reportf(st.Pos(), "%s.%s.Store outside %v: generations are published only at construction and Commit",

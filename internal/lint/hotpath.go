@@ -8,13 +8,13 @@ import (
 )
 
 // hotpathalloc enforces the forwarding-path cost model behind the
-// committed BENCH_dataplane.json / BENCH_routing.json nanosecond budgets:
-// a function annotated
+// nanosecond budgets BENCHMARK.json tracks per layer (dataplane.forward_ns,
+// dataplane.forward_deflect_ns): a function annotated
 //
 //	//mifo:hotpath
 //
-// is part of the per-packet path (Forward, FIB.Lookup, the trie walk,
-// Trace.Emit, the drop/deflect bookkeeping) and must stay allocation- and
+// is part of the per-packet path (Forward, FIB.Lookup, Trace.Emit,
+// the drop/deflect bookkeeping) and must stay allocation- and
 // lock-free. Inside such a function (and the function literals it
 // contains) the analyzer flags:
 //
@@ -31,9 +31,9 @@ import (
 //     resolvable call tree must opt in.
 //
 // The transitive check runs over the whole analysis set at Finish time,
-// so cross-package edges (dataplane -> obs, dataplane -> lpm) are
-// enforced without source-order coupling. Dynamic calls through function
-// values and interface methods are outside its reach — the data plane's
+// so cross-package edges (dataplane -> obs) are enforced without
+// source-order coupling. Dynamic calls through function values and
+// interface methods are outside its reach — the data plane's
 // hook fields (Router.Hop, Router.Deflect) are the documented escape
 // hatches and their implementations own their cost.
 const hotpathFactKey = "hotpath"

@@ -1,8 +1,8 @@
 // Package lint is mifolint: a suite of static analyzers that enforce the
 // repository's concurrency and hot-path contracts at build time — the
-// conventions the compiler cannot see but the versioned FIB, the
-// path-copying LPM trie, and the paper's kernel fib_table FE-read /
-// daemon-write split (Section IV) all depend on.
+// conventions the compiler cannot see but the versioned FIB and the
+// paper's kernel fib_table FE-read / daemon-write split (Section IV)
+// depend on.
 //
 // The suite mirrors the shape of golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic, testdata corpora with "want" comments) but is built on
@@ -13,9 +13,8 @@
 //
 // Contracts enforced (see DESIGN.md "Static invariants"):
 //
-//   - fibtxn: published FIB generations and trie nodes are immutable;
-//     all writes go through the Begin/Set/Commit transaction and
-//     path-copy helpers.
+//   - fibtxn: published FIB generations are immutable; all writes go
+//     through the Begin/Set/Commit transaction.
 //   - hotpathalloc: functions annotated //mifo:hotpath do not format,
 //     allocate maps/slices, append to escaping slices, take locks, or
 //     call unannotated project functions.
@@ -353,22 +352,6 @@ func recvTypeName(e ast.Expr) string {
 			return ""
 		}
 	}
-}
-
-// matchFunc reports whether key (e.g. "Txn.Insert") is covered by the
-// allowlist, which may hold exact keys or "Recv.*" wildcards.
-func matchFunc(allow []string, key string) bool {
-	for _, a := range allow {
-		if a == key {
-			return true
-		}
-		if recv, ok := strings.CutSuffix(a, ".*"); ok {
-			if cur, _, found := strings.Cut(key, "."); found && cur == recv {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // namedOrAlias resolves t to its named type, unwrapping pointers.

@@ -16,7 +16,7 @@ import (
 // time. While a lock is held the analyzer flags:
 //
 //   - channel sends (unless in a select with a default arm);
-//   - calls to a Commit method — a FIB/trie/table Commit takes the
+//   - calls to a Commit method — a FIB/table Commit takes the
 //     writer's own lock and publishes, so nesting it under another lock
 //     orders locks by accident;
 //   - blocking calls: package net / net/http I/O, time.Sleep,

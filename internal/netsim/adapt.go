@@ -75,7 +75,7 @@ func (s *Sim) adaptFlow(st *flowState, table *bgp.Dest) bool {
 			expected = 0 // the egress is dead: any live alternative wins
 		}
 		for k := 0; k < st.switches; k++ {
-			expected *= s.cfg.SwitchDamping
+			expected *= switchDamping
 		}
 		// Entry bit at u: set when the packet entered from a customer or
 		// originated here.
@@ -117,6 +117,11 @@ func (s *Sim) adaptFlow(st *flowState, table *bgp.Dest) bool {
 // worthwhile. It keeps a flow that saturates a link alone (or the whole
 // set of alternatives equally) from bouncing between paths.
 const deflectGain = 1.1
+
+// switchDamping multiplies the gain a further deflection must justify for
+// every switch a flow has already made; it is what concentrates Fig. 9's
+// switch distribution at one or two switches.
+const switchDamping = 1.6
 
 // bestAlternative selects the alternative path at hop i of the current
 // path (links are its link ids): among RIB entries other than the current

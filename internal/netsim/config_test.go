@@ -11,7 +11,7 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.LinkCapacityBps != 1e9 || c.CongestionThreshold != 0.95 ||
 		c.ReturnThreshold != 0.3 || c.ControlInterval != 0.005 ||
-		c.MaxSwitches != 16 || c.SwitchDamping != 1.6 || c.ReconvergenceDelay != 5 {
+		c.MaxSwitches != 16 || c.ReconvergenceDelay != 5 {
 		t.Errorf("defaults = %+v", c)
 	}
 	// Explicit values survive.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/bgp"
 	"repro/internal/obs/span"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -128,12 +129,9 @@ func TestConvergenceTracingPartitionAndRecovery(t *testing.T) {
 // deployment or emit anything.
 func TestNoTracerNoMirror(t *testing.T) {
 	g := failGraph(t)
-	flows := []traffic.Flow{{ID: 0, Src: 3, Dst: 0, SizeBits: 10 * mb, Arrival: 0}}
 	s := &Sim{g: g, cfg: Config{Policy: PolicyBGP}.withDefaults()}
 	s.buildLinks()
-	if err := s.precomputeRoutes(flows); err != nil {
-		t.Fatal(err)
-	}
+	s.tab = bgp.NewTable(g, []int{0}, 0)
 	s.handleFail(LinkFailure{A: 3, B: 1})
 	if s.mirror != nil {
 		t.Fatal("mirror deployment built without a tracer")

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/topo"
@@ -108,6 +109,44 @@ func TestGoldenOutcomes(t *testing.T) {
 		if stream.Completed != completed || stream.UsedAlt != usedAlt || stream.Switches != switches || stream.Reroutes != reroutes {
 			t.Errorf("%v: RunStream completed=%d used_alt=%d switches=%d reroutes=%d, Run %d %d %d %d", pol,
 				stream.Completed, stream.UsedAlt, stream.Switches, stream.Reroutes, completed, usedAlt, switches, reroutes)
+		}
+	}
+}
+
+// TestRunAcceptsUnsortedInput shuffles goldenInput's flows: Run feeds them
+// to the simulator in arrival order whatever order they come in, so every
+// flow's result is the one the sorted run gave it, and it sits at the
+// flow's position in the input.
+func TestRunAcceptsUnsortedInput(t *testing.T) {
+	g, flows, cfg := goldenInput(t)
+	shuffled := append([]traffic.Flow(nil), flows...)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	for _, pol := range []Policy{PolicyBGP, PolicyMIRO, PolicyMIFO} {
+		cfg.Policy = pol
+		want, err := Run(g, flows, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", pol, err)
+		}
+		got, err := Run(g, shuffled, cfg)
+		if err != nil {
+			t.Fatalf("%v: shuffled: %v", pol, err)
+		}
+		byID := make(map[int]FlowResult, len(flows))
+		for _, fr := range want.Flows {
+			byID[fr.ID] = fr
+		}
+		for i, fr := range got.Flows {
+			if fr.ID != shuffled[i].ID {
+				t.Fatalf("%v: result %d is flow %d, input %d is flow %d", pol, i, fr.ID, i, shuffled[i].ID)
+			}
+			if w := byID[fr.ID]; fr != w {
+				t.Fatalf("%v: flow %d: shuffled input gave %+v, sorted %+v", pol, fr.ID, fr, w)
+			}
+		}
+		if got.Routing != want.Routing {
+			t.Errorf("%v: routing stats %+v, sorted %+v", pol, got.Routing, want.Routing)
 		}
 	}
 }

@@ -15,6 +15,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/audit"
@@ -101,10 +102,6 @@ type Config struct {
 	// MaxSwitches stops adapting a flow after this many path switches
 	// (default 16); a safety valve, rarely reached thanks to hysteresis.
 	MaxSwitches int
-	// SwitchDamping multiplies the gain a further deflection must justify
-	// for every switch a flow has already made (default 1.6); it is what
-	// concentrates Fig. 9's switch distribution at one or two switches.
-	SwitchDamping float64
 	// MIRO configures the MIRO baseline.
 	MIRO miro.Config
 	// Workers bounds parallelism for route precomputation (0 = all CPUs).
@@ -136,10 +133,6 @@ type Config struct {
 	// episode analyzer attributes offload with (see tsdb.go). Sampling
 	// happens at MIFO control epochs, so only MIFO runs produce series.
 	TSDB *tsdb.Store
-	// TSDBWatermark is the utilization above which a link's series are
-	// materialized (default 0.8 x CongestionThreshold). Links that
-	// deflect a flow are materialized regardless.
-	TSDBWatermark float64
 
 	// Failures injects link failures (an extension experiment: MIFO's
 	// data-plane deflection reacts to a dead egress instantly, while BGP
@@ -165,9 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSwitches <= 0 {
 		c.MaxSwitches = 16
-	}
-	if c.SwitchDamping <= 0 {
-		c.SwitchDamping = 1.6
 	}
 	if c.ReconvergenceDelay <= 0 {
 		c.ReconvergenceDelay = 5
@@ -208,6 +198,7 @@ type FlowResult struct {
 // flowState is the simulator's mutable view of one flow.
 type flowState struct {
 	traffic.Flow
+	ord     int     // position in the arrival stream (0 = first flow pulled)
 	path    []int   // current AS path
 	links   []int32 // directed link ids of path
 	defPath []int   // default (BGP) path
@@ -297,31 +288,32 @@ type Sim struct {
 	asSeen    []uint32  // per AS: == seenGen when on the candidate being checked
 	seenGen   uint32
 
-	// Streaming mode (RunStream): flows are pulled one at a time from
-	// stream, retired flows recycle their slot through free, and outcomes
-	// fold into sres as they finish — nothing per-flow is retained. All
-	// nil/zero in batch mode.
-	stream      traffic.Stream
-	streamLimit int // max flows to pull; <= 0 means drain the stream
-	pulled      int
-	free        []int32
-	sres        *StreamResults
-	streamErr   error
+	// Flows are pulled one at a time from stream (arrival times are
+	// monotone, so one outstanding arrival event suffices). A finished flow
+	// is handed to sink and its slot recycled through free, so flows holds
+	// only as many states as were ever active at once (plus the one
+	// waiting to arrive).
+	stream     traffic.Stream
+	maxFlows   int // max flows to pull; <= 0 means drain the stream
+	pulled     int
+	free       []int32
+	sink       func(ord int, fr FlowResult)
+	peakActive int
+	err        error // first rejected flow; ends the run
 
 	// TSDB instrumentation (nil unless cfg.TSDB is set; see tsdb.go).
-	tsRun       string
-	tsWatermark float64
-	tsUtilVec   *tsdb.SeriesVec
-	tsDeflVec   *tsdb.SeriesVec
-	tsOffVec    *tsdb.SeriesVec
-	tsLinkU     []*tsdb.Series // per-link handles, materialized lazily
-	tsLinkD     []*tsdb.Series
-	tsLinkO     []*tsdb.Series
-	deflCount   []float64 // cumulative deflections per link
-	offBits     []float64 // cumulative offloaded bits per trigger link
-	tsActive    *tsdb.Series
-	tsAlt       *tsdb.Series
-	tsMaxUtil   *tsdb.Series
+	tsRun     string
+	tsUtilVec *tsdb.SeriesVec
+	tsDeflVec *tsdb.SeriesVec
+	tsOffVec  *tsdb.SeriesVec
+	tsLinkU   []*tsdb.Series // per-link handles, materialized lazily
+	tsLinkD   []*tsdb.Series
+	tsLinkO   []*tsdb.Series
+	deflCount []float64 // cumulative deflections per link
+	offBits   []float64 // cumulative offloaded bits per trigger link
+	tsActive  *tsdb.Series
+	tsAlt     *tsdb.Series
+	tsMaxUtil *tsdb.Series
 }
 
 const (
@@ -334,33 +326,101 @@ const (
 )
 
 // Run simulates the given flows over topology g and returns per-flow
-// results in flow order.
+// results in flow order. The flows need not be sorted: they are fed to the
+// simulator in arrival order, ties in input order.
 func Run(g *topo.Graph, flows []traffic.Flow, cfg Config) (*Results, error) {
+	order := make([]int32, len(flows))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := flows[order[i]].Arrival, flows[order[j]].Arrival
+		// A NaN arrival sorts first, so the run ends on the flow that has
+		// it and not on a neighbour the broken ordering displaced.
+		return a < b || math.IsNaN(a) && !math.IsNaN(b)
+	})
+	// Routes for every distinct destination. A destination outside the
+	// graph gets none: its flow is rejected, by name, when it is pulled.
+	seen := make([]bool, g.N())
+	var dsts []int
+	for _, f := range flows {
+		if f.Dst >= 0 && f.Dst < len(seen) && !seen[f.Dst] {
+			seen[f.Dst] = true
+			dsts = append(dsts, f.Dst)
+		}
+	}
+
+	out := make([]FlowResult, len(flows))
+	s, err := simulate(g, &orderedFlows{flows: flows, order: order}, dsts, 0, cfg, func(ord int, fr FlowResult) {
+		out[order[ord]] = fr
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Results{Policy: s.cfg.Policy, Capacity: s.cfg.LinkCapacityBps, Flows: out, Routing: s.routing()}, nil
+}
+
+// orderedFlows streams a flow slice in the given index order.
+type orderedFlows struct {
+	flows []traffic.Flow
+	order []int32
+}
+
+func (o *orderedFlows) Next() (traffic.Flow, bool) {
+	if len(o.order) == 0 {
+		return traffic.Flow{}, false
+	}
+	f := o.flows[o.order[0]]
+	o.order = o.order[1:]
+	return f, true
+}
+
+// result is the flow's fate as the run's sink receives it.
+func (st *flowState) result() FlowResult {
+	fr := FlowResult{
+		Flow:          st.Flow,
+		Finish:        st.finish,
+		Switches:      st.switches,
+		UsedAlt:       st.usedAlt,
+		OffloadedBits: st.offloadBits,
+		Unroutable:    st.unroutable,
+		StalledTime:   st.stalledTime,
+		Reroutes:      st.reroutes,
+		Stalled:       !st.done && !st.unroutable,
+	}
+	if !st.unroutable && st.done && st.finish > st.Arrival {
+		fr.ThroughputBps = st.SizeBits / (st.finish - st.Arrival)
+	}
+	return fr
+}
+
+// simulate is the simulator behind Run and RunStream: it pulls up to
+// maxFlows flows (<= 0 drains the stream) from src, in arrival order, over
+// topology g with routes installed for exactly the destinations in dsts,
+// and hands every flow's result to sink once, with the flow's position in
+// the stream — when it finishes or turns out unroutable, or at the end of
+// the run if it stalled forever. The returned Sim carries the run's
+// counters and defaulted Config.
+func simulate(g *topo.Graph, src traffic.Stream, dsts []int, maxFlows int, cfg Config, sink func(ord int, fr FlowResult)) (*Sim, error) {
 	cfg = cfg.withDefaults()
 	if err := validateFailures(g, cfg.Failures); err != nil {
 		return nil, err
 	}
-	if len(flows) == 0 {
-		return &Results{Capacity: cfg.LinkCapacityBps}, nil
-	}
-	for _, f := range flows {
-		if f.Src == f.Dst || f.Src < 0 || f.Src >= g.N() || f.Dst < 0 || f.Dst >= g.N() {
-			return nil, fmt.Errorf("netsim: flow %d has bad endpoints (%d -> %d)", f.ID, f.Src, f.Dst)
+	for _, d := range dsts {
+		if d < 0 || d >= g.N() {
+			return nil, fmt.Errorf("netsim: destination %d out of range [0, %d)", d, g.N())
 		}
 	}
-	s := &Sim{g: g, cfg: cfg, miroAlts: make(map[int64][]miro.Alternate)}
+
+	s := &Sim{g: g, cfg: cfg, miroAlts: make(map[int64][]miro.Alternate),
+		stream: src, maxFlows: maxFlows, sink: sink}
 	s.buildLinks()
 	s.initTSDB()
-	if err := s.precomputeRoutes(flows); err != nil {
-		return nil, err
-	}
+	s.tab = bgp.NewTable(g, dsts, cfg.Workers)
+	// The repaired table is a Clone of this one, so attaching the tracer
+	// here makes every incremental recompute after a link event traced.
+	s.tab.SetTracer(cfg.Spans)
 
-	s.flows = make([]*flowState, len(flows))
-	for i, f := range flows {
-		st := &flowState{Flow: f, left: f.SizeBits, trigLink: -1}
-		s.flows[i] = st
-		s.queue.Push(f.Arrival, evArrival, int32(i))
-	}
 	for i := range cfg.Failures {
 		fl := cfg.Failures[i]
 		s.queue.Push(fl.At, evFail, i)
@@ -368,45 +428,36 @@ func Run(g *topo.Graph, flows []traffic.Flow, cfg Config) (*Results, error) {
 			s.queue.Push(fl.RecoverAt, evRecover, i)
 		}
 	}
-
+	s.pullNext()
 	s.eventLoop()
-
+	if s.err != nil {
+		return nil, s.err
+	}
 	// One final sample pins the cumulative counters' end state, so the
-	// episode report's totals match Results exactly.
+	// episode report's totals match the results exactly.
 	s.sampleTSDB()
 
-	res := &Results{Capacity: cfg.LinkCapacityBps, Policy: cfg.Policy}
-	res.Routing = s.tab.Stats()
-	if s.repairedTab != nil {
-		res.Routing.Add(s.repairedTab.Stats())
+	// Flows still active at queue exhaustion are stalled forever.
+	for _, fi := range s.active {
+		sink(s.flows[fi].ord, s.flows[fi].result())
 	}
-	res.Flows = make([]FlowResult, len(flows))
-	for i, st := range s.flows {
-		fr := FlowResult{
-			Flow:          st.Flow,
-			Finish:        st.finish,
-			Switches:      st.switches,
-			UsedAlt:       st.usedAlt,
-			OffloadedBits: st.offloadBits,
-			Unroutable:    st.unroutable,
-			StalledTime:   st.stalledTime,
-			Reroutes:      st.reroutes,
-			Stalled:       !st.done && !st.unroutable,
-		}
-		if !st.unroutable && st.done && st.finish > st.Arrival {
-			fr.ThroughputBps = st.SizeBits / (st.finish - st.Arrival)
-		}
-		res.Flows[i] = fr
-	}
-	return res, nil
+	return s, nil
 }
 
-// eventLoop drains the queue. In streaming mode each handled arrival pulls
-// the next flow from the source (arrival times are monotone, so one
-// outstanding arrival event suffices); batch mode pre-pushed every arrival
-// and pullNext is a no-op.
+// routing is the run's route-computation work: the intact table's full
+// computes plus the repaired table's incremental work.
+func (s *Sim) routing() bgp.TableStats {
+	st := s.tab.Stats()
+	if s.repairedTab != nil {
+		st.Add(s.repairedTab.Stats())
+	}
+	return st
+}
+
+// eventLoop drains the queue. Each handled arrival pulls the next flow
+// from the source; a flow the pull rejects ends the run.
 func (s *Sim) eventLoop() {
-	for {
+	for s.err == nil {
 		ev := s.queue.Pop()
 		if ev == nil {
 			break
@@ -416,9 +467,6 @@ func (s *Sim) eventLoop() {
 		case evArrival:
 			s.handleArrival(int(ev.Data.(int32)))
 			s.pullNext()
-			if s.streamErr != nil {
-				return
-			}
 		case evCompletion:
 			s.compEvt = nil
 			s.handleCompletions()
@@ -433,6 +481,61 @@ func (s *Sim) eventLoop() {
 			s.handleReconverge(int(ev.Data.(int32)))
 		}
 	}
+}
+
+// pullNext pulls one flow from the stream (if any remain under the limit),
+// checks it, assigns it a slot — recycled when possible — and schedules its
+// arrival. It is the one place a flow enters the simulation, so every
+// check on a flow lives here.
+func (s *Sim) pullNext() {
+	if s.maxFlows > 0 && s.pulled >= s.maxFlows {
+		return
+	}
+	f, ok := s.stream.Next()
+	if !ok {
+		return
+	}
+	// The size and arrival comparisons are written so that NaN fails them.
+	// An infinite size would keep the epoch chain ticking forever, a
+	// non-positive one would finish before it arrives, and a NaN poisons
+	// the fair shares of every flow it meets.
+	switch {
+	case f.Src == f.Dst || f.Src < 0 || f.Src >= s.g.N() || f.Dst < 0 || f.Dst >= s.g.N():
+		s.err = fmt.Errorf("netsim: flow %d has bad endpoints (%d -> %d)", f.ID, f.Src, f.Dst)
+	case !(f.SizeBits > 0 && f.SizeBits <= math.MaxFloat64):
+		s.err = fmt.Errorf("netsim: flow %d has size %v bits; want a positive finite size", f.ID, f.SizeBits)
+	case !(f.Arrival >= 0 && f.Arrival <= math.MaxFloat64):
+		s.err = fmt.Errorf("netsim: flow %d arrives at %v; want a finite time >= 0", f.ID, f.Arrival)
+	case f.Arrival < s.now:
+		s.err = fmt.Errorf("netsim: flow %d arrives at %v, before current time %v (streams must be arrival-ordered)",
+			f.ID, f.Arrival, s.now)
+	}
+	if s.err != nil {
+		return
+	}
+	var fi int32
+	if n := len(s.free); n > 0 {
+		fi = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		fi = int32(len(s.flows))
+		s.flows = append(s.flows, new(flowState))
+	}
+	*s.flows[fi] = flowState{Flow: f, ord: s.pulled, left: f.SizeBits, trigLink: -1}
+	s.pulled++
+	s.queue.Push(f.Arrival, evArrival, fi)
+}
+
+// retire hands a finished flow to the sink and recycles its slot. Any
+// pending reconvergence event is cancelled first — it is the only event
+// kind that references a specific flow slot, so cancellation makes
+// recycling safe.
+func (s *Sim) retire(fi int32) {
+	st := s.flows[fi]
+	s.queue.Cancel(st.repairEvt)
+	st.repairEvt = nil
+	s.sink(st.ord, st.result())
+	s.free = append(s.free, fi)
 }
 
 // buildLinks prepares the CSR directed-link index.
@@ -465,24 +568,6 @@ func (s *Sim) linkID(v, u int) int32 {
 // linkOwner returns the AS that owns directed link l (the v of v -> u).
 func (s *Sim) linkOwner(l int32) int {
 	return sort.Search(s.g.N(), func(v int) bool { return s.linkOff[v+1] > l })
-}
-
-// precomputeRoutes computes a BGP table for every distinct destination.
-func (s *Sim) precomputeRoutes(flows []traffic.Flow) error {
-	seen := map[int]bool{}
-	var dsts []int
-	for _, f := range flows {
-		if !seen[f.Dst] {
-			seen[f.Dst] = true
-			dsts = append(dsts, f.Dst)
-		}
-	}
-	sort.Ints(dsts)
-	s.tab = bgp.NewTable(s.g, dsts, s.cfg.Workers)
-	// The repaired table is a Clone of this one, so attaching the tracer
-	// here makes every incremental recompute after a link event traced.
-	s.tab.SetTracer(s.cfg.Spans)
-	return nil
 }
 
 // advance progresses all active flows to time t.
@@ -550,8 +635,8 @@ func (s *Sim) handleArrival(fi int) {
 	}
 
 	s.active = append(s.active, int32(fi))
-	if s.sres != nil && len(s.active) > s.sres.PeakActive {
-		s.sres.PeakActive = len(s.active)
+	if len(s.active) > s.peakActive {
+		s.peakActive = len(s.active)
 	}
 	s.afterTopologyChange()
 	if !s.epochOn && s.cfg.Policy == PolicyMIFO {

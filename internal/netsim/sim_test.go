@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/topo"
@@ -265,15 +266,51 @@ func TestUnroutableFlow(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	g := fig2aGraph(t)
-	if _, err := Run(g, []traffic.Flow{{Src: 1, Dst: 1}}, Config{}); err == nil {
+	if _, err := Run(g, []traffic.Flow{{Src: 1, Dst: 1, SizeBits: mb}}, Config{}); err == nil {
 		t.Error("src == dst must error")
 	}
-	if _, err := Run(g, []traffic.Flow{{Src: 1, Dst: 99}}, Config{}); err == nil {
+	if _, err := Run(g, []traffic.Flow{{Src: 1, Dst: 99, SizeBits: mb}}, Config{}); err == nil {
 		t.Error("out-of-range dst must error")
 	}
-	res, err := Run(g, nil, Config{})
+	res, err := Run(g, nil, Config{Policy: PolicyMIFO})
 	if err != nil || len(res.Flows) != 0 {
 		t.Error("empty flow set should return empty results")
+	}
+	if res.Policy != PolicyMIFO || res.Capacity != gbps {
+		t.Errorf("empty run reports policy %v capacity %v, want MIFO and the default capacity", res.Policy, res.Capacity)
+	}
+}
+
+// A flow whose size or arrival time is not a usable number is rejected by
+// name, through both entry points. (traffic.ReadCSV parses "NaN" and "Inf"
+// happily; before the check a NaN stalled other, valid flows, an infinite
+// size never returned and a negative one finished before it arrived.)
+func TestRunRejectsUnusableSizeAndArrival(t *testing.T) {
+	g := fig2aGraph(t)
+	good := traffic.Flow{ID: 1, Src: 1, Dst: 0, SizeBits: 100 * mb, Arrival: 0.001}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, bad := range map[string]traffic.Flow{
+		"NaN size":         {SizeBits: nan, Arrival: 0.002},
+		"+Inf size":        {SizeBits: inf, Arrival: 0.002},
+		"-Inf size":        {SizeBits: -inf, Arrival: 0.002},
+		"zero size":        {SizeBits: 0, Arrival: 0.002},
+		"negative size":    {SizeBits: -mb, Arrival: 0.002},
+		"NaN arrival":      {SizeBits: mb, Arrival: nan},
+		"+Inf arrival":     {SizeBits: mb, Arrival: inf},
+		"negative arrival": {SizeBits: mb, Arrival: -1},
+	} {
+		bad.ID, bad.Src, bad.Dst = 7, 2, 0
+		flows := []traffic.Flow{good, bad}
+		if bad.Arrival < good.Arrival {
+			flows = []traffic.Flow{bad, good} // RunStream wants arrival order
+		}
+		_, runErr := Run(g, []traffic.Flow{good, bad}, Config{Policy: PolicyMIFO})
+		_, streamErr := RunStream(g, &sliceStream{flows: flows}, []int{0}, 0, Config{Policy: PolicyMIFO})
+		for entry, err := range map[string]error{"Run": runErr, "RunStream": streamErr} {
+			if err == nil || !strings.Contains(err.Error(), "flow 7 ") {
+				t.Errorf("%s, %s: error %v, want one naming flow 7", name, entry, err)
+			}
+		}
 	}
 }
 

@@ -1,22 +1,14 @@
 package netsim
 
-// Streaming simulation mode: RunStream drives flows pulled one at a time
-// from a traffic.Stream through the same event loop as Run, with bounded
-// memory. Only one arrival event is outstanding at a time (generators emit
-// monotone arrival times), finished flows fold their outcome into a
-// StreamResults aggregate and recycle their flow slot, and nothing per-flow
-// is retained — a paper-scale run pushes millions of flows through a few
-// hundred live slots. Flight-recorder sampling, span tracing, and TSDB
-// instrumentation work exactly as in batch mode: they hook the same
-// handlers.
+// RunStream is the simulator with online aggregation: finished flows fold
+// their outcome into a StreamResults and nothing per-flow is retained, so a
+// paper-scale run pushes millions of flows through a few hundred live
+// slots.
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/bgp"
-	"repro/internal/miro"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -69,29 +61,24 @@ type StreamResults struct {
 }
 
 // observe folds one finished (or end-of-run stalled) flow's outcome in.
-func (r *StreamResults) observe(st *flowState) {
-	if st.unroutable {
+func (r *StreamResults) observe(_ int, fr FlowResult) {
+	if fr.Unroutable {
 		r.Unroutable++
 		return
 	}
-	if st.done {
-		r.Completed++
-		mbps := 0.0
-		if st.finish > st.Arrival {
-			mbps = st.SizeBits / (st.finish - st.Arrival) / 1e6
-		}
-		r.addThroughput(mbps)
-	} else {
+	if fr.Stalled {
 		r.StalledForever++
-		r.addThroughput(0)
+	} else {
+		r.Completed++
 	}
-	if st.usedAlt {
+	r.addThroughput(fr.ThroughputBps / 1e6)
+	if fr.UsedAlt {
 		r.UsedAlt++
 	}
-	r.Switches += st.switches
-	r.Reroutes += st.reroutes
-	r.OffloadedBits += st.offloadBits
-	r.StalledTime += st.stalledTime
+	r.Switches += fr.Switches
+	r.Reroutes += fr.Reroutes
+	r.OffloadedBits += fr.OffloadedBits
+	r.StalledTime += fr.StalledTime
 }
 
 func (r *StreamResults) addThroughput(mbps float64) {
@@ -154,104 +141,15 @@ func (r *StreamResults) OffloadFraction() float64 {
 // never ends). Aggregation is online: memory stays proportional to the
 // peak number of concurrently active flows, not to maxFlows.
 func RunStream(g *topo.Graph, src traffic.Stream, dsts []int, maxFlows int, cfg Config) (*StreamResults, error) {
-	cfg = cfg.withDefaults()
-	if err := validateFailures(g, cfg.Failures); err != nil {
+	res := &StreamResults{}
+	s, err := simulate(g, src, dsts, maxFlows, cfg, res.observe)
+	if err != nil {
 		return nil, err
 	}
-	for _, d := range dsts {
-		if d < 0 || d >= g.N() {
-			return nil, fmt.Errorf("netsim: destination %d out of range [0, %d)", d, g.N())
-		}
-	}
-	sorted := append([]int(nil), dsts...)
-	sort.Ints(sorted)
-
-	s := &Sim{g: g, cfg: cfg, miroAlts: make(map[int64][]miro.Alternate)}
-	s.sres = &StreamResults{Policy: cfg.Policy, Capacity: cfg.LinkCapacityBps}
-	s.stream = src
-	s.streamLimit = maxFlows
-	s.buildLinks()
-	s.initTSDB()
-	s.tab = bgp.NewTable(g, sorted, cfg.Workers)
-	s.tab.SetTracer(cfg.Spans)
-
-	for i := range cfg.Failures {
-		fl := cfg.Failures[i]
-		s.queue.Push(fl.At, evFail, i)
-		if fl.RecoverAt > fl.At {
-			s.queue.Push(fl.RecoverAt, evRecover, i)
-		}
-	}
-	s.pullNext()
-	if s.streamErr == nil {
-		s.eventLoop()
-	}
-	if s.streamErr != nil {
-		return nil, s.streamErr
-	}
-	s.sampleTSDB()
-
-	// Flows still active at queue exhaustion are stalled forever.
-	for _, fi := range s.active {
-		s.sres.observe(s.flows[fi])
-	}
-	s.sres.PeakFlowSlots = len(s.flows)
-	s.sres.Routing = s.tab.Stats()
-	if s.repairedTab != nil {
-		s.sres.Routing.Add(s.repairedTab.Stats())
-	}
-	return s.sres, nil
-}
-
-// pullNext pulls one flow from the stream (if any remain under the limit),
-// assigns it a slot — recycled when possible — and schedules its arrival.
-// A no-op in batch mode.
-func (s *Sim) pullNext() {
-	if s.stream == nil {
-		return
-	}
-	if s.streamLimit > 0 && s.pulled >= s.streamLimit {
-		return
-	}
-	f, ok := s.stream.Next()
-	if !ok {
-		return
-	}
-	if f.Src == f.Dst || f.Src < 0 || f.Src >= s.g.N() || f.Dst < 0 || f.Dst >= s.g.N() {
-		s.streamErr = fmt.Errorf("netsim: flow %d has bad endpoints (%d -> %d)", f.ID, f.Src, f.Dst)
-		return
-	}
-	if f.Arrival < s.now {
-		s.streamErr = fmt.Errorf("netsim: flow %d arrives at %v, before current time %v (streams must be arrival-ordered)",
-			f.ID, f.Arrival, s.now)
-		return
-	}
-	var fi int32
-	if n := len(s.free); n > 0 {
-		fi = s.free[n-1]
-		s.free = s.free[:n-1]
-		*s.flows[fi] = flowState{Flow: f, left: f.SizeBits, trigLink: -1}
-	} else {
-		fi = int32(len(s.flows))
-		s.flows = append(s.flows, &flowState{Flow: f, left: f.SizeBits, trigLink: -1})
-	}
-	s.pulled++
-	s.sres.Flows++
-	s.queue.Push(f.Arrival, evArrival, fi)
-}
-
-// retire folds a finished flow into the streaming aggregate and recycles
-// its slot. Any pending reconvergence event is cancelled first — it is the
-// only event kind that references a specific flow slot, so cancellation
-// makes recycling safe. A no-op in batch mode, where Results are built
-// from the retained flow states at the end.
-func (s *Sim) retire(fi int32) {
-	if s.sres == nil {
-		return
-	}
-	st := s.flows[fi]
-	s.queue.Cancel(st.repairEvt)
-	st.repairEvt = nil
-	s.sres.observe(st)
-	s.free = append(s.free, fi)
+	res.Policy, res.Capacity = s.cfg.Policy, s.cfg.LinkCapacityBps
+	res.Flows = s.pulled
+	res.PeakActive = s.peakActive
+	res.PeakFlowSlots = len(s.flows)
+	res.Routing = s.routing()
+	return res, nil
 }

@@ -21,17 +21,18 @@ import (
 // cumulative counters from mixing. Timestamps are virtual simulation
 // time in nanoseconds, like trace events.
 
+// tsdbWatermarkShare, times CongestionThreshold, is the utilization above
+// which a link's series are materialized. Links that deflect a flow are
+// materialized regardless.
+const tsdbWatermarkShare = 0.8
+
 // initTSDB resolves series handles and installs the episode spec.
-// Called from Run after buildLinks; everything is nil when no store is
+// Called from simulate after buildLinks; everything is nil when no store is
 // configured, and every hook checks that.
 func (s *Sim) initTSDB() {
 	db := s.cfg.TSDB
 	if db == nil {
 		return
-	}
-	s.tsWatermark = s.cfg.TSDBWatermark
-	if s.tsWatermark <= 0 {
-		s.tsWatermark = 0.8 * s.cfg.CongestionThreshold
 	}
 	s.tsRun = strconv.FormatInt(db.NextRun(), 10)
 	s.tsUtilVec = db.SeriesVec("netsim_link_util", "directed inter-AS link utilization (fraction of capacity; 2 = failed)", "run", "link")
@@ -90,7 +91,7 @@ func (s *Sim) noteDeflection(egress int32) {
 
 // sampleTSDB records one control-epoch snapshot: utilization plus the
 // cumulative counters for every materialized link, and the run gauges.
-// Run calls it once more after the event loop so the final cumulative
+// simulate calls it once more after the event loop so the final cumulative
 // values always land in the store — that last sample is what makes the
 // episode report's offload totals agree exactly with Results.
 func (s *Sim) sampleTSDB() {
@@ -98,6 +99,7 @@ func (s *Sim) sampleTSDB() {
 		return
 	}
 	ts := int64(s.now * 1e9)
+	watermark := tsdbWatermarkShare * s.cfg.CongestionThreshold
 	maxUtil := 0.0
 	for l := 0; l < s.numLinks; l++ {
 		u := s.util(int32(l))
@@ -105,7 +107,7 @@ func (s *Sim) sampleTSDB() {
 			maxUtil = u
 		}
 		if s.tsLinkU[l] == nil {
-			if u < s.tsWatermark {
+			if u < watermark {
 				continue
 			}
 			s.registerLinkSeries(int32(l))
