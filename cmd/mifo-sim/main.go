@@ -364,8 +364,8 @@ func run(exp string, o experiments.Options, outDir string, ps experiments.PaperS
 			if total > 0 {
 				saved = 100 * float64(rt.CleanSkipped) / float64(total)
 			}
-			fmt.Printf("# %s route computes: %d full (intact), %d incremental over %d link events (%d of %d skipped as provably clean, %.1f%% saved)\n",
-				row.Policy, rt.FullComputes, rt.IncrementalComputes, rt.LinkEvents,
+			fmt.Printf("# %s route computes: %d full (intact), %d incremental (%d repaired in place, %d fell back to a full compute) over %d link events (%d of %d skipped as provably clean, %.1f%% saved)\n",
+				row.Policy, rt.FullComputes, rt.IncrementalComputes, rt.LocalRepairs, rt.RepairFallbacks, rt.LinkEvents,
 				rt.CleanSkipped, total, saved)
 		}
 
@@ -461,8 +461,8 @@ func printPaperScale(r *experiments.PaperScale) {
 		fmt.Printf("  throughput:         mean %.0f Mbps, %.1f%% of flows >= 500 Mbps, offload %.1f%%\n",
 			s.MeanThroughputMbps(), 100*s.FractionAtLeastMbps(500), 100*s.OffloadFraction())
 	}
-	fmt.Printf("  route computes:     %d full, %d incremental over %d link events, %d skipped as provably clean (%.1f%% saved)\n",
-		r.Routing.FullComputes, r.Routing.IncrementalComputes, r.Routing.LinkEvents,
+	fmt.Printf("  route computes:     %d full, %d incremental (%d repaired in place, %d fell back to a full compute) over %d link events, %d skipped as provably clean (%.1f%% saved)\n",
+		r.Routing.FullComputes, r.Routing.IncrementalComputes, r.Routing.LocalRepairs, r.Routing.RepairFallbacks, r.Routing.LinkEvents,
 		r.Routing.CleanSkipped, r.SkippedPct)
 	verdict := ""
 	if r.BudgetBytes > 0 {

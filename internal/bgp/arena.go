@@ -23,6 +23,7 @@ const arenaSlabWords = 1 << 20
 // safe for concurrent alloc from parallel workers.
 type Arena struct {
 	mu    sync.Mutex
+	slab  int // words per slab; 0 means arenaSlabWords
 	slabs int
 	cur   []uint32
 	used  int64 // words handed out
@@ -31,6 +32,11 @@ type Arena struct {
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
+
+// newArena returns an empty arena for a build known to need words in all:
+// one that fits a single slab reserves exactly that, so a 400-AS
+// simulation's 0.6 MiB of routes do not sit in a 4 MiB slab.
+func newArena(words int) *Arena { return &Arena{slab: min(arenaSlabWords, words)} }
 
 // alloc returns a zeroed []uint32 of length n, carved from the current
 // slab when it fits. Oversized requests get a dedicated slab.
@@ -41,10 +47,11 @@ func (a *Arena) alloc(n int) []uint32 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if n > len(a.cur) {
-		words := arenaSlabWords
-		if n > words {
-			words = n
+		words := a.slab
+		if words == 0 {
+			words = arenaSlabWords
 		}
+		words = max(words, n)
 		a.cur = make([]uint32, words)
 		a.slabs++
 		a.total += int64(words)

@@ -123,3 +123,50 @@ func BenchmarkComputePaperScale(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dsts)), "ns/dest")
 	b.ReportMetric(float64(read)/float64(len(dsts)), "entries/dest")
 }
+
+// BenchmarkRepairPaperScale is the same budget for a link event: the
+// destinations among those 128 that the hub's largest peer link dirties,
+// each repaired after the link's failure and after its return, one
+// goroutine, reported per dirty destination with the share of the table the
+// failure's region covers.
+func BenchmarkRepairPaperScale(b *testing.B) {
+	g, err := topo.Generate(topo.PaperScaleConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	hub, peers := hubPeers(g)
+	peer := peers[0]
+	l := normLinkRef(hub, peer)
+	cutGraph := mustCut(b, g, []topo.LinkRef{l})
+	var with, without []*Dest
+	for _, dst := range scaleDests(g, 128) {
+		if d := Compute(g, dst); d.usesLink(hub, peer) {
+			with, without = append(with, d), append(without, Compute(cutGraph, dst))
+		}
+	}
+	var down, none cutRows
+	down.reset(g, map[topo.LinkRef]bool{l: true})
+	none.reset(g, nil)
+	sc := new(repairScratch)
+	region := 0
+	for _, dir := range []struct {
+		name string
+		up   bool
+		cut  *cutRows
+		old  []*Dest
+	}{{"LinkDown", false, &down, with}, {"LinkUp", true, &none, without}} {
+		b.Run(dir.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, old := range dir.old {
+					if sc.repair(g, dir.cut, old, hub, peer, dir.up) == nil {
+						b.Fatal("repair fell back to Compute")
+					}
+					region += len(sc.region)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dir.old)), "ns/dest")
+			b.ReportMetric(float64(region)/float64(b.N*len(dir.old)*g.N()), "region-share")
+			region = 0
+		})
+	}
+}

@@ -2,6 +2,8 @@ package bgp
 
 import (
 	"sort"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/obs/span"
@@ -20,8 +22,16 @@ type TableStats struct {
 	// table construction or destination addition.
 	FullComputes int64
 	// IncrementalComputes counts per-destination recomputes triggered by
-	// link up/down events (only dirty destinations are re-run).
+	// link up/down events (only dirty destinations are re-run). It is the
+	// sum of LocalRepairs and RepairFallbacks.
 	IncrementalComputes int64
+	// LocalRepairs counts the dirty destinations repaired in place: only
+	// the region of the table the event invalidated was rebuilt.
+	LocalRepairs int64
+	// RepairFallbacks counts the dirty destinations that took a full
+	// Compute on the cut graph instead (routes of 63 hops or more, or a
+	// region of more than half the graph).
+	RepairFallbacks int64
 	// CleanSkipped counts destinations a link event left untouched because
 	// the dirty-set derivation proved their tables could not change.
 	CleanSkipped int64
@@ -33,6 +43,8 @@ type TableStats struct {
 func (s *TableStats) Add(o TableStats) {
 	s.FullComputes += o.FullComputes
 	s.IncrementalComputes += o.IncrementalComputes
+	s.LocalRepairs += o.LocalRepairs
+	s.RepairFallbacks += o.RepairFallbacks
 	s.CleanSkipped += o.CleanSkipped
 	s.LinkEvents += o.LinkEvents
 }
@@ -50,23 +62,30 @@ type tableShard struct {
 
 // Table owns the per-destination routing tables for one topology and keeps
 // them current across link failures and recoveries with incremental
-// recomputation: a link event re-runs the three-phase algorithm only for
-// the destinations it can actually affect, derived from the stored
-// next-hop pointers (see dirtyDown/dirtyUp). The incremental result is
-// byte-identical to a from-scratch recompute — TestTableIncrementalMatchesFull
-// and FuzzIncrementalTable enforce this.
+// recomputation: a link event touches only the destinations it can
+// actually affect, derived from the stored next-hop pointers (see
+// LinkDown/LinkUp), and of each of those only the region of the table the
+// event invalidated (see repairScratch.repair). The incremental result is
+// byte-identical to a from-scratch recompute — TestRepairMatchesCompute,
+// TestTableSchedules and FuzzIncrementalTable enforce this.
 //
 // Destinations are sharded by dst & 63: link events derive their dirty
-// sets shard-parallel and install recomputed tables shard-parallel, so the
-// only sequential work per event is the recut and the sort of the (small)
-// dirty list.
+// sets shard-parallel and install repaired tables shard-parallel, so the
+// only sequential work per event is filtering the adjacency rows of the
+// failed links' endpoints and the sort of the (small) dirty list.
 //
 // A Table is not safe for concurrent use; callers that share one across
 // goroutines (core.Deployment) serialize access themselves.
 type Table struct {
-	base    *topo.Graph // the intact topology
-	cur     *topo.Graph // base minus failed links (== base when none)
+	base *topo.Graph // the intact topology
+	// cur is base minus the failed links (base itself when none), built
+	// when something asks for it: link events repair off base and a filter,
+	// so only Graph, AddDest and a repair that falls back to Compute do.
+	// nil until then; curMu is for the repair workers.
+	cur     *topo.Graph
+	curMu   sync.Mutex
 	failed  map[topo.LinkRef]bool
+	cut     cutRows // scratch of the link event in progress
 	shards  [numShards]tableShard
 	count   int
 	workers int
@@ -95,7 +114,7 @@ func NewTable(g *topo.Graph, dsts []int, workers int) *Table {
 		cur:     g,
 		failed:  make(map[topo.LinkRef]bool),
 		workers: workers,
-		arena:   NewArena(),
+		arena:   newArena(len(dsts) * g.N()),
 	}
 	for s := range t.shards {
 		t.shards[s].dests = make(map[int32]*Dest)
@@ -108,7 +127,24 @@ func NewTable(g *topo.Graph, dsts []int, workers int) *Table {
 }
 
 // Graph returns the current topology (the intact graph minus failed links).
-func (t *Table) Graph() *topo.Graph { return t.cur }
+func (t *Table) Graph() *topo.Graph {
+	t.curMu.Lock()
+	defer t.curMu.Unlock()
+	if t.cur == nil {
+		refs := make([]topo.LinkRef, 0, len(t.failed))
+		for r := range t.failed {
+			refs = append(refs, r)
+		}
+		g, err := topo.RemoveLinks(t.base, refs)
+		if err != nil {
+			// Removal cannot introduce cycles or duplicates; an error here means
+			// the base graph was invalid.
+			panic("bgp: cut graph: " + err.Error())
+		}
+		t.cur = g
+	}
+	return t.cur
+}
 
 // Dest returns the table for dst, or nil when dst is not installed.
 func (t *Table) Dest(dst int) *Dest { return t.shards[shardOf(dst)].dests[int32(dst)] }
@@ -155,7 +191,7 @@ func (t *Table) Install(d *Dest) {
 // may be recomputed and replaced by later link events, and arena memory is
 // never reclaimed.
 func (t *Table) AddDest(dst int) *Dest {
-	d := Compute(t.cur, dst)
+	d := Compute(t.Graph(), dst)
 	t.Install(d)
 	t.stats.FullComputes++
 	return d
@@ -255,15 +291,14 @@ func (t *Table) LinkDown(a, b int) int {
 // recompute's spans are children of parent (typically a failure event's
 // root span).
 func (t *Table) LinkDownCtx(a, b int, parent span.Context) int {
-	if !t.cur.HasLink(a, b) {
+	ref := normLinkRef(a, b)
+	if !t.base.HasLink(a, b) || t.failed[ref] {
 		return 0
 	}
 	sp := t.startRecompute(a, b, parent)
 	dirty := t.dirtyDests(func(d *Dest) bool { return d.usesLink(a, b) })
-	ref := normLinkRef(a, b)
 	t.failed[ref] = true
-	t.recut()
-	t.recompute(dirty, sp.Context())
+	t.recompute(dirty, a, b, false, sp.Context())
 	sp.V = float64(len(dirty))
 	sp.End()
 	return len(dirty)
@@ -292,10 +327,8 @@ func (t *Table) LinkUpCtx(a, b int, parent span.Context) int {
 	}
 	sp := t.startRecompute(a, b, parent)
 	delete(t.failed, ref)
-	t.recut()
-	// Relationship of each endpoint as seen from the other, on the restored
-	// graph.
-	relAB, ok := t.cur.Rel(a, b) // b's role from a's viewpoint
+	// Relationship of each endpoint as seen from the other.
+	relAB, ok := t.base.Rel(a, b) // b's role from a's viewpoint
 	if !ok {
 		panic("bgp: LinkUp restored a link absent from the base graph")
 	}
@@ -305,7 +338,7 @@ func (t *Table) LinkUpCtx(a, b int, parent span.Context) int {
 	dirty := t.dirtyDests(func(d *Dest) bool {
 		return offerWins(d, b, a, relAB) || offerWins(d, a, b, relBA)
 	})
-	t.recompute(dirty, sp.Context())
+	t.recompute(dirty, a, b, true, sp.Context())
 	sp.V = float64(len(dirty))
 	sp.End()
 	return len(dirty)
@@ -372,52 +405,40 @@ func offerWins(d *Dest, from, to int, rel topo.Rel) bool {
 	return cand.Better(cur)
 }
 
-// recut rebuilds the current graph from the base graph minus the failed
-// set.
-func (t *Table) recut() {
-	t.stats.LinkEvents++
-	if len(t.failed) == 0 {
-		t.cur = t.base
-		return
-	}
-	refs := make([]topo.LinkRef, 0, len(t.failed))
-	for r := range t.failed {
-		refs = append(refs, r)
-	}
-	g, err := topo.RemoveLinks(t.base, refs)
-	if err != nil {
-		// Removal cannot introduce cycles or duplicates; an error here means
-		// the base graph was invalid.
-		panic("bgp: recut: " + err.Error())
-	}
-	t.cur = g
-}
-
 // recomputeChunkBytes bounds the packed-table bytes one recompute wave
 // holds before installing: at paper scale a hub-link failure dirties
 // thousands of destinations, and computing them all before installing any
 // would double-buffer gigabytes of routes next to the tables they replace.
 var recomputeChunkBytes = int64(128 << 20) // a var so tests can force multi-wave runs
 
-// recompute re-runs the three-phase algorithm for the given destinations
-// on the current graph, in parallel, emitting one dest_recompute span
-// per destination under parent when a tracer is attached. Fresh tables
-// allocate from the heap (not the build arena) so the superseded arrays
-// can be collected, and are computed and installed in waves sized by
-// recomputeChunkBytes — the transient footprint is one wave, not the whole
-// dirty set. Installation fans out across shards in parallel; workers
-// never touch the same shard map concurrently.
-func (t *Table) recompute(dirty []int, parent span.Context) {
+// recompute brings the given destinations up to date with the failed set
+// after the link (a, b) went down or came back up, in parallel, emitting
+// one dest_recompute span per destination under parent when a tracer is
+// attached. Each gets a fresh table, a copy of its old one with the
+// invalidated region rebuilt; the old arrays are never written, since
+// clones share them. Fresh tables come from the heap (not the build arena)
+// so the superseded arrays can be collected, and are made and installed in
+// waves sized by recomputeChunkBytes — the transient footprint is one wave,
+// not the whole dirty set. Installation fans out across shards in parallel;
+// workers never touch the same shard map concurrently.
+func (t *Table) recompute(dirty []int, a, b int, up bool, parent span.Context) {
+	t.stats.LinkEvents++
+	t.cur = nil
+	if len(t.failed) == 0 {
+		t.cur = t.base
+	}
 	t.stats.IncrementalComputes += int64(len(dirty))
 	t.stats.CleanSkipped += int64(t.count - len(dirty))
 	if len(dirty) == 0 {
 		return
 	}
 	sort.Ints(dirty) // deterministic work order
-	chunk := int(recomputeChunkBytes / (4 * int64(t.cur.N())))
+	chunk := int(recomputeChunkBytes / (4 * int64(t.base.N())))
 	if chunk < 64 {
 		chunk = 64
 	}
+	t.cut.reset(t.base, t.failed)
+	var fallbacks atomic.Int64
 	byShard := make([][]*Dest, numShards)
 	for lo := 0; lo < len(dirty); lo += chunk {
 		hi := lo + chunk
@@ -427,7 +448,13 @@ func (t *Table) recompute(dirty []int, parent span.Context) {
 		wave := dirty[lo:hi]
 		fresh := parallel.Map(len(wave), t.workers, func(i int) *Dest {
 			ds := t.spans.Start("dest_recompute", parent, int32(wave[i]))
-			d := Compute(t.cur, wave[i])
+			sc := repairPool.Get().(*repairScratch)
+			d := sc.repair(t.base, &t.cut, t.Dest(wave[i]), a, b, up)
+			repairPool.Put(sc)
+			if d == nil {
+				fallbacks.Add(1)
+				d = Compute(t.Graph(), wave[i])
+			}
 			ds.End()
 			return d
 		})
@@ -444,6 +471,8 @@ func (t *Table) recompute(dirty []int, parent span.Context) {
 			}
 		})
 	}
+	t.stats.RepairFallbacks += fallbacks.Load()
+	t.stats.LocalRepairs += int64(len(dirty)) - fallbacks.Load()
 }
 
 // Equal reports whether two tables for the same destination are

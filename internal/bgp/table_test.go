@@ -183,6 +183,11 @@ func FuzzIncrementalTable(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 0, 3})
 	f.Add(int64(2), []byte{7, 7, 1, 9, 4, 4, 250, 3})
 	f.Add(int64(3), []byte{0xff, 0x00, 0x80, 0x21, 0x13, 0x5a})
+	// Links whose return upgrades an AS's class over a longer path: the
+	// repair has to grow its region and run a second pass.
+	f.Add(int64(0), []byte{31, 31})
+	f.Add(int64(7), []byte{69, 69})
+	f.Add(int64(6), []byte{116, 116, 140, 140})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 24 {
 			ops = ops[:24] // bound the per-case schedule length
@@ -192,14 +197,7 @@ func FuzzIncrementalTable(f *testing.F) {
 			t.Skip("generator rejected config")
 		}
 		// Collect the links once; each op byte picks one and toggles it.
-		var links []topo.LinkRef
-		for v := 0; v < g.N(); v++ {
-			for _, nb := range g.Neighbors(v) {
-				if int32(v) < nb.AS {
-					links = append(links, topo.LinkRef{A: v, B: int(nb.AS)})
-				}
-			}
-		}
+		links := linksOf(g)
 		if len(links) == 0 {
 			t.Skip("no links")
 		}
@@ -275,12 +273,7 @@ func BenchmarkTableFullRebuild(b *testing.B) {
 // pickLink returns the first link of the highest-degree AS, a link likely
 // to carry many route trees.
 func pickLink(g *topo.Graph) (int, int) {
-	best := 0
-	for v := 1; v < g.N(); v++ {
-		if g.Degree(v) > g.Degree(best) {
-			best = v
-		}
-	}
+	best := busiest(g, 1)[0]
 	return best, int(g.Neighbors(best)[0].AS)
 }
 
@@ -306,8 +299,9 @@ func TestHeapBuildMatchesArena(t *testing.T) {
 	if got := heap.MemStats().ArenaRetainedBytes; got != 0 {
 		t.Fatalf("heap table retains %d arena bytes", got)
 	}
-	if arena.MemStats().ArenaRetainedBytes == 0 {
-		t.Fatal("arena table reports no retained arena bytes")
+	// A build that fits one slab reserves what it needs, not a 4 MiB slab.
+	if got, want := arena.MemStats().ArenaRetainedBytes, int64(4*g.N()*g.N()); got != want {
+		t.Fatalf("arena table retains %d bytes for %d of routes", got, want)
 	}
 }
 
@@ -335,5 +329,12 @@ func TestRecomputeChunked(t *testing.T) {
 	st := tab.Stats()
 	if st.IncrementalComputes < 300 {
 		t.Fatalf("IncrementalComputes = %d, want >= 300 (all dests dirty on the down event)", st.IncrementalComputes)
+	}
+	// Towards the leaf every other AS routed over the link: a region of
+	// all but one AS is past the bound, so that one destination goes
+	// through Compute on the way down, and nothing else does (on the way up
+	// nobody has a route to lose, and the region stays empty).
+	if st.RepairFallbacks != 1 || st.LocalRepairs != st.IncrementalComputes-1 {
+		t.Fatalf("%d fallbacks and %d local repairs of %d, want 1 fallback", st.RepairFallbacks, st.LocalRepairs, st.IncrementalComputes)
 	}
 }

@@ -63,10 +63,12 @@ func DefaultArenafreezeConfig() ArenafreezeConfig {
 		},
 		{
 			// Per-destination packed route entries, possibly arena-backed:
-			// written only by the route computation that returns them.
+			// written only by the route computation that returns them, or
+			// by the link-event repair, which fills a fresh copy of the
+			// table it was given and never the table itself.
 			PkgSuffix:      "internal/bgp",
 			TypeName:       "Dest",
-			AllowedWriters: []string{"computeScratch.compute"},
+			AllowedWriters: []string{"computeScratch.compute", "repairScratch.repair"},
 		},
 	}}
 }

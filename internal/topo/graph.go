@@ -128,6 +128,14 @@ func (g *Graph) Providers(v int) []int32 {
 	return g.grp[g.goff[r]:g.goff[r+1]]
 }
 
+// Related returns v's neighbours of relationship rel — Customers, Peers or
+// Providers picked by value, for code that walks one kind of edge or
+// another by parameter — under the same aliasing rule as Customers.
+func (g *Graph) Related(v int, rel Rel) []int32 {
+	r := int(rel)*g.N() + v
+	return g.grp[g.goff[r]:g.goff[r+1]]
+}
+
 // MemStats accounts the graph's memory footprint.
 type MemStats struct {
 	// Nodes and Links mirror N() and Links().

@@ -9,8 +9,9 @@ import (
 )
 
 // requireGroupedMatchesNeighbors holds the relationship-grouped view to the
-// adjacency it indexes: for every AS, Customers, Peers and Providers are
-// exactly the Rel-filtered Neighbors, in Neighbors' (ascending) order.
+// adjacency it indexes: for every AS, Customers, Peers and Providers (and
+// Related, which picks among them) are exactly the Rel-filtered Neighbors,
+// in Neighbors' (ascending) order.
 func requireGroupedMatchesNeighbors(tb testing.TB, g *Graph) {
 	tb.Helper()
 	for v := 0; v < g.N(); v++ {
@@ -21,6 +22,9 @@ func requireGroupedMatchesNeighbors(tb testing.TB, g *Graph) {
 		requireGroup(tb, v, Customer, g.Customers(v), want[Customer])
 		requireGroup(tb, v, Peer, g.Peers(v), want[Peer])
 		requireGroup(tb, v, Provider, g.Providers(v), want[Provider])
+		for _, rel := range []Rel{Customer, Peer, Provider} {
+			requireGroup(tb, v, rel, g.Related(v, rel), want[rel])
+		}
 	}
 }
 
