@@ -15,6 +15,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+	# netd's receive loop has a Linux file (recvmmsg, struct mmsghdr, the
+	# UDP offloads) and a fallback file for everything else: both have to
+	# compile where the tests never run.
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/netd
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/netd
 
 # mifolint: the repository's own analyzer suite (internal/lint) — FIB
 # generation immutability, the //mifo:hotpath cost budget, obs metric and
@@ -58,7 +63,11 @@ ring-race:
 # sink's own tests first, then the packages that drive it.
 audit-race:
 	$(GO) test -race -count=5 -run 'Recorder|Merkle|Proof|Verify' ./internal/audit
-	$(GO) test -race -count=2 ./internal/audit ./internal/dataplane ./internal/netsim ./internal/packetsim ./internal/netd
+	$(GO) test -race -count=2 ./internal/audit ./internal/dataplane ./internal/netsim ./internal/packetsim
+	# netd runs every fabric test over both receive paths (batched and
+	# one datagram at a time); how a burst is cut into batches differs
+	# from run to run, so it gets one more.
+	$(GO) test -race -count=3 ./internal/netd
 
 # The versioned-FIB concurrency surface: wait-free lookups racing batched
 # generation commits, plus the daemon runtime driving real routers' FIBs

@@ -167,8 +167,9 @@ done:
 	s := fabric.TotalStats()
 	fmt.Printf("\ntotals: %d datagrams received, %d forwarded, %d deflected, %d delivered\n",
 		s.Received, s.Forwarded, s.Deflected, s.Delivered)
-	fmt.Printf("drops: %d valley-free, %d no-route, %d TTL (a TTL drop would be a loop)\n",
-		s.DropValleyFree, s.DropNoRoute, s.DropTTL)
+	fmt.Printf("drops: %d valley-free, %d no-route, %d TTL (a TTL drop would be a loop), %d from unknown senders\n",
+		s.DropValleyFree, s.DropNoRoute, s.DropTTL, s.DropUnknownSender)
+	fmt.Printf("losses: %d failed sends, %d deliveries nobody took\n", s.SendErrors, s.DeliveriesDropped)
 	if *linger > 0 {
 		fmt.Printf("lingering %v (debug endpoints stay live)...\n", *linger)
 		time.Sleep(*linger)

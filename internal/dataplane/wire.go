@@ -24,6 +24,12 @@ const (
 	protoIPinIP    = 4
 	protoTCP       = 6
 	defaultWireTTL = 64
+
+	ipv4HeaderLen = 4 * ipv4MinIHL
+	portsLen      = 4
+	// MaxWireLen is the length of the longest datagram MarshalPacket
+	// produces: outer header, inner header, ports.
+	MaxWireLen = 2*ipv4HeaderLen + portsLen
 )
 
 // RouterAddr returns the 10.x.y.z address of a router.
@@ -51,51 +57,98 @@ func PrefixFromAddr(addr uint32) int32 {
 // a minimal TCP-like header (ports only) so the flow hash survives the
 // wire.
 func MarshalPacket(p *Packet) []byte {
+	h := innerHeader(p)
+	h.payload = marshalPorts(p.Flow.SrcPort, p.Flow.DstPort)
+	inner := marshalIPv4(h)
+	if !p.Encap {
+		return inner
+	}
+	h = outerHeader(p)
+	h.payload = inner
+	return marshalIPv4(h)
+}
+
+// AppendPacket appends the bytes MarshalPacket returns for p to dst and
+// returns the extended slice. It allocates only when dst must grow.
+func AppendPacket(dst []byte, p *Packet) []byte {
+	n := WireLen(p)
+	off := len(dst)
+	var room [MaxWireLen]byte
+	dst = append(dst, room[:n]...)
+	b := dst[off:]
+	if p.Encap {
+		h := outerHeader(p)
+		putIPv4(b, &h, n)
+		b = b[ipv4HeaderLen:]
+	}
+	h := innerHeader(p)
+	putIPv4(b, &h, len(b))
+	putPorts(b[ipv4HeaderLen:], p.Flow.SrcPort, p.Flow.DstPort)
+	return dst
+}
+
+// WireLen is the length of the datagram MarshalPacket produces for p.
+func WireLen(p *Packet) int {
+	if p.Encap {
+		return MaxWireLen
+	}
+	return ipv4HeaderLen + portsLen
+}
+
+func innerHeader(p *Packet) ipv4Header {
 	dstAddr := p.Flow.DstAddr
 	if dstAddr == 0 {
 		dstAddr = PrefixAddr(p.Dst)
 	}
-	inner := marshalIPv4(ipv4Header{
+	return ipv4Header{
 		srcAddr:  p.Flow.SrcAddr,
 		dstAddr:  dstAddr,
 		protocol: p.Flow.Proto,
 		ttl:      uint8(clampTTL(p.TTL)),
 		ident:    p.ID,
 		tag:      p.Tag,
-		payload:  marshalPorts(p.Flow.SrcPort, p.Flow.DstPort),
-	})
-	if !p.Encap {
-		return inner
 	}
-	return marshalIPv4(ipv4Header{
+}
+
+func outerHeader(p *Packet) ipv4Header {
+	return ipv4Header{
 		srcAddr:  RouterAddr(p.OuterSrc),
 		dstAddr:  RouterAddr(p.OuterDst),
 		protocol: protoIPinIP,
 		ttl:      defaultWireTTL,
 		ident:    p.ID,
-		payload:  inner,
-	})
+	}
 }
 
 // UnmarshalPacket parses a datagram produced by MarshalPacket.
 func UnmarshalPacket(b []byte) (*Packet, error) {
-	hdr, err := parseIPv4(b)
-	if err != nil {
+	p := &Packet{}
+	if err := UnmarshalPacketInto(p, b); err != nil {
 		return nil, err
 	}
-	p := &Packet{}
+	return p, nil
+}
+
+// UnmarshalPacketInto is UnmarshalPacket into a packet the caller owns: on
+// success every field of p is overwritten, on error p holds nothing of use.
+func UnmarshalPacketInto(p *Packet, b []byte) error {
+	hdr, err := parseIPv4(b)
+	if err != nil {
+		return err
+	}
+	*p = Packet{}
 	if hdr.protocol == protoIPinIP {
 		p.Encap = true
 		p.OuterSrc = RouterFromAddr(hdr.srcAddr)
 		p.OuterDst = RouterFromAddr(hdr.dstAddr)
 		hdr, err = parseIPv4(hdr.payload)
 		if err != nil {
-			return nil, fmt.Errorf("dataplane: inner packet: %w", err)
+			return fmt.Errorf("dataplane: inner packet: %w", err)
 		}
 	}
 	sp, dp, err := parsePorts(hdr.payload)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p.Flow = FlowKey{
 		SrcAddr: hdr.srcAddr,
@@ -108,7 +161,7 @@ func UnmarshalPacket(b []byte) (*Packet, error) {
 	p.ID = hdr.ident
 	p.Tag = hdr.tag
 	p.TTL = int(hdr.ttl)
-	return p, nil
+	return nil
 }
 
 type ipv4Header struct {
@@ -121,9 +174,19 @@ type ipv4Header struct {
 }
 
 func marshalIPv4(h ipv4Header) []byte {
-	total := 20 + len(h.payload)
+	total := ipv4HeaderLen + len(h.payload)
 	b := make([]byte, total)
+	putIPv4(b, &h, total)
+	copy(b[ipv4HeaderLen:], h.payload)
+	return b
+}
+
+// putIPv4 writes h's header, checksum included, over b[:ipv4HeaderLen] for
+// a datagram of total bytes; h.payload is not looked at.
+func putIPv4(b []byte, h *ipv4Header, total int) {
+	b = b[:ipv4HeaderLen]
 	b[0] = ipv4Version<<4 | ipv4MinIHL
+	b[1] = 0
 	binary.BigEndian.PutUint16(b[2:4], uint16(total))
 	binary.BigEndian.PutUint16(b[4:6], h.ident)
 	var flags uint16
@@ -133,11 +196,10 @@ func marshalIPv4(h ipv4Header) []byte {
 	binary.BigEndian.PutUint16(b[6:8], flags)
 	b[8] = h.ttl
 	b[9] = h.protocol
+	b[10], b[11] = 0, 0
 	binary.BigEndian.PutUint32(b[12:16], h.srcAddr)
 	binary.BigEndian.PutUint32(b[16:20], h.dstAddr)
-	binary.BigEndian.PutUint16(b[10:12], ipv4Checksum(b[:20]))
-	copy(b[20:], h.payload)
-	return b
+	binary.BigEndian.PutUint16(b[10:12], ipv4Checksum(b))
 }
 
 func parseIPv4(b []byte) (ipv4Header, error) {
@@ -187,10 +249,14 @@ func ipv4Checksum(b []byte) uint16 {
 }
 
 func marshalPorts(src, dst uint16) []byte {
-	b := make([]byte, 4)
+	b := make([]byte, portsLen)
+	putPorts(b, src, dst)
+	return b
+}
+
+func putPorts(b []byte, src, dst uint16) {
 	binary.BigEndian.PutUint16(b[0:2], src)
 	binary.BigEndian.PutUint16(b[2:4], dst)
-	return b
 }
 
 func parsePorts(b []byte) (uint16, uint16, error) {

@@ -1,6 +1,7 @@
 package netd
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,39 +12,49 @@ import (
 
 // BenchmarkUDPForwarding measures end-to-end datagram throughput of the
 // socket fabric on the Fig. 2(a) topology (inject at AS 1, deliver at
-// AS 0, two sockets on the path).
-func BenchmarkUDPForwarding(b *testing.B) {
+// AS 0, two sockets on the path) with one packet in flight: no batch
+// forms, every read and send carries one datagram.
+func BenchmarkUDPForwarding(b *testing.B) { benchmarkUDPForwarding(b, 1) }
+
+// BenchmarkUDPForwardingWindowed keeps 32 packets in flight on one P, the
+// benchmark's saturating phase: receive batches and UDP_SEGMENT runs fill.
+func BenchmarkUDPForwardingWindowed(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchmarkUDPForwarding(b, 32)
+}
+
+func benchmarkUDPForwarding(b *testing.B, window int) {
 	g := fig2aGraph(b)
 	dep := core.NewDeployment(g, core.Config{})
 	dep.InstallDestination(bgp.Compute(g, 0))
-	f, err := NewFabric(dep.Net)
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := newFabric(b, dep.Net, false)
 	f.Start()
-	defer f.Stop()
 	origin := dep.Routers(1)[0].ID
+	const stallAfter = 10 * time.Second
+	stall := time.NewTimer(stallAfter)
+	defer stall.Stop()
 
+	b.ReportAllocs()
 	b.ResetTimer()
-	delivered := 0
-	for i := 0; i < b.N; i++ {
-		f.Inject(&dataplane.Packet{
-			Flow: dataplane.FlowKey{
-				SrcAddr: 1, DstAddr: dataplane.PrefixAddr(0),
-				SrcPort: uint16(i), Proto: 6,
-			},
-			Dst: 0,
-		}, origin)
+	for sent, delivered := 0, 0; delivered < b.N; {
+		for ; sent < b.N && sent-delivered < window; sent++ {
+			f.Inject(&dataplane.Packet{
+				Flow: dataplane.FlowKey{
+					SrcAddr: 1, DstAddr: dataplane.PrefixAddr(0),
+					SrcPort: uint16(sent), Proto: 6,
+				},
+				Dst: 0,
+			}, origin)
+		}
+		if delivered%4096 == 0 {
+			stall.Reset(stallAfter) // per delivery it would be a tenth of what is measured
+		}
 		select {
 		case <-f.Deliveries():
 			delivered++
-		case <-time.After(2 * time.Second):
-			b.Fatalf("delivery %d timed out", i)
+		case <-stall.C:
+			b.Fatalf("delivered %d of %d", delivered, b.N)
 		}
-	}
-	b.StopTimer()
-	if delivered != b.N {
-		b.Fatalf("delivered %d of %d", delivered, b.N)
 	}
 }
 

@@ -3,7 +3,6 @@ package netd
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/bgp"
@@ -16,6 +15,10 @@ import (
 // real datagrams — are stitched into one journey by the packet ID in the
 // IPv4 Identification field, and the journey passes the invariant auditor.
 func TestFlightRecorderStitchesAcrossUDP(t *testing.T) {
+	forEachPath(t, testFlightRecorderStitchesAcrossUDP)
+}
+
+func testFlightRecorderStitchesAcrossUDP(t *testing.T, single bool) {
 	g := fig2aGraph(t)
 	dep := core.NewDeployment(g, core.Config{})
 	dep.InstallDestination(bgp.Compute(g, 0))
@@ -24,36 +27,27 @@ func TestFlightRecorderStitchesAcrossUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep.Refresh()
-	f, err := NewFabric(dep.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFabric(t, dep.Net, single)
 	var buf bytes.Buffer
 	rec := audit.NewRecorder(audit.Options{Writer: &buf})
 	f.AttachRecorder(rec)
 	f.Start()
-	defer f.Stop()
 
+	// Twenty datagrams fit any socket buffer: all twenty journeys end.
 	const packets = 20
-	for i := 0; i < packets; i++ {
+	stream(t, f, packets, packets, func(i int) {
 		f.Inject(&dataplane.Packet{
 			Flow: dataplane.FlowKey{SrcAddr: 9, DstAddr: dataplane.PrefixAddr(0), SrcPort: uint16(i), Proto: 6},
 			Dst:  0,
 		}, dep.Routers(1)[0].ID)
-	}
-	// Loopback UDP is best-effort; wait for most journeys to finalize
-	// rather than demanding all twenty.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && rec.Stats().Delivered < packets/2 {
-		time.Sleep(5 * time.Millisecond)
-	}
+	})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	st := rec.Stats()
-	if st.Delivered == 0 {
-		t.Fatalf("no delivered journeys recorded: %+v", st)
+	if st.Delivered != packets {
+		t.Fatalf("%d journeys delivered over UDP, %d recorded as delivered: %+v", packets, st.Delivered, st)
 	}
 	if st.Violations != 0 {
 		t.Fatalf("invariant violations across the UDP fabric: %+v\nrecords: %+v",
@@ -101,23 +95,16 @@ func TestFlightRecorderSeesTagDropOverUDP(t *testing.T) {
 		dep.SetLinkLoad(as, 0, 1e9)
 	}
 	dep.Refresh()
-	f, err := NewFabric(dep.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFabric(t, dep.Net, false)
 	rec := audit.NewRecorder(audit.Options{})
 	f.AttachRecorder(rec)
 	f.Start()
-	defer f.Stop()
 
 	f.Inject(&dataplane.Packet{
 		Flow: dataplane.FlowKey{SrcAddr: 10, DstAddr: dataplane.PrefixAddr(0), DstPort: 81, Proto: 6},
 		Dst:  0,
 	}, dep.Routers(1)[0].ID)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && rec.Stats().Dropped == 0 {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, func() bool { return rec.Stats().Dropped > 0 })
 
 	st := rec.Stats()
 	if st.Dropped != 1 {

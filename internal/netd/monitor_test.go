@@ -19,23 +19,21 @@ func TestSelfDrivingDeflection(t *testing.T) {
 	dep := core.NewDeployment(g, core.Config{LinkCapacityBps: 200_000})
 	dep.InstallDestination(bgp.Compute(g, 0))
 
-	f, err := NewFabric(dep.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFabric(t, dep.Net, false)
 	f.Start()
-	defer f.Stop()
 	stopMon := f.MonitorLoads(5 * time.Millisecond)
 	defer stopMon()
 	rt := core.NewRuntime(dep, 5*time.Millisecond)
 	rt.Start()
 	defer rt.Stop()
 
+	// Bursts of twenty, back to back, each sent once the last has ended:
+	// far above the 200 kbit/s the links are said to carry.
 	origin := dep.Routers(1)[0].ID
 	deadline := time.Now().Add(10 * time.Second)
 	seq := 0
-	for time.Now().Before(deadline) {
-		for i := 0; i < 20; i++ {
+	for time.Now().Before(deadline) && f.StatsOf(origin).Deflected == 0 {
+		injectWindowed(t, f, 20, 20, func(int) {
 			f.Inject(&dataplane.Packet{
 				Flow: dataplane.FlowKey{
 					SrcAddr: 1, DstAddr: dataplane.PrefixAddr(0),
@@ -44,11 +42,7 @@ func TestSelfDrivingDeflection(t *testing.T) {
 				Dst: 0,
 			}, origin)
 			seq++
-		}
-		if f.StatsOf(origin).Deflected > 0 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+		})
 	}
 	s := f.StatsOf(origin)
 	if s.Deflected == 0 {

@@ -1,6 +1,7 @@
 package netd
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // outcomes sums the terminal counters a received or injected packet can
 // land in.
 func outcomes(s Stats) int64 {
-	return s.Forwarded + s.Delivered + s.DropNoRoute + s.DropValleyFree + s.DropTTL + s.ParseErrors
+	return s.Forwarded + s.Delivered + s.DropNoRoute + s.DropValleyFree + s.DropTTL + s.DropUnknownSender + s.ParseErrors
 }
 
 // TestStatsInvariantUnderLoad asserts the conservation invariant documented
@@ -23,7 +24,9 @@ func outcomes(s Stats) int64 {
 // live tracing, and the link monitor all running. The Makefile's race
 // matrix runs this package under -race, so the invariant doubles as a data
 // race probe over every counter path.
-func TestStatsInvariantUnderLoad(t *testing.T) {
+func TestStatsInvariantUnderLoad(t *testing.T) { forEachPath(t, testStatsInvariantUnderLoad) }
+
+func testStatsInvariantUnderLoad(t *testing.T, single bool) {
 	g, err := topo.Generate(topo.GenConfig{N: 40, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -38,13 +41,9 @@ func TestStatsInvariantUnderLoad(t *testing.T) {
 		}
 	}
 
-	f, err := NewFabric(dep.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFabric(t, dep.Net, single)
 	f.EnableTrace(obs.NewTrace(512))
 	f.Start()
-	defer f.Stop()
 	stopMon := f.MonitorLoads(2 * time.Millisecond)
 	defer stopMon()
 	rt := core.NewRuntime(dep, 2*time.Millisecond)
@@ -52,34 +51,37 @@ func TestStatsInvariantUnderLoad(t *testing.T) {
 	rt.Start()
 	defer rt.Stop()
 
+	// Some datagrams come from outside: a stranger's well-formed packet
+	// and garbage, both of which the invariant has to absorb.
+	stranger, err := net.Dial("udp", f.Addr(dep.Routers(1)[0].ID).String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stranger.Close()
+	strange := [][]byte{
+		dataplane.MarshalPacket(&dataplane.Packet{Flow: dataplane.FlowKey{SrcAddr: 99, Proto: 6}, Dst: 0, TTL: 5}),
+		[]byte("no packet"),
+	}
+
+	// When injectWindowed returns every packet has reached the counter it
+	// ends in, and with no datagram lost or made up nothing is in flight:
+	// the fabric is quiescent.
 	const packets = 400
-	for i := 0; i < packets; i++ {
-		if i%16 == 15 {
-			time.Sleep(time.Millisecond) // avoid loopback buffer overruns
-		}
+	injectWindowed(t, f, packets, 32, func(i int) {
 		src := 1 + i%(g.N()-1)
+		if i%100 == 0 {
+			// Each ends where it arrives, so it stands in for the packet
+			// injectWindowed expects this call to add.
+			if _, err := stranger.Write(strange[i/100%2]); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
 		f.Inject(&dataplane.Packet{
 			Flow: dataplane.FlowKey{SrcAddr: uint32(src), DstAddr: dataplane.PrefixAddr(0), SrcPort: uint16(i), Proto: 6},
 			Dst:  0,
 		}, dep.Routers(src)[0].ID)
-	}
-
-	// Quiescence: every injected packet (and every hop it spawned) has
-	// reached a terminal counter and the totals have stopped moving.
-	waitStats(t, f, func(s Stats) bool { return s.Injected == packets && outcomes(s) == s.Received+s.Injected })
-	var last Stats
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cur := f.TotalStats()
-		if cur == last {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stats never quiesced; totals: %+v", cur)
-		}
-		last = cur
-		time.Sleep(20 * time.Millisecond)
-	}
+	})
 
 	s := f.TotalStats()
 	if got, want := outcomes(s), s.Received+s.Injected; got != want {
@@ -87,6 +89,9 @@ func TestStatsInvariantUnderLoad(t *testing.T) {
 	}
 	if s.Delivered == 0 {
 		t.Error("nothing was delivered")
+	}
+	if s.DropUnknownSender != 2 || s.ParseErrors != 2 || s.Injected != packets-4 {
+		t.Errorf("4 of %d datagrams came from a stranger, 2 well-formed and 2 not; totals: %+v", packets, s)
 	}
 	// The invariant holds per node too, not just in aggregate.
 	for i := range dep.Net.Routers {
