@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race ring-race audit-race fib-race span-race tsdb-race conv-smoke vet lint lint-json bench bench-smoke perf perf-compare fuzz figures testbed results clean
+.PHONY: all build test race ring-race audit-race fib-race span-race tsdb-race conv-smoke vet lint bench bench-smoke perf perf-compare fuzz figures testbed results clean
 
 # Every package with micro-benchmarks: what `make bench` measures and
 # what CI's `make bench-smoke` keeps runnable.
@@ -21,21 +21,15 @@ vet:
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/netd
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/netd
 
-# mifolint: the repository's own analyzer suite (internal/lint) — FIB
-# generation immutability, the //mifo:hotpath cost budget, obs metric and
-# span naming, lock-scope hygiene, builder-published arena freezing
-# (arenafreeze), goroutine lifecycle ownership (lifecycle), and the
-# shadow/unusedwrite/nilness/droppederr sweeps. Standalone mode enables
-# the whole-tree checks; the same binary also runs as
-# `go vet -vettool=$$(which mifo-lint) ./...`. The driver reports its own
-# wall time on stderr.
+# mifolint: the repository's own analyzer suite (internal/lint), six
+# checks — the //mifo:hotpath cost budget, dropped errors, shadowed
+# variables, goroutine lifecycle ownership, lock-scope hygiene, and obs
+# metric and span naming; DESIGN.md "Static invariants" says why each
+# stays. It runs over the whole tree in one process, which its
+# cross-package checks need, and reports its own wall time on stderr. CI's
+# lint job runs the same suite with -json and -github.
 lint:
 	$(GO) run ./cmd/mifo-lint ./...
-
-# Machine-readable findings for CI: exit status is preserved, stdout is a
-# {file,line,col,analyzer,message} JSON array.
-lint-json:
-	$(GO) run ./cmd/mifo-lint -json ./...
 
 test: vet lint
 	$(GO) test ./...
@@ -124,6 +118,7 @@ fuzz:
 	$(GO) test ./internal/bgp -fuzz FuzzIncrementalTable -fuzztime 30s
 	$(GO) test ./internal/bgp -fuzz FuzzCompactDest -fuzztime 30s
 	$(GO) test ./internal/netsim -fuzz FuzzFairShare -fuzztime 30s
+	$(GO) test ./internal/obs/tsdb -fuzz FuzzReadDump -fuzztime 30s
 
 # Regenerate every figure at default scale into results/.
 figures:

@@ -1,39 +1,23 @@
 // Command mifo-lint runs the mifolint analyzer suite (internal/lint): the
-// static enforcement of the repository's concurrency and hot-path
-// contracts — generation immutability of the versioned FIB,
-// the //mifo:hotpath allocation/lock budget, obs metric naming,
-// lock-scope hygiene, the builder-publish freeze of arena memory
-// (arenafreeze), and goroutine lifecycle ownership (lifecycle) — plus
-// native ports of the non-default vet passes shadow, unusedwrite,
-// nilness, and the dropped-error sweep.
+// //mifo:hotpath allocation/lock budget, dropped errors, shadowed
+// variables, goroutine lifecycle ownership, lock-scope hygiene and obs
+// metric naming (DESIGN.md "Static invariants" says why each stays).
 //
-// Two modes:
+//	mifo-lint [-json|-github] [-C dir] [packages...]
 //
-//	mifo-lint [-json|-github] [packages...]
-//
-// Standalone: loads the named packages (default ./...) with go/types
-// against build-cache export data and analyzes them in one run, which
-// enables the whole-tree checks (duplicate metric registration, the
-// transitive hot-path budget, cross-package lifecycle and freeze facts).
-// Exits 1 when findings remain. -json emits the findings as a stable
+// It loads the named packages (default ./...) with go/types against
+// build-cache export data and analyzes them in one run, which the
+// whole-tree checks need (duplicate metric registration, the transitive
+// hot-path budget, cross-package lifecycle facts). Exits 1 when findings
+// remain. -json emits the findings as a stable
 // {file,line,col,analyzer,message} array (the CI artifact); -github
 // renders them as GitHub Actions ::error annotations.
-//
-//	go vet -vettool=$(which mifo-lint) ./...
-//
-// Vet tool: speaks cmd/go's unitchecker protocol (-V=full versioning and
-// one *.cfg invocation per package), so the suite plugs into `go vet`
-// exactly like an x/tools multichecker binary. Per-unit invocation means
-// the whole-tree checks see one package at a time in this mode; `make
-// lint` uses the standalone mode for full coverage.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,24 +37,6 @@ type finding struct {
 }
 
 func main() {
-	// cmd/go probes vet tools with `tool -V=full` before every run; the
-	// reply has to carry a stable build identifier because it keys vet's
-	// result cache.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		printVersion()
-		return
-	}
-	// cmd/go also probes `tool -flags` to learn which vet flags the tool
-	// accepts (JSON array). mifolint takes none in unit mode.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	// Unit mode: cmd/go invokes `tool [flags] <file>.cfg` per package.
-	if len(os.Args) >= 2 && strings.HasSuffix(os.Args[len(os.Args)-1], ".cfg") {
-		os.Exit(unitMode(os.Args[len(os.Args)-1]))
-	}
-
 	jsonOut := flag.Bool("json", false, "emit findings as JSON objects {file,line,col,analyzer,message}")
 	github := flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
 	dir := flag.String("C", ".", "directory to run in (module root)")
@@ -145,21 +111,4 @@ func annotationEscape(s string) string {
 	s = strings.ReplaceAll(s, "\r", "%0D")
 	s = strings.ReplaceAll(s, "\n", "%0A")
 	return s
-}
-
-// printVersion answers cmd/go's -V=full probe in the format its toolID
-// parser expects: "<name> version <...>" with a buildID derived from the
-// binary's own contents, so editing the linter invalidates vet's cache.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f) //mifolint:ignore droppederr a short read only weakens the cache key, never correctness
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "mifo-lint: reading own binary:", err)
-			}
-		}
-	}
-	fmt.Printf("%s version devel buildID=%x\n", name, h.Sum(nil))
 }

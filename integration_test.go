@@ -66,14 +66,37 @@ func TestFullStack(t *testing.T) {
 	if congested == 0 {
 		t.Fatal("no link congested; scenario broken")
 	}
-	time.Sleep(20 * time.Millisecond) // daemons install alternatives
+	// The daemons have installed alternatives once every congested AS's
+	// FIB carries the alternative its daemon selects from the loads above.
+	poll(t, "daemons install the selected alternatives", func() bool {
+		for v := 0; v < n; v++ {
+			dm := dep.Daemon(v)
+			if dm == nil || v == dst || !table.Reachable(v) {
+				continue
+			}
+			sel, ok := dm.SelectAlternative(table)
+			if !ok {
+				continue
+			}
+			if e, _ := dep.Net.Router(sel.Router).FIB.Lookup(int32(dst)); e.Alt != sel.Port {
+				return false
+			}
+		}
+		return true
+	})
 
-	const packets = 120
-	sent := 0
+	// At most window packets are in the fabric at once: packet i goes in
+	// once i-window+1 of the earlier ones have ended.
+	const packets, window = 120, 16
+	base := ended(fabric.TotalStats())
+	sent := int64(0)
 	for i := 0; i < packets; i++ {
 		src := (i*7 + 1) % n
 		if src == dst || !table.Reachable(src) {
 			continue
+		}
+		if sent >= window {
+			poll(t, "the window drains", func() bool { return ended(fabric.TotalStats())-base > sent-window })
 		}
 		sent++
 		fabric.Inject(&dataplane.Packet{
@@ -85,20 +108,17 @@ func TestFullStack(t *testing.T) {
 			},
 			Dst: int32(dst),
 		}, dep.Routers(src)[0].ID)
-		if i%16 == 15 {
-			time.Sleep(time.Millisecond)
-		}
 	}
+	poll(t, "every packet ends", func() bool { return ended(fabric.TotalStats())-base >= sent })
 
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		s := fabric.TotalStats()
-		if s.Delivered+s.DropValleyFree+s.DropNoRoute >= int64(sent) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 	s := fabric.TotalStats()
+	if s.Injected != sent {
+		t.Fatalf("injected %d packets, the fabric counted %d", sent, s.Injected)
+	}
+	// netd.Stats' conservation identity, with nothing left in flight.
+	if in, out := s.Received+s.Injected, s.Forwarded+ended(s); in != out {
+		t.Fatalf("received+injected %d != forwarded+delivered+drops+parse errors %d; stats %+v", in, out, s)
+	}
 	if s.DropTTL != 0 {
 		t.Fatalf("LOOP: %d TTL drops across the full stack", s.DropTTL)
 	}
@@ -108,7 +128,26 @@ func TestFullStack(t *testing.T) {
 	if s.Deflected == 0 {
 		t.Fatalf("congestion never caused a deflection; stats %+v", s)
 	}
-	if s.ParseErrors != 0 {
-		t.Fatalf("wire format corrupted %d datagrams", s.ParseErrors)
+	if s.ParseErrors != 0 || s.DropUnknownSender != 0 {
+		t.Fatalf("the fabric's own datagrams failed to parse (%d) or came from no peer (%d)", s.ParseErrors, s.DropUnknownSender)
+	}
+}
+
+// ended counts the packets whose journey is over: every outcome of
+// netd.Stats' conservation identity but Forwarded, which hands the packet
+// to the next node.
+func ended(s netd.Stats) int64 {
+	return s.Delivered + s.DropNoRoute + s.DropValleyFree + s.DropTTL + s.DropUnknownSender + s.ParseErrors
+}
+
+// poll waits until cond holds and fails the test if it does not within
+// ten seconds. Neither the daemons nor the fabric signal that a FIB or a
+// counter moved, so this 1 ms poll is the test's only sleep.
+func poll(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
 	}
 }

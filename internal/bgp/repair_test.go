@@ -377,6 +377,8 @@ func TestRepairFallbackOnLongPaths(t *testing.T) {
 // TestRepairNeverWritesSharedArrays: a clone shares its tables' arrays
 // with the original, so a link event on one must leave every array the
 // other can reach as it was, and replace exactly the tables it dirtied.
+// The clone is checked after every event: a LinkUp that restores the
+// intact routes would also restore words an in-place LinkDown patched.
 func TestRepairNeverWritesSharedArrays(t *testing.T) {
 	g, err := topo.Generate(topo.GenConfig{N: 400, Seed: 3})
 	if err != nil {
@@ -410,12 +412,14 @@ func TestRepairNeverWritesSharedArrays(t *testing.T) {
 			if replaced != n {
 				t.Fatalf("link (%d,%d) up=%v: %d tables replaced, %d reported dirty", hub, nb.AS, up, replaced, n)
 			}
+			for _, d := range cl.All() {
+				if !slices.Equal(d.packed, saved[d.Dst()]) {
+					t.Fatalf("link (%d,%d) up=%v: the clone's table for destination %d changed under a link event on the original", hub, nb.AS, up, d.Dst())
+				}
+			}
 		}
 	}
 	for _, d := range cl.All() {
-		if !slices.Equal(d.packed, saved[d.Dst()]) {
-			t.Fatalf("the clone's table for destination %d changed under link events on the original", d.Dst())
-		}
 		if !tab.Dest(d.Dst()).Equal(d) {
 			t.Fatalf("destination %d differs from the intact table after every link came back", d.Dst())
 		}

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,6 +112,103 @@ func TestFIBConcurrentCommitLookup(t *testing.T) {
 	readers.Wait()
 	if got := f.Generation(); got != 1+2*commits {
 		t.Fatalf("generation = %d, want %d (one bump per dirty commit)", got, 1+2*commits)
+	}
+}
+
+// TestFIBPublishedGenerationNeverWritten: once published, a generation's
+// map is never written again, which is what lets Lookup read it without a
+// lock. It keeps every generation Lookup could have loaded, with a copy
+// of its map, while each writer runs — the single-shot Set, SetAlt and
+// ClearAlt, dirty transactions staging all four kinds of change, clean
+// ones — and requires every kept map to still equal its copy. This is the
+// deterministic form of what TestFIBConcurrentCommitLookup catches only
+// under -race.
+func TestFIBPublishedGenerationNeverWritten(t *testing.T) {
+	entry := func(out int) FIBEntry { return FIBEntry{Out: out, Alt: -1, AltVia: -1} }
+	type kept struct {
+		g       *fibGen
+		gen     uint64
+		entries map[int32]FIBEntry
+	}
+	f := NewFIB()
+	var published []kept
+	keep := func() {
+		g := f.cur.Load()
+		published = append(published, kept{g, g.gen, maps.Clone(g.entries)})
+	}
+	keep() // the empty generation every new FIB starts from
+	steps := []struct {
+		name string
+		run  func()
+	}{
+		{"install", func() {
+			tx := f.Begin()
+			for dst := int32(1); dst <= 4; dst++ {
+				tx.Set(dst, entry(int(dst)))
+			}
+			tx.Commit()
+		}},
+		{"FIB.Set", func() { f.Set(5, entry(5)) }},
+		{"FIB.SetAlt", func() { f.SetAlt(1, 2, 7) }},
+		{"FIB.ClearAlt", func() { f.ClearAlt(1) }},
+		{"dirty transaction", func() {
+			tx := f.Begin()
+			tx.Set(2, entry(9))
+			tx.SetAlt(3, 1, 1)
+			tx.ClearAlt(5)
+			tx.Delete(4)
+			tx.Commit()
+		}},
+		{"clean transaction", func() {
+			tx := f.Begin()
+			tx.Set(2, entry(9))
+			tx.SetAlt(3, 1, 1)
+			tx.Delete(42)
+			tx.Commit()
+		}},
+	}
+	for _, step := range steps {
+		step.run()
+		for _, k := range published {
+			if k.g.gen != k.gen || !maps.Equal(k.g.entries, k.entries) {
+				t.Fatalf("%s wrote published generation %d: %v, published as %v", step.name, k.gen, k.g.entries, k.entries)
+			}
+		}
+		keep()
+	}
+	if got := f.Generation(); got != 5 {
+		t.Errorf("generation %d after five dirty commits and a clean one, want 5", got)
+	}
+}
+
+// TestFIBWritersNeverLoseAnUpdate: the single-shot writers and
+// transactions serialize on the writer lock, so a FIB.Set that lands while
+// a transaction is open publishes after it instead of being overwritten by
+// its Commit. Two writers race, each installing destinations the other
+// never touches; every install must survive and count one generation.
+func TestFIBWritersNeverLoseAnUpdate(t *testing.T) {
+	const n = 500
+	e := FIBEntry{Out: 1, Alt: -1, AltVia: -1}
+	f := NewFIB()
+	var writers sync.WaitGroup
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for dst := int32(0); dst < n; dst++ {
+			f.Set(dst, e)
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for dst := int32(n); dst < 2*n; dst++ {
+			tx := f.Begin()
+			tx.Set(dst, e)
+			tx.Commit()
+		}
+	}()
+	writers.Wait()
+	if f.Len() != 2*n || f.Generation() != 2*n {
+		t.Fatalf("%d entries at generation %d after %d installs: updates were lost", f.Len(), f.Generation(), 2*n)
 	}
 }
 

@@ -8,10 +8,6 @@ import (
 	"testing"
 )
 
-func TestFibtxn(t *testing.T) {
-	checkCorpus(t, "fibtxn", Fibtxn(DefaultFibtxnConfig()))
-}
-
 func TestHotpathalloc(t *testing.T) {
 	checkCorpus(t, "hotpathalloc", Hotpath())
 }
@@ -28,20 +24,8 @@ func TestShadow(t *testing.T) {
 	checkCorpus(t, "shadow", Shadow())
 }
 
-func TestUnusedwrite(t *testing.T) {
-	checkCorpus(t, "unusedwrite", Unusedwrite())
-}
-
-func TestNilness(t *testing.T) {
-	checkCorpus(t, "nilness", Nilness())
-}
-
 func TestDroppederr(t *testing.T) {
 	checkCorpus(t, "droppederr", Droppederr())
-}
-
-func TestArenafreeze(t *testing.T) {
-	checkCorpus(t, "arenafreeze", Arenafreeze(DefaultArenafreezeConfig()))
 }
 
 func TestLifecycle(t *testing.T) {

@@ -7,15 +7,11 @@ import (
 	"strings"
 )
 
-// The interprocedural layer: a package-level call graph plus lightweight
-// intra-function dataflow over go/types, collected once per package into
-// the shared State and resolved transitively at Finish time. Three facts
-// are derived for every declared function in the analysis set:
+// The interprocedural layer lifecycle stands on: a package-level call
+// graph over go/types, collected once per package into the shared State
+// and resolved transitively at Finish time. Two facts are derived for
+// every declared function in the analysis set:
 //
-//   - parameter mutation: does the function (directly or through the
-//     functions it calls) write through a slice/map/pointer parameter?
-//     arenafreeze uses this to prove that an interior slice handed out
-//     by a frozen-arena accessor is only ever read.
 //   - barrier reachability: does the function (transitively) perform a
 //     synchronization that can join a background goroutine — a channel
 //     send/receive/select, sync.WaitGroup.Wait, or a graceful-shutdown
@@ -26,30 +22,11 @@ import (
 //     and own no lifecycle), and what closable type, if any, they hand
 //     back to the caller.
 //
-// The dataflow is deliberately one level deep per function — a parameter
-// is tracked through direct element writes, builtin calls, and argument
-// positions of statically resolved calls; anything else (aliasing into
-// a second local, storage into a field, a dynamic call) is conservatively
-// treated as a potential mutation. The transitive closure then runs over
-// the recorded call edges, so cross-package chains (netsim -> topo) are
-// judged without source-order coupling, the same way hotpathalloc's
-// budget works.
+// The transitive closure runs over the recorded call edges, so
+// cross-package chains are judged without source-order coupling, the
+// same way hotpathalloc's budget works.
 
 const interpFactKey = "interproc"
-
-// paramEdge records "this parameter is passed as argument calleeIdx of
-// calleeKey" — judged read-only or mutating once the whole tree is seen.
-type paramEdge struct {
-	calleeKey string
-	calleeIdx int
-}
-
-// paramInfo is the dataflow summary for one trackable parameter.
-type paramInfo struct {
-	mutated    bool // written through directly (element/field store, append, copy dst)
-	unresolved bool // escapes the one-level dataflow: treated as mutating
-	edges      []paramEdge
-}
 
 // spawnSite is one `go` statement that outlives its enclosing function.
 type spawnSite struct {
@@ -58,14 +35,12 @@ type spawnSite struct {
 
 // funcInfo is the per-function fact record.
 type funcInfo struct {
-	key     string // "pkgpath\x00Recv.Name"
-	pretty  string // "Recv.Name"
-	pkgPath string
-	pos     token.Position
+	key    string // "pkgpath\x00Recv.Name"
+	pretty string // "Recv.Name"
+	pos    token.Position
 
-	params  []*paramInfo // indexed by signature parameter order (receiver excluded)
-	barrier bool         // body performs a join/synchronization directly
-	calls   []string     // statically resolved callee keys, for transitive closure
+	barrier bool     // body performs a join/synchronization directly
+	calls   []string // statically resolved callee keys, for transitive closure
 
 	spawns     []spawnSite // unjoined `go` statements
 	joinedBody bool        // body also Waits on a WaitGroup outside any literal: fork-join
@@ -77,16 +52,13 @@ type funcInfo struct {
 }
 
 type interpFacts struct {
-	funcs    map[string]*funcInfo
-	scanned  map[string]bool // package paths already collected
-	analyzed map[string]bool // package paths in the analysis set
+	funcs   map[string]*funcInfo
+	scanned map[string]bool // package paths already collected
 	// closers maps a type key to the closer method keys it exposes
 	// (Close/Stop/Shutdown declared on T or *T).
 	closers map[string][]string
 
-	// resolution memos (Finish time).
-	mutMemo     map[string]map[int]int8 // 0 unknown/in-progress, 1 readonly, 2 mutates
-	barrierMemo map[string]int8
+	barrierMemo map[string]int8 // Finish-time resolution memo
 }
 
 func getInterpFacts(s *State) *interpFacts {
@@ -94,9 +66,7 @@ func getInterpFacts(s *State) *interpFacts {
 		return &interpFacts{
 			funcs:       map[string]*funcInfo{},
 			scanned:     map[string]bool{},
-			analyzed:    map[string]bool{},
 			closers:     map[string][]string{},
-			mutMemo:     map[string]map[int]int8{},
 			barrierMemo: map[string]int8{},
 		}
 	}).(*interpFacts)
@@ -118,25 +88,41 @@ func typeKeyOf(t types.Type) string {
 	return obj.Pkg().Path() + "\x00" + obj.Name()
 }
 
-// trackableParam reports whether writes through a parameter of type t are
-// visible to the caller.
-func trackableParam(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Slice, *types.Pointer, *types.Map:
-		return true
+// cutKey splits a "pkgpath\x00name" key.
+func cutKey(key string) (pkg, name string, ok bool) {
+	pkg, name, ok = strings.Cut(key, "\x00")
+	if !ok {
+		return "", key, false
 	}
-	return false
+	return pkg, name, true
+}
+
+// buildParentMap links every node in body to its parent.
+func buildParentMap(body *ast.BlockStmt) map[ast.Node]ast.Node {
+	parent := map[ast.Node]ast.Node{}
+	var stack []ast.Node
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return false
+		}
+		if len(stack) > 0 {
+			parent[n] = stack[len(stack)-1]
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return parent
 }
 
 // collectInterproc scans pass.Pkg once (all files, tests included) and
-// records funcInfo facts. Safe to call from several analyzers.
+// records funcInfo facts.
 func collectInterproc(pass *Pass) {
 	facts := getInterpFacts(pass.State)
 	if facts.scanned[pass.Pkg.PkgPath] {
 		return
 	}
 	facts.scanned[pass.Pkg.PkgPath] = true
-	facts.analyzed[pass.Pkg.PkgPath] = true
 	info := pass.Pkg.TypesInfo
 
 	for _, file := range pass.Pkg.AllFiles() {
@@ -160,26 +146,16 @@ func collectInterproc(pass *Pass) {
 // collectFunc builds the fact record for one declaration.
 func collectFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) *funcInfo {
 	fi := &funcInfo{
-		key:     pass.Pkg.PkgPath + "\x00" + funcKey(fd),
-		pretty:  funcKey(fd),
-		pkgPath: pass.Pkg.PkgPath,
-		pos:     pass.Pkg.Fset.Position(fd.Pos()),
-	}
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		fi.isMethod = true
-		if tv, ok := info.Defs[fd.Name]; ok {
-			if sig, ok := tv.Type().(*types.Signature); ok && sig.Recv() != nil {
-				fi.recvTypeKey = typeKeyOf(sig.Recv().Type())
-			}
-		}
-	}
+		key:    pass.Pkg.PkgPath + "\x00" + funcKey(fd),
+		pretty: funcKey(fd),
+		pos:    pass.Pkg.Fset.Position(fd.Pos()),
 
-	// Parameter objects, in signature order.
-	var paramVars []*types.Var
+		isMethod: fd.Recv != nil && len(fd.Recv.List) > 0,
+	}
 	if obj, ok := info.Defs[fd.Name].(*types.Func); ok {
 		if sig, ok := obj.Type().(*types.Signature); ok {
-			for i := 0; i < sig.Params().Len(); i++ {
-				paramVars = append(paramVars, sig.Params().At(i))
+			if sig.Recv() != nil {
+				fi.recvTypeKey = typeKeyOf(sig.Recv().Type())
 			}
 			if sig.Results().Len() > 0 {
 				r := sig.Results().At(0).Type()
@@ -192,78 +168,16 @@ func collectFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) *funcInfo {
 			}
 		}
 	}
-	fi.params = make([]*paramInfo, len(paramVars))
-	paramIdx := map[*types.Var]int{}
-	for i, v := range paramVars {
-		fi.params[i] = &paramInfo{}
-		if trackableParam(v.Type()) {
-			paramIdx[v] = i
-		}
-	}
 
 	if fd.Body == nil {
 		return fi
 	}
 
-	// paramOf resolves e to a tracked parameter index when e is the
-	// parameter itself or a subslice/deref of it (the aliases through
-	// which a write still lands in the caller's memory).
-	var paramOf func(e ast.Expr) (int, bool)
-	paramOf = func(e ast.Expr) (int, bool) {
-		switch v := e.(type) {
-		case *ast.Ident:
-			obj := info.Uses[v]
-			if obj == nil {
-				obj = info.Defs[v]
-			}
-			if p, ok := obj.(*types.Var); ok {
-				if i, tracked := paramIdx[p]; tracked {
-					return i, true
-				}
-			}
-		case *ast.ParenExpr:
-			return paramOf(v.X)
-		case *ast.SliceExpr:
-			return paramOf(v.X)
-		case *ast.StarExpr:
-			return paramOf(v.X)
-		}
-		return -1, false
-	}
-	// paramBaseOfLvalue walks an assignment target to the parameter it
-	// writes through, requiring at least one dereference step (an index,
-	// a field, or a pointer deref) so plain rebinding `p = x` does not
-	// count as caller-visible mutation.
-	var paramBaseOfLvalue func(e ast.Expr, derefs int) (int, bool)
-	paramBaseOfLvalue = func(e ast.Expr, derefs int) (int, bool) {
-		switch v := e.(type) {
-		case *ast.Ident:
-			if derefs == 0 {
-				return -1, false
-			}
-			return paramOf(v)
-		case *ast.ParenExpr:
-			return paramBaseOfLvalue(v.X, derefs)
-		case *ast.IndexExpr:
-			return paramBaseOfLvalue(v.X, derefs+1)
-		case *ast.SelectorExpr:
-			return paramBaseOfLvalue(v.X, derefs+1)
-		case *ast.StarExpr:
-			return paramBaseOfLvalue(v.X, derefs+1)
-		case *ast.SliceExpr:
-			return paramBaseOfLvalue(v.X, derefs)
-		}
-		return -1, false
-	}
-
-	mark := func(i int, mutated bool) {
-		if mutated {
-			fi.params[i].mutated = true
-		} else {
-			fi.params[i].unresolved = true
-		}
-	}
-
+	// Literal bodies are walked as part of the enclosing declaration:
+	// barriers and calls inside a literal still belong to a closure this
+	// function builds. Those under a `go` statement run on the new
+	// goroutine instead, and WaitGroup joins are handled in the top-level
+	// sweep below.
 	goDepth := 0 // literals nested under a `go` statement
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
@@ -275,23 +189,13 @@ func collectFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) *funcInfo {
 				walk(v.Call)
 				goDepth--
 				return false
-			case *ast.SendStmt:
-				if goDepth == 0 {
-					fi.barrier = true
-				}
-			case *ast.SelectStmt:
+			case *ast.SendStmt, *ast.SelectStmt:
 				if goDepth == 0 {
 					fi.barrier = true
 				}
 			case *ast.UnaryExpr:
 				if v.Op == token.ARROW && goDepth == 0 {
 					fi.barrier = true
-				}
-				if v.Op == token.AND {
-					// Taking &p[i] hands out a write-capable pointer.
-					if i, ok := paramBaseOfLvalue(v.X, 0); ok {
-						mark(i, true)
-					}
 				}
 			case *ast.RangeStmt:
 				if goDepth == 0 {
@@ -301,49 +205,10 @@ func collectFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) *funcInfo {
 						}
 					}
 				}
-			case *ast.AssignStmt:
-				for _, lhs := range v.Lhs {
-					if i, ok := paramBaseOfLvalue(lhs, 0); ok {
-						mark(i, true)
-					}
-				}
-				// A parameter aliased into another variable, a field, or
-				// a composite leaves the one-level dataflow.
-				for _, rhs := range v.Rhs {
-					if i, ok := paramOf(rhs); ok {
-						mark(i, false)
-					}
-				}
-			case *ast.IncDecStmt:
-				if i, ok := paramBaseOfLvalue(v.X, 0); ok {
-					mark(i, true)
-				}
-			case *ast.ReturnStmt:
-				for _, r := range v.Results {
-					if i, ok := paramOf(r); ok {
-						// The slice itself escapes to the caller.
-						mark(i, false)
-					}
-				}
-			case *ast.CompositeLit:
-				for _, el := range v.Elts {
-					e := el
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						e = kv.Value
-					}
-					if i, ok := paramOf(e); ok {
-						mark(i, false)
-					}
-				}
 			case *ast.CallExpr:
-				collectCall(pass, info, fi, v, paramOf, mark, goDepth > 0)
-			case *ast.FuncLit:
-				// Literal bodies are walked as part of the enclosing
-				// declaration: captured parameters keep their identity, and
-				// barriers inside a literal still belong to a closure this
-				// function builds. WaitGroup joins are handled in the
-				// top-level sweep below.
-				return true
+				if goDepth == 0 {
+					collectCall(info, fi, v)
+				}
 			}
 			return true
 		})
@@ -369,77 +234,20 @@ func collectFunc(pass *Pass, info *types.Info, fd *ast.FuncDecl) *funcInfo {
 	return fi
 }
 
-// collectCall records call edges, builtin mutations, and barrier calls.
-func collectCall(pass *Pass, info *types.Info, fi *funcInfo, call *ast.CallExpr,
-	paramOf func(ast.Expr) (int, bool), mark func(int, bool), inGo bool) {
-
-	// Builtins: append may write the shared backing array past len when
-	// capacity allows — exactly the hazard for arena-interior slices;
-	// copy writes its destination; delete mutates its map.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "append", "delete":
-				if len(call.Args) > 0 {
-					if i, ok := paramOf(call.Args[0]); ok {
-						mark(i, true)
-					}
-				}
-			case "copy":
-				if len(call.Args) > 0 {
-					if i, ok := paramOf(call.Args[0]); ok {
-						mark(i, true)
-					}
-				}
-			case "len", "cap", "print", "println", "min", "max", "clear":
-				// clear mutates, but takes the map/slice itself:
-				if b.Name() == "clear" && len(call.Args) > 0 {
-					if i, ok := paramOf(call.Args[0]); ok {
-						mark(i, true)
-					}
-				}
-			}
-			return
-		}
-	}
-
+// collectCall records a statically resolved call edge, and whether the
+// callee is a recognized barrier.
+func collectCall(info *types.Info, fi *funcInfo, call *ast.CallExpr) {
 	fn := calleeFunc(info, call)
 	if fn == nil {
-		// Dynamic call: a tracked parameter passed to it is out of reach.
-		for _, arg := range call.Args {
-			if i, ok := paramOf(arg); ok {
-				mark(i, false)
-			}
-		}
 		return
 	}
 	key, _, _, ok := calleeKeyOf(fn)
 	if !ok {
 		return
 	}
-	if !inGo {
-		fi.calls = append(fi.calls, key)
-		if isBarrierCallee(fn) {
-			fi.barrier = true
-		}
-	}
-	// Map arguments onto callee parameter indices (variadic tail folds
-	// onto the last parameter).
-	sig, _ := fn.Type().(*types.Signature)
-	nparams := 0
-	if sig != nil {
-		nparams = sig.Params().Len()
-	}
-	for ai, arg := range call.Args {
-		i, tracked := paramOf(arg)
-		if !tracked {
-			continue
-		}
-		ci := ai
-		if nparams > 0 && ci >= nparams {
-			ci = nparams - 1
-		}
-		fi.params[i].edges = append(fi.params[i].edges, paramEdge{calleeKey: key, calleeIdx: ci})
+	fi.calls = append(fi.calls, key)
+	if isBarrierCallee(fn) {
+		fi.barrier = true
 	}
 }
 
@@ -461,72 +269,6 @@ func isBarrierCallee(fn *types.Func) bool {
 	}
 	if fn.Name() == "Shutdown" && isMethod(fn) {
 		return true
-	}
-	return false
-}
-
-// --- Finish-time transitive resolvers ---
-
-// stdlibReadonlyPkgs lists packages whose functions never retain or write
-// a caller's slice: formatting, pure-query helpers, and the testing
-// harness. Everything else outside the analysis set is conservatively
-// mutating (notably package slices and sort.Slice*, which sort in place).
-var stdlibReadonlyPkgs = map[string]bool{
-	"fmt": true, "strings": true, "bytes": true, "math": true,
-	"strconv": true, "unicode": true, "errors": true, "testing": true,
-}
-
-// stdlibReadonlyFuncs allowlists individual read-only functions from
-// otherwise-mutating packages, keyed "pkg\x00Name".
-var stdlibReadonlyFuncs = map[string]bool{
-	"sort\x00Search":         true,
-	"sort\x00SearchInts":     true,
-	"sort\x00SearchFloat64s": true,
-	"sort\x00SearchStrings":  true,
-	"sort\x00IsSorted":       true,
-	"sort\x00SliceIsSorted":  true,
-	"sort\x00IntsAreSorted":  true,
-	"slices\x00Equal":        true,
-	"slices\x00IsSorted":     true,
-}
-
-// paramMutates resolves, transitively, whether calleeKey's parameter idx
-// can be written (or escape tracking). Unknown callees outside the
-// analysis set are mutating unless their package is allowlisted.
-func (f *interpFacts) paramMutates(calleeKey string, idx int) bool {
-	fi, known := f.funcs[calleeKey]
-	if !known {
-		if stdlibReadonlyFuncs[calleeKey] {
-			return false
-		}
-		pkg, _, _ := strings.Cut(calleeKey, "\x00")
-		return !stdlibReadonlyPkgs[pkg]
-	}
-	if idx >= len(fi.params) {
-		return true
-	}
-	memo := f.mutMemo[calleeKey]
-	if memo == nil {
-		memo = map[int]int8{}
-		f.mutMemo[calleeKey] = memo
-	}
-	switch memo[idx] {
-	case 1:
-		return false
-	case 2:
-		return true
-	}
-	p := fi.params[idx]
-	if p.mutated || p.unresolved {
-		memo[idx] = 2
-		return true
-	}
-	memo[idx] = 1 // optimistic: a cycle that only ever forwards is read-only
-	for _, e := range p.edges {
-		if f.paramMutates(e.calleeKey, e.calleeIdx) {
-			memo[idx] = 2
-			return true
-		}
 	}
 	return false
 }

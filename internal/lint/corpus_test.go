@@ -95,8 +95,8 @@ func (ci *corpusImporter) Import(path string) (*types.Package, error) {
 
 // loadCorpus parses and type-checks every package under
 // testdata/src/<root>, assigning each directory its src-relative slash
-// path as import path (so "testdata/src/fibtxn/internal/dataplane" is the
-// package "fibtxn/internal/dataplane", which path-suffix configs match).
+// path as import path (so "testdata/src/obsnames/internal/obs" is the
+// package "obsnames/internal/obs", which path-suffix configs match).
 func loadCorpus(t *testing.T, root string) []*Package {
 	t.Helper()
 	type rawPkg struct {

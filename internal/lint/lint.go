@@ -1,38 +1,38 @@
-// Package lint is mifolint: a suite of static analyzers that enforce the
-// repository's concurrency and hot-path contracts at build time — the
-// conventions the compiler cannot see but the versioned FIB and the
-// paper's kernel fib_table FE-read / daemon-write split (Section IV)
-// depend on.
+// Package lint is mifolint: a suite of static analyzers for the
+// repository's conventions the compiler cannot see. It keeps only checks
+// that have earned their place (DESIGN.md "Static invariants" names the
+// finding or contract behind each). Contracts a package boundary
+// can hold — published FIB generations, the topo.Graph and bgp.Dest
+// arenas — are held there instead: unexported fields written only inside
+// the owning package, and tests that fail when they are written.
 //
 // The suite mirrors the shape of golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic, testdata corpora with "want" comments) but is built on
 // the standard library alone, loading type information from the build
 // cache's export data, so it runs in a hermetic environment with no module
-// downloads. Should x/tools become available, each Analyzer maps 1:1 onto
-// an *analysis.Analyzer; see xtools.go for the gated extra passes.
+// downloads.
 //
-// Contracts enforced (see DESIGN.md "Static invariants"):
+// Analyzers:
 //
-//   - fibtxn: published FIB generations are immutable; all writes go
-//     through the Begin/Set/Commit transaction.
 //   - hotpathalloc: functions annotated //mifo:hotpath do not format,
 //     allocate maps/slices, append to escaping slices, take locks, or
 //     call unannotated project functions.
-//   - obsnames: metric names registered with internal/obs are snake_case
-//     literals with the owning component's prefix, registered at most
-//     once per name across the tree.
-//   - locksafe: no sync.Mutex/RWMutex is held across a channel send, a
-//     generation Commit, or a blocking network/sleep call.
-//   - arenafreeze: builder-published arena memory (topo.Graph CSR,
-//     bgp.Dest packed routes) is frozen after publish; interior slices
-//     handed out by accessors are provably read-only, transitively.
+//   - droppederr: errors are not discarded via _ or unchecked
+//     Close/Flush/Sync calls.
+//   - shadow: an inner := does not split a variable whose outer value is
+//     read again.
 //   - lifecycle: goroutine-spawning constructors expose a teardown, every
 //     Close/Stop/Shutdown of a goroutine-owning type reaches a drain
 //     barrier, and callers keep a path to the teardown.
+//   - locksafe: no sync.Mutex/RWMutex is held across a channel send, a
+//     generation Commit, or a blocking network/sleep call.
+//   - obsnames: metric names registered with internal/obs are snake_case
+//     literals with the owning component's prefix, registered at most
+//     once per name across the tree.
 //
-// The last two resolve through the shared interprocedural layer in
-// callgraph.go: per-function dataflow facts collected into State at Run
-// time and closed transitively at Finish time.
+// lifecycle resolves through the interprocedural layer in callgraph.go:
+// per-function facts collected into State at Run time and closed
+// transitively at Finish time.
 //
 // A finding can be suppressed — with a recorded justification — by a
 // directive on the offending line or the line above it:
@@ -241,9 +241,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // RunWithIgnoreAudit is Run plus a report of ignore directives that
-// suppressed nothing. Plain Run (and vet's per-package unit mode, which
-// never sees the whole tree) must not enforce unused-ignore hygiene —
-// only the repository-wide test does.
+// suppressed nothing. Plain Run (which may see only part of the tree)
+// must not enforce unused-ignore hygiene — only the repository-wide test
+// does.
 func RunWithIgnoreAudit(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []UnusedIgnore) {
 	var mu sync.Mutex
 	var all []Diagnostic
@@ -310,15 +310,11 @@ func RunWithIgnoreAudit(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, [
 // Suite returns the default mifolint analyzer set, in reporting order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		Fibtxn(DefaultFibtxnConfig()),
 		Hotpath(),
 		Obsnames(DefaultObsnamesConfig()),
 		Locksafe(DefaultLocksafeConfig()),
 		Shadow(),
-		Unusedwrite(),
-		Nilness(),
 		Droppederr(),
-		Arenafreeze(DefaultArenafreezeConfig()),
 		Lifecycle(),
 	}
 }

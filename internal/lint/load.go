@@ -29,7 +29,7 @@ import (
 // package's source files (one extra `go list` round-trip resolves export
 // data for test-only imports), so analyzers that opt in — lifecycle, and
 // the ignore-directive index — see test code too. External test packages
-// (package foo_test) hold only examples in this tree and are not loaded.
+// (package foo_test) are not loaded.
 //
 // Results are memoized per (dir, patterns) for the life of the process:
 // every analyzer, the self-lint test and the ignore-audit test share one

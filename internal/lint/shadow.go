@@ -7,7 +7,7 @@ import (
 )
 
 // shadow is a native reimplementation of the non-default x/tools `shadow`
-// vet pass (the dependency is intentionally not vendored; see xtools.go).
+// vet pass (the dependency is intentionally not vendored).
 // It reports an inner declaration of a name that shadows a function-local
 // variable of identical type from an enclosing scope, when the outer
 // variable is still used after the inner scope ends — the combination

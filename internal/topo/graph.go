@@ -106,34 +106,36 @@ func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
 
 // Neighbors returns the adjacency list of AS v, sorted by neighbor index.
 // The returned slice aliases the graph's packed arena; callers must not
-// modify it.
-func (g *Graph) Neighbors(v int) []Neighbor { return g.nbrs[g.off[v]:g.off[v+1]] }
+// modify it. Its capacity is clipped to its length (s[lo:hi:hi]), so an
+// append through it reallocates instead of overwriting AS v+1's row.
+func (g *Graph) Neighbors(v int) []Neighbor {
+	lo, hi := g.off[v], g.off[v+1]
+	return g.nbrs[lo:hi:hi]
+}
 
 // Customers returns the ASes v provides transit to, ascending. Like
-// Neighbors, the slice aliases the graph's arena; callers must not modify
-// it.
-func (g *Graph) Customers(v int) []int32 { return g.grp[g.goff[v]:g.goff[v+1]] }
+// Neighbors, the slice aliases the graph's arena and its capacity is
+// clipped so an append cannot reach the next row; callers must not
+// modify it.
+func (g *Graph) Customers(v int) []int32 { return g.row(v) }
 
 // Peers returns v's settlement-free peers, ascending, under the same
 // aliasing rule as Customers.
-func (g *Graph) Peers(v int) []int32 {
-	r := g.N() + v
-	return g.grp[g.goff[r]:g.goff[r+1]]
-}
+func (g *Graph) Peers(v int) []int32 { return g.row(g.N() + v) }
 
 // Providers returns the ASes v buys transit from, ascending, under the
 // same aliasing rule as Customers.
-func (g *Graph) Providers(v int) []int32 {
-	r := 2*g.N() + v
-	return g.grp[g.goff[r]:g.goff[r+1]]
-}
+func (g *Graph) Providers(v int) []int32 { return g.row(2*g.N() + v) }
 
 // Related returns v's neighbours of relationship rel — Customers, Peers or
 // Providers picked by value, for code that walks one kind of edge or
 // another by parameter — under the same aliasing rule as Customers.
-func (g *Graph) Related(v int, rel Rel) []int32 {
-	r := int(rel)*g.N() + v
-	return g.grp[g.goff[r]:g.goff[r+1]]
+func (g *Graph) Related(v int, rel Rel) []int32 { return g.row(int(rel)*g.N() + v) }
+
+// row returns row r of the grouped view, capacity clipped.
+func (g *Graph) row(r int) []int32 {
+	lo, hi := g.goff[r], g.goff[r+1]
+	return g.grp[lo:hi:hi]
 }
 
 // MemStats accounts the graph's memory footprint.

@@ -166,6 +166,37 @@ func TestRemoveLinksMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestAccessorsClipCapacity: every row an accessor hands out ends at its
+// capacity, so an append through it has to reallocate. With spare
+// capacity the append would write the next AS's row of the shared arena;
+// here appending to every row of every AS leaves the graph as it was.
+func TestAccessorsClipCapacity(t *testing.T) {
+	g, err := Generate(GenConfig{N: 300, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Fingerprint(g)
+	for v := 0; v < g.N(); v++ {
+		if nb := g.Neighbors(v); cap(nb) != len(nb) {
+			t.Fatalf("Neighbors(%d): len %d, cap %d", v, len(nb), cap(nb))
+		}
+		_ = append(g.Neighbors(v), Neighbor{AS: -1})
+		rows := map[string][]int32{
+			"Customers": g.Customers(v), "Peers": g.Peers(v), "Providers": g.Providers(v),
+			"Related(Customer)": g.Related(v, Customer), "Related(Peer)": g.Related(v, Peer), "Related(Provider)": g.Related(v, Provider),
+		}
+		for name, row := range rows {
+			if cap(row) != len(row) {
+				t.Fatalf("%s(%d): len %d, cap %d", name, v, len(row), cap(row))
+			}
+			_ = append(row, -1)
+		}
+	}
+	if Fingerprint(g) != want {
+		t.Fatal("appending through the accessors wrote the graph's arrays")
+	}
+}
+
 // TestRelOutsideGraph: a pair with an endpoint outside [0, N), in either
 // position, names no link. The first endpoint used to index unchecked.
 func TestRelOutsideGraph(t *testing.T) {
