@@ -36,7 +36,7 @@ test: vet lint
 
 race:
 	# Extra -count on the packages with the most cross-goroutine traffic
-	# (metrics/trace hot paths, simulator epochs) before the full sweep.
+	# (metrics hot paths, simulator epochs) before the full sweep.
 	$(GO) test -race -count=2 ./internal/obs ./internal/netsim
 	# -short skips the single-goroutine sweeps that `make test` runs in
 	# full (bgp's every-destination oracle comparisons at N=3,000 and
@@ -75,7 +75,7 @@ fib-race:
 # deployment drives the whole pipeline per failure.
 span-race:
 	$(GO) test -race -count=5 ./internal/obs/span
-	$(GO) test -race -count=2 -run 'Convergence|Trace' ./internal/netsim ./internal/bgpsim
+	$(GO) test -race -count=2 -run 'ConvergenceTracing|NoTracer|SessionEventsTraced' ./internal/netsim ./internal/bgpsim
 
 # The tsdb concurrency surface: the single-writer sample path racing
 # snapshot/query/episode readers — the debug mux serving every endpoint
@@ -115,6 +115,8 @@ fuzz:
 	$(GO) test ./internal/topo -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/traffic -fuzz FuzzReadCSV -fuzztime 30s
 	$(GO) test ./internal/audit -fuzz FuzzChecker -fuzztime 30s
+	$(GO) test ./internal/audit -fuzz FuzzReadRecords -fuzztime 30s
+	$(GO) test ./internal/obs/span -fuzz FuzzReadRecords -fuzztime 30s
 	$(GO) test ./internal/bgp -fuzz FuzzIncrementalTable -fuzztime 30s
 	$(GO) test ./internal/bgp -fuzz FuzzCompactDest -fuzztime 30s
 	$(GO) test ./internal/netsim -fuzz FuzzFairShare -fuzztime 30s

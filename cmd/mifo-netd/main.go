@@ -31,7 +31,7 @@ func main() {
 		pkts    = flag.Int("pkts", 100, "packets to inject")
 		seed    = flag.Int64("seed", 1, "topology seed")
 		selfMon = flag.Bool("self", false, "derive congestion from measured socket traffic (EWMA link monitor) instead of a preset load")
-		dbgAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/trace and pprof on this address (e.g. :6060)")
+		dbgAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/tsdb/ and pprof on this address (e.g. :6060)")
 		linger  = flag.Duration("linger", 0, "keep running (and serving -debug-addr) this long after the experiment finishes")
 	)
 	flag.Parse()
@@ -74,23 +74,19 @@ func main() {
 	runtime := core.NewRuntime(dep, 5*time.Millisecond)
 
 	if *dbgAddr != "" {
-		// One registry and one trace cover the whole stack: the fabric's
-		// packet counters, the daemons' control-loop timings, and the
-		// structured deflection/FIB-update event stream.
-		tr := obs.NewTrace(0)
-		fabric.EnableTrace(tr)
-		dep.Trace = tr
+		// One registry covers the whole stack: the fabric's packet
+		// counters and the daemons' control-loop timings.
 		runtime.Instrument(fabric.Registry())
 		// Per-port utilization lands in the embedded TSDB; browse it (and
 		// run episode detection) at /debug/tsdb while the fabric runs.
 		db := tsdb.NewStore(tsdb.Options{})
 		fabric.AttachTSDB(db)
 		dep.AttachTSDB(db)
-		srv, err := obs.ServeDebug(*dbgAddr, fabric.Registry(), tr, db)
+		srv, err := obs.ServeDebug(*dbgAddr, fabric.Registry(), db)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("debug server on %s (/metrics, /debug/vars, /debug/trace, /debug/tsdb/, /debug/pprof/)\n", srv.URL())
+		fmt.Printf("debug server on %s (/metrics, /debug/vars, /debug/tsdb/, /debug/pprof/)\n", srv.URL())
 		defer srv.Close()
 	}
 
@@ -125,7 +121,10 @@ func main() {
 			fmt.Println("congested AS 0's default egress towards AS 1")
 		}
 	}
-	time.Sleep(30 * time.Millisecond) // let the daemons install alternatives
+	ingress := dep.Routers(src)[0]
+	if !waitAlt(ingress, int32(dst), time.Second) {
+		fmt.Printf("no alternative installed at AS %d after 1s; forwarding on defaults\n", src)
+	}
 
 	go func() {
 		for i := 0; i < *pkts; i++ {
@@ -142,7 +141,7 @@ func main() {
 				},
 				Dst: int32(dst),
 			}
-			fabric.Inject(p, dep.Routers(src)[0].ID)
+			fabric.Inject(p, ingress.ID)
 		}
 	}()
 
@@ -177,6 +176,21 @@ done:
 	if timedOut {
 		// An incomplete run is a failure: some packets were lost or looped.
 		os.Exit(1)
+	}
+}
+
+// waitAlt polls r's FIB until dst has an alternative port installed (the
+// daemons' first control epoch) or timeout passes, and reports which.
+func waitAlt(r *dataplane.Router, dst int32, timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for {
+		if e, ok := r.FIB.Lookup(dst); ok && e.Alt >= 0 {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

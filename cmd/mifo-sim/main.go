@@ -73,7 +73,7 @@ func main() {
 		db = tsdb.NewStore(tsdb.Options{})
 	}
 	if *dbgAddr != "" {
-		srv, err := obs.ServeDebug(*dbgAddr, reg, nil, db)
+		srv, err := obs.ServeDebug(*dbgAddr, reg, db)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)
 			os.Exit(1)

@@ -1,6 +1,68 @@
 package audit
 
-import "testing"
+import (
+	"bytes"
+	"io"
+	"testing"
+)
+
+// flightLog records a few flow paths — one deflected, one breaching the
+// valley-free rule — and returns the JSONL log, sealed or plain.
+func flightLog(tb testing.TB, plain bool) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	rec := NewRecorder(Options{Writer: &buf, Plain: plain, BatchSize: 2})
+	up := Step{Router: -1, AS: 1, Edge: EdgeUp, Tag: true}
+	across := Step{Router: -1, AS: 2, Edge: EdgeAcross, Deflected: true}
+	rec.RecordPath(PathRecord{Flow: 1, Dst: 9, BaselineLen: 2, Steps: []Step{up, {Router: -1, AS: 9}}})
+	rec.RecordPath(PathRecord{Flow: 2, Dst: 9, BaselineLen: 2, Steps: []Step{up, across, {Router: -1, AS: 9}}})
+	rec.RecordPath(PathRecord{Flow: 3, Dst: 9, Steps: []Step{up, {Router: -1, AS: 2, Edge: EdgeUp}, {Router: -1, AS: 9}}})
+	if err := rec.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzReadRecords feeds arbitrary bytes to the readers of an untrusted
+// flight log: ReadRecords → Summarize (and the report renderers), and
+// VerifyLog. A log file is input from outside the process, so the
+// property is that no input makes any of them panic, and that what they
+// accept is coherent.
+func FuzzReadRecords(f *testing.F) {
+	sealed := flightLog(f, false)
+	if _, err := VerifyLog(bytes.NewReader(sealed)); err != nil {
+		f.Fatalf("seed log does not verify: %v", err)
+	}
+	f.Add(sealed)
+	f.Add(flightLog(f, true))
+	f.Add(sealed[:len(sealed)/2])
+	f.Add(bytes.ReplaceAll(sealed, []byte(`"leaf":1`), []byte(`"leaf":-7`)))
+	f.Add([]byte(`{"kind":"seal","batch":1,"records":1,"root":"","prev":"","seal":""}`))
+	f.Add([]byte("{\"steps\":[{\"edge\":\"sideways\"}],\"violations\":[{\"invariant\":\"bogus\",\"step\":-3}]}\n\n{"))
+
+	f.Fuzz(func(t *testing.T, log []byte) {
+		n := 0
+		readErr := ReadRecords(bytes.NewReader(log), func(r Record) error {
+			FormatRecord(io.Discard, r)
+			n++
+			return nil
+		})
+		sum, err := Summarize(bytes.NewReader(log))
+		if (err == nil) != (readErr == nil) {
+			t.Fatalf("Summarize err = %v, ReadRecords err = %v", err, readErr)
+		}
+		if err == nil {
+			if sum.Records != n || sum.PathRecords+sum.PacketRecords != sum.Records {
+				t.Fatalf("summary of %d records counts %d (%d path + %d packet)",
+					n, sum.Records, sum.PathRecords, sum.PacketRecords)
+			}
+			sum.Format(io.Discard, 0)
+		}
+		if res, err := VerifyLog(bytes.NewReader(log)); err == nil && (res.Batches == 0 || res.Records == 0) {
+			t.Fatalf("VerifyLog accepted a log with %d batches, %d records", res.Batches, res.Records)
+		}
+	})
+}
 
 // FuzzChecker feeds arbitrary hop sequences to the online checker. The
 // checker runs inside forwarding hot paths, so the property under test is

@@ -51,9 +51,6 @@ type Options struct {
 	// counters, flush-latency and batch-size histograms, batches-sealed
 	// and proofs-emitted counters).
 	Registry *obs.Registry
-	// Trace, when non-nil and enabled, receives an EvCustom event per
-	// violation, so live debug endpoints surface breaches immediately.
-	Trace *obs.Trace
 	// KeepViolating bounds how many violating records are retained in
 	// memory for inspection (default 16, negative keeps none).
 	KeepViolating int
@@ -161,7 +158,6 @@ type Recorder struct {
 	leaves                      [][32]byte
 	pubDropped, pubBackpressure int64
 	keep                        int
-	trace                       *obs.Trace
 
 	recTotal, stepTotal, deflTotal  *obs.Counter
 	violVec                         *obs.CounterVec
@@ -179,7 +175,6 @@ func NewRecorder(o Options) *Recorder {
 		sampleLimit: ^uint32(0),
 		inflight:    make(map[asmKey]*journey),
 		keep:        o.KeepViolating,
-		trace:       o.Trace,
 		plain:       o.Plain,
 		batchSize:   o.BatchSize,
 		flushEvery:  o.FlushInterval,
@@ -545,29 +540,13 @@ func (rec *Recorder) appendStep(j *journey, s Step) {
 			rec.deflTotal.Inc()
 		}
 	}
-	if n := j.chk.Step(s); n > 0 {
+	// New violations reach the metrics here; finish folds them into
+	// Stats, under the snapshot lock.
+	if n := j.chk.Step(s); n > 0 && rec.violVec != nil {
 		vs := j.chk.Violations()
 		for _, v := range vs[len(vs)-n:] {
-			rec.noteViolation(j, v)
+			rec.violVec.With(v.Invariant.String()).Inc()
 		}
-	}
-}
-
-// noteViolation publishes one breach to metrics and trace (stats are
-// folded in at finish time, under the snapshot lock).
-func (rec *Recorder) noteViolation(j *journey, v Violation) {
-	if rec.violVec != nil {
-		rec.violVec.With(v.Invariant.String()).Inc()
-	}
-	if rec.trace.Enabled() {
-		node := int32(-1)
-		if v.Step < len(j.rec.Steps) {
-			node = j.rec.Steps[v.Step].AS
-		}
-		rec.trace.Emit(obs.Event{
-			Type: obs.EvCustom, Node: node, A: int64(j.rec.Dst), B: int64(v.Step),
-			Note: "audit: " + v.Invariant.String() + ": " + v.Detail,
-		})
 	}
 }
 

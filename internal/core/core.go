@@ -49,10 +49,6 @@ type Config struct {
 type Deployment struct {
 	Graph *topo.Graph
 	Net   *dataplane.Network
-	// Trace, when non-nil and enabled, receives an EvFIBUpdate event each
-	// time a daemon re-selects a destination's alternative — the audit
-	// trail of the control loop's choices.
-	Trace *obs.Trace
 	cfg   Config
 
 	// routersOf[v] lists the border routers of AS v.

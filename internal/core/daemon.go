@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/dataplane"
-	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/obs/tsdb"
 )
@@ -160,7 +158,6 @@ func (dm *Daemon) refreshInto(txs []*dataplane.FIBTx, t *bgp.Dest) {
 		for i := range rs {
 			txs[i].SetAlt(dst, -1, -1)
 		}
-		dm.traceUpdate(dst, Selection{Port: -1}, false)
 		return
 	}
 	for i, id := range rs {
@@ -172,7 +169,6 @@ func (dm *Daemon) refreshInto(txs []*dataplane.FIBTx, t *bgp.Dest) {
 		}
 	}
 	dm.noteSelection(sel)
-	dm.traceUpdate(dst, sel, true)
 }
 
 // noteSelection materializes the spare-capacity series for a chosen
@@ -201,24 +197,4 @@ func (dm *Daemon) sampleSpare() {
 		ref := dm.dep.egress[dm.as][via]
 		ser.Sample(ts, dm.dep.Net.Router(ref.router).SpareCapacity(ref.port))
 	}
-}
-
-// traceUpdate emits the FIB-update audit event for one destination
-// refresh when the deployment carries an enabled trace.
-func (dm *Daemon) traceUpdate(dst int32, sel Selection, chose bool) {
-	if !dm.dep.Trace.Enabled() {
-		return
-	}
-	e := obs.Event{
-		Time: time.Now().UnixNano(), Type: obs.EvFIBUpdate,
-		Node: int32(dm.as), A: int64(dst), B: int64(sel.Port),
-	}
-	if chose {
-		e.V = sel.SpareBps
-		e.Note = fmt.Sprintf("alt via AS %d (router %d port %d, spare %.0f bps)",
-			sel.Alt.Via, sel.Router, sel.Port, sel.SpareBps)
-	} else {
-		e.Note = "no alternative in RIB"
-	}
-	dm.dep.Trace.Emit(e)
 }

@@ -1,11 +1,6 @@
 package dataplane
 
-import (
-	"time"
-
-	"repro/internal/obs"
-	"repro/internal/topo"
-)
+import "repro/internal/topo"
 
 // Forward executes Algorithm 1 (the MIFO forwarding engine) for one packet
 // arriving on input port in (-1 for locally originated traffic). It mutates
@@ -23,13 +18,14 @@ import (
 //mifo:hotpath
 func (r *Router) Forward(p *Packet, in int) Action {
 	if r.Hop == nil {
-		return r.forward(p, in)
+		act, _ := r.forward(p, in)
+		return act
 	}
 	// Flight-recorder path: capture the arrival context, run the engine,
 	// then report the decision. Kept out of line so the common case pays
 	// one nil check.
 	h := r.hopInfo(p, in)
-	act := r.forward(p, in)
+	act, refused := r.forward(p, in)
 	h.Tag = p.Tag
 	h.LeftEncap = p.Encap
 	h.Deflected = act.Deflected
@@ -46,19 +42,23 @@ func (r *Router) Forward(p *Packet, in int) Action {
 	case act.Deflected:
 		h.AltTried = true
 		h.AltRel = h.OutRel
-	case act.Reason == DropValleyFree:
-		// The refused alternative: re-resolve the entry the engine used.
-		if e, ok := r.FIB.Lookup(p.Dst); ok && e.Alt >= 0 && e.Alt < len(r.Ports) {
-			h.AltTried = true
-			h.AltRel = r.Ports[e.Alt].Rel
-		}
+	case refused >= 0:
+		// The alternative the tag-check refused, from the same FIB read
+		// the engine decided on: a concurrent commit cannot swap it.
+		h.AltTried = true
+		h.AltRel = r.Ports[refused].Rel
 	}
 	r.Hop(p, h)
 	return act
 }
 
+// forward is the engine proper. Besides the action it returns the
+// alternative port the valley-free tag-check refused (-1 unless the
+// action is a DropValleyFree), so Forward can describe the refusal without
+// a second FIB lookup.
+//
 //mifo:hotpath
-func (r *Router) forward(p *Packet, in int) Action {
+func (r *Router) forward(p *Packet, in int) (Action, int) {
 	// Lines 1-3: strip the outer IP header of an encapsulated packet and
 	// remember the sender (an iBGP peer).
 	sender := RouterID(-1)
@@ -66,7 +66,7 @@ func (r *Router) forward(p *Packet, in int) Action {
 		if p.OuterDst != r.ID {
 			// iBGP peers are directly connected (full mesh, Section IV);
 			// a foreign outer destination is a wiring error.
-			return r.countDrop(DropNoRoute, p)
+			return Action{Verdict: VerdictDrop, Reason: DropNoRoute}, -1
 		}
 		sender = p.OuterSrc
 		p.Encap = false
@@ -75,13 +75,13 @@ func (r *Router) forward(p *Packet, in int) Action {
 
 	// Local delivery: the packet reached its destination AS.
 	if r.Local[p.Dst] {
-		return Action{Verdict: VerdictDeliver}
+		return Action{Verdict: VerdictDeliver}, -1
 	}
 
 	// Line 4: FIB lookup.
 	e, ok := r.FIB.Lookup(p.Dst)
 	if !ok {
-		return r.countDrop(DropNoRoute, p)
+		return Action{Verdict: VerdictDrop, Reason: DropNoRoute}, -1
 	}
 
 	// Lines 5-10: at the packet entering point, tag one bit with the
@@ -106,21 +106,19 @@ func (r *Router) forward(p *Packet, in int) Action {
 			p.Encap = true
 			p.OuterSrc = r.ID
 			p.OuterDst = e.AltVia
-			r.countDeflect(obs.EvEncap, p, e.Alt, int64(e.AltVia), bounced)
-			return Action{Verdict: VerdictForward, Port: e.Alt, Deflected: true}
+			return Action{Verdict: VerdictForward, Port: e.Alt, Deflected: true}, -1
 		}
 		// Lines 16-20: tag-check. The alternative is valley-free iff the
 		// downstream neighbor is a customer or the packet entered this AS
 		// from a customer.
 		if r.DisableTagCheck || alt.Rel == topo.Customer || p.Tag {
-			r.countDeflect(obs.EvDeflect, p, e.Alt, int64(alt.PeerAS), bounced)
-			return Action{Verdict: VerdictForward, Port: e.Alt, Deflected: true}
+			return Action{Verdict: VerdictForward, Port: e.Alt, Deflected: true}, -1
 		}
-		return r.countDrop(DropValleyFree, p)
+		return Action{Verdict: VerdictDrop, Reason: DropValleyFree}, e.Alt
 	}
 
 	// Line 22: default path.
-	return Action{Verdict: VerdictForward, Port: e.Out}
+	return Action{Verdict: VerdictForward, Port: e.Out}, -1
 }
 
 //mifo:hotpath
@@ -129,26 +127,4 @@ func (r *Router) deflect(k FlowKey) bool {
 		return true
 	}
 	return r.Deflect(k)
-}
-
-// countDeflect records an alternative-path decision: the deflection
-// counter always, a trace event when a trace is attached. via is the
-// next-hop identity (outer destination router for encap, peer AS for a
-// direct eBGP deflection); bounced distinguishes the iBGP hand-back case
-// from a congestion-triggered deflection.
-//
-//mifo:hotpath
-func (r *Router) countDeflect(typ obs.EventType, p *Packet, port int, via int64, bounced bool) {
-	r.deflections.Add(1)
-	if !r.Trace.Enabled() {
-		return
-	}
-	note := "congested default"
-	if bounced {
-		note = "bounced by iBGP peer"
-	}
-	r.Trace.Emit(obs.Event{
-		Time: time.Now().UnixNano(), Type: typ, Node: int32(r.ID),
-		A: int64(p.Dst), B: via, V: r.SpareCapacity(port), Note: note,
-	})
 }

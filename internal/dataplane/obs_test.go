@@ -3,7 +3,6 @@ package dataplane
 import (
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/topo"
 )
 
@@ -18,89 +17,36 @@ func twoPortRouter(alt topo.Rel) *Router {
 	return r
 }
 
+// TestRouterDropCountersByReason: every drop the engine decides comes back
+// in the returned Action and reaches the Hop hook with the same reason, so
+// a hook can count drops by reason.
 func TestRouterDropCountersByReason(t *testing.T) {
+	var drops [4]int
+	hook := func(_ *Packet, h HopInfo) {
+		if h.Verdict == VerdictDrop {
+			drops[h.Reason]++
+		}
+	}
+	want := func(act Action, reason DropReason) {
+		t.Helper()
+		if act.Verdict != VerdictDrop || act.Reason != reason {
+			t.Fatalf("action = %+v, want a %v drop", act, reason)
+		}
+	}
+
 	r := NewRouter(0, 1)
-	p := &Packet{Dst: 9, TTL: 8}
-	if act := r.Forward(p, -1); act.Reason != DropNoRoute {
-		t.Fatalf("verdict = %+v, want no-route drop", act)
-	}
-	if got := r.Drops(DropNoRoute); got != 1 {
-		t.Errorf("Drops(no-route) = %d, want 1", got)
-	}
+	r.Hop = hook
+	want(r.Forward(&Packet{Dst: 9, TTL: 8}, -1), DropNoRoute)
 
 	// A peer-class alternative with an unset tag fails the tag-check.
 	r2 := twoPortRouter(topo.Peer)
-	p2 := &Packet{Dst: 7, TTL: 8}
+	r2.Hop = hook
 	in := 0 // entered from the provider port: tag stays false
-	if act := r2.Forward(p2, in); act.Reason != DropValleyFree {
-		t.Fatalf("verdict = %+v, want valley-free drop", act)
-	}
-	if got := r2.Drops(DropValleyFree); got != 1 {
-		t.Errorf("Drops(valley-free) = %d, want 1", got)
-	}
-	if got := r2.Drops(DropNone); got != 0 {
-		t.Errorf("Drops(none) = %d, want 0", got)
-	}
-	if got := r2.Drops(DropReason(99)); got != 0 {
-		t.Errorf("Drops(out-of-range) = %d, want 0", got)
-	}
-}
+	want(r2.Forward(&Packet{Dst: 7, TTL: 8}, in), DropValleyFree)
+	want(r2.DropExpired(&Packet{Dst: 7}, in), DropTTL)
 
-func TestRouterDeflectionCounterAndTrace(t *testing.T) {
-	r := twoPortRouter(topo.Customer)
-	tr := obs.NewTrace(16)
-	r.Trace = tr
-	p := &Packet{Dst: 7, TTL: 8}
-	act := r.Forward(p, -1) // host-originated: tag set, deflection admissible
-	if act.Verdict != VerdictForward || !act.Deflected {
-		t.Fatalf("verdict = %+v, want deflected forward", act)
-	}
-	if got := r.Deflections(); got != 1 {
-		t.Errorf("Deflections = %d, want 1", got)
-	}
-	events := tr.Snapshot()
-	if len(events) != 1 {
-		t.Fatalf("trace events = %d, want 1", len(events))
-	}
-	e := events[0]
-	if e.Type != obs.EvDeflect || e.Node != 0 || e.A != 7 || e.B != 3 {
-		t.Errorf("deflect event = %+v", e)
-	}
-	if e.Note != "congested default" {
-		t.Errorf("note = %q", e.Note)
-	}
-}
-
-func TestRouterEncapTraceEvent(t *testing.T) {
-	r := NewRouter(0, 1)
-	out := r.AddPort(Port{Kind: EBGP, Peer: 1, PeerAS: 2, Rel: topo.Provider, CapacityBps: 1e9})
-	ib := r.AddPort(Port{Kind: IBGP, Peer: 5, PeerAS: 1, CapacityBps: 1e10})
-	r.FIB.Set(7, FIBEntry{Out: out, Alt: ib, AltVia: 5})
-	r.SetQueueRatio(out, 1)
-	tr := obs.NewTrace(16)
-	r.Trace = tr
-
-	p := &Packet{Dst: 7, TTL: 8}
-	act := r.Forward(p, -1)
-	if !act.Deflected || !p.Encap {
-		t.Fatalf("want encapsulating deflection, got %+v (encap=%v)", act, p.Encap)
-	}
-	events := tr.Snapshot()
-	if len(events) != 1 || events[0].Type != obs.EvEncap || events[0].B != 5 {
-		t.Fatalf("encap event = %+v", events)
-	}
-}
-
-func TestRouterTraceDropEvent(t *testing.T) {
-	r := twoPortRouter(topo.Peer)
-	tr := obs.NewTrace(16)
-	r.Trace = tr
-	if act := r.Forward(&Packet{Dst: 7, TTL: 8}, 0); act.Reason != DropValleyFree {
-		t.Fatalf("want valley-free drop, got %+v", act)
-	}
-	events := tr.Snapshot()
-	if len(events) != 1 || events[0].Type != obs.EvTagDrop {
-		t.Fatalf("tag-drop event = %+v", events)
+	if wantDrops := [4]int{DropNoRoute: 1, DropValleyFree: 1, DropTTL: 1}; drops != wantDrops {
+		t.Errorf("hook counted drops %v, want %v", drops, wantDrops)
 	}
 }
 
@@ -113,25 +59,72 @@ func TestNetworkSendCountsTTLDrop(t *testing.T) {
 	pa, pb := n.Connect(a.ID, b.ID, EBGP, topo.Customer, 1e9)
 	a.FIB.Set(7, FIBEntry{Out: pa, Alt: -1, AltVia: -1})
 	b.FIB.Set(7, FIBEntry{Out: pb, Alt: -1, AltVia: -1})
+	ttlDrops := map[RouterID]int{}
+	for _, r := range n.Routers {
+		r.Hop = func(_ *Packet, h HopInfo) {
+			if h.Reason == DropTTL {
+				ttlDrops[h.Router]++
+			}
+		}
+	}
 	res := n.Send(&Packet{Dst: 7, TTL: 6}, a.ID)
-	if res.Reason != DropTTL {
+	if res.Verdict != VerdictDrop || res.Reason != DropTTL {
 		t.Fatalf("want TTL drop, got %+v", res)
 	}
-	if got := n.Router(res.At).Drops(DropTTL); got != 1 {
-		t.Errorf("TTL drops at router %d = %d, want 1", res.At, got)
+	if len(ttlDrops) != 1 || ttlDrops[res.At] != 1 {
+		t.Errorf("TTL drops by router = %v, want one at router %d", ttlDrops, res.At)
 	}
 }
 
-// The hot path must not pay for tracing when no trace is attached.
-func BenchmarkForwardDefaultPathNoTrace(b *testing.B) {
-	r := NewRouter(0, 1)
-	out := r.AddPort(Port{Kind: EBGP, Peer: 1, PeerAS: 2, Rel: topo.Customer, CapacityBps: 1e9})
-	r.FIB.Set(7, FIBEntry{Out: out, Alt: -1, AltVia: -1})
+// TestHopRefusalMatchesDecidingEntry: the alternative a valley-free drop
+// reports refusing must be the one the engine refused, even while a writer
+// commits FIB generations concurrently (netd runs the daemons beside the
+// forwarding loops). Untagged packets are dropped only while the
+// alternative is the peer port — a customer alternative deflects — so
+// every such drop must describe a peer-class refusal. Re-reading the FIB
+// to describe the drop would sometimes see the customer generation and
+// report a refusal the auditor flags as an unjustified tag-drop.
+func TestHopRefusalMatchesDecidingEntry(t *testing.T) {
+	r := twoPortRouter(topo.Peer)
+	e, _ := r.FIB.Lookup(7)
+	cust := r.AddPort(Port{Kind: EBGP, Peer: 3, PeerAS: 4, Rel: topo.Customer, CapacityBps: 1e9})
+	alts := [2]int{e.Alt, cust}
+
+	var drops, wrong int
+	r.Hop = func(_ *Packet, h HopInfo) {
+		if h.Reason != DropValleyFree {
+			return
+		}
+		drops++
+		if !h.AltTried || h.AltRel != topo.Peer {
+			wrong++
+		}
+	}
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i ^= 1 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r.FIB.SetAlt(7, alts[i], e.AltVia)
+		}
+	}()
 	p := &Packet{Dst: 7}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.TTL = 8
-		p.Tag = false
-		r.Forward(p, -1)
+	for i := 0; i < 200_000; i++ {
+		r.Forward(p, 0) // from the provider port: the tag stays clear
+	}
+	close(stop)
+	<-done
+
+	if drops == 0 {
+		t.Fatal("scenario drifted: no valley-free drops")
+	}
+	if wrong != 0 {
+		t.Fatalf("%d of %d valley-free drops described another generation's alternative", wrong, drops)
 	}
 }

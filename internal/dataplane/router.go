@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/topo"
 )
 
@@ -127,21 +125,11 @@ type Router struct {
 	// demonstrate and measure the data-plane loops the check prevents
 	// (Fig. 2(a)); never disable it in a real deployment.
 	DisableTagCheck bool
-	// Trace, when non-nil and enabled, receives a structured event for
-	// every deflection, encapsulation, and drop the engine decides — the
-	// forwarding-decision audit stream. A nil trace costs one pointer
-	// check on the affected branches and nothing on the default path.
-	Trace *obs.Trace
 	// Hop, when non-nil, is called once per Forward with the full decision
-	// context — the flight-recorder hook (see internal/audit). A nil hook
-	// costs a single pointer check on the hot path.
+	// context — the single observer of forwarding decisions (the flight
+	// recorder installs it, see internal/audit). A nil hook costs a single
+	// pointer check on the hot path.
 	Hop HopFunc
-
-	// drops counts discarded packets by DropReason; deflections counts
-	// packets sent to the alternative path. Exposed via Drops and
-	// Deflections so operators can ask a live router where traffic dies.
-	drops       [4]atomic.Int64
-	deflections atomic.Int64
 }
 
 // NewRouter returns a MIFO-enabled router with an empty FIB.
@@ -198,19 +186,6 @@ func (r *Router) Congested(port int) bool {
 	return r.QueueRatio(port) >= r.CongestionThreshold
 }
 
-// Drops returns how many packets this router discarded for the given
-// reason (DropNone always reads 0).
-func (r *Router) Drops(reason DropReason) int64 {
-	if reason < 0 || int(reason) >= len(r.drops) {
-		return 0
-	}
-	return r.drops[reason].Load()
-}
-
-// Deflections returns how many packets this router sent to an alternative
-// path (directly or via iBGP encapsulation).
-func (r *Router) Deflections() int64 { return r.deflections.Load() }
-
 // HopInfo is the flight recorder's view of one forwarding decision: the
 // packet's arrival context, the tag/encap state it left with, and the
 // verdict. Router.Hop receives one per Forward call.
@@ -252,11 +227,11 @@ type HopFunc func(p *Packet, h HopInfo)
 
 // DropExpired records a TTL-exhausted packet: transports that manage TTL
 // outside Forward (Network.Send, netd, packetsim) route the drop through
-// here so counters, trace and the flight-recorder hook all see it.
+// here so the Hop hook sees it like any other decision.
 //
 //mifo:hotpath
 func (r *Router) DropExpired(p *Packet, in int) Action {
-	act := r.countDrop(DropTTL, p)
+	act := Action{Verdict: VerdictDrop, Reason: DropTTL}
 	if r.Hop != nil {
 		h := r.hopInfo(p, in)
 		h.Tag = p.Tag
@@ -283,23 +258,4 @@ func (r *Router) hopInfo(p *Packet, in int) HopInfo {
 		h.FromAS = pt.PeerAS
 	}
 	return h
-}
-
-// countDrop records a drop and traces it, then builds the drop action. It
-// is the single bookkeeping point for every discard the engine decides.
-//
-//mifo:hotpath
-func (r *Router) countDrop(reason DropReason, p *Packet) Action {
-	r.drops[reason].Add(1)
-	if r.Trace.Enabled() {
-		typ := obs.EvDrop
-		if reason == DropValleyFree {
-			typ = obs.EvTagDrop
-		}
-		r.Trace.Emit(obs.Event{
-			Time: time.Now().UnixNano(), Type: typ, Node: int32(r.ID),
-			A: int64(reason), B: int64(p.Dst), Note: reason.String(),
-		})
-	}
-	return Action{Verdict: VerdictDrop, Reason: reason}
 }

@@ -269,19 +269,11 @@ func (f *Fabric) Inject(p *dataplane.Packet, origin dataplane.RouterID) {
 // debug endpoint or for sharing with other instrumented components.
 func (f *Fabric) Registry() *obs.Registry { return f.reg }
 
-// EnableTrace attaches a forwarding-decision trace to every router of the
-// fabric. Pass nil to detach.
-func (f *Fabric) EnableTrace(tr *obs.Trace) {
-	for _, nd := range f.nodes {
-		nd.router.Trace = tr
-	}
-}
-
 // AttachRecorder installs a flight recorder as the hop hook on every
 // router, so each sampled packet's journey across the UDP fabric is
 // recorded and audited (hops are stitched by the packet ID carried in the
-// IPv4 Identification field). Pass nil to detach. Like EnableTrace, call
-// it before Start: the hook field is read unlocked on the receive path.
+// IPv4 Identification field). Pass nil to detach. Call it before Start:
+// the hook field is read unlocked on the receive path.
 func (f *Fabric) AttachRecorder(rec *audit.Recorder) {
 	f.recorder = rec
 	var hook dataplane.HopFunc

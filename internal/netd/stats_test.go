@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/dataplane"
-	"repro/internal/obs"
 	"repro/internal/topo"
 )
 
@@ -21,9 +21,9 @@ func outcomes(s Stats) int64 {
 // TestStatsInvariantUnderLoad asserts the conservation invariant documented
 // on Stats — Received + Injected == Forwarded + Delivered + drops +
 // ParseErrors — after a multi-node run with concurrent daemon goroutines,
-// live tracing, and the link monitor all running. The Makefile's race
-// matrix runs this package under -race, so the invariant doubles as a data
-// race probe over every counter path.
+// a flight recorder on every router's hop hook, and the link monitor all
+// running. The Makefile's race matrix runs this package under -race, so
+// the invariant doubles as a data race probe over every counter path.
 func TestStatsInvariantUnderLoad(t *testing.T) { forEachPath(t, testStatsInvariantUnderLoad) }
 
 func testStatsInvariantUnderLoad(t *testing.T, single bool) {
@@ -42,7 +42,9 @@ func testStatsInvariantUnderLoad(t *testing.T, single bool) {
 	}
 
 	f := newFabric(t, dep.Net, single)
-	f.EnableTrace(obs.NewTrace(512))
+	rec := audit.NewRecorder(audit.Options{})
+	defer rec.Close()
+	f.AttachRecorder(rec)
 	f.Start()
 	stopMon := f.MonitorLoads(2 * time.Millisecond)
 	defer stopMon()

@@ -1,12 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/bgp"
-	"repro/internal/obs"
-)
+import "repro/internal/bgp"
 
 // adaptFlow performs one MIFO control decision for a flow: return to a
 // decongested default path, or deflect away from the first congested egress
@@ -34,14 +28,6 @@ func (s *Sim) adaptFlow(st *flowState, table *bgp.Dest) bool {
 		claim := s.spare(st.trigLink)
 		if claim < st.rate {
 			claim = st.rate
-		}
-		if s.cfg.Trace.Enabled() {
-			s.cfg.Trace.Emit(obs.Event{
-				Time: int64(s.now * 1e9), Type: obs.EvReturn,
-				Node: int32(s.linkOwner(st.trigLink)), A: int64(st.ID), V: claim,
-				Note: fmt.Sprintf("flow %d back on default: trigger link util %.2f <= %.2f",
-					st.ID, s.util(st.trigLink), s.cfg.ReturnThreshold),
-			})
 		}
 		s.setPath(st, st.defPath, claim)
 		st.onAlt = false
@@ -81,15 +67,6 @@ func (s *Sim) adaptFlow(st *flowState, table *bgp.Dest) bool {
 		// originated here.
 		bit := i == 0 || s.g.IsCustomer(u, st.path[i-1])
 		if newPath, claim, ok := s.bestAlternative(table, st.path, st.links, i, bit, expected); ok {
-			if s.cfg.Trace.Enabled() {
-				s.cfg.Trace.Emit(obs.Event{
-					Time: int64(s.now * 1e9), Type: obs.EvDeflect,
-					Node: int32(u), A: int64(st.ID), B: int64(newPath[i+1]), V: claim,
-					Note: fmt.Sprintf(
-						"flow %d deflected at border AS %d: egress util %.2f, via AS %d; ranking [%s]",
-						st.ID, u, s.util(egress), newPath[i+1], strings.Join(s.rank, " ")),
-				})
-			}
 			if !st.onAlt {
 				st.trigLink = egress
 			}
@@ -134,17 +111,9 @@ const switchDamping = 1.6
 // Candidates are spliced in Sim scratch (the RIB in ribBuf, the route from
 // u onward in cand, its link ids in candLinks) and only the winner is
 // copied out, so an epoch that moves no flow allocates nothing here.
-//
-// When the trace is enabled it also rebuilds s.rank with every admissible
-// candidate's quality estimate ("AS<via>:<spare bps>", RIB order), so the
-// caller's deflection event records the ranking that drove the choice.
 func (s *Sim) bestAlternative(table *bgp.Dest, path []int, links []int32, i int, bit bool, expected float64) ([]int, float64, bool) {
 	u := path[i]
 	curNext := path[i+1]
-	ranking := s.cfg.Trace.Enabled()
-	if ranking {
-		s.rank = s.rank[:0]
-	}
 	// Never splice across a failed link: the border router's RIB entry may
 	// predate the failure, but its line card knows the link is down. The
 	// hops before u are the same for every candidate.
@@ -187,13 +156,7 @@ func (s *Sim) bestAlternative(table *bgp.Dest, path []int, links []int32, i int,
 		case QualityFirst:
 			// Route preference only: the RIB is sorted best-first, so
 			// the first admissible candidate wins.
-			if ranking {
-				s.rank = append(s.rank, fmt.Sprintf("AS%d:%.0f", alt.Via, sp))
-			}
 			return joinPath(path[:i], s.cand), sp, true
-		}
-		if ranking {
-			s.rank = append(s.rank, fmt.Sprintf("AS%d:%.0f", alt.Via, sp))
 		}
 		if sp > bestSpare {
 			// Keep the candidate; the next one is built in the other buffer.

@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventq"
 	"repro/internal/miro"
-	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/obs/tsdb"
 	"repro/internal/topo"
@@ -106,12 +105,6 @@ type Config struct {
 	MIRO miro.Config
 	// Workers bounds parallelism for route precomputation (0 = all CPUs).
 	Workers int
-	// Trace, when non-nil and enabled, receives the forwarding-decision
-	// audit stream: every deflection and return with the flow, the
-	// deciding border AS, and the spare-capacity ranking that drove the
-	// choice (Section III-C), plus a snapshot event per control epoch.
-	// Event times are virtual simulation time in nanoseconds.
-	Trace *obs.Trace
 	// Recorder, when non-nil, receives one flow-granularity flight record
 	// per installed path (arrival, deflection, return, control-plane
 	// repair), each run through the online invariant auditor. MIRO paths
@@ -250,7 +243,6 @@ type Sim struct {
 	tree     fairTree  // scratch for max-min: bottleneck selection (rates.go)
 	dirty    []int32   // scratch for max-min: links one round's freezes moved
 	isDirty  []bool    // scratch for max-min: link is in dirty
-	rank     []string  // scratch: candidate ranking for trace notes
 
 	// Failure state. repairedTab is the control plane's post-failure view:
 	// a clone of tab (sharing its per-destination tables) evolved by
@@ -683,7 +675,6 @@ func (s *Sim) handleEpoch() {
 		if moved > 0 {
 			s.afterTopologyChange()
 		}
-		s.traceEpoch(moved)
 		s.sampleTSDB()
 	}
 	// Keep ticking while there is anything an epoch could still influence.
@@ -694,35 +685,6 @@ func (s *Sim) handleEpoch() {
 		s.queue.Push(s.now+s.cfg.ControlInterval, evEpoch, nil)
 		s.epochOn = true
 	}
-}
-
-// traceEpoch emits the control-epoch summary snapshot: active flows, flows
-// moved this epoch, flows currently on an alternative path, and the worst
-// link utilization (over intact links).
-func (s *Sim) traceEpoch(moved int) {
-	if !s.cfg.Trace.Enabled() {
-		return
-	}
-	onAlt := 0
-	for _, fi := range s.active {
-		if s.flows[fi].onAlt {
-			onAlt++
-		}
-	}
-	maxUtil := 0.0
-	for l := 0; l < s.numLinks; l++ {
-		if s.capac[l] <= 0 {
-			continue
-		}
-		if u := s.load[l] / s.capac[l]; u > maxUtil {
-			maxUtil = u
-		}
-	}
-	s.cfg.Trace.Emit(obs.Event{
-		Time: int64(s.now * 1e9), Type: obs.EvEpoch,
-		A: int64(len(s.active)), B: int64(moved), V: maxUtil,
-		Note: fmt.Sprintf("%d/%d flows on alt paths, max link util %.2f", onAlt, len(s.active), maxUtil),
-	})
 }
 
 // afterTopologyChange recomputes fair rates and reschedules the next

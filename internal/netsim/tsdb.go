@@ -13,13 +13,13 @@ import (
 // run-wide gauges. Link series are registered lazily — only links that
 // climb past the watermark (or actually deflect a flow) get a series —
 // so a 1000-AS topology with ~9000 directed links stays cheap: the
-// sample path touches an O(numLinks) float scan (the same cost as the
-// existing traceEpoch) and a handful of ring writes.
+// sample path touches an O(numLinks) float scan and a handful of ring
+// writes.
 //
 // Series are labeled (run, link): one simulator process runs many sims
 // (a fig8 sweep is ten), and the run label keeps their time axes and
 // cumulative counters from mixing. Timestamps are virtual simulation
-// time in nanoseconds, like trace events.
+// time in nanoseconds.
 
 // tsdbWatermarkShare, times CongestionThreshold, is the utilization above
 // which a link's series are materialized. Links that deflect a flow are

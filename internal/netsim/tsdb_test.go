@@ -89,28 +89,3 @@ func TestTSDBRunLabelsSeparateRuns(t *testing.T) {
 		t.Fatalf("expected 2 distinct run labels, got %v", runs)
 	}
 }
-
-// TestTSDBAbsentLeavesRunIdentical: instrumentation must not change
-// simulation outcomes.
-func TestTSDBAbsentLeavesRunIdentical(t *testing.T) {
-	g := fig2aGraph(t)
-	flows := []traffic.Flow{
-		{ID: 0, Src: 1, Dst: 0, SizeBits: 100 * mb, Arrival: 0},
-		{ID: 1, Src: 1, Dst: 0, SizeBits: 200 * mb, Arrival: 0.05},
-	}
-	plain, err := Run(g, flows, Config{Policy: PolicyMIFO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	instr, err := Run(g, flows, Config{Policy: PolicyMIFO, TSDB: tsdb.NewStore(tsdb.Options{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain.Flows {
-		p, q := plain.Flows[i], instr.Flows[i]
-		if p.ThroughputBps != q.ThroughputBps || p.UsedAlt != q.UsedAlt || p.Switches != q.Switches ||
-			p.OffloadedBits != q.OffloadedBits {
-			t.Fatalf("flow %d diverged with TSDB attached: %+v vs %+v", i, p, q)
-		}
-	}
-}

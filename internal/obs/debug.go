@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"expvar"
 	"net"
 	"net/http"
@@ -18,12 +17,11 @@ import (
 //	/metrics        Prometheus text exposition of reg
 //	/debug/vars     the process expvar namespace (reg is published there)
 //	/debug/pprof/   the standard pprof handlers
-//	/debug/trace    JSON dump of the trace ring (404 when tr is nil)
 //	/debug/tsdb/    the time-series store's query API (404 when db is nil):
 //	                index, /debug/tsdb/query, /debug/tsdb/episodes
 //
 // reg may be nil to serve only pprof and expvar.
-func NewDebugMux(reg *Registry, tr *Trace, db *tsdb.Store) *http.ServeMux {
+func NewDebugMux(reg *Registry, db *tsdb.Store) *http.ServeMux {
 	mux := http.NewServeMux()
 	if reg != nil {
 		reg.PublishExpvar("mifo")
@@ -38,17 +36,6 @@ func NewDebugMux(reg *Registry, tr *Trace, db *tsdb.Store) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if tr != nil {
-		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", " ")
-			enc.Encode(struct {
-				Total  uint64  `json:"total"`
-				Events []Event `json:"events"`
-			}{Total: tr.Total(), Events: tr.Snapshot()})
-		})
-	}
 	if db != nil {
 		mux.Handle("/debug/tsdb", http.RedirectHandler("/debug/tsdb/", http.StatusMovedPermanently))
 		mux.Handle("/debug/tsdb/", http.StripPrefix("/debug/tsdb", db.Handler()))
@@ -123,12 +110,12 @@ func (d *DebugServer) Close() error {
 // ServeDebug listens on addr (e.g. "localhost:6060" or ":0") and serves
 // the debug mux in the background. Close the returned server to stop;
 // its Addr/Port/URL report where the listener actually bound.
-func ServeDebug(addr string, reg *Registry, tr *Trace, db *tsdb.Store) (*DebugServer, error) {
+func ServeDebug(addr string, reg *Registry, db *tsdb.Store) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: NewDebugMux(reg, tr, db)}
+	srv := &http.Server{Handler: NewDebugMux(reg, db)}
 	go srv.Serve(ln)
 	return &DebugServer{srv: srv, addr: ln.Addr()}, nil
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -11,10 +10,8 @@ import (
 func TestDebugEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("dbg_pkts_total", "packets").Add(9)
-	tr := NewTrace(8)
-	tr.Emit(Event{Type: EvDeflect, Node: 2, A: 7, V: 5e8, Note: "spare 500 Mbps"})
 
-	srv, err := ServeDebug("127.0.0.1:0", reg, tr, nil)
+	srv, err := ServeDebug("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,37 +44,22 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Errorf("/debug/pprof/ code=%d", code)
 	}
 
-	code, body = get("/debug/trace")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/trace code=%d", code)
-	}
-	var dump struct {
-		Total  uint64  `json:"total"`
-		Events []Event `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(body), &dump); err != nil {
-		t.Fatalf("/debug/trace not JSON: %v\n%s", err, body)
-	}
-	if dump.Total != 1 || len(dump.Events) != 1 || dump.Events[0].Note != "spare 500 Mbps" {
-		t.Errorf("/debug/trace dump = %+v", dump)
-	}
-	if !strings.Contains(body, `"type": "deflect"`) {
-		t.Errorf("event type not rendered as text: %s", body)
-	}
 }
 
-func TestDebugMuxWithoutTrace(t *testing.T) {
-	srv, err := ServeDebug("127.0.0.1:0", NewRegistry(), nil, nil)
+// TestDebugMuxWithoutStore: the tsdb query API is mounted only when a
+// store is given.
+func TestDebugMuxWithoutStore(t *testing.T) {
+	srv, err := ServeDebug("127.0.0.1:0", NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	resp, err := http.Get(srv.URL() + "/debug/trace")
+	resp, err := http.Get(srv.URL() + "/debug/tsdb/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/debug/trace without trace: code=%d, want 404", resp.StatusCode)
+		t.Errorf("/debug/tsdb/ without a store: code=%d, want 404", resp.StatusCode)
 	}
 }

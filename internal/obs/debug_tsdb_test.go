@@ -36,7 +36,7 @@ func getTSDB(t *testing.T, mux *http.ServeMux, path string) (int, string) {
 // TestDebugTSDBGoldenJSON pins the exact JSON the mounted /debug/tsdb
 // endpoint serves — the contract mifo-top and any dashboard scrape.
 func TestDebugTSDBGoldenJSON(t *testing.T) {
-	mux := NewDebugMux(nil, nil, tsdbFixture())
+	mux := NewDebugMux(nil, tsdbFixture())
 
 	code, body := getTSDB(t, mux, "/debug/tsdb/")
 	if code != http.StatusOK {
@@ -156,7 +156,7 @@ func TestDebugTSDBGoldenJSON(t *testing.T) {
 	}
 
 	// A store with no installed spec answers 412, not a junk report.
-	bare := NewDebugMux(nil, nil, tsdb.NewStore(tsdb.Options{}))
+	bare := NewDebugMux(nil, tsdb.NewStore(tsdb.Options{}))
 	if code, _ = getTSDB(t, bare, "/debug/tsdb/episodes"); code != http.StatusPreconditionFailed {
 		t.Errorf("episodes without spec: code = %d, want 412", code)
 	}
@@ -165,7 +165,7 @@ func TestDebugTSDBGoldenJSON(t *testing.T) {
 // TestDebugTSDBRedirect: the bare mount point redirects to the slashed
 // form so curl http://host/debug/tsdb works.
 func TestDebugTSDBRedirect(t *testing.T) {
-	mux := NewDebugMux(nil, nil, tsdbFixture())
+	mux := NewDebugMux(nil, tsdbFixture())
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/tsdb", nil))
 	if rec.Code != http.StatusMovedPermanently || rec.Header().Get("Location") != "/debug/tsdb/" {
@@ -182,7 +182,7 @@ func TestDebugTSDBConcurrentSampling(t *testing.T) {
 		Util: "netsim_link_util", Threshold: 0.95, Window: 5, MaxGap: 1e9,
 	})
 	s := db.SeriesVec("netsim_link_util", "link utilization fraction", "run", "link").With("1", "7")
-	mux := NewDebugMux(nil, nil, db)
+	mux := NewDebugMux(nil, db)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -84,7 +84,7 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	v.With("fib_swap").Observe(0.5)
 
 	rec := httptest.NewRecorder()
-	NewDebugMux(r, nil, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	NewDebugMux(r, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /metrics = %d, want 200", rec.Code)
 	}

@@ -12,8 +12,8 @@ import (
 // TestFlightRecorderAuditsPacketRun drives the emergent-deflection MIFO
 // scenario with a recorder at 100% sampling and checks the acceptance
 // properties at packet granularity: zero invariant violations, and the
-// deflection count reconstructed from JSONL alone equals the routers' own
-// deflection counters.
+// deflection count reconstructed from JSONL alone equals the deflected
+// decisions the routers' Hop hooks reported.
 func TestFlightRecorderAuditsPacketRun(t *testing.T) {
 	n := dataplane.NewNetwork()
 	r1 := n.AddRouter(1)
@@ -40,6 +40,18 @@ func TestFlightRecorderAuditsPacketRun(t *testing.T) {
 	// exact-count assertions below hold.
 	rec := audit.NewRecorder(audit.Options{Writer: &buf, SegmentCap: 1 << 13})
 	sim := New(n, Config{Recorder: rec})
+	// Count deflected decisions through a hook wrapped around the one New
+	// installed: the sim's event loop is single-threaded.
+	var hookDeflections int64
+	for _, r := range n.Routers {
+		inner := r.Hop
+		r.Hop = func(p *dataplane.Packet, h dataplane.HopInfo) {
+			if h.Deflected {
+				hookDeflections++
+			}
+			inner(p, h)
+		}
+	}
 	for _, k := range []dataplane.FlowKey{
 		{SrcAddr: 1, DstAddr: 4, SrcPort: 2, Proto: 6},
 		{SrcAddr: 1, DstAddr: 4, SrcPort: 1, Proto: 6},
@@ -66,22 +78,18 @@ func TestFlightRecorderAuditsPacketRun(t *testing.T) {
 		t.Fatalf("invariant violations in a correct MIFO run: %+v\nrecords: %+v",
 			st, rec.ViolatingRecords())
 	}
-	var routerDeflections int64
-	for _, r := range n.Routers {
-		routerDeflections += r.Deflections()
-	}
-	if routerDeflections == 0 || int64(st.Deflections) != routerDeflections {
-		t.Fatalf("recorder saw %d deflected steps, router counters say %d",
-			st.Deflections, routerDeflections)
+	if hookDeflections == 0 || int64(st.Deflections) != hookDeflections {
+		t.Fatalf("recorder saw %d deflected steps, the hop hooks %d",
+			st.Deflections, hookDeflections)
 	}
 
 	sum, err := audit.Summarize(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(sum.TotalDeflections) != routerDeflections {
-		t.Fatalf("JSONL reconstructs %d deflections, router counters say %d",
-			sum.TotalDeflections, routerDeflections)
+	if int64(sum.TotalDeflections) != hookDeflections {
+		t.Fatalf("JSONL reconstructs %d deflections, the hop hooks %d",
+			sum.TotalDeflections, hookDeflections)
 	}
 	if sum.TotalViolations != 0 {
 		t.Fatalf("JSONL carries violations: %v", sum.Violations)
