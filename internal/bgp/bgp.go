@@ -18,6 +18,7 @@ package bgp
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -198,14 +199,15 @@ func (d *Dest) onBestPath(n, v int) bool {
 	}
 }
 
-// computeScratch is the frontier of one route computation: which ASes to
-// visit, never what their routes are (those are written straight into the
-// result's packed words). Pooled, because Compute runs once per destination
-// per recompute and the queue reaches N entries. Nothing in it is sized by
-// the graph, so one instance serves graphs of different N in turn.
+// computeScratch is the frontier of phases 1 and 2 of one route
+// computation: which ASes to visit, never what their routes are (those are
+// written straight into the result's packed words). Pooled, because Compute
+// runs once per destination per recompute. Nothing in it is sized by the
+// graph, so one instance serves graphs of different N in turn.
 type computeScratch struct {
 	// buckets[h] lists the ASes whose best route is h hops long, each
-	// once, in the order they got it. Every phase walks it as its queue.
+	// once, in the order they got it. Phases 1 and 2 walk it as their
+	// queue (and repair every phase).
 	buckets [][]int32
 }
 
@@ -232,8 +234,8 @@ func (sc *computeScratch) level(h, width int) []int32 {
 	return level
 }
 
-// overflow returns the side table of the routes too long for the inline
-// field, sorted by AS, or nil when there are none.
+// overflow returns the side table of the queued routes too long for the
+// inline field, sorted by AS, or nil when there are none.
 func (sc *computeScratch) overflow() []hopOverflow {
 	var out []hopOverflow
 	for h := hopsSentinel; h < len(sc.buckets); h++ {
@@ -256,14 +258,14 @@ func routeWord(h int, c Class, via int32) uint32 {
 // offer presents AS v with the route cand and reports whether it is v's
 // first route, in which case the caller queues v.
 //
-// Each phase offers routes of one class in nondecreasing path length, so a
-// route v already holds is never a longer one of that class, and cand
-// replaces it only when it has the same length and class and a lower next
-// hop: the packed words then differ in the next-hop field alone and compare
-// like the next hops. Because every offer is compared with the stored best,
-// the result does not depend on the order of offers of one length. (Words
-// carrying the hops sentinel may stand for different lengths and are never
-// replaced; see level.)
+// Phases 1 and 2 each offer routes of one class in nondecreasing path
+// length, so a route v already holds is never a longer one of that class,
+// and cand replaces it only when it has the same length and class and a
+// lower next hop: the packed words then differ in the next-hop field alone
+// and compare like the next hops. Because every offer is compared with the
+// stored best, the result does not depend on the order of offers of one
+// length. (Words carrying the hops sentinel may stand for different lengths
+// and are never replaced; see level.)
 func offer(packed []uint32, v int32, cand uint32) bool {
 	cur := packed[v]
 	if cur == unreachableEntry {
@@ -294,12 +296,12 @@ func ComputeArena(g *topo.Graph, dst int, a *Arena) *Dest {
 	return sc.compute(g, dst, a)
 }
 
-// compute is the three-phase algorithm, with sc as its queue. Each phase
-// reads only the adjacency entries that can carry its routes, through the
-// graph's relationship-grouped view: the providers of the uphill cone, the
-// peers of the cone, and the customers of every AS with a route. At paper
-// scale that is ~75 k entries per destination, nearly all of them in
-// phase 3.
+// compute is the three-phase algorithm, with sc as the queue of its first
+// two phases. Each phase reads only the adjacency entries that can carry
+// its routes, through the graph's relationship-grouped view: the providers
+// of the uphill cone, the peers of the cone, and the providers of every AS
+// those two phases left without a route. At paper scale that is ~75 k
+// entries per destination, nearly all of them in phase 3.
 func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 	// Empty the queue but keep its arrays; levels only an earlier, deeper
 	// computation reached stay behind as empty buckets.
@@ -348,19 +350,61 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 		}
 	}
 
-	// Phase 3: provider routes. Every AS with a route, whatever its class,
-	// offers it to its customers, shortest first.
-	for h := 0; h < len(sc.buckets); h++ {
-		for _, x := range sc.level(h, len(sc.buckets[h])) {
-			cand := routeWord(h+1, ClassProvider, x)
-			for _, c := range g.Customers(int(x)) {
-				if offer(packed, c, cand) {
-					sc.push(c, h+1)
-				}
+	// Phase 3: provider routes. Every AS that phases 1 and 2 left without a
+	// route takes the best its providers hold, whatever their class: the
+	// shortest, and of those the lowest next hop. The ASes are visited in
+	// the graph's provider-first order, so a provider's word is final before
+	// any of its customers reads it, and each AS is written once.
+	d := &Dest{dst: int32(dst), packed: packed, overflow: sc.overflow()}
+	for _, v := range g.ProviderOrder() {
+		if packed[v] != unreachableEntry {
+			continue // a customer or peer route, which no provider route beats
+		}
+		// A provider's key is its word's hops field over its own index, so
+		// the least key is the shortest route with the lowest next hop.
+		best := uint32(math.MaxUint32)
+		for _, p := range g.Providers(int(v)) {
+			if w := packed[p]; w != unreachableEntry {
+				best = min(best, w&^(classMask<<classShift|nextMask)|uint32(p))
 			}
 		}
+		if best == math.MaxUint32 {
+			continue // no provider has a route
+		}
+		h, via := int(best>>hopsShift), int32(best&nextMask)
+		if h == hopsSentinel {
+			h, via = d.longestTie(g.Providers(int(v)))
+		}
+		packed[v] = routeWord(h+1, ClassProvider, via)
+		if h+1 >= hopsSentinel {
+			d.addOverflow(v, int16(h+1))
+		}
 	}
-	return &Dest{dst: int32(dst), packed: packed, overflow: sc.overflow()}
+	return d
+}
+
+// longestTie breaks the tie phase 3's keys leave when every provider in row
+// that has a route holds one too long for the inline hops field: the
+// shortest by true length wins, and the lowest next hop among those, which
+// comes first in the ascending row.
+func (d *Dest) longestTie(row []int32) (hops int, via int32) {
+	hops = math.MaxInt
+	for _, p := range row {
+		if d.packed[p] == unreachableEntry {
+			continue
+		}
+		if h := int(d.overflowHops(int(p))); h < hops {
+			hops, via = h, p
+		}
+	}
+	return hops, via
+}
+
+// addOverflow records v's route as h hops long in the side table, which
+// stays sorted by AS.
+func (d *Dest) addOverflow(v int32, h int16) {
+	i := sort.Search(len(d.overflow), func(i int) bool { return d.overflow[i].as >= v })
+	d.overflow = slices.Insert(d.overflow, i, hopOverflow{as: v, hops: h})
 }
 
 // ComputeAll computes Dest tables for every destination in dsts, in

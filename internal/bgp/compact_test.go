@@ -335,9 +335,35 @@ func removeRandomLinks(t *testing.T, g *topo.Graph, rng *rand.Rand, k int) *topo
 	return out
 }
 
+// shuffled rebuilds g through topo.Builder with its ASes relabelled by a
+// permutation rng picks. Generate gives every provider a lower index than
+// its customers, so a graph's provider-first order is the identity there
+// and index order would serve as well; here it is not and would not.
+func shuffled(t *testing.T, g *topo.Graph, rng *rand.Rand) *topo.Graph {
+	t.Helper()
+	perm := rng.Perm(g.N())
+	b := topo.NewBuilder(g.N())
+	for v := 0; v < g.N(); v++ {
+		for _, nb := range g.Neighbors(v) {
+			switch {
+			case nb.Rel == topo.Customer:
+				b.AddPC(perm[v], perm[nb.AS])
+			case nb.Rel == topo.Peer && int32(v) < nb.AS:
+				b.AddPeer(perm[v], perm[nb.AS])
+			}
+		}
+	}
+	out, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestComputeMatchesOracleEveryDest holds Compute to the oracle on every
 // destination of generated Internets of three sizes, intact and with a
-// random tenth of N links removed (which leaves some ASes unreachable).
+// random tenth of N links removed (which leaves some ASes unreachable),
+// each also with its ASes relabelled at random.
 func TestComputeMatchesOracleEveryDest(t *testing.T) {
 	sizes := []int{60, 400, 3000}
 	if testing.Short() {
@@ -349,8 +375,9 @@ func TestComputeMatchesOracleEveryDest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cut := removeRandomLinks(t, g, rand.New(rand.NewSource(seed)), n/10)
-			for _, on := range []*topo.Graph{g, cut} {
+			rng := rand.New(rand.NewSource(seed))
+			cut := removeRandomLinks(t, g, rng, n/10)
+			for _, on := range []*topo.Graph{g, cut, shuffled(t, g, rng), shuffled(t, cut, rng)} {
 				for dst := 0; dst < on.N(); dst++ {
 					requireMatchesDense(t, on, Compute(on, dst), computeDenseOracle(on, dst))
 				}

@@ -84,18 +84,17 @@ func BenchmarkTableScaleIncremental(b *testing.B) {
 
 // entriesRead derives, from a finished table, the adjacency entries
 // Compute read to build it: the providers and peers of every AS of the
-// uphill cone (phases 1 and 2) and the customers of every AS with a route
-// (phase 3).
+// uphill cone (phases 1 and 2) and the providers of every AS those phases
+// left without a route, reachable or not (phase 3).
 func entriesRead(g *topo.Graph, d *Dest) int {
 	read := 0
 	for v := 0; v < g.N(); v++ {
 		switch d.Class(v) {
-		case ClassUnreachable:
-			continue
 		case ClassOrigin, ClassCustomer:
 			read += len(g.Providers(v)) + len(g.Peers(v))
+		case ClassProvider, ClassUnreachable:
+			read += len(g.Providers(v))
 		}
-		read += len(g.Customers(v))
 	}
 	return read
 }

@@ -19,8 +19,10 @@ type LinkRef struct {
 // and in the relationship-grouped view alike. Rows stay sorted (filtering
 // preserves order) and removal cannot introduce a provider-customer cycle,
 // so no rebuild through Builder — and no re-sort or cycle check — is
-// needed. The error return is kept for call-site compatibility; it is
-// always nil.
+// needed. For the same reason g's provider-first order is copied as it is:
+// losing a provider leaves every AS still after those it keeps, though a
+// rebuild might list them differently. The error return is kept for
+// call-site compatibility; it is always nil.
 func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 	n := int32(g.N())
 	nbrCut := make([]rowCut, 0, 2*len(remove))
@@ -32,7 +34,7 @@ func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 			grpCut = append(grpCut, rowCut{int32(rel)*n + a, b}, rowCut{int32(rel.Invert())*n + b, a})
 		}
 	}
-	out := &Graph{pcLinks: g.pcLinks, peerLinks: g.peerLinks}
+	out := &Graph{order: slices.Clone(g.order), pcLinks: g.pcLinks, peerLinks: g.peerLinks}
 	grpCut = sortedUnique(grpCut)
 	for _, c := range grpCut {
 		switch {

@@ -5,12 +5,12 @@ import (
 	"hash/fnv"
 )
 
-// Fingerprint hashes the four arrays a Graph is made of — the offsets and
-// entries of the Neighbors arena and of the relationship-grouped view —
-// up to their capacity. Only Builder.Build and RemoveLinks write them,
-// and neither writes a graph it has returned, so a consumer of the
-// accessors must leave the fingerprint of every graph it is handed where
-// it found it (TestGraphFrozenAcrossConsumers).
+// Fingerprint hashes the five arrays a Graph is made of — the offsets and
+// entries of the Neighbors arena and of the relationship-grouped view, and
+// the provider-first order — up to their capacity. Only Builder.Build and
+// RemoveLinks write them, and neither writes a graph it has returned, so a
+// consumer of the accessors must leave the fingerprint of every graph it
+// is handed where it found it (TestGraphFrozenAcrossConsumers).
 func Fingerprint(g *Graph) uint64 {
 	h := fnv.New64a()
 	var b [4]byte
@@ -29,6 +29,9 @@ func Fingerprint(g *Graph) uint64 {
 		put(x)
 	}
 	for _, x := range g.grp[:cap(g.grp)] {
+		put(x)
+	}
+	for _, x := range g.order[:cap(g.order)] {
 		put(x)
 	}
 	return h.Sum64()

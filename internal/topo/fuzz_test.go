@@ -8,8 +8,8 @@ import (
 
 // FuzzParse hardens the relationship-file parser: arbitrary text must
 // never panic, and successful parses must carry a relationship-grouped
-// view that agrees with their adjacency and survive a Write/Parse round
-// trip with identical counts.
+// view that agrees with their adjacency and a valid provider-first order,
+// and survive a Write/Parse round trip with identical counts.
 func FuzzParse(f *testing.F) {
 	f.Add("1|2|-1\n2|3|0\n")
 	f.Add("# comment\n\n10|20|-1\n")
@@ -23,6 +23,7 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		requireGroupedMatchesNeighbors(t, g)
+		requireProviderOrder(t, g)
 		var buf bytes.Buffer
 		if err := Write(&buf, g, asns); err != nil {
 			t.Fatalf("write after parse: %v", err)

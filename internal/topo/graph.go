@@ -9,6 +9,7 @@
 package topo
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"unsafe"
@@ -77,14 +78,19 @@ type Neighbor struct {
 // provider lists, so a walk over one kind of edge touches one third of the
 // offsets and one stretch of the entries. It is a side index rather than a
 // re-sort of nbrs because link numbering, RIB order and simulated outcomes
-// all follow the order of Neighbors. A 44,340-AS / 107,819-link Internet
-// graph is four allocations, ~3.3 MB: ~1.9 MB for off+nbrs and ~1.4 MB for
-// goff+grp.
+// all follow the order of Neighbors.
+//
+// Last, the graph keeps every AS listed once in a provider-first order
+// (ProviderOrder), so route computation can visit each AS after all of its
+// providers without sorting anything per destination. A 44,340-AS /
+// 107,819-link Internet graph is five allocations, ~3.5 MB: ~1.9 MB for
+// off+nbrs, ~1.4 MB for goff+grp and 177 KB for order.
 type Graph struct {
 	off       []int32    // len N()+1; AS v's neighbors live in nbrs[off[v]:off[v+1]]
 	nbrs      []Neighbor // len 2*Links(), sorted by neighbor index within each segment
 	goff      []int32    // len 3*N()+1; row r = rel*N()+v of the grouped view is grp[goff[r]:goff[r+1]]
 	grp       []int32    // len 2*Links(), neighbor indices, ascending within each row
+	order     []int32    // len N(), every AS once, each after all of its providers
 	pcLinks   int
 	peerLinks int
 }
@@ -138,6 +144,14 @@ func (g *Graph) row(r int) []int32 {
 	return g.grp[lo:hi:hi]
 }
 
+// ProviderOrder returns every AS once, each after all of its providers: a
+// topological order of the provider→customer digraph. Of the ASes whose
+// providers are all listed, the lowest index comes next, so a graph whose
+// providers all have lower indices than their customers (every Generate
+// output) gets the identity order. Like Customers, the slice aliases the
+// graph, its capacity is clipped, and callers must not modify it.
+func (g *Graph) ProviderOrder() []int32 { return g.order[:len(g.order):len(g.order)] }
+
 // MemStats accounts the graph's memory footprint.
 type MemStats struct {
 	// Nodes and Links mirror N() and Links().
@@ -150,13 +164,15 @@ type MemStats struct {
 	// GroupedBytes is the size of the relationship-grouped view: its
 	// offsets and its packed AS indices.
 	GroupedBytes int64
-	// TotalBytes is the sum of the above — the whole adjacency footprint.
+	// OrderBytes is the size of the provider-first order.
+	OrderBytes int64
+	// TotalBytes is the sum of the above — the whole graph footprint.
 	TotalBytes int64
 	// BytesPerLink is TotalBytes per undirected link.
 	BytesPerLink float64
 }
 
-// MemStats returns the adjacency arena's memory accounting.
+// MemStats returns the graph's memory accounting.
 func (g *Graph) MemStats() MemStats {
 	m := MemStats{
 		Nodes:         g.N(),
@@ -164,8 +180,9 @@ func (g *Graph) MemStats() MemStats {
 		OffsetBytes:   int64(cap(g.off)) * int64(unsafe.Sizeof(int32(0))),
 		NeighborBytes: int64(cap(g.nbrs)) * int64(unsafe.Sizeof(Neighbor{})),
 		GroupedBytes:  int64(cap(g.goff)+cap(g.grp)) * int64(unsafe.Sizeof(int32(0))),
+		OrderBytes:    int64(cap(g.order)) * int64(unsafe.Sizeof(int32(0))),
 	}
-	m.TotalBytes = m.OffsetBytes + m.NeighborBytes + m.GroupedBytes
+	m.TotalBytes = m.OffsetBytes + m.NeighborBytes + m.GroupedBytes + m.OrderBytes
 	if m.Links > 0 {
 		m.BytesPerLink = float64(m.TotalBytes) / float64(m.Links)
 	}
@@ -342,8 +359,9 @@ func (b *Builder) Degree(v int) int { return len(b.adj[v]) }
 // paper's loop-freedom proof relies on).
 //
 // Build packs the per-AS lists into the CSR arena (one offsets array, one
-// neighbor array), sorts each AS's segment by neighbor index, and deals the
-// sorted segments out into the rows of the relationship-grouped view.
+// neighbor array), sorts each AS's segment by neighbor index, deals the
+// sorted segments out into the rows of the relationship-grouped view, and
+// lists the ASes in provider-first order.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -384,38 +402,65 @@ func (b *Builder) Build() (*Graph, error) {
 			next[r]++
 		}
 	}
-	if cycle := g.findPCCycle(); cycle {
+	order, acyclic := g.providerOrder()
+	if !acyclic {
 		return nil, fmt.Errorf("topo: provider-customer relationship digraph contains a cycle")
 	}
+	g.order = order
 	return g, nil
 }
 
-// findPCCycle runs Kahn's algorithm over provider->customer edges.
-func (g *Graph) findPCCycle() bool {
+// providerOrder runs Kahn's algorithm over provider→customer edges, taking
+// the lowest ready index first, and reports whether it listed every AS: an
+// AS on a provider-customer cycle never has all of its providers listed.
+//
+// A scan up the indices finds the ready ASes it has not passed yet; only
+// those that become ready behind it wait in a heap, and they are all lower
+// than anything the scan has still to find. Where every provider has a
+// lower index than its customers the heap stays empty.
+func (g *Graph) providerOrder() (order []int32, acyclic bool) {
 	n := g.N()
-	indeg := make([]int, n) // number of providers
-	for v := 0; v < n; v++ {
-		indeg[v] = len(g.Providers(v))
+	unlisted := make([]int32, n) // providers of v not yet in order
+	for v := range unlisted {
+		unlisted[v] = int32(len(g.Providers(v)))
 	}
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
+	order = make([]int32, 0, n)
+	var behind minHeap
+	for scan := 0; ; {
+		var v int32
+		if len(behind) > 0 {
+			v = heap.Pop(&behind).(int32)
+		} else {
+			for scan < n && unlisted[scan] > 0 {
+				scan++
+			}
+			if scan == n {
+				break
+			}
+			v = int32(scan)
+			scan++
 		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, c := range g.Customers(v) {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, int(c))
+		order = append(order, v)
+		for _, c := range g.Customers(int(v)) {
+			if unlisted[c]--; unlisted[c] == 0 && int(c) < scan {
+				heap.Push(&behind, c)
 			}
 		}
 	}
-	return seen != n
+	return order, len(order) == n
+}
+
+// minHeap holds AS indices for container/heap, lowest on top.
+type minHeap []int32
+
+func (h minHeap) Len() int           { return len(h) }
+func (h minHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h minHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *minHeap) Push(v any)        { *h = append(*h, v.(int32)) }
+func (h *minHeap) Pop() any {
+	v := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return v
 }
 
 // Connected reports whether the underlying undirected graph is connected

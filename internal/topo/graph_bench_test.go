@@ -110,11 +110,11 @@ func TestGraphMemStats(t *testing.T) {
 	if m.Nodes != 4 || m.Links != 4 {
 		t.Fatalf("MemStats nodes/links = %d/%d, want 4/4", m.Nodes, m.Links)
 	}
-	if m.OffsetBytes <= 0 || m.NeighborBytes <= 0 || m.GroupedBytes <= 0 {
-		t.Fatalf("MemStats byte accounting not positive: %+v", m)
+	if m.OffsetBytes <= 0 || m.NeighborBytes <= 0 || m.GroupedBytes <= 0 || m.OrderBytes != 4*4 {
+		t.Fatalf("MemStats byte accounting implausible: %+v", m)
 	}
-	if m.TotalBytes != m.OffsetBytes+m.NeighborBytes+m.GroupedBytes {
-		t.Fatalf("TotalBytes %d != %d + %d + %d", m.TotalBytes, m.OffsetBytes, m.NeighborBytes, m.GroupedBytes)
+	if m.TotalBytes != m.OffsetBytes+m.NeighborBytes+m.GroupedBytes+m.OrderBytes {
+		t.Fatalf("TotalBytes %d != %d + %d + %d + %d", m.TotalBytes, m.OffsetBytes, m.NeighborBytes, m.GroupedBytes, m.OrderBytes)
 	}
 	if m.BytesPerLink <= 0 {
 		t.Fatalf("BytesPerLink = %v, want > 0", m.BytesPerLink)

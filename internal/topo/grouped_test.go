@@ -38,7 +38,9 @@ func requireGroup(tb testing.TB, v int, rel Rel, got, want []int32) {
 	}
 }
 
-// requireSameGraph compares everything a Graph exposes.
+// requireSameGraph compares everything a Graph exposes, except that of the
+// provider-first order it asks only validity: RemoveLinks keeps its
+// source's order, which a rebuild need not reproduce.
 func requireSameGraph(t *testing.T, got, want *Graph) {
 	t.Helper()
 	if got.N() != want.N() || got.PCLinks() != want.PCLinks() || got.PeerLinks() != want.PeerLinks() {
@@ -51,6 +53,7 @@ func requireSameGraph(t *testing.T, got, want *Graph) {
 		}
 	}
 	requireGroupedMatchesNeighbors(t, got)
+	requireProviderOrder(t, got)
 }
 
 func TestGroupedViewMatchesNeighbors(t *testing.T) {
@@ -160,16 +163,18 @@ func TestRemoveLinksMatchesRebuild(t *testing.T) {
 		if unsafe.SliceData(before.off) == unsafe.SliceData(g.off) ||
 			unsafe.SliceData(before.nbrs) == unsafe.SliceData(g.nbrs) ||
 			unsafe.SliceData(before.goff) == unsafe.SliceData(g.goff) ||
-			unsafe.SliceData(before.grp) == unsafe.SliceData(g.grp) {
+			unsafe.SliceData(before.grp) == unsafe.SliceData(g.grp) ||
+			unsafe.SliceData(before.order) == unsafe.SliceData(g.order) {
 			t.Fatal("RemoveLinks returned a graph that shares an array with its source")
 		}
 	}
 }
 
-// TestAccessorsClipCapacity: every row an accessor hands out ends at its
-// capacity, so an append through it has to reallocate. With spare
-// capacity the append would write the next AS's row of the shared arena;
-// here appending to every row of every AS leaves the graph as it was.
+// TestAccessorsClipCapacity: every row an accessor hands out, and the
+// provider-first order, ends at its capacity, so an append through it has
+// to reallocate. With spare capacity the append would write the next AS's
+// row of the shared arena; here appending to every row of every AS, and to
+// the order, leaves the graph as it was.
 func TestAccessorsClipCapacity(t *testing.T) {
 	g, err := Generate(GenConfig{N: 300, Seed: 4})
 	if err != nil {
@@ -192,6 +197,10 @@ func TestAccessorsClipCapacity(t *testing.T) {
 			_ = append(row, -1)
 		}
 	}
+	if order := g.ProviderOrder(); cap(order) != len(order) {
+		t.Fatalf("ProviderOrder: len %d, cap %d", len(order), cap(order))
+	}
+	_ = append(g.ProviderOrder(), -1)
 	if Fingerprint(g) != want {
 		t.Fatal("appending through the accessors wrote the graph's arrays")
 	}
