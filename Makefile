@@ -52,11 +52,11 @@ ring-race:
 	$(GO) test -race -count=5 ./internal/ring
 
 # The flight recorder's concurrency surface: hop hooks fire from simulator
-# workers and netd receive loops while the batcher drains rings, seals
-# Merkle batches, and answers Stats/Flush/Close barriers. Stress the async
-# sink's own tests first, then the packages that drive it.
+# workers and netd receive loops while the drain goroutine assembles and
+# writes journeys and answers Stats/Flush/Close barriers. Stress the
+# recorder's own tests first, then the packages that drive it.
 audit-race:
-	$(GO) test -race -count=5 -run 'Recorder|Merkle|Proof|Verify' ./internal/audit
+	$(GO) test -race -count=5 -run 'Recorder' ./internal/audit
 	$(GO) test -race -count=2 ./internal/audit ./internal/dataplane ./internal/netsim ./internal/packetsim
 	# netd runs every fabric test over both receive paths (batched and
 	# one datagram at a time); how a burst is cut into batches differs
@@ -77,13 +77,13 @@ span-race:
 	$(GO) test -race -count=5 ./internal/obs/span
 	$(GO) test -race -count=2 -run 'ConvergenceTracing|NoTracer|SessionEventsTraced' ./internal/netsim ./internal/bgpsim
 
-# The tsdb concurrency surface: the single-writer sample path racing
-# snapshot/query/episode readers — the debug mux serving every endpoint
-# while a sampler runs flat out, plus the simulator feeding a live store
-# per epoch. (The torn-read tests of the ring itself are ring-race's.)
+# The tsdb concurrency surface: the single-writer sample path racing the
+# store's readers — TestGatherWhileSampling runs Gather, AnalyzeStore and
+# WriteDump while a sampler runs flat out — plus the simulator feeding a
+# store per epoch. (The torn-read tests of the ring itself are ring-race's.)
 tsdb-race:
 	$(GO) test -race -count=5 ./internal/obs/tsdb
-	$(GO) test -race -count=2 -run 'TSDB|DebugTSDB' ./internal/obs ./internal/netsim ./internal/packetsim
+	$(GO) test -race -count=2 -run 'TSDB' ./internal/netsim ./internal/packetsim
 
 # End-to-end convergence gate, same as CI: every failure event injected by
 # a resilience run must provably reach data-plane consistency.

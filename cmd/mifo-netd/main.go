@@ -21,7 +21,6 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/netd"
 	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 	"repro/internal/topo"
 )
 
@@ -31,7 +30,7 @@ func main() {
 		pkts    = flag.Int("pkts", 100, "packets to inject")
 		seed    = flag.Int64("seed", 1, "topology seed")
 		selfMon = flag.Bool("self", false, "derive congestion from measured socket traffic (EWMA link monitor) instead of a preset load")
-		dbgAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/tsdb/ and pprof on this address (e.g. :6060)")
+		dbgAddr = flag.String("debug-addr", "", "serve /metrics and pprof on this address (e.g. :6060)")
 		linger  = flag.Duration("linger", 0, "keep running (and serving -debug-addr) this long after the experiment finishes")
 	)
 	flag.Parse()
@@ -77,16 +76,11 @@ func main() {
 		// One registry covers the whole stack: the fabric's packet
 		// counters and the daemons' control-loop timings.
 		runtime.Instrument(fabric.Registry())
-		// Per-port utilization lands in the embedded TSDB; browse it (and
-		// run episode detection) at /debug/tsdb while the fabric runs.
-		db := tsdb.NewStore(tsdb.Options{})
-		fabric.AttachTSDB(db)
-		dep.AttachTSDB(db)
-		srv, err := obs.ServeDebug(*dbgAddr, fabric.Registry(), db)
+		srv, err := obs.ServeDebug(*dbgAddr, fabric.Registry())
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("debug server on %s (/metrics, /debug/vars, /debug/tsdb/, /debug/pprof/)\n", srv.URL())
+		fmt.Printf("debug server on %s (/metrics, /debug/pprof/)\n", srv.URL())
 		defer srv.Close()
 	}
 

@@ -42,12 +42,9 @@ func main() {
 		seed     = flag.Int64("seed", 1, "PRNG seed")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
 		outDir   = flag.String("o", "", "also write each experiment's curves as gnuplot data files into this directory")
-		dbgAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and pprof on this address (e.g. :6061) while experiments run")
+		dbgAddr  = flag.String("debug-addr", "", "serve /metrics and pprof on this address (e.g. :6061) while experiments run")
 		fltLog   = flag.String("flight-log", "", "record every simulated path as a JSONL flight record here (analyse with mifo-trace)")
 		fltRate  = flag.Float64("flight-sample", 1.0, "fraction of flows the flight recorder samples (0..1]")
-		fltBatch = flag.Int("flight-batch", 0, "records per Merkle-sealed batch in the flight log (0 = default 256)")
-		fltFlush = flag.Duration("flight-flush", 0, "seal a partial flight-log batch after this long (0 = default 50ms)")
-		fltPlain = flag.Bool("flight-plain", false, "stream flight records without Merkle seals (not verifiable with mifo-trace -verify)")
 		spanLog  = flag.String("span-log", "", "trace injected link failures to data-plane consistency as JSONL spans here (analyse with mifo-conv)")
 		tsdbLog  = flag.String("tsdb-log", "", "dump per-link utilization/deflection/offload time series as JSONL here (analyse with mifo-top -log)")
 	)
@@ -66,19 +63,18 @@ func main() {
 	expDur := reg.Histogram("sim_experiment_seconds", "wall-clock duration of one experiment",
 		[]float64{0.1, 0.5, 1, 5, 15, 60, 300, 1800})
 	// The embedded TSDB collects per-link utilization, deflection and
-	// offload series from every simulation run; it backs both the
-	// -tsdb-log dump and the live /debug/tsdb endpoint.
+	// offload series from every simulation run for the -tsdb-log dump.
 	var db *tsdb.Store
-	if *tsdbLog != "" || *dbgAddr != "" {
+	if *tsdbLog != "" {
 		db = tsdb.NewStore(tsdb.Options{})
 	}
 	if *dbgAddr != "" {
-		srv, err := obs.ServeDebug(*dbgAddr, reg, db)
+		srv, err := obs.ServeDebug(*dbgAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("# debug server on %s (/metrics, /debug/vars, /debug/tsdb/, /debug/pprof/)\n", srv.URL())
+		fmt.Printf("# debug server on %s (/metrics, /debug/pprof/)\n", srv.URL())
 		defer srv.Close()
 	}
 
@@ -122,10 +118,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)
 			os.Exit(1)
 		}
-		rec := audit.NewRecorder(audit.Options{
-			Sample: *fltRate, Writer: sink, Registry: reg,
-			BatchSize: *fltBatch, FlushInterval: *fltFlush, Plain: *fltPlain,
-		})
+		rec := audit.NewRecorder(audit.Options{Sample: *fltRate, Writer: sink, Registry: reg})
 		o.Recorder = rec
 		finishFlight = func() bool {
 			if err := rec.Close(); err != nil {
@@ -135,8 +128,8 @@ func main() {
 				fmt.Fprintln(os.Stderr, "mifo-sim: flight log:", err)
 			}
 			st := rec.Stats()
-			fmt.Printf("# flight log: %d records in %d sealed batches (%d deflections, %d invariant violations, %d shed) -> %s\n",
-				st.Records, st.BatchesSealed, st.Deflections, st.Violations, st.RingDropped, *fltLog)
+			fmt.Printf("# flight log: %d records (%d deflections, %d invariant violations, %d shed) -> %s\n",
+				st.Records, st.Deflections, st.Violations, st.RingDropped, *fltLog)
 			if st.Violations > 0 {
 				fmt.Fprintf(os.Stderr, "mifo-sim: AUDIT FAILURE: %d invariant violations recorded\n", st.Violations)
 			}

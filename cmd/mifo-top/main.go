@@ -1,28 +1,25 @@
-// mifo-top shows what MIFO's data plane is doing to congested links: the
+// mifo-top shows what MIFO's data plane did to congested links: the
 // hottest links by utilization, detected congestion episodes, and the
 // offload attribution joining each episode to the deflections that
-// relieved it (Fig. 8's offload scalar, resolved per link).
+// relieved it (Fig. 8's offload scalar, resolved per link). It reads a
+// time-series dump written by mifo-sim -tsdb-log:
 //
-// It consumes either a live /debug/tsdb endpoint or an offline dump:
-//
-//	mifo-top -addr http://127.0.0.1:6061     # live view, refreshed every -interval
-//	mifo-top -addr :6061 -once               # one JSON snapshot to stdout
-//	mifo-top -log tsdb.jsonl                 # analyze a mifo-sim -tsdb-log dump
+//	mifo-top -log tsdb.jsonl                 # tables
+//	mifo-top -log tsdb.jsonl -once           # the full report as JSON
 //	mifo-top -log tsdb.jsonl -flight f.jsonl # join per-AS flight-recorder deflections
 //	mifo-top -log tsdb.jsonl -min-episodes 1 # CI gate: exit 1 below the floor
+//
+// A dump or flight log it cannot read exits 1.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/obs/tsdb"
@@ -30,66 +27,38 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "", "debug server base (http://host:port, host:port or :port) serving /debug/tsdb")
-		logPath     = flag.String("log", "", "offline mode: analyze this mifo-sim -tsdb-log dump instead of a live endpoint")
+		logPath     = flag.String("log", "", "the mifo-sim -tsdb-log dump to analyze (required)")
 		flight      = flag.String("flight", "", "also join a flight-recorder JSONL log: per-AS deflected-journey counts against each episode's link")
-		once        = flag.Bool("once", false, "print one JSON snapshot (spec, top links, episode report) and exit")
-		interval    = flag.Duration("interval", 2*time.Second, "live-view refresh period")
+		once        = flag.Bool("once", false, "print the report (spec, top links, episode report) as one JSON document instead of tables")
 		topN        = flag.Int("top", 10, "links shown in the utilization table")
-		threshold   = flag.Float64("threshold", 0, "override the installed episode threshold (0 = use the spec's)")
-		window      = flag.Int64("window", 0, "override the installed episode window, in the series' timestamp unit (0 = use the spec's)")
+		threshold   = flag.Float64("threshold", 0, "override the dump's episode threshold (0 = use the spec's)")
+		window      = flag.Int64("window", 0, "override the dump's episode window, in the series' timestamp unit (0 = use the spec's)")
 		minEpisodes = flag.Int("min-episodes", 0, "exit non-zero when fewer congestion episodes are detected (CI gate)")
 	)
 	flag.Parse()
-	if (*addr == "") == (*logPath == "") {
-		fmt.Fprintln(os.Stderr, "mifo-top: exactly one of -addr or -log is required")
+	if *logPath == "" {
+		fmt.Fprintln(os.Stderr, "mifo-top: -log is required")
 		os.Exit(2)
 	}
 
-	var snap *snapshot
-	var err error
-	if *logPath != "" {
-		snap, err = loadDump(*logPath, *threshold, *window)
-	} else {
-		snap, err = fetch(baseURL(*addr), *threshold, *window)
-	}
+	snap, err := loadDump(*logPath, *threshold, *window)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mifo-top:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if *flight != "" {
 		if err := joinFlight(snap, *flight); err != nil {
-			fmt.Fprintln(os.Stderr, "mifo-top:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 
-	switch {
-	case *once:
+	if *once {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(snap); err != nil {
-			fmt.Fprintln(os.Stderr, "mifo-top:", err)
-			os.Exit(1)
+			fatal(err)
 		}
-	case *logPath != "":
+	} else {
 		render(os.Stdout, snap, *topN)
-	default:
-		// Live view: redraw until interrupted. The gate below still runs
-		// if the poll loop ever errors out.
-		for {
-			fmt.Print("\033[H\033[2J")
-			render(os.Stdout, snap, *topN)
-			fmt.Printf("\n[%s] refreshing every %v — Ctrl-C to quit\n",
-				time.Now().Format("15:04:05"), *interval)
-			time.Sleep(*interval)
-			next, err := fetch(baseURL(*addr), *threshold, *window)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mifo-top:", err)
-				os.Exit(1)
-			}
-			snap = next
-		}
 	}
 
 	if *minEpisodes > 0 && len(snap.Report.Episodes) < *minEpisodes {
@@ -97,6 +66,11 @@ func main() {
 			len(snap.Report.Episodes), *minEpisodes)
 		os.Exit(1)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "mifo-top:", err)
+	os.Exit(1)
 }
 
 // snapshot is everything one view renders; -once emits it verbatim.
@@ -111,12 +85,12 @@ type snapshot struct {
 	DeflectionsByAS map[string]int `json:"deflections_by_as,omitempty"`
 }
 
-// linkRow is one util series' live state.
+// linkRow is one util series' retained window, summarized.
 type linkRow struct {
 	Series string  `json:"series"`
 	Last   float64 `json:"last"`
 	Peak   float64 `json:"peak"`
-	Points uint64  `json:"points"`
+	Points int     `json:"points"`
 }
 
 // loadDump reads a mifo-sim -tsdb-log file and analyzes it offline.
@@ -144,7 +118,7 @@ func loadDump(path string, threshold float64, window int64) (*snapshot, error) {
 		if sd.Name != spec.Util || len(sd.Points) == 0 {
 			continue
 		}
-		row := linkRow{Series: strings.Join(sd.Values, "/"), Points: uint64(len(sd.Points))}
+		row := linkRow{Series: strings.Join(sd.Values, "/"), Points: len(sd.Points)}
 		row.Last = sd.Points[len(sd.Points)-1].V
 		for _, p := range sd.Points {
 			if p.V > row.Peak {
@@ -155,79 +129,6 @@ func loadDump(path string, threshold float64, window int64) (*snapshot, error) {
 	}
 	sortLinks(snap.Links)
 	return snap, nil
-}
-
-// indexSummary mirrors the /debug/tsdb index entries mifo-top needs.
-type indexSummary struct {
-	Name   string      `json:"name"`
-	Values []string    `json:"values"`
-	Total  uint64      `json:"total_points"`
-	Latest *tsdb.Point `json:"latest"`
-}
-
-// baseURL normalizes -addr into an http base: ":6061" and "host:6061"
-// both work, matching what ServeDebug prints.
-func baseURL(addr string) string {
-	if strings.HasPrefix(addr, "http://") || strings.HasPrefix(addr, "https://") {
-		return strings.TrimRight(addr, "/")
-	}
-	if strings.HasPrefix(addr, ":") {
-		addr = "127.0.0.1" + addr
-	}
-	return "http://" + addr
-}
-
-// fetch pulls one live snapshot from a /debug/tsdb endpoint.
-func fetch(base string, threshold float64, window int64) (*snapshot, error) {
-	var idx struct {
-		Spec   tsdb.EpisodeSpec `json:"spec"`
-		Series []indexSummary   `json:"series"`
-	}
-	if err := getJSON(base+"/debug/tsdb/", &idx); err != nil {
-		return nil, err
-	}
-	snap := &snapshot{Spec: idx.Spec}
-	for _, s := range idx.Series {
-		if s.Name != idx.Spec.Util || s.Latest == nil {
-			continue
-		}
-		// The live index has no per-point history; peak tracks the latest
-		// sample (query the /query endpoint for full history).
-		snap.Links = append(snap.Links, linkRow{
-			Series: strings.Join(s.Values, "/"),
-			Last:   s.Latest.V, Peak: s.Latest.V, Points: s.Total,
-		})
-	}
-	sortLinks(snap.Links)
-	epURL := base + "/debug/tsdb/episodes"
-	var params []string
-	if threshold > 0 {
-		params = append(params, fmt.Sprintf("threshold=%g", threshold))
-	}
-	if window > 0 {
-		params = append(params, fmt.Sprintf("window=%d", window))
-	}
-	if len(params) > 0 {
-		epURL += "?" + strings.Join(params, "&")
-	}
-	snap.Report = &tsdb.Report{}
-	if err := getJSON(epURL, snap.Report); err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
-func getJSON(url string, v any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512)) //mifolint:ignore droppederr best-effort error-body excerpt; the status line already failed the request
-		return fmt.Errorf("GET %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // joinFlight folds a flight-recorder log into the snapshot: every
@@ -241,38 +142,24 @@ func joinFlight(snap *snapshot, path string) error {
 	}
 	defer f.Close()
 	byAS := map[string]int{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec audit.Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // seal lines and foreign kinds are not journeys
-		}
-		if rec.Kind != audit.KindPacket && rec.Kind != audit.KindPath {
-			continue
-		}
+	err = audit.ReadRecords(f, func(rec audit.Record) error {
 		for _, s := range rec.Steps {
 			if s.Deflected {
 				byAS[fmt.Sprint(s.AS)]++
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	snap.DeflectionsByAS = byAS
 	return nil
 }
 
 func sortLinks(rows []linkRow) {
-	// Peak first: in an offline dump every drained link ends at zero
-	// utilization, so the final sample says nothing about how hot the
-	// link ran. Live snapshots set Peak = Last, so this sorts by the
-	// current reading there.
+	// Peak first: in a dump every drained link ends at zero utilization,
+	// so the final sample says nothing about how hot the link ran.
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Peak != rows[j].Peak {
 			return rows[i].Peak > rows[j].Peak
@@ -358,11 +245,4 @@ func render(w io.Writer, snap *snapshot, topN int) {
 			fmt.Fprintf(w, "  AS %-6s %6d journeys\n", r.as, r.n)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -10,18 +10,11 @@
 //	mifo-trace -top 20 flight.jsonl         # wider per-prefix table
 //	mifo-trace -packet 17 flight.jsonl      # hop-by-hop drill-down of record 17
 //	mifo-trace -flow 42 flight.jsonl        # all journeys of flow 42
-//	mifo-trace -verify flight.jsonl         # recompute the Merkle seal chain
-//	mifo-trace -verify -head <hex> f.jsonl  # ... and pin the final seal
 //	cat flight.jsonl | mifo-trace           # reads stdin without a file arg
 //
 // Exit status is 2 when the log contains invariant violations, so the
-// auditor can gate CI: `mifo-trace flight.jsonl || fail`.
-//
-// -verify re-derives every batch's Merkle root and seal from the records
-// alone and fails (exit 1) on any mutated, dropped, or reordered record,
-// any broken seal chain, or a log truncated mid-batch. Whole trailing
-// batches can only be detected against a pinned head: pass the final
-// seal printed by an earlier verification as -head.
+// auditor can gate CI: `mifo-trace flight.jsonl || fail`. A malformed
+// line exits 1.
 package main
 
 import (
@@ -29,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/audit"
 )
@@ -39,8 +31,6 @@ func main() {
 		top    = flag.Int("top", 10, "rows in the per-prefix table")
 		packet = flag.Int64("packet", -1, "drill into one record by its sequence number")
 		flow   = flag.Int64("flow", -1, "drill into every journey of one flow ID")
-		verify = flag.Bool("verify", false, "verify the log's Merkle seal chain instead of reporting")
-		head   = flag.String("head", "", "with -verify: require the final seal to equal this hex digest")
 	)
 	flag.Parse()
 
@@ -56,23 +46,6 @@ func main() {
 		}
 		defer f.Close()
 		in, name = f, flag.Arg(0)
-	}
-
-	if *verify {
-		res, err := audit.VerifyLog(in)
-		if err != nil {
-			fatal(fmt.Errorf("%s: verification FAILED: %w", name, err))
-		}
-		if *head != "" && !strings.EqualFold(*head, res.Head) {
-			fatal(fmt.Errorf("%s: head seal %s does not match pinned -head %s (trailing batches removed, or wrong log)",
-				name, res.Head, *head))
-		}
-		fmt.Printf("%s: OK: %d records in %d sealed batches\nhead seal: %s\n",
-			name, res.Records, res.Batches, res.Head)
-		return
-	}
-	if *head != "" {
-		fatal(fmt.Errorf("-head requires -verify"))
 	}
 
 	if *packet >= 0 || *flow >= 0 {

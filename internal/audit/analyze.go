@@ -10,9 +10,8 @@ import (
 )
 
 // ReadRecords streams a JSONL flight log, invoking fn per record. Blank
-// lines and batch-seal commitment lines are skipped (seals are consumed
-// by VerifyLog, not by analysis); a malformed line aborts with an error
-// naming it.
+// lines are skipped; a malformed line, or one whose kind is neither
+// KindPacket nor KindPath, aborts with an error naming it.
 func ReadRecords(r io.Reader, fn func(Record) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -27,8 +26,8 @@ func ReadRecords(r io.Reader, fn func(Record) error) error {
 		if err := json.Unmarshal(b, &rec); err != nil {
 			return fmt.Errorf("audit: line %d: %w", line, err)
 		}
-		if rec.Kind == KindSeal {
-			continue
+		if rec.Kind != KindPacket && rec.Kind != KindPath {
+			return fmt.Errorf("audit: line %d: record kind %q is neither %q nor %q", line, rec.Kind, KindPacket, KindPath)
 		}
 		if err := fn(rec); err != nil {
 			return err

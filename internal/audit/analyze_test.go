@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -113,8 +114,51 @@ func TestFormatRecordDrillDown(t *testing.T) {
 }
 
 func TestReadRecordsRejectsGarbage(t *testing.T) {
-	err := ReadRecords(strings.NewReader("{\"seq\":1}\nnot json\n"), func(Record) error { return nil })
+	err := ReadRecords(strings.NewReader("{\"seq\":1,\"kind\":\"packet\"}\nnot json\n"), func(Record) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line-2 parse error", err)
+	}
+}
+
+// sealedLogTail is the last batch of a flight log written before logs
+// became plain JSONL: a journey carrying its batch number, then the
+// batch-seal line that committed it.
+const sealedLogTail = `{"seq":3,"kind":"flow-path","flow":1,"dst":9,"steps":[{"router":-1,"as":1,"edge":"up","tag":true},{"router":-1,"as":9,"edge":"none"}],"verdict":"path","baseline_len":2,"batch":2}
+{"kind":"batch-seal","batch":2,"records":1,"root":"c455b21daa2ee18a78641dd556f9f8ecd7e574528fd236cf6450050d57ec56b1","prev":"c99a657812407c0e1a6c81d84c13755a5ae78e6b4a83f36459e2a47528567d4e","seal":"64d159bc7859a124c45a1d5b1f4ecaf5e2735b1cfc6b919de81afd66ea0aab7a"}
+`
+
+// TestReadRecordsRejectsUnknownKinds: a line that is not a packet journey
+// or a flow path is an error naming the line, not a zero-step packet
+// record in the summary.
+func TestReadRecordsRejectsUnknownKinds(t *testing.T) {
+	packet := `{"seq":1,"kind":"packet","flow":5,"dst":7,"steps":[{"router":0,"as":7,"edge":"none"}],"verdict":"delivered"}` + "\n"
+	path := `{"seq":2,"kind":"flow-path","flow":6,"dst":7,"steps":[{"router":-1,"as":7,"edge":"none"}],"verdict":"path"}` + "\n"
+	for _, tc := range []struct {
+		name, log string
+		badLine   int // 0: the log is accepted
+	}{
+		{"packet and flow-path", packet + "\n" + path, 0},
+		{"bogus kind", packet + `{"kind":"bogus"}` + "\n", 2},
+		{"no kind", `{"seq":1,"steps":[]}` + "\n" + packet, 1},
+		{"sealed log from before plain JSONL", sealedLogTail, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := 0
+			err := ReadRecords(strings.NewReader(tc.log), func(Record) error { n++; return nil })
+			_, sumErr := Summarize(strings.NewReader(tc.log))
+			if tc.badLine == 0 {
+				if err != nil || sumErr != nil || n != 2 {
+					t.Fatalf("read %d records, err %v, Summarize err %v; want 2 and no error", n, err, sumErr)
+				}
+				return
+			}
+			want := fmt.Sprintf("line %d:", tc.badLine)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("ReadRecords err = %v, want one naming %q", err, want)
+			}
+			if sumErr == nil {
+				t.Fatal("Summarize accepted the log")
+			}
+		})
 	}
 }

@@ -215,14 +215,6 @@ type Record struct {
 	// Violations lists every invariant breach found in this journey —
 	// empty in a correct deployment.
 	Violations []Violation `json:"violations,omitempty"`
-	// Batch and Leaf place the record in its sealed batch (1-based batch
-	// number, 0-based leaf index) and Proof is its Merkle inclusion proof
-	// (sibling hashes, hex, leaf to root). All three are written by the
-	// sealing sink and excluded from the canonical leaf hash, so a
-	// record's identity covers exactly what the auditor observed.
-	Batch uint64   `json:"batch,omitempty"`
-	Leaf  int      `json:"leaf,omitempty"`
-	Proof []string `json:"proof,omitempty"`
 }
 
 // ASPathLen returns the journey length in AS hops (consecutive steps in

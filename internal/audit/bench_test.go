@@ -70,9 +70,8 @@ func BenchmarkJourneyRecorderUnsampledFlow(b *testing.B) {
 // the amortised record-path cost a live run pays to keep counters,
 // online invariant checking, and violation retention. The hot side is
 // two ring pushes per journey; assembly and checking happen on the
-// batcher goroutine (allocation accounting is process-global, so the
-// 0 allocs/op this benchmark reports covers the batcher's steady state
-// too).
+// drain goroutine (allocation accounting is process-global, so the
+// 0 allocs/op this benchmark reports covers its steady state too).
 func BenchmarkJourneyRecorderNoSink(b *testing.B) {
 	a, d, pd, rs := benchRouters(b)
 	rec := NewRecorder(Options{})
@@ -90,10 +89,10 @@ func BenchmarkJourneyRecorderNoSink(b *testing.B) {
 }
 
 // BenchmarkJourneyRecorderFullSampling: every journey recorded, checked,
-// Merkle-sealed in batches, and encoded to a discarded JSONL sink — the
-// full-cost ceiling. The JSON marshalling and hashing run on the batcher
-// goroutine; the allocs/op reported here are the batcher's encoding
-// cost (process-global accounting), not the hot record path's.
+// and encoded to a discarded JSONL sink — the full-cost ceiling. The
+// JSON marshalling runs on the drain goroutine; the allocs/op reported
+// here are its encoding cost (process-global accounting), not the hot
+// record path's.
 func BenchmarkJourneyRecorderFullSampling(b *testing.B) {
 	a, d, pd, rs := benchRouters(b)
 	rec := NewRecorder(Options{Writer: io.Discard})

@@ -19,24 +19,12 @@ type Options struct {
 	// of the flow identity so every packet of a chosen flow is captured.
 	// Values <= 0 or >= 1 record everything.
 	Sample float64
-	// Writer, when non-nil, receives the JSONL flight log. By default the
-	// log is tamper-evident: journeys are written in Merkle-sealed batches
-	// (each record carries its batch number, leaf index and inclusion
-	// proof, followed by a batch-seal line chained to the previous seal)
-	// and land on the writer only when a batch seals — call Flush or Close
-	// to make buffered journeys durable. The recorder serializes writes;
-	// buffering and closing the underlying file are the caller's job.
+	// Writer, when non-nil, receives the JSONL flight log: one line per
+	// journey, written by the drainer as soon as the journey ends (Flush
+	// and Close are the barriers after which every pushed journey is on
+	// it). The recorder serializes writes; buffering and closing the
+	// underlying file are the caller's job.
 	Writer io.Writer
-	// Plain disables sealing: journeys stream as bare JSONL the moment
-	// they finish, with no batches, proofs or seal lines. Plain logs
-	// cannot be verified by mifo-trace -verify.
-	Plain bool
-	// BatchSize is the number of journeys per sealed batch (default 256).
-	BatchSize int
-	// FlushInterval bounds how long a finished journey may sit in an
-	// unsealed batch before a partial batch is sealed anyway
-	// (default 50ms).
-	FlushInterval time.Duration
 	// Segments is the number of ring segments hop records are sharded
 	// over, rounded up to a power of two (default 8). SegmentCap is each
 	// segment's capacity in hop records, rounded up to a power of two
@@ -48,8 +36,7 @@ type Options struct {
 	// audit_steps_total, audit_deflections_total,
 	// audit_violations_total{invariant}, and the async-sink pipeline
 	// metrics (queue depth/high-water gauges, dropped/backpressure
-	// counters, flush-latency and batch-size histograms, batches-sealed
-	// and proofs-emitted counters).
+	// counters).
 	Registry *obs.Registry
 	// KeepViolating bounds how many violating records are retained in
 	// memory for inspection (default 16, negative keeps none).
@@ -77,8 +64,6 @@ type Stats struct {
 	// once before retrying.
 	RingDropped  uint64
 	Backpressure uint64
-	// BatchesSealed counts Merkle-sealed batches written to the sink.
-	BatchesSealed uint64
 }
 
 // asmKey stitches drained hop records back into journeys. kind keeps
@@ -107,22 +92,21 @@ type journey struct {
 // Recorder is the packet flight recorder: it accumulates journeys from
 // dataplane hop hooks (packet granularity) and from netsim path installs
 // (flow granularity), checks invariants online, and streams finished
-// records as a tamper-evident JSONL log. All methods are safe for
-// concurrent use.
+// records as a JSONL log. All methods are safe for concurrent use.
 //
 // The record path is asynchronous: hooks offer fixed-size hop records
 // (see hoprec.go) to a ring.Drainer and return; its drain goroutine, the
-// batcher, assembles journeys, runs the invariant checker, and seals
-// Merkle-committed batches (see merkle.go). Stats, Flush, Close and
-// ViolatingRecords are synchronization barriers — each drains
-// everything the hooks pushed before the call.
+// drainer, assembles journeys, runs the invariant checker, and encodes
+// each journey as it ends. Stats, Flush, Close and ViolatingRecords are
+// synchronization barriers — each drains everything the hooks pushed
+// before the call.
 type Recorder struct {
 	sampleLimit uint32
-	// rings carries hop records to the batcher. Every record of one
-	// journey is offered under the same key, so the batcher sees its hops
+	// rings carries hop records to the drainer. Every record of one
+	// journey is offered under the same key, so the drainer sees its hops
 	// in push order.
 	rings *ring.Drainer[hopRec]
-	// The hooks read the two fields above on every hop, and the batcher
+	// The hooks read the two fields above on every hop, and the drainer
 	// writes the ones below for every journey: keep them a cache line
 	// apart.
 	_ [64]byte
@@ -134,13 +118,10 @@ type Recorder struct {
 	stats Stats
 	bad   []Record
 
-	// Batcher-owned state; no locking (single goroutine). The sink
+	// Drainer-owned state; no locking (single goroutine). The sink
 	// serializes internally and retains the first write error.
-	sink       *jsonl.Sink
-	plain      bool
-	batchSize  int
-	flushEvery time.Duration
-	inflight   map[asmKey]*journey
+	sink     *jsonl.Sink
+	inflight map[asmKey]*journey
 	// One-entry journey cache: consecutive hops of the same journey (the
 	// overwhelmingly common drain pattern, since a journey's hops are
 	// pushed back to back into one segment) skip the inflight map
@@ -151,33 +132,27 @@ type Recorder struct {
 	lastInMap                   bool
 	pool                        []*journey
 	seq                         uint64
-	batch                       []*journey
-	batchStart                  time.Time
-	batchNo                     uint64
-	prevSeal                    [32]byte
-	leaves                      [][32]byte
 	pubDropped, pubBackpressure int64
 	keep                        int
 
 	recTotal, stepTotal, deflTotal  *obs.Counter
 	violVec                         *obs.CounterVec
 	droppedTotal, backpressureTotal *obs.Counter
-	batchesSealed, proofsEmitted    *obs.Counter
 	queueDepth, queueHigh           *obs.Gauge
-	flushSeconds, batchRecords      *obs.Histogram
 }
 
-// NewRecorder builds a recorder from options and starts its batcher.
+// drainPoll is how often the drainer sweeps the rings when no barrier
+// asks it to: short enough that a burst rarely fills a segment and sheds.
+const drainPoll = 2 * time.Millisecond
+
+// NewRecorder builds a recorder from options and starts its drainer.
 // Call Close when done; a recorder that is never closed leaks one
-// goroutine and leaves its last partial batch unsealed.
+// goroutine and never finalizes the journeys still in flight.
 func NewRecorder(o Options) *Recorder {
 	rec := &Recorder{
 		sampleLimit: ^uint32(0),
 		inflight:    make(map[asmKey]*journey),
 		keep:        o.KeepViolating,
-		plain:       o.Plain,
-		batchSize:   o.BatchSize,
-		flushEvery:  o.FlushInterval,
 	}
 	if o.Sample > 0 && o.Sample < 1 {
 		rec.sampleLimit = uint32(o.Sample * float64(^uint32(0)))
@@ -188,13 +163,6 @@ func NewRecorder(o Options) *Recorder {
 	if rec.keep == 0 {
 		rec.keep = 16
 	}
-	if rec.batchSize <= 0 {
-		rec.batchSize = 256
-	}
-	if rec.flushEvery <= 0 {
-		rec.flushEvery = 50 * time.Millisecond
-	}
-	poll := min(max(rec.flushEvery/16, 200*time.Microsecond), 2*time.Millisecond)
 	nseg := o.Segments
 	if nseg <= 0 {
 		nseg = 8
@@ -210,16 +178,10 @@ func NewRecorder(o Options) *Recorder {
 		rec.violVec = o.Registry.CounterVec("audit_violations_total", "invariant violations found by the online auditor", "invariant")
 		rec.droppedTotal = o.Registry.Counter("audit_records_dropped_total", "hop records shed because a ring segment stayed full")
 		rec.backpressureTotal = o.Registry.Counter("audit_backpressure_total", "ring-full events where a producer yielded before retrying")
-		rec.batchesSealed = o.Registry.Counter("audit_batches_sealed", "Merkle-sealed batches written to the flight log")
-		rec.proofsEmitted = o.Registry.Counter("audit_proofs_emitted", "per-journey inclusion proofs written to the flight log")
 		rec.queueDepth = o.Registry.Gauge("audit_queue_depth", "hop records pending in the async ring segments")
 		rec.queueHigh = o.Registry.Gauge("audit_queue_highwater", "highest pending hop-record count observed")
-		rec.flushSeconds = o.Registry.Histogram("audit_flush_seconds", "time from first buffered journey to batch seal",
-			[]float64{0.0005, 0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 1})
-		rec.batchRecords = o.Registry.Histogram("audit_batch_records", "journeys per sealed batch",
-			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 	}
-	rec.rings = ring.NewDrainer(nseg, segCap, poll, rec.process, rec.barrier)
+	rec.rings = ring.NewDrainer(nseg, segCap, drainPoll, rec.process, rec.barrier)
 	return rec
 }
 
@@ -412,18 +374,12 @@ func stepFromHop(h dataplane.HopInfo) Step {
 	return s
 }
 
-// barrier runs on the batcher after each sweep of the rings: it seals
-// batches on deadline (poll ticks) or on demand (Flush, Close), mirrors
-// the counters, and answers the barrier with the first sink error.
+// barrier runs on the drainer after each sweep of the rings: on Close it
+// finalizes the journeys still in flight; every time it mirrors the
+// counters and answers the barrier with the first sink error.
 func (rec *Recorder) barrier(kind ring.Barrier, load ring.Load) error {
-	switch kind {
-	case ring.Tick:
-		rec.maybeSeal()
-	case ring.Flush:
-		rec.sealBatch()
-	case ring.Close:
+	if kind == ring.Close {
 		rec.loseInflight()
-		rec.sealBatch()
 	}
 	rec.publish(load)
 	if rec.sink == nil {
@@ -511,7 +467,7 @@ func (rec *Recorder) process(h *hopRec) {
 	}
 }
 
-// begin starts a journey from the pool (batcher only).
+// begin starts a journey from the pool (drainer only).
 func (rec *Recorder) begin(kind string, flow uint64, dst int32, baseline int) *journey {
 	var j *journey
 	if n := len(rec.pool); n > 0 {
@@ -528,7 +484,7 @@ func (rec *Recorder) begin(kind string, flow uint64, dst int32, baseline int) *j
 	return j
 }
 
-// appendStep records a hop and checks it online (batcher only).
+// appendStep records a hop and checks it online (drainer only).
 func (rec *Recorder) appendStep(j *journey, s Step) {
 	j.rec.Steps = append(j.rec.Steps, s)
 	if rec.stepTotal != nil {
@@ -551,8 +507,7 @@ func (rec *Recorder) appendStep(j *journey, s Step) {
 }
 
 // finish finalizes a journey: copies violations into the record, updates
-// the stats snapshot, and hands the record to the sink — immediately in
-// plain mode, via the current batch in sealed mode (batcher only).
+// the stats snapshot, and encodes the record to the sink (drainer only).
 func (rec *Recorder) finish(j *journey, verdict, reason string) {
 	j.rec.Verdict = verdict
 	j.rec.Reason = reason
@@ -593,89 +548,14 @@ func (rec *Recorder) finish(j *journey, verdict, reason string) {
 	if rec.recTotal != nil {
 		rec.recTotal.Inc()
 	}
-	if rec.sink == nil {
-		rec.recycle(j)
-		return
-	}
-	if rec.plain {
+	if rec.sink != nil {
 		rec.sink.Encode(&j.rec)
-		rec.recycle(j)
-		return
 	}
-	if len(rec.batch) == 0 {
-		rec.batchStart = time.Now()
-	}
-	rec.batch = append(rec.batch, j)
-	if len(rec.batch) >= rec.batchSize {
-		rec.sealBatch()
-	}
-}
-
-// recycle returns a journey to the pool (batcher only).
-func (rec *Recorder) recycle(j *journey) {
-	j.rec.Violations = nil
-	j.rec.Proof = nil
 	rec.pool = append(rec.pool, j)
 }
 
-// sealBatch commits the current batch: canonical leaf hashes, Merkle
-// root, per-record inclusion proofs, and the chained seal line (batcher
-// only; no-op when nothing is buffered or the sink is plain/absent).
-func (rec *Recorder) sealBatch() {
-	n := len(rec.batch)
-	if n == 0 || rec.sink == nil || rec.plain {
-		return
-	}
-	rec.leaves = rec.leaves[:0]
-	for _, j := range rec.batch {
-		lh, err := leafHash(&j.rec)
-		if err != nil {
-			rec.sink.Note(err)
-		}
-		rec.leaves = append(rec.leaves, lh)
-	}
-	levels := merkleLevels(rec.leaves)
-	root := merkleRoot(levels)
-	rec.batchNo++
-	for i, j := range rec.batch {
-		j.rec.Batch = rec.batchNo
-		j.rec.Leaf = i
-		j.rec.Proof = proofHex(proofSteps(levels, i))
-		rec.sink.Encode(&j.rec)
-	}
-	sh := sealHash(rec.prevSeal, root, rec.batchNo, n)
-	seal := BatchSeal{
-		Kind: KindSeal, Batch: rec.batchNo, Records: n,
-		Root: hexHash(root), Prev: hexHash(rec.prevSeal), Seal: hexHash(sh),
-	}
-	rec.sink.Encode(&seal)
-	rec.prevSeal = sh
-	for _, j := range rec.batch {
-		rec.recycle(j)
-	}
-	rec.batch = rec.batch[:0]
-
-	if rec.batchesSealed != nil {
-		rec.batchesSealed.Inc()
-		rec.proofsEmitted.Add(int64(n))
-		rec.flushSeconds.Observe(time.Since(rec.batchStart).Seconds())
-		rec.batchRecords.Observe(float64(n))
-	}
-	rec.mu.Lock()
-	rec.stats.BatchesSealed++
-	rec.mu.Unlock()
-}
-
-// maybeSeal seals a partial batch whose oldest journey has waited past
-// the flush deadline (batcher only).
-func (rec *Recorder) maybeSeal() {
-	if len(rec.batch) > 0 && time.Since(rec.batchStart) >= rec.flushEvery {
-		rec.sealBatch()
-	}
-}
-
 // loseInflight finalizes every journey still being assembled — cached
-// and mapped (batcher only; Close path).
+// and mapped (drainer only; Close path).
 func (rec *Recorder) loseInflight() {
 	if j := rec.lastJ; j != nil {
 		if rec.lastInMap {
@@ -691,7 +571,7 @@ func (rec *Recorder) loseInflight() {
 }
 
 // publish mirrors the rings' shed counters and queue gauges into the
-// stats snapshot and the obs registry (batcher only).
+// stats snapshot and the obs registry (drainer only).
 func (rec *Recorder) publish(load ring.Load) {
 	rec.mu.Lock()
 	rec.stats.RingDropped = uint64(load.Dropped)
@@ -708,22 +588,23 @@ func (rec *Recorder) publish(load ring.Load) {
 	rec.queueHigh.Set(float64(load.Highwater))
 }
 
-// Flush drains everything the hooks have pushed, seals the current
-// partial batch, and returns the first sink error seen so far.
+// Flush drains everything the hooks have pushed, so every journey that
+// has ended is on the writer, and returns the first sink error seen so
+// far.
 func (rec *Recorder) Flush() error {
 	return rec.rings.Wait(ring.Flush)
 }
 
 // Close drains every ring segment, finalizes journeys still in flight
-// (verdict "lost"), seals the final partial batch, stops the batcher,
-// and returns the first sink error. Hooks left installed after Close are
-// harmless: their pushes land in the rings and are never drained.
+// (verdict "lost"), stops the drainer, and returns the first sink error.
+// Hooks left installed after Close are harmless: their pushes land in
+// the rings and are never drained.
 func (rec *Recorder) Close() error {
 	return rec.rings.Close()
 }
 
-// Stats drains everything the hooks have pushed (without sealing) and
-// returns a snapshot of the recorder's counters.
+// Stats drains everything the hooks have pushed and returns a snapshot
+// of the recorder's counters.
 func (rec *Recorder) Stats() Stats {
 	rec.rings.Wait(ring.Drain) // sink errors are for Flush and Close to report
 	rec.mu.Lock()

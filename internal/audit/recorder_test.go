@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dataplane"
 	"repro/internal/obs"
@@ -50,15 +49,15 @@ func TestRecorderPacketJourney(t *testing.T) {
 	if st.Violations != 0 {
 		t.Fatalf("clean journey produced violations: %+v", st)
 	}
-	if got := reg.Snapshot()["audit_records_total"]; got != int64(1) {
-		t.Fatalf("audit_records_total = %v, want 1", got)
+	if got := reg.Counter("audit_records_total", "").Value(); got != 1 {
+		t.Fatalf("audit_records_total = %d, want 1", got)
 	}
-	if got := reg.Snapshot()["audit_deflections_total"]; got != int64(1) {
-		t.Fatalf("audit_deflections_total = %v, want 1", got)
+	if got := reg.Counter("audit_deflections_total", "").Value(); got != 1 {
+		t.Fatalf("audit_deflections_total = %d, want 1", got)
 	}
 
 	// The JSONL stream must round-trip through the reader. Flush is the
-	// durability barrier: it seals the partial batch onto the writer.
+	// barrier after which every ended journey is on the writer.
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +100,8 @@ func TestRecorderDetectsLoopAndCountsPerInvariant(t *testing.T) {
 	if len(bad) != 1 || len(bad[0].Violations) == 0 {
 		t.Fatalf("violating record not retained: %+v", bad)
 	}
-	if got := reg.Snapshot()[`audit_violations_total{invariant="loop-free"}`]; got != int64(1) {
-		t.Fatalf("violation counter = %v, want 1 (snapshot %v)", got, reg.Snapshot())
+	if got := reg.CounterVec("audit_violations_total", "", "invariant").With("loop-free").Value(); got != 1 {
+		t.Fatalf(`audit_violations_total{invariant="loop-free"} = %d, want 1`, got)
 	}
 }
 
@@ -288,8 +287,8 @@ type sinkDownError struct{}
 
 func (*sinkDownError) Error() string { return "sink down" }
 
-// TestRecorderCloseReturnsSinkError: Close must drain, attempt the final
-// seal, and surface the first sink error instead of swallowing it.
+// TestRecorderCloseReturnsSinkError: Close must drain, write what it
+// drained, and surface the first sink error instead of swallowing it.
 func TestRecorderCloseReturnsSinkError(t *testing.T) {
 	w := &failWriter{after: 0}
 	rec := NewRecorder(Options{Writer: w})
@@ -308,12 +307,12 @@ func TestRecorderCloseReturnsSinkError(t *testing.T) {
 	}
 }
 
-// TestRecorderCloseSealsFinalBatch: a journey pushed moments before
-// Close must be drained from the rings, sealed into a final partial
-// batch, and be verifiable — the Close ordering contract.
-func TestRecorderCloseSealsFinalBatch(t *testing.T) {
+// TestRecorderCloseWritesFinalJourneys: a journey pushed moments before
+// Close must be drained from the rings and written, and one still in
+// flight must be written as lost — the Close ordering contract.
+func TestRecorderCloseWritesFinalJourneys(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewRecorder(Options{Writer: &buf, BatchSize: 1 << 20, FlushInterval: time.Hour})
+	rec := NewRecorder(Options{Writer: &buf})
 	hook := rec.RouterHook()
 	p := &dataplane.Packet{Flow: dataplane.FlowKey{DstAddr: 3}, Dst: 3}
 	hook(p, forwardHop(0, 1, dataplane.EBGP, topo.Provider, true))
@@ -324,16 +323,13 @@ func TestRecorderCloseSealsFinalBatch(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := VerifyLog(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("log written by Close does not verify: %v", err)
-	}
-	if res.Records != 2 || res.Batches != 1 {
-		t.Fatalf("verified %d records / %d batches, want 2 / 1", res.Records, res.Batches)
+	verdicts := map[string]int{}
+	if err := ReadRecords(&buf, func(r Record) error { verdicts[r.Verdict]++; return nil }); err != nil {
+		t.Fatal(err)
 	}
 	st := rec.Stats()
-	if st.Delivered != 1 || st.Lost != 1 || st.BatchesSealed != 1 {
-		t.Fatalf("stats = %+v, want 1 delivered + 1 lost in 1 sealed batch", st)
+	if st.Records != 2 || verdicts[VerdictDelivered] != 1 || verdicts[VerdictLost] != 1 {
+		t.Fatalf("log verdicts %v, stats %+v; want 1 delivered + 1 lost on the writer and in Stats", verdicts, st)
 	}
 }
 
@@ -357,12 +353,11 @@ func TestRecorderLostUnsampledFlow(t *testing.T) {
 	}
 }
 
-// TestViolationInFinalUnsealedBatch: a violating journey that is still
-// sitting in the unsealed batch at Close must be retained, sealed, and
-// provable like any other record.
-func TestViolationInFinalUnsealedBatch(t *testing.T) {
+// TestRecorderWritesViolationAtClose: a violating journey must be retained for
+// ViolatingRecords and be on the writer, violations included, after Close.
+func TestRecorderWritesViolationAtClose(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewRecorder(Options{Writer: &buf, BatchSize: 1 << 20, FlushInterval: time.Hour})
+	rec := NewRecorder(Options{Writer: &buf})
 	hook := rec.RouterHook()
 	p := &dataplane.Packet{Flow: dataplane.FlowKey{DstAddr: 9}, Dst: 9}
 	hook(p, forwardHop(0, 1, dataplane.EBGP, topo.Provider, true))
@@ -372,19 +367,13 @@ func TestViolationInFinalUnsealedBatch(t *testing.T) {
 
 	bad := rec.ViolatingRecords()
 	if len(bad) != 1 || len(bad[0].Violations) == 0 {
-		t.Fatalf("violating record not retained before seal: %+v", bad)
-	}
-	if buf.Len() != 0 {
-		t.Fatal("batch sealed early; test wants the violation in the final unsealed batch")
+		t.Fatalf("violating record not retained: %+v", bad)
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyLog(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("log with violating record does not verify: %v", err)
-	}
 	found := false
-	if err := ReadRecords(bytes.NewReader(buf.Bytes()), func(r Record) error {
+	if err := ReadRecords(&buf, func(r Record) error {
 		if len(r.Violations) > 0 {
 			found = true
 		}
@@ -393,7 +382,7 @@ func TestViolationInFinalUnsealedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !found {
-		t.Fatal("violations did not survive the sealed sink")
+		t.Fatal("violations did not reach the writer")
 	}
 }
 
@@ -422,9 +411,9 @@ func TestRecorderHotPathZeroAlloc(t *testing.T) {
 	}
 
 	// Sampled, no sink: the full record path. Warm the journey pool and
-	// the batcher's scratch space first, then measure; Go's allocation
-	// accounting is process-global, so this also proves the batcher's
-	// steady state is allocation-free.
+	// the drain goroutine's scratch space first, then measure; Go's
+	// allocation accounting is process-global, so this also proves the
+	// drain goroutine's steady state is allocation-free.
 	hot := NewRecorder(Options{})
 	defer hot.Close()
 	hhook := hot.RouterHook()

@@ -24,7 +24,6 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/obs/tsdb"
 	"repro/internal/topo"
 )
 
@@ -72,27 +71,6 @@ type Deployment struct {
 	// fib_commit spans from here, fib_swap spans from the routers' FIBs
 	// (SetTracer wires those through).
 	spans *span.Tracer
-
-	// tsSpareVec, when non-nil, is the per-egress spare-capacity series
-	// family sampled once per daemon epoch (see AttachTSDB).
-	tsSpareVec *tsdb.SeriesVec
-}
-
-// AttachTSDB registers the spare-capacity time-series family: each
-// daemon samples, once per control epoch, the measured spare capacity
-// of every egress link that has ever carried its selected alternative.
-// Series are labeled (as, via) and materialized lazily at first
-// selection, so only links the control loop actually chose are stored.
-// Each daemon is the single writer for its own AS's series (the
-// Runtime gives every daemon one goroutine), which satisfies the tsdb
-// sample-path contract. Call before daemons start refreshing.
-func (d *Deployment) AttachTSDB(db *tsdb.Store) {
-	if db == nil {
-		d.tsSpareVec = nil
-		return
-	}
-	d.tsSpareVec = db.SeriesVec("core_spare_capacity_bps",
-		"measured spare capacity of egress links chosen as alternatives, sampled per daemon epoch", "as", "via")
 }
 
 // SetTracer attaches a span tracer to the deployment's control pipeline

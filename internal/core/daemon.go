@@ -7,7 +7,6 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/dataplane"
 	"repro/internal/obs/span"
-	"repro/internal/obs/tsdb"
 )
 
 // Daemon is one AS's MIFO daemon. In the paper's prototype this is a XORP
@@ -24,10 +23,6 @@ type Daemon struct {
 	// Runtime gives each daemon exactly one goroutine, and the read-only
 	// SelectAlternative does not touch it.
 	rib []bgp.Alt
-	// tsSpare holds the AS's materialized spare-capacity series keyed by
-	// the neighbor the egress link leads to. Owned by the daemon's
-	// goroutine, like rib (see Deployment.AttachTSDB).
-	tsSpare map[int32]*tsdb.Series
 }
 
 func newDaemon(dep *Deployment, as int) *Daemon {
@@ -129,7 +124,6 @@ func (dm *Daemon) RefreshAllCtx(tables []*bgp.Dest, parent span.Context) {
 			dep.fibGen.With(strconv.Itoa(int(id))).Set(float64(gen))
 		}
 	}
-	dm.sampleSpare()
 	ep.End()
 	if dep.fibCommit != nil {
 		dep.fibCommit.Observe(time.Since(start).Seconds())
@@ -167,34 +161,5 @@ func (dm *Daemon) refreshInto(txs []*dataplane.FIBTx, t *bgp.Dest) {
 		} else {
 			txs[i].SetAlt(dst, dm.dep.ibgp[id][sel.Router], sel.Router)
 		}
-	}
-	dm.noteSelection(sel)
-}
-
-// noteSelection materializes the spare-capacity series for a chosen
-// egress link on first selection.
-func (dm *Daemon) noteSelection(sel Selection) {
-	if dm.dep.tsSpareVec == nil {
-		return
-	}
-	if _, have := dm.tsSpare[sel.Alt.Via]; have {
-		return
-	}
-	if dm.tsSpare == nil {
-		dm.tsSpare = make(map[int32]*tsdb.Series)
-	}
-	dm.tsSpare[sel.Alt.Via] = dm.dep.tsSpareVec.With(strconv.Itoa(dm.as), strconv.Itoa(int(sel.Alt.Via)))
-}
-
-// sampleSpare records, once per epoch, the current spare capacity of
-// every egress link this AS has ever selected an alternative through.
-func (dm *Daemon) sampleSpare() {
-	if len(dm.tsSpare) == 0 {
-		return
-	}
-	ts := time.Now().UnixNano()
-	for via, ser := range dm.tsSpare {
-		ref := dm.dep.egress[dm.as][via]
-		ser.Sample(ts, dm.dep.Net.Router(ref.router).SpareCapacity(ref.port))
 	}
 }

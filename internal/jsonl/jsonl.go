@@ -2,14 +2,14 @@
 // streams newline-delimited JSON to disk: the audit flight recorder, the
 // span collector, and the tsdb dump writer. It folds the plumbing those
 // sinks previously duplicated — buffered file creation, serialized
-// encoding, first-error retention, flush, close-with-first-error, and
-// optional size-based rotation — into one type with one error policy:
+// encoding, first-error retention, flush and close-with-first-error —
+// into one type with one error policy:
 //
 //	the first error wins, every later operation keeps running
 //	best-effort, and Close/Err report that first error.
 //
 // A Sink is safe for concurrent use; writers that already serialize
-// (single background batcher goroutines) pay one uncontended mutex.
+// (single background drain goroutines) pay one uncontended mutex.
 package jsonl
 
 import (
@@ -21,86 +21,39 @@ import (
 	"sync"
 )
 
-// Options tune a file-backed Sink. The zero value buffers 1 MiB and
-// never rotates.
-type Options struct {
-	// BufferSize is the write-buffer size in bytes (default 1 MiB).
-	BufferSize int
-	// MaxBytes, when > 0, rotates the file once it grows past this many
-	// bytes: the current file is renamed path.1 (shifting path.1 to
-	// path.2 and so on, keeping Keep old files) and a fresh file is
-	// opened at path. Rotation happens between records, so every file
-	// holds whole JSONL lines.
-	MaxBytes int64
-	// Keep is how many rotated files are retained (default 3).
-	Keep int
-}
-
-func (o Options) withDefaults() Options {
-	if o.BufferSize <= 0 {
-		o.BufferSize = 1 << 20
-	}
-	if o.Keep <= 0 {
-		o.Keep = 3
-	}
-	return o
-}
+// bufferSize is a file-backed Sink's write-buffer size.
+const bufferSize = 1 << 20
 
 // Sink writes newline-delimited JSON with first-error retention. Build
-// one with Create (owned file, buffered, optional rotation) or New
-// (caller-owned writer).
+// one with Create (owned file, buffered) or New (caller-owned writer).
 type Sink struct {
 	mu  sync.Mutex
-	out io.Writer // current raw target: bw in file mode, the wrapped writer otherwise
+	out io.Writer // raw target: bw in file mode, the wrapped writer otherwise
 	enc *json.Encoder
 	err error
 
 	// File mode only.
-	path      string
-	f         *os.File
-	bw        *bufio.Writer
-	opt       Options
-	size      int64
-	rotations int
-	closed    bool
-}
-
-// countWriter routes the encoder's output through the sink's current
-// target while accounting bytes for rotation. Only driven with s.mu held
-// (by Encode), so the unguarded size update is safe.
-type countWriter struct{ s *Sink }
-
-func (c countWriter) Write(p []byte) (int, error) {
-	n, err := c.s.out.Write(p)
-	c.s.size += int64(n)
-	return n, err
+	path   string
+	f      *os.File
+	bw     *bufio.Writer
+	closed bool
 }
 
 // New wraps a caller-owned writer. Close flushes nothing and does not
 // close w; it only reports the first error. w must not be nil.
 func New(w io.Writer) *Sink {
-	s := &Sink{out: w}
-	s.enc = json.NewEncoder(countWriter{s})
-	return s
+	return &Sink{out: w, enc: json.NewEncoder(w)}
 }
 
 // Create opens path for writing (truncating) with a buffered writer the
 // sink owns: Flush drains the buffer, Close flushes and closes the file.
-func Create(path string, opts ...Options) (*Sink, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	o = o.withDefaults()
+func Create(path string) (*Sink, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sink{path: path, f: f, opt: o}
-	s.bw = bufio.NewWriterSize(f, o.BufferSize)
-	s.out = s.bw
-	s.enc = json.NewEncoder(countWriter{s})
-	return s, nil
+	bw := bufio.NewWriterSize(f, bufferSize)
+	return &Sink{out: bw, enc: json.NewEncoder(bw), path: path, f: f, bw: bw}, nil
 }
 
 // Encode writes one JSONL line. It returns the error of this encode (or
@@ -111,9 +64,6 @@ func (s *Sink) Encode(v any) error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return s.firstLocked(fmt.Errorf("jsonl: encode on closed sink %q", s.path))
-	}
-	if s.f != nil && s.opt.MaxBytes > 0 && s.size >= s.opt.MaxBytes {
-		s.rotateLocked()
 	}
 	if err := s.enc.Encode(v); err != nil {
 		return s.firstLocked(err)
@@ -131,23 +81,10 @@ func (s *Sink) Write(p []byte) (int, error) {
 		return 0, s.firstLocked(fmt.Errorf("jsonl: write on closed sink %q", s.path))
 	}
 	n, err := s.out.Write(p)
-	s.size += int64(n)
 	if err != nil {
 		return n, s.firstLocked(err)
 	}
 	return n, nil
-}
-
-// Note retains err as the sink's first error if none is retained yet.
-// Components use it to funnel non-write failures (e.g. hashing a record
-// before encoding it) into the same close-with-first-error report.
-func (s *Sink) Note(err error) {
-	if err == nil {
-		return
-	}
-	s.mu.Lock()
-	s.firstLocked(err)
-	s.mu.Unlock()
 }
 
 // Err returns the retained first error.
@@ -192,20 +129,6 @@ func (s *Sink) Close() error {
 	return s.err
 }
 
-// Rotations reports how many times the sink rotated its file.
-func (s *Sink) Rotations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rotations
-}
-
-// Size reports the bytes written to the current file (file mode).
-func (s *Sink) Size() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
-}
-
 // firstLocked retains err if it is the first and returns the retained
 // error (mu held).
 func (s *Sink) firstLocked(err error) error {
@@ -213,43 +136,4 @@ func (s *Sink) firstLocked(err error) error {
 		s.err = err
 	}
 	return s.err
-}
-
-// rotateLocked shifts path.1..path.Keep-1 up, renames the current file
-// to path.1, and reopens path (mu held). Any step failing retains the
-// error and keeps writing to the old file.
-func (s *Sink) rotateLocked() {
-	if err := s.bw.Flush(); err != nil {
-		s.firstLocked(err)
-		return
-	}
-	if err := s.f.Close(); err != nil {
-		s.firstLocked(err)
-		return
-	}
-	for i := s.opt.Keep - 1; i >= 1; i-- {
-		from := fmt.Sprintf("%s.%d", s.path, i)
-		if _, err := os.Stat(from); err == nil {
-			os.Rename(from, fmt.Sprintf("%s.%d", s.path, i+1))
-		}
-	}
-	if err := os.Rename(s.path, s.path+".1"); err != nil {
-		s.firstLocked(err)
-	}
-	f, err := os.Create(s.path)
-	if err != nil {
-		// Keep going: reopen the renamed file so records are not lost.
-		s.firstLocked(err)
-		if f2, err2 := os.OpenFile(s.path+".1", os.O_APPEND|os.O_WRONLY, 0o644); err2 == nil {
-			f = f2
-		} else {
-			s.firstLocked(err2)
-			return
-		}
-	}
-	s.f = f
-	s.bw = bufio.NewWriterSize(f, s.opt.BufferSize)
-	s.out = s.bw
-	s.size = 0
-	s.rotations++
 }

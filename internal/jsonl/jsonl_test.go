@@ -105,59 +105,14 @@ func TestFirstErrorWins(t *testing.T) {
 	if err := s.Encode(rec{N: 2, S: strings.Repeat("x", 64)}); !errors.Is(err, errSink) {
 		t.Fatalf("want errSink, got %v", err)
 	}
-	s.Note(errors.New("later error"))
+	if err := s.Encode(rec{N: 3}); !errors.Is(err, errSink) {
+		t.Fatalf("encode after a failure must report the first error, got %v", err)
+	}
 	if err := s.Close(); !errors.Is(err, errSink) {
 		t.Fatalf("close must report the FIRST error, got %v", err)
 	}
 	if err := s.Err(); !errors.Is(err, errSink) {
 		t.Fatalf("err must report the first error, got %v", err)
-	}
-}
-
-func TestNoteRetainsExternalError(t *testing.T) {
-	s := New(&strings.Builder{})
-	s.Note(nil) // no-op
-	if s.Err() != nil {
-		t.Fatal("nil note must not retain")
-	}
-	want := errors.New("hash failed")
-	s.Note(want)
-	if err := s.Close(); !errors.Is(err, want) {
-		t.Fatalf("want noted error, got %v", err)
-	}
-}
-
-func TestRotation(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "out.jsonl")
-	s, err := Create(path, Options{MaxBytes: 64, Keep: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if err := s.Encode(rec{N: i, S: "padding-padding"}); err != nil {
-			t.Fatalf("encode %d: %v", i, err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Rotations() == 0 {
-		t.Fatal("expected at least one rotation")
-	}
-	// Every surviving file must hold whole JSONL lines.
-	total := len(readLines(t, path))
-	for _, suffix := range []string{".1", ".2"} {
-		if _, err := os.Stat(path + suffix); err == nil {
-			total += len(readLines(t, path+suffix))
-		}
-	}
-	if total == 0 {
-		t.Fatal("no records survived rotation")
-	}
-	// Keep=2 bounds retention: path.3 must not exist.
-	if _, err := os.Stat(path + ".3"); err == nil {
-		t.Fatal("rotation kept more files than Keep allows")
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataplane"
 	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 )
 
 // Delivery is a packet that reached its destination AS.
@@ -129,9 +128,6 @@ type Fabric struct {
 	mu         sync.Mutex
 
 	recorder *audit.Recorder
-	// tsLinkUtil[router][port] is the per-link utilization series the
-	// link monitor samples each tick (nil until AttachTSDB).
-	tsLinkUtil [][]*tsdb.Series
 	// nextPktID stamps injected packets that carry no ID of their own, so
 	// the flight recorder can stitch each packet's hops — observed at
 	// different nodes — into one journey. The ID rides in the IPv4
@@ -283,31 +279,6 @@ func (f *Fabric) AttachRecorder(rec *audit.Recorder) {
 	for _, nd := range f.nodes {
 		nd.router.Hop = hook
 	}
-}
-
-// AttachTSDB registers one utilization time series per wired port and
-// has the link monitor sample it every tick, so congestion on the UDP
-// fabric becomes episode-analyzable history (timestamps are wall-clock
-// nanoseconds). Call it before MonitorLoads; the monitor goroutine is
-// the single writer the tsdb sample path requires.
-func (f *Fabric) AttachTSDB(db *tsdb.Store) {
-	if db == nil {
-		f.tsLinkUtil = nil
-		return
-	}
-	vec := db.SeriesVec("netd_link_util", "per-port transmit utilization (smoothed rate / capacity)", "router", "port")
-	f.tsLinkUtil = make([][]*tsdb.Series, len(f.nodes))
-	for i, nd := range f.nodes {
-		f.tsLinkUtil[i] = make([]*tsdb.Series, len(nd.txBytes))
-		r := f.Net.Routers[i]
-		for p := range r.Ports {
-			if r.Ports[p].Peer < 0 {
-				continue
-			}
-			f.tsLinkUtil[i][p] = vec.With(strconv.Itoa(i), strconv.Itoa(p))
-		}
-	}
-	db.SetEpisodeSpec(tsdb.EpisodeSpec{Util: "netd_link_util"})
 }
 
 // Addr returns the UDP address a router listens on (for external senders).
@@ -587,7 +558,6 @@ func (f *Fabric) MonitorLoads(interval time.Duration) (stop func()) {
 				return
 			case <-ticker.C:
 				now := time.Since(start).Seconds()
-				ts := time.Now().UnixNano()
 				for i, nd := range f.nodes {
 					for p := range nd.txBytes {
 						cur := nd.txBytes[p].Load()
@@ -602,9 +572,6 @@ func (f *Fabric) MonitorLoads(interval time.Duration) (stop func()) {
 								ratio = 1
 							}
 							nd.router.SetQueueRatio(p, ratio)
-							if f.tsLinkUtil != nil && f.tsLinkUtil[i][p] != nil {
-								f.tsLinkUtil[i][p].Sample(ts, ratio)
-							}
 						}
 					}
 				}

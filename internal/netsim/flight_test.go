@@ -94,7 +94,7 @@ func TestFlightRecorderAuditsMIFORun(t *testing.T) {
 func TestRecorderAuditsDeflectionDecisions(t *testing.T) {
 	g := fig2aGraph(t)
 	var buf bytes.Buffer
-	rec := audit.NewRecorder(audit.Options{Writer: &buf, Plain: true})
+	rec := audit.NewRecorder(audit.Options{Writer: &buf})
 	res, err := Run(g, hogAndReturner, Config{Policy: PolicyMIFO, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)

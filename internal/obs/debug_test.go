@@ -11,7 +11,7 @@ func TestDebugEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("dbg_pkts_total", "packets").Add(9)
 
-	srv, err := ServeDebug("127.0.0.1:0", reg, nil)
+	srv, err := ServeDebug("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,22 +34,21 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Errorf("/metrics code=%d body=%q", code, body)
 	}
 
-	code, body = get("/debug/vars")
-	if code != http.StatusOK || !strings.Contains(body, "dbg_pkts_total") {
-		t.Errorf("/debug/vars code=%d, missing registry metrics", code)
-	}
-
 	code, body = get("/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ code=%d", code)
 	}
 
+	// /metrics is the registry's only way out.
+	if code, _ := get("/debug/vars"); code != http.StatusNotFound {
+		t.Errorf("/debug/vars code=%d, want 404", code)
+	}
 }
 
-// TestDebugMuxWithoutStore: the tsdb query API is mounted only when a
-// store is given.
+// The time-series store is read from its dumps alone: the debug mux
+// serves nothing under /debug/tsdb/.
 func TestDebugMuxWithoutStore(t *testing.T) {
-	srv, err := ServeDebug("127.0.0.1:0", NewRegistry(), nil)
+	srv, err := ServeDebug("127.0.0.1:0", NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,11 @@ package obs
 
 import (
 	"bufio"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // WritePrometheus writes every metric in the registry in the Prometheus
@@ -93,46 +91,4 @@ func escapeHelp(v string) string {
 
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Snapshot returns a flat name -> value map of every series: counters and
-// gauges map to their value, histograms to {count, sum, mean}. Series keys
-// include labels in exposition syntax. This is the expvar view.
-func (r *Registry) Snapshot() map[string]any {
-	out := make(map[string]any)
-	for _, f := range r.sortedFamilies() {
-		for _, s := range f.sortedSeries() {
-			values := splitLabelKey(s.key, len(f.labels))
-			key := f.name + labelString(f.labels, values, "")
-			switch m := s.m.(type) {
-			case *Counter:
-				out[key] = m.Value()
-			case *Gauge:
-				out[key] = m.Value()
-			case *Histogram:
-				out[key] = map[string]any{"count": m.Count(), "sum": m.Sum(), "mean": m.Mean()}
-			}
-		}
-	}
-	return out
-}
-
-// ExpvarFunc returns the registry as an expvar.Var whose JSON rendering is
-// the Snapshot map.
-func (r *Registry) ExpvarFunc() expvar.Var {
-	return expvar.Func(func() any { return r.Snapshot() })
-}
-
-// expvarPublished guards expvar.Publish, which panics on duplicate names.
-var expvarPublished sync.Map
-
-// PublishExpvar publishes the registry under the given name in the
-// process-wide expvar namespace (served at /debug/vars). Repeat calls with
-// the same name are no-ops, even across registries: the first registry
-// published under a name wins for the process lifetime.
-func (r *Registry) PublishExpvar(name string) {
-	if _, loaded := expvarPublished.LoadOrStore(name, true); loaded {
-		return
-	}
-	expvar.Publish(name, r.ExpvarFunc())
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -84,7 +83,7 @@ func TestMetricsEndpointGolden(t *testing.T) {
 	v.With("fib_swap").Observe(0.5)
 
 	rec := httptest.NewRecorder()
-	NewDebugMux(r, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	NewDebugMux(r).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /metrics = %d, want 200", rec.Code)
 	}
@@ -196,24 +195,4 @@ func checkBucketCumulativity(t *testing.T, body string) {
 			t.Errorf("series %s: +Inf bucket %d != _count %d", key, s.inf, c)
 		}
 	}
-}
-
-func TestExpvarFuncRendersJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("n_total", "").Add(2)
-	var m map[string]any
-	if err := json.Unmarshal([]byte(r.ExpvarFunc().String()), &m); err != nil {
-		t.Fatalf("expvar output not JSON: %v", err)
-	}
-	if m["n_total"] != float64(2) {
-		t.Errorf("n_total = %v, want 2", m["n_total"])
-	}
-}
-
-func TestPublishExpvarIdempotent(t *testing.T) {
-	r := NewRegistry()
-	// Must not panic on repeat publication (expvar.Publish would).
-	r.PublishExpvar("obs_test_metrics")
-	r.PublishExpvar("obs_test_metrics")
-	NewRegistry().PublishExpvar("obs_test_metrics")
 }

@@ -92,24 +92,6 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestSnapshotShapes(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "").Add(3)
-	r.GaugeVec("b", "", "k").With("v").Set(1.5)
-	r.Histogram("h", "", []float64{1, 2}).Observe(1.5)
-	snap := r.Snapshot()
-	if snap["a_total"] != int64(3) {
-		t.Errorf("a_total = %v", snap["a_total"])
-	}
-	if snap[`b{k="v"}`] != 1.5 {
-		t.Errorf(`b{k="v"} = %v`, snap[`b{k="v"}`])
-	}
-	hm, ok := snap["h"].(map[string]any)
-	if !ok || hm["count"] != int64(1) || hm["sum"] != 1.5 {
-		t.Errorf("h snapshot = %v", snap["h"])
-	}
-}
-
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("esc_total", "", "v").With("a\"b\\c\nd").Inc()

@@ -2,8 +2,8 @@ package tsdb
 
 import "testing"
 
-// BenchmarkSample is the hotpath benchmark the PR commits to: one point
-// through the raw ring and both downsampling tiers, zero allocations.
+// BenchmarkSample is the hotpath benchmark: one point into the raw ring,
+// zero allocations.
 func BenchmarkSample(b *testing.B) {
 	st := NewStore()
 	s := st.Series("bench_sample", "")
@@ -27,42 +27,9 @@ func BenchmarkSampleVecResolved(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryRaw snapshots and buckets a full raw ring.
-func BenchmarkQueryRaw(b *testing.B) {
-	st := NewStore()
-	s := st.Series("bench_query_raw", "")
-	for i := 0; i < 4096; i++ {
-		s.Sample(int64(i), float64(i%10))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := s.Query(QueryOpts{From: 0, Tier: 0}); len(got) == 0 {
-			b.Fatal("empty query")
-		}
-	}
-}
-
-// BenchmarkQueryCascade exercises the auto-tier fallback over a range
-// the raw ring no longer covers.
-func BenchmarkQueryCascade(b *testing.B) {
-	st := NewStore(Options{RawCap: 256, TierCap: 512})
-	s := st.Series("bench_query_cascade", "")
-	for i := 0; i < 50000; i++ {
-		s.Sample(int64(i), float64(i%10))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := s.Query(QueryOpts{From: 0, Step: 1000, Tier: -1}); len(got) == 0 {
-			b.Fatal("empty query")
-		}
-	}
-}
-
 // BenchmarkAnalyze runs episode detection over a gathered store.
 func BenchmarkAnalyze(b *testing.B) {
-	st := NewStore(Options{RawCap: 1024, TierCap: 64})
+	st := NewStore(Options{RawCap: 1024})
 	st.SetEpisodeSpec(EpisodeSpec{Util: "bench_util", Deflections: "bench_defl", OffloadBits: "bench_off", Threshold: 0.9, Window: 10})
 	uv := st.SeriesVec("bench_util", "", "link")
 	dv := st.SeriesVec("bench_defl", "", "link")

@@ -12,8 +12,8 @@ import (
 // SeriesDump is one series' retained raw window in portable form: what
 // Gather snapshots from a live store, what WriteDump streams to disk,
 // and what the episode analyzer consumes — the same shape online and
-// offline, so `mifo-top -log` and /debug/tsdb/episodes agree by
-// construction.
+// offline, so `mifo-top -log` and mifo-sim's own episode summary agree
+// by construction.
 type SeriesDump struct {
 	Name   string   `json:"name"`
 	Labels []string `json:"labels,omitempty"`
@@ -41,7 +41,7 @@ func (st *Store) Gather(names ...string) []SeriesDump {
 				Name:   s.name,
 				Labels: f.labels,
 				Values: s.values,
-				Points: s.Raw(nil),
+				Points: s.Raw(),
 			})
 		}
 	}

@@ -15,7 +15,7 @@ import (
 
 // EpisodeSpec names the families the analyzer joins and tunes detection.
 // Components that instrument a Store install their spec with
-// SetEpisodeSpec so dumps and the debug endpoint are self-describing.
+// SetEpisodeSpec so dumps are self-describing.
 type EpisodeSpec struct {
 	// Util is the utilization family (fraction of capacity, 0..1; failed
 	// links may read as 2). Required.

@@ -6,18 +6,20 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/jsonl"
 )
 
 func TestRawRingRoundTrip(t *testing.T) {
-	st := NewStore(Options{RawCap: 16, TierCap: 16})
+	st := NewStore(Options{RawCap: 16})
 	s := st.Series("test_series", "round trip")
 	for i := 0; i < 10; i++ {
 		s.Sample(int64(i*100), float64(i))
 	}
-	pts := s.Raw(nil)
+	pts := s.Raw()
 	if len(pts) != 10 {
 		t.Fatalf("want 10 points, got %d", len(pts))
 	}
@@ -26,95 +28,10 @@ func TestRawRingRoundTrip(t *testing.T) {
 			t.Fatalf("point %d mismatch: %+v", i, p)
 		}
 	}
-	if p, ok := s.Latest(); !ok || p.TS != 900 || p.V != 9 {
-		t.Fatalf("latest mismatch: %+v ok=%v", p, ok)
-	}
-}
-
-func TestTierCascade(t *testing.T) {
-	st := NewStore(Options{RawCap: 1024, TierCap: 16})
-	s := st.Series("test_tiers", "")
-	// 250 points: 25 tier-1 buckets, 2 tier-2 buckets.
-	for i := 0; i < 250; i++ {
-		s.Sample(int64(i), float64(i%10))
-	}
-	t1 := s.Tier(1, nil)
-	if len(t1) == 0 || len(t1) > 16 {
-		t.Fatalf("tier1: want 1..16 buckets, got %d", len(t1))
-	}
-	for _, b := range t1 {
-		if b.Count != tierFanout {
-			t.Fatalf("tier1 bucket count: want %d, got %d", tierFanout, b.Count)
-		}
-		// Each bucket spans 10 consecutive i%10 values: min 0, max 9, sum 45.
-		if b.Min != 0 || b.Max != 9 || b.Sum != 45 {
-			t.Fatalf("tier1 bucket aggregates wrong: %+v", b)
-		}
-		if b.End-b.Start != tierFanout-1 {
-			t.Fatalf("tier1 bucket span wrong: %+v", b)
-		}
-	}
-	t2 := s.Tier(2, nil)
-	if len(t2) != 2 {
-		t.Fatalf("tier2: want 2 buckets, got %d", len(t2))
-	}
-	for _, b := range t2 {
-		if b.Count != tierFanout*tierFanout || b.Sum != 450 {
-			t.Fatalf("tier2 bucket aggregates wrong: %+v", b)
-		}
-	}
-}
-
-func TestQueryTierCascade(t *testing.T) {
-	st := NewStore(Options{RawCap: 16, TierCap: 64})
-	s := st.Series("test_query", "")
-	const n = 500
-	for i := 0; i < n; i++ {
-		s.Sample(int64(i), 1)
-	}
-	// Raw ring only reaches back ~16 points; a query from 0 must cascade
-	// to a coarser tier instead of coming back nearly empty.
-	got := s.Query(QueryOpts{From: 0, Tier: -1})
-	if len(got) == 0 {
-		t.Fatal("cascaded query returned nothing")
-	}
-	if got[0].Start > 100 {
-		t.Fatalf("cascade did not reach back: first bucket starts at %d", got[0].Start)
-	}
-	// Forcing raw honors the request even though it covers less.
-	raw := s.Query(QueryOpts{From: 0, Tier: 0})
-	if len(raw) == 0 || raw[0].Start <= 100 {
-		t.Fatalf("forced raw should only cover the recent window, got start %d over %d buckets", raw[0].Start, len(raw))
-	}
-}
-
-func TestQueryStepRebucket(t *testing.T) {
-	st := NewStore(Options{RawCap: 1024, TierCap: 64})
-	s := st.Series("test_step", "")
-	for i := 0; i < 100; i++ {
-		s.Sample(int64(i), float64(i))
-	}
-	got := s.Query(QueryOpts{From: 0, To: 99, Step: 25, Tier: 0})
-	if len(got) != 4 {
-		t.Fatalf("want 4 step buckets, got %d: %+v", len(got), got)
-	}
-	var total int64
-	for i, b := range got {
-		if b.Start != int64(i*25) || b.End != int64((i+1)*25) {
-			t.Fatalf("bucket %d bounds wrong: %+v", i, b)
-		}
-		total += b.Count
-	}
-	if total != 100 {
-		t.Fatalf("rebucket lost samples: %d", total)
-	}
-	if got[0].Min != 0 || got[3].Max != 99 {
-		t.Fatalf("rebucket aggregates wrong: %+v", got)
-	}
 }
 
 func TestSeriesVecLabels(t *testing.T) {
-	st := NewStore(Options{RawCap: 16, TierCap: 16})
+	st := NewStore(Options{RawCap: 16})
 	vec := st.SeriesVec("test_vec", "", "run", "link")
 	a := vec.With("1", "a")
 	b := vec.With("1", "b")
@@ -149,7 +66,7 @@ func TestRegistrationConflictPanics(t *testing.T) {
 
 // TestSampleAllocFree pins the hotpath contract: zero allocations.
 func TestSampleAllocFree(t *testing.T) {
-	st := NewStore(Options{RawCap: 64, TierCap: 16})
+	st := NewStore(Options{RawCap: 64})
 	s := st.Series("test_alloc", "")
 	ts := int64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -158,6 +75,52 @@ func TestSampleAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Sample allocates %.1f per call; hotpath must be 0", allocs)
+	}
+}
+
+// TestGatherWhileSampling runs every reader of a live store — Gather,
+// AnalyzeStore and WriteDump — while a writer samples flat out into a
+// ring small enough to wrap during a read. Each read must be whole points
+// in timestamp order, and each dump must read back (run under -race via
+// make tsdb-race).
+func TestGatherWhileSampling(t *testing.T) {
+	st := NewStore(Options{RawCap: 64})
+	st.SetEpisodeSpec(EpisodeSpec{Util: "test_util", Threshold: 0.95, Window: 5, MaxGap: 1e9})
+	s := st.SeriesVec("test_util", "link utilization", "run", "link").With("1", "7")
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for ts := int64(5); !stop.Load(); ts += 5 {
+			s.Sample(ts, float64(ts%100)/100)
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+
+	for i := 0; i < 200; i++ {
+		got := st.Gather()
+		if len(got) != 1 {
+			t.Fatalf("gather returned %d series, want 1", len(got))
+		}
+		pts := got[0].Points
+		for j := 1; j < len(pts); j++ {
+			if pts[j].TS != pts[j-1].TS+5 || pts[j].V != float64(pts[j].TS%100)/100 {
+				t.Fatalf("gather %d: point %d is %+v after %+v: torn or out of order", i, j, pts[j], pts[j-1])
+			}
+		}
+		AnalyzeStore(st, EpisodeSpec{})
+		var buf bytes.Buffer
+		if err := st.WriteDump(jsonl.New(&buf)); err != nil {
+			t.Fatal(err)
+		}
+		if series, spec, err := ReadDump(&buf); err != nil || len(series) != 1 || spec.Util != "test_util" {
+			t.Fatalf("dump %d read back as %d series, spec %+v, err %v", i, len(series), spec, err)
+		}
 	}
 }
 
@@ -272,7 +235,7 @@ func TestEpisodeGapSplits(t *testing.T) {
 }
 
 func TestDumpRoundTrip(t *testing.T) {
-	st := NewStore(Options{RawCap: 64, TierCap: 16})
+	st := NewStore(Options{RawCap: 64})
 	st.SetEpisodeSpec(EpisodeSpec{Util: "test_util", Threshold: 0.8, Window: 5})
 	vec := st.SeriesVec("test_util", "link utilization", "link")
 	a := vec.With("a")

@@ -40,9 +40,6 @@ func (r *Words) Put(rec ...uint64) {
 	r.cur.Store(i + 1)
 }
 
-// Len returns how many records were ever written.
-func (r *Words) Len() uint64 { return r.cur.Load() }
-
 // Snapshot returns the retained records, oldest first, stride words
 // each.
 func (r *Words) Snapshot() []uint64 {
@@ -51,21 +48,7 @@ func (r *Words) Snapshot() []uint64 {
 	if capacity := r.mask + 1; end > capacity {
 		lo = end - capacity
 	}
-	return r.read(lo, end, nil)
-}
-
-// Last appends the newest record to buf[:0]; ok is false while the ring
-// is empty.
-func (r *Words) Last(buf []uint64) (rec []uint64, ok bool) {
-	for {
-		end := r.cur.Load()
-		if end == 0 {
-			return buf[:0], false
-		}
-		if rec = r.read(end-1, end, buf); len(rec) > 0 {
-			return rec, true
-		}
-	}
+	return r.read(lo, end)
 }
 
 // read copies records lo..end-1 (end no later than a cursor value the
@@ -75,11 +58,8 @@ func (r *Words) Last(buf []uint64) (rec []uint64, ok bool) {
 // c-capacity's, before it advances the cursor — so indices up to
 // c-capacity are unsafe even if the cursor never moved, and a snapshot
 // of a wrapped ring holds at most capacity-1 records.
-func (r *Words) read(lo, end uint64, buf []uint64) []uint64 {
-	out := buf[:0]
-	if n := int((end - lo) * r.stride); cap(out) < n {
-		out = make([]uint64, 0, n)
-	}
+func (r *Words) read(lo, end uint64) []uint64 {
+	out := make([]uint64, 0, (end-lo)*r.stride)
 	for i := lo; i < end; i++ {
 		base := (i & r.mask) * r.stride
 		slot := r.words[base : base+r.stride]

@@ -42,14 +42,14 @@ func newWords(capacity int) *Words {
 
 func TestWordsRoundTripAndWrap(t *testing.T) {
 	r := newWords(16)
-	if _, ok := r.Last(nil); ok || len(r.Snapshot()) != 0 {
+	if len(r.Snapshot()) != 0 {
 		t.Fatal("an empty ring has records")
 	}
 	for i := uint64(0); i < 10; i++ {
 		putRec(r, i)
 	}
-	if n := windowAt(r.Snapshot(), 0); n != 10 || r.Len() != 10 {
-		t.Fatalf("snapshot holds %d records from 0, Len %d, want 10 and 10", n, r.Len())
+	if n := windowAt(r.Snapshot(), 0); n != 10 {
+		t.Fatalf("snapshot holds %d records from 0, want 10", n)
 	}
 	for i := uint64(10); i < 1000; i++ {
 		putRec(r, i)
@@ -57,12 +57,6 @@ func TestWordsRoundTripAndWrap(t *testing.T) {
 	// Once wrapped, a snapshot keeps the newest capacity-1 records.
 	if n := windowAt(r.Snapshot(), 1000-15); n != 15 {
 		t.Fatalf("snapshot of a wrapped ring of 16 holds %d records from 985, want 15", n)
-	}
-	if last, ok := r.Last(nil); !ok || windowAt(last, 999) != 1 {
-		t.Fatalf("Last = %v, %v, want record 999", last, ok)
-	}
-	if r.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", r.Len())
 	}
 }
 
@@ -102,13 +96,13 @@ func TestWordsReadDiscardsWhatWasLapped(t *testing.T) {
 		putRec(r, i)
 	}
 	// Records 0..2 are overwritten and record 3's slot is the next write.
-	if n := windowAt(r.read(lo, end, nil), 4); n != 4 {
+	if n := windowAt(r.read(lo, end), 4); n != 4 {
 		t.Fatalf("read kept %d records from 4 of a window the writer ate 4 of, want 4", n)
 	}
 	for i := uint64(capacity + 3); i < 3*capacity; i++ {
 		putRec(r, i)
 	}
-	if got := r.read(lo, end, nil); len(got) != 0 {
+	if got := r.read(lo, end); len(got) != 0 {
 		t.Fatalf("read kept %d words of a window the writer lapped entirely", len(got))
 	}
 }
@@ -122,11 +116,10 @@ func TestWordsWriterVsReaders(t *testing.T) {
 	r := newWords(64)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	reader := func(read func(buf []uint64) []uint64) {
+	reader := func(read func() []uint64) {
 		defer wg.Done()
-		var buf []uint64
 		for !stop.Load() {
-			buf = read(buf)
+			buf := read()
 			if len(buf) == 0 {
 				continue
 			}
@@ -138,12 +131,15 @@ func TestWordsWriterVsReaders(t *testing.T) {
 	}
 	wg.Add(4)
 	for i := 0; i < 2; i++ {
-		go reader(func([]uint64) []uint64 { return r.Snapshot() })
+		go reader(r.Snapshot)
 	}
 	for i := 0; i < 2; i++ {
-		go reader(func(buf []uint64) []uint64 {
-			rec, _ := r.Last(buf)
-			return rec
+		go reader(func() []uint64 {
+			end := r.cur.Load()
+			if end == 0 {
+				return nil
+			}
+			return r.read(end-1, end)
 		})
 	}
 	for i := uint64(0); i < writes && !stop.Load(); i++ {
