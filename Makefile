@@ -89,7 +89,7 @@ tsdb-race:
 # a resilience run must provably reach data-plane consistency.
 conv-smoke:
 	$(GO) run ./cmd/mifo-sim -exp resilience -n 300 -flows 800 -span-log /tmp/mifo-spans.jsonl > /dev/null
-	$(GO) run ./cmd/mifo-conv -events -min-events 6 /tmp/mifo-spans.jsonl
+	$(GO) run ./cmd/mifo-inspect spans -events -min-events 6 /tmp/mifo-spans.jsonl
 
 bench:
 	$(GO) test -run xxx -bench=. -benchmem $(BENCH_PKGS)
@@ -126,9 +126,9 @@ fuzz:
 figures:
 	$(GO) run ./cmd/mifo-sim -exp all -o results | tee results/simulation.txt
 
+# Fig. 12 (Section V): the fluid model, then the packet-level engine.
 testbed:
-	$(GO) run ./cmd/mifo-testbed | tee results/testbed.txt
-	$(GO) run ./cmd/mifo-testbed -packet -size-mb 20 | tee -a results/testbed.txt
+	$(GO) run ./cmd/mifo-sim -exp fig12,fig12-packet | tee results/testbed.txt
 
 results: figures testbed
 

@@ -1,10 +1,12 @@
-// mifo-sim regenerates the paper's simulation figures (Section IV).
+// mifo-sim regenerates the paper's simulation figures (Section IV) and
+// its testbed figure (Section V, Fig. 12).
 //
 // Usage:
 //
 //	mifo-sim -exp fig5a                 # one experiment at default scale
 //	mifo-sim -exp all -n 2000 -flows 20000
 //	mifo-sim -exp table1 -n 44340       # paper-scale Table I
+//	mifo-sim -exp fig12,fig12-packet    # results/testbed.txt
 //
 // Output is gnuplot-style rows, one "# name" block per curve.
 package main
@@ -12,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -25,12 +28,14 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/obs/tsdb"
+	"repro/internal/packetsim"
+	"repro/internal/testbed"
 	"repro/internal/topo"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, fig5a, fig5b, fig5c, fig6a, fig6b, fig6c, fig7, fig8, fig9, resilience, strategy, overhead, errorbars, sensitivity, paperscale, all")
+		exp      = flag.String("exp", "all", "experiment: table1, fig5a, fig5b, fig5c, fig6a, fig6b, fig6c, fig7, fig8, fig9, resilience, strategy, overhead, errorbars, sensitivity, paperscale, fig12, fig12-packet, all")
 		n        = flag.Int("n", 1000, "topology size (ASes); the paper uses 44340")
 		flows    = flag.Int("flows", 5000, "number of flows; the paper uses 1e6")
 		topoFile = flag.String("topo", "", "read the topology from this file (mifo-topogen -o) instead of generating it")
@@ -43,10 +48,10 @@ func main() {
 		workers  = flag.Int("workers", 0, "parallel workers (0 = all CPUs)")
 		outDir   = flag.String("o", "", "also write each experiment's curves as gnuplot data files into this directory")
 		dbgAddr  = flag.String("debug-addr", "", "serve /metrics and pprof on this address (e.g. :6061) while experiments run")
-		fltLog   = flag.String("flight-log", "", "record every simulated path as a JSONL flight record here (analyse with mifo-trace)")
+		fltLog   = flag.String("flight-log", "", "record every simulated path as a JSONL flight record here (analyse with mifo-inspect flight)")
 		fltRate  = flag.Float64("flight-sample", 1.0, "fraction of flows the flight recorder samples (0..1]")
-		spanLog  = flag.String("span-log", "", "trace injected link failures to data-plane consistency as JSONL spans here (analyse with mifo-conv)")
-		tsdbLog  = flag.String("tsdb-log", "", "dump per-link utilization/deflection/offload time series as JSONL here (analyse with mifo-top -log)")
+		spanLog  = flag.String("span-log", "", "trace injected link failures to data-plane consistency as JSONL spans here (analyse with mifo-inspect spans)")
+		tsdbLog  = flag.String("tsdb-log", "", "dump per-link utilization/deflection/offload time series as JSONL here (analyse with mifo-inspect tsdb)")
 	)
 	flag.Parse()
 	if *outDir != "" {
@@ -80,17 +85,9 @@ func main() {
 
 	o := experiments.Options{N: *n, Flows: *flows, PairSamples: *pairs, ArrivalRate: *rate, Seed: *seed, Workers: *workers, TSDB: db}
 	if *topoFile != "" {
-		f, err := os.Open(*topoFile)
+		g, err := topo.ReadFile(*topoFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)
-			os.Exit(1)
-		}
-		g, _, err := topo.Parse(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mifo-sim: %s: %v\n", *topoFile, err)
 			os.Exit(1)
 		}
 		o.Graph, o.N = g, g.N()
@@ -109,8 +106,8 @@ func main() {
 
 	// Flight recorder: every simulated path is recorded as a JSONL record
 	// and audited online against MIFO's loop/valley invariants. The log is
-	// what mifo-trace consumes. finishFlight runs after the experiment
-	// loop, before any exit, so the log is always flushed.
+	// what mifo-inspect flight consumes. finishFlight runs after the
+	// experiment loop, before any exit, so the log is always flushed.
 	finishFlight := func() bool { return true }
 	if *fltLog != "" {
 		sink, err := jsonl.Create(*fltLog)
@@ -139,7 +136,7 @@ func main() {
 
 	// Convergence tracer: every injected link event in span-aware
 	// experiments (resilience) is traced from failure injection to
-	// data-plane consistency. The log is what mifo-conv consumes.
+	// data-plane consistency. The log is what mifo-inspect spans consumes.
 	finishSpans := func() bool { return true }
 	if *spanLog != "" {
 		sink, err := jsonl.Create(*spanLog)
@@ -167,7 +164,7 @@ func main() {
 	}
 
 	// TSDB dump: the whole run's time series, written once after the
-	// experiment loop. The log is what mifo-top -log consumes; the episode
+	// experiment loop. The log is what mifo-inspect tsdb consumes; the episode
 	// summary printed here uses the same analyzer.
 	finishTSDB := func() bool { return true }
 	if *tsdbLog != "" {
@@ -423,6 +420,11 @@ func run(exp string, o experiments.Options, outDir string, ps experiments.PaperS
 		fmt.Printf("  BGP reconvergence after a link failure: %.2f s mean — the outage window\n", ov.ReconvergenceSec)
 		fmt.Println("  MIFO's data-plane failover bridges (cf. -exp resilience).")
 
+	case "fig12": // like paperscale, not in "all": the two fig12s print results/testbed.txt
+		return printFig12(os.Stdout)
+	case "fig12-packet":
+		return printFig12Packet(os.Stdout)
+
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
@@ -467,6 +469,83 @@ func printPaperScale(r *experiments.PaperScale) {
 		}
 	}
 	fmt.Printf("  peak RSS:           %.0f MiB (%s)%s\n", mib(r.PeakRSS), r.RSSSource, verdict)
+}
+
+// fig12PacketMB is the flow size of -exp fig12-packet, the run committed
+// in results/testbed.txt: at the paper's 100 MB the packet-level run
+// takes 22 s against 4.3 s (2-vCPU Xeon).
+const fig12PacketMB = 20
+
+// printFig12 runs the paper's prototype experiment (Section V, Figs. 11
+// and 12) in the fluid model, 30 back-to-back 100 MB flows per source on
+// the six-AS testbed under BGP and under MIFO, and prints Fig. 12.
+func printFig12(w io.Writer) error {
+	bgpRes, err := testbed.Run(testbed.Config{MIFO: false})
+	if err != nil {
+		return err
+	}
+	mifoRes, err := testbed.Run(testbed.Config{MIFO: true})
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintln(w, "== Fig. 12(a): Aggregate Throughput (Gbps) over time ==")
+	fmt.Fprint(w, "# BGP\n", bgpRes.Aggregate.String())
+	fmt.Fprint(w, "# MIFO\n", mifoRes.Aggregate.String())
+
+	fmt.Fprintln(w, "\n== Fig. 12(b): Flow Completion Time CDF ==")
+	fmt.Fprintln(w, "# x: seconds, y: CDF (%)")
+	fmt.Fprintln(w, "# BGP")
+	for _, r := range bgpRes.FCT.Rows(0.5, 3.0, 25) {
+		fmt.Fprintf(w, "%.2f\t%.1f\n", r.X, r.Y)
+	}
+	fmt.Fprintln(w, "# MIFO")
+	for _, r := range mifoRes.FCT.Rows(0.5, 3.0, 25) {
+		fmt.Fprintf(w, "%.2f\t%.1f\n", r.X, r.Y)
+	}
+
+	fmt.Fprintln(w, "\n== Summary ==")
+	fmt.Fprintf(w, "BGP : aggregate %.2f Gbps, total %.1f s, max FCT %.2f s\n",
+		bgpRes.MeanAggregateGbps, bgpRes.TotalTime, bgpRes.FCT.Max())
+	fmt.Fprintf(w, "MIFO: aggregate %.2f Gbps, total %.1f s, max FCT %.2f s, %d flows on alternative path\n",
+		mifoRes.MeanAggregateGbps, mifoRes.TotalTime, mifoRes.FCT.Max(), mifoRes.AltFlowCount)
+	fmt.Fprintf(w, "MIFO improves aggregate throughput by %.0f%% over BGP (paper: 81%%)\n",
+		testbed.ImprovementPercent(mifoRes, bgpRes))
+	return nil
+}
+
+// printFig12Packet runs it with the packet-level engine and fig12PacketMB
+// flows: congestion emerges from tx-queue occupancy and goodput from wire
+// overheads, with no fluid-model efficiency factors.
+func printFig12Packet(w io.Writer) error {
+	cfg := testbed.Config{FlowSizeBits: fig12PacketMB * 8e6}
+	bgpRes, err := testbed.RunPacketLevel(cfg, packetsim.Config{})
+	if err != nil {
+		return err
+	}
+	cfg.MIFO = true
+	mifoRes, err := testbed.RunPacketLevel(cfg, packetsim.Config{})
+	if err != nil {
+		return err
+	}
+	summary := func(name string, r *packetsim.Results) {
+		var retx, qdrops, defl int
+		for _, f := range r.Flows {
+			retx += f.Retransmits
+			qdrops += f.QueueDrops
+			defl += f.DeflectedPkts
+		}
+		fmt.Fprintf(w, "%-5s aggregate %.2f Gbps, total %.1f s, max FCT %.2f s, %d retransmits, %d queue drops, %d deflected pkts\n",
+			name, r.MeanAggregateGbps, r.TotalTime, r.FCT.Max(), retx, qdrops, defl)
+	}
+	fmt.Fprintln(w, "== Packet-level testbed (per-port queues, AIMD sources) ==")
+	summary("BGP", bgpRes)
+	summary("MIFO", mifoRes)
+	if bgpRes.MeanAggregateGbps > 0 {
+		fmt.Fprintf(w, "improvement: %.0f%% (paper: 81%%)\n",
+			100*(mifoRes.MeanAggregateGbps-bgpRes.MeanAggregateGbps)/bgpRes.MeanAggregateGbps)
+	}
+	return nil
 }
 
 func printComparison(c *experiments.ThroughputComparison) {

@@ -2,12 +2,61 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 )
+
+// TestFig12MatchesCommitted: -exp fig12 prints the fluid section of the
+// committed results/testbed.txt byte for byte, and -exp fig12-packet its
+// packet section (about 4 s, so not under -short). The committed figure
+// is what the code prints.
+func TestFig12MatchesCommitted(t *testing.T) {
+	committed, err := os.ReadFile("../../results/testbed.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// `make testbed` keeps main's "# [fig12 done in …]" line and the
+	// blank line after it: run timing, not the figure.
+	committed = regexp.MustCompile(`(?m)^# \[fig12(-packet)? done in .*\]\n\n`).ReplaceAll(committed, nil)
+	cut := bytes.Index(committed, []byte("== Packet-level testbed"))
+	if cut < 0 {
+		t.Fatal("results/testbed.txt has no packet-level section")
+	}
+	for _, tc := range []struct {
+		name  string
+		print func(io.Writer) error
+		want  []byte
+	}{
+		{"fig12", printFig12, committed[:cut]},
+		{"fig12-packet", printFig12Packet, committed[cut:]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "fig12-packet" && testing.Short() {
+				t.Skip("the packet-level run takes seconds")
+			}
+			var got bytes.Buffer
+			if err := tc.print(&got); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(got.Bytes(), tc.want) {
+				return
+			}
+			gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(tc.want), "\n")
+			for i := range min(len(gotLines), len(wantLines)) {
+				if gotLines[i] != wantLines[i] {
+					t.Fatalf("line %d of the %s section: got %q, committed %q", i+1, tc.name, gotLines[i], wantLines[i])
+				}
+			}
+			t.Fatalf("%s section: got %d lines, committed %d", tc.name, len(gotLines), len(wantLines))
+		})
+	}
+}
 
 // TestSameSeedSameBytes runs two experiments that write data files twice
 // each, with the same seed into two directories, and requires every .dat

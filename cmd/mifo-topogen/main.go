@@ -32,15 +32,9 @@ func main() {
 
 	var g *topo.Graph
 	var err error
-	switch {
-	case *in != "":
-		f, ferr := os.Open(*in)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		defer f.Close()
-		g, _, err = topo.Parse(f)
-	default:
+	if *in != "" {
+		g, err = topo.ReadFile(*in)
+	} else {
 		g, err = topo.Generate(topo.GenConfig{N: *n, Seed: *seed})
 	}
 	if err != nil {
@@ -70,10 +64,7 @@ func main() {
 		ps := topo.SamplePathStats(g, 16, *seed)
 		fmt.Printf("sampled diameter >= %d, avg AS-path length %.2f hops\n", ps.Diameter, ps.AvgHops)
 		best, size := 0, 0
-		limit := g.N()
-		if limit > 64 {
-			limit = 64 // cones of the well-connected head suffice
-		}
+		limit := min(g.N(), 64) // cones of the well-connected head suffice
 		for v := 0; v < limit; v++ {
 			if c := topo.ConeSize(g, v); c > size {
 				best, size = v, c

@@ -55,7 +55,7 @@ func (p PrefixStat) DeflectionRate() float64 {
 }
 
 // Summary is the aggregate view of a flight log, the payload behind
-// mifo-trace's default report.
+// `mifo-inspect flight`'s default report.
 type Summary struct {
 	Records       int
 	PacketRecords int
@@ -150,7 +150,7 @@ func (s *Summary) add(rec Record) {
 	ps.Violations += len(rec.Violations)
 }
 
-// TopPrefixes returns the n busiest prefixes by record count,
+// TopPrefixes returns at most n of the busiest prefixes by record count,
 // deflection-heavy first among ties.
 func (s *Summary) TopPrefixes(n int) []*PrefixStat {
 	out := make([]*PrefixStat, 0, len(s.PerPrefix))
@@ -166,10 +166,7 @@ func (s *Summary) TopPrefixes(n int) []*PrefixStat {
 		}
 		return out[i].Dst < out[j].Dst
 	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
+	return out[:max(0, min(n, len(out)))]
 }
 
 // MeanPathLen is the mean journey length in AS hops.
@@ -180,12 +177,9 @@ func (s *Summary) MeanPathLen() float64 {
 	return float64(s.lenSum) / float64(s.lenSamples)
 }
 
-// Format renders the report mifo-trace prints. top bounds the per-prefix
-// table (0 = 10).
+// Format renders the report `mifo-inspect flight` prints. top bounds the
+// per-prefix table.
 func (s *Summary) Format(w io.Writer, top int) {
-	if top <= 0 {
-		top = 10
-	}
 	fmt.Fprintf(w, "flight log: %d records (%d packet, %d flow-path)\n",
 		s.Records, s.PacketRecords, s.PathRecords)
 	for _, v := range sortedKeys(s.Verdicts) {
@@ -254,8 +248,8 @@ func sortedKeys(m map[string]int) []string {
 	return keys
 }
 
-// FormatRecord pretty-prints one journey hop by hop — the mifo-trace
-// --packet drill-down.
+// FormatRecord pretty-prints one journey hop by hop — the `mifo-inspect
+// flight -packet` drill-down.
 func FormatRecord(w io.Writer, rec Record) {
 	fmt.Fprintf(w, "record %d: %s flow=%d", rec.Seq, rec.Kind, rec.Flow)
 	if rec.PktID != 0 {

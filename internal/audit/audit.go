@@ -21,7 +21,7 @@
 //     actually fails (tag clear and the refused alternative is a
 //     non-customer edge).
 //
-// Records stream as JSONL for offline analysis by cmd/mifo-trace;
+// Records stream as JSONL for offline analysis by `mifo-inspect flight`;
 // violations increment obs counters and emit structured trace events so a
 // live run surfaces them immediately. In a correct deployment every
 // violation count is zero — the auditor is the experiment-scale witness
@@ -188,8 +188,8 @@ const (
 )
 
 // Record is one journey: a packet's hop-by-hop trip through the network,
-// or one path installed for a flow. It is the JSONL unit mifo-trace
-// consumes.
+// or one path installed for a flow. It is the JSONL unit `mifo-inspect
+// flight` consumes.
 type Record struct {
 	// Seq is the recorder-assigned sequence number (1-based).
 	Seq uint64 `json:"seq"`

@@ -68,14 +68,14 @@ type Options struct {
 	// Spans, when non-nil, attaches the convergence span tracer to every
 	// flow-level simulation an experiment runs: each injected link event
 	// is traced from failure injection to data-plane consistency
-	// (mifo-sim's -span-log flag; analyze with cmd/mifo-conv).
+	// (mifo-sim's -span-log flag; analyze with `mifo-inspect spans`).
 	Spans *span.Tracer
 
 	// TSDB, when non-nil, attaches the link-utilization time-series store
 	// to every flow-level simulation an experiment runs: per-epoch link
 	// samples plus the cumulative deflection/offload series the episode
 	// analyzer joins (mifo-sim's -tsdb-log flag; analyze with
-	// cmd/mifo-top). Each simulation gets its own run label.
+	// `mifo-inspect tsdb`). Each simulation gets its own run label.
 	TSDB *tsdb.Store
 }
 

@@ -24,7 +24,7 @@ import (
 //     recovering later. This exercises the full pipeline — streaming
 //     generator, bounded flow slots, incremental recompute, and (with
 //     Options.Spans) the failure-to-data-plane convergence trace that
-//     cmd/mifo-conv turns into latency CDFs.
+//     `mifo-inspect spans` turns into latency CDFs.
 //
 //   - Table-only mode (AllDests): install a route table for every AS — the
 //     full N×N routing state, the run that must fit the memory budget — and

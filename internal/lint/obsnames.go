@@ -28,7 +28,7 @@ import (
 //
 // The same contract, minus the component prefix, applies to span names
 // passed to span.Tracer.Start/StartRoot: a span name is the analyzer's
-// key for the convergence pipeline stage (mifo-conv groups by it), so it
+// key for the convergence pipeline stage (`mifo-inspect spans` groups by it), so it
 // must be a compile-time snake_case literal with a single call site —
 // two sites sharing "fib_commit" would silently merge two distinct
 // stages in every latency breakdown. Span names live in their own
@@ -193,8 +193,8 @@ func runObsnames(pass *Pass, cfg ObsnamesConfig) {
 				return true
 			}
 			if isSpan {
-				// Span names are a repo-wide stage vocabulary (mifo-conv
-				// aggregates by them across subsystems), so no component
+				// Span names are a repo-wide stage vocabulary (mifo-inspect
+				// spans aggregates by them across subsystems), so no component
 				// prefix is required — only literal + single site.
 				facts.spanSites[name] = append(facts.spanSites[name], pass.Pkg.Fset.Position(nameArg.Pos()))
 				return true

@@ -15,7 +15,7 @@ import (
 // daemon epochs, per-router FIB commits, and data-plane generation swaps the
 // new routes cause. The root closes only after every affected router has
 // republished, so its duration is the wall-clock time from failure event to
-// data-plane consistency — the quantity cmd/mifo-conv turns into convergence
+// data-plane consistency — the quantity `mifo-inspect spans` turns into convergence
 // CDFs and per-stage breakdowns.
 //
 // The flow-level simulator has no routers of its own, so the data-plane half

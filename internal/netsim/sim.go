@@ -118,7 +118,7 @@ type Config struct {
 	// swaps the event causes. Each event becomes one span tree rooted at
 	// conv_link_down / conv_link_up whose root duration is the wall-clock
 	// time from failure injection to data-plane consistency (see
-	// internal/obs/span and cmd/mifo-conv).
+	// internal/obs/span and `mifo-inspect spans`).
 	Spans *span.Tracer
 
 	// TSDB, when non-nil, receives per-epoch link-utilization samples

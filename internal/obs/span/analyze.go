@@ -10,7 +10,7 @@ import (
 // failure-event roots, and reduce each to the question the tracing
 // layer exists to answer — how long from the failure event until the
 // data plane is consistent again, and where inside the pipeline that
-// time went. cmd/mifo-conv is a thin shell over this.
+// time went. `mifo-inspect spans` is a thin shell over this.
 
 // Root span names that mark failure events. conv_* roots come from the
 // fluid simulator's failure injection and span the full pipeline down

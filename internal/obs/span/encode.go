@@ -9,7 +9,7 @@ import (
 
 // The collector writes one JSON object per line (json.Encoder over
 // Record); this file is the matching reader used by tests and by
-// cmd/mifo-conv. Span logs may be concatenated across runs — IDs are
+// `mifo-inspect spans`. Span logs may be concatenated across runs — IDs are
 // only unique within one tracer, so readers that merge logs must
 // namespace by file. ReadRecords reads one log.
 

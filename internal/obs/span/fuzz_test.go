@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzReadRecords feeds arbitrary bytes to the span-log readers
-// (ReadRecords → Analyze, what mifo-conv runs on a log file from outside
+// (ReadRecords → Analyze, what `mifo-inspect spans` runs on a log file from outside
 // the process): no input may make them panic. It also writes a root and a
 // child span built from the fuzzed fields with the collector's encoder and
 // requires ReadRecords to hand back exactly those records.

@@ -12,7 +12,7 @@ import (
 // SeriesDump is one series' retained raw window in portable form: what
 // Gather snapshots from a live store, what WriteDump streams to disk,
 // and what the episode analyzer consumes — the same shape online and
-// offline, so `mifo-top -log` and mifo-sim's own episode summary agree
+// offline, so `mifo-inspect tsdb` and mifo-sim's own episode summary agree
 // by construction.
 type SeriesDump struct {
 	Name   string   `json:"name"`

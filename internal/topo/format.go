@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,6 +85,21 @@ func Parse(r io.Reader) (*Graph, []int, error) {
 		return nil, nil, err
 	}
 	return g, order, nil
+}
+
+// ReadFile parses the relationship file at path, naming the file in a
+// parse error.
+func ReadFile(path string) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	g, _, err := Parse(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return g, nil
 }
 
 // Write serializes the graph in the relationship format. When asns is nil,
