@@ -207,7 +207,7 @@ func (d *Dest) onBestPath(n, v int) bool {
 type computeScratch struct {
 	// buckets[h] lists the ASes whose best route is h hops long, each
 	// once, in the order they got it. Phases 1 and 2 walk it as their
-	// queue (and repair every phase).
+	// queue, in Compute and in repair alike.
 	buckets [][]int32
 }
 
@@ -360,14 +360,7 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 		if packed[v] != unreachableEntry {
 			continue // a customer or peer route, which no provider route beats
 		}
-		// A provider's key is its word's hops field over its own index, so
-		// the least key is the shortest route with the lowest next hop.
-		best := uint32(math.MaxUint32)
-		for _, p := range g.Providers(int(v)) {
-			if w := packed[p]; w != unreachableEntry {
-				best = min(best, w&^(classMask<<classShift|nextMask)|uint32(p))
-			}
-		}
+		best := bestProvider(packed, g.Providers(int(v)))
 		if best == math.MaxUint32 {
 			continue // no provider has a route
 		}
@@ -381,6 +374,20 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 		}
 	}
 	return d
+}
+
+// bestProvider returns the least key over the providers in row that hold a
+// route in packed, or math.MaxUint32 when none does. A provider's key is
+// its word's hops field over its own index, so the least key is the
+// shortest route with the lowest next hop.
+func bestProvider(packed []uint32, row []int32) uint32 {
+	best := uint32(math.MaxUint32)
+	for _, p := range row {
+		if w := packed[p]; w != unreachableEntry {
+			best = min(best, w&^(classMask<<classShift|nextMask)|uint32(p))
+		}
+	}
+	return best
 }
 
 // longestTie breaks the tie phase 3's keys leave when every provider in row

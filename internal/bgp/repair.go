@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/topo"
@@ -70,11 +72,12 @@ func (c *cutRows) of(v int32) *[3][]int32 {
 // Repair gives up, and the caller runs Compute on the cut graph instead,
 // whenever a route of hopsSentinel hops or more is involved — those do not
 // carry their length in the word, and the class-then-word comparison below
-// cannot order them — and when the region to rebuild is more than
-// 1/repairMaxRegionShare of the graph. At paper scale repair costs what
-// Compute does from a quarter of the graph on; the bound sits higher
-// because the first fallback of an event also pays for the cut graph
-// Compute wants (3.3 MB there), which repair alone never builds.
+// cannot order them — and when the region a LinkDown rebuilds from nothing
+// is more than 1/repairMaxRegionShare of the graph. The region holds only
+// customer and peer routes, so it reaches that size only where most of the
+// graph climbs to the destination through one AS (TestRecomputeChunked's
+// fan-in); the first fallback of an event also pays for the cut graph
+// Compute wants (3.3 MB at paper scale), which repair alone never builds.
 const repairMaxRegionShare = 2
 
 // crossOffer is a route announcement over the link a LinkUp restored.
@@ -84,8 +87,8 @@ type crossOffer struct {
 }
 
 // repairScratch is what one repair needs beside the result: the bucket
-// queue, and the region it rebuilds. Pooled like computeScratch; the
-// membership array is grown to the graph at hand and handed back all false.
+// queue, the region, and the sweep's marks. Pooled like computeScratch; the
+// mark bitsets are grown to the graph at hand and handed back all zero.
 type repairScratch struct {
 	computeScratch
 
@@ -93,15 +96,19 @@ type repairScratch struct {
 	g      *topo.Graph
 	cut    *cutRows
 	old    []uint32 // the table before the event, read only
-	packed []uint32 // the result: old with the region rebuilt
+	packed []uint32 // the result: old with what the event changed rewritten
+	rank   []int32  // g.ProviderRanks()
 	cross  []crossOffer
 
-	region   []int32 // the ASes whose routes are rebuilt from nothing, each once, parents before children
-	transit  []int32 // those of them that have customers, and so may hold a customer route
-	inRegion []bool
-	grow     []int32 // ASes outside the region the last pass caught taking a better class over a longer path
-	bail     bool    // a route reached hopsSentinel hops
-	passes   int     // passes the last repair ran; tests read it
+	region  []int32 // LinkDown: the ASes whose routes are rebuilt from nothing, each once, parents before children
+	transit []int32 // those of them that have customers, and so may hold a customer route
+
+	// The phase-3 sweep's marks, bitsets over positions in
+	// g.ProviderOrder: visit for the ASes whose word may have changed, and
+	// full for those of them that must take their provider route afresh.
+	visit, full []uint64
+	bail        bool // a route reached hopsSentinel hops
+	visits      int  // ASes the last repair's sweep visited; tests and the benchmark read it
 }
 
 var repairPool = sync.Pool{New: func() any { return new(repairScratch) }}
@@ -116,45 +123,38 @@ var repairPool = sync.Pool{New: func() any { return new(repairScratch) }}
 // Compute's result is the one assignment in which every AS holds the best
 // of the routes its neighbours' words offer it (class, then length, then
 // lowest next hop, under valley-free export). repair starts from old,
-// which is that assignment for the graph before the event, and rebuilds a
-// region from nothing:
+// which is that assignment for the graph before the event, and settles
+// customer and peer routes first, then provider routes:
 //
-//   - on LinkDown the subtree, in old's next-hop forest, under the endpoint
-//     that routed over the link: the ASes whose path is gone;
-//   - on LinkUp nothing at first. The two announcements the link carries
+//   - On LinkDown the region — the endpoint that routed over the link and
+//     the ASes whose customer or peer route runs through it — is cleared
+//     and pulls offers again. Removing a link only shrinks customer cones,
+//     so no AS ends with a better class than it had (the class floor): a
+//     region AS pulls only the relationships whose class is no better than
+//     its old one. No other AS's customer or peer route can change.
+//   - On LinkUp nothing is cleared. The two announcements the link carries
 //     are offered to its endpoints, and whatever they improve spreads.
 //
-// The region's ASes pull offers from all their neighbours, and every AS
-// whose word changed pushes its new route on, phase by phase as in Compute
-// and shortest first, to ASes in and out of the region alike. Out of the
-// region a word changes only for a better one, so what an AS there offers
-// its neighbours gets no worse and their old words stay valid — with one
-// exception: a better class may come over a longer path (a customer route
-// of 9 hops replaces a peer route of 3), and the AS's customers, who were
-// using the short route, are then left with words nothing supports. Such
-// an AS is noted in grow, its old subtree joins the region, and the pass
-// is run again from old. LinkDown has the mirror case, which needs no
-// second pass: an AS in the region that falls back from a long customer
-// route to a short peer or provider route now offers its customers a
-// shorter provider route than before, so phase 3 has to reach customers
-// outside the region too.
+// Phases 1 and 2 then push every changed customer route up and across,
+// shortest first, as Compute does. Phase 3 is one sweep in the graph's
+// provider-first order over the ASes whose word may have changed (see
+// sweep). It recomputes provider routes rather than only improving them,
+// so both traps are on its wave: on LinkDown an AS that falls back from a
+// long customer route to a short peer route offers its customers a shorter
+// provider route than before, and on LinkUp an AS that takes a better class
+// over a longer path leaves the customers that used it to choose again.
 func (sc *repairScratch) repair(g *topo.Graph, cut *cutRows, old *Dest, a, b int, up bool) *Dest {
 	if len(old.overflow) > 0 {
 		return nil
 	}
 	n := g.N()
-	if len(sc.inRegion) < n {
-		sc.inRegion = make([]bool, n)
+	if words := (n + 63) / 64; len(sc.visit) < words {
+		sc.visit, sc.full = make([]uint64, words), make([]uint64, words)
 	}
-	sc.g, sc.cut, sc.old, sc.packed = g, cut, old.packed, nil
-	sc.cross, sc.region, sc.transit, sc.grow = sc.cross[:0], sc.region[:0], sc.transit[:0], sc.grow[:0]
-	sc.bail, sc.passes = false, 0
-	defer func() {
-		for _, v := range sc.region {
-			sc.inRegion[v] = false
-		}
-		sc.g, sc.cut, sc.old, sc.packed = nil, nil, nil, nil
-	}()
+	sc.g, sc.cut, sc.old, sc.packed, sc.rank = g, cut, old.packed, nil, g.ProviderRanks()
+	sc.cross, sc.region, sc.transit = sc.cross[:0], sc.region[:0], sc.transit[:0]
+	sc.bail, sc.visits = false, 0
+	defer func() { sc.g, sc.cut, sc.old, sc.packed, sc.rank = nil, nil, nil, nil, nil }()
 
 	if up {
 		rel, _ := g.Rel(a, b) // b's role as a sees it, and so the class at a of what b announces
@@ -162,78 +162,89 @@ func (sc *repairScratch) repair(g *topo.Graph, cut *cutRows, old *Dest, a, b int
 			crossOffer{from: int32(b), to: int32(a), class: classOf(rel)},
 			crossOffer{from: int32(a), to: int32(b), class: classOf(rel.Invert())})
 	} else if int(old.next32(a)) == b {
-		sc.grow = append(sc.grow, int32(a))
+		sc.addSubtree(old, int32(a))
 	} else if int(old.next32(b)) == a {
-		sc.grow = append(sc.grow, int32(b))
+		sc.addSubtree(old, int32(b))
 	}
-
-	for {
-		for _, v := range sc.grow {
-			sc.addSubtree(old, v)
-		}
-		sc.grow = sc.grow[:0]
-		if len(sc.region) > n/repairMaxRegionShare {
-			return nil
-		}
-		if sc.packed == nil {
-			// make and copy side by side: the compiler then skips zeroing
-			// what the copy is about to fill.
-			fresh := make([]uint32, n)
-			copy(fresh, old.packed)
-			sc.packed = fresh
-		} else {
-			copy(sc.packed, old.packed)
-		}
-		for _, v := range sc.region {
-			sc.packed[v] = unreachableEntry
-		}
-		sc.passes++
-		sc.pass()
-		if sc.bail {
-			return nil
-		}
-		if len(sc.grow) == 0 {
-			return &Dest{dst: old.dst, packed: sc.packed}
-		}
+	if len(sc.region) > n/repairMaxRegionShare {
+		return nil
 	}
+	// make and copy side by side into a local: the compiler then skips
+	// zeroing what the copy is about to fill.
+	fresh := make([]uint32, n)
+	copy(fresh, old.packed)
+	sc.packed = fresh
+	for _, v := range sc.region {
+		sc.packed[v] = unreachableEntry
+	}
+	for h := range sc.buckets {
+		sc.buckets[h] = sc.buckets[h][:0]
+	}
+	// Phase 1: customer routes climb provider links.
+	sc.pull(sc.transit, topo.Customer)
+	sc.spread(topo.Provider)
+	// Phase 2: customer routes cross one peer link. The takers queue up
+	// among the customer routes and are passed over by their class.
+	sc.pull(sc.region, topo.Peer)
+	sc.spread(topo.Peer)
+	// Phase 3: every route descends customer links.
+	sc.markChanged()
+	sc.sweep()
+	if sc.bail {
+		return nil
+	}
+	return &Dest{dst: old.dst, packed: sc.packed}
 }
 
-// addSubtree adds root and every AS whose route in old runs through it to
-// the region. An AS with a peer or provider route announces it to its
-// customers only, so only they can be its children. The walk reads the
-// intact graph: old's next hops never cross a link that was down, and the
-// one that just went down is its endpoint's next hop, not its child.
+// addSubtree puts root and every AS whose customer or peer route runs
+// through it in the region. Only an AS with a customer route announces it
+// to providers and peers, so only its providers and peers can be its
+// children there; the customers that take a provider route from a region
+// AS are the sweep's to reach. The walk reads the intact graph: old's next
+// hops never cross a link that was down, and the one that just went down
+// is its endpoint's next hop, not its child.
 func (sc *repairScratch) addSubtree(old *Dest, root int32) {
-	if sc.inRegion[root] {
-		return
-	}
-	sc.inRegion[root] = true
-	start := len(sc.region)
 	sc.region = append(sc.region, root)
-	for i := start; i < len(sc.region); i++ {
+	for i := 0; i < len(sc.region); i++ {
 		v := sc.region[i]
+		if sc.g.CustomerCount(int(v)) > 0 {
+			sc.transit = append(sc.transit, v)
+		}
 		if old.cls(int(v)) <= ClassCustomer {
 			sc.addChildren(old, v, sc.g.Providers(int(v)))
 			sc.addChildren(old, v, sc.g.Peers(int(v)))
 		}
-		customers := sc.g.Customers(int(v))
-		if len(customers) > 0 {
-			sc.transit = append(sc.transit, v)
-		}
-		sc.addChildren(old, v, customers)
 	}
 }
 
+// addChildren adds the ASes of row whose next hop is v. Each AS has one
+// next hop, so none is added twice.
 func (sc *repairScratch) addChildren(old *Dest, v int32, row []int32) {
 	for _, u := range row {
-		if old.next32(int(u)) == v && !sc.inRegion[u] {
-			sc.inRegion[u] = true
+		if old.next32(int(u)) == v {
 			sc.region = append(sc.region, u)
 		}
 	}
 }
 
+// row returns v's neighbours of relationship rel over links that are up.
+func (sc *repairScratch) row(v int32, rel topo.Rel) []int32 {
+	if r := sc.cut.of(v); r != nil {
+		return r[rel]
+	}
+	return sc.g.Related(int(v), rel)
+}
+
 func wordClass(w uint32) Class { return Class(w >> classShift & classMask) }
+
+// length returns the hops of the route w, and more than any route has when
+// w is unreachable.
+func length(w uint32) int {
+	if w == unreachableEntry {
+		return math.MaxInt
+	}
+	return int(w >> hopsShift)
+}
 
 // live reports whether an entry in the queue's bucket h still stands for an
 // AS whose word is now w: it holds a route of h hops, of class most or
@@ -262,9 +273,6 @@ func (sc *repairScratch) offer(v int32, cand uint32) {
 		sc.bail = true
 		return
 	}
-	if was := sc.old[v]; !sc.inRegion[v] && was != unreachableEntry && cand>>hopsShift > was>>hopsShift {
-		sc.grow = append(sc.grow, v)
-	}
 	sc.packed[v] = cand
 	if sc.g.CustomerCount(int(v)) > 0 {
 		sc.push(v, int(cand>>hopsShift))
@@ -281,22 +289,20 @@ func exportedAs(c Class) Class {
 	return ClassCustomer
 }
 
-// pull has every AS in list that holds no route yet take the best route its
-// neighbours of relationship rel export to it. The restored link's
-// announcements of that class go out with them: their senders, unlike every
-// other AS that has something new to say, may have been left as they were.
+// pull has every AS in list that holds no route yet, and had none of a
+// better class than rel gives before the event (the class floor), take the
+// best route its neighbours of relationship rel export to it. The restored
+// link's announcements of that class go out with them, floor or not: their
+// senders, unlike every other AS that has something new to say, may have
+// been left as they were.
 func (sc *repairScratch) pull(list []int32, rel topo.Rel) {
 	c := classOf(rel)
 	most := exportedAs(c)
 	for _, v := range list {
-		if sc.packed[v] != unreachableEntry {
+		if sc.packed[v] != unreachableEntry || wordClass(sc.old[v]) > c {
 			continue
 		}
-		row := sc.g.Related(int(v), rel)
-		if r := sc.cut.of(v); r != nil {
-			row = r[rel]
-		}
-		for _, u := range row {
+		for _, u := range sc.row(v, rel) {
 			if w := sc.packed[u]; wordClass(w) <= most {
 				sc.offer(v, routeWord(int(w>>hopsShift)+1, c, u))
 			}
@@ -320,33 +326,132 @@ func (sc *repairScratch) spread(rel topo.Rel) {
 			if !live(sc.packed[v], h, most) {
 				continue
 			}
-			row := sc.g.Related(int(v), rel)
-			if r := sc.cut.of(v); r != nil {
-				row = r[rel]
-			}
 			cand := routeWord(h+1, c, v)
-			for _, u := range row {
+			for _, u := range sc.row(v, rel) {
 				sc.offer(u, cand)
 			}
 		}
 	}
 }
 
-// pass runs the three phases over sc.packed, which holds old's words with
-// the region's cleared, and leaves in sc.grow the ASes that make the result
-// void (see repair).
-func (sc *repairScratch) pass() {
-	for h := range sc.buckets {
-		sc.buckets[h] = sc.buckets[h][:0]
+// mark sets v's bit in the bitset marks, which is indexed by rank.
+func (sc *repairScratch) mark(marks []uint64, v int32) {
+	r := sc.rank[v]
+	marks[r>>6] |= 1 << (r & 63)
+}
+
+// markChanged hands phases 1 and 2's changes to the sweep: every AS whose
+// word now differs from old's, and, as full, the region ASes left without
+// a route and the endpoint a restored provider link announces to. An AS
+// without customers that took a new customer or peer route has nobody to
+// tell and is not queued; a region AS is checked whatever it has.
+func (sc *repairScratch) markChanged() {
+	for _, v := range sc.region {
+		switch sc.packed[v] {
+		case unreachableEntry:
+			sc.mark(sc.full, v)
+			sc.mark(sc.visit, v)
+		case sc.old[v]:
+		default:
+			sc.mark(sc.visit, v)
+		}
 	}
-	// Phase 1: customer routes climb provider links.
-	sc.pull(sc.transit, topo.Customer)
-	sc.spread(topo.Provider)
-	// Phase 2: customer routes cross one peer link. The takers queue up
-	// among the customer routes and are passed over by their class.
-	sc.pull(sc.region, topo.Peer)
-	sc.spread(topo.Peer)
-	// Phase 3: every route descends customer links.
-	sc.pull(sc.region, topo.Provider)
-	sc.spread(topo.Customer)
+	for _, bucket := range sc.buckets {
+		for _, v := range bucket {
+			if sc.packed[v] != sc.old[v] {
+				sc.mark(sc.visit, v)
+			}
+		}
+	}
+	for _, x := range sc.cross {
+		if x.class == ClassProvider {
+			sc.mark(sc.full, x.to)
+			sc.mark(sc.visit, x.to)
+		}
+	}
+}
+
+// sweep is phase 3: it visits the marked ASes in the graph's provider-first
+// order, every provider settled before its customers, and clears the marks
+// as it goes. A full AS without a customer or peer route takes the least
+// (hops(p)+1, p) over its providers p, exactly as Compute's phase 3 does.
+// Then what the AS offers its customers is compared with what it offered
+// before the event, by length alone, since a customer ranks provider routes
+// by length and next hop and the next hop is the AS itself:
+//
+//   - shorter (or newly reachable): the route is offered to every customer,
+//     and those it leaves shorter than before are marked;
+//   - longer (or gone): the customers whose next hop is the AS are marked
+//     full, since their word is no longer on offer;
+//   - the same: the wave stops here.
+//
+// An unmarked AS keeps its word: its next hop offers what it did, and any
+// provider that now offers better has offered it. What a full AS took from
+// an offer before its visit is overwritten there.
+func (sc *repairScratch) sweep() {
+	order := sc.g.ProviderOrder()
+	words := (len(order) + 63) / 64
+	for i, visit := range sc.visit[:words] {
+		for ; visit != 0; visit = sc.visit[i] {
+			bit := bits.TrailingZeros64(visit)
+			sc.visit[i] &^= 1 << bit
+			full := sc.full[i]&(1<<bit) != 0
+			sc.full[i] &^= 1 << bit
+			sc.settle(order[i<<6|bit], full)
+		}
+	}
+}
+
+// settle is the sweep's visit to v; see sweep.
+func (sc *repairScratch) settle(v int32, full bool) {
+	sc.visits++
+	w := sc.packed[v]
+	if full && wordClass(w) >= ClassProvider {
+		w = sc.providerRoute(v)
+		sc.packed[v] = w
+	}
+	customers := sc.row(v, topo.Customer)
+	if len(customers) == 0 {
+		return
+	}
+	h, was := length(w), length(sc.old[v])
+	switch {
+	case h < was:
+		if h+1 >= hopsSentinel {
+			sc.bail = true
+			return
+		}
+		cand := routeWord(h+1, ClassProvider, v)
+		for _, c := range customers {
+			if improves(sc.packed[c], cand) {
+				sc.packed[c] = cand
+				if h+1 < length(sc.old[c]) && sc.g.CustomerCount(int(c)) > 0 {
+					sc.mark(sc.visit, c)
+				}
+			}
+		}
+	case h > was:
+		for _, c := range customers {
+			if sc.packed[c]&nextMask == uint32(v+1) {
+				sc.mark(sc.full, c)
+				sc.mark(sc.visit, c)
+			}
+		}
+	}
+}
+
+// providerRoute returns the best route v's providers offer it, or
+// unreachableEntry when none has a route. No word here carries the hops
+// sentinel: old has no overflow entries and repair writes none.
+func (sc *repairScratch) providerRoute(v int32) uint32 {
+	best := bestProvider(sc.packed, sc.row(v, topo.Provider))
+	if best == math.MaxUint32 {
+		return unreachableEntry
+	}
+	h := int(best>>hopsShift) + 1
+	if h >= hopsSentinel {
+		sc.bail = true
+		return unreachableEntry
+	}
+	return routeWord(h, ClassProvider, int32(best&nextMask))
 }

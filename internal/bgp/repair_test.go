@@ -12,7 +12,7 @@ import (
 )
 
 // repairOnce runs one repair the way Table.recompute does and reports how
-// many passes it took. A nil result is a fallback.
+// many ASes its phase-3 sweep visited. A nil result is a fallback.
 func repairOnce(g *topo.Graph, failed []topo.LinkRef, old *Dest, a, b int, up bool) (*Dest, int) {
 	set := make(map[topo.LinkRef]bool, len(failed))
 	for _, l := range failed {
@@ -23,12 +23,12 @@ func repairOnce(g *topo.Graph, failed []topo.LinkRef, old *Dest, a, b int, up bo
 	var cut cutRows
 	cut.reset(g, set)
 	d := sc.repair(g, &cut, old, a, b, up)
-	for v, in := range sc.inRegion {
-		if in {
-			panic(fmt.Sprintf("repair left AS %d marked as in the region", v))
+	for i := range sc.visit {
+		if sc.visit[i] != 0 || sc.full[i] != 0 {
+			panic(fmt.Sprintf("repair left sweep marks set at ranks %d-%d", 64*i, 64*i+63))
 		}
 	}
-	return d, sc.passes
+	return d, sc.visits
 }
 
 func mustCut(t testing.TB, g *topo.Graph, failed []topo.LinkRef) *topo.Graph {
@@ -72,7 +72,7 @@ func hubPeers(g *topo.Graph) (hub int, peers []int) {
 
 // repairTally counts what checkRepairCase saw.
 type repairTally struct {
-	cases, changed, fallbacks, multiPass, maxPasses int
+	cases, changed, fallbacks, visits int
 }
 
 // checkRepairCase pushes one (graph, background failures, toggled link,
@@ -91,7 +91,7 @@ func checkRepairCase(t *testing.T, g *topo.Graph, bg []topo.LinkRef, l topo.Link
 		{true, bg, without, with},
 	} {
 		saved := slices.Clone(dir.old.packed)
-		got, passes := repairOnce(g, dir.failed, dir.old, l.A, l.B, dir.up)
+		got, visits := repairOnce(g, dir.failed, dir.old, l.A, l.B, dir.up)
 		tally.cases++
 		if !slices.Equal(saved, dir.old.packed) {
 			t.Fatalf("N=%d bg=%v link=%v up=%v dst=%d: repair wrote into the old table", g.N(), bg, l, dir.up, dir.old.Dst())
@@ -117,10 +117,44 @@ func checkRepairCase(t *testing.T, g *topo.Graph, bg []topo.LinkRef, l topo.Link
 		if !dir.old.Equal(dir.want) {
 			tally.changed++
 		}
-		if passes > 1 {
-			tally.multiPass++
+		tally.visits += visits
+	}
+}
+
+// repairCases toggles `links` random links of g, each on top of 0–3
+// background failures, and checks `dests` destinations for each.
+func repairCases(t *testing.T, g *topo.Graph, rng *rand.Rand, links, dests int, tally *repairTally) {
+	t.Helper()
+	all := linksOf(g)
+	hubs := busiest(g, 5)
+	for k := 0; k < links; k++ {
+		// Half the toggled links hang off one of the busiest ASes: those
+		// carry the large subtrees.
+		l := all[rng.Intn(len(all))]
+		if k%2 == 0 {
+			hub := hubs[rng.Intn(len(hubs))]
+			nb := g.Neighbors(hub)
+			l = normLinkRef(hub, int(nb[rng.Intn(len(nb))].AS))
 		}
-		tally.maxPasses = max(tally.maxPasses, passes)
+		var bg []topo.LinkRef
+		for len(bg) < k%4 {
+			if x := all[rng.Intn(len(all))]; x != l && !slices.Contains(bg, x) {
+				bg = append(bg, x)
+			}
+		}
+		gWith := mustCut(t, g, bg)
+		gWithout := mustCut(t, g, append(slices.Clone(bg), l))
+		for _, i := range rng.Perm(g.N())[:dests] {
+			dst := i
+			// The link's own endpoints are the destinations it matters
+			// most to.
+			if i%16 == 0 {
+				dst = l.A
+			} else if i%16 == 1 {
+				dst = l.B
+			}
+			checkRepairCase(t, g, bg, l, Compute(gWith, dst), Compute(gWithout, dst), tally)
+		}
 	}
 }
 
@@ -128,7 +162,9 @@ func checkRepairCase(t *testing.T, g *topo.Graph, bg []topo.LinkRef, l topo.Link
 // repair: over generated graphs of four sizes, a random link is toggled on
 // top of 0–3 background failures and every sampled destination — dirty or
 // clean — is pushed through repair in both directions. The result must be
-// Compute's on the cut graph, word for word.
+// Compute's on the cut graph, word for word. Every graph is also run with
+// its ASes relabelled at random: a generated graph's provider-first order
+// is the identity, so only there would a sweep in index order be caught.
 func TestRepairMatchesCompute(t *testing.T) {
 	sizes := []struct{ n, seeds, links, dests int }{
 		{30, 30, 24, 30},
@@ -148,40 +184,11 @@ func TestRepairMatchesCompute(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(seed*1000 + int64(sz.n)))
-			links := linksOf(g)
-			hubs := busiest(g, 5)
-			for k := 0; k < sz.links; k++ {
-				// Half the toggled links hang off one of the busiest ASes:
-				// those carry the large subtrees.
-				l := links[rng.Intn(len(links))]
-				if k%2 == 0 {
-					hub := hubs[rng.Intn(len(hubs))]
-					nb := g.Neighbors(hub)
-					l = normLinkRef(hub, int(nb[rng.Intn(len(nb))].AS))
-				}
-				var bg []topo.LinkRef
-				for len(bg) < k%4 {
-					if x := links[rng.Intn(len(links))]; x != l && !slices.Contains(bg, x) {
-						bg = append(bg, x)
-					}
-				}
-				gWith := mustCut(t, g, bg)
-				gWithout := mustCut(t, g, append(slices.Clone(bg), l))
-				for _, i := range rng.Perm(g.N())[:sz.dests] {
-					dst := i
-					// The link's own endpoints are the destinations it
-					// matters most to.
-					if i%16 == 0 {
-						dst = l.A
-					} else if i%16 == 1 {
-						dst = l.B
-					}
-					checkRepairCase(t, g, bg, l, Compute(gWith, dst), Compute(gWithout, dst), &tally)
-				}
-			}
+			repairCases(t, g, rng, sz.links, sz.dests, &tally)
+			repairCases(t, shuffled(t, g, rng), rng, sz.links, sz.dests, &tally)
 		}
-		t.Logf("N=%d: %d cases, %d changed the table, %d took more than one pass (at most %d), %d fallbacks",
-			sz.n, tally.cases, tally.changed, tally.multiPass, tally.maxPasses, tally.fallbacks)
+		t.Logf("N=%d: %d cases, %d changed the table, %.2f ASes swept a case, %d fallbacks",
+			sz.n, tally.cases, tally.changed, float64(tally.visits)/float64(tally.cases), tally.fallbacks)
 		if tally.changed < tally.cases/20 {
 			t.Errorf("N=%d: only %d of %d cases changed the table", sz.n, tally.changed, tally.cases)
 		}
@@ -263,25 +270,96 @@ func TestRepairLinkDownCounterexampleN3000(t *testing.T) {
 	}
 }
 
-// TestRepairLinkUpClassUpgradeOverLongerPath is the mirror trap, and takes
-// two passes: when link 1-4 returns, AS 1 outside the (empty) region swaps
-// its 2-hop peer route for a 4-hop customer route, and AS 3, which was
-// using the short one, must be rebuilt although no offer it gets improves
-// on the word it holds.
+// TestRepairLinkUpClassUpgradeOverLongerPath is the mirror trap: when link
+// 1-4 returns, AS 1 swaps its 2-hop peer route for a 4-hop customer route,
+// and AS 3, which was using the short one, must move to 7 although no offer
+// it gets improves on the word it holds.
 func TestRepairLinkUpClassUpgradeOverLongerPath(t *testing.T) {
 	g := trapTopology(t)
 	l := topo.LinkRef{A: 1, B: 4}
 	old, want := Compute(mustCut(t, g, []topo.LinkRef{l}), 0), Compute(g, 0)
-	if old.Class(1) != ClassPeer || want.Class(1) != ClassCustomer || want.Hops(1) <= old.Hops(1) || old.NextHop(3) != 1 {
+	if old.Class(1) != ClassPeer || want.Class(1) != ClassCustomer || want.Hops(1) <= old.Hops(1) || old.NextHop(3) != 1 || want.NextHop(3) != 7 {
 		t.Fatal("the topology no longer sets the trap")
 	}
-	got, passes := repairOnce(g, nil, old, 1, 4, true)
+	got, _ := repairOnce(g, nil, old, 1, 4, true)
 	if got == nil || !got.Equal(want) {
 		t.Fatalf("repair after LinkUp(1,4) differs from Compute: AS 3 %s/%d via %d, want %d hops via %d",
 			got.Class(3), got.Hops(3), got.NextHop(3), want.Hops(3), want.NextHop(3))
 	}
-	if passes != 2 {
-		t.Fatalf("repair took %d passes, want 2 (one to find AS 1, one with its subtree in the region)", passes)
+}
+
+// TestLinkDownNeverImprovesClass is the class floor repair applies on
+// LinkDown, checked on Compute itself: removing a link only shrinks
+// customer cones, so over generated graphs, random links on top of 0–3
+// background failures, and every destination, no AS holds a better class
+// with the link down than with it up.
+func TestLinkDownNeverImprovesClass(t *testing.T) {
+	sizes := []struct{ n, seeds, links int }{{30, 10, 12}, {60, 10, 12}, {400, 6, 6}}
+	if testing.Short() {
+		sizes = sizes[:2]
+	}
+	cases := 0
+	for _, sz := range sizes {
+		for seed := int64(1); seed <= int64(sz.seeds); seed++ {
+			g, err := topo.Generate(topo.GenConfig{N: sz.n, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			links := linksOf(g)
+			for k := 0; k < sz.links; k++ {
+				var bg []topo.LinkRef
+				for len(bg) < k%4 {
+					bg = append(bg, links[rng.Intn(len(links))])
+				}
+				l := links[rng.Intn(len(links))]
+				gWith, gWithout := mustCut(t, g, bg), mustCut(t, g, append(slices.Clone(bg), l))
+				for dst := 0; dst < g.N(); dst++ {
+					with, without := Compute(gWith, dst), Compute(gWithout, dst)
+					for v := 0; v < g.N(); v++ {
+						if without.Class(v) < with.Class(v) {
+							t.Fatalf("N=%d seed=%d bg=%v link=%v dst=%d: AS %d goes from %v to %v when the link goes down",
+								sz.n, seed, bg, l, dst, v, with.Class(v), without.Class(v))
+						}
+					}
+					cases++
+				}
+			}
+		}
+	}
+	t.Logf("%d (graph, link, destination) cases", cases)
+}
+
+// TestRepairLinkDownStopsWhereLengthHolds: AS 1 reaches destination 0
+// through either of its customers 2 and 3, two hops each way, and takes 2,
+// the lower. When link 1-2 fails it takes 3: the one word that changes.
+// What AS 1 offers its provider 5 and its customer 4 keeps its length, so
+// the sweep visits AS 1 and stops there.
+func TestRepairLinkDownStopsWhereLengthHolds(t *testing.T) {
+	g, err := topo.NewBuilder(6).
+		AddPC(1, 2).AddPC(1, 3).AddPC(2, 0).AddPC(3, 0).
+		AddPC(1, 4).AddPC(5, 1).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := topo.LinkRef{A: 1, B: 2}
+	old, want := Compute(g, 0), Compute(mustCut(t, g, []topo.LinkRef{l}), 0)
+	var changed []int
+	for v := 0; v < g.N(); v++ {
+		if old.packed[v] != want.packed[v] {
+			changed = append(changed, v)
+		}
+	}
+	if old.NextHop(1) != 2 || !slices.Equal(changed, []int{1}) || want.NextHop(1) != 3 || want.Hops(1) != old.Hops(1) {
+		t.Fatalf("the topology no longer sets the case: words %v change, AS 1 goes via %d", changed, want.NextHop(1))
+	}
+	got, visits := repairOnce(g, []topo.LinkRef{l}, old, 1, 2, false)
+	if got == nil || !got.Equal(want) {
+		t.Fatal("repair after LinkDown(1,2) differs from Compute")
+	}
+	if visits != 1 {
+		t.Fatalf("the sweep visited %d ASes, want 1 (AS 1, whose length held)", visits)
 	}
 }
 

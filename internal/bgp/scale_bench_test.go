@@ -126,8 +126,8 @@ func BenchmarkComputePaperScale(b *testing.B) {
 // BenchmarkRepairPaperScale is the same budget for a link event: the
 // destinations among those 128 that the hub's largest peer link dirties,
 // each repaired after the link's failure and after its return, one
-// goroutine, reported per dirty destination with the share of the table the
-// failure's region covers.
+// goroutine, reported per dirty destination with the share of the graph the
+// phase-3 sweep visits (swept-share).
 func BenchmarkRepairPaperScale(b *testing.B) {
 	g, err := topo.Generate(topo.PaperScaleConfig(1))
 	if err != nil {
@@ -147,7 +147,7 @@ func BenchmarkRepairPaperScale(b *testing.B) {
 	down.reset(g, map[topo.LinkRef]bool{l: true})
 	none.reset(g, nil)
 	sc := new(repairScratch)
-	region := 0
+	swept := 0
 	for _, dir := range []struct {
 		name string
 		up   bool
@@ -160,12 +160,12 @@ func BenchmarkRepairPaperScale(b *testing.B) {
 					if sc.repair(g, dir.cut, old, hub, peer, dir.up) == nil {
 						b.Fatal("repair fell back to Compute")
 					}
-					region += len(sc.region)
+					swept += sc.visits
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dir.old)), "ns/dest")
-			b.ReportMetric(float64(region)/float64(b.N*len(dir.old)*g.N()), "region-share")
-			region = 0
+			b.ReportMetric(float64(swept)/float64(b.N*len(dir.old)*g.N()), "swept-share")
+			swept = 0
 		})
 	}
 }

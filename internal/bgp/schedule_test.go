@@ -296,7 +296,9 @@ func scheduleDests(g *topo.Graph, seed int64) []int {
 // overlapping failures, a failure inside the region the last repair
 // rewrote, a link whose return upgrades a class over a longer path, a
 // single-homed stub and its provider cut off, partition and heal, flaps.
-// A failing schedule is shrunk and printed as a Go literal.
+// Each seed's graph is also run with its ASes relabelled at random, so that
+// rank in the provider-first order is not the AS index. A failing schedule
+// is shrunk and printed as a Go literal.
 func TestTableSchedules(t *testing.T) {
 	sizes := []struct {
 		n, seeds, rounds int
@@ -305,22 +307,25 @@ func TestTableSchedules(t *testing.T) {
 		sizes = []struct{ n, seeds, rounds int }{{30, 4, 8}, {60, 3, 8}, {400, 2, 5}}
 	}
 	for _, sz := range sizes {
-		events := 0
+		events, schedules := 0, 0
 		for seed := int64(1); seed <= int64(sz.seeds); seed++ {
 			g, err := topo.Generate(topo.GenConfig{N: sz.n, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dsts := scheduleDests(g, seed)
-			evs := genSchedule(g, seed, sz.rounds)
-			events += len(evs)
-			if err := runSchedule(g, dsts, evs); err != nil {
-				small := shrinkSchedule(evs, func(e []linkEvent) bool { return runSchedule(g, dsts, e) != nil })
-				t.Fatalf("N=%d seed=%d: %v\nshrunk from %d to %d events (%v):\n%s",
-					sz.n, seed, err, len(evs), len(small), runSchedule(g, dsts, small), scheduleLiteral(small))
+			for _, on := range []*topo.Graph{g, shuffled(t, g, rand.New(rand.NewSource(seed)))} {
+				dsts := scheduleDests(on, seed)
+				evs := genSchedule(on, seed, sz.rounds)
+				events += len(evs)
+				schedules++
+				if err := runSchedule(on, dsts, evs); err != nil {
+					small := shrinkSchedule(evs, func(e []linkEvent) bool { return runSchedule(on, dsts, e) != nil })
+					t.Fatalf("N=%d seed=%d relabelled=%v: %v\nshrunk from %d to %d events (%v):\n%s",
+						sz.n, seed, on != g, err, len(evs), len(small), runSchedule(on, dsts, small), scheduleLiteral(small))
+				}
 			}
 		}
-		t.Logf("N=%d: %d events over %d schedules", sz.n, events, sz.seeds)
+		t.Logf("N=%d: %d events over %d schedules", sz.n, events, schedules)
 	}
 }
 

@@ -26,11 +26,12 @@ type TableStats struct {
 	// sum of LocalRepairs and RepairFallbacks.
 	IncrementalComputes int64
 	// LocalRepairs counts the dirty destinations repaired in place: only
-	// the region of the table the event invalidated was rebuilt.
+	// the routes of the table the event changed were rebuilt.
 	LocalRepairs int64
 	// RepairFallbacks counts the dirty destinations that took a full
-	// Compute on the cut graph instead (routes of 63 hops or more, or a
-	// region of more than half the graph).
+	// Compute on the cut graph instead (routes of 63 hops or more, or more
+	// than half the graph holding customer or peer routes through the
+	// failed link).
 	RepairFallbacks int64
 	// CleanSkipped counts destinations a link event left untouched because
 	// the dirty-set derivation proved their tables could not change.
@@ -64,8 +65,8 @@ type tableShard struct {
 // them current across link failures and recoveries with incremental
 // recomputation: a link event touches only the destinations it can
 // actually affect, derived from the stored next-hop pointers (see
-// LinkDown/LinkUp), and of each of those only the region of the table the
-// event invalidated (see repairScratch.repair). The incremental result is
+// LinkDown/LinkUp), and of each of those only the routes the event changes
+// (see repairScratch.repair). The incremental result is
 // byte-identical to a from-scratch recompute — TestRepairMatchesCompute,
 // TestTableSchedules and FuzzIncrementalTable enforce this.
 //

@@ -184,7 +184,8 @@ func FuzzIncrementalTable(f *testing.F) {
 	f.Add(int64(2), []byte{7, 7, 1, 9, 4, 4, 250, 3})
 	f.Add(int64(3), []byte{0xff, 0x00, 0x80, 0x21, 0x13, 0x5a})
 	// Links whose return upgrades an AS's class over a longer path: the
-	// repair has to grow its region and run a second pass.
+	// sweep has to send the customers that used the shorter route to
+	// choose again.
 	f.Add(int64(0), []byte{31, 31})
 	f.Add(int64(7), []byte{69, 69})
 	f.Add(int64(6), []byte{116, 116, 140, 140})
@@ -307,15 +308,16 @@ func TestHeapBuildMatchesArena(t *testing.T) {
 
 // TestRecomputeChunked forces multi-wave recomputation (the bounded-memory
 // path a paper-scale dirty set takes) and proves the result still matches a
-// from-scratch compute. A star topology makes every destination dirty: the
-// leaf behind the failed link routes everywhere through it.
+// from-scratch compute. A fan-in makes every destination dirty: AS 1, the
+// only customer of AS 0, which every other AS buys transit from, routes
+// everywhere over the failed link 0-1.
 func TestRecomputeChunked(t *testing.T) {
 	defer func(prev int64) { recomputeChunkBytes = prev }(recomputeChunkBytes)
 	recomputeChunkBytes = 1 // chunk floor is 64 dests -> 300 dirty = 5 waves
 
-	b := topo.NewBuilder(300)
-	for v := 1; v < 300; v++ {
-		b.AddPC(0, v)
+	b := topo.NewBuilder(300).AddPC(0, 1)
+	for v := 2; v < 300; v++ {
+		b.AddPC(v, 0)
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -330,10 +332,11 @@ func TestRecomputeChunked(t *testing.T) {
 	if st.IncrementalComputes < 300 {
 		t.Fatalf("IncrementalComputes = %d, want >= 300 (all dests dirty on the down event)", st.IncrementalComputes)
 	}
-	// Towards the leaf every other AS routed over the link: a region of
-	// all but one AS is past the bound, so that one destination goes
-	// through Compute on the way down, and nothing else does (on the way up
-	// nobody has a route to lose, and the region stays empty).
+	// Towards AS 1 every other AS held a customer route over the link: a
+	// region of all but one AS is past the bound, so that one destination
+	// goes through Compute on the way down, and nothing else does (towards
+	// the others only AS 1 loses its route, and on the way up nothing is
+	// cleared).
 	if st.RepairFallbacks != 1 || st.LocalRepairs != st.IncrementalComputes-1 {
 		t.Fatalf("%d fallbacks and %d local repairs of %d, want 1 fallback", st.RepairFallbacks, st.LocalRepairs, st.IncrementalComputes)
 	}

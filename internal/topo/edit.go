@@ -12,17 +12,18 @@ type LinkRef struct {
 
 // RemoveLinks returns a copy of g without the given links. Links that do
 // not exist (an endpoint out of range and a == b included) and repeats of a
-// link are ignored. The result shares no state with g.
+// link are ignored.
 //
 // Only the adjacency rows of the ASes named in remove are filtered; what
 // lies between two of them is copied in one piece, in the Neighbors arena
 // and in the relationship-grouped view alike. Rows stay sorted (filtering
 // preserves order) and removal cannot introduce a provider-customer cycle,
 // so no rebuild through Builder — and no re-sort or cycle check — is
-// needed. For the same reason g's provider-first order is copied as it is:
-// losing a provider leaves every AS still after those it keeps, though a
-// rebuild might list them differently. The error return is kept for
-// call-site compatibility; it is always nil.
+// needed. For the same reason g's provider-first order and ranks stay valid
+// as they are: losing a provider leaves every AS still after those it keeps,
+// though a rebuild might list them differently. Those two arrays are the
+// only state the result shares with g; no Graph ever writes them. The error
+// return is kept for call-site compatibility; it is always nil.
 func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 	n := int32(g.N())
 	nbrCut := make([]rowCut, 0, 2*len(remove))
@@ -34,7 +35,7 @@ func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 			grpCut = append(grpCut, rowCut{int32(rel)*n + a, b}, rowCut{int32(rel.Invert())*n + b, a})
 		}
 	}
-	out := &Graph{order: slices.Clone(g.order), pcLinks: g.pcLinks, peerLinks: g.peerLinks}
+	out := &Graph{order: g.order, rank: g.rank, pcLinks: g.pcLinks, peerLinks: g.peerLinks}
 	grpCut = sortedUnique(grpCut)
 	for _, c := range grpCut {
 		switch {

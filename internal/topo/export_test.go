@@ -5,9 +5,9 @@ import (
 	"hash/fnv"
 )
 
-// Fingerprint hashes the five arrays a Graph is made of — the offsets and
+// Fingerprint hashes the six arrays a Graph is made of — the offsets and
 // entries of the Neighbors arena and of the relationship-grouped view, and
-// the provider-first order — up to their capacity. Only Builder.Build and
+// the provider-first order and its ranks — up to their capacity. Only Builder.Build and
 // RemoveLinks write them, and neither writes a graph it has returned, so a
 // consumer of the accessors must leave the fingerprint of every graph it
 // is handed where it found it (TestGraphFrozenAcrossConsumers).
@@ -32,6 +32,9 @@ func Fingerprint(g *Graph) uint64 {
 		put(x)
 	}
 	for _, x := range g.order[:cap(g.order)] {
+		put(x)
+	}
+	for _, x := range g.rank[:cap(g.rank)] {
 		put(x)
 	}
 	return h.Sum64()

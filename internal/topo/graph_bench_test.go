@@ -110,7 +110,7 @@ func TestGraphMemStats(t *testing.T) {
 	if m.Nodes != 4 || m.Links != 4 {
 		t.Fatalf("MemStats nodes/links = %d/%d, want 4/4", m.Nodes, m.Links)
 	}
-	if m.OffsetBytes <= 0 || m.NeighborBytes <= 0 || m.GroupedBytes <= 0 || m.OrderBytes != 4*4 {
+	if m.OffsetBytes <= 0 || m.NeighborBytes <= 0 || m.GroupedBytes <= 0 || m.OrderBytes != 2*4*4 {
 		t.Fatalf("MemStats byte accounting implausible: %+v", m)
 	}
 	if m.TotalBytes != m.OffsetBytes+m.NeighborBytes+m.GroupedBytes+m.OrderBytes {

@@ -158,23 +158,26 @@ func TestRemoveLinksMatchesRebuild(t *testing.T) {
 		requireSameGraph(t, got, want)
 		requireSameGraph(t, g, before) // the source is only read
 
-		// "Shares no state": even a copy that cuts nothing has arrays of
-		// its own.
+		// Even a copy that cuts nothing has adjacency arrays of its own; it
+		// shares only the provider-first order and ranks, which removal
+		// leaves valid and no Graph writes.
 		if unsafe.SliceData(before.off) == unsafe.SliceData(g.off) ||
 			unsafe.SliceData(before.nbrs) == unsafe.SliceData(g.nbrs) ||
 			unsafe.SliceData(before.goff) == unsafe.SliceData(g.goff) ||
-			unsafe.SliceData(before.grp) == unsafe.SliceData(g.grp) ||
-			unsafe.SliceData(before.order) == unsafe.SliceData(g.order) {
-			t.Fatal("RemoveLinks returned a graph that shares an array with its source")
+			unsafe.SliceData(before.grp) == unsafe.SliceData(g.grp) {
+			t.Fatal("RemoveLinks returned a graph that shares an adjacency array with its source")
+		}
+		if unsafe.SliceData(got.order) != unsafe.SliceData(g.order) || unsafe.SliceData(got.rank) != unsafe.SliceData(g.rank) {
+			t.Fatal("RemoveLinks copied the provider-first order or ranks instead of sharing them")
 		}
 	}
 }
 
 // TestAccessorsClipCapacity: every row an accessor hands out, and the
-// provider-first order, ends at its capacity, so an append through it has
-// to reallocate. With spare capacity the append would write the next AS's
-// row of the shared arena; here appending to every row of every AS, and to
-// the order, leaves the graph as it was.
+// provider-first order and its ranks, end at their capacity, so an append
+// through them has to reallocate. With spare capacity the append would write
+// the next AS's row of the shared arena; here appending to every row of
+// every AS, and to the order and ranks, leaves the graph as it was.
 func TestAccessorsClipCapacity(t *testing.T) {
 	g, err := Generate(GenConfig{N: 300, Seed: 4})
 	if err != nil {
@@ -197,10 +200,12 @@ func TestAccessorsClipCapacity(t *testing.T) {
 			_ = append(row, -1)
 		}
 	}
-	if order := g.ProviderOrder(); cap(order) != len(order) {
-		t.Fatalf("ProviderOrder: len %d, cap %d", len(order), cap(order))
+	for name, s := range map[string][]int32{"ProviderOrder": g.ProviderOrder(), "ProviderRanks": g.ProviderRanks()} {
+		if cap(s) != len(s) {
+			t.Fatalf("%s: len %d, cap %d", name, len(s), cap(s))
+		}
+		_ = append(s, -1)
 	}
-	_ = append(g.ProviderOrder(), -1)
 	if Fingerprint(g) != want {
 		t.Fatal("appending through the accessors wrote the graph's arrays")
 	}

@@ -8,7 +8,8 @@ import (
 )
 
 // requireProviderOrder holds ProviderOrder to its contract: every AS
-// appears exactly once, after all of its providers.
+// appears exactly once, after all of its providers, at the position
+// ProviderRanks gives it.
 func requireProviderOrder(tb testing.TB, g *Graph) {
 	tb.Helper()
 	order := g.ProviderOrder()
@@ -24,6 +25,14 @@ func requireProviderOrder(tb testing.TB, g *Graph) {
 			tb.Fatalf("ProviderOrder[%d] = %d: outside the graph or listed twice", i, v)
 		}
 		pos[v] = i
+	}
+	if rank := g.ProviderRanks(); len(rank) != g.N() {
+		tb.Fatalf("ProviderRanks has %d entries, the graph %d ASes", len(rank), g.N())
+	}
+	for v, r := range g.ProviderRanks() {
+		if int(r) != pos[v] {
+			tb.Fatalf("ProviderRanks[%d] = %d, but AS %d is at %d in ProviderOrder", v, r, v, pos[v])
+		}
 	}
 	for v := 0; v < g.N(); v++ {
 		for _, p := range g.Providers(v) {
