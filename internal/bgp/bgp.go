@@ -300,8 +300,10 @@ func ComputeArena(g *topo.Graph, dst int, a *Arena) *Dest {
 // two phases. Each phase reads only the adjacency entries that can carry
 // its routes, through the graph's relationship-grouped view: the providers
 // of the uphill cone, the peers of the cone, and the providers of every AS
-// those two phases left without a route. At paper scale that is ~75 k
-// entries per destination, nearly all of them in phase 3.
+// those two phases left without a route, a single-homed stub's read from
+// the graph's SoleProviders instead. At paper scale that is ~75 k entries
+// per destination, nearly all of them in phase 3, and half of phase 3's
+// ASes are such stubs.
 func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 	// Empty the queue but keep its arrays; levels only an earlier, deeper
 	// computation reached stay behind as empty buckets.
@@ -356,7 +358,9 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 	// the graph's provider-first order, so a provider's word is final before
 	// any of its customers reads it, and each AS is written once.
 	d := &Dest{dst: int32(dst), packed: packed, overflow: sc.overflow()}
-	for _, v := range g.ProviderOrder() {
+	order, sole := g.ProviderOrder(), g.SoleProviders()
+	body, tail := order[:len(order)-len(sole)], order[len(order)-len(sole):]
+	for _, v := range body {
 		if packed[v] != unreachableEntry {
 			continue // a customer or peer route, which no provider route beats
 		}
@@ -373,7 +377,36 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 			d.addOverflow(v, int16(h+1))
 		}
 	}
+	// The single-homed stubs close the order. Each has its one provider for
+	// a row and can hold no customer or peer route, so it takes its
+	// provider's route plus one hop, unless it is the destination or its
+	// link is cut.
+	for i, p := range sole {
+		v := tail[i]
+		if p < 0 || packed[v] != unreachableEntry {
+			continue
+		}
+		w := packed[p]
+		if w == unreachableEntry {
+			continue
+		}
+		if h := int(w >> hopsShift); h < hopsSentinel-1 {
+			packed[v] = routeWord(h+1, ClassProvider, p)
+		} else {
+			d.deepStub(v, p)
+		}
+	}
 	return d
+}
+
+// deepStub gives the single-homed stub v the provider route through p when
+// it is too long for the inline hops field: p's true length, read from the
+// side table when p holds the sentinel, plus one, recorded in the table.
+// Kept out of phase 3's tail loop, which then spills nothing per stub.
+func (d *Dest) deepStub(v, p int32) {
+	h := d.hops16(int(p)) + 1
+	d.packed[v] = routeWord(int(h), ClassProvider, p)
+	d.addOverflow(v, h)
 }
 
 // bestProvider returns the least key over the providers in row that hold a

@@ -337,11 +337,16 @@ func removeRandomLinks(t *testing.T, g *topo.Graph, rng *rand.Rand, k int) *topo
 
 // shuffled rebuilds g through topo.Builder with its ASes relabelled by a
 // permutation rng picks. Generate gives every provider a lower index than
-// its customers, so a graph's provider-first order is the identity there
-// and index order would serve as well; here it is not and would not.
-func shuffled(t *testing.T, g *topo.Graph, rng *rand.Rand) *topo.Graph {
+// its customers, so index order is a provider-first order there and would
+// serve in place of the graph's; here it would not.
+func shuffled(t testing.TB, g *topo.Graph, rng *rand.Rand) *topo.Graph {
 	t.Helper()
-	perm := rng.Perm(g.N())
+	return relabelled(t, g, rng.Perm(g.N()))
+}
+
+// relabelled rebuilds g through topo.Builder with AS v renamed perm[v].
+func relabelled(t testing.TB, g *topo.Graph, perm []int) *topo.Graph {
+	t.Helper()
 	b := topo.NewBuilder(g.N())
 	for v := 0; v < g.N(); v++ {
 		for _, nb := range g.Neighbors(v) {

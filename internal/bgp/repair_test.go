@@ -163,8 +163,9 @@ func repairCases(t *testing.T, g *topo.Graph, rng *rand.Rand, links, dests int, 
 // top of 0–3 background failures and every sampled destination — dirty or
 // clean — is pushed through repair in both directions. The result must be
 // Compute's on the cut graph, word for word. Every graph is also run with
-// its ASes relabelled at random: a generated graph's provider-first order
-// is the identity, so only there would a sweep in index order be caught.
+// its ASes relabelled at random: a generated graph numbers every provider
+// below its customers, so index order is a provider-first order there, and
+// only on a relabelled graph would a sweep in index order be caught.
 func TestRepairMatchesCompute(t *testing.T) {
 	sizes := []struct{ n, seeds, links, dests int }{
 		{30, 30, 24, 30},

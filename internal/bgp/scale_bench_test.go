@@ -5,6 +5,8 @@ package bgp
 // bytes/dest reported from the table's own memory accounting.
 
 import (
+	"bytes"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -102,25 +104,62 @@ func entriesRead(g *topo.Graph, d *Dest) int {
 // BenchmarkComputePaperScale is the budget every paper-scale figure
 // multiplies out: one goroutine computing 128 destinations spread over the
 // 44,340-AS graph the repo benchmark uses, reported per destination
-// together with the adjacency entries each computation reads.
+// together with the adjacency entries each computation reads. Phase 3's
+// cost depends on how the graph is numbered, so the same 128 ASes are
+// computed under three numberings: as generated (every provider below its
+// customers), after a Write/Parse round trip (first appearance in the
+// file) and after a random relabelling through topo.Builder.
 func BenchmarkComputePaperScale(b *testing.B) {
 	g, err := topo.Generate(topo.PaperScaleConfig(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	dsts := scaleDests(g, 128)
-	read := 0
-	for _, dst := range dsts {
-		read += entriesRead(g, Compute(g, dst))
+
+	var buf bytes.Buffer
+	if err := topo.Write(&buf, g, nil); err != nil {
+		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, dst := range dsts {
-			Compute(g, dst)
+	parsed, asns, err := topo.Parse(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if parsed.N() != g.N() {
+		b.Fatalf("the round trip kept %d of %d ASes", parsed.N(), g.N())
+	}
+	fromFile := make([]int, g.N()) // fromFile[v]: AS v's index in parsed
+	for i, asn := range asns {
+		fromFile[asn] = i
+	}
+	perm := rand.New(rand.NewSource(1)).Perm(g.N())
+
+	for _, c := range []struct {
+		name  string
+		g     *topo.Graph
+		label []int // the AS's index on c.g, by its index on g; nil is the identity
+	}{{"generated", g, nil}, {"parsed", parsed, fromFile}, {"relabelled", relabelled(b, g, perm), perm}} {
+		on := dsts
+		if c.label != nil {
+			on = make([]int, len(dsts))
+			for k, dst := range dsts {
+				on[k] = c.label[dst]
+			}
 		}
+		b.Run(c.name, func(b *testing.B) {
+			read := 0
+			for _, dst := range on {
+				read += entriesRead(c.g, Compute(c.g, dst))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, dst := range on {
+					Compute(c.g, dst)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(on)), "ns/dest")
+			b.ReportMetric(float64(read)/float64(len(on)), "entries/dest")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dsts)), "ns/dest")
-	b.ReportMetric(float64(read)/float64(len(dsts)), "entries/dest")
 }
 
 // BenchmarkRepairPaperScale is the same budget for a link event: the

@@ -21,11 +21,16 @@ type LinkRef struct {
 // so no rebuild through Builder — and no re-sort or cycle check — is
 // needed. For the same reason g's provider-first order and ranks stay valid
 // as they are: losing a provider leaves every AS still after those it keeps,
-// though a rebuild might list them differently. Those two arrays are the
-// only state the result shares with g; no Graph ever writes them. The error
-// return is kept for call-site compatibility; it is always nil.
+// though a rebuild might list them differently. The single-homed stubs'
+// providers are shared too, unless a cut takes a stub's one link: then the
+// result gets its own copy, in which that stub reads -1. Those arrays are
+// the only state the result shares with g; no Graph ever writes them. The
+// error return is kept for call-site compatibility; it is always nil.
 func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 	n := int32(g.N())
+	out := &Graph{order: g.order, rank: g.rank, sole: g.sole, pcLinks: g.pcLinks, peerLinks: g.peerLinks}
+	tail := n - int32(len(g.sole)) // the rank of the first single-homed stub
+	shared := true                 // out.sole is still g.sole
 	nbrCut := make([]rowCut, 0, 2*len(remove))
 	grpCut := make([]rowCut, 0, 2*len(remove))
 	for _, l := range remove {
@@ -33,9 +38,16 @@ func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 			a, b := int32(l.A), int32(l.B)
 			nbrCut = append(nbrCut, rowCut{a, b}, rowCut{b, a})
 			grpCut = append(grpCut, rowCut{int32(rel)*n + a, b}, rowCut{int32(rel.Invert())*n + b, a})
+			for _, v := range [2]int32{a, b} {
+				if r := g.rank[v]; r >= tail {
+					if shared {
+						out.sole, shared = append(make([]int32, 0, len(g.sole)), g.sole...), false
+					}
+					out.sole[r-tail] = -1
+				}
+			}
 		}
 	}
-	out := &Graph{order: g.order, rank: g.rank, pcLinks: g.pcLinks, peerLinks: g.peerLinks}
 	grpCut = sortedUnique(grpCut)
 	for _, c := range grpCut {
 		switch {

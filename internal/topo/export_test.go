@@ -5,9 +5,10 @@ import (
 	"hash/fnv"
 )
 
-// Fingerprint hashes the six arrays a Graph is made of — the offsets and
-// entries of the Neighbors arena and of the relationship-grouped view, and
-// the provider-first order and its ranks — up to their capacity. Only Builder.Build and
+// Fingerprint hashes the seven arrays a Graph is made of — the offsets and
+// entries of the Neighbors arena and of the relationship-grouped view, the
+// provider-first order and its ranks, and the single-homed stubs'
+// providers — up to their capacity. Only Builder.Build and
 // RemoveLinks write them, and neither writes a graph it has returned, so a
 // consumer of the accessors must leave the fingerprint of every graph it
 // is handed where it found it (TestGraphFrozenAcrossConsumers).
@@ -35,6 +36,9 @@ func Fingerprint(g *Graph) uint64 {
 		put(x)
 	}
 	for _, x := range g.rank[:cap(g.rank)] {
+		put(x)
+	}
+	for _, x := range g.sole[:cap(g.sole)] {
 		put(x)
 	}
 	return h.Sum64()

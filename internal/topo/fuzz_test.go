@@ -8,14 +8,16 @@ import (
 
 // FuzzParse hardens the relationship-file parser: arbitrary text must
 // never panic, and successful parses must carry a relationship-grouped
-// view that agrees with their adjacency and a valid provider-first order,
-// and survive a Write/Parse round trip with identical counts.
+// view that agrees with their adjacency and the provider-first order Build
+// promises, single-homed stubs last, and survive a Write/Parse round trip
+// with identical counts.
 func FuzzParse(f *testing.F) {
 	f.Add("1|2|-1\n2|3|0\n")
 	f.Add("# comment\n\n10|20|-1\n")
 	f.Add("a|b|c")
 	f.Add("1|2|-1\n1|2|0\n") // duplicate link
 	f.Add("|||")
+	f.Add("9|2|-1\n9|3|-1\n3|4|-1\n3|5|-1\n4|6|0\n") // single-homed stubs 2 and 5
 
 	f.Fuzz(func(t *testing.T, input string) {
 		g, asns, err := Parse(strings.NewReader(input))
@@ -23,7 +25,7 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		requireGroupedMatchesNeighbors(t, g)
-		requireProviderOrder(t, g)
+		requireBuiltOrder(t, g)
 		var buf bytes.Buffer
 		if err := Write(&buf, g, asns); err != nil {
 			t.Fatalf("write after parse: %v", err)

@@ -11,6 +11,7 @@ package topo
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 	"unsafe"
 )
@@ -84,16 +85,22 @@ type Neighbor struct {
 // (ProviderOrder), so route computation can visit each AS after all of its
 // providers without sorting anything per destination, and each AS's
 // position in it (ProviderRanks), so a sweep can mark ASes to visit in a
-// bitset and still meet them in that order. A 44,340-AS / 107,819-link
-// Internet graph is six allocations, ~3.7 MB: ~1.9 MB for off+nbrs, ~1.4 MB
-// for goff+grp and 177 KB each for order and rank.
+// bitset and still meet them in that order. The order ends with the
+// single-homed stubs: the ASes whose one link goes to their one provider
+// (no peers, no customers; IsStub asks only for the last). Half of an
+// Internet graph is such ASes, and each one's route is its provider's plus
+// one hop, so the graph also keeps their providers in one dense array
+// aligned with that tail (SoleProviders). A 44,340-AS / 107,819-link
+// Internet graph is seven allocations, ~3.7 MB: ~1.9 MB for off+nbrs,
+// ~1.4 MB for goff+grp, 177 KB each for order and rank and 89 KB for sole.
 type Graph struct {
 	off       []int32    // len N()+1; AS v's neighbors live in nbrs[off[v]:off[v+1]]
 	nbrs      []Neighbor // len 2*Links(), sorted by neighbor index within each segment
 	goff      []int32    // len 3*N()+1; row r = rel*N()+v of the grouped view is grp[goff[r]:goff[r+1]]
 	grp       []int32    // len 2*Links(), neighbor indices, ascending within each row
-	order     []int32    // len N(), every AS once, each after all of its providers
+	order     []int32    // len N(), every AS once, each after all of its providers, single-homed stubs last
 	rank      []int32    // len N(), the inverse of order: order[rank[v]] == v
+	sole      []int32    // the provider of each AS in order's tail of single-homed stubs, or -1 once its link is cut
 	pcLinks   int
 	peerLinks int
 }
@@ -148,17 +155,32 @@ func (g *Graph) row(r int) []int32 {
 }
 
 // ProviderOrder returns every AS once, each after all of its providers: a
-// topological order of the provider→customer digraph. Of the ASes whose
-// providers are all listed, the lowest index comes next, so a graph whose
-// providers all have lower indices than their customers (every Generate
-// output) gets the identity order. Like Customers, the slice aliases the
-// graph, its capacity is clipped, and callers must not modify it.
+// topological order of the provider→customer digraph. It is a body and a
+// tail. The tail is every single-homed stub (see Graph), ascending; no AS
+// has one for a provider. The body is everything else, and of its ASes
+// whose providers are all listed the lowest index comes next, so on a graph
+// whose providers all have lower indices than their customers (every
+// Generate output) the body ascends. RemoveLinks keeps its source's order,
+// so on a cut graph the tail is what were single-homed stubs before the
+// cut. Like Customers, the slice aliases the graph, its capacity is
+// clipped, and callers must not modify it.
 func (g *Graph) ProviderOrder() []int32 { return g.order[:len(g.order):len(g.order)] }
 
 // ProviderRanks returns each AS's position in ProviderOrder, indexed by AS:
 // ProviderOrder()[ProviderRanks()[v]] == v, and every provider ranks below
 // its customers. The slice aliases the graph like ProviderOrder.
 func (g *Graph) ProviderRanks() []int32 { return g.rank[:len(g.rank):len(g.rank)] }
+
+// SoleProviders returns the provider of each single-homed stub in the tail
+// of ProviderOrder, aligned with it: SoleProviders()[i] serves
+// ProviderOrder()[N()-len(SoleProviders())+i]. An AS whose one link
+// RemoveLinks cut reads -1 and has no neighbors left. The slice aliases the
+// graph like ProviderOrder.
+func (g *Graph) SoleProviders() []int32 { return g.sole[:len(g.sole):len(g.sole)] }
+
+// singleHomed reports whether v is a single-homed stub: its one link goes
+// to its one provider.
+func (g *Graph) singleHomed(v int) bool { return g.Degree(v) == 1 && len(g.Providers(v)) == 1 }
 
 // ranksOf returns the inverse of the permutation order.
 func ranksOf(order []int32) []int32 {
@@ -181,7 +203,8 @@ type MemStats struct {
 	// GroupedBytes is the size of the relationship-grouped view: its
 	// offsets and its packed AS indices.
 	GroupedBytes int64
-	// OrderBytes is the size of the provider-first order and its inverse.
+	// OrderBytes is the size of the provider-first order, its inverse and
+	// the single-homed stubs' providers.
 	OrderBytes int64
 	// TotalBytes is the sum of the above — the whole graph footprint.
 	TotalBytes int64
@@ -197,7 +220,7 @@ func (g *Graph) MemStats() MemStats {
 		OffsetBytes:   int64(cap(g.off)) * int64(unsafe.Sizeof(int32(0))),
 		NeighborBytes: int64(cap(g.nbrs)) * int64(unsafe.Sizeof(Neighbor{})),
 		GroupedBytes:  int64(cap(g.goff)+cap(g.grp)) * int64(unsafe.Sizeof(int32(0))),
-		OrderBytes:    int64(cap(g.order)+cap(g.rank)) * int64(unsafe.Sizeof(int32(0))),
+		OrderBytes:    int64(cap(g.order)+cap(g.rank)+cap(g.sole)) * int64(unsafe.Sizeof(int32(0))),
 	}
 	m.TotalBytes = m.OffsetBytes + m.NeighborBytes + m.GroupedBytes + m.OrderBytes
 	if m.Links > 0 {
@@ -378,7 +401,8 @@ func (b *Builder) Degree(v int) int { return len(b.adj[v]) }
 // Build packs the per-AS lists into the CSR arena (one offsets array, one
 // neighbor array), sorts each AS's segment by neighbor index, deals the
 // sorted segments out into the rows of the relationship-grouped view, and
-// lists the ASes in provider-first order, with each one's rank in it.
+// lists the ASes in provider-first order, with each one's rank in it and
+// the providers of the single-homed stubs that close it.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -419,27 +443,37 @@ func (b *Builder) Build() (*Graph, error) {
 			next[r]++
 		}
 	}
-	order, acyclic := g.providerOrder()
+	order, body, acyclic := g.providerOrder()
 	if !acyclic {
 		return nil, fmt.Errorf("topo: provider-customer relationship digraph contains a cycle")
 	}
 	g.order, g.rank = order, ranksOf(order)
+	g.sole = make([]int32, 0, len(order)-body)
+	for _, v := range order[body:] {
+		g.sole = append(g.sole, g.Providers(int(v))[0])
+	}
 	return g, nil
 }
 
 // providerOrder runs Kahn's algorithm over provider→customer edges, taking
-// the lowest ready index first, and reports whether it listed every AS: an
-// AS on a provider-customer cycle never has all of its providers listed.
+// the lowest ready index first, over every AS but the single-homed stubs,
+// which it then lists in ascending order. It reports whether it listed
+// every AS: an AS on a provider-customer cycle never has all of its
+// providers listed. A single-homed stub has no customers, so no AS waits
+// for it, and its provider is listed by the time the tail begins.
 //
 // A scan up the indices finds the ready ASes it has not passed yet; only
 // those that become ready behind it wait in a heap, and they are all lower
 // than anything the scan has still to find. Where every provider has a
 // lower index than its customers the heap stays empty.
-func (g *Graph) providerOrder() (order []int32, acyclic bool) {
+func (g *Graph) providerOrder() (order []int32, body int, acyclic bool) {
 	n := g.N()
 	unlisted := make([]int32, n) // providers of v not yet in order
 	for v := range unlisted {
 		unlisted[v] = int32(len(g.Providers(v)))
+		if g.singleHomed(v) {
+			unlisted[v] = math.MaxInt32 // never ready: the tail lists it
+		}
 	}
 	order = make([]int32, 0, n)
 	var behind minHeap
@@ -464,7 +498,13 @@ func (g *Graph) providerOrder() (order []int32, acyclic bool) {
 			}
 		}
 	}
-	return order, len(order) == n
+	body = len(order)
+	for v := 0; v < n; v++ {
+		if g.singleHomed(v) {
+			order = append(order, int32(v))
+		}
+	}
+	return order, body, len(order) == n
 }
 
 // minHeap holds AS indices for container/heap, lowest on top.

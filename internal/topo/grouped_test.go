@@ -85,8 +85,11 @@ func TestGroupedViewMatchesNeighbors(t *testing.T) {
 // TestRemoveLinksMatchesRebuild holds RemoveLinks, which edits the packed
 // arrays, to a graph built from the surviving links through Builder, over
 // removal sets that repeat links, name them in both endpoint orders, and
-// name links that do not exist, ASes that do not exist and self-links.
+// name links that do not exist, ASes that do not exist and self-links. The
+// order it keeps must still end in its tail of single-homed stubs, with -1
+// for exactly those whose link the set cut.
 func TestRemoveLinksMatchesRebuild(t *testing.T) {
+	cutStubs := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(300)
@@ -147,6 +150,7 @@ func TestRemoveLinksMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sole := slices.Clone(g.SoleProviders())
 		before, err := RemoveLinks(g, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -160,24 +164,49 @@ func TestRemoveLinksMatchesRebuild(t *testing.T) {
 
 		// Even a copy that cuts nothing has adjacency arrays of its own; it
 		// shares only the provider-first order and ranks, which removal
-		// leaves valid and no Graph writes.
+		// leaves valid and no Graph writes, and the single-homed stubs'
+		// providers until a cut takes one of their links.
 		if unsafe.SliceData(before.off) == unsafe.SliceData(g.off) ||
 			unsafe.SliceData(before.nbrs) == unsafe.SliceData(g.nbrs) ||
 			unsafe.SliceData(before.goff) == unsafe.SliceData(g.goff) ||
 			unsafe.SliceData(before.grp) == unsafe.SliceData(g.grp) {
 			t.Fatal("RemoveLinks returned a graph that shares an adjacency array with its source")
 		}
-		if unsafe.SliceData(got.order) != unsafe.SliceData(g.order) || unsafe.SliceData(got.rank) != unsafe.SliceData(g.rank) {
-			t.Fatal("RemoveLinks copied the provider-first order or ranks instead of sharing them")
+		if unsafe.SliceData(got.order) != unsafe.SliceData(g.order) || unsafe.SliceData(got.rank) != unsafe.SliceData(g.rank) ||
+			unsafe.SliceData(before.sole) != unsafe.SliceData(g.sole) {
+			t.Fatal("RemoveLinks copied the provider-first order, ranks or uncut stubs' providers instead of sharing them")
 		}
+
+		// A stub whose link is gone reads -1 in the copy, every other
+		// stub its provider, and the source's array is as it was.
+		wantSole, cut := slices.Clone(sole), false
+		for i, v := range g.ProviderOrder()[n-len(sole):] {
+			if gone[linkKey(int(v), int(sole[i]))] {
+				wantSole[i], cut = -1, true
+				cutStubs++
+			}
+		}
+		if !slices.Equal(got.SoleProviders(), wantSole) {
+			t.Fatalf("seed %d: SoleProviders after the cut is\n %v, want\n %v", seed, got.SoleProviders(), wantSole)
+		}
+		if !slices.Equal(g.SoleProviders(), sole) {
+			t.Fatalf("seed %d: cutting a stub's link wrote the source's SoleProviders", seed)
+		}
+		if shares := unsafe.SliceData(got.sole) == unsafe.SliceData(g.sole); shares == cut {
+			t.Fatalf("seed %d: a stub was cut: %v, the copy shares its source's SoleProviders: %v", seed, cut, shares)
+		}
+	}
+	if cutStubs == 0 {
+		t.Fatal("no removal set cut a single-homed stub's link; the -1 rule went untested")
 	}
 }
 
 // TestAccessorsClipCapacity: every row an accessor hands out, and the
-// provider-first order and its ranks, end at their capacity, so an append
-// through them has to reallocate. With spare capacity the append would write
-// the next AS's row of the shared arena; here appending to every row of
-// every AS, and to the order and ranks, leaves the graph as it was.
+// provider-first order, its ranks and the single-homed stubs' providers,
+// end at their capacity, so an append through them has to reallocate. With
+// spare capacity the append would write the next AS's row of the shared
+// arena; here appending to every row of every AS, and to the three
+// order arrays, leaves the graph as it was.
 func TestAccessorsClipCapacity(t *testing.T) {
 	g, err := Generate(GenConfig{N: 300, Seed: 4})
 	if err != nil {
@@ -200,7 +229,7 @@ func TestAccessorsClipCapacity(t *testing.T) {
 			_ = append(row, -1)
 		}
 	}
-	for name, s := range map[string][]int32{"ProviderOrder": g.ProviderOrder(), "ProviderRanks": g.ProviderRanks()} {
+	for name, s := range map[string][]int32{"ProviderOrder": g.ProviderOrder(), "ProviderRanks": g.ProviderRanks(), "SoleProviders": g.SoleProviders()} {
 		if cap(s) != len(s) {
 			t.Fatalf("%s: len %d, cap %d", name, len(s), cap(s))
 		}

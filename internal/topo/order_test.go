@@ -7,9 +7,18 @@ import (
 	"testing"
 )
 
+// singleHomedStub is Graph.singleHomed restated from Neighbors: one link,
+// and its far end is a provider.
+func singleHomedStub(g *Graph, v int) bool {
+	nbrs := g.Neighbors(v)
+	return len(nbrs) == 1 && nbrs[0].Rel == Provider
+}
+
 // requireProviderOrder holds ProviderOrder to its contract: every AS
 // appears exactly once, after all of its providers, at the position
-// ProviderRanks gives it.
+// ProviderRanks gives it; and the order ends in an ascending tail, aligned
+// with SoleProviders, of ASes that are each a single-homed stub of the
+// provider SoleProviders names or, where it names -1, have no link left.
 func requireProviderOrder(tb testing.TB, g *Graph) {
 	tb.Helper()
 	order := g.ProviderOrder()
@@ -41,14 +50,40 @@ func requireProviderOrder(tb testing.TB, g *Graph) {
 			}
 		}
 	}
+
+	sole := g.SoleProviders()
+	if len(sole) > g.N() || cap(sole) != len(sole) {
+		tb.Fatalf("SoleProviders: len %d, cap %d, on %d ASes", len(sole), cap(sole), g.N())
+	}
+	tail := order[g.N()-len(sole):]
+	if !slices.IsSorted(tail) {
+		tb.Fatalf("the tail of ProviderOrder does not ascend: %v", tail)
+	}
+	for i, p := range sole {
+		v := int(tail[i])
+		switch {
+		case p < 0 && g.Degree(v) != 0:
+			tb.Fatalf("SoleProviders[%d] = %d, but AS %d still has links %v", i, p, v, g.Neighbors(v))
+		case p >= 0 && (!singleHomedStub(g, v) || g.Providers(v)[0] != p):
+			tb.Fatalf("SoleProviders[%d] = %d, but AS %d at the tail has neighbors %v", i, p, v, g.Neighbors(v))
+		}
+	}
 }
 
 // lowestReadyFirst is the order Build promises, found the slow way: again
-// and again, the lowest-indexed unlisted AS whose providers are all listed.
+// and again, the lowest-indexed unlisted AS whose providers are all listed,
+// passing over the single-homed stubs, which follow in ascending order.
 func lowestReadyFirst(g *Graph) []int32 {
 	listed := make([]bool, g.N())
+	var stubs []int32
+	for v := 0; v < g.N(); v++ {
+		if singleHomedStub(g, v) {
+			listed[v] = true // no AS has it for a provider
+			stubs = append(stubs, int32(v))
+		}
+	}
 	order := make([]int32, 0, g.N())
-	for len(order) < g.N() {
+	for len(order)+len(stubs) < g.N() {
 		for v := 0; v < g.N(); v++ {
 			ready := !listed[v]
 			for _, p := range g.Providers(v) {
@@ -61,16 +96,26 @@ func lowestReadyFirst(g *Graph) []int32 {
 			}
 		}
 	}
-	return order
+	return append(order, stubs...)
 }
 
-// requireBuiltOrder is requireProviderOrder plus the tie rule of a graph
-// Build made: of the ASes ready to be listed, the lowest index comes first.
+// requireBuiltOrder is requireProviderOrder plus the rules of a graph Build
+// made: the tail is every single-homed stub and nothing else, and of the
+// other ASes ready to be listed, the lowest index comes first.
 func requireBuiltOrder(tb testing.TB, g *Graph) {
 	tb.Helper()
 	requireProviderOrder(tb, g)
 	if want := lowestReadyFirst(g); !slices.Equal(g.ProviderOrder(), want) {
-		tb.Fatalf("ProviderOrder is not lowest-ready-first:\n got %v\nwant %v", g.ProviderOrder(), want)
+		tb.Fatalf("ProviderOrder is not lowest-ready-first with the single-homed stubs last:\n got %v\nwant %v", g.ProviderOrder(), want)
+	}
+	stubs := 0
+	for v := 0; v < g.N(); v++ {
+		if singleHomedStub(g, v) {
+			stubs++
+		}
+	}
+	if len(g.SoleProviders()) != stubs {
+		tb.Fatalf("SoleProviders has %d entries, the graph %d single-homed stubs", len(g.SoleProviders()), stubs)
 	}
 }
 
@@ -97,9 +142,10 @@ func relabel(tb testing.TB, g *Graph, perm []int) *Graph {
 
 // TestProviderOrder: the order is valid on every way a Graph is made —
 // Generate, Parse, RemoveLinks and a Builder fed shuffled indices — Build
-// lists the lowest ready index first, which is the identity where every
-// provider has a lower index than its customers, and Build still refuses a
-// provider-customer cycle.
+// lists the single-homed stubs last, ascending, and of the rest the lowest
+// ready index first, so the body ascends where every provider has a lower
+// index than its customers; and Build still refuses a provider-customer
+// cycle.
 func TestProviderOrder(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -108,10 +154,12 @@ func TestProviderOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireBuiltOrder(t, g)
-		for i, v := range g.ProviderOrder() {
-			if int(v) != i {
-				t.Fatalf("seed %d: ProviderOrder[%d] = %d on a Generate graph, want the identity", seed, i, v)
-			}
+		order, sole := g.ProviderOrder(), g.SoleProviders()
+		if len(sole) == 0 || len(sole) == g.N() {
+			t.Fatalf("seed %d: %d of %d ASes are single-homed stubs; the order has no body or no tail to test", seed, len(sole), g.N())
+		}
+		if body := order[:g.N()-len(sole)]; !slices.IsSorted(body) {
+			t.Fatalf("seed %d: the body of ProviderOrder does not ascend on a Generate graph: %v", seed, body)
 		}
 
 		var buf bytes.Buffer
@@ -139,7 +187,7 @@ func TestProviderOrder(t *testing.T) {
 		shuffled := relabel(t, g, rng.Perm(g.N()))
 		requireBuiltOrder(t, shuffled)
 		if slices.Equal(shuffled.ProviderOrder(), g.ProviderOrder()) {
-			t.Fatalf("seed %d: relabelled graph still has the identity order; the case tests nothing", seed)
+			t.Fatalf("seed %d: relabelled graph still has its source's order; the case tests nothing", seed)
 		}
 		// Labels reversed: every customer now comes before its providers.
 		rev := make([]int, g.N())
