@@ -300,10 +300,10 @@ func ComputeArena(g *topo.Graph, dst int, a *Arena) *Dest {
 // two phases. Each phase reads only the adjacency entries that can carry
 // its routes, through the graph's relationship-grouped view: the providers
 // of the uphill cone, the peers of the cone, and the providers of every AS
-// those two phases left without a route, a single-homed stub's read from
-// the graph's SoleProviders instead. At paper scale that is ~75 k entries
-// per destination, nearly all of them in phase 3, and half of phase 3's
-// ASes are such stubs.
+// those two phases left without a route, a stub's read from the graph's
+// StubProviders instead. At paper scale that is ~75 k entries per
+// destination, nearly all of them in phase 3, and 87 % of phase 3's ASes
+// are stubs.
 func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 	// Empty the queue but keep its arrays; levels only an earlier, deeper
 	// computation reached stay behind as empty buckets.
@@ -358,8 +358,11 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 	// the graph's provider-first order, so a provider's word is final before
 	// any of its customers reads it, and each AS is written once.
 	d := &Dest{dst: int32(dst), packed: packed, overflow: sc.overflow()}
-	order, sole := g.ProviderOrder(), g.SoleProviders()
-	body, tail := order[:len(order)-len(sole)], order[len(order)-len(sole):]
+	order, runs, providers := g.ProviderOrder(), g.StubRuns(), g.StubProviders()
+	body := order
+	if len(runs) > 0 {
+		body = order[:runs[0].First]
+	}
 	for _, v := range body {
 		if packed[v] != unreachableEntry {
 			continue // a customer or peer route, which no provider route beats
@@ -377,36 +380,103 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 			d.addOverflow(v, int16(h+1))
 		}
 	}
-	// The single-homed stubs close the order. Each has its one provider for
-	// a row and can hold no customer or peer route, so it takes its
-	// provider's route plus one hop, unless it is the destination or its
-	// link is cut.
-	for i, p := range sole {
-		v := tail[i]
-		if p < 0 || packed[v] != unreachableEntry {
+	// The stubs close the order, in runs of equal provider count. No AS
+	// reads a stub's word, and a stub's row, read only while the stub has no
+	// route, names the stub itself for a provider whose link is cut: that
+	// entry offers nothing and needs no test.
+	for _, r := range runs {
+		stubs, rows, k := order[r.First:r.End], providers[r.Row:r.Row+r.K*(r.End-r.First)], int(r.K)
+		for k > 0 && len(stubs) > 0 {
+			var i int
+			if k == 1 {
+				i = soleStubs(packed, stubs, rows)
+			} else {
+				i = multiStubs(packed, stubs, rows, k)
+			}
+			if i == len(stubs) {
+				break
+			}
+			d.deepStub(stubs[i], rows[i*k:i*k+k])
+			stubs, rows = stubs[i+1:], rows[i*k+k:]
+		}
+	}
+	return d
+}
+
+// soleStubs is phase 3 for stubs with one provider each, rows[i] serving
+// stubs[i]: each takes its provider's route plus one hop. It stops at the
+// first stub whose route is too long for the inline hops field, or may be,
+// and returns its index, or len(stubs) when there is none; deepStub is the
+// caller's to run. With no call in it the loop keeps its state in
+// registers.
+func soleStubs(packed []uint32, stubs, rows []int32) int {
+	for i, p := range rows[:len(stubs)] {
+		v := stubs[i]
+		if packed[v] != unreachableEntry {
 			continue
 		}
 		w := packed[p]
 		if w == unreachableEntry {
 			continue
 		}
-		if h := int(w >> hopsShift); h < hopsSentinel-1 {
-			packed[v] = routeWord(h+1, ClassProvider, p)
-		} else {
-			d.deepStub(v, p)
+		h := int(w >> hopsShift)
+		if h >= hopsSentinel-1 {
+			return i
 		}
+		packed[v] = routeWord(h+1, ClassProvider, p)
 	}
-	return d
+	return len(stubs)
 }
 
-// deepStub gives the single-homed stub v the provider route through p when
-// it is too long for the inline hops field: p's true length, read from the
-// side table when p holds the sentinel, plus one, recorded in the table.
-// Kept out of phase 3's tail loop, which then spills nothing per stub.
-func (d *Dest) deepStub(v, p int32) {
-	h := d.hops16(int(p)) + 1
-	d.packed[v] = routeWord(int(h), ClassProvider, p)
-	d.addOverflow(v, h)
+// multiStubs is soleStubs for stubs with k ≥ 2 providers each,
+// rows[i*k:(i+1)*k] serving stubs[i]: each takes the least key over its
+// providers, as bestProvider finds it, with the unreachable ones forced to
+// the largest key (unreachableMask) rather than skipped, so the inner loop
+// has no branch to mispredict. A stub whose providers all lack a route
+// reads that largest key, which carries the hops sentinel, and is returned
+// like a deep one.
+func multiStubs(packed []uint32, stubs, rows []int32, k int) int {
+	for i, v := range stubs {
+		row := rows[:k:k]
+		rows = rows[k:]
+		if packed[v] != unreachableEntry {
+			continue
+		}
+		best := uint32(math.MaxUint32)
+		for _, p := range row {
+			w := packed[p]
+			best = min(best, w&keyMask|uint32(p)|unreachableMask(w))
+		}
+		h := int(best >> hopsShift)
+		if h >= hopsSentinel-1 {
+			return i
+		}
+		packed[v] = routeWord(h+1, ClassProvider, int32(best&nextMask))
+	}
+	return len(stubs)
+}
+
+// deepStub gives the stub v the best provider route in row when that is too
+// long for the inline hops field: the shortest by true length, read from
+// the side table where a provider holds the sentinel, and of those the
+// lowest next hop, which comes first in the row (its live entries ascend),
+// plus one hop, recorded in the table. When no provider in row has a route
+// v keeps none.
+func (d *Dest) deepStub(v int32, row []int32) {
+	h, via := int16(math.MaxInt16), int32(-1)
+	for _, p := range row {
+		if d.packed[p] == unreachableEntry {
+			continue
+		}
+		if hp := d.hops16(int(p)); hp < h {
+			h, via = hp, p
+		}
+	}
+	if via < 0 {
+		return
+	}
+	d.packed[v] = routeWord(int(h+1), ClassProvider, via)
+	d.addOverflow(v, h+1)
 }
 
 // bestProvider returns the least key over the providers in row that hold a
@@ -417,10 +487,20 @@ func bestProvider(packed []uint32, row []int32) uint32 {
 	best := uint32(math.MaxUint32)
 	for _, p := range row {
 		if w := packed[p]; w != unreachableEntry {
-			best = min(best, w&^(classMask<<classShift|nextMask)|uint32(p))
+			best = min(best, w&keyMask|uint32(p))
 		}
 	}
 	return best
+}
+
+// keyMask keeps a word's hops field, the first part of a provider's key.
+const keyMask = ^uint32(classMask<<classShift | nextMask)
+
+// unreachableMask returns all ones for the unreachable word and zero for
+// any route, without a branch: ClassUnreachable is the one class with the
+// top bit of the class field set, and the shifts copy that bit everywhere.
+func unreachableMask(w uint32) uint32 {
+	return uint32(int32(w<<(31-classShift-2)) >> 31)
 }
 
 // longestTie breaks the tie phase 3's keys leave when every provider in row

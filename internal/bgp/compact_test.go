@@ -12,6 +12,7 @@ package bgp
 // FuzzCompactDest drives the same comparison from fuzzed inputs.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -297,9 +298,14 @@ func deepGraph(t *testing.T, rng *rand.Rand, rungs int) *topo.Graph {
 
 // TestCompactHopOverflowBranches is TestCompactHopOverflow away from the
 // chain: customer, peer and provider routes longer than the inline field
-// can say, several ASes a level, tie-breaks among them.
+// can say, several ASes a level, tie-breaks among them. Among them are
+// stubs with two providers both past the inline field, whose keys tie on
+// the sentinel, and stubs whose best provider is 62 hops away, the last
+// length the field holds, so that the stub's own route is the first it
+// cannot: both leave phase 3's multi-provider loop through deepStub.
 func TestCompactHopOverflowBranches(t *testing.T) {
 	deep := map[Class]int{}
+	stubsPastField, stubsAt62 := 0, 0
 	for seed := int64(1); seed <= 12; seed++ {
 		g := deepGraph(t, rand.New(rand.NewSource(seed)), 90)
 		for dst := 0; dst < g.N(); dst++ {
@@ -308,6 +314,28 @@ func TestCompactHopOverflowBranches(t *testing.T) {
 			for _, o := range d.overflow {
 				deep[d.Class(int(o.as))]++
 			}
+			for _, r := range g.StubRuns() {
+				if r.K < 2 {
+					continue
+				}
+				for _, v := range g.ProviderOrder()[r.First:r.End] {
+					if d.Class(int(v)) != ClassProvider {
+						continue
+					}
+					shortest, offers := math.MaxInt, 0
+					for _, p := range g.Providers(int(v)) {
+						if d.Reachable(int(p)) {
+							shortest, offers = min(shortest, d.Hops(int(p))), offers+1
+						}
+					}
+					switch {
+					case shortest >= hopsSentinel && offers >= 2:
+						stubsPastField++
+					case shortest == hopsSentinel-1:
+						stubsAt62++
+					}
+				}
+			}
 		}
 	}
 	for _, c := range []Class{ClassCustomer, ClassPeer, ClassProvider} {
@@ -315,7 +343,10 @@ func TestCompactHopOverflowBranches(t *testing.T) {
 			t.Errorf("no %v route of %d hops or more was computed: the test does not reach that branch", c, hopsSentinel)
 		}
 	}
-	t.Logf("routes past the inline field, by class: %v", deep)
+	if stubsPastField == 0 || stubsAt62 == 0 {
+		t.Errorf("multi-provider stubs under providers past the inline field: %d, under a 62-hop provider: %d; the test does not reach deepStub both ways", stubsPastField, stubsAt62)
+	}
+	t.Logf("routes past the inline field, by class: %v; multi-provider stubs under deep providers: %d past the field, %d at 62 hops", deep, stubsPastField, stubsAt62)
 }
 
 // removeRandomLinks returns g without k of its links picked by rng.

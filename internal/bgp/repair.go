@@ -3,6 +3,7 @@ package bgp
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/topo"
@@ -95,9 +96,10 @@ type repairScratch struct {
 	// The repair in progress; nil between repairs.
 	g      *topo.Graph
 	cut    *cutRows
-	old    []uint32 // the table before the event, read only
-	packed []uint32 // the result: old with what the event changed rewritten
-	rank   []int32  // g.ProviderRanks()
+	old    []uint32     // the table before the event, read only
+	packed []uint32     // the result: old with what the event changed rewritten
+	rank   []int32      // g.ProviderRanks()
+	sole   topo.StubRun // g's run of stubs with one provider each
 	cross  []crossOffer
 
 	region  []int32 // LinkDown: the ASes whose routes are rebuilt from nothing, each once, parents before children
@@ -152,6 +154,12 @@ func (sc *repairScratch) repair(g *topo.Graph, cut *cutRows, old *Dest, a, b int
 		sc.visit, sc.full = make([]uint64, words), make([]uint64, words)
 	}
 	sc.g, sc.cut, sc.old, sc.packed, sc.rank = g, cut, old.packed, nil, g.ProviderRanks()
+	sc.sole = topo.StubRun{}
+	for _, r := range g.StubRuns() {
+		if r.K == 1 {
+			sc.sole = r
+		}
+	}
 	sc.cross, sc.region, sc.transit = sc.cross[:0], sc.region[:0], sc.transit[:0]
 	sc.bail, sc.visits = false, 0
 	defer func() { sc.g, sc.cut, sc.old, sc.packed, sc.rank = nil, nil, nil, nil, nil }()
@@ -169,11 +177,10 @@ func (sc *repairScratch) repair(g *topo.Graph, cut *cutRows, old *Dest, a, b int
 	if len(sc.region) > n/repairMaxRegionShare {
 		return nil
 	}
-	// make and copy side by side into a local: the compiler then skips
-	// zeroing what the copy is about to fill.
-	fresh := make([]uint32, n)
-	copy(fresh, old.packed)
-	sc.packed = fresh
+	// Clone rather than make and copy: make clears the array the copy is
+	// about to fill, while Clone's growslice clears only the capacity past
+	// the copied length, which Clip then hides.
+	sc.packed = slices.Clip(slices.Clone(old.packed))
 	for _, v := range sc.region {
 		sc.packed[v] = unreachableEntry
 	}
@@ -382,7 +389,9 @@ func (sc *repairScratch) markChanged() {
 //   - shorter (or newly reachable): the route is offered to every customer,
 //     and those it leaves shorter than before are marked;
 //   - longer (or gone): the customers whose next hop is the AS are marked
-//     full, since their word is no longer on offer;
+//     full, since their word is no longer on offer, except the stubs with
+//     the AS for their one provider, which take its new route there and
+//     then;
 //   - the same: the wave stops here.
 //
 // An unmarked AS keeps its word: its next hop offers what it did, and any
@@ -432,9 +441,25 @@ func (sc *repairScratch) settle(v int32, full bool) {
 		}
 	case h > was:
 		for _, c := range customers {
-			if sc.packed[c]&nextMask == uint32(v+1) {
+			if sc.packed[c]&nextMask != uint32(v+1) {
+				continue
+			}
+			if r := sc.rank[c]; r < sc.sole.First || r >= sc.sole.End {
 				sc.mark(sc.full, c)
 				sc.mark(sc.visit, c)
+				continue
+			}
+			// A stub whose one provider is v: v's word is final, and c holds
+			// no better class (it took its provider route), so its provider
+			// route is what it gets, settled here rather than on a visit.
+			switch {
+			case w == unreachableEntry:
+				sc.packed[c] = unreachableEntry
+			case h+1 >= hopsSentinel:
+				sc.bail = true
+				return
+			default:
+				sc.packed[c] = routeWord(h+1, ClassProvider, v)
 			}
 		}
 	}

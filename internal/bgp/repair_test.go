@@ -364,6 +364,37 @@ func TestRepairLinkDownStopsWhereLengthHolds(t *testing.T) {
 	}
 }
 
+// TestRepairSettlesSoleStubsWithoutVisits: AS 1 reaches destination 0 in
+// two hops through its customer 2 and in three through 3 > 4. When link 1-2
+// fails its route grows to three hops, and every customer that went through
+// it must choose again. Stubs 5 and 6 have AS 1 for their one provider:
+// they take its new route plus one hop as the sweep settles AS 1, with no
+// visit of their own. Stub 7 can also buy from 8, two hops from 0, and moves
+// there; it is visited. The sweep visits AS 1 and AS 7 only.
+func TestRepairSettlesSoleStubsWithoutVisits(t *testing.T) {
+	g, err := topo.NewBuilder(9).
+		AddPC(2, 0).AddPC(4, 0).AddPC(3, 4).AddPC(8, 4).
+		AddPC(1, 2).AddPC(1, 3).
+		AddPC(1, 5).AddPC(1, 6).AddPC(1, 7).AddPC(8, 7).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := topo.LinkRef{A: 1, B: 2}
+	old, want := Compute(g, 0), Compute(mustCut(t, g, []topo.LinkRef{l}), 0)
+	if old.NextHop(1) != 2 || want.Hops(1) != 3 || old.NextHop(7) != 1 || want.NextHop(7) != 8 ||
+		want.NextHop(5) != 1 || want.Hops(5) != 4 || want.Hops(6) != 4 {
+		t.Fatal("the topology no longer sets the case")
+	}
+	got, visits := repairOnce(g, []topo.LinkRef{l}, old, 1, 2, false)
+	if got == nil || !got.Equal(want) {
+		t.Fatal("repair after LinkDown(1,2) differs from Compute")
+	}
+	if visits != 2 {
+		t.Fatalf("the sweep visited %d ASes, want 2 (AS 1 and the two-provider stub 7, not the one-provider stubs 5 and 6)", visits)
+	}
+}
+
 // TestRepairBenchmarkLinks repairs every dirty destination of the repo
 // benchmark's schedule — the hub's four largest peer links on the
 // 44,340-AS graph, 128 destinations — and compares each with Compute.

@@ -9,7 +9,7 @@ import (
 // FuzzParse hardens the relationship-file parser: arbitrary text must
 // never panic, and successful parses must carry a relationship-grouped
 // view that agrees with their adjacency and the provider-first order Build
-// promises, single-homed stubs last, and survive a Write/Parse round trip
+// promises, stubs last in runs of equal provider count, and survive a Write/Parse round trip
 // with identical counts.
 func FuzzParse(f *testing.F) {
 	f.Add("1|2|-1\n2|3|0\n")
@@ -17,7 +17,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("a|b|c")
 	f.Add("1|2|-1\n1|2|0\n") // duplicate link
 	f.Add("|||")
-	f.Add("9|2|-1\n9|3|-1\n3|4|-1\n3|5|-1\n4|6|0\n") // single-homed stubs 2 and 5
+	f.Add("9|2|-1\n9|3|-1\n3|4|-1\n3|5|-1\n4|6|0\n")                 // one-provider stubs 2 and 5, peer-only 6
+	f.Add("1|3|-1\n2|3|-1\n1|2|-1\n2|4|-1\n1|5|-1\n2|5|-1\n3|6|0\n") // two-provider stubs 3 and 5
 
 	f.Fuzz(func(t *testing.T, input string) {
 		g, asns, err := Parse(strings.NewReader(input))

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // relLinear is the pre-CSR O(degree) relationship lookup, kept here as the
@@ -110,9 +111,9 @@ func TestGraphMemStats(t *testing.T) {
 	if m.Nodes != 4 || m.Links != 4 {
 		t.Fatalf("MemStats nodes/links = %d/%d, want 4/4", m.Nodes, m.Links)
 	}
-	// Order and ranks hold 4 entries each, and AS 3 is the one single-homed
-	// stub, whose provider the graph keeps in one more.
-	if m.OffsetBytes <= 0 || m.NeighborBytes <= 0 || m.GroupedBytes <= 0 || m.OrderBytes != (2*4+1)*4 {
+	// Order and ranks hold 4 entries each; ASes 2 and 3 are the stubs, one
+	// provider each, which the graph keeps in 2 more under one run header.
+	if m.OffsetBytes <= 0 || m.NeighborBytes <= 0 || m.GroupedBytes <= 0 || m.OrderBytes != (2*4+2)*4+int64(unsafe.Sizeof(StubRun{})) {
 		t.Fatalf("MemStats byte accounting implausible: %+v", m)
 	}
 	if m.TotalBytes != m.OffsetBytes+m.NeighborBytes+m.GroupedBytes+m.OrderBytes {

@@ -4,21 +4,28 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 )
 
-// singleHomedStub is Graph.singleHomed restated from Neighbors: one link,
-// and its far end is a provider.
-func singleHomedStub(g *Graph, v int) bool {
-	nbrs := g.Neighbors(v)
-	return len(nbrs) == 1 && nbrs[0].Rel == Provider
+// customerless is Graph.IsStub restated from Neighbors: no neighbor is a
+// customer.
+func customerless(g *Graph, v int) bool {
+	for _, nb := range g.Neighbors(v) {
+		if nb.Rel == Customer {
+			return false
+		}
+	}
+	return true
 }
 
 // requireProviderOrder holds ProviderOrder to its contract: every AS
 // appears exactly once, after all of its providers, at the position
-// ProviderRanks gives it; and the order ends in an ascending tail, aligned
-// with SoleProviders, of ASes that are each a single-homed stub of the
-// provider SoleProviders names or, where it names -1, have no link left.
+// ProviderRanks gives it; the order ends in a tail of stubs cut into the
+// runs StubRuns names, end to end, ascending by provider count and by index
+// within a run; and StubProviders holds each stub's row where its run says,
+// which is its providers, ascending, once the entries that name the stub
+// itself (the providers RemoveLinks cut) are passed over.
 func requireProviderOrder(tb testing.TB, g *Graph) {
 	tb.Helper()
 	order := g.ProviderOrder()
@@ -51,37 +58,51 @@ func requireProviderOrder(tb testing.TB, g *Graph) {
 		}
 	}
 
-	sole := g.SoleProviders()
-	if len(sole) > g.N() || cap(sole) != len(sole) {
-		tb.Fatalf("SoleProviders: len %d, cap %d, on %d ASes", len(sole), cap(sole), g.N())
+	runs, rows := g.StubRuns(), g.StubProviders()
+	if cap(runs) != len(runs) || cap(rows) != len(rows) {
+		tb.Fatalf("StubRuns: len %d, cap %d; StubProviders: len %d, cap %d", len(runs), cap(runs), len(rows), cap(rows))
 	}
-	tail := order[g.N()-len(sole):]
-	if !slices.IsSorted(tail) {
-		tb.Fatalf("the tail of ProviderOrder does not ascend: %v", tail)
+	at, row := int32(g.N()), int32(0) // where the next run must start, in the order and in rows
+	if len(runs) > 0 {
+		at = runs[0].First
 	}
-	for i, p := range sole {
-		v := int(tail[i])
-		switch {
-		case p < 0 && g.Degree(v) != 0:
-			tb.Fatalf("SoleProviders[%d] = %d, but AS %d still has links %v", i, p, v, g.Neighbors(v))
-		case p >= 0 && (!singleHomedStub(g, v) || g.Providers(v)[0] != p):
-			tb.Fatalf("SoleProviders[%d] = %d, but AS %d at the tail has neighbors %v", i, p, v, g.Neighbors(v))
+	for i, r := range runs {
+		if r.First != at || r.End <= r.First || r.Row != row || r.K < 0 || i > 0 && r.K <= runs[i-1].K {
+			tb.Fatalf("StubRuns[%d] = %+v after %v: runs must be non-empty, end to end, ascending by K, rows in turn", i, r, runs[:i])
 		}
+		if stubs := order[r.First:r.End]; !slices.IsSorted(stubs) {
+			tb.Fatalf("the run of %d-provider stubs does not ascend: %v", r.K, stubs)
+		}
+		for j, v := range order[r.First:r.End] {
+			if !customerless(g, int(v)) {
+				tb.Fatalf("AS %d in the tail of ProviderOrder has customers %v", v, g.Customers(int(v)))
+			}
+			stubRow := rows[r.Row+int32(j)*r.K : r.Row+int32(j+1)*r.K]
+			kept := slices.DeleteFunc(slices.Clone(stubRow), func(p int32) bool { return p == v })
+			if !slices.Equal(kept, g.Providers(int(v))) {
+				tb.Fatalf("AS %d has providers %v, but its row in StubProviders is %v", v, g.Providers(int(v)), stubRow)
+			}
+		}
+		at, row = r.End, r.Row+r.K*(r.End-r.First)
+	}
+	if int(at) != g.N() || int(row) != len(rows) {
+		tb.Fatalf("StubRuns %v end at %d of %d ASes and %d of %d provider entries", runs, at, g.N(), row, len(rows))
 	}
 }
 
 // lowestReadyFirst is the order Build promises, found the slow way: again
 // and again, the lowest-indexed unlisted AS whose providers are all listed,
-// passing over the single-homed stubs, which follow in ascending order.
+// passing over the stubs, which follow by provider count and then index.
 func lowestReadyFirst(g *Graph) []int32 {
 	listed := make([]bool, g.N())
 	var stubs []int32
 	for v := 0; v < g.N(); v++ {
-		if singleHomedStub(g, v) {
+		if customerless(g, v) {
 			listed[v] = true // no AS has it for a provider
 			stubs = append(stubs, int32(v))
 		}
 	}
+	sort.SliceStable(stubs, func(i, j int) bool { return len(g.Providers(int(stubs[i]))) < len(g.Providers(int(stubs[j]))) })
 	order := make([]int32, 0, g.N())
 	for len(order)+len(stubs) < g.N() {
 		for v := 0; v < g.N(); v++ {
@@ -100,22 +121,20 @@ func lowestReadyFirst(g *Graph) []int32 {
 }
 
 // requireBuiltOrder is requireProviderOrder plus the rules of a graph Build
-// made: the tail is every single-homed stub and nothing else, and of the
-// other ASes ready to be listed, the lowest index comes first.
+// made: the tail is every stub and nothing else, of the other ASes ready to
+// be listed the lowest index comes first, and no row names its own stub.
 func requireBuiltOrder(tb testing.TB, g *Graph) {
 	tb.Helper()
 	requireProviderOrder(tb, g)
 	if want := lowestReadyFirst(g); !slices.Equal(g.ProviderOrder(), want) {
-		tb.Fatalf("ProviderOrder is not lowest-ready-first with the single-homed stubs last:\n got %v\nwant %v", g.ProviderOrder(), want)
+		tb.Fatalf("ProviderOrder is not lowest-ready-first with the stubs last:\n got %v\nwant %v", g.ProviderOrder(), want)
 	}
-	stubs := 0
-	for v := 0; v < g.N(); v++ {
-		if singleHomedStub(g, v) {
-			stubs++
-		}
+	var want []int32
+	for _, v := range g.ProviderOrder()[g.tailStart():] {
+		want = append(want, g.Providers(int(v))...)
 	}
-	if len(g.SoleProviders()) != stubs {
-		tb.Fatalf("SoleProviders has %d entries, the graph %d single-homed stubs", len(g.SoleProviders()), stubs)
+	if !slices.Equal(g.StubProviders(), want) {
+		tb.Fatalf("StubProviders is\n %v, the stubs' providers in tail order\n %v", g.StubProviders(), want)
 	}
 }
 
@@ -142,10 +161,10 @@ func relabel(tb testing.TB, g *Graph, perm []int) *Graph {
 
 // TestProviderOrder: the order is valid on every way a Graph is made —
 // Generate, Parse, RemoveLinks and a Builder fed shuffled indices — Build
-// lists the single-homed stubs last, ascending, and of the rest the lowest
-// ready index first, so the body ascends where every provider has a lower
-// index than its customers; and Build still refuses a provider-customer
-// cycle.
+// lists the stubs last, by provider count and index, and of the rest the
+// lowest ready index first, so the body ascends where every provider has a
+// lower index than its customers; and Build still refuses a
+// provider-customer cycle.
 func TestProviderOrder(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -154,11 +173,12 @@ func TestProviderOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireBuiltOrder(t, g)
-		order, sole := g.ProviderOrder(), g.SoleProviders()
-		if len(sole) == 0 || len(sole) == g.N() {
-			t.Fatalf("seed %d: %d of %d ASes are single-homed stubs; the order has no body or no tail to test", seed, len(sole), g.N())
+		order, runs := g.ProviderOrder(), g.StubRuns()
+		sole := slices.IndexFunc(runs, func(r StubRun) bool { return r.K == 1 })
+		if tail := g.tailStart(); tail == 0 || sole < 0 || runs[len(runs)-1].K < 2 {
+			t.Fatalf("seed %d: the tail starts at %d of %d ASes, in runs %v; the order has no body, or no tail of one- and multi-provider stubs, to test", seed, tail, g.N(), runs)
 		}
-		if body := order[:g.N()-len(sole)]; !slices.IsSorted(body) {
+		if body := order[:g.tailStart()]; !slices.IsSorted(body) {
 			t.Fatalf("seed %d: the body of ProviderOrder does not ascend on a Generate graph: %v", seed, body)
 		}
 
@@ -202,6 +222,18 @@ func TestProviderOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireProviderOrder(t, empty)
+
+	// Stubs without providers too: 4 only peers, 5 has no link at all.
+	small, err := NewBuilder(6).AddPC(0, 1).AddPC(0, 2).AddPC(3, 2).AddPC(3, 0).AddPeer(4, 0).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBuiltOrder(t, small)
+	wantRuns := []StubRun{{First: 2, End: 4, K: 0, Row: 0}, {First: 4, End: 5, K: 1, Row: 0}, {First: 5, End: 6, K: 2, Row: 1}}
+	if !slices.Equal(small.ProviderOrder(), []int32{3, 0, 4, 5, 1, 2}) || !slices.Equal(small.StubRuns(), wantRuns) ||
+		!slices.Equal(small.StubProviders(), []int32{0, 0, 3}) {
+		t.Fatalf("order %v, runs %+v, rows %v", small.ProviderOrder(), small.StubRuns(), small.StubProviders())
+	}
 
 	for _, b := range []*Builder{
 		NewBuilder(3).AddPC(0, 1).AddPC(1, 2).AddPC(2, 0),
