@@ -442,7 +442,7 @@ func printPaperScale(r *experiments.PaperScale) {
 	}
 	fmt.Printf("# destinations: %d (%s)\n", r.Dests, mode)
 	fmt.Printf("  full table build:   %.2fs (%d destinations)\n", r.BuildSec, r.TableMem.Dests)
-	fmt.Printf("  table memory:       %.1f MiB packed + %.2f MiB overflow = %.1f B/AS/dest (%.0f B/dest; arena retained %.1f MiB)\n",
+	fmt.Printf("  table memory:       %.1f MiB packed + %.2f MiB side tables = %.1f B/stored entry (%.0f B/dest; arena retained %.1f MiB)\n",
 		mib(r.TableMem.PackedBytes), mib(r.TableMem.OverflowBytes),
 		r.TableMem.BytesPerEntry, r.TableMem.BytesPerDest, mib(r.TableMem.ArenaRetainedBytes))
 	fmt.Printf("  failed link:        AS %d - AS %d\n", r.FailedLink[0], r.FailedLink[1])

@@ -2,9 +2,9 @@ package bgp
 
 import "sync"
 
-// arenaSlabWords sizes each slab at 4 MiB — roughly 23 packed arrays per
-// slab at paper scale (44,340 ASes ≈ 173 KiB each), small enough that a
-// modest table doesn't strand much slab tail.
+// arenaSlabWords sizes each slab at 4 MiB — roughly 180 packed arrays per
+// slab at paper scale (5,772 stored words ≈ 23 KB each), small enough that
+// a modest table doesn't strand much slab tail.
 const arenaSlabWords = 1 << 20
 
 // Arena is a bump allocator for packed route entries. A bulk table build

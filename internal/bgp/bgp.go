@@ -83,12 +83,14 @@ func classOf(rel topo.Rel) Class {
 //	bits 26–31  AS-path length 0–62; 63 is an overflow sentinel and the
 //	            true length lives in the sorted overflow side table
 //
-// At 4 bytes × N per destination this is 43% of the dense 7-byte
-// (class+hops+next) layout the package previously used — the difference
-// between ~7.3 GB and ~12.9 GB for a full 44,340-destination table at
-// paper scale. Unreachable entries are suppressed to the single canonical
-// word ClassUnreachable<<classShift, so two tables agree byte-for-byte
-// whenever they agree on reachability, class, hops, and next hop.
+// A Dest stores the word of each AS with customers only — the body of the
+// graph's ProviderOrder, 5,772 of the 44,340 ASes at paper scale — so a
+// destination is 23 KB and a full 44,340-destination table ~0.95 GiB (a
+// word for all 44,340 ASes would be 177 KB and ~7.3 GB). Each stub's word
+// is derived when read (see stubRoute). Unreachable entries are suppressed
+// to the single canonical word ClassUnreachable<<classShift, so two tables
+// on one graph agree word for word whenever they agree on reachability,
+// class, hops, and next hop.
 const (
 	nextBits     = 23
 	nextMask     = 1<<nextBits - 1
@@ -102,6 +104,7 @@ const (
 	MaxASes = nextMask - 1
 
 	unreachableEntry = uint32(ClassUnreachable) << classShift
+	originEntry      = uint32(ClassOrigin) << classShift // 0 hops, no next hop
 )
 
 // hopOverflow records the true path length of an AS whose hops exceed the
@@ -112,37 +115,148 @@ type hopOverflow struct {
 	hops int16
 }
 
+// stubWord is the word of a stub with a failed link, held by a Dest a
+// Table repaired when it differs from what the stub's links in the intact
+// graph derive. Repair writes no route of hopsSentinel hops or more, so the
+// word carries its length.
+type stubWord struct {
+	as int32
+	w  uint32
+}
+
 // Dest holds, for one destination AS, every AS's best route: its class,
-// AS-path length (hops to the destination) and next-hop AS, packed one
-// uint32 per AS (see the layout above). The packed array may live in a
-// shared Arena when the Dest was produced by a bulk table build.
+// AS-path length (hops to the destination) and next-hop AS. It stores the
+// packed word (see the layout above) of each AS ranked before
+// g.TailStart() in g's ProviderOrder, indexed by that rank; the array may
+// live in a shared Arena when the Dest was produced by a bulk table build.
+// The other ASes are stubs, and under valley-free export a stub announces
+// no route but its own, so no stored word depends on a stub's unless the
+// stub is the destination: a stub's word is derived from its neighbours'
+// when read, from g's links, or from the side table stubs for a stub a
+// repair found cut off from some of them.
 type Dest struct {
 	dst      int32
-	packed   []uint32
+	g        *topo.Graph   // the graph the stubs' words derive from
+	rank     []int32       // g.ProviderRanks()
+	packed   []uint32      // by rank, the ASes before g.TailStart()
 	overflow []hopOverflow // sorted by as; rarely non-empty
+	stubs    []stubWord    // sorted by as; nil unless a failed link touches a stub
 }
 
 // Dst returns the destination AS index.
 func (d *Dest) Dst() int { return int(d.dst) }
 
+// word returns v's packed word, stored or derived.
+func (d *Dest) word(v int) uint32 {
+	if r := uint(d.rank[v]); r < uint(len(d.packed)) {
+		return d.packed[r]
+	}
+	w, _ := d.stubRoute(int32(v))
+	return w
+}
+
 // cls is the internal class accessor.
-func (d *Dest) cls(v int) Class { return Class(d.packed[v] >> classShift & classMask) }
+func (d *Dest) cls(v int) Class { return wordClass(d.word(v)) }
 
 // next32 is the internal next-hop accessor (-1 when none).
-func (d *Dest) next32(v int) int32 { return int32(d.packed[v]&nextMask) - 1 }
+func (d *Dest) next32(v int) int32 { return int32(d.word(v)&nextMask) - 1 }
 
 // hops16 is the internal path-length accessor; only valid for reachable v.
 func (d *Dest) hops16(v int) int16 {
-	h := int16(d.packed[v] >> hopsShift)
-	if h == hopsSentinel {
-		return d.overflowHops(v)
+	if r := uint(d.rank[v]); r < uint(len(d.packed)) {
+		return d.wordHops(v, d.packed[r])
 	}
-	return h
+	_, h := d.stubRoute(int32(v))
+	return int16(h)
+}
+
+// wordHops returns the length of the route w, which v holds.
+func (d *Dest) wordHops(v int, w uint32) int16 {
+	if h := int16(w >> hopsShift); h != hopsSentinel {
+		return h
+	}
+	return d.overflowHops(v)
 }
 
 func (d *Dest) overflowHops(v int) int16 {
 	i := sort.Search(len(d.overflow), func(i int) bool { return d.overflow[i].as >= int32(v) })
 	return d.overflow[i].hops
+}
+
+// announced returns u's word when u announces its route to some neighbour,
+// which is without deriving anything: a stub other than the destination
+// holds no customer route and is nobody's provider, so it announces
+// nothing and reads as unreachable here.
+func (d *Dest) announced(u int32) uint32 { return announced(d.packed, d.rank, d.dst, u) }
+
+// announced is Dest.announced over the stored words packed, indexed by
+// rank, of a table towards dst.
+func announced(packed []uint32, rank []int32, dst, u int32) uint32 {
+	if r := uint(rank[u]); r < uint(len(packed)) {
+		return packed[r]
+	}
+	if u == dst {
+		return originEntry
+	}
+	return unreachableEntry
+}
+
+// stubRoute returns the word of the stub v and its route's length (-1 when
+// it has none): the side table's word if it has one, and otherwise what
+// deriveStub makes of v's links in g.
+func (d *Dest) stubRoute(v int32) (uint32, int) {
+	if v == d.dst {
+		return originEntry, 0
+	}
+	if i, ok := slices.BinarySearchFunc(d.stubs, v, func(s stubWord, v int32) int { return cmp.Compare(s.as, v) }); ok {
+		w := d.stubs[i].w
+		return w, int(w >> hopsShift)
+	}
+	return d.deriveStub(d.g.Peers(int(v)), d.g.Providers(int(v)))
+}
+
+// deriveStub returns the word, and the route's length, that Compute gives a
+// stub other than the destination with these peers and providers: the best
+// route a peer that holds a customer route (or is the destination) offers,
+// else the best route a provider offers, else none.
+func (d *Dest) deriveStub(peers, providers []int32) (uint32, int) {
+	if h, via := d.bestOffer(peers, ClassCustomer); via >= 0 {
+		return routeWord(h+1, ClassPeer, via), h + 1
+	}
+	if h, via := d.bestOffer(providers, ClassProvider); via >= 0 {
+		return routeWord(h+1, ClassProvider, via), h + 1
+	}
+	return unreachableEntry, -1
+}
+
+// bestOffer returns, of the routes of class most or better the ASes in row
+// announce, the shortest and of those the one whose AS has the lowest
+// index, as its length and that AS, or (0, -1) when there is none. A
+// route's key is its word's hops field over the AS's index, so the least
+// key names it, unless the key carries the hops sentinel: then the true
+// lengths decide, and the lowest AS comes first in the ascending row.
+func (d *Dest) bestOffer(row []int32, most Class) (int, int32) {
+	best := uint32(math.MaxUint32)
+	for _, u := range row {
+		if w := d.announced(u); wordClass(w) <= most {
+			best = min(best, w&keyMask|uint32(u))
+		}
+	}
+	if best == math.MaxUint32 {
+		return 0, -1
+	}
+	h, via := int(best>>hopsShift), int32(best&nextMask)
+	if h == hopsSentinel {
+		h = math.MaxInt
+		for _, u := range row {
+			if w := d.announced(u); wordClass(w) <= most {
+				if hu := int(d.overflowHops(int(u))); hu < h {
+					h, via = hu, u
+				}
+			}
+		}
+	}
+	return h, via
 }
 
 // Reachable reports whether v has any route to the destination.
@@ -172,31 +286,42 @@ func (d *Dest) ASPath(src int) []int { return d.ASPathInto(src, nil) }
 // instead of allocating a fresh slice each time. The result aliases buf's
 // backing array when it fits.
 func (d *Dest) ASPathInto(src int, buf []int) []int {
-	if !d.Reachable(src) {
+	w := d.word(src)
+	if w == unreachableEntry {
 		return nil
 	}
-	path := buf[:0]
-	v := src
-	for {
-		path = append(path, v)
-		if int32(v) == d.dst {
+	return d.appendPath(buf[:0], src, w)
+}
+
+// appendPath appends to path the best path from n, whose word is w, to the
+// destination. Every AS past n on it is a next hop, and so the destination
+// or an AS with customers, whose word is stored: only n's may be derived.
+func (d *Dest) appendPath(path []int, n int, w uint32) []int {
+	for x := n; ; {
+		path = append(path, x)
+		if int32(x) == d.dst {
 			return path
 		}
-		v = int(d.next32(v))
+		x = int(w&nextMask) - 1
+		w = d.announced(int32(x))
 	}
 }
 
 // onBestPath reports whether v appears on the best path starting at n.
 // Used for the standard AS-path loop filter when building the RIB.
-func (d *Dest) onBestPath(n, v int) bool {
-	for x := n; ; x = int(d.next32(x)) {
-		if x == v {
-			return true
-		}
+func (d *Dest) onBestPath(n, v int) bool { return d.pathHolds(n, d.word(n), v) }
+
+// pathHolds is onBestPath from n, whose word is w; past n it reads stored
+// words only, as appendPath does.
+func (d *Dest) pathHolds(n int, w uint32, v int) bool {
+	for x := n; x != v; {
 		if int32(x) == d.dst {
 			return false
 		}
+		x = int(w&nextMask) - 1
+		w = d.announced(int32(x))
 	}
+	return true
 }
 
 // computeScratch is the frontier of phases 1 and 2 of one route
@@ -255,25 +380,27 @@ func routeWord(h int, c Class, via int32) uint32 {
 	return uint32(h)<<hopsShift | uint32(c)<<classShift | uint32(via+1)
 }
 
-// offer presents AS v with the route cand and reports whether it is v's
-// first route, in which case the caller queues v.
+func wordClass(w uint32) Class { return Class(w >> classShift & classMask) }
+
+// offer presents the AS of rank r with the route cand and reports whether
+// it is that AS's first route, in which case the caller queues it.
 //
 // Phases 1 and 2 each offer routes of one class in nondecreasing path
-// length, so a route v already holds is never a longer one of that class,
-// and cand replaces it only when it has the same length and class and a
-// lower next hop: the packed words then differ in the next-hop field alone
-// and compare like the next hops. Because every offer is compared with the
-// stored best, the result does not depend on the order of offers of one
-// length. (Words carrying the hops sentinel may stand for different lengths
-// and are never replaced; see level.)
-func offer(packed []uint32, v int32, cand uint32) bool {
-	cur := packed[v]
+// length, so a route an AS already holds is never a longer one of that
+// class, and cand replaces it only when it has the same length and class
+// and a lower next hop: the packed words then differ in the next-hop field
+// alone and compare like the next hops. Because every offer is compared
+// with the stored best, the result does not depend on the order of offers
+// of one length. (Words carrying the hops sentinel may stand for different
+// lengths and are never replaced; see level.)
+func offer(packed []uint32, r int32, cand uint32) bool {
+	cur := packed[r]
 	if cur == unreachableEntry {
-		packed[v] = cand
+		packed[r] = cand
 		return true
 	}
 	if cur>>classShift == cand>>classShift && cand < cur && cand < hopsSentinel<<hopsShift {
-		packed[v] = cand
+		packed[r] = cand
 	}
 	return false
 }
@@ -285,7 +412,7 @@ func Compute(g *topo.Graph, dst int) *Dest { return ComputeArena(g, dst, nil) }
 
 // ComputeArena is Compute allocating the result's packed array from a;
 // a nil arena allocates from the heap. Bulk table builds pass a shared
-// Arena so a 44k-destination table is a few thousand slab allocations
+// Arena so a 44k-destination table is a few hundred slab allocations
 // instead of 44k individually GC-tracked arrays.
 func ComputeArena(g *topo.Graph, dst int, a *Arena) *Dest {
 	if n := g.N(); n > MaxASes {
@@ -296,14 +423,13 @@ func ComputeArena(g *topo.Graph, dst int, a *Arena) *Dest {
 	return sc.compute(g, dst, a)
 }
 
-// compute is the three-phase algorithm, with sc as the queue of its first
-// two phases. Each phase reads only the adjacency entries that can carry
-// its routes, through the graph's relationship-grouped view: the providers
-// of the uphill cone, the peers of the cone, and the providers of every AS
-// those two phases left without a route, a stub's read from the graph's
-// StubProviders instead. At paper scale that is ~75 k entries per
-// destination, nearly all of them in phase 3, and 87 % of phase 3's ASes
-// are stubs.
+// compute is the three-phase algorithm over the ASes with customers, with
+// sc as the queue of its first two phases; the stubs' words are derived
+// when read. Each phase reads only the adjacency entries that can carry its
+// routes, through the graph's relationship-grouped view: the providers of
+// the uphill cone, the peers of the cone, and the providers of every AS
+// with customers those two phases left without a route. At paper scale that
+// is ~10 k entries per destination, and ~5,800 words.
 func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 	// Empty the queue but keep its arrays; levels only an earlier, deeper
 	// computation reached stay behind as empty buckets.
@@ -311,11 +437,15 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 		sc.buckets[h] = sc.buckets[h][:0]
 	}
 
-	packed := a.alloc(g.N())
-	for v := range packed {
-		packed[v] = unreachableEntry
+	rank := g.ProviderRanks()
+	body := g.ProviderOrder()[:g.TailStart()]
+	packed := a.alloc(len(body))
+	for r := range packed {
+		packed[r] = unreachableEntry
 	}
-	packed[dst] = routeWord(0, ClassOrigin, -1)
+	if r := rank[dst]; int(r) < len(packed) {
+		packed[r] = originEntry
+	}
 	sc.push(int32(dst), 0)
 
 	// Phase 1: customer routes. The destination, then each AS that learned
@@ -325,7 +455,7 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 		for _, c := range sc.level(h, len(sc.buckets[h])) {
 			cand := routeWord(h+1, ClassCustomer, c)
 			for _, p := range g.Providers(int(c)) {
-				if offer(packed, p, cand) {
+				if offer(packed, rank[p], cand) {
 					sc.push(p, h+1)
 				}
 			}
@@ -335,7 +465,8 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 	// Phase 2: peer routes. Peers export only customer (and origin) routes,
 	// so the offers come from the cone alone, and an AS holding a customer
 	// route ignores them. The takers queue up behind the cone's own ASes,
-	// whose count per level is read before the first of them arrives.
+	// whose count per level is read before the first of them arrives. The
+	// stubs among the peers take theirs when read.
 	levels, width := len(sc.buckets), 1
 	for h := 0; h < levels; h++ {
 		cone := sc.level(h, width)
@@ -345,7 +476,7 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 		for _, u := range cone {
 			cand := routeWord(h+1, ClassPeer, u)
 			for _, v := range g.Peers(int(u)) {
-				if offer(packed, v, cand) {
+				if r := rank[v]; int(r) < len(packed) && offer(packed, r, cand) {
 					sc.push(v, h+1)
 				}
 			}
@@ -357,136 +488,36 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 	// shortest, and of those the lowest next hop. The ASes are visited in
 	// the graph's provider-first order, so a provider's word is final before
 	// any of its customers reads it, and each AS is written once.
-	d := &Dest{dst: int32(dst), packed: packed, overflow: sc.overflow()}
-	order, runs, providers := g.ProviderOrder(), g.StubRuns(), g.StubProviders()
-	body := order
-	if len(runs) > 0 {
-		body = order[:runs[0].First]
-	}
-	for _, v := range body {
-		if packed[v] != unreachableEntry {
+	d := &Dest{dst: int32(dst), g: g, rank: rank, packed: packed, overflow: sc.overflow()}
+	for r, v := range body {
+		if packed[r] != unreachableEntry {
 			continue // a customer or peer route, which no provider route beats
 		}
-		best := bestProvider(packed, g.Providers(int(v)))
+		row := g.Providers(int(v))
+		best := bestProvider(packed, rank, row)
 		if best == math.MaxUint32 {
 			continue // no provider has a route
 		}
 		h, via := int(best>>hopsShift), int32(best&nextMask)
 		if h == hopsSentinel {
-			h, via = d.longestTie(g.Providers(int(v)))
+			h, via = d.bestOffer(row, ClassProvider)
 		}
-		packed[v] = routeWord(h+1, ClassProvider, via)
+		packed[r] = routeWord(h+1, ClassProvider, via)
 		if h+1 >= hopsSentinel {
 			d.addOverflow(v, int16(h+1))
-		}
-	}
-	// The stubs close the order, in runs of equal provider count. No AS
-	// reads a stub's word, and a stub's row, read only while the stub has no
-	// route, names the stub itself for a provider whose link is cut: that
-	// entry offers nothing and needs no test.
-	for _, r := range runs {
-		stubs, rows, k := order[r.First:r.End], providers[r.Row:r.Row+r.K*(r.End-r.First)], int(r.K)
-		for k > 0 && len(stubs) > 0 {
-			var i int
-			if k == 1 {
-				i = soleStubs(packed, stubs, rows)
-			} else {
-				i = multiStubs(packed, stubs, rows, k)
-			}
-			if i == len(stubs) {
-				break
-			}
-			d.deepStub(stubs[i], rows[i*k:i*k+k])
-			stubs, rows = stubs[i+1:], rows[i*k+k:]
 		}
 	}
 	return d
 }
 
-// soleStubs is phase 3 for stubs with one provider each, rows[i] serving
-// stubs[i]: each takes its provider's route plus one hop. It stops at the
-// first stub whose route is too long for the inline hops field, or may be,
-// and returns its index, or len(stubs) when there is none; deepStub is the
-// caller's to run. With no call in it the loop keeps its state in
-// registers.
-func soleStubs(packed []uint32, stubs, rows []int32) int {
-	for i, p := range rows[:len(stubs)] {
-		v := stubs[i]
-		if packed[v] != unreachableEntry {
-			continue
-		}
-		w := packed[p]
-		if w == unreachableEntry {
-			continue
-		}
-		h := int(w >> hopsShift)
-		if h >= hopsSentinel-1 {
-			return i
-		}
-		packed[v] = routeWord(h+1, ClassProvider, p)
-	}
-	return len(stubs)
-}
-
-// multiStubs is soleStubs for stubs with k ≥ 2 providers each,
-// rows[i*k:(i+1)*k] serving stubs[i]: each takes the least key over its
-// providers, as bestProvider finds it, with the unreachable ones forced to
-// the largest key (unreachableMask) rather than skipped, so the inner loop
-// has no branch to mispredict. A stub whose providers all lack a route
-// reads that largest key, which carries the hops sentinel, and is returned
-// like a deep one.
-func multiStubs(packed []uint32, stubs, rows []int32, k int) int {
-	for i, v := range stubs {
-		row := rows[:k:k]
-		rows = rows[k:]
-		if packed[v] != unreachableEntry {
-			continue
-		}
-		best := uint32(math.MaxUint32)
-		for _, p := range row {
-			w := packed[p]
-			best = min(best, w&keyMask|uint32(p)|unreachableMask(w))
-		}
-		h := int(best >> hopsShift)
-		if h >= hopsSentinel-1 {
-			return i
-		}
-		packed[v] = routeWord(h+1, ClassProvider, int32(best&nextMask))
-	}
-	return len(stubs)
-}
-
-// deepStub gives the stub v the best provider route in row when that is too
-// long for the inline hops field: the shortest by true length, read from
-// the side table where a provider holds the sentinel, and of those the
-// lowest next hop, which comes first in the row (its live entries ascend),
-// plus one hop, recorded in the table. When no provider in row has a route
-// v keeps none.
-func (d *Dest) deepStub(v int32, row []int32) {
-	h, via := int16(math.MaxInt16), int32(-1)
-	for _, p := range row {
-		if d.packed[p] == unreachableEntry {
-			continue
-		}
-		if hp := d.hops16(int(p)); hp < h {
-			h, via = hp, p
-		}
-	}
-	if via < 0 {
-		return
-	}
-	d.packed[v] = routeWord(int(h+1), ClassProvider, via)
-	d.addOverflow(v, h+1)
-}
-
 // bestProvider returns the least key over the providers in row that hold a
-// route in packed, or math.MaxUint32 when none does. A provider's key is
-// its word's hops field over its own index, so the least key is the
-// shortest route with the lowest next hop.
-func bestProvider(packed []uint32, row []int32) uint32 {
+// route in packed, which is indexed by rank, or math.MaxUint32 when none
+// does. A provider's key is its word's hops field over its own index, so
+// the least key is the shortest route with the lowest next hop.
+func bestProvider(packed []uint32, rank, row []int32) uint32 {
 	best := uint32(math.MaxUint32)
 	for _, p := range row {
-		if w := packed[p]; w != unreachableEntry {
+		if w := packed[rank[p]]; w != unreachableEntry {
 			best = min(best, w&keyMask|uint32(p))
 		}
 	}
@@ -495,30 +526,6 @@ func bestProvider(packed []uint32, row []int32) uint32 {
 
 // keyMask keeps a word's hops field, the first part of a provider's key.
 const keyMask = ^uint32(classMask<<classShift | nextMask)
-
-// unreachableMask returns all ones for the unreachable word and zero for
-// any route, without a branch: ClassUnreachable is the one class with the
-// top bit of the class field set, and the shifts copy that bit everywhere.
-func unreachableMask(w uint32) uint32 {
-	return uint32(int32(w<<(31-classShift-2)) >> 31)
-}
-
-// longestTie breaks the tie phase 3's keys leave when every provider in row
-// that has a route holds one too long for the inline hops field: the
-// shortest by true length wins, and the lowest next hop among those, which
-// comes first in the ascending row.
-func (d *Dest) longestTie(row []int32) (hops int, via int32) {
-	hops = math.MaxInt
-	for _, p := range row {
-		if d.packed[p] == unreachableEntry {
-			continue
-		}
-		if h := int(d.overflowHops(int(p))); h < hops {
-			hops, via = h, p
-		}
-	}
-	return hops, via
-}
 
 // addOverflow records v's route as h hops long in the side table, which
 // stays sorted by AS.

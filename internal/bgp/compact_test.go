@@ -157,10 +157,10 @@ func requireMatchesDense(t *testing.T, g *topo.Graph, got *Dest, want *denseDest
 			// The compact form suppresses unreachable entries entirely; the
 			// dense form may carry a stale next pointer there. NextHop is
 			// only defined for reachable ASes, but the packed word must be
-			// the canonical sentinel so Equal stays a byte comparison.
-			if got.packed[v] != unreachableEntry {
+			// the canonical sentinel so Equal stays a word comparison.
+			if w := got.word(v); w != unreachableEntry {
 				t.Fatalf("dst %d: unreachable AS %d packed as %#x, want canonical %#x",
-					got.dst, v, got.packed[v], unreachableEntry)
+					got.dst, v, w, unreachableEntry)
 			}
 			continue
 		}
@@ -301,8 +301,8 @@ func deepGraph(t *testing.T, rng *rand.Rand, rungs int) *topo.Graph {
 // can say, several ASes a level, tie-breaks among them. Among them are
 // stubs with two providers both past the inline field, whose keys tie on
 // the sentinel, and stubs whose best provider is 62 hops away, the last
-// length the field holds, so that the stub's own route is the first it
-// cannot: both leave phase 3's multi-provider loop through deepStub.
+// length the field holds, so that the stub's own route, derived when read,
+// is the first it cannot.
 func TestCompactHopOverflowBranches(t *testing.T) {
 	deep := map[Class]int{}
 	stubsPastField, stubsAt62 := 0, 0
@@ -311,29 +311,26 @@ func TestCompactHopOverflowBranches(t *testing.T) {
 		for dst := 0; dst < g.N(); dst++ {
 			d := Compute(g, dst)
 			requireMatchesDense(t, g, d, computeDenseOracle(g, dst))
-			for _, o := range d.overflow {
-				deep[d.Class(int(o.as))]++
+			for v := 0; v < g.N(); v++ {
+				if d.Hops(v) >= hopsSentinel {
+					deep[d.Class(v)]++
+				}
 			}
-			for _, r := range g.StubRuns() {
-				if r.K < 2 {
+			for _, v := range g.ProviderOrder()[g.TailStart():] {
+				if d.Class(int(v)) != ClassProvider || len(g.Providers(int(v))) < 2 {
 					continue
 				}
-				for _, v := range g.ProviderOrder()[r.First:r.End] {
-					if d.Class(int(v)) != ClassProvider {
-						continue
+				shortest, offers := math.MaxInt, 0
+				for _, p := range g.Providers(int(v)) {
+					if d.Reachable(int(p)) {
+						shortest, offers = min(shortest, d.Hops(int(p))), offers+1
 					}
-					shortest, offers := math.MaxInt, 0
-					for _, p := range g.Providers(int(v)) {
-						if d.Reachable(int(p)) {
-							shortest, offers = min(shortest, d.Hops(int(p))), offers+1
-						}
-					}
-					switch {
-					case shortest >= hopsSentinel && offers >= 2:
-						stubsPastField++
-					case shortest == hopsSentinel-1:
-						stubsAt62++
-					}
+				}
+				switch {
+				case shortest >= hopsSentinel && offers >= 2:
+					stubsPastField++
+				case shortest == hopsSentinel-1:
+					stubsAt62++
 				}
 			}
 		}
@@ -344,20 +341,36 @@ func TestCompactHopOverflowBranches(t *testing.T) {
 		}
 	}
 	if stubsPastField == 0 || stubsAt62 == 0 {
-		t.Errorf("multi-provider stubs under providers past the inline field: %d, under a 62-hop provider: %d; the test does not reach deepStub both ways", stubsPastField, stubsAt62)
+		t.Errorf("multi-provider stubs under providers past the inline field: %d, under a 62-hop provider: %d; the test does not reach the derivation both ways", stubsPastField, stubsAt62)
 	}
 	t.Logf("routes past the inline field, by class: %v; multi-provider stubs under deep providers: %d past the field, %d at 62 hops", deep, stubsPastField, stubsAt62)
 }
 
-// removeRandomLinks returns g without k of its links picked by rng.
-func removeRandomLinks(t *testing.T, g *topo.Graph, rng *rand.Rand, k int) *topo.Graph {
+// removeRandomLinks returns g without k of its links picked by rng, every
+// third of them a link of a stub — to one of its providers or one of its
+// peers — and each named from either end, and counts the stub provider and
+// stub peer links it cut into stubCuts.
+func removeRandomLinks(t *testing.T, g *topo.Graph, rng *rand.Rand, k int, stubCuts *[2]int) *topo.Graph {
 	t.Helper()
+	stubs := g.ProviderOrder()[g.TailStart():]
 	var cut []topo.LinkRef
 	for len(cut) < k {
 		v := rng.Intn(g.N())
-		if g.Degree(v) > 0 {
-			cut = append(cut, topo.LinkRef{A: v, B: int(g.Neighbors(v)[rng.Intn(g.Degree(v))].AS)})
+		if len(cut)%3 == 0 && len(stubs) > 0 {
+			v = int(stubs[rng.Intn(len(stubs))])
 		}
+		if g.Degree(v) == 0 {
+			continue
+		}
+		nb := g.Neighbors(v)[rng.Intn(g.Degree(v))]
+		if g.IsStub(v) {
+			stubCuts[nb.Rel-topo.Peer]++ // a stub's neighbours are its peers and providers
+		}
+		l := topo.LinkRef{A: v, B: int(nb.AS)}
+		if rng.Intn(2) == 0 {
+			l.A, l.B = l.B, l.A
+		}
+		cut = append(cut, l)
 	}
 	out, err := topo.RemoveLinks(g, cut)
 	if err != nil {
@@ -398,13 +411,20 @@ func relabelled(t testing.TB, g *topo.Graph, perm []int) *topo.Graph {
 
 // TestComputeMatchesOracleEveryDest holds Compute to the oracle on every
 // destination of generated Internets of three sizes, intact and with a
-// random tenth of N links removed (which leaves some ASes unreachable),
-// each also with its ASes relabelled at random.
+// random tenth of N links removed (which leaves some ASes unreachable,
+// and cuts stubs off from some of their providers and peers), each also
+// with its ASes relabelled at random.
 func TestComputeMatchesOracleEveryDest(t *testing.T) {
 	sizes := []int{60, 400, 3000}
 	if testing.Short() {
 		sizes = sizes[:2]
 	}
+	var stubCuts [2]int
+	defer func() {
+		if stubCuts[0] == 0 || stubCuts[1] == 0 {
+			t.Errorf("%d stub peer links and %d stub provider links cut: the cut graphs do not test both", stubCuts[0], stubCuts[1])
+		}
+	}()
 	for _, n := range sizes {
 		for seed := int64(1); seed <= 3; seed++ {
 			g, err := topo.Generate(topo.GenConfig{N: n, Seed: seed})
@@ -412,7 +432,7 @@ func TestComputeMatchesOracleEveryDest(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(seed))
-			cut := removeRandomLinks(t, g, rng, n/10)
+			cut := removeRandomLinks(t, g, rng, n/10, &stubCuts)
 			for _, on := range []*topo.Graph{g, cut, shuffled(t, g, rng), shuffled(t, cut, rng)} {
 				for dst := 0; dst < on.N(); dst++ {
 					requireMatchesDense(t, on, Compute(on, dst), computeDenseOracle(on, dst))

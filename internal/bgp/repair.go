@@ -1,10 +1,12 @@
 package bgp
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/topo"
 )
@@ -17,6 +19,7 @@ import (
 type cutRows struct {
 	ends []uint64 // bitset over ASes: set for the ASes that have filtered rows
 	at   map[int32]int32
+	ases []int32 // the ASes that have filtered rows, rows[i] being ases[i]'s
 	rows [][3][]int32
 }
 
@@ -29,7 +32,7 @@ func (c *cutRows) reset(g *topo.Graph, failed map[topo.LinkRef]bool) {
 		c.ends[v>>6] = 0
 	}
 	clear(c.at)
-	c.rows = c.rows[:0]
+	c.ases, c.rows = c.ases[:0], c.rows[:0]
 	for l := range failed {
 		for _, v := range [2]int{l.A, l.B} {
 			if _, done := c.at[int32(v)]; done {
@@ -46,7 +49,7 @@ func (c *cutRows) reset(g *topo.Graph, failed map[topo.LinkRef]bool) {
 			rows := [3][]int32{topo.Customer: buf[:nc:nc], topo.Peer: buf[nc:np:np], topo.Provider: buf[np:]}
 			c.ends[v>>6] |= 1 << (v & 63)
 			c.at[int32(v)] = int32(len(c.rows))
-			c.rows = append(c.rows, rows)
+			c.ases, c.rows = append(c.ases, int32(v)), append(c.rows, rows)
 		}
 	}
 }
@@ -90,24 +93,28 @@ type crossOffer struct {
 // repairScratch is what one repair needs beside the result: the bucket
 // queue, the region, and the sweep's marks. Pooled like computeScratch; the
 // mark bitsets are grown to the graph at hand and handed back all zero.
+//
+// Repair works on the stored words alone, which are indexed by rank: a stub
+// other than the destination announces nothing, so no stored word depends
+// on a stub's, and a stub's word follows from the stored ones when read.
+// What repair does for the stubs is the result's side table (cutStubs).
 type repairScratch struct {
 	computeScratch
 
 	// The repair in progress; nil between repairs.
 	g      *topo.Graph
 	cut    *cutRows
-	old    []uint32     // the table before the event, read only
-	packed []uint32     // the result: old with what the event changed rewritten
-	rank   []int32      // g.ProviderRanks()
-	sole   topo.StubRun // g's run of stubs with one provider each
+	dst    int32
+	rank   []int32  // g.ProviderRanks()
+	old    []uint32 // the stored words before the event, read only
+	packed []uint32 // the result: old with what the event changed rewritten
 	cross  []crossOffer
 
-	region  []int32 // LinkDown: the ASes whose routes are rebuilt from nothing, each once, parents before children
-	transit []int32 // those of them that have customers, and so may hold a customer route
+	region []int32 // LinkDown: the ASes whose routes are rebuilt from nothing, each once, parents before children
 
-	// The phase-3 sweep's marks, bitsets over positions in
-	// g.ProviderOrder: visit for the ASes whose word may have changed, and
-	// full for those of them that must take their provider route afresh.
+	// The phase-3 sweep's marks, bitsets over ranks: visit for the ASes
+	// whose word may have changed, and full for those of them that must
+	// take their provider route afresh.
 	visit, full []uint64
 	bail        bool // a route reached hopsSentinel hops
 	visits      int  // ASes the last repair's sweep visited; tests and the benchmark read it
@@ -116,11 +123,12 @@ type repairScratch struct {
 var repairPool = sync.Pool{New: func() any { return new(repairScratch) }}
 
 // repair returns old's destination's table after the link (a, b) went down
-// (up false) or came back (up true): the result of Compute on g without
-// the links cut filters out, word for word, or nil when the caller has to
-// run that Compute itself (see repairMaxRegionShare). old is the table
-// from just before the event and is only read; the result is a fresh
-// array, whatever the event changed.
+// (up false) or came back (up true): the routes of Compute on g without
+// the links cut filters out, at every AS, or nil when the caller has to run
+// that Compute itself (see repairMaxRegionShare; also when old's words are
+// not ranked by g's provider-first order). old is the table from just
+// before the event and is only read; the result is a fresh array, whatever
+// the event changed, and derives its stubs' words from g.
 //
 // Compute's result is the one assignment in which every AS holds the best
 // of the routes its neighbours' words offer it (class, then length, then
@@ -133,7 +141,8 @@ var repairPool = sync.Pool{New: func() any { return new(repairScratch) }}
 //     and pulls offers again. Removing a link only shrinks customer cones,
 //     so no AS ends with a better class than it had (the class floor): a
 //     region AS pulls only the relationships whose class is no better than
-//     its old one. No other AS's customer or peer route can change.
+//     its old one. No other AS's customer or peer route can change. When
+//     the endpoint is a stub, no stored word can.
 //   - On LinkUp nothing is cleared. The two announcements the link carries
 //     are offered to its endpoints, and whatever they improve spreads.
 //
@@ -146,35 +155,35 @@ var repairPool = sync.Pool{New: func() any { return new(repairScratch) }}
 // provider route than before, and on LinkUp an AS that takes a better class
 // over a longer path leaves the customers that used it to choose again.
 func (sc *repairScratch) repair(g *topo.Graph, cut *cutRows, old *Dest, a, b int, up bool) *Dest {
-	if len(old.overflow) > 0 {
+	rank := g.ProviderRanks()
+	if len(old.overflow) > 0 || unsafe.SliceData(old.rank) != unsafe.SliceData(rank) {
 		return nil
 	}
-	n := g.N()
-	if words := (n + 63) / 64; len(sc.visit) < words {
+	if words := (len(old.packed) + 63) / 64; len(sc.visit) < words {
 		sc.visit, sc.full = make([]uint64, words), make([]uint64, words)
 	}
-	sc.g, sc.cut, sc.old, sc.packed, sc.rank = g, cut, old.packed, nil, g.ProviderRanks()
-	sc.sole = topo.StubRun{}
-	for _, r := range g.StubRuns() {
-		if r.K == 1 {
-			sc.sole = r
-		}
-	}
-	sc.cross, sc.region, sc.transit = sc.cross[:0], sc.region[:0], sc.transit[:0]
+	sc.g, sc.cut, sc.dst, sc.rank, sc.old, sc.packed = g, cut, old.dst, rank, old.packed, nil
+	sc.cross, sc.region = sc.cross[:0], sc.region[:0]
 	sc.bail, sc.visits = false, 0
-	defer func() { sc.g, sc.cut, sc.old, sc.packed, sc.rank = nil, nil, nil, nil, nil }()
+	defer func() { sc.g, sc.cut, sc.rank, sc.old, sc.packed = nil, nil, nil, nil, nil }()
 
 	if up {
 		rel, _ := g.Rel(a, b) // b's role as a sees it, and so the class at a of what b announces
-		sc.cross = append(sc.cross,
-			crossOffer{from: int32(b), to: int32(a), class: classOf(rel)},
-			crossOffer{from: int32(a), to: int32(b), class: classOf(rel.Invert())})
+		// A stub takes what the link offers it when read.
+		for _, x := range [2]crossOffer{
+			{from: int32(b), to: int32(a), class: classOf(rel)},
+			{from: int32(a), to: int32(b), class: classOf(rel.Invert())},
+		} {
+			if sc.stored(x.to) {
+				sc.cross = append(sc.cross, x)
+			}
+		}
 	} else if int(old.next32(a)) == b {
-		sc.addSubtree(old, int32(a))
+		sc.addSubtree(int32(a))
 	} else if int(old.next32(b)) == a {
-		sc.addSubtree(old, int32(b))
+		sc.addSubtree(int32(b))
 	}
-	if len(sc.region) > n/repairMaxRegionShare {
+	if len(sc.region) > g.N()/repairMaxRegionShare {
 		return nil
 	}
 	// Clone rather than make and copy: make clears the array the copy is
@@ -182,17 +191,17 @@ func (sc *repairScratch) repair(g *topo.Graph, cut *cutRows, old *Dest, a, b int
 	// the copied length, which Clip then hides.
 	sc.packed = slices.Clip(slices.Clone(old.packed))
 	for _, v := range sc.region {
-		sc.packed[v] = unreachableEntry
+		sc.packed[rank[v]] = unreachableEntry
 	}
 	for h := range sc.buckets {
 		sc.buckets[h] = sc.buckets[h][:0]
 	}
 	// Phase 1: customer routes climb provider links.
-	sc.pull(sc.transit, topo.Customer)
+	sc.pull(topo.Customer)
 	sc.spread(topo.Provider)
 	// Phase 2: customer routes cross one peer link. The takers queue up
 	// among the customer routes and are passed over by their class.
-	sc.pull(sc.region, topo.Peer)
+	sc.pull(topo.Peer)
 	sc.spread(topo.Peer)
 	// Phase 3: every route descends customer links.
 	sc.markChanged()
@@ -200,35 +209,44 @@ func (sc *repairScratch) repair(g *topo.Graph, cut *cutRows, old *Dest, a, b int
 	if sc.bail {
 		return nil
 	}
-	return &Dest{dst: old.dst, packed: sc.packed}
+	d := &Dest{dst: old.dst, g: g, rank: rank, packed: sc.packed}
+	if d.stubs = sc.cutStubs(d); sc.bail {
+		return nil
+	}
+	return d
 }
+
+// stored reports whether v's word is stored: whether v is no stub.
+func (sc *repairScratch) stored(v int32) bool { return int(sc.rank[v]) < len(sc.old) }
 
 // addSubtree puts root and every AS whose customer or peer route runs
 // through it in the region. Only an AS with a customer route announces it
 // to providers and peers, so only its providers and peers can be its
 // children there; the customers that take a provider route from a region
-// AS are the sweep's to reach. The walk reads the intact graph: old's next
-// hops never cross a link that was down, and the one that just went down
-// is its endpoint's next hop, not its child.
-func (sc *repairScratch) addSubtree(old *Dest, root int32) {
+// AS are the sweep's to reach. A stub is nobody's parent and derives its
+// own route, so a stub root leaves the region empty and no stub joins it.
+// The walk reads the intact graph: old's next hops never cross a link that
+// was down, and the one that just went down is its endpoint's next hop,
+// not its child.
+func (sc *repairScratch) addSubtree(root int32) {
+	if !sc.stored(root) {
+		return
+	}
 	sc.region = append(sc.region, root)
 	for i := 0; i < len(sc.region); i++ {
 		v := sc.region[i]
-		if sc.g.CustomerCount(int(v)) > 0 {
-			sc.transit = append(sc.transit, v)
-		}
-		if old.cls(int(v)) <= ClassCustomer {
-			sc.addChildren(old, v, sc.g.Providers(int(v)))
-			sc.addChildren(old, v, sc.g.Peers(int(v)))
+		if wordClass(sc.old[sc.rank[v]]) <= ClassCustomer {
+			sc.addChildren(v, sc.g.Providers(int(v)))
+			sc.addChildren(v, sc.g.Peers(int(v)))
 		}
 	}
 }
 
-// addChildren adds the ASes of row whose next hop is v. Each AS has one
-// next hop, so none is added twice.
-func (sc *repairScratch) addChildren(old *Dest, v int32, row []int32) {
+// addChildren adds the ASes of row with stored words whose next hop is v.
+// Each AS has one next hop, so none is added twice.
+func (sc *repairScratch) addChildren(v int32, row []int32) {
 	for _, u := range row {
-		if old.next32(int(u)) == v {
+		if r := sc.rank[u]; int(r) < len(sc.old) && sc.old[r]&nextMask == uint32(v+1) {
 			sc.region = append(sc.region, u)
 		}
 	}
@@ -241,8 +259,6 @@ func (sc *repairScratch) row(v int32, rel topo.Rel) []int32 {
 	}
 	return sc.g.Related(int(v), rel)
 }
-
-func wordClass(w uint32) Class { return Class(w >> classShift & classMask) }
 
 // length returns the hops of the route w, and more than any route has when
 // w is unreachable.
@@ -269,21 +285,19 @@ func improves(cur, cand uint32) bool {
 }
 
 // offer presents AS v with the route cand, and when it is the better one
-// takes it and queues v to announce it in turn. An AS without customers
-// has nobody to announce to: a customer route, the only kind that goes to
-// peers and providers, it cannot hold.
+// takes it and queues v to announce it in turn. A stub takes its route
+// when read.
 func (sc *repairScratch) offer(v int32, cand uint32) {
-	if !improves(sc.packed[v], cand) {
+	r := sc.rank[v]
+	if int(r) >= len(sc.packed) || !improves(sc.packed[r], cand) {
 		return
 	}
 	if cand >= hopsSentinel<<hopsShift {
 		sc.bail = true
 		return
 	}
-	sc.packed[v] = cand
-	if sc.g.CustomerCount(int(v)) > 0 {
-		sc.push(v, int(cand>>hopsShift))
-	}
+	sc.packed[r] = cand
+	sc.push(v, int(cand>>hopsShift))
 }
 
 // exportedAs returns the worst class of route an AS announces to a
@@ -296,27 +310,28 @@ func exportedAs(c Class) Class {
 	return ClassCustomer
 }
 
-// pull has every AS in list that holds no route yet, and had none of a
-// better class than rel gives before the event (the class floor), take the
-// best route its neighbours of relationship rel export to it. The restored
-// link's announcements of that class go out with them, floor or not: their
-// senders, unlike every other AS that has something new to say, may have
-// been left as they were.
-func (sc *repairScratch) pull(list []int32, rel topo.Rel) {
+// pull has every AS in the region that holds no route yet, and had none of
+// a better class than rel gives before the event (the class floor), take
+// the best route its neighbours of relationship rel export to it. The
+// restored link's announcements of that class go out with them, floor or
+// not: their senders, unlike every other AS that has something new to say,
+// may have been left as they were.
+func (sc *repairScratch) pull(rel topo.Rel) {
 	c := classOf(rel)
 	most := exportedAs(c)
-	for _, v := range list {
-		if sc.packed[v] != unreachableEntry || wordClass(sc.old[v]) > c {
+	for _, v := range sc.region {
+		r := sc.rank[v]
+		if sc.packed[r] != unreachableEntry || wordClass(sc.old[r]) > c {
 			continue
 		}
 		for _, u := range sc.row(v, rel) {
-			if w := sc.packed[u]; wordClass(w) <= most {
+			if w := announced(sc.packed, sc.rank, sc.dst, u); wordClass(w) <= most {
 				sc.offer(v, routeWord(int(w>>hopsShift)+1, c, u))
 			}
 		}
 	}
 	for _, x := range sc.cross {
-		if w := sc.packed[x.from]; x.class == c && wordClass(w) <= most {
+		if w := announced(sc.packed, sc.rank, sc.dst, x.from); x.class == c && wordClass(w) <= most {
 			sc.offer(x.to, routeWord(int(w>>hopsShift)+1, c, x.from))
 		}
 	}
@@ -330,7 +345,7 @@ func (sc *repairScratch) spread(rel topo.Rel) {
 	most := exportedAs(c)
 	for h := 0; h < len(sc.buckets); h++ {
 		for _, v := range sc.buckets[h] {
-			if !live(sc.packed[v], h, most) {
+			if !live(sc.packed[sc.rank[v]], h, most) {
 				continue
 			}
 			cand := routeWord(h+1, c, v)
@@ -341,39 +356,36 @@ func (sc *repairScratch) spread(rel topo.Rel) {
 	}
 }
 
-// mark sets v's bit in the bitset marks, which is indexed by rank.
-func (sc *repairScratch) mark(marks []uint64, v int32) {
-	r := sc.rank[v]
-	marks[r>>6] |= 1 << (r & 63)
-}
+// mark sets the bit of rank r in the bitset marks.
+func mark(marks []uint64, r int32) { marks[r>>6] |= 1 << (r & 63) }
 
 // markChanged hands phases 1 and 2's changes to the sweep: every AS whose
 // word now differs from old's, and, as full, the region ASes left without
-// a route and the endpoint a restored provider link announces to. An AS
-// without customers that took a new customer or peer route has nobody to
-// tell and is not queued; a region AS is checked whatever it has.
+// a route and the endpoint a restored provider link announces to.
 func (sc *repairScratch) markChanged() {
 	for _, v := range sc.region {
-		switch sc.packed[v] {
+		r := sc.rank[v]
+		switch sc.packed[r] {
 		case unreachableEntry:
-			sc.mark(sc.full, v)
-			sc.mark(sc.visit, v)
-		case sc.old[v]:
+			mark(sc.full, r)
+			mark(sc.visit, r)
+		case sc.old[r]:
 		default:
-			sc.mark(sc.visit, v)
+			mark(sc.visit, r)
 		}
 	}
 	for _, bucket := range sc.buckets {
 		for _, v := range bucket {
-			if sc.packed[v] != sc.old[v] {
-				sc.mark(sc.visit, v)
+			if r := sc.rank[v]; sc.packed[r] != sc.old[r] {
+				mark(sc.visit, r)
 			}
 		}
 	}
 	for _, x := range sc.cross {
 		if x.class == ClassProvider {
-			sc.mark(sc.full, x.to)
-			sc.mark(sc.visit, x.to)
+			r := sc.rank[x.to]
+			mark(sc.full, r)
+			mark(sc.visit, r)
 		}
 	}
 }
@@ -389,17 +401,16 @@ func (sc *repairScratch) markChanged() {
 //   - shorter (or newly reachable): the route is offered to every customer,
 //     and those it leaves shorter than before are marked;
 //   - longer (or gone): the customers whose next hop is the AS are marked
-//     full, since their word is no longer on offer, except the stubs with
-//     the AS for their one provider, which take its new route there and
-//     then;
+//     full, since their word is no longer on offer;
 //   - the same: the wave stops here.
 //
-// An unmarked AS keeps its word: its next hop offers what it did, and any
-// provider that now offers better has offered it. What a full AS took from
-// an offer before its visit is overwritten there.
+// Stub customers are passed over: they read what the AS offers when their
+// word is read. An unmarked AS keeps its word: its next hop offers what it
+// did, and any provider that now offers better has offered it. What a full
+// AS took from an offer before its visit is overwritten there.
 func (sc *repairScratch) sweep() {
 	order := sc.g.ProviderOrder()
-	words := (len(order) + 63) / 64
+	words := (len(sc.packed) + 63) / 64
 	for i, visit := range sc.visit[:words] {
 		for ; visit != 0; visit = sc.visit[i] {
 			bit := bits.TrailingZeros64(visit)
@@ -414,16 +425,17 @@ func (sc *repairScratch) sweep() {
 // settle is the sweep's visit to v; see sweep.
 func (sc *repairScratch) settle(v int32, full bool) {
 	sc.visits++
-	w := sc.packed[v]
+	r := sc.rank[v]
+	w := sc.packed[r]
 	if full && wordClass(w) >= ClassProvider {
 		w = sc.providerRoute(v)
-		sc.packed[v] = w
+		sc.packed[r] = w
 	}
 	customers := sc.row(v, topo.Customer)
 	if len(customers) == 0 {
 		return
 	}
-	h, was := length(w), length(sc.old[v])
+	h, was := length(w), length(sc.old[r])
 	switch {
 	case h < was:
 		if h+1 >= hopsSentinel {
@@ -432,34 +444,19 @@ func (sc *repairScratch) settle(v int32, full bool) {
 		}
 		cand := routeWord(h+1, ClassProvider, v)
 		for _, c := range customers {
-			if improves(sc.packed[c], cand) {
-				sc.packed[c] = cand
-				if h+1 < length(sc.old[c]) && sc.g.CustomerCount(int(c)) > 0 {
-					sc.mark(sc.visit, c)
+			rc := sc.rank[c]
+			if int(rc) < len(sc.packed) && improves(sc.packed[rc], cand) {
+				sc.packed[rc] = cand
+				if h+1 < length(sc.old[rc]) {
+					mark(sc.visit, rc)
 				}
 			}
 		}
 	case h > was:
 		for _, c := range customers {
-			if sc.packed[c]&nextMask != uint32(v+1) {
-				continue
-			}
-			if r := sc.rank[c]; r < sc.sole.First || r >= sc.sole.End {
-				sc.mark(sc.full, c)
-				sc.mark(sc.visit, c)
-				continue
-			}
-			// A stub whose one provider is v: v's word is final, and c holds
-			// no better class (it took its provider route), so its provider
-			// route is what it gets, settled here rather than on a visit.
-			switch {
-			case w == unreachableEntry:
-				sc.packed[c] = unreachableEntry
-			case h+1 >= hopsSentinel:
-				sc.bail = true
-				return
-			default:
-				sc.packed[c] = routeWord(h+1, ClassProvider, v)
+			if rc := sc.rank[c]; int(rc) < len(sc.packed) && sc.packed[rc]&nextMask == uint32(v+1) {
+				mark(sc.full, rc)
+				mark(sc.visit, rc)
 			}
 		}
 	}
@@ -469,7 +466,7 @@ func (sc *repairScratch) settle(v int32, full bool) {
 // unreachableEntry when none has a route. No word here carries the hops
 // sentinel: old has no overflow entries and repair writes none.
 func (sc *repairScratch) providerRoute(v int32) uint32 {
-	best := bestProvider(sc.packed, sc.row(v, topo.Provider))
+	best := bestProvider(sc.packed, sc.rank, sc.row(v, topo.Provider))
 	if best == math.MaxUint32 {
 		return unreachableEntry
 	}
@@ -479,4 +476,29 @@ func (sc *repairScratch) providerRoute(v int32) uint32 {
 		return unreachableEntry
 	}
 	return routeWord(h, ClassProvider, int32(best&nextMask))
+}
+
+// cutStubs returns the side table of d, the repaired table: each stub with
+// a failed link whose route over the links it has left differs from what
+// its links in g derive, with that route, sorted by AS. A stub with no
+// failed link derives its route from g as it is, and one whose failed
+// links offered nothing better than its route derives it too.
+func (sc *repairScratch) cutStubs(d *Dest) []stubWord {
+	var out []stubWord
+	for i, v := range sc.cut.ases {
+		if sc.stored(v) || v == d.dst {
+			continue
+		}
+		rows := &sc.cut.rows[i]
+		w, h := d.deriveStub(rows[topo.Peer], rows[topo.Provider])
+		if h >= hopsSentinel {
+			sc.bail = true
+			return nil
+		}
+		if intact, _ := d.deriveStub(sc.g.Peers(int(v)), sc.g.Providers(int(v))); w != intact {
+			out = append(out, stubWord{as: v, w: w})
+		}
+	}
+	slices.SortFunc(out, func(a, b stubWord) int { return cmp.Compare(a.as, b.as) })
+	return out
 }

@@ -70,9 +70,11 @@ func hubPeers(g *topo.Graph) (hub int, peers []int) {
 	return hub, peers
 }
 
-// repairTally counts what checkRepairCase saw.
+// repairTally counts what checkRepairCase saw, and how many of the
+// toggled links were stub peer and stub provider links.
 type repairTally struct {
 	cases, changed, fallbacks, visits int
+	stubLinks                         [2]int
 }
 
 // checkRepairCase pushes one (graph, background failures, toggled link,
@@ -105,7 +107,7 @@ func checkRepairCase(t *testing.T, g *topo.Graph, bg []topo.LinkRef, l topo.Link
 		}
 		if !got.Equal(dir.want) {
 			v := 0
-			for got.packed[v] == dir.want.packed[v] {
+			for v+1 < g.N() && got.word(v) == dir.want.word(v) {
 				v++
 			}
 			t.Fatalf("N=%d bg=%v link=%v up=%v dst=%d: repair differs from Compute at AS %d: got %s/%d via %d, want %s/%d via %d (old %s/%d via %d)",
@@ -127,18 +129,32 @@ func repairCases(t *testing.T, g *topo.Graph, rng *rand.Rand, links, dests int, 
 	t.Helper()
 	all := linksOf(g)
 	hubs := busiest(g, 5)
+	stubs := g.ProviderOrder()[g.TailStart():]
 	for k := 0; k < links; k++ {
 		// Half the toggled links hang off one of the busiest ASes: those
-		// carry the large subtrees.
+		// carry the large subtrees. A quarter are a stub's link to one of
+		// its providers or peers, named from either end: repair keeps the
+		// words of stubs cut off from some of their links on the side.
 		l := all[rng.Intn(len(all))]
-		if k%2 == 0 {
+		switch {
+		case k%2 == 0:
 			hub := hubs[rng.Intn(len(hubs))]
 			nb := g.Neighbors(hub)
 			l = normLinkRef(hub, int(nb[rng.Intn(len(nb))].AS))
+		case k%4 == 1 && len(stubs) > 0:
+			v := int(stubs[rng.Intn(len(stubs))])
+			if nb := g.Neighbors(v); len(nb) > 0 {
+				u := nb[rng.Intn(len(nb))]
+				tally.stubLinks[u.Rel-topo.Peer]++
+				l = topo.LinkRef{A: v, B: int(u.AS)}
+				if rng.Intn(2) == 0 {
+					l = topo.LinkRef{A: int(u.AS), B: v}
+				}
+			}
 		}
 		var bg []topo.LinkRef
 		for len(bg) < k%4 {
-			if x := all[rng.Intn(len(all))]; x != l && !slices.Contains(bg, x) {
+			if x := all[rng.Intn(len(all))]; x != normLinkRef(l.A, l.B) && !slices.Contains(bg, x) {
 				bg = append(bg, x)
 			}
 		}
@@ -194,9 +210,14 @@ func TestRepairMatchesCompute(t *testing.T) {
 			t.Errorf("N=%d: only %d of %d cases changed the table", sz.n, tally.changed, tally.cases)
 		}
 		total.cases += tally.cases
+		total.stubLinks[0] += tally.stubLinks[0]
+		total.stubLinks[1] += tally.stubLinks[1]
 	}
 	if !testing.Short() && total.cases < 100000 {
 		t.Errorf("%d cases, want at least 100000", total.cases)
+	}
+	if total.stubLinks[0] == 0 || total.stubLinks[1] == 0 {
+		t.Errorf("%d stub peer links and %d stub provider links toggled: the cases do not test both", total.stubLinks[0], total.stubLinks[1])
 	}
 }
 
@@ -262,7 +283,7 @@ func TestRepairLinkDownCounterexampleN3000(t *testing.T) {
 	}
 	outside := 0
 	for v := 0; v < g.N(); v++ {
-		if old.packed[v] != want.packed[v] && !old.onBestPath(v, child) {
+		if old.word(v) != want.word(v) && !old.onBestPath(v, child) {
 			outside++
 		}
 	}
@@ -348,7 +369,7 @@ func TestRepairLinkDownStopsWhereLengthHolds(t *testing.T) {
 	old, want := Compute(g, 0), Compute(mustCut(t, g, []topo.LinkRef{l}), 0)
 	var changed []int
 	for v := 0; v < g.N(); v++ {
-		if old.packed[v] != want.packed[v] {
+		if old.word(v) != want.word(v) {
 			changed = append(changed, v)
 		}
 	}
@@ -364,34 +385,38 @@ func TestRepairLinkDownStopsWhereLengthHolds(t *testing.T) {
 	}
 }
 
-// TestRepairSettlesSoleStubsWithoutVisits: AS 1 reaches destination 0 in
-// two hops through its customer 2 and in three through 3 > 4. When link 1-2
-// fails its route grows to three hops, and every customer that went through
-// it must choose again. Stubs 5 and 6 have AS 1 for their one provider:
-// they take its new route plus one hop as the sweep settles AS 1, with no
-// visit of their own. Stub 7 can also buy from 8, two hops from 0, and moves
-// there; it is visited. The sweep visits AS 1 and AS 7 only.
-func TestRepairSettlesSoleStubsWithoutVisits(t *testing.T) {
-	g, err := topo.NewBuilder(9).
-		AddPC(2, 0).AddPC(4, 0).AddPC(3, 4).AddPC(8, 4).
-		AddPC(1, 2).AddPC(1, 3).
-		AddPC(1, 5).AddPC(1, 6).AddPC(1, 7).AddPC(8, 7).
+// TestTableStubLosesItsOnlyProvider: stub 3 buys transit from AS 1 alone
+// and peers with AS 2; stub 4 buys from 1 and 2. Cutting 3-1 leaves every
+// stored word towards 0 as it was — no AS routes through a stub — and 3
+// without a route: the repaired table keeps that in its side table, and so
+// differs from the intact one on the same stored words. Towards 3, AS 1
+// loses its customer route and the stored words change. Restoring the link
+// empties the side tables and gives back the intact tables.
+func TestTableStubLosesItsOnlyProvider(t *testing.T) {
+	g, err := topo.NewBuilder(5).
+		AddPC(0, 1).AddPC(0, 2).AddPC(1, 3).AddPeer(2, 3).AddPC(1, 4).AddPC(2, 4).
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := topo.LinkRef{A: 1, B: 2}
-	old, want := Compute(g, 0), Compute(mustCut(t, g, []topo.LinkRef{l}), 0)
-	if old.NextHop(1) != 2 || want.Hops(1) != 3 || old.NextHop(7) != 1 || want.NextHop(7) != 8 ||
-		want.NextHop(5) != 1 || want.Hops(5) != 4 || want.Hops(6) != 4 {
-		t.Fatal("the topology no longer sets the case")
+	tab := NewTable(g, allDests(g), 0)
+	intact := tab.Clone()
+	if n := tab.LinkDown(3, 1); n == 0 {
+		t.Fatal("LinkDown(3,1) dirtied no destination")
 	}
-	got, visits := repairOnce(g, []topo.LinkRef{l}, old, 1, 2, false)
-	if got == nil || !got.Equal(want) {
-		t.Fatal("repair after LinkDown(1,2) differs from Compute")
+	checkAgainstScratch(t, tab, "after LinkDown(3,1)")
+	to0 := tab.Dest(0)
+	if to0.Reachable(3) || len(to0.stubs) != 1 || !slices.Equal(to0.packed, intact.Dest(0).packed) || to0.Equal(intact.Dest(0)) {
+		t.Fatalf("towards 0: AS 3 reachable %v, side table %v, stored words as intact %v", to0.Reachable(3), to0.stubs, slices.Equal(to0.packed, intact.Dest(0).packed))
 	}
-	if visits != 2 {
-		t.Fatalf("the sweep visited %d ASes, want 2 (AS 1 and the two-provider stub 7, not the one-provider stubs 5 and 6)", visits)
+	if to3 := tab.Dest(3); to3.Class(1) == ClassCustomer || slices.Equal(to3.packed, intact.Dest(3).packed) {
+		t.Fatalf("towards 3: AS 1 still holds a %v route over the cut link", to3.Class(1))
+	}
+	tab.LinkUp(1, 3)
+	for _, dst := range tab.Dests() {
+		if d := tab.Dest(dst); d.stubs != nil || !d.Equal(intact.Dest(dst)) {
+			t.Fatalf("destination %d after LinkUp(1,3): side table %v, equal to the intact table %v", dst, d.stubs, d.Equal(intact.Dest(dst)))
+		}
 	}
 }
 

@@ -50,23 +50,13 @@ func RIBInto(g *topo.Graph, d *Dest, v int, buf []Alt) []Alt {
 	}
 	alts := buf[:0]
 	for _, nb := range g.Neighbors(v) {
-		n := int(nb.AS)
-		nc := d.cls(n)
-		if nc == ClassUnreachable {
-			continue
+		// A stub other than the destination exports nothing, and reads as
+		// unreachable here without being derived (see Dest.announced).
+		w := d.announced(nb.AS)
+		if !exported(w, nb.Rel) || d.pathHolds(int(nb.AS), w, v) {
+			continue // not exported to v, or through v already (the loop filter)
 		}
-		// Export policy at n: to its customers n exports everything; to
-		// peers and providers only customer (or origin) routes. nb.Rel is
-		// n's role from v's viewpoint; v is n's customer iff n is v's
-		// provider.
-		if nb.Rel != topo.Provider && nc != ClassOrigin && nc != ClassCustomer {
-			continue
-		}
-		// Standard loop filter: v must not appear in the announced path.
-		if d.onBestPath(n, v) {
-			continue
-		}
-		alts = append(alts, Alt{Via: nb.AS, Class: classOf(nb.Rel), Hops: d.hops16(n) + 1})
+		alts = append(alts, Alt{Via: nb.AS, Class: classOf(nb.Rel), Hops: d.wordHops(int(nb.AS), w) + 1})
 	}
 	// Insertion sort, best-first; RIBs are small (== neighbor count).
 	for i := 1; i < len(alts); i++ {
@@ -91,16 +81,11 @@ func PathVia(d *Dest, v, via int) []int {
 // call sites that splice many candidate paths and keep at most one. The
 // result aliases buf's backing array when it fits.
 func PathViaInto(d *Dest, v, via int, buf []int) []int {
-	if !d.Reachable(via) {
+	w := d.word(via)
+	if w == unreachableEntry {
 		return nil
 	}
-	path := append(buf[:0], v)
-	for x := via; ; x = int(d.next32(x)) {
-		path = append(path, x)
-		if int32(x) == d.dst {
-			return path
-		}
-	}
+	return d.appendPath(append(buf[:0], v), via, w)
 }
 
 // RIBSize returns the number of RIB entries at v for destination d without
@@ -111,18 +96,19 @@ func RIBSize(g *topo.Graph, d *Dest, v int) int {
 	}
 	count := 0
 	for _, nb := range g.Neighbors(v) {
-		n := int(nb.AS)
-		nc := d.cls(n)
-		if nc == ClassUnreachable {
-			continue
+		if w := d.announced(nb.AS); exported(w, nb.Rel) && !d.pathHolds(int(nb.AS), w, v) {
+			count++
 		}
-		if nb.Rel != topo.Provider && nc != ClassOrigin && nc != ClassCustomer {
-			continue
-		}
-		if d.onBestPath(n, v) {
-			continue
-		}
-		count++
 	}
 	return count
+}
+
+// exported reports whether a neighbour holding the route w exports it to
+// an AS for which the neighbour has relationship rel: under valley-free
+// export an AS sends every route to its customers (to whom it is a
+// provider) and only customer and origin routes to its peers and
+// providers.
+func exported(w uint32, rel topo.Rel) bool {
+	c := wordClass(w)
+	return c != ClassUnreachable && (rel == topo.Provider || c <= ClassCustomer)
 }

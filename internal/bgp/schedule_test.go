@@ -47,15 +47,17 @@ type scheduleGen struct {
 	evs    []linkEvent
 }
 
+// down fails l, named from the end l names first.
 func (s *scheduleGen) down(l topo.LinkRef) {
-	if !slices.Contains(s.failed, l) {
-		s.failed = append(s.failed, l)
+	if n := normLinkRef(l.A, l.B); !slices.Contains(s.failed, n) {
+		s.failed = append(s.failed, n)
 	}
 	s.evs = append(s.evs, linkEvent{A: l.A, B: l.B})
 }
 
+// up restores l, named from the end l names last.
 func (s *scheduleGen) up(l topo.LinkRef) {
-	if i := slices.Index(s.failed, l); i >= 0 {
+	if i := slices.Index(s.failed, normLinkRef(l.A, l.B)); i >= 0 {
 		s.failed = slices.Delete(s.failed, i, i+1)
 	}
 	// Endpoints the other way round: the Table must not care.
@@ -138,15 +140,23 @@ func (s *scheduleGen) upgrade() {
 	}
 }
 
-// stub cuts a single-homed stub off, then its provider's own uplinks one
-// by one, and heals in the order of failure.
+// stub cuts a stub's links — to each of its providers and peers, named
+// from one end or the other — and then its first provider's own uplinks
+// one by one, and heals in the order of failure.
 func (s *scheduleGen) stub() {
 	for _, v := range s.rng.Perm(s.g.N()) {
-		if s.g.Degree(v) != 1 || len(s.g.Providers(v)) != 1 {
+		if !s.g.IsStub(v) || len(s.g.Providers(v)) == 0 {
 			continue
 		}
+		var ls []topo.LinkRef
+		for _, u := range append(slices.Clone(s.g.Providers(v)), s.g.Peers(v)...) {
+			l := topo.LinkRef{A: v, B: int(u)}
+			if s.rng.Intn(2) == 0 {
+				l.A, l.B = l.B, l.A
+			}
+			ls = append(ls, l)
+		}
 		p := int(s.g.Providers(v)[0])
-		ls := []topo.LinkRef{normLinkRef(v, p)}
 		for _, q := range s.g.Providers(p) {
 			ls = append(ls, normLinkRef(p, int(q)))
 		}
@@ -295,7 +305,8 @@ func scheduleDests(g *topo.Graph, seed int64) []int {
 // TestTableSchedules drives the Table through generated fault schedules:
 // overlapping failures, a failure inside the region the last repair
 // rewrote, a link whose return upgrades a class over a longer path, a
-// single-homed stub and its provider cut off, partition and heal, flaps.
+// stub's provider and peer links and its provider's uplinks cut, partition
+// and heal, flaps.
 // Each seed's graph is also run with its ASes relabelled at random, so that
 // rank in the provider-first order is not the AS index. A failing schedule
 // is shrunk and printed as a Go literal.

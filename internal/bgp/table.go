@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -115,7 +116,7 @@ func NewTable(g *topo.Graph, dsts []int, workers int) *Table {
 		cur:     g,
 		failed:  make(map[topo.LinkRef]bool),
 		workers: workers,
-		arena:   newArena(len(dsts) * g.N()),
+		arena:   newArena(len(dsts) * g.TailStart()),
 	}
 	for s := range t.shards {
 		t.shards[s].dests = make(map[int32]*Dest)
@@ -205,11 +206,13 @@ func (t *Table) Stats() TableStats { return t.stats }
 type TableMemStats struct {
 	// Dests is the number of installed destinations.
 	Dests int
-	// Entries is the total packed route entries (Dests × N).
+	// Entries is the total stored route entries: Dests × the ASes with
+	// customers (see Dest).
 	Entries int64
 	// PackedBytes is the size of all packed entry arrays.
 	PackedBytes int64
-	// OverflowBytes is the size of all hop-overflow side tables.
+	// OverflowBytes is the size of all side tables: hop overflow, and the
+	// words of stubs with failed links.
 	OverflowBytes int64
 	// BytesPerDest is (PackedBytes+OverflowBytes) / Dests.
 	BytesPerDest float64
@@ -227,7 +230,7 @@ func (t *Table) MemStats() TableMemStats {
 		for _, d := range t.shards[s].dests {
 			m.Entries += int64(len(d.packed))
 			m.PackedBytes += int64(cap(d.packed)) * 4
-			m.OverflowBytes += int64(cap(d.overflow)) * int64(unsafe.Sizeof(hopOverflow{}))
+			m.OverflowBytes += int64(cap(d.overflow))*int64(unsafe.Sizeof(hopOverflow{})) + int64(cap(d.stubs))*int64(unsafe.Sizeof(stubWord{}))
 		}
 	}
 	if m.Dests > 0 {
@@ -434,7 +437,7 @@ func (t *Table) recompute(dirty []int, a, b int, up bool, parent span.Context) {
 		return
 	}
 	sort.Ints(dirty) // deterministic work order
-	chunk := int(recomputeChunkBytes / (4 * int64(t.base.N())))
+	chunk := int(recomputeChunkBytes / (4 * int64(max(1, t.base.TailStart()))))
 	if chunk < 64 {
 		chunk = 64
 	}
@@ -476,22 +479,26 @@ func (t *Table) recompute(dirty []int, a, b int, up bool, parent span.Context) {
 	t.stats.LocalRepairs += int64(len(dirty)) - fallbacks.Load()
 }
 
-// Equal reports whether two tables for the same destination are
-// byte-identical: same packed words and overflow entries, hence same
-// class, path length, and next hop at every AS (packing is canonical —
-// unreachable entries collapse to one sentinel word). It is the
-// differential-testing oracle for incremental recomputation.
+// Equal reports whether two tables for the same destination hold the same
+// route — class, path length and next hop — at every AS. It is the
+// differential-testing oracle for incremental recomputation. Two tables on
+// one graph compare their stored words and side tables, which are
+// canonical: unreachable entries collapse to one word, and a stub has a
+// side-table word exactly when its route differs from what the graph
+// derives. Tables on different graphs derive their stubs' words from
+// different links, so they compare AS by AS.
 func (d *Dest) Equal(o *Dest) bool {
-	if d.dst != o.dst || len(d.packed) != len(o.packed) || len(d.overflow) != len(o.overflow) {
+	if d.dst != o.dst {
 		return false
 	}
-	for i := range d.packed {
-		if d.packed[i] != o.packed[i] {
-			return false
-		}
+	if d.g == o.g {
+		return slices.Equal(d.packed, o.packed) && slices.Equal(d.overflow, o.overflow) && slices.Equal(d.stubs, o.stubs)
 	}
-	for i := range d.overflow {
-		if d.overflow[i] != o.overflow[i] {
+	if d.g.N() != o.g.N() {
+		return false
+	}
+	for v := 0; v < d.g.N(); v++ {
+		if w := d.word(v); w != o.word(v) || w>>hopsShift == hopsSentinel && d.hops16(v) != o.hops16(v) {
 			return false
 		}
 	}

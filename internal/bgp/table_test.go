@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/topo"
@@ -175,6 +176,48 @@ func TestTableAddDest(t *testing.T) {
 	}
 }
 
+// TestEqualAcrossGraphs: a stub's word is derived from its Dest's graph.
+// Tables towards one destination on the intact graph and on the graph
+// without the provider link a multi-homed stub routes over store the same
+// words — no AS routes through a stub — and still differ at the stub, so
+// Equal must not take the stored words for the routes. On a copy of the
+// graph that cuts nothing the tables agree, compared AS by AS.
+func TestEqualAcrossGraphs(t *testing.T) {
+	g, err := topo.Generate(topo.GenConfig{N: 400, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := topo.RemoveLinks(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := 0
+	for _, v := range g.ProviderOrder()[g.TailStart():] {
+		if len(g.Providers(int(v))) < 2 {
+			continue
+		}
+		dst := int(g.Providers(int(v))[0])
+		with := Compute(g, dst)
+		if with.NextHop(int(v)) != dst {
+			continue
+		}
+		without := Compute(mustCut(t, g, []topo.LinkRef{{A: int(v), B: dst}}), dst)
+		if !slices.Equal(with.packed, without.packed) || !slices.Equal(with.overflow, without.overflow) {
+			t.Fatalf("cutting stub %d's link to %d changed the stored words", v, dst)
+		}
+		if with.Equal(without) || without.Equal(with) {
+			t.Fatalf("stub %d routes via %d on one graph and via %d on the other, and Equal says the tables are the same", v, with.NextHop(int(v)), without.NextHop(int(v)))
+		}
+		if !with.Equal(Compute(copied, dst)) {
+			t.Fatalf("destination %d: tables on a graph and its uncut copy differ", dst)
+		}
+		cases++
+	}
+	if cases == 0 {
+		t.Fatal("no multi-homed stub routes over its first provider: the test tests nothing")
+	}
+}
+
 // FuzzIncrementalTable applies a random sequence of link downs/ups to a
 // generated topology and asserts the incremental Table equals a
 // from-scratch recompute after every step — the acceptance oracle for the
@@ -300,8 +343,9 @@ func TestHeapBuildMatchesArena(t *testing.T) {
 	if got := heap.MemStats().ArenaRetainedBytes; got != 0 {
 		t.Fatalf("heap table retains %d arena bytes", got)
 	}
-	// A build that fits one slab reserves what it needs, not a 4 MiB slab.
-	if got, want := arena.MemStats().ArenaRetainedBytes, int64(4*g.N()*g.N()); got != want {
+	// A build that fits one slab reserves what it needs, not a 4 MiB slab:
+	// a word for every AS with customers, a destination.
+	if got, want := arena.MemStats().ArenaRetainedBytes, int64(4*g.N()*g.TailStart()); got != want {
 		t.Fatalf("arena table retains %d bytes for %d of routes", got, want)
 	}
 }

@@ -19,19 +19,15 @@ type LinkRef struct {
 // and in the relationship-grouped view alike. Rows stay sorted (filtering
 // preserves order) and removal cannot introduce a provider-customer cycle,
 // so no rebuild through Builder — and no re-sort or cycle check — is
-// needed. For the same reason g's provider-first order and ranks stay valid
-// as they are: losing a provider leaves every AS still after those it keeps,
-// though a rebuild might list them differently. The stubs' providers and
-// their runs are shared too, unless a cut takes a link between a stub and
-// one of its providers: then the result gets its own copy of the providers,
-// in which that entry names the stub itself. Those arrays are the only state
-// the result shares with g; no Graph ever writes them. The error return is
-// kept for call-site compatibility; it is always nil.
+// needed. For the same reason g's provider-first order, ranks and tail stay
+// valid as they are: losing a provider leaves every AS still after those it
+// keeps, and losing a link gives no stub a customer, though a rebuild might
+// list them differently. The order and ranks are the only arrays the result
+// shares with g; no Graph ever writes them. The error return is kept for
+// call-site compatibility; it is always nil.
 func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 	n := int32(g.N())
-	out := &Graph{order: g.order, rank: g.rank, stubRows: g.stubRows, runs: g.runs, pcLinks: g.pcLinks, peerLinks: g.peerLinks}
-	tail := g.tailStart()
-	shared := true // out.stubRows is still g.stubRows
+	out := &Graph{order: g.order, rank: g.rank, tail: g.tail, pcLinks: g.pcLinks, peerLinks: g.peerLinks}
 	nbrCut := make([]rowCut, 0, 2*len(remove))
 	grpCut := make([]rowCut, 0, 2*len(remove))
 	for _, l := range remove {
@@ -42,22 +38,6 @@ func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 		a, b := int32(l.A), int32(l.B)
 		nbrCut = append(nbrCut, rowCut{a, b}, rowCut{b, a})
 		grpCut = append(grpCut, rowCut{int32(rel)*n + a, b}, rowCut{int32(rel.Invert())*n + b, a})
-		stub, provider := a, b // rel is b as a sees it
-		switch rel {
-		case Customer:
-			stub, provider = b, a
-		case Peer:
-			continue
-		}
-		if r := g.rank[stub]; r >= tail {
-			if shared {
-				out.stubRows, shared = append(make([]int32, 0, len(g.stubRows)), g.stubRows...), false
-			}
-			row := out.stubRow(r)
-			if i := slices.Index(row, provider); i >= 0 { // not a repeat
-				row[i] = stub
-			}
-		}
 	}
 	grpCut = sortedUnique(grpCut)
 	for _, c := range grpCut {

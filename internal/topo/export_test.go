@@ -5,10 +5,9 @@ import (
 	"hash/fnv"
 )
 
-// Fingerprint hashes the eight arrays a Graph is made of — the offsets and
-// entries of the Neighbors arena and of the relationship-grouped view, the
-// provider-first order and its ranks, and the stubs' providers and their
-// run headers — up to their capacity. Only Builder.Build and
+// Fingerprint hashes the six arrays a Graph is made of — the offsets and
+// entries of the Neighbors arena and of the relationship-grouped view, and
+// the provider-first order and its ranks — up to their capacity. Only Builder.Build and
 // RemoveLinks write them, and neither writes a graph it has returned, so a
 // consumer of the accessors must leave the fingerprint of every graph it
 // is handed where it found it (TestGraphFrozenAcrossConsumers).
@@ -37,15 +36,6 @@ func Fingerprint(g *Graph) uint64 {
 	}
 	for _, x := range g.rank[:cap(g.rank)] {
 		put(x)
-	}
-	for _, x := range g.stubRows[:cap(g.stubRows)] {
-		put(x)
-	}
-	for _, r := range g.runs[:cap(g.runs)] {
-		put(r.First)
-		put(r.End)
-		put(r.K)
-		put(r.Row)
 	}
 	return h.Sum64()
 }

@@ -9,11 +9,9 @@
 package topo
 
 import (
-	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"unsafe"
 )
@@ -88,14 +86,11 @@ type Neighbor struct {
 // providers without sorting anything per destination, and each AS's
 // position in it (ProviderRanks), so a sweep can mark ASes to visit in a
 // bitset and still meet them in that order. The order ends with the stubs
-// in IsStub's sense, the ASes without customers: 87 % of an Internet graph,
-// whose routes no other AS reads in route computation's last phase. They
-// come in runs of equal provider count (StubRuns), and the graph keeps
-// their providers in one dense array aligned with that tail, k entries to
-// an AS of a k-provider run (StubProviders). A 44,340-AS / 107,819-link
-// Internet graph is eight allocations, ~3.9 MB: ~1.9 MB for off+nbrs,
-// ~1.4 MB for goff+grp, 177 KB each for order and rank, 261 KB for the
-// stubs' providers and 96 bytes for the six run headers.
+// in IsStub's sense, the ASes without customers, from TailStart on: 87 % of
+// an Internet graph, whose routes no other AS reads, so a route table
+// stores the words of the ASes before TailStart only. A 44,340-AS /
+// 107,819-link Internet graph is six allocations, ~3.6 MB: ~1.9 MB for
+// off+nbrs, ~1.4 MB for goff+grp and 177 KB each for order and rank.
 type Graph struct {
 	off       []int32    // len N()+1; AS v's neighbors live in nbrs[off[v]:off[v+1]]
 	nbrs      []Neighbor // len 2*Links(), sorted by neighbor index within each segment
@@ -103,17 +98,9 @@ type Graph struct {
 	grp       []int32    // len 2*Links(), neighbor indices, ascending within each row
 	order     []int32    // len N(), every AS once, each after all of its providers, stubs last
 	rank      []int32    // len N(), the inverse of order: order[rank[v]] == v
-	stubRows  []int32    // the providers of each AS in order's tail, K a stub, a cut one replaced by the stub itself
-	runs      []StubRun  // order's tail as runs of equal provider count, ascending by K
+	tail      int32      // where the stubs begin in order
 	pcLinks   int
 	peerLinks int
-}
-
-// StubRun is one run of the tail of ProviderOrder: the stubs at positions
-// [First, End) of the order, each with K providers, whose rows follow one
-// another in StubProviders from Row on, K entries each.
-type StubRun struct {
-	First, End, K, Row int32
 }
 
 // N returns the number of ASes.
@@ -167,14 +154,14 @@ func (g *Graph) row(r int) []int32 {
 
 // ProviderOrder returns every AS once, each after all of its providers: a
 // topological order of the provider→customer digraph. It is a body and a
-// tail. The tail is every stub (IsStub), so no AS has one of them for a
-// provider, ordered by provider count and then by index: the runs of
-// StubRuns. The body is everything else, and of its ASes whose providers
-// are all listed the lowest index comes next, so on a graph whose providers
-// all have lower indices than their customers (every Generate output) the
-// body ascends. RemoveLinks keeps its source's order, so on a cut graph the
-// tail is what were stubs before the cut. Like Customers, the slice aliases
-// the graph, its capacity is clipped, and callers must not modify it.
+// tail. The tail, from TailStart on, is every stub (IsStub), so no AS has
+// one of them for a provider, in ascending index. The body is everything
+// else, and of its ASes whose providers are all listed the lowest index
+// comes next, so on a graph whose providers all have lower indices than
+// their customers (every Generate output) the body ascends. RemoveLinks
+// keeps its source's order, so on a cut graph the tail is what were stubs
+// before the cut. Like Customers, the slice aliases the graph, its capacity
+// is clipped, and callers must not modify it.
 func (g *Graph) ProviderOrder() []int32 { return g.order[:len(g.order):len(g.order)] }
 
 // ProviderRanks returns each AS's position in ProviderOrder, indexed by AS:
@@ -182,35 +169,10 @@ func (g *Graph) ProviderOrder() []int32 { return g.order[:len(g.order):len(g.ord
 // its customers. The slice aliases the graph like ProviderOrder.
 func (g *Graph) ProviderRanks() []int32 { return g.rank[:len(g.rank):len(g.rank)] }
 
-// StubRuns returns the tail of ProviderOrder as runs of stubs with equal
-// provider counts, ascending by count and covering the tail end to end: the
-// first starts where the body ends and the last ends at N(). A cut graph has
-// its source's runs. The slice aliases the graph like ProviderOrder.
-func (g *Graph) StubRuns() []StubRun { return g.runs[:len(g.runs):len(g.runs)] }
-
-// StubProviders returns the providers of the stubs in the tail of
-// ProviderOrder, in tail order and ascending per stub: the stub at position
-// r of a run lists its K providers at Row+(r-First)*K. Where RemoveLinks cut
-// a provider's link the entry names the stub itself instead, which has no
-// route whenever its row is read, so a reader needs no test for it. The
-// slice aliases the graph like ProviderOrder.
-func (g *Graph) StubProviders() []int32 { return g.stubRows[:len(g.stubRows):len(g.stubRows)] }
-
-// tailStart returns the position in ProviderOrder where the stubs begin.
-func (g *Graph) tailStart() int32 {
-	if len(g.runs) == 0 {
-		return int32(len(g.order))
-	}
-	return g.runs[0].First
-}
-
-// stubRow returns the row in stubRows of the stub at position r of the
-// order's tail.
-func (g *Graph) stubRow(r int32) []int32 {
-	run := g.runs[sort.Search(len(g.runs), func(i int) bool { return g.runs[i].End > r })]
-	at := run.Row + (r-run.First)*run.K
-	return g.stubRows[at : at+run.K]
-}
+// TailStart returns the position in ProviderOrder where the stubs begin:
+// every AS ranked there or later has no customers, and every AS ranked
+// earlier has some, or had them before RemoveLinks cut them.
+func (g *Graph) TailStart() int { return int(g.tail) }
 
 // ranksOf returns the inverse of the permutation order.
 func ranksOf(order []int32) []int32 {
@@ -233,8 +195,7 @@ type MemStats struct {
 	// GroupedBytes is the size of the relationship-grouped view: its
 	// offsets and its packed AS indices.
 	GroupedBytes int64
-	// OrderBytes is the size of the provider-first order, its inverse, the
-	// stubs' providers and the run headers.
+	// OrderBytes is the size of the provider-first order and its inverse.
 	OrderBytes int64
 	// TotalBytes is the sum of the above — the whole graph footprint.
 	TotalBytes int64
@@ -250,8 +211,7 @@ func (g *Graph) MemStats() MemStats {
 		OffsetBytes:   int64(cap(g.off)) * int64(unsafe.Sizeof(int32(0))),
 		NeighborBytes: int64(cap(g.nbrs)) * int64(unsafe.Sizeof(Neighbor{})),
 		GroupedBytes:  int64(cap(g.goff)+cap(g.grp)) * int64(unsafe.Sizeof(int32(0))),
-		OrderBytes: int64(cap(g.order)+cap(g.rank)+cap(g.stubRows))*int64(unsafe.Sizeof(int32(0))) +
-			int64(cap(g.runs))*int64(unsafe.Sizeof(StubRun{})),
+		OrderBytes:    int64(cap(g.order)+cap(g.rank)) * int64(unsafe.Sizeof(int32(0))),
 	}
 	m.TotalBytes = m.OffsetBytes + m.NeighborBytes + m.GroupedBytes + m.OrderBytes
 	if m.Links > 0 {
@@ -432,8 +392,7 @@ func (b *Builder) Degree(v int) int { return len(b.adj[v]) }
 // Build packs the per-AS lists into the CSR arena (one offsets array, one
 // neighbor array), sorts each AS's segment by neighbor index, deals the
 // sorted segments out into the rows of the relationship-grouped view, and
-// lists the ASes in provider-first order, with each one's rank in it and
-// the providers of the stubs that close it.
+// lists the ASes in provider-first order, with each one's rank in it.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -478,14 +437,13 @@ func (b *Builder) Build() (*Graph, error) {
 	if !acyclic {
 		return nil, fmt.Errorf("topo: provider-customer relationship digraph contains a cycle")
 	}
-	g.order, g.rank = order, ranksOf(order)
-	g.stubRows, g.runs = g.tailRows(order, body)
+	g.order, g.rank, g.tail = order, ranksOf(order), int32(body)
 	return g, nil
 }
 
 // providerOrder runs Kahn's algorithm over provider→customer edges, taking
 // the lowest ready index first, over every AS but the stubs, which it then
-// lists by provider count and index. It reports whether it listed every AS:
+// lists by index. It reports whether it listed every AS:
 // an AS on a provider-customer cycle never has all of its providers listed.
 // A stub has no customers, so no AS waits for it, and its providers are
 // listed by the time the tail begins.
@@ -532,30 +490,7 @@ func (g *Graph) providerOrder() (order []int32, body int, acyclic bool) {
 			order = append(order, int32(v))
 		}
 	}
-	slices.SortStableFunc(order[body:], func(a, b int32) int {
-		return cmp.Compare(len(g.Providers(int(a))), len(g.Providers(int(b))))
-	})
 	return order, body, len(order) == n
-}
-
-// tailRows lists the providers of the stubs at order[body:], in order,
-// and the runs of equal provider count that tail falls into.
-func (g *Graph) tailRows(order []int32, body int) (rows []int32, runs []StubRun) {
-	size := 0
-	for _, v := range order[body:] {
-		size += len(g.Providers(int(v)))
-	}
-	rows = make([]int32, 0, size)
-	for r, v := range order[body:] {
-		ps := g.Providers(int(v))
-		if k := int32(len(ps)); len(runs) == 0 || runs[len(runs)-1].K != k {
-			at := int32(body + r)
-			runs = append(runs, StubRun{First: at, End: at, K: k, Row: int32(len(rows))})
-		}
-		runs[len(runs)-1].End++
-		rows = append(rows, ps...)
-	}
-	return rows, slices.Clip(runs)
 }
 
 // minHeap holds AS indices for container/heap, lowest on top.

@@ -86,10 +86,8 @@ func TestGroupedViewMatchesNeighbors(t *testing.T) {
 // arrays, to a graph built from the surviving links through Builder, over
 // removal sets that repeat links, name them in both endpoint orders, and
 // name links that do not exist, ASes that do not exist and self-links. The
-// order it keeps must still end in its tail of stubs, whose rows name the
-// stub itself for exactly the providers whose link the set cut.
+// order it keeps must still end in its tail of stubs.
 func TestRemoveLinksMatchesRebuild(t *testing.T) {
-	cutStubs, transitCuts := 0, 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(300)
@@ -150,7 +148,6 @@ func TestRemoveLinksMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := slices.Clone(g.StubProviders())
 		before, err := RemoveLinks(g, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -163,85 +160,25 @@ func TestRemoveLinksMatchesRebuild(t *testing.T) {
 		requireSameGraph(t, g, before) // the source is only read
 
 		// Even a copy that cuts nothing has adjacency arrays of its own; it
-		// shares only the provider-first order, its ranks and its runs,
-		// which removal leaves valid and no Graph writes, and the stubs'
-		// providers until a cut takes the link of one of them.
+		// shares only the provider-first order and its ranks, which removal
+		// leaves valid and no Graph writes.
 		if unsafe.SliceData(before.off) == unsafe.SliceData(g.off) ||
 			unsafe.SliceData(before.nbrs) == unsafe.SliceData(g.nbrs) ||
 			unsafe.SliceData(before.goff) == unsafe.SliceData(g.goff) ||
 			unsafe.SliceData(before.grp) == unsafe.SliceData(g.grp) {
 			t.Fatal("RemoveLinks returned a graph that shares an adjacency array with its source")
 		}
-		if unsafe.SliceData(got.order) != unsafe.SliceData(g.order) || unsafe.SliceData(got.rank) != unsafe.SliceData(g.rank) ||
-			unsafe.SliceData(got.runs) != unsafe.SliceData(g.runs) || unsafe.SliceData(before.stubRows) != unsafe.SliceData(g.stubRows) {
-			t.Fatal("RemoveLinks copied the provider-first order, ranks, runs or uncut stubs' providers instead of sharing them")
-		}
-
-		// A provider whose link to its stub is gone reads as the stub
-		// itself in the copy, every other entry as it was, and the
-		// source's array is unchanged.
-		wantRows, cut := padCut(g, rows, gone)
-		cutStubs += cut
-		if !slices.Equal(got.StubProviders(), wantRows) {
-			t.Fatalf("seed %d: StubProviders after the cut is\n %v, want\n %v", seed, got.StubProviders(), wantRows)
-		}
-		if !slices.Equal(g.StubProviders(), rows) {
-			t.Fatalf("seed %d: cutting a stub's link wrote the source's StubProviders", seed)
-		}
-		if shares := unsafe.SliceData(got.stubRows) == unsafe.SliceData(g.stubRows); shares != (cut == 0) {
-			t.Fatalf("seed %d: %d stub provider links cut, and the copy shares its source's StubProviders: %v", seed, cut, shares)
-		}
-
-		// Cutting only links no stub has to a provider — peerings, and
-		// provider links between ASes that both have customers — shares
-		// the stubs' providers.
-		var transit []LinkRef
-		for _, l := range remove {
-			if rel, ok := g.Rel(l.A, l.B); ok && (rel == Peer || !customerless(g, l.A) && !customerless(g, l.B)) {
-				transit = append(transit, l)
-			}
-		}
-		kept, err := RemoveLinks(g, transit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireProviderOrder(t, kept)
-		if unsafe.SliceData(kept.stubRows) != unsafe.SliceData(g.stubRows) {
-			t.Fatalf("seed %d: cutting %v, no stub's provider link, copied StubProviders", seed, transit)
-		}
-		transitCuts += len(transit)
-	}
-	if cutStubs == 0 || transitCuts == 0 {
-		t.Fatalf("the removal sets cut %d stub provider links and %d other links; the self-padding or the sharing rule went untested", cutStubs, transitCuts)
-	}
-}
-
-// padCut returns rows, g's StubProviders, as RemoveLinks should leave them
-// after cutting the links in gone: each entry for a provider whose link to
-// its stub is gone replaced by the stub, and how many entries that was.
-func padCut(g *Graph, rows []int32, gone map[uint64]bool) ([]int32, int) {
-	out, cut := slices.Clone(rows), 0
-	order := g.ProviderOrder()
-	for _, r := range g.StubRuns() {
-		for i, v := range order[r.First:r.End] {
-			row := out[r.Row+int32(i)*r.K : r.Row+int32(i+1)*r.K]
-			for j, p := range row {
-				if gone[linkKey(int(v), int(p))] {
-					row[j] = v
-					cut++
-				}
-			}
+		if unsafe.SliceData(got.order) != unsafe.SliceData(g.order) || unsafe.SliceData(got.rank) != unsafe.SliceData(g.rank) || got.tail != g.tail {
+			t.Fatal("RemoveLinks copied the provider-first order or its ranks instead of sharing them, or moved the tail")
 		}
 	}
-	return out, cut
 }
 
 // TestAccessorsClipCapacity: every row an accessor hands out, and the
-// provider-first order, its ranks, the stubs' providers and their runs, end
-// at their capacity, so an append through them has to reallocate. With
-// spare capacity the append would write the next AS's row of the shared
-// arena; here appending to every row of every AS, and to the four order
-// arrays, leaves the graph as it was.
+// provider-first order and its ranks, end at their capacity, so an append
+// through them has to reallocate. With spare capacity the append would
+// write the next AS's row of the shared arena; here appending to every row
+// of every AS, and to the two order arrays, leaves the graph as it was.
 func TestAccessorsClipCapacity(t *testing.T) {
 	g, err := Generate(GenConfig{N: 300, Seed: 4})
 	if err != nil {
@@ -264,16 +201,11 @@ func TestAccessorsClipCapacity(t *testing.T) {
 			_ = append(row, -1)
 		}
 	}
-	for name, s := range map[string][]int32{"ProviderOrder": g.ProviderOrder(), "ProviderRanks": g.ProviderRanks(), "StubProviders": g.StubProviders()} {
+	for name, s := range map[string][]int32{"ProviderOrder": g.ProviderOrder(), "ProviderRanks": g.ProviderRanks()} {
 		if cap(s) != len(s) {
 			t.Fatalf("%s: len %d, cap %d", name, len(s), cap(s))
 		}
 		_ = append(s, -1)
-	}
-	if runs := g.StubRuns(); cap(runs) != len(runs) {
-		t.Fatalf("StubRuns: len %d, cap %d", len(runs), cap(runs))
-	} else {
-		_ = append(runs, StubRun{First: -1})
 	}
 	if Fingerprint(g) != want {
 		t.Fatal("appending through the accessors wrote the graph's arrays")

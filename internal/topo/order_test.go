@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -21,11 +20,8 @@ func customerless(g *Graph, v int) bool {
 
 // requireProviderOrder holds ProviderOrder to its contract: every AS
 // appears exactly once, after all of its providers, at the position
-// ProviderRanks gives it; the order ends in a tail of stubs cut into the
-// runs StubRuns names, end to end, ascending by provider count and by index
-// within a run; and StubProviders holds each stub's row where its run says,
-// which is its providers, ascending, once the entries that name the stub
-// itself (the providers RemoveLinks cut) are passed over.
+// ProviderRanks gives it; and the order ends, from TailStart on, in a tail
+// of stubs in ascending index.
 func requireProviderOrder(tb testing.TB, g *Graph) {
 	tb.Helper()
 	order := g.ProviderOrder()
@@ -58,41 +54,23 @@ func requireProviderOrder(tb testing.TB, g *Graph) {
 		}
 	}
 
-	runs, rows := g.StubRuns(), g.StubProviders()
-	if cap(runs) != len(runs) || cap(rows) != len(rows) {
-		tb.Fatalf("StubRuns: len %d, cap %d; StubProviders: len %d, cap %d", len(runs), cap(runs), len(rows), cap(rows))
+	tail := g.TailStart()
+	if tail < 0 || tail > g.N() {
+		tb.Fatalf("TailStart = %d, outside [0, %d]", tail, g.N())
 	}
-	at, row := int32(g.N()), int32(0) // where the next run must start, in the order and in rows
-	if len(runs) > 0 {
-		at = runs[0].First
+	if stubs := order[tail:]; !slices.IsSorted(stubs) {
+		tb.Fatalf("the tail of ProviderOrder does not ascend: %v", stubs)
 	}
-	for i, r := range runs {
-		if r.First != at || r.End <= r.First || r.Row != row || r.K < 0 || i > 0 && r.K <= runs[i-1].K {
-			tb.Fatalf("StubRuns[%d] = %+v after %v: runs must be non-empty, end to end, ascending by K, rows in turn", i, r, runs[:i])
+	for _, v := range order[tail:] {
+		if !customerless(g, int(v)) {
+			tb.Fatalf("AS %d in the tail of ProviderOrder has customers %v", v, g.Customers(int(v)))
 		}
-		if stubs := order[r.First:r.End]; !slices.IsSorted(stubs) {
-			tb.Fatalf("the run of %d-provider stubs does not ascend: %v", r.K, stubs)
-		}
-		for j, v := range order[r.First:r.End] {
-			if !customerless(g, int(v)) {
-				tb.Fatalf("AS %d in the tail of ProviderOrder has customers %v", v, g.Customers(int(v)))
-			}
-			stubRow := rows[r.Row+int32(j)*r.K : r.Row+int32(j+1)*r.K]
-			kept := slices.DeleteFunc(slices.Clone(stubRow), func(p int32) bool { return p == v })
-			if !slices.Equal(kept, g.Providers(int(v))) {
-				tb.Fatalf("AS %d has providers %v, but its row in StubProviders is %v", v, g.Providers(int(v)), stubRow)
-			}
-		}
-		at, row = r.End, r.Row+r.K*(r.End-r.First)
-	}
-	if int(at) != g.N() || int(row) != len(rows) {
-		tb.Fatalf("StubRuns %v end at %d of %d ASes and %d of %d provider entries", runs, at, g.N(), row, len(rows))
 	}
 }
 
 // lowestReadyFirst is the order Build promises, found the slow way: again
 // and again, the lowest-indexed unlisted AS whose providers are all listed,
-// passing over the stubs, which follow by provider count and then index.
+// passing over the stubs, which follow in index order.
 func lowestReadyFirst(g *Graph) []int32 {
 	listed := make([]bool, g.N())
 	var stubs []int32
@@ -102,7 +80,6 @@ func lowestReadyFirst(g *Graph) []int32 {
 			stubs = append(stubs, int32(v))
 		}
 	}
-	sort.SliceStable(stubs, func(i, j int) bool { return len(g.Providers(int(stubs[i]))) < len(g.Providers(int(stubs[j]))) })
 	order := make([]int32, 0, g.N())
 	for len(order)+len(stubs) < g.N() {
 		for v := 0; v < g.N(); v++ {
@@ -121,20 +98,18 @@ func lowestReadyFirst(g *Graph) []int32 {
 }
 
 // requireBuiltOrder is requireProviderOrder plus the rules of a graph Build
-// made: the tail is every stub and nothing else, of the other ASes ready to
-// be listed the lowest index comes first, and no row names its own stub.
+// made: the tail is every stub and nothing else, and of the other ASes
+// ready to be listed the lowest index comes first.
 func requireBuiltOrder(tb testing.TB, g *Graph) {
 	tb.Helper()
 	requireProviderOrder(tb, g)
 	if want := lowestReadyFirst(g); !slices.Equal(g.ProviderOrder(), want) {
 		tb.Fatalf("ProviderOrder is not lowest-ready-first with the stubs last:\n got %v\nwant %v", g.ProviderOrder(), want)
 	}
-	var want []int32
-	for _, v := range g.ProviderOrder()[g.tailStart():] {
-		want = append(want, g.Providers(int(v))...)
-	}
-	if !slices.Equal(g.StubProviders(), want) {
-		tb.Fatalf("StubProviders is\n %v, the stubs' providers in tail order\n %v", g.StubProviders(), want)
+	for _, v := range g.ProviderOrder()[:g.TailStart()] {
+		if customerless(g, int(v)) {
+			tb.Fatalf("AS %d, which has no customers, is listed before TailStart %d", v, g.TailStart())
+		}
 	}
 }
 
@@ -161,7 +136,7 @@ func relabel(tb testing.TB, g *Graph, perm []int) *Graph {
 
 // TestProviderOrder: the order is valid on every way a Graph is made —
 // Generate, Parse, RemoveLinks and a Builder fed shuffled indices — Build
-// lists the stubs last, by provider count and index, and of the rest the
+// lists the stubs last, by index, and of the rest the
 // lowest ready index first, so the body ascends where every provider has a
 // lower index than its customers; and Build still refuses a
 // provider-customer cycle.
@@ -173,12 +148,11 @@ func TestProviderOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireBuiltOrder(t, g)
-		order, runs := g.ProviderOrder(), g.StubRuns()
-		sole := slices.IndexFunc(runs, func(r StubRun) bool { return r.K == 1 })
-		if tail := g.tailStart(); tail == 0 || sole < 0 || runs[len(runs)-1].K < 2 {
-			t.Fatalf("seed %d: the tail starts at %d of %d ASes, in runs %v; the order has no body, or no tail of one- and multi-provider stubs, to test", seed, tail, g.N(), runs)
+		order := g.ProviderOrder()
+		if tail := g.TailStart(); tail == 0 || tail == g.N() {
+			t.Fatalf("seed %d: the tail starts at %d of %d ASes; the order has no body or no tail to test", seed, tail, g.N())
 		}
-		if body := order[:g.tailStart()]; !slices.IsSorted(body) {
+		if body := order[:g.TailStart()]; !slices.IsSorted(body) {
 			t.Fatalf("seed %d: the body of ProviderOrder does not ascend on a Generate graph: %v", seed, body)
 		}
 
@@ -203,6 +177,9 @@ func TestProviderOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireProviderOrder(t, removed)
+		if removed.TailStart() != g.TailStart() {
+			t.Fatalf("seed %d: RemoveLinks moved TailStart from %d to %d", seed, g.TailStart(), removed.TailStart())
+		}
 
 		shuffled := relabel(t, g, rng.Perm(g.N()))
 		requireBuiltOrder(t, shuffled)
@@ -229,10 +206,8 @@ func TestProviderOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBuiltOrder(t, small)
-	wantRuns := []StubRun{{First: 2, End: 4, K: 0, Row: 0}, {First: 4, End: 5, K: 1, Row: 0}, {First: 5, End: 6, K: 2, Row: 1}}
-	if !slices.Equal(small.ProviderOrder(), []int32{3, 0, 4, 5, 1, 2}) || !slices.Equal(small.StubRuns(), wantRuns) ||
-		!slices.Equal(small.StubProviders(), []int32{0, 0, 3}) {
-		t.Fatalf("order %v, runs %+v, rows %v", small.ProviderOrder(), small.StubRuns(), small.StubProviders())
+	if !slices.Equal(small.ProviderOrder(), []int32{3, 0, 1, 2, 4, 5}) || small.TailStart() != 2 {
+		t.Fatalf("order %v, tail from %d", small.ProviderOrder(), small.TailStart())
 	}
 
 	for _, b := range []*Builder{
