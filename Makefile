@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race ring-race audit-race fib-race span-race tsdb-race conv-smoke vet lint bench bench-smoke perf perf-compare fuzz figures testbed results clean
+.PHONY: all build test race ring-race audit-race fib-race span-race tsdb-race conv-smoke vet lint bench bench-smoke perf perf-compare fuzz figures testbed results reproduce clean
 
 # Every package with micro-benchmarks: what `make bench` measures and
 # what CI's `make bench-smoke` keeps runnable.
@@ -125,6 +125,15 @@ fuzz:
 # Regenerate every figure at default scale into results/.
 figures:
 	$(GO) run ./cmd/mifo-sim -exp all -o results | tee results/simulation.txt
+
+# The committed figures are what the code prints: regenerate every
+# results/*.dat into a temporary directory and compare each byte for byte
+# (about 100 s). The .txt files carry run timings, so they stay out of it.
+reproduce:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/mifo-sim -exp all -o "$$tmp" > /dev/null && \
+	for f in results/*.dat; do cmp "$$f" "$$tmp/$${f#results/}" || exit 1; done && \
+	echo "reproduce: every results/*.dat regenerated byte-identical"
 
 # Fig. 12 (Section V): the fluid model, then the packet-level engine.
 testbed:

@@ -442,9 +442,9 @@ func printPaperScale(r *experiments.PaperScale) {
 	}
 	fmt.Printf("# destinations: %d (%s)\n", r.Dests, mode)
 	fmt.Printf("  full table build:   %.2fs (%d destinations)\n", r.BuildSec, r.TableMem.Dests)
-	fmt.Printf("  table memory:       %.1f MiB packed + %.2f MiB side tables = %.1f B/stored entry (%.0f B/dest; arena retained %.1f MiB)\n",
+	fmt.Printf("  table memory:       %.1f MiB packed + %.2f MiB side tables = %.1f B/stored entry (%.0f B/dest)\n",
 		mib(r.TableMem.PackedBytes), mib(r.TableMem.OverflowBytes),
-		r.TableMem.BytesPerEntry, r.TableMem.BytesPerDest, mib(r.TableMem.ArenaRetainedBytes))
+		r.TableMem.BytesPerEntry, r.TableMem.BytesPerDest)
 	fmt.Printf("  failed link:        AS %d - AS %d\n", r.FailedLink[0], r.FailedLink[1])
 	if r.TableOnly {
 		fmt.Printf("  LinkDown repair:    %.3fs   LinkUp repair: %.3fs (incremental)\n", r.DownSec, r.UpSec)

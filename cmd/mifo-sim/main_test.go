@@ -58,6 +58,29 @@ func TestFig12MatchesCommitted(t *testing.T) {
 	}
 }
 
+// TestFig7MatchesCommitted: -exp fig7 with the flags `make figures` passes
+// (the defaults) writes the committed results/fig7.dat byte for byte. Fig. 7
+// builds its route tables with bgp.ComputeAll, so this also holds the
+// one-block build to the committed figure.
+func TestFig7MatchesCommitted(t *testing.T) {
+	want, err := os.ReadFile("../../results/fig7.dat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	o := experiments.Options{N: 1000, Flows: 5000, PairSamples: 1000, Seed: 1}
+	if err := run("fig7", o, dir, experiments.PaperScaleConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "fig7.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fig7.dat: %d bytes, committed %d, not the same bytes", len(got), len(want))
+	}
+}
+
 // TestSameSeedSameBytes runs two experiments that write data files twice
 // each, with the same seed into two directories, and requires every .dat
 // file to come out byte-identical: the committed results/ are only

@@ -128,7 +128,7 @@ type stubWord struct {
 // AS-path length (hops to the destination) and next-hop AS. It stores the
 // packed word (see the layout above) of each AS ranked before
 // g.TailStart() in g's ProviderOrder, indexed by that rank; the array may
-// live in a shared Arena when the Dest was produced by a bulk table build.
+// be a window of one block ComputeAll made for a whole build.
 // The other ASes are stubs, and under valley-free export a stub announces
 // no route but its own, so no stored word depends on a stub's unless the
 // stub is the destination: a stub's word is derived from its neighbours'
@@ -408,19 +408,17 @@ func offer(packed []uint32, r int32, cand uint32) bool {
 // Compute derives every AS's best route towards dst with the three-phase
 // algorithm (customer routes propagate up, peer routes cross once, provider
 // routes propagate down). The result is deterministic.
-func Compute(g *topo.Graph, dst int) *Dest { return ComputeArena(g, dst, nil) }
+func Compute(g *topo.Graph, dst int) *Dest { return compute(g, dst, make([]uint32, g.TailStart())) }
 
-// ComputeArena is Compute allocating the result's packed array from a;
-// a nil arena allocates from the heap. Bulk table builds pass a shared
-// Arena so a 44k-destination table is a few hundred slab allocations
-// instead of 44k individually GC-tracked arrays.
-func ComputeArena(g *topo.Graph, dst int, a *Arena) *Dest {
+// compute is Compute writing the result's words into packed, which holds
+// g.TailStart() of them.
+func compute(g *topo.Graph, dst int, packed []uint32) *Dest {
 	if n := g.N(); n > MaxASes {
 		panic(fmt.Sprintf("bgp: topology has %d ASes, exceeding the packed-entry limit of %d", n, MaxASes))
 	}
 	sc := scratchPool.Get().(*computeScratch)
 	defer scratchPool.Put(sc)
-	return sc.compute(g, dst, a)
+	return sc.compute(g, dst, packed)
 }
 
 // compute is the three-phase algorithm over the ASes with customers, with
@@ -429,8 +427,8 @@ func ComputeArena(g *topo.Graph, dst int, a *Arena) *Dest {
 // routes, through the graph's relationship-grouped view: the providers of
 // the uphill cone, the peers of the cone, and the providers of every AS
 // with customers those two phases left without a route. At paper scale that
-// is ~10 k entries per destination, and ~5,800 words.
-func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
+// is ~10 k entries per destination, and ~5,800 words, written into packed.
+func (sc *computeScratch) compute(g *topo.Graph, dst int, packed []uint32) *Dest {
 	// Empty the queue but keep its arrays; levels only an earlier, deeper
 	// computation reached stay behind as empty buckets.
 	for h := range sc.buckets {
@@ -439,7 +437,6 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, a *Arena) *Dest {
 
 	rank := g.ProviderRanks()
 	body := g.ProviderOrder()[:g.TailStart()]
-	packed := a.alloc(len(body))
 	for r := range packed {
 		packed[r] = unreachableEntry
 	}
@@ -535,13 +532,14 @@ func (d *Dest) addOverflow(v int32, h int16) {
 }
 
 // ComputeAll computes Dest tables for every destination in dsts, in
-// parallel. Results are positionally aligned with dsts.
+// parallel. Results are positionally aligned with dsts. Their words are one
+// block, each result's a capacity-clipped window of it: one allocation for
+// the build, not one a destination (23 KB of words rounds up to Go's
+// 24 KB size class), and no window's append can write its neighbour's.
 func ComputeAll(g *topo.Graph, dsts []int, workers int) []*Dest {
-	return computeAllArena(g, dsts, workers, nil)
-}
-
-func computeAllArena(g *topo.Graph, dsts []int, workers int, a *Arena) []*Dest {
+	n := g.TailStart()
+	words := make([]uint32, len(dsts)*n)
 	return parallel.Map(len(dsts), workers, func(i int) *Dest {
-		return ComputeArena(g, dsts[i], a)
+		return compute(g, dsts[i], words[i*n:(i+1)*n:(i+1)*n])
 	})
 }

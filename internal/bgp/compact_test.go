@@ -203,26 +203,6 @@ func TestCompactMatchesDense(t *testing.T) {
 	}
 }
 
-// TestCompactArenaMatchesHeap: arena-backed and heap-backed computes of the
-// same destination must be Equal (the arena changes allocation, nothing
-// else).
-func TestCompactArenaMatchesHeap(t *testing.T) {
-	g, err := topo.Generate(topo.GenConfig{N: 120, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewArena()
-	for dst := 0; dst < g.N(); dst += 3 {
-		if !ComputeArena(g, dst, a).Equal(Compute(g, dst)) {
-			t.Fatalf("arena-backed table for dst %d differs from heap-backed", dst)
-		}
-	}
-	st := a.Stats()
-	if st.Slabs == 0 || st.AllocatedBytes == 0 || st.RetainedBytes < st.AllocatedBytes {
-		t.Fatalf("arena stats implausible: %+v", st)
-	}
-}
-
 // TestCompactHopOverflow builds a provider chain longer than the 6-bit
 // inline hops field (62) and checks the overflow side table takes over.
 func TestCompactHopOverflow(t *testing.T) {
@@ -474,8 +454,8 @@ func TestComputeScratchAcrossGraphs(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, g := range []*topo.Graph{big, deep, small, big, small, deep} {
 			dst := (7 * (round + 1)) % g.N()
-			got := reused.compute(g, dst, nil)
-			if want := new(computeScratch).compute(g, dst, nil); !got.Equal(want) {
+			got := reused.compute(g, dst, make([]uint32, g.TailStart()))
+			if want := new(computeScratch).compute(g, dst, make([]uint32, g.TailStart())); !got.Equal(want) {
 				t.Fatalf("round %d, N=%d, dst %d: a reused scratch and a fresh one disagree", round, g.N(), dst)
 			}
 			requireMatchesDense(t, g, got, computeDenseOracle(g, dst))

@@ -79,7 +79,7 @@ func (c *cutRows) of(v int32) *[3][]int32 {
 // cannot order them — and when the region a LinkDown rebuilds from nothing
 // is more than 1/repairMaxRegionShare of the graph. The region holds only
 // customer and peer routes, so it reaches that size only where most of the
-// graph climbs to the destination through one AS (TestRecomputeChunked's
+// graph climbs to the destination through one AS (TestRecomputeFanIn's
 // fan-in); the first fallback of an event also pays for the cut graph
 // Compute wants (3.3 MB at paper scale), which repair alone never builds.
 const repairMaxRegionShare = 2

@@ -1,8 +1,8 @@
 package bgp
 
 import (
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -51,17 +51,6 @@ func (s *TableStats) Add(o TableStats) {
 	s.LinkEvents += o.LinkEvents
 }
 
-// numShards splits the destination map; 64 keeps per-shard maps small at
-// paper scale (~700 destinations each at 44k) and gives the parallel
-// dirty-set derivation and install natural work units.
-const numShards = 64
-
-func shardOf(dst int) int { return dst & (numShards - 1) }
-
-type tableShard struct {
-	dests map[int32]*Dest
-}
-
 // Table owns the per-destination routing tables for one topology and keeps
 // them current across link failures and recoveries with incremental
 // recomputation: a link event touches only the destinations it can
@@ -70,11 +59,6 @@ type tableShard struct {
 // (see repairScratch.repair). The incremental result is
 // byte-identical to a from-scratch recompute — TestRepairMatchesCompute,
 // TestTableSchedules and FuzzIncrementalTable enforce this.
-//
-// Destinations are sharded by dst & 63: link events derive their dirty
-// sets shard-parallel and install repaired tables shard-parallel, so the
-// only sequential work per event is filtering the adjacency rows of the
-// failed links' endpoints and the sort of the (small) dirty list.
 //
 // A Table is not safe for concurrent use; callers that share one across
 // goroutines (core.Deployment) serialize access themselves.
@@ -88,12 +72,10 @@ type Table struct {
 	curMu   sync.Mutex
 	failed  map[topo.LinkRef]bool
 	cut     cutRows // scratch of the link event in progress
-	shards  [numShards]tableShard
-	count   int
+	dests   map[int32]*Dest
 	workers int
 	stats   TableStats
 	spans   *span.Tracer
-	arena   *Arena // backs the initial bulk build only; nil after Clone
 }
 
 // SetTracer attaches a span tracer: every subsequent link event emits a
@@ -104,24 +86,18 @@ type Table struct {
 func (t *Table) SetTracer(tr *span.Tracer) { t.spans = tr }
 
 // NewTable computes tables for every destination in dsts over g, in
-// parallel with the given worker bound (0 = all CPUs). The initial build
-// allocates all packed arrays from one shared arena (see Arena), which
-// lives as long as the Table. With no destinations it returns an empty
-// Table to populate with Install or AddDest; a caller whose initial
-// tables must stay collectable (they will be superseded by link events)
-// installs the result of ComputeAll, which allocates from the heap.
+// parallel with the given worker bound (0 = all CPUs), and installs them:
+// their words are ComputeAll's one block. With no destinations it returns
+// an empty Table to populate with Install or AddDest.
 func NewTable(g *topo.Graph, dsts []int, workers int) *Table {
 	t := &Table{
 		base:    g,
 		cur:     g,
 		failed:  make(map[topo.LinkRef]bool),
+		dests:   make(map[int32]*Dest, len(dsts)),
 		workers: workers,
-		arena:   newArena(len(dsts) * g.TailStart()),
 	}
-	for s := range t.shards {
-		t.shards[s].dests = make(map[int32]*Dest)
-	}
-	for _, d := range computeAllArena(g, dsts, workers, t.arena) {
+	for _, d := range ComputeAll(g, dsts, workers) {
 		t.Install(d)
 	}
 	t.stats.FullComputes += int64(len(dsts))
@@ -149,20 +125,18 @@ func (t *Table) Graph() *topo.Graph {
 }
 
 // Dest returns the table for dst, or nil when dst is not installed.
-func (t *Table) Dest(dst int) *Dest { return t.shards[shardOf(dst)].dests[int32(dst)] }
+func (t *Table) Dest(dst int) *Dest { return t.dests[int32(dst)] }
 
 // Len returns the number of installed destinations.
-func (t *Table) Len() int { return t.count }
+func (t *Table) Len() int { return len(t.dests) }
 
 // Dests returns the installed destination indices in ascending order.
 func (t *Table) Dests() []int {
-	out := make([]int, 0, t.count)
-	for s := range t.shards {
-		for dst := range t.shards[s].dests {
-			out = append(out, int(dst))
-		}
+	out := make([]int, 0, len(t.dests))
+	for dst := range t.dests {
+		out = append(out, int(dst))
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -179,19 +153,11 @@ func (t *Table) All() []*Dest {
 // Install records a computed table, replacing any previous one for the
 // same destination. The caller is responsible for d matching the Table's
 // current topology.
-func (t *Table) Install(d *Dest) {
-	sh := &t.shards[shardOf(d.Dst())]
-	if _, ok := sh.dests[d.dst]; !ok {
-		t.count++
-	}
-	sh.dests[d.dst] = d
-}
+func (t *Table) Install(d *Dest) { t.dests[d.dst] = d }
 
 // AddDest computes (on the current topology) and installs the table for a
 // new destination, returning it. Installed destinations are recomputed in
-// place. Late additions allocate from the heap, not the build arena: they
-// may be recomputed and replaced by later link events, and arena memory is
-// never reclaimed.
+// place.
 func (t *Table) AddDest(dst int) *Dest {
 	d := Compute(t.Graph(), dst)
 	t.Install(d)
@@ -218,20 +184,15 @@ type TableMemStats struct {
 	BytesPerDest float64
 	// BytesPerEntry is (PackedBytes+OverflowBytes) / Entries.
 	BytesPerEntry float64
-	// ArenaRetainedBytes is what the build arena reserved, including slab
-	// tails; zero for tables built destination-by-destination or cloned.
-	ArenaRetainedBytes int64
 }
 
 // MemStats sums the footprint of every installed destination table.
 func (t *Table) MemStats() TableMemStats {
-	m := TableMemStats{Dests: t.count}
-	for s := range t.shards {
-		for _, d := range t.shards[s].dests {
-			m.Entries += int64(len(d.packed))
-			m.PackedBytes += int64(cap(d.packed)) * 4
-			m.OverflowBytes += int64(cap(d.overflow))*int64(unsafe.Sizeof(hopOverflow{})) + int64(cap(d.stubs))*int64(unsafe.Sizeof(stubWord{}))
-		}
+	m := TableMemStats{Dests: len(t.dests)}
+	for _, d := range t.dests {
+		m.Entries += int64(len(d.packed))
+		m.PackedBytes += int64(cap(d.packed)) * 4
+		m.OverflowBytes += int64(cap(d.overflow))*int64(unsafe.Sizeof(hopOverflow{})) + int64(cap(d.stubs))*int64(unsafe.Sizeof(stubWord{}))
 	}
 	if m.Dests > 0 {
 		m.BytesPerDest = float64(m.PackedBytes+m.OverflowBytes) / float64(m.Dests)
@@ -239,34 +200,22 @@ func (t *Table) MemStats() TableMemStats {
 	if m.Entries > 0 {
 		m.BytesPerEntry = float64(m.PackedBytes+m.OverflowBytes) / float64(m.Entries)
 	}
-	m.ArenaRetainedBytes = t.arena.Stats().RetainedBytes
 	return m
 }
 
 // Clone returns a Table sharing the (immutable) per-destination tables and
 // the topology state but with fresh counters: incremental work done on the
 // clone does not disturb the original, which is how the simulator keeps an
-// intact reference table while failures evolve a copy. The clone does not
-// inherit the build arena — its recomputes allocate from the heap.
+// intact reference table while failures evolve a copy.
 func (t *Table) Clone() *Table {
-	c := &Table{
+	return &Table{
 		base:    t.base,
 		cur:     t.cur,
-		failed:  make(map[topo.LinkRef]bool, len(t.failed)),
-		count:   t.count,
+		failed:  maps.Clone(t.failed),
+		dests:   maps.Clone(t.dests),
 		workers: t.workers,
 		spans:   t.spans,
 	}
-	for r := range t.failed {
-		c.failed[r] = true
-	}
-	for s := range t.shards {
-		c.shards[s].dests = make(map[int32]*Dest, len(t.shards[s].dests))
-		for dst, d := range t.shards[s].dests {
-			c.shards[s].dests[dst] = d
-		}
-	}
-	return c
 }
 
 // FailedLinks returns the number of currently failed links.
@@ -348,22 +297,17 @@ func (t *Table) LinkUpCtx(a, b int, parent span.Context) int {
 	return len(dirty)
 }
 
-// dirtyDests scans every installed destination with affected, one parallel
-// worker per shard, and returns the dirty destination indices (unsorted).
+// dirtyDests scans every installed destination with affected and returns
+// the dirty destination indices in ascending order, the work order of
+// recompute.
 func (t *Table) dirtyDests(affected func(*Dest) bool) []int {
-	perShard := parallel.Map(numShards, t.workers, func(s int) []int {
-		var out []int
-		for dst, d := range t.shards[s].dests {
-			if affected(d) {
-				out = append(out, int(dst))
-			}
-		}
-		return out
-	})
 	var dirty []int
-	for _, part := range perShard {
-		dirty = append(dirty, part...)
+	for dst, d := range t.dests {
+		if affected(d) {
+			dirty = append(dirty, int(dst))
+		}
 	}
+	slices.Sort(dirty)
 	return dirty
 }
 
@@ -409,22 +353,13 @@ func offerWins(d *Dest, from, to int, rel topo.Rel) bool {
 	return cand.Better(cur)
 }
 
-// recomputeChunkBytes bounds the packed-table bytes one recompute wave
-// holds before installing: at paper scale a hub-link failure dirties
-// thousands of destinations, and computing them all before installing any
-// would double-buffer gigabytes of routes next to the tables they replace.
-var recomputeChunkBytes = int64(128 << 20) // a var so tests can force multi-wave runs
-
 // recompute brings the given destinations up to date with the failed set
 // after the link (a, b) went down or came back up, in parallel, emitting
 // one dest_recompute span per destination under parent when a tracer is
 // attached. Each gets a fresh table, a copy of its old one with the
 // invalidated region rebuilt; the old arrays are never written, since
-// clones share them. Fresh tables come from the heap (not the build arena)
-// so the superseded arrays can be collected, and are made and installed in
-// waves sized by recomputeChunkBytes — the transient footprint is one wave,
-// not the whole dirty set. Installation fans out across shards in parallel;
-// workers never touch the same shard map concurrently.
+// clones share them. The whole dirty set is computed, then installed: at
+// paper scale the two hub events together repair ~435 MB of words.
 func (t *Table) recompute(dirty []int, a, b int, up bool, parent span.Context) {
 	t.stats.LinkEvents++
 	t.cur = nil
@@ -432,48 +367,26 @@ func (t *Table) recompute(dirty []int, a, b int, up bool, parent span.Context) {
 		t.cur = t.base
 	}
 	t.stats.IncrementalComputes += int64(len(dirty))
-	t.stats.CleanSkipped += int64(t.count - len(dirty))
+	t.stats.CleanSkipped += int64(len(t.dests) - len(dirty))
 	if len(dirty) == 0 {
 		return
 	}
-	sort.Ints(dirty) // deterministic work order
-	chunk := int(recomputeChunkBytes / (4 * int64(max(1, t.base.TailStart()))))
-	if chunk < 64 {
-		chunk = 64
-	}
 	t.cut.reset(t.base, t.failed)
 	var fallbacks atomic.Int64
-	byShard := make([][]*Dest, numShards)
-	for lo := 0; lo < len(dirty); lo += chunk {
-		hi := lo + chunk
-		if hi > len(dirty) {
-			hi = len(dirty)
+	fresh := parallel.Map(len(dirty), t.workers, func(i int) *Dest {
+		ds := t.spans.Start("dest_recompute", parent, int32(dirty[i]))
+		sc := repairPool.Get().(*repairScratch)
+		d := sc.repair(t.base, &t.cut, t.Dest(dirty[i]), a, b, up)
+		repairPool.Put(sc)
+		if d == nil {
+			fallbacks.Add(1)
+			d = Compute(t.Graph(), dirty[i])
 		}
-		wave := dirty[lo:hi]
-		fresh := parallel.Map(len(wave), t.workers, func(i int) *Dest {
-			ds := t.spans.Start("dest_recompute", parent, int32(wave[i]))
-			sc := repairPool.Get().(*repairScratch)
-			d := sc.repair(t.base, &t.cut, t.Dest(wave[i]), a, b, up)
-			repairPool.Put(sc)
-			if d == nil {
-				fallbacks.Add(1)
-				d = Compute(t.Graph(), wave[i])
-			}
-			ds.End()
-			return d
-		})
-		for s := range byShard {
-			byShard[s] = byShard[s][:0]
-		}
-		for _, d := range fresh {
-			s := shardOf(d.Dst())
-			byShard[s] = append(byShard[s], d)
-		}
-		parallel.ForEach(numShards, t.workers, func(s int) {
-			for _, d := range byShard[s] {
-				t.shards[s].dests[d.dst] = d // replace-only: count is unchanged
-			}
-		})
+		ds.End()
+		return d
+	})
+	for _, d := range fresh {
+		t.Install(d)
 	}
 	t.stats.RepairFallbacks += fallbacks.Load()
 	t.stats.LocalRepairs += int64(len(dirty)) - fallbacks.Load()

@@ -321,44 +321,36 @@ func pickLink(g *topo.Graph) (int, int) {
 	return best, int(g.Neighbors(best)[0].AS)
 }
 
-// TestHeapBuildMatchesArena proves the collectable build (an empty Table
-// populated from ComputeAll, the way the paper-scale table-only run does
-// it) is byte-identical to the arena-backed one and retains no arena
-// memory: its tables must be collectable once link events replace them.
-func TestHeapBuildMatchesArena(t *testing.T) {
+// TestMemStatsCountsStoredWords: an all-destinations table holds one word
+// for every AS with customers, a destination, and MemStats counts capacity,
+// so a window of ComputeAll's block that reached past its own words would
+// show here. A LinkDown/LinkUp pair replaces the dirty windows with tables
+// of their own and keeps the count.
+func TestMemStatsCountsStoredWords(t *testing.T) {
 	g := tableTopology(t)
-	arena := NewTable(g, allDests(g), 0)
-	heap := NewTable(g, nil, 0)
-	for _, d := range ComputeAll(g, allDests(g), 0) {
-		heap.Install(d)
-	}
-	if heap.Len() != arena.Len() {
-		t.Fatalf("heap table has %d dests, arena %d", heap.Len(), arena.Len())
-	}
-	for _, dst := range arena.Dests() {
-		if !heap.Dest(dst).Equal(arena.Dest(dst)) {
-			t.Fatalf("heap and arena tables diverge at dst %d", dst)
+	tab := NewTable(g, allDests(g), 0)
+	check := func(when string) {
+		t.Helper()
+		m := tab.MemStats()
+		if want := int64(g.N() * g.TailStart()); m.Entries != want || m.PackedBytes != 4*want {
+			t.Fatalf("%s: %d entries in %d packed bytes, want %d in %d", when, m.Entries, m.PackedBytes, want, 4*want)
 		}
 	}
-	if got := heap.MemStats().ArenaRetainedBytes; got != 0 {
-		t.Fatalf("heap table retains %d arena bytes", got)
+	check("after the build")
+	a, b := pickLink(g)
+	if tab.LinkDown(a, b) == 0 {
+		t.Fatalf("LinkDown(%d, %d) dirtied nothing", a, b)
 	}
-	// A build that fits one slab reserves what it needs, not a 4 MiB slab:
-	// a word for every AS with customers, a destination.
-	if got, want := arena.MemStats().ArenaRetainedBytes, int64(4*g.N()*g.TailStart()); got != want {
-		t.Fatalf("arena table retains %d bytes for %d of routes", got, want)
-	}
+	check("after LinkDown")
+	tab.LinkUp(a, b)
+	check("after LinkUp")
 }
 
-// TestRecomputeChunked forces multi-wave recomputation (the bounded-memory
-// path a paper-scale dirty set takes) and proves the result still matches a
-// from-scratch compute. A fan-in makes every destination dirty: AS 1, the
-// only customer of AS 0, which every other AS buys transit from, routes
-// everywhere over the failed link 0-1.
-func TestRecomputeChunked(t *testing.T) {
-	defer func(prev int64) { recomputeChunkBytes = prev }(recomputeChunkBytes)
-	recomputeChunkBytes = 1 // chunk floor is 64 dests -> 300 dirty = 5 waves
-
+// TestRecomputeFanIn makes every destination dirty and proves the repaired
+// tables still match a from-scratch compute: AS 1, the only customer of
+// AS 0, which every other AS buys transit from, routes everywhere over the
+// failed link 0-1.
+func TestRecomputeFanIn(t *testing.T) {
 	b := topo.NewBuilder(300).AddPC(0, 1)
 	for v := 2; v < 300; v++ {
 		b.AddPC(v, 0)
@@ -369,9 +361,9 @@ func TestRecomputeChunked(t *testing.T) {
 	}
 	tab := NewTable(g, allDests(g), 0)
 	tab.LinkDown(0, 1)
-	checkAgainstScratch(t, tab, "after chunked LinkDown")
+	checkAgainstScratch(t, tab, "after fan-in LinkDown")
 	tab.LinkUp(0, 1)
-	checkAgainstScratch(t, tab, "after chunked LinkUp")
+	checkAgainstScratch(t, tab, "after fan-in LinkUp")
 	st := tab.Stats()
 	if st.IncrementalComputes < 300 {
 		t.Fatalf("IncrementalComputes = %d, want >= 300 (all dests dirty on the down event)", st.IncrementalComputes)

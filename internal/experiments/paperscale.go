@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -35,8 +34,7 @@ import (
 //
 // Peak RSS is read from /proc/self/status (VmHWM) so the number includes
 // everything the process touched, not just the Go heap; MemBudgetMB turns
-// the budget into a soft runtime memory limit for the run's duration and
-// into a hard pass/fail verdict on the result.
+// the budget into a pass/fail verdict on the result.
 
 // PaperScaleConfig selects the paper-scale mode and budget.
 type PaperScaleConfig struct {
@@ -48,9 +46,8 @@ type PaperScaleConfig struct {
 	// StreamFlows is how many flows the streaming simulator pulls in flow
 	// mode (default Options.Flows).
 	StreamFlows int
-	// MemBudgetMB, when positive, is the peak-RSS budget. The run gets a
-	// soft runtime memory limit just under it and the result's OverBudget
-	// verdict compares VmHWM against it.
+	// MemBudgetMB, when positive, is the peak-RSS budget: the result's
+	// OverBudget verdict compares VmHWM against it.
 	MemBudgetMB int
 }
 
@@ -102,14 +99,6 @@ func RunPaperScale(o Options, cfg PaperScaleConfig) (*PaperScale, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MemBudgetMB > 0 {
-		// Soft-limit the heap a sliver under the budget so the GC defends
-		// the VmHWM verdict; restored before returning.
-		budget := int64(cfg.MemBudgetMB) << 20
-		prev := debug.SetMemoryLimit(-1)
-		debug.SetMemoryLimit(budget - budget/16)
-		defer debug.SetMemoryLimit(prev)
-	}
 
 	r := &PaperScale{Nodes: g.N(), Links: g.Links(), GraphMem: g.MemStats(), TableOnly: cfg.AllDests}
 	a, b := hubLink(g)
@@ -136,10 +125,7 @@ func RunPaperScale(o Options, cfg PaperScaleConfig) (*PaperScale, error) {
 }
 
 // runTableOnly builds the all-destinations table and converges one
-// LinkDown/LinkUp pair. The build is heap-backed (ComputeAll installed
-// into an empty Table), not arena-backed: the superseded tables of the
-// convergence events must be collectable, or the run would retain live +
-// dirty instead of live.
+// LinkDown/LinkUp pair.
 func (r *PaperScale) runTableOnly(g *topo.Graph, o Options) error {
 	dsts := make([]int, g.N())
 	for i := range dsts {
@@ -148,10 +134,7 @@ func (r *PaperScale) runTableOnly(g *topo.Graph, o Options) error {
 	r.Dests = len(dsts)
 
 	start := time.Now()
-	t := bgp.NewTable(g, nil, o.Workers)
-	for _, d := range bgp.ComputeAll(g, dsts, o.Workers) {
-		t.Install(d)
-	}
+	t := bgp.NewTable(g, dsts, o.Workers)
 	r.BuildSec = time.Since(start).Seconds()
 	r.TableMem = t.MemStats()
 
@@ -162,7 +145,6 @@ func (r *PaperScale) runTableOnly(g *topo.Graph, o Options) error {
 	t.LinkUp(r.FailedLink[0], r.FailedLink[1])
 	r.UpSec = time.Since(start).Seconds()
 	r.Routing = t.Stats()
-	r.Routing.FullComputes += int64(len(dsts)) // the build ran outside the Table
 	return nil
 }
 
@@ -185,8 +167,8 @@ func (r *PaperScale) runFlows(g *topo.Graph, o Options, cfg PaperScaleConfig) er
 	}
 	providers := traffic.RankContentProviders(g, nProviders)
 
-	// The committed table footprint: same arena-backed build the serving
-	// path uses. The simulator below builds its own copy.
+	// The committed table footprint, from the build the serving path uses.
+	// The simulator below builds its own copy.
 	start := time.Now()
 	r.TableMem = bgp.NewTable(g, dsts, o.Workers).MemStats()
 	r.BuildSec = time.Since(start).Seconds()
