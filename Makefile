@@ -21,17 +21,18 @@ vet:
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/netd
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/netd
 
-# mifolint: the repository's own analyzer suite (internal/lint), six
-# checks — the //mifo:hotpath cost budget, dropped errors, shadowed
-# variables, goroutine lifecycle ownership, lock-scope hygiene, and obs
-# metric and span naming; DESIGN.md "Static invariants" says why each
-# stays. It runs over the whole tree in one process, which its
-# cross-package checks need, and reports its own wall time on stderr. CI's
-# lint job runs the same suite with -json and -github.
+# mifolint: the repository's own analyzer suite (internal/lint), four
+# checks — lock-scope hygiene, shadowed variables, dropped errors and
+# goroutine lifecycle ownership; DESIGN.md "Static invariants" says why
+# each stays. It runs over the whole tree in one process, which
+# lifecycle's cross-package facts need, and reports its own wall time on
+# stderr. CI's lint job runs the same suite with -github. `make test` needs
+# no lint step: go test ./... runs the suite over the whole tree in
+# internal/lint's TestRepositoryLintsClean.
 lint:
 	$(GO) run ./cmd/mifo-lint ./...
 
-test: vet lint
+test: vet
 	$(GO) test ./...
 
 race:

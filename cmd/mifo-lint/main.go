@@ -1,21 +1,16 @@
-// Command mifo-lint runs the mifolint analyzer suite (internal/lint): the
-// //mifo:hotpath allocation/lock budget, dropped errors, shadowed
-// variables, goroutine lifecycle ownership, lock-scope hygiene and obs
-// metric naming (DESIGN.md "Static invariants" says why each stays).
+// Command mifo-lint runs the mifolint analyzer suite (internal/lint):
+// lock-scope hygiene, shadowed variables, dropped errors and goroutine
+// lifecycle ownership (DESIGN.md "Static invariants" says why each stays).
 //
-//	mifo-lint [-json|-github] [-C dir] [packages...]
+//	mifo-lint [-github] [-C dir] [packages...]
 //
 // It loads the named packages (default ./...) with go/types against
-// build-cache export data and analyzes them in one run, which the
-// whole-tree checks need (duplicate metric registration, the transitive
-// hot-path budget, cross-package lifecycle facts). Exits 1 when findings
-// remain. -json emits the findings as a stable
-// {file,line,col,analyzer,message} array (the CI artifact); -github
-// renders them as GitHub Actions ::error annotations.
+// build-cache export data and analyzes them in one run, which lifecycle's
+// cross-package facts need. Exits 1 when findings remain. -github renders
+// them as GitHub Actions ::error annotations.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,22 +21,11 @@ import (
 	"repro/internal/lint"
 )
 
-// finding is the stable JSON shape of one diagnostic, consumed by the CI
-// lint step (and anything else that wants machine-readable findings).
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON objects {file,line,col,analyzer,message}")
 	github := flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
 	dir := flag.String("C", ".", "directory to run in (module root)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mifo-lint [-json] [-github] [-C dir] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: mifo-lint [-github] [-C dir] [packages...]\n\nAnalyzers:\n")
 		for _, a := range lint.Suite() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -54,34 +38,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	diags := lint.Run(pkgs, lint.Suite())
-
-	findings := make([]finding, 0, len(diags))
+	diags, _ := lint.Run(pkgs, lint.Suite())
 	for _, d := range diags {
-		findings = append(findings, finding{
-			File:     relPath(d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Col:      d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	switch {
-	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	case *github:
-		for _, f := range findings {
+		file := relPath(d.Pos.Filename)
+		if *github {
 			fmt.Printf("::error file=%s,line=%d,col=%d::[%s] %s\n",
-				f.File, f.Line, f.Col, f.Analyzer, annotationEscape(f.Message))
-		}
-	default:
-		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
+				file, d.Pos.Line, d.Pos.Column, d.Analyzer, annotationEscape(d.Message))
+		} else {
+			fmt.Printf("%s:%d:%d: %s (%s)\n", file, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "mifo-lint: %d package(s), %d finding(s) in %s\n",
@@ -92,7 +56,7 @@ func main() {
 }
 
 // relPath shortens an absolute path to the current directory, keeping
-// output clickable but compact (and stable for the JSON artifact).
+// output clickable but compact.
 func relPath(file string) string {
 	wd, err := os.Getwd()
 	if err != nil {

@@ -187,8 +187,6 @@ func NewRecorder(o Options) *Recorder {
 
 // Sampled reports whether the flow with the given 32-bit identity hash is
 // recorded under the sampling knob.
-//
-//mifo:hotpath
 func (rec *Recorder) Sampled(flowHash uint32) bool { return flowHash <= rec.sampleLimit }
 
 // mix64 spreads a flow ID over 32 bits (splitmix64 finalizer) so integer
@@ -205,8 +203,6 @@ func mix64(x uint64) uint32 {
 
 // journeyKey folds a journey's identity into the key its hop records are
 // offered under.
-//
-//mifo:hotpath
 func journeyKey(flowID uint64, dst int32, id uint16) uint64 {
 	return flowID ^ uint64(uint32(dst))<<29 ^ uint64(id)<<47
 }
@@ -214,10 +210,8 @@ func journeyKey(flowID uint64, dst int32, id uint16) uint64 {
 // hookHop is the per-forwarding-decision record path: one flow hash, a
 // sampling compare, one fixed-size hopRec copied into a lock-free ring;
 // a full ring sheds the record rather than stall the forwarding engine.
-// No allocation, no lock, no formatting — mifolint enforces the budget
-// transitively from here.
-//
-//mifo:hotpath
+// No allocation, no lock, no formatting; TestRecorderHotPathZeroAlloc
+// holds the allocation budget.
 func (rec *Recorder) hookHop(p *dataplane.Packet, h dataplane.HopInfo) {
 	fh := p.Flow.Hash()
 	if !rec.Sampled(fh) {
@@ -247,8 +241,6 @@ func (rec *Recorder) RouterHook() dataplane.HopFunc {
 // hop — a tx-queue drop, or a transport giving up. It is a no-op for
 // unsampled or unknown packets. detail should be a constant string; it
 // is carried by reference through the ring.
-//
-//mifo:hotpath
 func (rec *Recorder) Lost(p *dataplane.Packet, detail string) {
 	fh := p.Flow.Hash()
 	if !rec.Sampled(fh) {
@@ -333,8 +325,6 @@ func PathSteps(g *topo.Graph, path []int, deflectedAt int) []Step {
 
 // ClassOf maps a Gao-Rexford relationship to the edge class of an egress
 // towards that neighbor.
-//
-//mifo:hotpath
 func ClassOf(rel topo.Rel) EdgeClass {
 	switch rel {
 	case topo.Customer:
@@ -349,8 +339,6 @@ func ClassOf(rel topo.Rel) EdgeClass {
 }
 
 // stepFromHop translates the dataplane's view of a decision into a step.
-//
-//mifo:hotpath
 func stepFromHop(h dataplane.HopInfo) Step {
 	s := Step{
 		Router:       int32(h.Router),

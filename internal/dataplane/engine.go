@@ -14,8 +14,6 @@ import "repro/internal/topo"
 // path"). We implement the prose; the pseudocode's Ialt is a typo (with
 // Ialt the comparison could never detect a bounce, since the sender sits on
 // the default path, not the alternative one).
-//
-//mifo:hotpath
 func (r *Router) Forward(p *Packet, in int) Action {
 	if r.Hop == nil {
 		act, _ := r.forward(p, in)
@@ -56,8 +54,6 @@ func (r *Router) Forward(p *Packet, in int) Action {
 // alternative port the valley-free tag-check refused (-1 unless the
 // action is a DropValleyFree), so Forward can describe the refusal without
 // a second FIB lookup.
-//
-//mifo:hotpath
 func (r *Router) forward(p *Packet, in int) (Action, int) {
 	// Lines 1-3: strip the outer IP header of an encapsulated packet and
 	// remember the sender (an iBGP peer).
@@ -121,7 +117,6 @@ func (r *Router) forward(p *Packet, in int) (Action, int) {
 	return Action{Verdict: VerdictForward, Port: e.Out}, -1
 }
 
-//mifo:hotpath
 func (r *Router) deflect(k FlowKey) bool {
 	if r.Deflect == nil {
 		return true

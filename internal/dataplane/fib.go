@@ -59,8 +59,6 @@ func NewFIB() *FIB {
 
 // Lookup returns the entry for dst. It is wait-free: one atomic load and a
 // read of an immutable map, safe under any number of concurrent commits.
-//
-//mifo:hotpath
 func (f *FIB) Lookup(dst int32) (FIBEntry, bool) {
 	e, ok := f.cur.Load().entries[dst]
 	return e, ok

@@ -2,9 +2,12 @@ package dataplane
 
 import (
 	"maps"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/topo"
 )
 
 // TestFIBTransactionAtomicity: a reader must never observe a half-applied
@@ -59,15 +62,26 @@ func TestFIBCleanCommitKeepsGeneration(t *testing.T) {
 }
 
 // TestFIBConcurrentCommitLookup is the -race stress for the FE/daemon
-// split: readers hammer Lookup while writers commit batched generations.
-// Each committed generation keeps the invariant Alt == Out+1 across both
-// entries, so any torn read surfaces as a broken pair.
+// split: readers hammer Lookup, and forward through a router on the same
+// FIB, while writers commit batched generations. Each committed generation
+// keeps the invariant Alt == Out+1 across both entries, so any torn read
+// surfaces as a broken pair. The block profile is on for the run: a lock
+// or a channel operation on the forwarding path blocks the readers behind
+// the writers, and the test fails on any blocked stack through Forward or
+// FIB.Lookup.
 func TestFIBConcurrentCommitLookup(t *testing.T) {
 	f := NewFIB()
 	tx := f.Begin()
 	tx.Set(1, FIBEntry{Out: 0, Alt: 1, AltVia: 1})
 	tx.Set(2, FIBEntry{Out: 0, Alt: 1, AltVia: 1})
 	tx.Commit()
+	rt := NewRouter(0, 1)
+	rt.FIB = f
+	for i := 0; i < 16; i++ {
+		rt.AddPort(Port{Kind: EBGP, Peer: RouterID(i + 1), PeerAS: int32(i + 2), Rel: topo.Customer, CapacityBps: 1e9})
+	}
+	runtime.SetBlockProfileRate(1)
+	defer runtime.SetBlockProfileRate(0)
 
 	const commits = 2000
 	var stop atomic.Bool
@@ -85,6 +99,11 @@ func TestFIBConcurrentCommitLookup(t *testing.T) {
 				}
 				if e1.Alt != e1.Out+1 || e2.Alt != e2.Out+1 {
 					t.Errorf("torn read: %+v %+v", e1, e2)
+					return
+				}
+				p := Packet{Dst: 1}
+				if act := rt.Forward(&p, -1); act.Verdict != VerdictForward || act.Port < 0 || act.Port >= len(rt.Ports) {
+					t.Errorf("forward through the live FIB: %+v", act)
 					return
 				}
 			}
@@ -110,9 +129,40 @@ func TestFIBConcurrentCommitLookup(t *testing.T) {
 	writers.Wait()
 	stop.Store(true)
 	readers.Wait()
+	runtime.SetBlockProfileRate(0)
 	if got := f.Generation(); got != 1+2*commits {
 		t.Fatalf("generation = %d, want %d (one bump per dirty commit)", got, 1+2*commits)
 	}
+	if fn := blockedOnForwardingPath(); fn != "" {
+		t.Fatalf("a reader blocked in %s: the forwarding path must take no lock and do no channel operation", fn)
+	}
+}
+
+// blockedOnForwardingPath returns the first function of the forwarding
+// path found on a block-profile stack, or "".
+func blockedOnForwardingPath() string {
+	var records []runtime.BlockProfileRecord
+	n, ok := runtime.BlockProfile(nil)
+	for !ok {
+		records = make([]runtime.BlockProfileRecord, n+16)
+		n, ok = runtime.BlockProfile(records)
+	}
+	for _, rec := range records[:n] {
+		frames := runtime.CallersFrames(rec.Stack())
+		for {
+			fr, more := frames.Next()
+			switch fr.Function {
+			case "repro/internal/dataplane.(*Router).Forward",
+				"repro/internal/dataplane.(*Router).forward",
+				"repro/internal/dataplane.(*FIB).Lookup":
+				return fr.Function
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return ""
 }
 
 // TestFIBPublishedGenerationNeverWritten: once published, a generation's

@@ -20,8 +20,6 @@ type FlowKey struct {
 }
 
 // Hash returns a stable FNV-1a hash of the five-tuple.
-//
-//mifo:hotpath
 func (k FlowKey) Hash() uint32 {
 	const (
 		offset = 2166136261
@@ -119,8 +117,6 @@ const (
 )
 
 // String returns a short reason name.
-//
-//mifo:hotpath
 func (r DropReason) String() string {
 	switch r {
 	case DropNone:
@@ -132,7 +128,6 @@ func (r DropReason) String() string {
 	case DropTTL:
 		return "ttl"
 	default:
-		//mifolint:ignore hotpathalloc unreachable for valid reasons; formats only corrupted values, which already left the fast path
 		return fmt.Sprintf("DropReason(%d)", int(r))
 	}
 }

@@ -157,8 +157,6 @@ func (r *Router) SetQueueRatio(port int, ratio float64) {
 }
 
 // QueueRatio returns the congestion signal of a port.
-//
-//mifo:hotpath
 func (r *Router) QueueRatio(port int) float64 {
 	return math.Float64frombits(atomic.LoadUint64(&r.Ports[port].queueRatioBits))
 }
@@ -169,8 +167,6 @@ func (r *Router) SetUtilization(port int, bps float64) {
 }
 
 // SpareCapacity returns capacity minus measured load of a port, floored at 0.
-//
-//mifo:hotpath
 func (r *Router) SpareCapacity(port int) float64 {
 	s := r.Ports[port].CapacityBps - math.Float64frombits(atomic.LoadUint64(&r.Ports[port].utilizedBits))
 	if s < 0 {
@@ -180,8 +176,6 @@ func (r *Router) SpareCapacity(port int) float64 {
 }
 
 // Congested reports whether a port's queue ratio crosses the threshold.
-//
-//mifo:hotpath
 func (r *Router) Congested(port int) bool {
 	return r.QueueRatio(port) >= r.CongestionThreshold
 }
@@ -228,8 +222,6 @@ type HopFunc func(p *Packet, h HopInfo)
 // DropExpired records a TTL-exhausted packet: transports that manage TTL
 // outside Forward (Network.Send, netd, packetsim) route the drop through
 // here so the Hop hook sees it like any other decision.
-//
-//mifo:hotpath
 func (r *Router) DropExpired(p *Packet, in int) Action {
 	act := Action{Verdict: VerdictDrop, Reason: DropTTL}
 	if r.Hop != nil {
@@ -244,8 +236,6 @@ func (r *Router) DropExpired(p *Packet, in int) Action {
 }
 
 // hopInfo seeds a HopInfo with the arrival-side context.
-//
-//mifo:hotpath
 func (r *Router) hopInfo(p *Packet, in int) HopInfo {
 	h := HopInfo{
 		Router: r.ID, AS: r.AS, In: in, InKind: Host, FromAS: r.AS,

@@ -8,16 +8,8 @@ import (
 	"testing"
 )
 
-func TestHotpathalloc(t *testing.T) {
-	checkCorpus(t, "hotpathalloc", Hotpath())
-}
-
-func TestObsnames(t *testing.T) {
-	checkCorpus(t, "obsnames", Obsnames(DefaultObsnamesConfig()))
-}
-
 func TestLocksafe(t *testing.T) {
-	checkCorpus(t, "locksafe", Locksafe(DefaultLocksafeConfig()))
+	checkCorpus(t, "locksafe", Locksafe())
 }
 
 func TestShadow(t *testing.T) {

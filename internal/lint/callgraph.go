@@ -23,8 +23,7 @@ import (
 //     back to the caller.
 //
 // The transitive closure runs over the recorded call edges, so
-// cross-package chains are judged without source-order coupling, the
-// same way hotpathalloc's budget works.
+// cross-package chains are judged without source-order coupling.
 
 const interpFactKey = "interproc"
 
@@ -257,7 +256,7 @@ func collectCall(info *types.Info, fi *funcInfo, call *ast.CallExpr) {
 	if fn == nil {
 		return
 	}
-	key, _, _, ok := calleeKeyOf(fn)
+	key, _, ok := calleeKeyOf(fn)
 	if !ok {
 		return
 	}

@@ -95,8 +95,8 @@ func (ci *corpusImporter) Import(path string) (*types.Package, error) {
 
 // loadCorpus parses and type-checks every package under
 // testdata/src/<root>, assigning each directory its src-relative slash
-// path as import path (so "testdata/src/obsnames/internal/obs" is the
-// package "obsnames/internal/obs", which path-suffix configs match).
+// path as import path (so "testdata/src/lifecycle/worker" is the package
+// "lifecycle/worker").
 func loadCorpus(t *testing.T, root string) []*Package {
 	t.Helper()
 	type rawPkg struct {
@@ -237,7 +237,7 @@ type wantExpect struct {
 func checkCorpus(t *testing.T, root string, analyzers ...*Analyzer) {
 	t.Helper()
 	pkgs := loadCorpus(t, root)
-	diags := Run(pkgs, analyzers)
+	diags, _ := Run(pkgs, analyzers)
 
 	var wants []*wantExpect
 	for _, pkg := range pkgs {

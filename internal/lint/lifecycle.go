@@ -113,7 +113,7 @@ func recordCloseSites(pass *Pass, facts *lifecycleFacts, info *types.Info, fd *a
 		if _, isNamed := namedType(res); !isNamed && !isFunc {
 			return true
 		}
-		key, pretty, _, ok := calleeKeyOf(fn)
+		key, pretty, ok := calleeKeyOf(fn)
 		if !ok {
 			return true
 		}

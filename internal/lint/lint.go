@@ -14,9 +14,6 @@
 //
 // Analyzers:
 //
-//   - hotpathalloc: functions annotated //mifo:hotpath do not format,
-//     allocate maps/slices, append to escaping slices, take locks, or
-//     call unannotated project functions.
 //   - droppederr: errors are not discarded via _ or unchecked
 //     Close/Flush/Sync calls.
 //   - shadow: an inner := does not split a variable whose outer value is
@@ -26,9 +23,6 @@
 //     barrier, and callers keep a path to the teardown.
 //   - locksafe: no sync.Mutex/RWMutex is held across a channel send, a
 //     generation Commit, or a blocking network/sleep call.
-//   - obsnames: metric names registered with internal/obs are snake_case
-//     literals with the owning component's prefix, registered at most
-//     once per name across the tree.
 //
 // lifecycle resolves through the interprocedural layer in callgraph.go:
 // per-function facts collected into State at Run time and closed
@@ -41,7 +35,7 @@
 //
 // The reason is mandatory: an ignore without one is itself a finding, and
 // a directive that no longer suppresses anything fails the repository's
-// ignore audit (TestIgnoreDirectivesJustified).
+// whole-tree test (TestRepositoryLintsClean).
 package lint
 
 import (
@@ -106,8 +100,7 @@ func NewInfo() *types.Info {
 }
 
 // State carries cross-package facts through one Run — the whole-tree
-// aggregation a per-package pass cannot do (e.g. obsnames' duplicate
-// registration check).
+// aggregation a per-package pass cannot do (lifecycle's call graph).
 type State struct {
 	mu sync.Mutex
 	m  map[string]any
@@ -156,9 +149,6 @@ type Analyzer struct {
 
 // IgnoreDirective is the comment prefix that suppresses a finding.
 const IgnoreDirective = "//mifolint:ignore"
-
-// HotpathDirective marks a function as hot-path in its doc comment.
-const HotpathDirective = "//mifo:hotpath"
 
 // ignoreRule is one parsed ignore directive.
 type ignoreRule struct {
@@ -233,18 +223,12 @@ type UnusedIgnore struct {
 }
 
 // Run applies every analyzer to every package and returns the surviving
-// findings sorted by position. Suppression directives are honored; a
-// malformed directive is itself a finding.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunWithIgnoreAudit(pkgs, analyzers)
-	return diags
-}
-
-// RunWithIgnoreAudit is Run plus a report of ignore directives that
-// suppressed nothing. Plain Run (which may see only part of the tree)
-// must not enforce unused-ignore hygiene — only the repository-wide test
-// does.
-func RunWithIgnoreAudit(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []UnusedIgnore) {
+// findings sorted by position, and the ignore directives that suppressed
+// nothing. Suppression directives are honored; a malformed directive is
+// itself a finding. An unused directive is not: a run over part of the
+// tree, or with part of the suite, leaves waivers unused legitimately, so
+// only the repository-wide test fails on them.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []UnusedIgnore) {
 	var mu sync.Mutex
 	var all []Diagnostic
 	report := func(d Diagnostic) {
@@ -310,9 +294,7 @@ func RunWithIgnoreAudit(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, [
 // Suite returns the default mifolint analyzer set, in reporting order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		Hotpath(),
-		Obsnames(DefaultObsnamesConfig()),
-		Locksafe(DefaultLocksafeConfig()),
+		Locksafe(),
 		Shadow(),
 		Droppederr(),
 		Lifecycle(),
@@ -365,11 +347,8 @@ func namedType(t types.Type) (*types.Named, bool) {
 }
 
 // typeIs reports whether t (possibly behind pointers) is the named type
-// pkgSuffix.typeName, where pkgSuffix matches the end of the import path
-// (so the same analyzer config works for "repro/internal/obs" and a
-// testdata corpus package called "obs"). Generic instantiations match
-// their origin type.
-func typeIs(t types.Type, pkgSuffix, typeName string) bool {
+// pkgPath.typeName. Generic instantiations match their origin type.
+func typeIs(t types.Type, pkgPath, typeName string) bool {
 	n, ok := namedType(t)
 	if !ok {
 		return false
@@ -378,19 +357,42 @@ func typeIs(t types.Type, pkgSuffix, typeName string) bool {
 		n = orig
 	}
 	obj := n.Obj()
-	if obj == nil || obj.Pkg() == nil || obj.Name() != typeName {
-		return false
-	}
-	return pathHasSuffix(obj.Pkg().Path(), pkgSuffix)
+	return obj != nil && obj.Pkg() != nil && obj.Name() == typeName && obj.Pkg().Path() == pkgPath
 }
 
-// pathHasSuffix matches whole path segments: "internal/obs" matches
-// "repro/internal/obs" but not "repro/internal/xobs".
-func pathHasSuffix(path, suffix string) bool {
-	if path == suffix {
-		return true
+// calleeFunc statically resolves a call to its declared *types.Func, or
+// nil for dynamic calls, builtins, and conversions.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
 	}
-	return strings.HasSuffix(path, "/"+suffix)
+	return nil
+}
+
+// calleeKeyOf builds the cross-package identity of a declared function:
+// the key "pkgpath\x00Recv.Name" and the pretty "Recv.Name".
+func calleeKeyOf(fn *types.Func) (key, pretty string, ok bool) {
+	if orig := fn.Origin(); orig != nil {
+		fn = orig
+	}
+	if fn.Pkg() == nil {
+		return "", "", false // builtins
+	}
+	name := fn.Name()
+	if sig, sok := fn.Type().(*types.Signature); sok && sig.Recv() != nil {
+		if n, nok := namedType(sig.Recv().Type()); nok {
+			if orig := n.Origin(); orig != nil {
+				n = orig
+			}
+			name = n.Obj().Name() + "." + name
+		}
+	}
+	return fn.Pkg().Path() + "\x00" + name, name, true
 }
 
 // exprString renders an expression for diagnostics.
@@ -405,18 +407,4 @@ func enclosingFunc(file *ast.File, pos token.Pos) *ast.FuncDecl {
 		}
 	}
 	return nil
-}
-
-// hasDirective reports whether the function's doc comment carries the
-// given directive (e.g. //mifo:hotpath).
-func hasDirective(fd *ast.FuncDecl, directive string) bool {
-	if fd == nil || fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(c.Text, directive) {
-			return true
-		}
-	}
-	return false
 }

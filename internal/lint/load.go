@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // The loader turns `go list -export -deps -json` output into type-checked
@@ -30,10 +29,6 @@ import (
 // data for test-only imports), so analyzers that opt in — lifecycle, and
 // the ignore-directive index — see test code too. External test packages
 // (package foo_test) are not loaded.
-//
-// Results are memoized per (dir, patterns) for the life of the process:
-// every analyzer, the self-lint test and the ignore-audit test share one
-// parse+typecheck of the tree instead of paying `go list -export` again.
 
 // listPkg is the subset of `go list -json` output the loader needs.
 type listPkg struct {
@@ -49,15 +44,6 @@ type listPkg struct {
 	Error       *struct{ Err string }
 }
 
-// loadCache memoizes Load results per (dir, patterns).
-var loadCache sync.Map // key string -> *loadEntry
-
-type loadEntry struct {
-	once sync.Once
-	pkgs []*Package
-	err  error
-}
-
 // Load lists patterns in dir (a directory inside the target module), then
 // parses and type-checks every non-dependency match, in-package test
 // files included.
@@ -65,20 +51,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		abs = dir
-	}
-	key := abs + "\x00" + strings.Join(patterns, "\x01")
-	e, _ := loadCache.LoadOrStore(key, &loadEntry{})
-	entry := e.(*loadEntry)
-	entry.once.Do(func() {
-		entry.pkgs, entry.err = loadUncached(dir, patterns)
-	})
-	return entry.pkgs, entry.err
-}
-
-func loadUncached(dir string, patterns []string) ([]*Package, error) {
 	targets, exports, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err

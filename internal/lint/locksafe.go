@@ -29,35 +29,21 @@ import (
 // and function literals are scanned as their own scopes (they do not
 // inherit the creator's locks, and a literal may run after Unlock).
 
-// LocksafeConfig parameterizes the locksafe analyzer.
-type LocksafeConfig struct {
-	// CommitMethods are method names that publish a staged generation.
-	CommitMethods []string
-	// BlockingPkgs are import paths whose calls count as blocking I/O.
-	BlockingPkgs []string
-}
-
-// DefaultLocksafeConfig covers the repository's transaction APIs.
-func DefaultLocksafeConfig() LocksafeConfig {
-	return LocksafeConfig{
-		CommitMethods: []string{"Commit"},
-		BlockingPkgs:  []string{"net", "net/http", "os/exec"},
-	}
-}
+// commitMethod is the name of the methods that publish a staged
+// generation (FIBTx.Commit and the route table's).
+const commitMethod = "Commit"
 
 // Locksafe returns the lock-scope analyzer.
-func Locksafe(cfg LocksafeConfig) *Analyzer {
-	a := &Analyzer{
+func Locksafe() *Analyzer {
+	return &Analyzer{
 		Name: "locksafe",
 		Doc:  "no mutex held across a channel send, a Commit, or a blocking call",
+		Run:  runLocksafe,
 	}
-	a.Run = func(pass *Pass) { runLocksafe(pass, cfg) }
-	return a
 }
 
 type lockScanner struct {
 	pass *Pass
-	cfg  LocksafeConfig
 	info *types.Info
 	// held maps the canonical receiver expression ("t.mu") to the
 	// position where the lock was taken.
@@ -67,14 +53,14 @@ type lockScanner struct {
 	nonblockingSends map[*ast.SendStmt]bool
 }
 
-func runLocksafe(pass *Pass, cfg LocksafeConfig) {
+func runLocksafe(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			scanLockScope(pass, cfg, fd.Body)
+			scanLockScope(pass, fd.Body)
 		}
 	}
 }
@@ -82,10 +68,9 @@ func runLocksafe(pass *Pass, cfg LocksafeConfig) {
 // scanLockScope analyzes one function scope (a declared body or a
 // function literal) with a fresh held-set, queueing inner literals as
 // their own scopes.
-func scanLockScope(pass *Pass, cfg LocksafeConfig, body *ast.BlockStmt) {
+func scanLockScope(pass *Pass, body *ast.BlockStmt) {
 	s := &lockScanner{
 		pass:             pass,
-		cfg:              cfg,
 		info:             pass.Pkg.TypesInfo,
 		held:             map[string]token.Pos{},
 		nonblockingSends: map[*ast.SendStmt]bool{},
@@ -93,7 +78,7 @@ func scanLockScope(pass *Pass, cfg LocksafeConfig, body *ast.BlockStmt) {
 	var inner []*ast.BlockStmt
 	s.scan(body, &inner)
 	for _, b := range inner {
-		scanLockScope(pass, cfg, b)
+		scanLockScope(pass, b)
 	}
 }
 
@@ -176,7 +161,7 @@ func (s *lockScanner) call(call *ast.CallExpr) {
 		return
 	}
 	name := fn.Name()
-	if lockRecvName(fn) != "" {
+	if isMutexMethod(fn) {
 		recv := ""
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			recv = exprString(sel.X)
@@ -189,19 +174,16 @@ func (s *lockScanner) call(call *ast.CallExpr) {
 		}
 		return
 	}
-	for _, commit := range s.cfg.CommitMethods {
-		if name == commit && isMethod(fn) {
-			s.reportHeld(call.Pos(), "call to "+exprString(call.Fun))
-			return
-		}
+	if name == commitMethod && isMethod(fn) {
+		s.reportHeld(call.Pos(), "call to "+exprString(call.Fun))
+		return
 	}
 	if pkg := fn.Pkg(); pkg != nil {
 		path := pkg.Path()
-		for _, bp := range s.cfg.BlockingPkgs {
-			if path == bp {
-				s.reportHeld(call.Pos(), "blocking call to "+exprString(call.Fun))
-				return
-			}
+		switch path {
+		case "net", "net/http", "os/exec": // blocking I/O
+			s.reportHeld(call.Pos(), "blocking call to "+exprString(call.Fun))
+			return
 		}
 		if path == "time" && name == "Sleep" {
 			s.reportHeld(call.Pos(), "time.Sleep")
@@ -212,6 +194,14 @@ func (s *lockScanner) call(call *ast.CallExpr) {
 			return
 		}
 	}
+}
+
+// isMutexMethod reports whether fn is a method on sync.Mutex or
+// sync.RWMutex.
+func isMutexMethod(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() != nil &&
+		(typeIs(sig.Recv().Type(), "sync", "Mutex") || typeIs(sig.Recv().Type(), "sync", "RWMutex"))
 }
 
 func isMethod(fn *types.Func) bool {

@@ -2,6 +2,8 @@ package netd
 
 import (
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,5 +103,27 @@ func testStatsInvariantUnderLoad(t *testing.T, single bool) {
 		if outcomes(ns) != ns.Received+ns.Injected {
 			t.Errorf("router %d violates the invariant: %+v", i, ns)
 		}
+	}
+
+	// /metrics names exactly the families the fabric and the daemons
+	// register: a renamed metric, or two sites aliasing one, changes it.
+	var exp strings.Builder
+	if err := f.Registry().WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	var families []string
+	for _, line := range strings.Split(exp.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, strings.Fields(rest)[0])
+		}
+	}
+	want := []string{
+		"core_daemon_epoch_seconds", "core_daemon_epochs_total", "core_fib_commit_seconds", "core_fib_generation",
+		"netd_deflected_total", "netd_delivered_total", "netd_deliveries_dropped_total", "netd_drops_total",
+		"netd_forwarded_total", "netd_injected_total", "netd_link_rate_bps", "netd_parse_errors_total",
+		"netd_process_seconds", "netd_received_total", "netd_send_errors_total",
+	}
+	if !slices.Equal(families, want) {
+		t.Errorf("/metrics families %v, want %v", families, want)
 	}
 }

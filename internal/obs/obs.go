@@ -16,6 +16,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -129,16 +130,22 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// register finds or creates a family, panicking on redefinition with a
-// different shape (same name, different type or labels is always a bug).
+// metricName is the form every metric name takes: lowercase snake_case
+// of at least two segments, the first naming the owning component
+// (netd_*, core_*). A '-' or '.' would not be valid Prometheus exposition.
+var metricName = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)+$`)
+
+// register finds or creates a family, panicking on a malformed name and
+// on redefinition with a different shape (same name, different type or
+// labels is always a bug).
 func (r *Registry) register(name, help string, typ metricType, labels []string, buckets []float64) *family {
-	if name == "" {
-		panic("obs: empty metric name")
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
+		if !metricName.MatchString(name) {
+			panic(fmt.Sprintf("obs: metric name %q is not snake_case with a component prefix", name))
+		}
 		f = &family{
 			name: name, help: help, typ: typ,
 			labels: append([]string(nil), labels...),

@@ -44,12 +44,24 @@ func TestVecLabelsResolveToDistinctSeries(t *testing.T) {
 func TestRegisterShapeConflictPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "")
-	defer func() {
-		if recover() == nil {
-			t.Error("re-registering x_total as a gauge should panic")
-		}
-	}()
-	r.Gauge("x_total", "")
+	for _, c := range []struct {
+		what     string
+		register func()
+	}{
+		{"re-registering x_total as a gauge", func() { r.Gauge("x_total", "") }},
+		{"a name with a '-'", func() { r.Counter("netd-drops_total", "") }},
+		{"a name with a '.'", func() { r.GaugeVec("core.fib_entries", "", "router") }},
+		{"a one-segment name", func() { r.Histogram("latency", "", nil) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", c.what)
+				}
+			}()
+			c.register()
+		}()
+	}
 }
 
 func TestVecWrongArityPanics(t *testing.T) {

@@ -33,8 +33,6 @@ type Context struct {
 }
 
 // Valid reports whether the context names a live span.
-//
-//mifo:hotpath
 func (c Context) Valid() bool { return c.Span != 0 }
 
 // Record is one finished span as drained from the rings and written to
@@ -57,9 +55,8 @@ type Record struct {
 	// roots).
 	ID     uint64 `json:"id"`
 	Parent uint64 `json:"parent,omitempty"`
-	// Name identifies the pipeline stage. It is always a compile-time
-	// literal registered at exactly one Start site (mifolint obsnames
-	// enforces this), so the analyzer's stage vocabulary is closed.
+	// Name identifies the pipeline stage: one snake_case literal per Start
+	// site (the table above), so the analyzer's stage vocabulary is closed.
 	Name string `json:"name"`
 	// Start and End are nanoseconds on the tracer's monotonic clock; the
 	// origin is the tracer's creation, so only differences are meaningful.
@@ -97,8 +94,6 @@ type Span struct {
 // Context returns the span's identity for parenting children. The zero
 // Span returns the zero Context, so children of a disabled span are
 // themselves roots-of-nothing and cost only the disabled-path check.
-//
-//mifo:hotpath
 func (s *Span) Context() Context { return Context{Trace: s.trace, Span: s.id} }
 
 // Tracer assigns span identities, timestamps spans on one monotonic
@@ -129,8 +124,6 @@ type Tracer struct {
 
 // Enabled reports whether Start records anything; it is the one-atomic-
 // load guard that keeps the disabled path at a few nanoseconds.
-//
-//mifo:hotpath
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 
 // SetEnabled turns recording on or off without tearing the tracer down.
@@ -142,8 +135,6 @@ func (t *Tracer) SetEnabled(on bool) {
 
 // now reads the tracer clock: the calibrated TSC when available, the
 // runtime monotonic clock otherwise (see clock.go).
-//
-//mifo:hotpath
 func (t *Tracer) now() int64 {
 	if t.clock != nil {
 		return t.clock()
@@ -163,8 +154,6 @@ func (t *Tracer) now() int64 {
 // StartRoot opens a root span: a new trace whose ID doubles as the trace
 // ID. node is the acting AS or router (-1 when not applicable). The
 // disabled check is in this wrapper so it inlines to one atomic load.
-//
-//mifo:hotpath
 func (t *Tracer) StartRoot(name string, node int32) Span {
 	if t == nil || !t.enabled.Load() {
 		return Span{}
@@ -175,8 +164,6 @@ func (t *Tracer) StartRoot(name string, node int32) Span {
 // Start opens a child span under parent. With an invalid (zero) parent it
 // opens a root, so call sites need not special-case the first span of a
 // causal chain.
-//
-//mifo:hotpath
 func (t *Tracer) Start(name string, parent Context, node int32) Span {
 	if t == nil || !t.enabled.Load() {
 		return Span{}
@@ -185,8 +172,6 @@ func (t *Tracer) Start(name string, parent Context, node int32) Span {
 }
 
 // startLive is the enabled half of Start (t known non-nil, recording on).
-//
-//mifo:hotpath
 func (t *Tracer) startLive(name string, parent Context, node int32) Span {
 	id := t.ids.Add(1)
 	trace := parent.Trace
@@ -205,8 +190,6 @@ func (t *Tracer) startLive(name string, parent Context, node int32) Span {
 // retries, and sheds the record (counted as dropped) rather than stall
 // the caller — route recomputation and FIB commits never block on their
 // own instrumentation.
-//
-//mifo:hotpath
 func (s *Span) End() {
 	if s.t == nil {
 		return
@@ -215,8 +198,6 @@ func (s *Span) End() {
 }
 
 // record is the enabled half of End.
-//
-//mifo:hotpath
 func (t *Tracer) record(s *Span) {
 	rec := Record{
 		Trace: s.trace, ID: s.id, Parent: s.parent, Name: s.name,

@@ -249,18 +249,22 @@ func TestReadRecordsRejectsDamage(t *testing.T) {
 // The acceptance criteria require a zero-allocation record path and a
 // near-free disabled path; these guards pin both.
 
+// TestRecordPathZeroAlloc counts allocations over 1,000 spans in one run,
+// so an amortized allocation does not round to zero per span.
 func TestRecordPathZeroAlloc(t *testing.T) {
 	tr := New(Options{Segments: 4, SegmentCap: 4096, Poll: time.Minute})
 	defer tr.Close()
 	parent := tr.StartRoot("test_alloc_root", 0)
 	defer parent.End()
 	pctx := parent.Context()
-	if got := testing.AllocsPerRun(200, func() {
-		s := tr.Start("test_alloc_child", pctx, 7)
-		s.A = 1
-		s.End()
+	if got := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			s := tr.Start("test_alloc_child", pctx, 7)
+			s.A = 1
+			s.End()
+		}
 	}); got != 0 {
-		t.Errorf("record path allocates %v per op, want 0", got)
+		t.Errorf("record path allocates %v times in 1000 spans, want 0", got)
 	}
 }
 

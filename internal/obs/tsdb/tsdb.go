@@ -13,7 +13,7 @@
 //
 // The sample path is the contract that makes the store usable from the
 // simulators' per-epoch hooks: one writer per series, no locks, no
-// allocation (//mifo:hotpath, enforced by mifolint). Points land in
+// allocation (TestSampleAllocFree). Points land in
 // ring.Words, the single-writer overwriting ring of internal/ring, so
 // concurrent readers snapshot consistent windows without ever blocking
 // the writer.
@@ -22,6 +22,7 @@ package tsdb
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -98,14 +99,19 @@ func (st *Store) SeriesVec(name, help string, labels ...string) *SeriesVec {
 	return &SeriesVec{fam: st.family(name, help, labels)}
 }
 
+// seriesName is the form every series name takes, the same as a metric
+// name's: lowercase snake_case of at least two segments, the first naming
+// the owning component.
+var seriesName = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)+$`)
+
 func (st *Store) family(name, help string, labels []string) *family {
-	if name == "" {
-		panic("tsdb: empty series name")
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	f, ok := st.fams[name]
 	if !ok {
+		if !seriesName.MatchString(name) {
+			panic(fmt.Sprintf("tsdb: series name %q is not snake_case with a component prefix", name))
+		}
 		f = &family{name: name, help: help, labels: labels, opt: st.opt, series: make(map[string]*Series)}
 		st.fams[name] = f
 		return f
@@ -226,8 +232,6 @@ func newSeries(name string, values []string, opt Options) *Series {
 // Sample records one point. Single writer per series; timestamps must be
 // non-decreasing (the store never reorders). The point is one ring put,
 // so the path is lock- and allocation-free.
-//
-//mifo:hotpath
 func (s *Series) Sample(ts int64, v float64) {
 	s.raw.Put(uint64(ts), math.Float64bits(v))
 }

@@ -92,8 +92,6 @@ func NewDrainer[T any](segments, segmentCap int, poll time.Duration, process fun
 // it counts backpressure, yields once to let the drain goroutine run,
 // retries, and sheds the whole group (counted) if the segment is still
 // full. A group larger than a segment can never fit and is shed at once.
-//
-//mifo:hotpath
 func (d *Drainer[T]) Offer(key uint64, h *T, rest []T) {
 	seg := &d.segs[jmix(key)&d.segMask]
 	if seg.TryPushN(h, rest) {

@@ -54,8 +54,6 @@ func (s *Segment[T]) Pending() uint64 { return s.w.Load() - s.r.Load() }
 // none of it. rest may be nil. It returns false without blocking when
 // the ring lacks room. Records are copied by assignment, so T may hold
 // pointers and strings.
-//
-//mifo:hotpath
 func (s *Segment[T]) TryPushN(h *T, rest []T) bool {
 	need := uint64(1 + len(rest))
 	if need > uint64(len(s.buf)) {
@@ -81,15 +79,12 @@ func (s *Segment[T]) TryPushN(h *T, rest []T) bool {
 
 // lock spins on the CAS latch. Producers hold it for a handful of plain
 // stores, so contention is bounded and brief.
-//
-//mifo:hotpath
 func (s *Segment[T]) lock() {
 	for !s.latch.CompareAndSwap(0, 1) {
 		runtime.Gosched()
 	}
 }
 
-//mifo:hotpath
 func (s *Segment[T]) unlock() { s.latch.Store(0) }
 
 // Drain invokes fn on every buffered record in place, then advances the
@@ -117,8 +112,6 @@ func ceilPow2(n int) int {
 
 // jmix spreads a key over 64 bits (splitmix64 finalizer) for segment
 // selection.
-//
-//mifo:hotpath
 func jmix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

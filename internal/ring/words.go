@@ -27,8 +27,6 @@ func (r *Words) Init(capacity, stride int) {
 }
 
 // Put writes one record. len(rec) must be the ring's stride.
-//
-//mifo:hotpath
 func (r *Words) Put(rec ...uint64) {
 	i := r.cur.Load()
 	base := (i & r.mask) * r.stride
