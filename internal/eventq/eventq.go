@@ -30,9 +30,9 @@ type Queue struct {
 	seq  uint64
 }
 
-// Len returns the number of pending (non-canceled) events still in the heap.
-// Canceled events that have not yet been popped are included in the count of
-// heap entries but are skipped by Pop; use Empty to test for live events.
+// Len returns the number of entries in the heap. Canceled events that have
+// not yet been popped are counted, though Pop skips them; use Empty to test
+// for live events.
 func (q *Queue) Len() int { return len(q.heap) }
 
 // Empty reports whether no live events remain.
@@ -50,6 +50,22 @@ func (q *Queue) Push(t float64, kind int, data any) *Event {
 	e.index = len(q.heap) - 1
 	q.up(e.index)
 	return e
+}
+
+// Reschedule moves a pending event to time t in place. The event takes the
+// next insertion sequence number, so events pop exactly as they would after
+// Cancel(e) and a Push of the same Kind and Data at t; but nothing is
+// allocated and no canceled entry is left behind. Rescheduling an event that
+// has been popped or canceled panics.
+func (q *Queue) Reschedule(e *Event, t float64) {
+	if e.canceled || e.index < 0 || e.index >= len(q.heap) || q.heap[e.index] != e {
+		panic("eventq: Reschedule of an event that is not pending")
+	}
+	e.Time = t
+	e.seq = q.seq
+	q.seq++
+	q.down(e.index)
+	q.up(e.index)
 }
 
 // Pop removes and returns the earliest live event, or nil if the queue is

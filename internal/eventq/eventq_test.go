@@ -164,6 +164,105 @@ func TestQuickConservation(t *testing.T) {
 	}
 }
 
+// TestRescheduleMatchesCancelPush runs random schedules on two queues. Each
+// keeps one movable handle: the first queue moves it with Reschedule, the
+// second with Cancel and a Push of the same kind and payload. Times come
+// from a small grid, so many events tie. Both queues must pop the same
+// (Time, Kind, Data) sequence, and the first must hold no canceled entry.
+func TestRescheduleMatchesCancelPush(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var a, b Queue
+		var ha, hb *Event // the movable handle on each queue, nil when not pending
+		now := 0.0
+		at := func() float64 { return now + float64(rng.Intn(8)) }
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				tm := at()
+				a.Push(tm, step, step)
+				b.Push(tm, step, step)
+			case op < 7:
+				tm := at()
+				if ha == nil {
+					ha = a.Push(tm, -1, "move")
+					hb = b.Push(tm, -1, "move")
+					continue
+				}
+				a.Reschedule(ha, tm)
+				b.Cancel(hb)
+				hb = b.Push(tm, -1, "move")
+			default:
+				ea, eb := a.Pop(), b.Pop()
+				if (ea == nil) != (eb == nil) {
+					t.Fatalf("seed %d step %d: pops %+v and %+v", seed, step, ea, eb)
+				}
+				if ea == nil {
+					continue
+				}
+				if ea.Time != eb.Time || ea.Kind != eb.Kind || ea.Data != eb.Data {
+					t.Fatalf("seed %d step %d: Reschedule queue popped (%v, %d, %v), Cancel+Push queue (%v, %d, %v)",
+						seed, step, ea.Time, ea.Kind, ea.Data, eb.Time, eb.Kind, eb.Data)
+				}
+				now = ea.Time
+				if ea == ha {
+					ha, hb = nil, nil
+				}
+			}
+			for _, e := range a.heap {
+				if e.canceled {
+					t.Fatalf("seed %d step %d: Reschedule left a canceled entry", seed, step)
+				}
+			}
+		}
+		for !b.Empty() {
+			ea, eb := a.Pop(), b.Pop()
+			if ea == nil || ea.Time != eb.Time || ea.Kind != eb.Kind || ea.Data != eb.Data {
+				t.Fatalf("seed %d drain: popped %+v and %+v", seed, ea, eb)
+			}
+		}
+		if a.Len() != 0 {
+			t.Fatalf("seed %d: Reschedule queue holds %d entries after the other drained", seed, a.Len())
+		}
+	}
+}
+
+func TestRescheduleAllocatesNothing(t *testing.T) {
+	var q Queue
+	e := q.Push(1, 0, nil)
+	for i := 0; i < 16; i++ {
+		q.Push(float64(i), 1, nil)
+	}
+	tm := 0.0
+	if n := testing.AllocsPerRun(1000, func() {
+		tm += 0.5
+		q.Reschedule(e, tm)
+	}); n != 0 {
+		t.Fatalf("Reschedule allocates %v times a call", n)
+	}
+}
+
+func TestReschedulePanicsUnlessPending(t *testing.T) {
+	var q Queue
+	popped := q.Push(1, 0, nil)
+	canceled := q.Push(2, 0, nil)
+	q.Push(3, 0, nil)
+	if q.Pop() != popped {
+		t.Fatal("first pop is not the earliest event")
+	}
+	q.Cancel(canceled)
+	for name, e := range map[string]*Event{"popped": popped, "canceled": canceled} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Reschedule of a %s event did not panic", name)
+				}
+			}()
+			q.Reschedule(e, 0)
+		}()
+	}
+}
+
 func BenchmarkPushPop(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var q Queue

@@ -1,6 +1,11 @@
 package netsim
 
-import "repro/internal/bgp"
+import (
+	"sort"
+
+	"repro/internal/bgp"
+	"repro/internal/topo"
+)
 
 // adaptFlow performs one MIFO control decision for a flow: return to a
 // decongested default path, or deflect away from the first congested egress
@@ -63,10 +68,7 @@ func (s *Sim) adaptFlow(st *flowState, table *bgp.Dest) bool {
 		for k := 0; k < st.switches; k++ {
 			expected *= switchDamping
 		}
-		// Entry bit at u: set when the packet entered from a customer or
-		// originated here.
-		bit := i == 0 || s.g.IsCustomer(u, st.path[i-1])
-		if newPath, claim, ok := s.bestAlternative(table, st.path, st.links, i, bit, expected); ok {
+		if newPath, claim, ok := s.bestAlternative(st, table, i, expected); ok {
 			if !st.onAlt {
 				st.trigLink = egress
 			}
@@ -100,41 +102,50 @@ const deflectGain = 1.1
 // switch distribution at one or two switches.
 const switchDamping = 1.6
 
-// bestAlternative selects the alternative path at hop i of the current
-// path (links are its link ids): among RIB entries other than the current
-// next hop, admissible under the valley-free check and loop-free after
-// splicing, pick the one with the best quality (probe: spliced-path
-// bottleneck spare; local-link: spare of the direct link). The winner must
-// beat the flow's expected rate by deflectGain. It returns the full new
-// path and the rate the flow can expect there (the quality estimate).
+// bestAlternative selects the alternative path at hop i of the flow's
+// current path: among RIB entries other than the current next hop,
+// admissible under the valley-free check and loop-free after splicing,
+// pick the one with the best quality (probe: spliced-path bottleneck
+// spare; local-link: spare of the direct link). The winner must beat the
+// flow's expected rate by deflectGain. It returns the full new path and
+// the rate the flow can expect there (the quality estimate).
 //
-// Candidates are spliced in Sim scratch (the RIB in ribBuf, the route from
-// u onward in cand, its link ids in candLinks) and only the winner is
-// copied out, so an epoch that moves no flow allocates nothing here.
-func (s *Sim) bestAlternative(table *bgp.Dest, path []int, links []int32, i int, bit bool, expected float64) ([]int, float64, bool) {
+// The RIB comes from the flow's memo (see exporters) as indices into u's
+// neighbour row, so a candidate's link id is linkOff[u] plus its index.
+// Candidates are spliced in Sim scratch (the route from u onward in cand,
+// its link ids in candLinks) and only the winner is copied out, so an
+// epoch that moves no flow allocates nothing here.
+func (s *Sim) bestAlternative(st *flowState, table *bgp.Dest, i int, expected float64) ([]int, float64, bool) {
+	path := st.path
 	u := path[i]
 	curNext := path[i+1]
 	// Never splice across a failed link: the border router's RIB entry may
 	// predate the failure, but its line card knows the link is down. The
 	// hops before u are the same for every candidate.
-	if s.crossesDead(links[:i]) {
+	if s.crossesDead(st.links[:i]) {
 		return nil, -1, false
 	}
 	found := false
 	bestSpare := -1.0
-	alts := bgp.RIBInto(s.g, table, u, s.ribBuf)
-	if alts != nil {
-		s.ribBuf = alts[:0]
-	}
-	for _, alt := range alts {
-		if int(alt.Via) == curNext {
+	bit, bitKnown := false, false
+	nbs := s.g.Neighbors(u)
+	for _, x := range s.exporters(st, table, i) {
+		via := int(nbs[x].AS)
+		if via == curNext {
 			continue
 		}
 		// Tag-check (Eq. 3): entered from customer, or exiting to customer.
-		if !bit && alt.Class != bgp.ClassCustomer {
-			continue
+		// The entry bit at u is set when the packet entered from a customer
+		// or originated here; it is looked up on first need.
+		if nbs[x].Rel != topo.Customer {
+			if !bitKnown {
+				bit, bitKnown = i == 0 || s.g.IsCustomer(u, path[i-1]), true
+			}
+			if !bit {
+				continue
+			}
 		}
-		l := s.linkID(u, int(alt.Via))
+		l := s.linkOff[u] + x
 		if s.util(l) >= s.cfg.CongestionThreshold {
 			continue // no point moving onto an equally congested link
 		}
@@ -142,7 +153,7 @@ func (s *Sim) bestAlternative(table *bgp.Dest, path []int, links []int32, i int,
 		if sp <= 0 || sp <= expected*deflectGain {
 			continue // not enough local headroom to be worth a switch
 		}
-		if !s.splice(path[:i], table, u, int(alt.Via)) {
+		if !s.splice(path[:i], table, u, via) {
 			continue // splicing would revisit an AS or cross a failed link
 		}
 		switch s.cfg.Quality {
@@ -168,6 +179,64 @@ func (s *Sim) bestAlternative(table *bgp.Dest, path []int, links []int32, i int,
 		return nil, -1, false
 	}
 	return joinPath(path[:i], s.bestCand), bestSpare, true
+}
+
+// exporterMemo is one flow's memo of the RIBs bestAlternative reads along
+// its current path: for hop i, the indices in path[i]'s neighbour row of
+// the neighbours that export a route to it, best-first. A hop is mined
+// once, on first read, with bgp.RIBInto. The memo belongs to one path and
+// one table: setPath drops it, and a read with another table re-mines.
+// adaptFlow is always handed the intact table, which no link event
+// changes, so within a path a hop's RIB never moves.
+type exporterMemo struct {
+	dest *bgp.Dest  // the table the hops were mined from; nil = none mined
+	hops []memoSpan // by hop of the path
+	idx  []int32    // the mined hops' indices, run after run
+}
+
+// memoSpan is one hop's run in exporterMemo.idx; lo < 0 until mined.
+type memoSpan struct{ lo, hi int32 }
+
+// recycled returns an empty memo that keeps m's buffers.
+func (m exporterMemo) recycled() exporterMemo {
+	return exporterMemo{hops: m.hops[:0], idx: m.idx[:0]}
+}
+
+// memoRead, when set, sees every memo read: the table, the deciding AS and
+// the indices bestAlternative is about to try. Tests set it.
+var memoRead func(table *bgp.Dest, u int, exporters []int32)
+
+// exporters returns hop i's exporters from st's memo (see exporterMemo),
+// mining them first if this path and table have not yet needed them.
+func (s *Sim) exporters(st *flowState, table *bgp.Dest, i int) []int32 {
+	m := &st.memo
+	if m.dest != table {
+		*m = m.recycled()
+		m.dest = table
+		for range st.path {
+			m.hops = append(m.hops, memoSpan{lo: -1})
+		}
+	}
+	h := &m.hops[i]
+	u := st.path[i]
+	if h.lo < 0 {
+		alts := bgp.RIBInto(s.g, table, u, s.ribBuf)
+		if alts != nil {
+			s.ribBuf = alts[:0]
+		}
+		nbs := s.g.Neighbors(u)
+		h.lo = int32(len(m.idx))
+		for _, alt := range alts {
+			x := sort.Search(len(nbs), func(k int) bool { return nbs[k].AS >= alt.Via })
+			m.idx = append(m.idx, int32(x))
+		}
+		h.hi = int32(len(m.idx))
+	}
+	ex := m.idx[h.lo:h.hi]
+	if memoRead != nil {
+		memoRead(table, u, ex)
+	}
+	return ex
 }
 
 // splice builds u's RIB route via the given neighbor in s.cand and its link
@@ -223,6 +292,7 @@ func (s *Sim) setPath(st *flowState, path []int, claim float64) {
 	}
 	st.path = path
 	st.links = s.pathLinks(path)
+	st.memo.dest = nil
 	for _, l := range st.links {
 		s.load[l] += claim
 	}

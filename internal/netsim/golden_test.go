@@ -22,6 +22,14 @@ var goldenOutcomes = map[Policy]uint64{
 	PolicyMIFO: 0xf26b52e9acccbb0f,
 }
 
+// goldenQualityOutcomes pin MIFO on goldenInput under the two ranking modes
+// goldenOutcomes does not run (it runs the default QualityProbe). All three
+// modes share bestAlternative's candidate loop.
+var goldenQualityOutcomes = map[Quality]uint64{
+	QualityLocalLink: 0xa0d69ad57053432c,
+	QualityFirst:     0x856c64ed4a2cc54d,
+}
+
 // goldenInput is a small congested run with one link of the busiest AS
 // failing and coming back while flows cross it.
 func goldenInput(t *testing.T) (*topo.Graph, []traffic.Flow, Config) {
@@ -109,6 +117,21 @@ func TestGoldenOutcomes(t *testing.T) {
 		if stream.Completed != completed || stream.UsedAlt != usedAlt || stream.Switches != switches || stream.Reroutes != reroutes {
 			t.Errorf("%v: RunStream completed=%d used_alt=%d switches=%d reroutes=%d, Run %d %d %d %d", pol,
 				stream.Completed, stream.UsedAlt, stream.Switches, stream.Reroutes, completed, usedAlt, switches, reroutes)
+		}
+	}
+}
+
+func TestGoldenQualityOutcomes(t *testing.T) {
+	g, flows, cfg := goldenInput(t)
+	cfg.Policy = PolicyMIFO
+	for _, q := range []Quality{QualityLocalLink, QualityFirst} {
+		cfg.Quality = q
+		res, err := Run(g, flows, cfg)
+		if err != nil {
+			t.Fatalf("quality %d: %v", q, err)
+		}
+		if got, want := outcomeHash(res), goldenQualityOutcomes[q]; got != want {
+			t.Errorf("quality %d: outcome hash %#016x, want %#016x", q, got, want)
 		}
 	}
 }

@@ -1,15 +1,52 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
+// refSim is the state referenceRates reads and writes: link-indexed
+// scratch and per-flow freeze marks, apart from Sim's, so that the oracle
+// stays the plain scan whatever the solver's layout.
+type refSim struct {
+	capac, load, residual []float64
+	count                 []int32
+	flowsOn               [][]int32
+	touched, active       []int32
+	flows                 []*refFlow
+}
+
+type refFlow struct {
+	links            []int32
+	rate             float64
+	fixed, withdrawn bool
+}
+
+// newRefSim copies the solver input out of s: capacities, active flows and
+// their links.
+func newRefSim(s *Sim) *refSim {
+	n := len(s.capac)
+	r := &refSim{
+		capac:    append([]float64(nil), s.capac...),
+		load:     make([]float64, n),
+		residual: make([]float64, n),
+		count:    make([]int32, n),
+		flowsOn:  make([][]int32, n),
+		active:   append([]int32(nil), s.active...),
+		flows:    make([]*refFlow, len(s.flows)),
+	}
+	for _, fi := range s.active {
+		r.flows[fi] = &refFlow{links: s.flows[fi].links, withdrawn: s.flows[fi].withdrawn}
+	}
+	return r
+}
+
 // referenceRates is the solver recomputeRates replaced: progressive filling
 // that finds each bottleneck by scanning every touched link. It is the
 // oracle the tournament tree must match bit for bit.
-func referenceRates(s *Sim) {
+func referenceRates(s *refSim) {
 	for _, l := range s.touched {
 		s.load[l] = 0
 	}
@@ -87,18 +124,19 @@ type fairInstance struct {
 	withdrawn []bool
 }
 
-// sim builds the part of a Sim the solver reads and writes.
+// sim builds the part of a Sim the solver reads and writes: capacities,
+// loads, the per-link position map (-1: no position) and the flows. The
+// dense scratch grows on the first solve.
 func (in fairInstance) sim() *Sim {
 	n := len(in.capac)
 	s := &Sim{
 		numLinks: n,
 		capac:    append([]float64(nil), in.capac...),
 		load:     make([]float64, n),
-		residual: make([]float64, n),
-		count:    make([]int32, n),
-		flowsOn:  make([][]int32, n),
 		pos:      make([]int32, n),
-		isDirty:  make([]bool, n),
+	}
+	for l := range s.pos {
+		s.pos[l] = -1
 	}
 	for i, p := range in.paths {
 		s.flows = append(s.flows, &flowState{links: p, withdrawn: in.withdrawn[i]})
@@ -107,42 +145,50 @@ func (in fairInstance) sim() *Sim {
 	return s
 }
 
+// solveAndCompare solves s with recomputeRates and a copy of its input
+// with referenceRates. It requires identical bits in every active flow's
+// rate and every link's load, and no link left holding a position.
+func solveAndCompare(t testing.TB, s *Sim, stage string, detail any) {
+	t.Helper()
+	want := newRefSim(s)
+	s.recomputeRates()
+	referenceRates(want)
+	for _, fi := range s.active {
+		if g, w := s.flows[fi].rate, want.flows[fi].rate; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: flow %d rate %v (%#x), reference %v (%#x)\n%+v",
+				stage, fi, g, math.Float64bits(g), w, math.Float64bits(w), detail)
+		}
+	}
+	for l := range s.load {
+		if g, w := s.load[l], want.load[l]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: link %d load %v (%#x), reference %v (%#x)\n%+v",
+				stage, l, g, math.Float64bits(g), w, math.Float64bits(w), detail)
+		}
+	}
+	for l, p := range s.pos {
+		if p != -1 {
+			t.Fatalf("%s: link %d keeps position %d after the solve", stage, l, p)
+		}
+	}
+}
+
 // checkAgainstReference solves the instance with both solvers and requires
 // identical bits in every rate and load; then it retires every other flow,
-// fails a link and solves again on the same Sims, so the lazily reset
-// scratch (touched, pos, tree, dirty marks) is exercised too.
+// fails a link and solves again on the same Sim, so the scratch reused
+// across solves (positions, tree, dirty marks) is exercised too.
 func checkAgainstReference(t testing.TB, in fairInstance) {
 	t.Helper()
-	got, want := in.sim(), in.sim()
-	compare := func(stage string) {
-		t.Helper()
-		got.recomputeRates()
-		referenceRates(want)
-		for i := range got.flows {
-			if g, w := got.flows[i].rate, want.flows[i].rate; math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("%s: flow %d rate %v (%#x), reference %v (%#x)\ninstance %+v",
-					stage, i, g, math.Float64bits(g), w, math.Float64bits(w), in)
-			}
-		}
-		for l := range got.load {
-			if g, w := got.load[l], want.load[l]; math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("%s: link %d load %v (%#x), reference %v (%#x)\ninstance %+v",
-					stage, l, g, math.Float64bits(g), w, math.Float64bits(w), in)
-			}
+	s := in.sim()
+	solveAndCompare(t, s, "first solve", in)
+	kept := s.active[:0]
+	for i, fi := range s.active {
+		if i%2 == 0 {
+			kept = append(kept, fi)
 		}
 	}
-	compare("first solve")
-	for _, s := range []*Sim{got, want} {
-		kept := s.active[:0]
-		for i, fi := range s.active {
-			if i%2 == 0 {
-				kept = append(kept, fi)
-			}
-		}
-		s.active = kept
-		s.capac[0] = 0
-	}
-	compare("after retiring flows and failing link 0")
+	s.active = kept
+	s.capac[0] = 0
+	solveAndCompare(t, s, "after retiring flows and failing link 0", in)
 }
 
 func TestFairShareMatchesReference(t *testing.T) {
@@ -160,6 +206,28 @@ func TestFairShareMatchesReference(t *testing.T) {
 		// Shares that only differ by rounding: 1e9/3 three ways.
 		"thirds": {capac: []float64{c, c / 3, c}, paths: [][]int32{{0, 1}, {0, 2}, {0}, {2, 1}},
 			withdrawn: make([]bool, 4)},
+
+		// The single-flow rule. Flow 0's kept link is link 0, which only
+		// it crosses; flow 1 keeps shared link 1 and leaves link 2 out.
+		"kept link single-flow": {capac: []float64{c / 2, c, c}, paths: [][]int32{{0, 1}, {1, 2}},
+			withdrawn: make([]bool, 2)},
+		// Flow 0 keeps dead link 1 and leaves dead link 3 out.
+		"dead single-flow link": {capac: []float64{c, 0, c, 0}, paths: [][]int32{{0, 1, 3}, {0, 2}},
+			withdrawn: make([]bool, 2)},
+		// Flow 0 crosses single-flow links 0 and 2, of equal capacity,
+		// before and after link 1, which three flows share. Link 0 and
+		// link 1 tie at 1e9/3; link 0 wins by position and freezes flow 0
+		// alone, so the other two get (1e9 - 1e9/3)/2, which is not
+		// 1e9/3. Keeping link 2 instead would let link 1 freeze all three
+		// at 1e9/3.
+		"equal singles around a shared link": {capac: []float64{c / 3, c, c / 3},
+			paths: [][]int32{{0, 1, 2}, {1}, {1}}, withdrawn: make([]bool, 3)},
+		// The same with equal capacities everywhere, and with the shared
+		// link numbered first.
+		"equal capacities": {capac: []float64{c, c, c}, paths: [][]int32{{0, 1, 2}, {1}},
+			withdrawn: make([]bool, 2)},
+		"shared link first": {capac: []float64{c / 3, c, c / 3}, paths: [][]int32{{1}, {0, 1, 2}, {1}},
+			withdrawn: make([]bool, 3)},
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) { checkAgainstReference(t, in) })
@@ -186,6 +254,72 @@ func TestFairShareMatchesReference(t *testing.T) {
 			in.withdrawn = append(in.withdrawn, rng.Intn(10) == 0)
 		}
 		checkAgainstReference(t, in)
+	}
+}
+
+// TestFairShareSequenceMatchesReference solves one Sim hundreds of times.
+// Between solves, flows arrive (into recycled slots too) and retire, paths
+// change, routes are withdrawn and restored, and links fail and recover.
+// Every solve must match referenceRates bit for bit, so scratch that one
+// solve leaves behind for the next (positions, tree, marks, lists) cannot
+// change an answer.
+func TestFairShareSequenceMatchesReference(t *testing.T) {
+	const c = 1e9
+	rng := rand.New(rand.NewSource(38))
+	capacities := []float64{c, c, c, c / 3, c / 7, c / 2}
+	in := fairInstance{capac: make([]float64, 48)}
+	for l := range in.capac {
+		in.capac[l] = capacities[rng.Intn(len(capacities))]
+	}
+	nominal := append([]float64(nil), in.capac...)
+	s := in.sim()
+	path := func() []int32 {
+		hops := 1 + rng.Intn(5)
+		p := make([]int32, hops)
+		for i, l := range rng.Perm(len(in.capac))[:hops] {
+			p[i] = int32(l)
+		}
+		return p
+	}
+	var free []int32
+	for solve := 0; solve < 400; solve++ {
+		for k := rng.Intn(4); k > 0; k-- {
+			st := &flowState{links: path(), withdrawn: rng.Intn(12) == 0}
+			if n := len(free); n > 0 {
+				s.flows[free[n-1]] = st
+				s.active = append(s.active, free[n-1])
+				free = free[:n-1]
+			} else {
+				s.flows = append(s.flows, st)
+				s.active = append(s.active, int32(len(s.flows)-1))
+			}
+		}
+		retire := rng.Intn(4)
+		if len(s.active) > 30 {
+			retire += 2
+		}
+		for ; retire > 0 && len(s.active) > 0; retire-- {
+			i := rng.Intn(len(s.active))
+			free = append(free, s.active[i])
+			s.active = append(s.active[:i], s.active[i+1:]...)
+		}
+		for k := rng.Intn(3); k > 0 && len(s.active) > 0; k-- {
+			st := s.flows[s.active[rng.Intn(len(s.active))]]
+			if rng.Intn(4) == 0 {
+				st.withdrawn = !st.withdrawn
+			} else {
+				st.links = path()
+			}
+		}
+		if rng.Intn(3) == 0 {
+			l := rng.Intn(len(s.capac))
+			if s.capac[l] > 0 {
+				s.capac[l] = 0
+			} else {
+				s.capac[l] = nominal[l]
+			}
+		}
+		solveAndCompare(t, s, fmt.Sprintf("solve %d", solve), fmt.Sprintf("%d active flows", len(s.active)))
 	}
 }
 

@@ -197,7 +197,9 @@ type flowState struct {
 	defPath []int   // default (BGP) path
 	rate    float64
 	left    float64 // bits remaining
-	fixed   bool    // scratch for max-min computation
+	// memo holds the alternatives bestAlternative mined on path; it stays
+	// with the slot when the flow retires, so its buffers are reused.
+	memo exporterMemo
 
 	onAlt    bool
 	usedAlt  bool
@@ -235,14 +237,20 @@ type Sim struct {
 	numLinks int
 	capac    []float64 // per-link capacity; 0 while failed
 	load     []float64 // allocated bits/s per directed link
-	residual []float64 // scratch for max-min
-	count    []int32   // scratch for max-min
-	flowsOn  [][]int32 // scratch: active flow indices per link
-	touched  []int32   // links referenced by active flows
-	pos      []int32   // scratch for max-min: a touched link's index in touched
-	tree     fairTree  // scratch for max-min: bottleneck selection (rates.go)
-	dirty    []int32   // scratch for max-min: links one round's freezes moved
-	isDirty  []bool    // scratch for max-min: link is in dirty
+	touched  []int32   // links referenced by active flows, by position
+	pos      []int32   // per link: its position in touched during a solve, -1 otherwise
+
+	// Max-min scratch, dense by position or active index (rates.go).
+	residual []float64 // by position
+	count    []int32   // by position: flows not yet frozen
+	flowPos  []int32   // positions of active flow a: flowPos[flowOff[a]:flowOff[a+1]]
+	flowOff  []int32
+	on       []int32 // active indices on position p: on[onOff[p]:onOff[p+1]]
+	onOff    []int32
+	rates    []float64 // by active index; < 0 until frozen
+	tree     fairTree  // bottleneck selection
+	dirty    []int32   // positions one round's freezes moved
+	marked   []bool    // by position: in dirty, or left out of the tree
 
 	// Failure state. repairedTab is the control plane's post-failure view:
 	// a clone of tab (sharing its per-destination tables) evolved by
@@ -273,7 +281,7 @@ type Sim struct {
 
 	// Candidate scratch for bestAlternative (adapt.go): most candidates
 	// lose, so they are built here and only a winner is copied out.
-	ribBuf    []bgp.Alt // the deciding AS's RIB
+	ribBuf    []bgp.Alt // a RIB being mined into a flow's memo
 	cand      []int     // the candidate being judged, from the deflection point on
 	bestCand  []int     // the best candidate so far, same form
 	candLinks []int32   // link ids of cand
@@ -513,7 +521,8 @@ func (s *Sim) pullNext() {
 		fi = int32(len(s.flows))
 		s.flows = append(s.flows, new(flowState))
 	}
-	*s.flows[fi] = flowState{Flow: f, ord: s.pulled, left: f.SizeBits, trigLink: -1}
+	st := s.flows[fi]
+	*st = flowState{Flow: f, ord: s.pulled, left: f.SizeBits, trigLink: -1, memo: st.memo.recycled()}
 	s.pulled++
 	s.queue.Push(f.Arrival, evArrival, fi)
 }
@@ -543,11 +552,10 @@ func (s *Sim) buildLinks() {
 		s.capac[i] = s.cfg.LinkCapacityBps
 	}
 	s.load = make([]float64, s.numLinks)
-	s.residual = make([]float64, s.numLinks)
-	s.count = make([]int32, s.numLinks)
-	s.flowsOn = make([][]int32, s.numLinks)
 	s.pos = make([]int32, s.numLinks)
-	s.isDirty = make([]bool, s.numLinks)
+	for i := range s.pos {
+		s.pos[i] = -1
+	}
 }
 
 // linkID returns the id of the directed link v -> u. u must be a neighbor.
@@ -688,11 +696,9 @@ func (s *Sim) handleEpoch() {
 }
 
 // afterTopologyChange recomputes fair rates and reschedules the next
-// completion event.
+// completion event, in place when one is pending.
 func (s *Sim) afterTopologyChange() {
 	s.recomputeRates()
-	s.queue.Cancel(s.compEvt)
-	s.compEvt = nil
 	next := -1.0
 	for _, fi := range s.active {
 		st := s.flows[fi]
@@ -704,7 +710,13 @@ func (s *Sim) afterTopologyChange() {
 			next = t
 		}
 	}
-	if next >= 0 {
+	switch {
+	case next < 0:
+		s.queue.Cancel(s.compEvt)
+		s.compEvt = nil
+	case s.compEvt != nil:
+		s.queue.Reschedule(s.compEvt, next)
+	default:
 		s.compEvt = s.queue.Push(next, evCompletion, nil)
 	}
 }
