@@ -13,15 +13,20 @@ import (
 
 // cutRows is the failed-link filter of one link event: for every endpoint
 // of a failed link, its Customers, Peers and Providers rows (indexed by
-// topo.Rel) without the neighbours it has lost. Every other AS reads its
-// rows off the intact graph, so repair never needs the cut graph built. A
-// Table keeps one and refills it per event.
+// topo.Rel) and its CustomerRanks row (at rankRow) without the neighbours
+// it has lost. Every other AS reads its rows off the intact graph, so
+// repair never needs the cut graph built. A Table keeps one and refills it
+// per event.
 type cutRows struct {
 	ends []uint64 // bitset over ASes: set for the ASes that have filtered rows
 	at   map[int32]int32
 	ases []int32 // the ASes that have filtered rows, rows[i] being ases[i]'s
-	rows [][3][]int32
+	rows [][4][]int32
 }
+
+// rankRow indexes an endpoint's filtered CustomerRanks among its cut rows;
+// the other three are indexed by topo.Rel. A stub's is empty.
+const rankRow = 3
 
 // reset refills c for the graph g without the links in failed.
 func (c *cutRows) reset(g *topo.Graph, failed map[topo.LinkRef]bool) {
@@ -33,20 +38,35 @@ func (c *cutRows) reset(g *topo.Graph, failed map[topo.LinkRef]bool) {
 	}
 	clear(c.at)
 	c.ases, c.rows = c.ases[:0], c.rows[:0]
+	order, rank := g.ProviderOrder(), g.ProviderRanks()
 	for l := range failed {
 		for _, v := range [2]int{l.A, l.B} {
 			if _, done := c.at[int32(v)]; done {
 				continue
 			}
-			// One array for the three rows, each cut to length so that it
+			// One array for the four rows, each cut to length so that it
 			// cannot grow into the next.
-			buf := make([]int32, 0, g.Degree(v))
+			var ranks []int32
+			if r := int(rank[v]); r < g.TailStart() {
+				ranks = g.CustomerRanks(r)
+			}
+			buf := make([]int32, 0, g.Degree(v)+len(ranks))
 			buf = appendLive(buf, g.Customers(v), v, failed)
 			nc := len(buf)
 			buf = appendLive(buf, g.Peers(v), v, failed)
 			np := len(buf)
 			buf = appendLive(buf, g.Providers(v), v, failed)
-			rows := [3][]int32{topo.Customer: buf[:nc:nc], topo.Peer: buf[nc:np:np], topo.Provider: buf[np:]}
+			nq := len(buf)
+			for _, rc := range ranks {
+				if !failed[normLinkRef(v, int(order[rc]))] {
+					buf = append(buf, rc)
+				}
+			}
+			nr := len(buf)
+			rows := [4][]int32{
+				topo.Customer: buf[:nc:nc], topo.Peer: buf[nc:np:np], topo.Provider: buf[np:nq:nq],
+				rankRow: buf[nq:nr:nr],
+			}
 			c.ends[v>>6] |= 1 << (v & 63)
 			c.at[int32(v)] = int32(len(c.rows))
 			c.ases, c.rows = append(c.ases, int32(v)), append(c.rows, rows)
@@ -66,7 +86,7 @@ func appendLive(buf, row []int32, v int, failed map[topo.LinkRef]bool) []int32 {
 
 // of returns v's filtered rows, or nil when v has lost no link and its rows
 // are the graph's.
-func (c *cutRows) of(v int32) *[3][]int32 {
+func (c *cutRows) of(v int32) *[4][]int32 {
 	if c.ends[v>>6]&(1<<(v&63)) == 0 {
 		return nil
 	}
@@ -404,7 +424,8 @@ func (sc *repairScratch) markChanged() {
 //     full, since their word is no longer on offer;
 //   - the same: the wave stops here.
 //
-// Stub customers are passed over: they read what the AS offers when their
+// The customers come as ranks, from CustomerRanks or an endpoint's cut
+// row, which leave out the stubs: they read what the AS offers when their
 // word is read. An unmarked AS keeps its word: its next hop offers what it
 // did, and any provider that now offers better has offered it. What a full
 // AS took from an offer before its visit is overwritten there.
@@ -431,7 +452,10 @@ func (sc *repairScratch) settle(v int32, full bool) {
 		w = sc.providerRoute(v)
 		sc.packed[r] = w
 	}
-	customers := sc.row(v, topo.Customer)
+	customers := sc.g.CustomerRanks(int(r))
+	if cut := sc.cut.of(v); cut != nil {
+		customers = cut[rankRow]
+	}
 	if len(customers) == 0 {
 		return
 	}
@@ -443,9 +467,8 @@ func (sc *repairScratch) settle(v int32, full bool) {
 			return
 		}
 		cand := routeWord(h+1, ClassProvider, v)
-		for _, c := range customers {
-			rc := sc.rank[c]
-			if int(rc) < len(sc.packed) && improves(sc.packed[rc], cand) {
+		for _, rc := range customers {
+			if improves(sc.packed[rc], cand) {
 				sc.packed[rc] = cand
 				if h+1 < length(sc.old[rc]) {
 					mark(sc.visit, rc)
@@ -453,8 +476,8 @@ func (sc *repairScratch) settle(v int32, full bool) {
 			}
 		}
 	case h > was:
-		for _, c := range customers {
-			if rc := sc.rank[c]; int(rc) < len(sc.packed) && sc.packed[rc]&nextMask == uint32(v+1) {
+		for _, rc := range customers {
+			if sc.packed[rc]&nextMask == uint32(v+1) {
 				mark(sc.full, rc)
 				mark(sc.visit, rc)
 			}

@@ -31,6 +31,69 @@ func repairOnce(g *topo.Graph, failed []topo.LinkRef, old *Dest, a, b int, up bo
 	return d, sc.visits
 }
 
+// TestCutRowsMatchRemoveLinks: an endpoint's four cut rows are its rows in
+// the graph RemoveLinks makes of the same failures — Customers, Peers,
+// Providers and, for an AS before the tail, CustomerRanks — and every other
+// AS has none. The rows share one array, so each must end at its capacity:
+// an append through one reallocates instead of writing the next.
+func TestCutRowsMatchRemoveLinks(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := topo.Generate(topo.GenConfig{N: 200 + rng.Intn(400), Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seed%2 == 0 {
+			g = shuffled(t, g, rng)
+		}
+		rank := g.ProviderRanks()
+		// The hub's links to a customer with customers of its own and to
+		// a stub, and random others.
+		hub := busiest(g, 1)[0]
+		var failed []topo.LinkRef
+		for _, stub := range []bool{false, true} {
+			if i := slices.IndexFunc(g.Customers(hub), func(c int32) bool { return int(rank[c]) >= g.TailStart() == stub }); i >= 0 {
+				failed = append(failed, normLinkRef(hub, int(g.Customers(hub)[i])))
+			}
+		}
+		if len(failed) < 2 {
+			t.Fatalf("seed %d: hub %d lacks a customer with customers or a stub customer", seed, hub)
+		}
+		all := linksOf(g)
+		for len(failed) < 12 {
+			failed = append(failed, all[rng.Intn(len(all))])
+		}
+		set := make(map[topo.LinkRef]bool, len(failed))
+		for _, l := range failed {
+			set[normLinkRef(l.A, l.B)] = true
+		}
+		var cut cutRows
+		cut.reset(g, set)
+		want := mustCut(t, g, failed)
+		for v := int32(0); int(v) < g.N(); v++ {
+			rows := cut.of(v)
+			if rows == nil {
+				if slices.ContainsFunc(failed, func(l topo.LinkRef) bool { return l.A == int(v) || l.B == int(v) }) {
+					t.Fatalf("seed %d: AS %d lost a link and has no cut rows", seed, v)
+				}
+				continue
+			}
+			var wantRanks []int32
+			if int(rank[v]) < g.TailStart() {
+				wantRanks = want.CustomerRanks(int(rank[v]))
+			}
+			for i, w := range [4][]int32{topo.Customer: want.Customers(int(v)), topo.Peer: want.Peers(int(v)), topo.Provider: want.Providers(int(v)), rankRow: wantRanks} {
+				if !slices.Equal(rows[i], w) {
+					t.Fatalf("seed %d: AS %d's cut row %d is %v, the cut graph's %v", seed, v, i, rows[i], w)
+				}
+				if cap(rows[i]) != len(rows[i]) {
+					t.Fatalf("seed %d: AS %d's cut row %d has len %d, cap %d", seed, v, i, len(rows[i]), cap(rows[i]))
+				}
+			}
+		}
+	}
+}
+
 func mustCut(t testing.TB, g *topo.Graph, failed []topo.LinkRef) *topo.Graph {
 	t.Helper()
 	cut, err := topo.RemoveLinks(g, failed)

@@ -15,14 +15,14 @@ type LinkRef struct {
 // link are ignored.
 //
 // Only the adjacency rows of the ASes named in remove are filtered; what
-// lies between two of them is copied in one piece, in the Neighbors arena
-// and in the relationship-grouped view alike. Rows stay sorted (filtering
-// preserves order) and removal cannot introduce a provider-customer cycle,
-// so no rebuild through Builder — and no re-sort or cycle check — is
-// needed. For the same reason g's provider-first order, ranks and tail stay
-// valid as they are: losing a provider leaves every AS still after those it
-// keeps, and losing a link gives no stub a customer, though a rebuild might
-// list them differently. The order and ranks are the only arrays the result
+// lies between two of them is copied in one piece, in the Neighbors arena,
+// the relationship-grouped view and the rank-space customer rows alike.
+// Rows stay sorted (filtering preserves order) and removal cannot introduce
+// a provider-customer cycle, so no rebuild through Builder — and no re-sort
+// or cycle check — is needed. For the same reason g's provider-first order,
+// ranks and tail stay valid as they are: losing a provider leaves every AS
+// still after those it keeps, and losing a link gives no stub a customer,
+// though a rebuild might list them differently. The order and ranks are the only arrays the result
 // shares with g; no Graph ever writes them. The error return is kept for
 // call-site compatibility; it is always nil.
 func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
@@ -30,6 +30,7 @@ func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 	out := &Graph{order: g.order, rank: g.rank, tail: g.tail, pcLinks: g.pcLinks, peerLinks: g.peerLinks}
 	nbrCut := make([]rowCut, 0, 2*len(remove))
 	grpCut := make([]rowCut, 0, 2*len(remove))
+	var rankCut []rowCut
 	for _, l := range remove {
 		rel, ok := g.Rel(l.A, l.B)
 		if !ok {
@@ -38,6 +39,17 @@ func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 		a, b := int32(l.A), int32(l.B)
 		nbrCut = append(nbrCut, rowCut{a, b}, rowCut{b, a})
 		grpCut = append(grpCut, rowCut{int32(rel)*n + a, b}, rowCut{int32(rel.Invert())*n + b, a})
+		if rel != Peer {
+			p, c := a, b
+			if rel == Provider {
+				p, c = b, a
+			}
+			// A stub customer is in no rank row; any other is in its
+			// provider's, which ranks below it.
+			if g.rank[c] < g.tail {
+				rankCut = append(rankCut, rowCut{g.rank[p], g.rank[c]})
+			}
+		}
 	}
 	grpCut = sortedUnique(grpCut)
 	for _, c := range grpCut {
@@ -50,6 +62,7 @@ func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 	}
 	out.off, out.nbrs = dropEntries(g.off, g.nbrs, sortedUnique(nbrCut), func(nb Neighbor) int32 { return nb.AS })
 	out.goff, out.grp = dropEntries(g.goff, g.grp, grpCut, func(u int32) int32 { return u })
+	out.croff, out.crank = dropEntries(g.croff, g.crank, sortedUnique(rankCut), func(r int32) int32 { return r })
 	return out, nil
 }
 

@@ -5,9 +5,10 @@ import (
 	"hash/fnv"
 )
 
-// Fingerprint hashes the six arrays a Graph is made of — the offsets and
-// entries of the Neighbors arena and of the relationship-grouped view, and
-// the provider-first order and its ranks — up to their capacity. Only Builder.Build and
+// Fingerprint hashes the eight arrays a Graph is made of — the offsets and
+// entries of the Neighbors arena, of the relationship-grouped view and of
+// the rank-space customer rows, and the provider-first order and its
+// ranks — up to their capacity. Only Builder.Build and
 // RemoveLinks write them, and neither writes a graph it has returned, so a
 // consumer of the accessors must leave the fingerprint of every graph it
 // is handed where it found it (TestGraphFrozenAcrossConsumers).
@@ -35,6 +36,12 @@ func Fingerprint(g *Graph) uint64 {
 		put(x)
 	}
 	for _, x := range g.rank[:cap(g.rank)] {
+		put(x)
+	}
+	for _, x := range g.croff[:cap(g.croff)] {
+		put(x)
+	}
+	for _, x := range g.crank[:cap(g.crank)] {
 		put(x)
 	}
 	return h.Sum64()

@@ -54,6 +54,7 @@ func requireSameGraph(t *testing.T, got, want *Graph) {
 	}
 	requireGroupedMatchesNeighbors(t, got)
 	requireProviderOrder(t, got)
+	requireCustomerRanks(t, got)
 }
 
 func TestGroupedViewMatchesNeighbors(t *testing.T) {
@@ -159,13 +160,35 @@ func TestRemoveLinksMatchesRebuild(t *testing.T) {
 		requireSameGraph(t, got, want)
 		requireSameGraph(t, g, before) // the source is only read
 
+		// got keeps g's order, so its rank rows are the rebuild's customer
+		// rows less the ASes in g's tail, in got's ranks.
+		order, rank := got.ProviderOrder(), got.ProviderRanks()
+		for r := 0; r < got.TailStart(); r++ {
+			v := int(order[r])
+			var gotRow, wantRow []int32
+			for _, rc := range got.CustomerRanks(r) {
+				gotRow = append(gotRow, order[rc])
+			}
+			for _, c := range want.Customers(v) {
+				if int(rank[c]) < got.TailStart() {
+					wantRow = append(wantRow, c)
+				}
+			}
+			slices.Sort(gotRow)
+			if !slices.Equal(gotRow, wantRow) {
+				t.Fatalf("seed %d: AS %d's rank row holds ASes %v, the rebuild's customers before the tail are %v", seed, v, gotRow, wantRow)
+			}
+		}
+
 		// Even a copy that cuts nothing has adjacency arrays of its own; it
 		// shares only the provider-first order and its ranks, which removal
 		// leaves valid and no Graph writes.
 		if unsafe.SliceData(before.off) == unsafe.SliceData(g.off) ||
 			unsafe.SliceData(before.nbrs) == unsafe.SliceData(g.nbrs) ||
 			unsafe.SliceData(before.goff) == unsafe.SliceData(g.goff) ||
-			unsafe.SliceData(before.grp) == unsafe.SliceData(g.grp) {
+			unsafe.SliceData(before.grp) == unsafe.SliceData(g.grp) ||
+			unsafe.SliceData(before.croff) == unsafe.SliceData(g.croff) ||
+			unsafe.SliceData(before.crank) == unsafe.SliceData(g.crank) {
 			t.Fatal("RemoveLinks returned a graph that shares an adjacency array with its source")
 		}
 		if unsafe.SliceData(got.order) != unsafe.SliceData(g.order) || unsafe.SliceData(got.rank) != unsafe.SliceData(g.rank) || got.tail != g.tail {
@@ -193,6 +216,9 @@ func TestAccessorsClipCapacity(t *testing.T) {
 		rows := map[string][]int32{
 			"Customers": g.Customers(v), "Peers": g.Peers(v), "Providers": g.Providers(v),
 			"Related(Customer)": g.Related(v, Customer), "Related(Peer)": g.Related(v, Peer), "Related(Provider)": g.Related(v, Provider),
+		}
+		if r := int(g.ProviderRanks()[v]); r < g.TailStart() {
+			rows["CustomerRanks"] = g.CustomerRanks(r)
 		}
 		for name, row := range rows {
 			if cap(row) != len(row) {

@@ -68,6 +68,30 @@ func requireProviderOrder(tb testing.TB, g *Graph) {
 	}
 }
 
+// requireCustomerRanks holds CustomerRanks to its contract: for every rank
+// r below TailStart, the ranks of Customers(ProviderOrder()[r]) that are
+// below TailStart, ascending, in a row whose capacity is clipped.
+func requireCustomerRanks(tb testing.TB, g *Graph) {
+	tb.Helper()
+	order, rank := g.ProviderOrder(), g.ProviderRanks()
+	for r := 0; r < g.TailStart(); r++ {
+		var want []int32
+		for _, c := range g.Customers(int(order[r])) {
+			if int(rank[c]) < g.TailStart() {
+				want = append(want, rank[c])
+			}
+		}
+		slices.Sort(want)
+		got := g.CustomerRanks(r)
+		if !slices.Equal(got, want) {
+			tb.Fatalf("CustomerRanks(%d) of AS %d = %v, want %v (customers %v)", r, order[r], got, want, g.Customers(int(order[r])))
+		}
+		if cap(got) != len(got) {
+			tb.Fatalf("CustomerRanks(%d): len %d, cap %d", r, len(got), cap(got))
+		}
+	}
+}
+
 // lowestReadyFirst is the order Build promises, found the slow way: again
 // and again, the lowest-indexed unlisted AS whose providers are all listed,
 // passing over the stubs, which follow in index order.
@@ -216,6 +240,74 @@ func TestProviderOrder(t *testing.T) {
 	} {
 		if _, err := b.Build(); err == nil {
 			t.Error("Build accepted a provider-customer cycle")
+		}
+	}
+}
+
+// TestCustomerRanks: the rank-space customer rows hold their contract on
+// every way a Graph is made — Generate, Parse, a relabelling whose body
+// does not ascend, so that ranks and indices disagree, and RemoveLinks
+// cutting a provider-customer link between two ASes before the tail, a
+// stub's provider link and a peer link, each of which must drop exactly
+// the entries it names.
+func TestCustomerRanks(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := Generate(GenConfig{N: 50 + rng.Intn(800), Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireCustomerRanks(t, g)
+
+		var buf bytes.Buffer
+		if err := Write(&buf, g, nil); err != nil {
+			t.Fatal(err)
+		}
+		parsed, _, err := Parse(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireCustomerRanks(t, parsed)
+
+		rev := make([]int, g.N())
+		for v := range rev {
+			rev[v] = g.N() - 1 - v
+		}
+		reversed := relabel(t, g, rev)
+		if slices.IsSorted(reversed.ProviderOrder()[:reversed.TailStart()]) {
+			t.Fatalf("seed %d: the relabelled body ascends; the case tests nothing", seed)
+		}
+		requireCustomerRanks(t, reversed)
+
+		for _, h := range []*Graph{g, reversed} {
+			var body, stub, peer *LinkRef
+			rank, tail := h.ProviderRanks(), int32(h.TailStart())
+			for v := 0; v < h.N(); v++ {
+				for _, c := range h.Customers(v) {
+					if rank[c] < tail && body == nil {
+						body = &LinkRef{A: v, B: int(c)}
+					} else if rank[c] >= tail && stub == nil {
+						stub = &LinkRef{A: int(c), B: v} // named from the customer's side
+					}
+				}
+				if ps := h.Peers(v); len(ps) > 0 && peer == nil {
+					peer = &LinkRef{A: v, B: int(ps[0])}
+				}
+			}
+			if body == nil || stub == nil || peer == nil {
+				t.Fatalf("seed %d: no body link %v, stub link %v or peer link %v to cut", seed, body, stub, peer)
+			}
+			for i, cut := range [][]LinkRef{{*body}, {*stub}, {*peer}, {*peer, *stub, *body}} {
+				removed, err := RemoveLinks(h, cut)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireCustomerRanks(t, removed)
+				p := int(rank[body.A])
+				if got, was := len(removed.CustomerRanks(p)), len(h.CustomerRanks(p)); i == 0 && got != was-1 {
+					t.Fatalf("seed %d: cutting %v left AS %d %d customer ranks of %d", seed, *body, body.A, got, was)
+				}
+			}
 		}
 	}
 }
