@@ -120,7 +120,8 @@ fuzz:
 	$(GO) test ./internal/obs/span -fuzz FuzzReadRecords -fuzztime 30s
 	$(GO) test ./internal/bgp -fuzz FuzzIncrementalTable -fuzztime 30s
 	$(GO) test ./internal/bgp -fuzz FuzzCompactDest -fuzztime 30s
-	$(GO) test ./internal/netsim -fuzz FuzzFairShare -fuzztime 30s
+	$(GO) test ./internal/netsim -fuzz '^FuzzFairShare$$' -fuzztime 30s
+	$(GO) test ./internal/netsim -fuzz '^FuzzFairShareSequence$$' -fuzztime 30s
 	$(GO) test ./internal/obs/tsdb -fuzz FuzzReadDump -fuzztime 30s
 
 # Regenerate every figure at default scale into results/.

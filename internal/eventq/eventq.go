@@ -68,6 +68,23 @@ func (q *Queue) Reschedule(e *Event, t float64) {
 	q.up(e.index)
 }
 
+// Requeue schedules e, an event Pop returned, again at time t with the
+// payload data. It takes the next insertion sequence number, so events pop
+// exactly as after a Push of e's Kind and data at t; but nothing is
+// allocated. A simulator with one recurring event (the next arrival, the
+// next control epoch) keeps a single Event for it. Requeueing an event
+// that is pending or was canceled panics.
+func (q *Queue) Requeue(e *Event, t float64, data any) {
+	if e.canceled || e.index >= 0 {
+		panic("eventq: Requeue of an event that Pop did not return")
+	}
+	e.Time, e.Data, e.seq = t, data, q.seq
+	q.seq++
+	q.heap = append(q.heap, e)
+	e.index = len(q.heap) - 1
+	q.up(e.index)
+}
+
 // Pop removes and returns the earliest live event, or nil if the queue is
 // empty. Canceled events are discarded transparently.
 func (q *Queue) Pop() *Event {

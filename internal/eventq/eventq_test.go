@@ -227,6 +227,80 @@ func TestRescheduleMatchesCancelPush(t *testing.T) {
 	}
 }
 
+// TestRequeueMatchesPush runs random schedules on two queues. Each keeps
+// one recurring event: when it pops, the first queue requeues the same
+// Event, the second pushes a new one with the same kind and payload. Both
+// must pop the same (Time, Kind, Data) sequence, ties included.
+func TestRequeueMatchesPush(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var a, b Queue
+		now := 0.0
+		at := func() float64 { return now + float64(rng.Intn(8)) }
+		ha := a.Push(0, -1, 0)
+		b.Push(0, -1, 0)
+		for step := 1; step < 300; step++ {
+			if rng.Intn(10) < 5 {
+				tm := at()
+				a.Push(tm, step, step)
+				b.Push(tm, step, step)
+				continue
+			}
+			ea, eb := a.Pop(), b.Pop()
+			if ea == nil || eb == nil || ea.Time != eb.Time || ea.Kind != eb.Kind || ea.Data != eb.Data {
+				t.Fatalf("seed %d step %d: Requeue queue popped %+v, Push queue %+v", seed, step, ea, eb)
+			}
+			now = ea.Time
+			if ea == ha {
+				tm := at()
+				a.Requeue(ha, tm, step)
+				b.Push(tm, -1, step)
+			}
+		}
+		for !b.Empty() {
+			ea, eb := a.Pop(), b.Pop()
+			if ea == nil || ea.Time != eb.Time || ea.Kind != eb.Kind || ea.Data != eb.Data {
+				t.Fatalf("seed %d drain: popped %+v and %+v", seed, ea, eb)
+			}
+		}
+	}
+}
+
+func TestRequeueRejectsPendingAndCanceled(t *testing.T) {
+	var q Queue
+	pending := q.Push(1, 0, nil)
+	canceled := q.Push(2, 0, nil)
+	q.Cancel(canceled)
+	for name, e := range map[string]*Event{"pending": pending, "canceled": canceled} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Requeue of a %s event did not panic", name)
+				}
+			}()
+			q.Requeue(e, 3, nil)
+		}()
+	}
+}
+
+func TestRequeueAllocatesNothing(t *testing.T) {
+	var q Queue
+	e := q.Push(0, 0, nil)
+	for i := 0; i < 16; i++ {
+		q.Push(float64(i), 1, nil)
+	}
+	tm := 0.0
+	if n := testing.AllocsPerRun(1000, func() {
+		for q.Pop() != e {
+		}
+		tm += 0.5
+		q.Requeue(e, tm, nil)
+		q.Push(tm+1, 1, nil)
+	}); n > 1 {
+		t.Fatalf("Requeue allocated: %v allocations a cycle, want only the Push", n)
+	}
+}
+
 func TestRescheduleAllocatesNothing(t *testing.T) {
 	var q Queue
 	e := q.Push(1, 0, nil)

@@ -144,6 +144,12 @@ func TestFig9Stability(t *testing.T) {
 	if f.AtMostTwiceFraction < 0.6 {
 		t.Errorf("at-most-twice = %v, want stability-dominated distribution", f.AtMostTwiceFraction)
 	}
+	// A flow's first switch is a deflection, so both histograms count
+	// the same flows; returns only add to the switch counts.
+	if f.Switches.Total() != f.Histogram.Total() || f.SwitchesOnceFraction > f.OnceFraction {
+		t.Errorf("switches over %d flows (once %v), deflections over %d (once %v)",
+			f.Switches.Total(), f.SwitchesOnceFraction, f.Histogram.Total(), f.OnceFraction)
+	}
 }
 
 func TestOptionsDefaults(t *testing.T) {

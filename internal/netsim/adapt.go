@@ -84,6 +84,7 @@ func (s *Sim) adaptFlow(st *flowState, table *bgp.Dest) bool {
 			st.onAlt = true
 			st.usedAlt = true
 			st.switches++
+			st.deflections++
 			s.recordFlowPath(st, i)
 			return true
 		}
@@ -291,7 +292,7 @@ func (s *Sim) setPath(st *flowState, path []int, claim float64) {
 		}
 	}
 	st.path = path
-	st.links = s.pathLinks(path)
+	s.relink(st, s.appendPathLinks(st.links[:0], path))
 	st.memo.dest = nil
 	for _, l := range st.links {
 		s.load[l] += claim
@@ -324,9 +325,10 @@ func (s *Sim) miroChoose(st *flowState, table *bgp.Dest) {
 	}
 	if bestPath != nil {
 		st.path = bestPath
-		st.links = s.pathLinks(bestPath)
+		st.links = s.appendPathLinks(st.links[:0], bestPath)
 		st.usedAlt = true
 		st.switches++
+		st.deflections++
 	}
 }
 

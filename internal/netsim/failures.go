@@ -20,8 +20,8 @@ type LinkFailure struct {
 // data plane immediately (a dead egress is the ultimate congestion signal);
 // everything else waits for control-plane reconvergence.
 func (s *Sim) handleFail(f LinkFailure) {
-	s.capac[s.linkID(f.A, f.B)] = 0
-	s.capac[s.linkID(f.B, f.A)] = 0
+	s.setCapacity(s.linkID(f.A, f.B), 0)
+	s.setCapacity(s.linkID(f.B, f.A), 0)
 	if s.repairedTab == nil {
 		s.repairedTab = s.tab.Clone()
 	}
@@ -48,8 +48,8 @@ func (s *Sim) handleFail(f LinkFailure) {
 // handleRecover restores the link and schedules control-plane convergence
 // back to the original best paths.
 func (s *Sim) handleRecover(f LinkFailure) {
-	s.capac[s.linkID(f.A, f.B)] = s.cfg.LinkCapacityBps
-	s.capac[s.linkID(f.B, f.A)] = s.cfg.LinkCapacityBps
+	s.setCapacity(s.linkID(f.A, f.B), s.cfg.LinkCapacityBps)
+	s.setCapacity(s.linkID(f.B, f.A), s.cfg.LinkCapacityBps)
 	if s.repairedTab != nil {
 		s.linkUpRepair(f)
 	}
@@ -79,7 +79,7 @@ func (s *Sim) handleReconverge(fi int) {
 		// flow stays black-holed until a later reconvergence (triggered
 		// by recovery) restores one.
 		if !st.withdrawn {
-			st.withdrawn = true
+			s.setWithdrawn(st, true)
 			s.afterTopologyChange()
 		}
 		return
@@ -90,8 +90,8 @@ func (s *Sim) handleReconverge(fi int) {
 		return
 	}
 	newPath := append([]int(nil), walked...) // escaping: flow state keeps it
-	st.withdrawn = false
 	s.setPath(st, newPath, st.rate)
+	s.setWithdrawn(st, false)
 	st.reroutes++
 	// The repaired route is the flow's default until topology changes back.
 	st.defPath = newPath

@@ -84,14 +84,27 @@ func (r *Results) OffloadedBits() float64 {
 	return total
 }
 
-// SwitchHistogram returns the distribution of path-switch counts over the
-// flows that switched at least once (Fig. 9 reports "of the flows that
-// switched, 67.7% switched only once").
+// SwitchHistogram returns the distribution of path-switch counts
+// (deflections plus returns) over the flows that switched at least once.
 func (r *Results) SwitchHistogram() *metrics.Histogram {
 	h := metrics.NewHistogram()
 	for i := range r.Flows {
 		if r.Flows[i].Switches > 0 {
 			h.Add(r.Flows[i].Switches)
+		}
+	}
+	return h
+}
+
+// DeflectionHistogram returns the distribution of deflection counts over
+// the flows that deflected at least once: Fig. 9's count (the paper
+// reports that of the flows that switched paths, 67.7% switched only
+// once).
+func (r *Results) DeflectionHistogram() *metrics.Histogram {
+	h := metrics.NewHistogram()
+	for i := range r.Flows {
+		if r.Flows[i].Deflections > 0 {
+			h.Add(r.Flows[i].Deflections)
 		}
 	}
 	return h

@@ -16,6 +16,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/audit"
@@ -165,18 +166,16 @@ type FlowResult struct {
 	Finish float64
 	// ThroughputBps is SizeBits / (Finish - Arrival).
 	ThroughputBps float64
-	// Switches counts path switches (deflections plus returns), Fig. 9.
+	// Switches counts path switches (deflections plus returns).
 	Switches int
-	// UsedAlt reports whether the flow ever traveled an alternative path
-	// (Fig. 8's offload metric).
-	UsedAlt bool
+	// Deflections counts the switches onto an alternative path: MIFO's
+	// deflections (returns to the default path are not counted) and MIRO's
+	// choice of an alternate at flow start. Fig. 9 counts these.
+	Deflections int
 	// OffloadedBits is the traffic the flow transferred while deflected
 	// onto an alternative path (MIFO data-plane offload; MIRO's
 	// control-plane choice is not counted — see advance).
 	OffloadedBits float64
-	// Unroutable marks flows whose source had no BGP route to the
-	// destination; they carry zero throughput.
-	Unroutable bool
 
 	// StalledTime is the total time the flow spent at zero rate (e.g.
 	// black-holed behind a failed link awaiting reconvergence).
@@ -184,6 +183,13 @@ type FlowResult struct {
 	// Reroutes counts control-plane path repairs after failures
 	// (distinct from MIFO's data-plane Switches).
 	Reroutes int
+
+	// UsedAlt reports whether the flow ever traveled an alternative path
+	// (Fig. 8's offload metric).
+	UsedAlt bool
+	// Unroutable marks flows whose source had no BGP route to the
+	// destination; they carry zero throughput.
+	Unroutable bool
 	// Stalled marks flows that never completed (dead path, no recovery).
 	Stalled bool
 }
@@ -192,8 +198,9 @@ type FlowResult struct {
 type flowState struct {
 	traffic.Flow
 	ord     int     // position in the arrival stream (0 = first flow pulled)
+	fi      int32   // its slot in Sim.flows
 	path    []int   // current AS path
-	links   []int32 // directed link ids of path
+	links   []int32 // directed link ids of path; the array stays with the slot
 	defPath []int   // default (BGP) path
 	rate    float64
 	left    float64 // bits remaining
@@ -201,10 +208,11 @@ type flowState struct {
 	// with the slot when the flow retires, so its buffers are reused.
 	memo exporterMemo
 
-	onAlt    bool
-	usedAlt  bool
-	switches int
-	trigLink int32 // link whose congestion pushed the flow off the default
+	onAlt       bool
+	usedAlt     bool
+	switches    int // feeds switchDamping
+	deflections int
+	trigLink    int32 // link whose congestion pushed the flow off the default
 	// offloadBits accumulates the bits the flow transferred while
 	// deflected (MIFO only; see advance).
 	offloadBits float64
@@ -235,22 +243,10 @@ type Sim struct {
 	// in g.Neighbors(v).
 	linkOff  []int32
 	numLinks int
-	capac    []float64 // per-link capacity; 0 while failed
+	capac    []float64 // per-link capacity; 0 while failed (set through setCapacity)
 	load     []float64 // allocated bits/s per directed link
-	touched  []int32   // links referenced by active flows, by position
-	pos      []int32   // per link: its position in touched during a solve, -1 otherwise
 
-	// Max-min scratch, dense by position or active index (rates.go).
-	residual []float64 // by position
-	count    []int32   // by position: flows not yet frozen
-	flowPos  []int32   // positions of active flow a: flowPos[flowOff[a]:flowOff[a+1]]
-	flowOff  []int32
-	on       []int32 // active indices on position p: on[onOff[p]:onOff[p+1]]
-	onOff    []int32
-	rates    []float64 // by active index; < 0 until frozen
-	tree     fairTree  // bottleneck selection
-	dirty    []int32   // positions one round's freezes moved
-	marked   []bool    // by position: in dirty, or left out of the tree
+	fair fairShare // the max-min solver's membership and last solve (rates.go)
 
 	// Failure state. repairedTab is the control plane's post-failure view:
 	// a clone of tab (sharing its per-destination tables) evolved by
@@ -271,6 +267,10 @@ type Sim struct {
 	now     float64
 	compEvt *eventq.Event
 	epochOn bool
+	// The next arrival and the next control epoch are each one recurring
+	// event, requeued once it has popped.
+	arrivalEvt *eventq.Event
+	epochEvt   *eventq.Event
 
 	miroAlts map[int64][]miro.Alternate // memoized per (src,dst)
 
@@ -381,6 +381,7 @@ func (st *flowState) result() FlowResult {
 		Flow:          st.Flow,
 		Finish:        st.finish,
 		Switches:      st.switches,
+		Deflections:   st.deflections,
 		UsedAlt:       st.usedAlt,
 		OffloadedBits: st.offloadBits,
 		Unroutable:    st.unroutable,
@@ -522,9 +523,13 @@ func (s *Sim) pullNext() {
 		s.flows = append(s.flows, new(flowState))
 	}
 	st := s.flows[fi]
-	*st = flowState{Flow: f, ord: s.pulled, left: f.SizeBits, trigLink: -1, memo: st.memo.recycled()}
+	*st = flowState{Flow: f, ord: s.pulled, fi: fi, links: st.links[:0], left: f.SizeBits, trigLink: -1, memo: st.memo.recycled()}
 	s.pulled++
-	s.queue.Push(f.Arrival, evArrival, fi)
+	if s.arrivalEvt == nil {
+		s.arrivalEvt = s.queue.Push(f.Arrival, evArrival, fi)
+	} else {
+		s.queue.Requeue(s.arrivalEvt, f.Arrival, fi) // the last arrival has popped
+	}
 }
 
 // retire hands a finished flow to the sink and recycles its slot. Any
@@ -552,10 +557,7 @@ func (s *Sim) buildLinks() {
 		s.capac[i] = s.cfg.LinkCapacityBps
 	}
 	s.load = make([]float64, s.numLinks)
-	s.pos = make([]int32, s.numLinks)
-	for i := range s.pos {
-		s.pos[i] = -1
-	}
+	s.fair.init(s.numLinks)
 }
 
 // linkID returns the id of the directed link v -> u. u must be a neighbor.
@@ -615,7 +617,7 @@ func (s *Sim) handleArrival(fi int) {
 	}
 	st.defPath = table.ASPath(st.Src)
 	st.path = st.defPath
-	st.links = s.pathLinks(st.path)
+	st.links = s.appendPathLinks(st.links[:0], st.path)
 	s.recordFlowPath(st, -1) // the default install; adaptFlow records its own
 
 	switch s.cfg.Policy {
@@ -634,14 +636,13 @@ func (s *Sim) handleArrival(fi int) {
 		s.scheduleRepair(fi)
 	}
 
-	s.active = append(s.active, int32(fi))
+	s.activate(int32(fi))
 	if len(s.active) > s.peakActive {
 		s.peakActive = len(s.active)
 	}
 	s.afterTopologyChange()
 	if !s.epochOn && s.cfg.Policy == PolicyMIFO {
-		s.queue.Push(s.now+s.cfg.ControlInterval, evEpoch, nil)
-		s.epochOn = true
+		s.scheduleEpoch()
 	}
 }
 
@@ -656,6 +657,7 @@ func (s *Sim) handleCompletions() {
 			st.left = 0
 			st.finish = s.now
 			changed = true
+			s.leave(fi)
 			s.retire(fi)
 		} else {
 			kept = append(kept, fi)
@@ -690,9 +692,19 @@ func (s *Sim) handleEpoch() {
 	// pending (no arrival, completion, failure or recovery), the epoch
 	// chain must end or the simulation would spin forever.
 	if len(s.active) > 0 && !s.queue.Empty() {
-		s.queue.Push(s.now+s.cfg.ControlInterval, evEpoch, nil)
-		s.epochOn = true
+		s.scheduleEpoch()
 	}
+}
+
+// scheduleEpoch schedules the next control epoch; none is pending.
+func (s *Sim) scheduleEpoch() {
+	t := s.now + s.cfg.ControlInterval
+	if s.epochEvt == nil {
+		s.epochEvt = s.queue.Push(t, evEpoch, nil)
+	} else {
+		s.queue.Requeue(s.epochEvt, t, nil)
+	}
+	s.epochOn = true
 }
 
 // afterTopologyChange recomputes fair rates and reschedules the next
@@ -721,13 +733,9 @@ func (s *Sim) afterTopologyChange() {
 	}
 }
 
-// pathLinks maps an AS path to directed link ids.
-func (s *Sim) pathLinks(path []int) []int32 {
-	return s.appendPathLinks(make([]int32, 0, len(path)-1), path)
-}
-
 // appendPathLinks appends the path's directed link ids to links.
 func (s *Sim) appendPathLinks(links []int32, path []int) []int32 {
+	links = slices.Grow(links, len(path)-1)
 	for i := 0; i+1 < len(path); i++ {
 		links = append(links, s.linkID(path[i], path[i+1]))
 	}

@@ -373,6 +373,11 @@ func TestPhysicalInvariants(t *testing.T) {
 			if pol == PolicyBGP && (f.Switches != 0 || f.UsedAlt) {
 				t.Fatalf("BGP flow %d switched", f.ID)
 			}
+			// A switch is a deflection or a return, and a flow returns
+			// only from a deflection.
+			if d := f.Deflections; d > f.Switches || f.Switches-d > d || (d > 0) != f.UsedAlt {
+				t.Fatalf("%v flow %d: %d deflections, %d switches, used alt %v", pol, f.ID, d, f.Switches, f.UsedAlt)
+			}
 		}
 	}
 }
@@ -384,35 +389,27 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func BenchmarkRunMIFO(b *testing.B) {
-	g, err := topo.Generate(topo.GenConfig{N: 500, Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	flows, err := traffic.Uniform(traffic.UniformConfig{N: g.N(), Flows: 1000, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, flows, Config{Policy: PolicyMIFO}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkRunMIFO and BenchmarkRunBGP run the sim-flows input of the
+// benchmark harness (bench/, BENCHMARK.json): N = 400 seed 1, 1,200
+// uniform flows at 1,000/s seed 1, so a CPU profile taken here
+// (-cpuprofile) shows what that workload measures.
+func BenchmarkRunMIFO(b *testing.B) { benchmarkRun(b, PolicyMIFO) }
 
-func BenchmarkRunBGP(b *testing.B) {
-	g, err := topo.Generate(topo.GenConfig{N: 500, Seed: 2})
+func BenchmarkRunBGP(b *testing.B) { benchmarkRun(b, PolicyBGP) }
+
+func benchmarkRun(b *testing.B, pol Policy) {
+	g, err := topo.Generate(topo.GenConfig{N: 400, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	flows, err := traffic.Uniform(traffic.UniformConfig{N: g.N(), Flows: 1000, Seed: 3})
+	flows, err := traffic.Uniform(traffic.UniformConfig{N: g.N(), Flows: 1200, ArrivalRate: 1000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, flows, Config{Policy: PolicyBGP}); err != nil {
+		if _, err := Run(g, flows, Config{Policy: pol}); err != nil {
 			b.Fatal(err)
 		}
 	}
