@@ -21,13 +21,13 @@ vet:
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/netd
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/netd
 
-# mifolint: the repository's own analyzer suite (internal/lint), four
-# checks — lock-scope hygiene, shadowed variables, dropped errors and
-# goroutine lifecycle ownership; DESIGN.md "Static invariants" says why
-# each stays. It runs over the whole tree in one process, which
-# lifecycle's cross-package facts need, and reports its own wall time on
-# stderr. CI's lint job runs the same suite with -github. `make test` needs
-# no lint step: go test ./... runs the suite over the whole tree in
+# mifolint: the repository's own analyzer suite (internal/lint), three
+# checks — lock-scope hygiene, shadowed variables and dropped errors;
+# DESIGN.md "Static invariants" says why each stays. Goroutine ownership
+# is held by internal/leakcheck, which the TestMain of every package whose
+# tests start a goroutine owner runs. mifo-lint reports its own wall time
+# on stderr. CI's lint job runs the same suite with -github. `make test`
+# needs no lint step: go test ./... runs the suite over the whole tree in
 # internal/lint's TestRepositoryLintsClean.
 lint:
 	$(GO) run ./cmd/mifo-lint ./...

@@ -1,13 +1,14 @@
 // Command mifo-lint runs the mifolint analyzer suite (internal/lint):
-// lock-scope hygiene, shadowed variables, dropped errors and goroutine
-// lifecycle ownership (DESIGN.md "Static invariants" says why each stays).
+// lock-scope hygiene, shadowed variables and dropped errors (DESIGN.md
+// "Static invariants" says why each stays; goroutine ownership is held by
+// internal/leakcheck in the tests instead).
 //
 //	mifo-lint [-github] [-C dir] [packages...]
 //
 // It loads the named packages (default ./...) with go/types against
-// build-cache export data and analyzes them in one run, which lifecycle's
-// cross-package facts need. Exits 1 when findings remain. -github renders
-// them as GitHub Actions ::error annotations.
+// build-cache export data and analyzes them one package at a time. Exits 1
+// when findings remain. -github renders them as GitHub Actions ::error
+// annotations.
 package main
 
 import (

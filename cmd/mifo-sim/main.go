@@ -33,6 +33,11 @@ import (
 	"repro/internal/topo"
 )
 
+// validSample says whether v is a sampling fraction the flight recorder
+// honours: audit.Options.Sample reads zero, negatives and values past 1
+// as "every flow".
+func validSample(v float64) bool { return v > 0 && v <= 1 }
+
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "experiment: table1, fig5a, fig5b, fig5c, fig6a, fig6b, fig6c, fig7, fig8, fig9, resilience, strategy, overhead, errorbars, sensitivity, paperscale, fig12, fig12-packet, all")
@@ -54,6 +59,10 @@ func main() {
 		tsdbLog  = flag.String("tsdb-log", "", "dump per-link utilization/deflection/offload time series as JSONL here (analyse with mifo-inspect tsdb)")
 	)
 	flag.Parse()
+	if !validSample(*fltRate) {
+		fmt.Fprintf(os.Stderr, "mifo-sim: -flight-sample must be in (0, 1], got %v\n", *fltRate)
+		os.Exit(1)
+	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -114,6 +115,22 @@ func TestSameSeedSameBytes(t *testing.T) {
 		}
 		if len(first) == 0 || !bytes.Equal(first, second) {
 			t.Errorf("%s: %d bytes on the first run, %d on the second, not the same bytes", filepath.Base(a), len(first), len(second))
+		}
+	}
+}
+
+// -flight-sample takes a fraction in (0, 1]: 1 records every flow, and a
+// value the recorder would silently read as "every flow" is rejected.
+func TestFlightSampleRange(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		want bool
+	}{
+		{1, true}, {0.25, true}, {1e-9, true},
+		{0, false}, {-0.5, false}, {1.5, false}, {math.NaN(), false}, {math.Inf(1), false},
+	} {
+		if got := validSample(tc.v); got != tc.want {
+			t.Errorf("validSample(%v) = %v, want %v", tc.v, got, tc.want)
 		}
 	}
 }

@@ -1,0 +1,11 @@
+package audit
+
+import (
+	"testing"
+
+	"repro/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) {
+	leakcheck.Main(m)
+}

@@ -1,13 +1,50 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/dataplane"
+	"repro/internal/leakcheck"
 	"repro/internal/topo"
 )
+
+// Stop returns only once every daemon has left its control epoch: a
+// daemon still refreshing after Stop would rewrite FIBs its owner has let
+// go.
+func TestStopWaitsForDaemons(t *testing.T) {
+	g, err := topo.NewBuilder(3).AddPC(1, 0).AddPC(2, 0).AddPeer(1, 2).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDeployment(g, Config{})
+	d.InstallDestination(bgp.Compute(g, 0))
+	rt := NewRuntime(d, time.Millisecond)
+	// Hold the daemons at the start of their next epoch.
+	d.tablesMu.Lock()
+	rt.Start()
+	for !leakcheck.Parked("sync.RWMutex.RLock", "core.(*Deployment).Tables") {
+		runtime.Gosched()
+	}
+	stopped := make(chan struct{})
+	go func() {
+		rt.Stop()
+		close(stopped)
+	}()
+	for !leakcheck.Parked("sync.WaitGroup.Wait", "core.(*Runtime).Stop") {
+		select {
+		case <-stopped:
+			d.tablesMu.Unlock()
+			t.Fatal("Stop returned while a daemon was still in its control epoch")
+		default:
+			runtime.Gosched()
+		}
+	}
+	d.tablesMu.Unlock()
+	<-stopped
+}
 
 func TestRuntimeConvergesAltPorts(t *testing.T) {
 	// Fig. 2(c)-style setup: AS 0 with expanded routers, alternatives via

@@ -20,10 +20,6 @@ func TestDroppederr(t *testing.T) {
 	checkCorpus(t, "droppederr", Droppederr())
 }
 
-func TestLifecycle(t *testing.T) {
-	checkCorpus(t, "lifecycle", Lifecycle())
-}
-
 func TestIgnoreDirectives(t *testing.T) {
 	checkCorpus(t, "ignores", Droppederr())
 }

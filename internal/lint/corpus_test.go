@@ -95,8 +95,8 @@ func (ci *corpusImporter) Import(path string) (*types.Package, error) {
 
 // loadCorpus parses and type-checks every package under
 // testdata/src/<root>, assigning each directory its src-relative slash
-// path as import path (so "testdata/src/lifecycle/worker" is the package
-// "lifecycle/worker").
+// path as import path (so "testdata/src/locksafe/ls" is the package
+// "locksafe/ls").
 func loadCorpus(t *testing.T, root string) []*Package {
 	t.Helper()
 	type rawPkg struct {

@@ -18,15 +18,12 @@
 //     Close/Flush/Sync calls.
 //   - shadow: an inner := does not split a variable whose outer value is
 //     read again.
-//   - lifecycle: goroutine-spawning constructors expose a teardown, every
-//     Close/Stop/Shutdown of a goroutine-owning type reaches a drain
-//     barrier, and callers keep a path to the teardown.
 //   - locksafe: no sync.Mutex/RWMutex is held across a channel send, a
 //     generation Commit, or a blocking network/sleep call.
 //
-// lifecycle resolves through the interprocedural layer in callgraph.go:
-// per-function facts collected into State at Run time and closed
-// transitively at Finish time.
+// Goroutine ownership is held by the tests that start goroutines, not
+// by an analyzer: internal/leakcheck fails a package whose tests leave
+// one running.
 //
 // A finding can be suppressed — with a recorded justification — by a
 // directive on the offending line or the line above it:
@@ -45,7 +42,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Diagnostic is one finding, resolved to a file position.
@@ -67,24 +63,6 @@ type Package struct {
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
-	// TestFiles holds the package's in-package _test.go files, type-checked
-	// together with Files into the same Types/TypesInfo. Most analyzers
-	// walk only Files (test code may legitimately poke internals); the
-	// lifecycle analyzer also walks TestFiles, because tests leaking
-	// goroutines poison every race run after them.
-	TestFiles []*ast.File
-}
-
-// AllFiles returns source and test files as one slice, for analyses that
-// must see call sites in tests too.
-func (p *Package) AllFiles() []*ast.File {
-	if len(p.TestFiles) == 0 {
-		return p.Files
-	}
-	all := make([]*ast.File, 0, len(p.Files)+len(p.TestFiles))
-	all = append(all, p.Files...)
-	all = append(all, p.TestFiles...)
-	return all
 }
 
 // NewInfo returns a types.Info with every map analyzers rely on populated.
@@ -99,33 +77,10 @@ func NewInfo() *types.Info {
 	}
 }
 
-// State carries cross-package facts through one Run — the whole-tree
-// aggregation a per-package pass cannot do (lifecycle's call graph).
-type State struct {
-	mu sync.Mutex
-	m  map[string]any
-}
-
-// NewState returns an empty fact store.
-func NewState() *State { return &State{m: map[string]any{}} }
-
-// Get returns the fact under key, creating it with mk on first use.
-func (s *State) Get(key string, mk func() any) any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[key]
-	if !ok {
-		v = mk()
-		s.m[key] = v
-	}
-	return v
-}
-
 // Pass is one analyzer's view of one package.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	State    *State
 	report   func(Diagnostic)
 }
 
@@ -138,13 +93,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzer is one named check. Run is invoked once per package; Finish,
-// when set, once after every package has been visited, for whole-run facts.
+// Analyzer is one named check. Run is invoked once per package.
 type Analyzer struct {
-	Name   string
-	Doc    string
-	Run    func(*Pass)
-	Finish func(*State, func(Diagnostic))
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
 // IgnoreDirective is the comment prefix that suppresses a finding.
@@ -162,14 +115,13 @@ type ignoreRule struct {
 // ignoreIndex maps filename -> parsed directives.
 type ignoreIndex map[string][]*ignoreRule
 
-// buildIgnoreIndex parses every //mifolint:ignore directive in pkgs
-// (test files included — an ignore there must justify itself the same
-// way). Directives without a reason are reported immediately: a silent
+// buildIgnoreIndex parses every //mifolint:ignore directive in pkgs.
+// Directives without a reason are reported immediately: a silent
 // suppression defeats the point of recording why a contract is waived.
 func buildIgnoreIndex(pkgs []*Package, report func(Diagnostic)) ignoreIndex {
 	idx := ignoreIndex{}
 	for _, pkg := range pkgs {
-		for _, f := range pkg.AllFiles() {
+		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					if !strings.HasPrefix(c.Text, IgnoreDirective) {
@@ -229,23 +181,12 @@ type UnusedIgnore struct {
 // tree, or with part of the suite, leaves waivers unused legitimately, so
 // only the repository-wide test fails on them.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []UnusedIgnore) {
-	var mu sync.Mutex
 	var all []Diagnostic
-	report := func(d Diagnostic) {
-		mu.Lock()
-		all = append(all, d)
-		mu.Unlock()
-	}
+	report := func(d Diagnostic) { all = append(all, d) }
 	idx := buildIgnoreIndex(pkgs, report)
-	state := NewState()
 	for _, a := range analyzers {
 		for _, pkg := range pkgs {
-			a.Run(&Pass{Analyzer: a, Pkg: pkg, State: state, report: report})
-		}
-	}
-	for _, a := range analyzers {
-		if a.Finish != nil {
-			a.Finish(state, report)
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, report: report})
 		}
 	}
 	kept := all[:0]
@@ -297,42 +238,12 @@ func Suite() []*Analyzer {
 		Locksafe(),
 		Shadow(),
 		Droppederr(),
-		Lifecycle(),
 	}
 }
 
 // --- small shared helpers ---
 
-// funcKey names a declared function the way the analyzers' allowlists do:
-// "Name" for plain functions, "Recv.Name" for methods (pointer receivers
-// spelled the same as value receivers).
-func funcKey(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	return recvTypeName(fd.Recv.List[0].Type) + "." + fd.Name.Name
-}
-
-// recvTypeName extracts the base type name of a receiver expression,
-// unwrapping pointers and type parameter lists (Txn[V] -> Txn).
-func recvTypeName(e ast.Expr) string {
-	for {
-		switch t := e.(type) {
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.IndexListExpr:
-			e = t.X
-		case *ast.Ident:
-			return t.Name
-		default:
-			return ""
-		}
-	}
-}
-
-// namedOrAlias resolves t to its named type, unwrapping pointers.
+// namedType resolves t to its named type, unwrapping pointers.
 func namedType(t types.Type) (*types.Named, bool) {
 	for {
 		switch u := t.(type) {
@@ -372,27 +283,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// calleeKeyOf builds the cross-package identity of a declared function:
-// the key "pkgpath\x00Recv.Name" and the pretty "Recv.Name".
-func calleeKeyOf(fn *types.Func) (key, pretty string, ok bool) {
-	if orig := fn.Origin(); orig != nil {
-		fn = orig
-	}
-	if fn.Pkg() == nil {
-		return "", "", false // builtins
-	}
-	name := fn.Name()
-	if sig, sok := fn.Type().(*types.Signature); sok && sig.Recv() != nil {
-		if n, nok := namedType(sig.Recv().Type()); nok {
-			if orig := n.Origin(); orig != nil {
-				n = orig
-			}
-			name = n.Obj().Name() + "." + name
-		}
-	}
-	return fn.Pkg().Path() + "\x00" + name, name, true
 }
 
 // exprString renders an expression for diagnostics.

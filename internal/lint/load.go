@@ -24,29 +24,22 @@ import (
 // x/tools unitchecker uses, built here on the standard library alone so
 // the linter runs hermetically (no network, no module downloads).
 //
-// In-package _test.go files are parsed and type-checked together with the
-// package's source files (one extra `go list` round-trip resolves export
-// data for test-only imports), so analyzers that opt in — lifecycle, and
-// the ignore-directive index — see test code too. External test packages
-// (package foo_test) are not loaded.
+// Test files are not loaded: no analyzer reads them.
 
 // listPkg is the subset of `go list -json` output the loader needs.
 type listPkg struct {
-	ImportPath  string
-	Name        string
-	Dir         string
-	Export      string
-	GoFiles     []string
-	TestGoFiles []string
-	TestImports []string
-	Standard    bool
-	DepOnly     bool
-	Error       *struct{ Err string }
+	ImportPath string
+	Name       string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
 // Load lists patterns in dir (a directory inside the target module), then
-// parses and type-checks every non-dependency match, in-package test
-// files included.
+// parses and type-checks every non-dependency match.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -54,36 +47,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	targets, exports, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
-	}
-
-	// Test-only imports ("testing" and friends) are not in the -deps
-	// closure of the shipped code; one more list call resolves them.
-	missing := map[string]bool{}
-	for _, t := range targets {
-		if len(t.TestGoFiles) == 0 {
-			continue
-		}
-		for _, imp := range t.TestImports {
-			if imp != "unsafe" && imp != "C" && exports[imp] == "" {
-				missing[imp] = true
-			}
-		}
-	}
-	if len(missing) > 0 {
-		extra := make([]string, 0, len(missing))
-		for p := range missing {
-			extra = append(extra, p)
-		}
-		sort.Strings(extra)
-		_, extraExports, err := goList(dir, extra)
-		if err != nil {
-			return nil, err
-		}
-		for p, e := range extraExports {
-			if exports[p] == "" {
-				exports[p] = e
-			}
-		}
 	}
 
 	var pkgs []*Package
@@ -133,33 +96,21 @@ func goList(dir string, patterns []string) ([]listPkg, map[string]string, error)
 	return targets, exports, nil
 }
 
-// checkPackage parses and type-checks one listed package (source and
-// in-package test files as one unit) against export data for its
-// dependencies.
+// checkPackage parses and type-checks one listed package against export
+// data for its dependencies.
 func checkPackage(lp listPkg, exports map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
-	parse := func(names []string) ([]*ast.File, error) {
-		var files []*ast.File
-		for _, name := range names {
-			path := name
-			if !filepath.IsAbs(path) {
-				path = filepath.Join(lp.Dir, name)
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				return nil, fmt.Errorf("lint: %v", err)
-			}
-			files = append(files, f)
+	var files []*ast.File
+	for _, name := range lp.GoFiles {
+		path := name
+		if !filepath.IsAbs(path) {
+			path = filepath.Join(lp.Dir, name)
 		}
-		return files, nil
-	}
-	files, err := parse(lp.GoFiles)
-	if err != nil {
-		return nil, err
-	}
-	testFiles, err := parse(lp.TestGoFiles)
-	if err != nil {
-		return nil, err
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %v", err)
+		}
+		files = append(files, f)
 	}
 	lookup := func(path string) (io.ReadCloser, error) {
 		e, ok := exports[path]
@@ -176,10 +127,7 @@ func checkPackage(lp listPkg, exports map[string]string) (*Package, error) {
 		},
 	}
 	info := NewInfo()
-	all := make([]*ast.File, 0, len(files)+len(testFiles))
-	all = append(all, files...)
-	all = append(all, testFiles...)
-	tpkg, err := conf.Check(lp.ImportPath, fset, all, info)
+	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("lint: type-checking %s:\n  %s", lp.ImportPath, strings.Join(typeErrs, "\n  "))
 	}
@@ -191,7 +139,6 @@ func checkPackage(lp listPkg, exports map[string]string) (*Package, error) {
 		Name:      tpkg.Name(),
 		Fset:      fset,
 		Files:     files,
-		TestFiles: testFiles,
 		Types:     tpkg,
 		TypesInfo: info,
 	}, nil

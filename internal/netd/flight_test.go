@@ -97,6 +97,7 @@ func TestFlightRecorderSeesTagDropOverUDP(t *testing.T) {
 	dep.Refresh()
 	f := newFabric(t, dep.Net, false)
 	rec := audit.NewRecorder(audit.Options{})
+	defer rec.Close()
 	f.AttachRecorder(rec)
 	f.Start()
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/dataplane"
+	"repro/internal/leakcheck"
 	"repro/internal/topo"
 )
 
@@ -351,6 +352,40 @@ func TestStopReleasesEverything(t *testing.T) {
 			t.Errorf("started %v: %d goroutines before NewFabric, %d after Stop", start, before, runtime.NumGoroutine())
 		}
 	}
+}
+
+// Stop returns only once every receive loop has returned: a loop still
+// reading after Stop would count into a fabric its owner has let go.
+func TestStopWaitsForReceiveLoops(t *testing.T) {
+	f := newFabric(t, deployChain(t).Net, false)
+	gate := make(gateReader)
+	f.nodes[0].rx = gate
+	f.Start()
+	stopped := make(chan struct{})
+	go func() {
+		f.Stop()
+		close(stopped)
+	}()
+	for !leakcheck.Parked("sync.WaitGroup.Wait", "netd.(*Fabric).Stop") {
+		select {
+		case <-stopped:
+			close(gate)
+			t.Fatal("Stop returned while a receive loop was still reading")
+		default:
+			runtime.Gosched()
+		}
+	}
+	close(gate)
+	<-stopped
+}
+
+// gateReader's read blocks until the channel closes, then reports the
+// socket closed.
+type gateReader chan struct{}
+
+func (g gateReader) read([]message) (int, error) {
+	<-g
+	return 0, net.ErrClosed
 }
 
 // What Inject queued before Stop leaves before the sockets close. Inject

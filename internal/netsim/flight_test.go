@@ -156,6 +156,7 @@ func TestFlightRecorderSkipsMIRO(t *testing.T) {
 		{ID: 0, Src: 1, Dst: 0, SizeBits: 10 * mb, Arrival: 0},
 	}
 	rec := audit.NewRecorder(audit.Options{})
+	defer rec.Close()
 	if _, err := Run(g, flows, Config{Policy: PolicyMIRO, Recorder: rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +174,7 @@ func TestFlightRecorderBGPBaseline(t *testing.T) {
 		{ID: 1, Src: 2, Dst: 0, SizeBits: 10 * mb, Arrival: 0},
 	}
 	rec := audit.NewRecorder(audit.Options{})
+	defer rec.Close()
 	if _, err := Run(g, flows, Config{Policy: PolicyBGP, Recorder: rec}); err != nil {
 		t.Fatal(err)
 	}

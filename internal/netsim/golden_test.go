@@ -30,6 +30,14 @@ var goldenQualityOutcomes = map[Quality]uint64{
 	QualityFirst:     0x856c64ed4a2cc54d,
 }
 
+// goldenPaperScale pins MIFO and BGP at the paper's scale: 8,000 uniform
+// flows at 1,000/s on topo.PaperScaleConfig(1), seed 1, where the
+// resumed fair-share solver meets thousands of live links per solve.
+var goldenPaperScale = map[Policy]uint64{
+	PolicyBGP:  0x8954eee68623cc34,
+	PolicyMIFO: 0xe8475ed547a076ef,
+}
+
 // goldenInput is a small congested run with one link of the busiest AS
 // failing and coming back while flows cross it.
 func goldenInput(t *testing.T) (*topo.Graph, []traffic.Flow, Config) {
@@ -117,6 +125,29 @@ func TestGoldenOutcomes(t *testing.T) {
 		if stream.Completed != completed || stream.UsedAlt != usedAlt || stream.Switches != switches || stream.Reroutes != reroutes {
 			t.Errorf("%v: RunStream completed=%d used_alt=%d switches=%d reroutes=%d, Run %d %d %d %d", pol,
 				stream.Completed, stream.UsedAlt, stream.Switches, stream.Reroutes, completed, usedAlt, switches, reroutes)
+		}
+	}
+}
+
+func TestGoldenPaperScale(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("a paper-scale run is neither a -short nor a -race test")
+	}
+	g, err := topo.Generate(topo.PaperScaleConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, err := traffic.Uniform(traffic.UniformConfig{N: g.N(), Flows: 8000, ArrivalRate: 1000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []Policy{PolicyBGP, PolicyMIFO} {
+		res, err := Run(g, flows, Config{Policy: pol})
+		if err != nil {
+			t.Fatalf("%v: %v", pol, err)
+		}
+		if got, want := outcomeHash(res), goldenPaperScale[pol]; got != want {
+			t.Errorf("%v: outcome hash %#016x, want %#016x", pol, got, want)
 		}
 	}
 }
