@@ -326,9 +326,10 @@ func (d *Dest) pathHolds(n int, w uint32, v int) bool {
 
 // computeScratch is the frontier of phases 1 and 2 of one route
 // computation: which ASes to visit, never what their routes are (those are
-// written straight into the result's packed words). Pooled, because Compute
-// runs once per destination per recompute. Nothing in it is sized by the
-// graph, so one instance serves graphs of different N in turn.
+// written straight into the result's packed words). Pooled, because a
+// build takes one per batch and a repair one per destination. Nothing in it
+// is sized by the graph, so one instance serves graphs of different N in
+// turn.
 type computeScratch struct {
 	// buckets[h] lists the ASes whose best route is h hops long, each
 	// once, in the order they got it. Phases 1 and 2 walk it as their
@@ -405,30 +406,89 @@ func offer(packed []uint32, r int32, cand uint32) bool {
 	return false
 }
 
+// batchSize is the most destinations one phase-3 pass serves. The pass
+// walks the body and reads each AS's provider row once for the whole batch,
+// whose windows are 16 × 23 KB at paper scale and stay in a core's L2; a
+// pass for one destination pays the walk alone, and batches longer than 16
+// gain nothing more (EXPERIMENTS.md, "Tables build in batches").
+const batchSize = 16
+
 // Compute derives every AS's best route towards dst with the three-phase
 // algorithm (customer routes propagate up, peer routes cross once, provider
-// routes propagate down). The result is deterministic.
-func Compute(g *topo.Graph, dst int) *Dest { return compute(g, dst, make([]uint32, g.TailStart())) }
+// routes propagate down). The result is deterministic. It is ComputeAll's
+// build for a batch of one.
+func Compute(g *topo.Graph, dst int) *Dest {
+	var out [1]*Dest
+	computeBatch(g, []int{dst}, make([]uint32, g.TailStart()), out[:])
+	return out[0]
+}
 
-// compute is Compute writing the result's words into packed, which holds
-// g.TailStart() of them.
-func compute(g *topo.Graph, dst int, packed []uint32) *Dest {
+// computeBatch computes the tables towards dsts into out, each one's words
+// the next g.TailStart() of words.
+func computeBatch(g *topo.Graph, dsts []int, words []uint32, out []*Dest) {
 	if n := g.N(); n > MaxASes {
 		panic(fmt.Sprintf("bgp: topology has %d ASes, exceeding the packed-entry limit of %d", n, MaxASes))
 	}
 	sc := scratchPool.Get().(*computeScratch)
 	defer scratchPool.Put(sc)
-	return sc.compute(g, dst, packed)
+	sc.computeBatch(g, dsts, words, out)
 }
 
-// compute is the three-phase algorithm over the ASes with customers, with
-// sc as the queue of its first two phases; the stubs' words are derived
-// when read. Each phase reads only the adjacency entries that can carry its
-// routes, through the graph's relationship-grouped view: the providers of
-// the uphill cone, the peers of the cone, and the providers of every AS
-// with customers those two phases left without a route. At paper scale that
-// is ~10 k entries per destination, and ~5,800 words, written into packed.
-func (sc *computeScratch) compute(g *topo.Graph, dst int, packed []uint32) *Dest {
+// computeBatch is the three-phase algorithm over the ASes with customers for
+// each destination of dsts, with sc as the queue of the first two phases;
+// the stubs' words are derived when read. Phases 1 and 2 run one
+// destination at a time, each into its own window of words; phase 3 is one
+// pass over the body for the whole batch.
+func (sc *computeScratch) computeBatch(g *topo.Graph, dsts []int, words []uint32, out []*Dest) {
+	n := g.TailStart()
+	for i, dst := range dsts {
+		out[i] = sc.climb(g, dst, words[i*n:(i+1)*n:(i+1)*n])
+	}
+
+	// Phase 3: provider routes. Every AS that phases 1 and 2 left without a
+	// route takes the best its providers hold, whatever their class: the
+	// shortest, and of those the lowest next hop. The ASes are visited in
+	// the graph's provider-first order, so a provider's word is final before
+	// any of its customers reads it, and each AS is written once. Its
+	// provider row, in rank space, is read once for every window of the
+	// batch. A provider's key is its word's hops field over its own index,
+	// so the least key is the shortest route with the lowest next hop.
+	for r, v := range g.ProviderOrder()[:n] {
+		row := g.RankedProviders(r)
+		for _, d := range out {
+			packed := d.packed
+			if packed[r] != unreachableEntry {
+				continue // a customer or peer route, which no provider route beats
+			}
+			best := uint32(math.MaxUint32)
+			for _, p := range row {
+				if w := packed[p.Rank]; w != unreachableEntry {
+					best = min(best, w&keyMask|uint32(p.AS))
+				}
+			}
+			if best == math.MaxUint32 {
+				continue // no provider has a route
+			}
+			h, via := int(best>>hopsShift), int32(best&nextMask)
+			if h == hopsSentinel {
+				h, via = d.bestOffer(g.Providers(int(v)), ClassProvider)
+			}
+			packed[r] = routeWord(h+1, ClassProvider, via)
+			if h+1 >= hopsSentinel {
+				d.addOverflow(v, int16(h+1))
+			}
+		}
+	}
+}
+
+// climb runs phases 1 and 2 towards dst, writing the words of the customer
+// and peer routes into packed, which holds g.TailStart() of them, and every
+// other word unreachable. It returns the table with the side table of those
+// routes too long for the inline hops field; phase 3 fills in the rest.
+// Each phase reads only the adjacency entries that can carry its routes,
+// through the graph's relationship-grouped view: the providers of the
+// uphill cone and the peers of the cone.
+func (sc *computeScratch) climb(g *topo.Graph, dst int, packed []uint32) *Dest {
 	// Empty the queue but keep its arrays; levels only an earlier, deeper
 	// computation reached stay behind as empty buckets.
 	for h := range sc.buckets {
@@ -436,7 +496,6 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, packed []uint32) *Dest
 	}
 
 	rank := g.ProviderRanks()
-	body := g.ProviderOrder()[:g.TailStart()]
 	for r := range packed {
 		packed[r] = unreachableEntry
 	}
@@ -479,38 +538,12 @@ func (sc *computeScratch) compute(g *topo.Graph, dst int, packed []uint32) *Dest
 			}
 		}
 	}
-
-	// Phase 3: provider routes. Every AS that phases 1 and 2 left without a
-	// route takes the best its providers hold, whatever their class: the
-	// shortest, and of those the lowest next hop. The ASes are visited in
-	// the graph's provider-first order, so a provider's word is final before
-	// any of its customers reads it, and each AS is written once.
-	d := &Dest{dst: int32(dst), g: g, rank: rank, packed: packed, overflow: sc.overflow()}
-	for r, v := range body {
-		if packed[r] != unreachableEntry {
-			continue // a customer or peer route, which no provider route beats
-		}
-		row := g.Providers(int(v))
-		best := bestProvider(packed, rank, row)
-		if best == math.MaxUint32 {
-			continue // no provider has a route
-		}
-		h, via := int(best>>hopsShift), int32(best&nextMask)
-		if h == hopsSentinel {
-			h, via = d.bestOffer(row, ClassProvider)
-		}
-		packed[r] = routeWord(h+1, ClassProvider, via)
-		if h+1 >= hopsSentinel {
-			d.addOverflow(v, int16(h+1))
-		}
-	}
-	return d
+	return &Dest{dst: int32(dst), g: g, rank: rank, packed: packed, overflow: sc.overflow()}
 }
 
 // bestProvider returns the least key over the providers in row that hold a
 // route in packed, which is indexed by rank, or math.MaxUint32 when none
-// does. A provider's key is its word's hops field over its own index, so
-// the least key is the shortest route with the lowest next hop.
+// does: the key phase 3 of computeBatch takes, for repair's rows.
 func bestProvider(packed []uint32, rank, row []int32) uint32 {
 	best := uint32(math.MaxUint32)
 	for _, p := range row {
@@ -532,14 +565,23 @@ func (d *Dest) addOverflow(v int32, h int16) {
 }
 
 // ComputeAll computes Dest tables for every destination in dsts, in
-// parallel. Results are positionally aligned with dsts. Their words are one
+// parallel, each worker a batch of up to batchSize destinations at a time
+// (fewer when there are too few destinations for every worker to get a full
+// one). Results are positionally aligned with dsts. Their words are one
 // block, each result's a capacity-clipped window of it: one allocation for
 // the build, not one a destination (23 KB of words rounds up to Go's
 // 24 KB size class), and no window's append can write its neighbour's.
 func ComputeAll(g *topo.Graph, dsts []int, workers int) []*Dest {
 	n := g.TailStart()
 	words := make([]uint32, len(dsts)*n)
-	return parallel.Map(len(dsts), workers, func(i int) *Dest {
-		return compute(g, dsts[i], words[i*n:(i+1)*n:(i+1)*n])
+	out := make([]*Dest, len(dsts))
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
+	}
+	k := max(1, min(batchSize, (len(dsts)+workers-1)/workers))
+	parallel.ForEach((len(dsts)+k-1)/k, workers, func(b int) {
+		lo, hi := b*k, min((b+1)*k, len(dsts))
+		computeBatch(g, dsts[lo:hi], words[lo*n:hi*n], out[lo:hi])
 	})
+	return out
 }

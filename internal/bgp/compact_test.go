@@ -422,8 +422,97 @@ func TestComputeMatchesOracleEveryDest(t *testing.T) {
 	}
 }
 
+// requireBatchMatchesOracle builds the tables towards dsts with ComputeAll,
+// by one worker, so that every batch but the last is full, and by three,
+// and holds each to the oracle and to its own capacity-clipped window.
+func requireBatchMatchesOracle(t *testing.T, g *topo.Graph, dsts []int) {
+	t.Helper()
+	want := map[int]*denseDest{}
+	for _, dst := range dsts {
+		if want[dst] == nil {
+			want[dst] = computeDenseOracle(g, dst)
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		got := ComputeAll(g, dsts, workers)
+		if len(got) != len(dsts) {
+			t.Fatalf("ComputeAll of %d destinations returned %d tables", len(dsts), len(got))
+		}
+		for i, d := range got {
+			requireMatchesDense(t, g, d, want[dsts[i]])
+			if len(d.packed) != g.TailStart() || cap(d.packed) != len(d.packed) {
+				t.Fatalf("destination %d: window of len %d, cap %d, want both %d", dsts[i], len(d.packed), cap(d.packed), g.TailStart())
+			}
+		}
+	}
+}
+
+// TestComputeAllMatchesOracle holds ComputeAll's batches to the oracle on
+// generated Internets, intact and with a tenth of N links removed, each
+// also relabelled at random, for destination lists of one, a batch but
+// one, a batch and a batch and one, and for one that names destinations
+// more than once.
+func TestComputeAllMatchesOracle(t *testing.T) {
+	var stubCuts [2]int
+	for _, n := range []int{60, 400} {
+		g, err := topo.Generate(topo.GenConfig{N: n, Seed: int64(n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		cut := removeRandomLinks(t, g, rng, n/10, &stubCuts)
+		for _, on := range []*topo.Graph{g, cut, shuffled(t, g, rng), shuffled(t, cut, rng)} {
+			for _, k := range []int{1, batchSize - 1, batchSize, batchSize + 1} {
+				requireBatchMatchesOracle(t, on, rng.Perm(on.N())[:k])
+			}
+			dup := make([]int, batchSize+5)
+			for i := range dup {
+				dup[i] = rng.Intn(5)
+			}
+			requireBatchMatchesOracle(t, on, dup)
+		}
+	}
+}
+
+// TestComputeAllDeepWindows builds batches on ladders deep enough that the
+// destinations at their ends give routes past the inline hops field and
+// those near the middle do not, so that one phase-3 pass serves windows
+// that read the hops sentinel beside windows that never do.
+func TestComputeAllDeepWindows(t *testing.T) {
+	mixed := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := deepGraph(t, rng, 70)
+		dsts := rng.Perm(g.N())[:2*batchSize+3]
+		requireBatchMatchesOracle(t, g, dsts)
+		got := ComputeAll(g, dsts, 1)
+		for lo := 0; lo < len(got); lo += batchSize {
+			deep, shallow := 0, 0
+			for _, d := range got[lo:min(lo+batchSize, len(got))] {
+				past := false
+				for _, o := range d.overflow {
+					past = past || d.Class(int(o.as)) == ClassProvider
+				}
+				if past {
+					deep++
+				} else if len(d.overflow) == 0 {
+					shallow++
+				}
+			}
+			if deep > 0 && shallow > 0 {
+				mixed++
+			}
+		}
+	}
+	t.Logf("%d of 18 batches mix windows with provider routes past the inline field and windows without long routes", mixed)
+	if mixed == 0 {
+		t.Fatal("no batch held both a window with provider routes past the inline field and one without long routes: the test does not reach the mix")
+	}
+}
+
 // TestComputeMatchesOraclePaperScale is the same comparison on 64
-// destinations of the 44,340-AS graph the repo benchmark builds.
+// destinations of the 44,340-AS graph the repo benchmark builds, built as
+// ComputeAll's batches.
 func TestComputeMatchesOraclePaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the 44,340-AS graph")
@@ -432,8 +521,9 @@ func TestComputeMatchesOraclePaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dst := range scaleDests(g, 64) {
-		requireMatchesDense(t, g, Compute(g, dst), computeDenseOracle(g, dst))
+	dsts := scaleDests(g, 64)
+	for i, d := range ComputeAll(g, dsts, 0) {
+		requireMatchesDense(t, g, d, computeDenseOracle(g, dsts[i]))
 	}
 }
 
@@ -454,11 +544,13 @@ func TestComputeScratchAcrossGraphs(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, g := range []*topo.Graph{big, deep, small, big, small, deep} {
 			dst := (7 * (round + 1)) % g.N()
-			got := reused.compute(g, dst, make([]uint32, g.TailStart()))
-			if want := new(computeScratch).compute(g, dst, make([]uint32, g.TailStart())); !got.Equal(want) {
+			var got, want [1]*Dest
+			reused.computeBatch(g, []int{dst}, make([]uint32, g.TailStart()), got[:])
+			new(computeScratch).computeBatch(g, []int{dst}, make([]uint32, g.TailStart()), want[:])
+			if !got[0].Equal(want[0]) {
 				t.Fatalf("round %d, N=%d, dst %d: a reused scratch and a fresh one disagree", round, g.N(), dst)
 			}
-			requireMatchesDense(t, g, got, computeDenseOracle(g, dst))
+			requireMatchesDense(t, g, got[0], computeDenseOracle(g, dst))
 		}
 	}
 }
@@ -488,8 +580,8 @@ func TestASPathIntoReusesBuffer(t *testing.T) {
 }
 
 // FuzzCompactDest fuzzes topology seeds and link-event schedules: after
-// every event, a sample of destinations recomputed compactly must match
-// the dense oracle accessor-for-accessor.
+// every event, a sample of destinations, built as one ComputeAll batch,
+// must match the dense oracle accessor-for-accessor.
 func FuzzCompactDest(f *testing.F) {
 	f.Add(int64(1), []byte{0, 3, 7})
 	f.Add(int64(42), []byte{1, 1, 2, 2})
@@ -502,9 +594,12 @@ func FuzzCompactDest(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		curG := g
 		check := func() {
-			for i := 0; i < 4; i++ {
-				dst := rng.Intn(curG.N())
-				requireMatchesDense(t, curG, Compute(curG, dst), computeDenseOracle(curG, dst))
+			dsts := make([]int, 4)
+			for i := range dsts {
+				dsts[i] = rng.Intn(curG.N())
+			}
+			for i, d := range ComputeAll(curG, dsts, 1) {
+				requireMatchesDense(t, curG, d, computeDenseOracle(curG, dsts[i]))
 			}
 		}
 		check()

@@ -438,15 +438,15 @@ func (sc *repairScratch) sweep() {
 			sc.visit[i] &^= 1 << bit
 			full := sc.full[i]&(1<<bit) != 0
 			sc.full[i] &^= 1 << bit
-			sc.settle(order[i<<6|bit], full)
+			r := int32(i<<6 | bit)
+			sc.settle(r, order[r], full)
 		}
 	}
 }
 
-// settle is the sweep's visit to v; see sweep.
-func (sc *repairScratch) settle(v int32, full bool) {
+// settle is the sweep's visit to v, which ranks r; see sweep.
+func (sc *repairScratch) settle(r, v int32, full bool) {
 	sc.visits++
-	r := sc.rank[v]
 	w := sc.packed[r]
 	if full && wordClass(w) >= ClassProvider {
 		w = sc.providerRoute(v)

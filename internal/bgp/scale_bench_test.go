@@ -103,9 +103,10 @@ func entriesRead(g *topo.Graph, d *Dest) int {
 }
 
 // BenchmarkComputePaperScale is the budget every paper-scale figure
-// multiplies out: one goroutine computing 128 destinations spread over the
-// 44,340-AS graph the repo benchmark uses, reported per destination
-// together with the adjacency entries each computation reads. Phase 3's
+// multiplies out: one goroutine building 128 destinations spread over the
+// 44,340-AS graph the repo benchmark uses, in ComputeAll's batches,
+// reported per destination together with the adjacency entries each
+// destination's computation reads. Phase 3's
 // cost depends on how the graph is numbered, so the same 128 ASes are
 // computed under three numberings: as generated (every provider below its
 // customers), after a Write/Parse round trip (first appearance in the
@@ -153,9 +154,7 @@ func BenchmarkComputePaperScale(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, dst := range on {
-					Compute(c.g, dst)
-				}
+				ComputeAll(c.g, on, 1)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(on)), "ns/dest")
 			b.ReportMetric(float64(read)/float64(len(on)), "entries/dest")

@@ -3,10 +3,12 @@ package span
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 )
 
@@ -250,10 +252,17 @@ func TestReadRecordsRejectsDamage(t *testing.T) {
 // near-free disabled path; these guards pin both.
 
 // TestRecordPathZeroAlloc counts allocations over 1,000 spans in one run,
-// so an amortized allocation does not round to zero per span.
+// so an amortized allocation does not round to zero per span. The count is
+// the whole process's, so it starts once the tracer's drain goroutine has
+// parked: a goroutine's first park may allocate the runtime's wait records
+// (sudogs), and a drain goroutine first scheduled inside the count put them
+// there (the test flaked under -race).
 func TestRecordPathZeroAlloc(t *testing.T) {
 	tr := New(Options{Segments: 4, SegmentCap: 4096, Poll: time.Minute})
 	defer tr.Close()
+	for !leakcheck.Parked("select", "ring.(*Drainer[...]).run") {
+		runtime.Gosched()
+	}
 	parent := tr.StartRoot("test_alloc_root", 0)
 	defer parent.End()
 	pctx := parent.Context()

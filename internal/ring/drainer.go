@@ -82,7 +82,10 @@ func NewDrainer[T any](segments, segmentCap int, poll time.Duration, process fun
 	for i := range d.segs {
 		d.segs[i].init(segmentCap)
 	}
-	go d.run(poll)
+	// The ticker is made here, not by the drain goroutine: that goroutine
+	// may first run at any later moment, and then it would allocate in the
+	// middle of whatever its owner's callers are doing.
+	go d.run(time.NewTicker(poll))
 	return d
 }
 
@@ -109,9 +112,8 @@ func (d *Drainer[T]) Offer(key uint64, h *T, rest []T) {
 	d.dropped.Add(int64(1 + len(rest)))
 }
 
-func (d *Drainer[T]) run(poll time.Duration) {
+func (d *Drainer[T]) run(tick *time.Ticker) {
 	defer close(d.done)
-	tick := time.NewTicker(poll)
 	defer tick.Stop()
 	for {
 		select {

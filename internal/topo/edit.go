@@ -16,7 +16,8 @@ type LinkRef struct {
 //
 // Only the adjacency rows of the ASes named in remove are filtered; what
 // lies between two of them is copied in one piece, in the Neighbors arena,
-// the relationship-grouped view and the rank-space customer rows alike.
+// the relationship-grouped view and the rank-space customer and provider
+// rows alike.
 // Rows stay sorted (filtering preserves order) and removal cannot introduce
 // a provider-customer cycle, so no rebuild through Builder — and no re-sort
 // or cycle check — is needed. For the same reason g's provider-first order,
@@ -30,7 +31,7 @@ func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 	out := &Graph{order: g.order, rank: g.rank, tail: g.tail, pcLinks: g.pcLinks, peerLinks: g.peerLinks}
 	nbrCut := make([]rowCut, 0, 2*len(remove))
 	grpCut := make([]rowCut, 0, 2*len(remove))
-	var rankCut []rowCut
+	var rankCut, providerCut []rowCut
 	for _, l := range remove {
 		rel, ok := g.Rel(l.A, l.B)
 		if !ok {
@@ -44,10 +45,12 @@ func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 			if rel == Provider {
 				p, c = b, a
 			}
-			// A stub customer is in no rank row; any other is in its
-			// provider's, which ranks below it.
+			// A stub customer is in no rank row and has none; any other
+			// is in its provider's customer row, which ranks below it, and
+			// has its provider in a provider row of its own.
 			if g.rank[c] < g.tail {
 				rankCut = append(rankCut, rowCut{g.rank[p], g.rank[c]})
+				providerCut = append(providerCut, rowCut{g.rank[c], p})
 			}
 		}
 	}
@@ -63,6 +66,7 @@ func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 	out.off, out.nbrs = dropEntries(g.off, g.nbrs, sortedUnique(nbrCut), func(nb Neighbor) int32 { return nb.AS })
 	out.goff, out.grp = dropEntries(g.goff, g.grp, grpCut, func(u int32) int32 { return u })
 	out.croff, out.crank = dropEntries(g.croff, g.crank, sortedUnique(rankCut), func(r int32) int32 { return r })
+	out.proff, out.prank = dropEntries(g.proff, g.prank, sortedUnique(providerCut), func(p RankedAS) int32 { return p.AS })
 	return out, nil
 }
 

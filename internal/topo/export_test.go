@@ -5,10 +5,10 @@ import (
 	"hash/fnv"
 )
 
-// Fingerprint hashes the eight arrays a Graph is made of — the offsets and
+// Fingerprint hashes the ten arrays a Graph is made of — the offsets and
 // entries of the Neighbors arena, of the relationship-grouped view and of
-// the rank-space customer rows, and the provider-first order and its
-// ranks — up to their capacity. Only Builder.Build and
+// the rank-space customer and provider rows, and the provider-first order
+// and its ranks — up to their capacity. Only Builder.Build and
 // RemoveLinks write them, and neither writes a graph it has returned, so a
 // consumer of the accessors must leave the fingerprint of every graph it
 // is handed where it found it (TestGraphFrozenAcrossConsumers).
@@ -43,6 +43,13 @@ func Fingerprint(g *Graph) uint64 {
 	}
 	for _, x := range g.crank[:cap(g.crank)] {
 		put(x)
+	}
+	for _, x := range g.proff[:cap(g.proff)] {
+		put(x)
+	}
+	for _, p := range g.prank[:cap(g.prank)] {
+		put(p.Rank)
+		put(p.AS)
 	}
 	return h.Sum64()
 }

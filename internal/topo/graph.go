@@ -90,12 +90,14 @@ type Neighbor struct {
 // in IsStub's sense, the ASes without customers, from TailStart on: 87 % of
 // an Internet graph, whose routes no other AS reads, so a route table
 // stores the words of the ASes before TailStart only. For the sweeps over
-// those words it keeps one more CSR in rank space (CustomerRanks): for
-// each AS before TailStart, the ranks of its customers before TailStart,
-// so a walk down customer links meets no stub and needs no rank lookup.
-// A 44,340-AS / 107,819-link Internet graph is eight allocations, ~3.7 MB:
+// those words it keeps two more CSRs in rank space, one row for each AS
+// before TailStart: the ranks of its customers before TailStart
+// (CustomerRanks), so a walk down customer links meets no stub and needs no
+// rank lookup, and its providers with their ranks (RankedProviders), so a
+// pull from providers reads their words without one either.
+// A 44,340-AS / 107,819-link Internet graph is ten allocations, ~3.8 MB:
 // ~1.9 MB for off+nbrs, ~1.4 MB for goff+grp, 177 KB each for order and
-// rank, and 62 KB for croff+crank.
+// rank, 62 KB for croff+crank and 100 KB for proff+prank.
 type Graph struct {
 	off       []int32    // len N()+1; AS v's neighbors live in nbrs[off[v]:off[v+1]]
 	nbrs      []Neighbor // len 2*Links(), sorted by neighbor index within each segment
@@ -106,6 +108,8 @@ type Graph struct {
 	tail      int32      // where the stubs begin in order
 	croff     []int32    // len tail+1; the AS at rank r < tail has its customer ranks in crank[croff[r]:croff[r+1]]
 	crank     []int32    // the ranks below tail of those customers, ascending within each row
+	proff     []int32    // len tail+1; the AS at rank r < tail has its providers in prank[proff[r]:proff[r+1]]
+	prank     []RankedAS // those providers with their ranks, ascending by AS within each row
 	pcLinks   int
 	peerLinks int
 }
@@ -192,6 +196,41 @@ func (g *Graph) CustomerRanks(r int) []int32 {
 	return g.crank[lo:hi:hi]
 }
 
+// RankedAS is an entry of a rank-space row: an AS and its rank in
+// ProviderOrder.
+type RankedAS struct {
+	Rank, AS int32
+}
+
+// RankedProviders returns, for the AS ranked r in ProviderOrder, where r is
+// below TailStart, its Providers with their ranks, ascending by AS. Every
+// provider ranks below TailStart, since it has a customer (on a graph
+// RemoveLinks cut, it had one before the cut). It is what a pull over a
+// route table's stored words reads up provider links: a provider's word by
+// its rank, and the provider itself for the lowest-next-hop tie-break. The
+// slice aliases the graph under the same rule as Customers.
+func (g *Graph) RankedProviders(r int) []RankedAS {
+	lo, hi := g.proff[r], g.proff[r+1]
+	return g.prank[lo:hi:hi]
+}
+
+// rankedProviders fills the CSR RankedProviders reads from the provider
+// rows and the ranks.
+func (g *Graph) rankedProviders() {
+	body := g.order[:g.tail]
+	g.proff = make([]int32, len(body)+1)
+	for r, v := range body {
+		g.proff[r+1] = g.proff[r] + int32(len(g.Providers(int(v))))
+	}
+	g.prank = make([]RankedAS, g.proff[len(body)])
+	for r, v := range body {
+		row := g.prank[g.proff[r]:g.proff[r+1]]
+		for i, p := range g.Providers(int(v)) {
+			row[i] = RankedAS{Rank: g.rank[p], AS: p}
+		}
+	}
+}
+
 // customerRanks fills the CSR CustomerRanks reads from the customer rows,
 // the order and the ranks.
 func (g *Graph) customerRanks() {
@@ -244,6 +283,9 @@ type MemStats struct {
 	// CustomerRankBytes is the size of the rank-space customer rows
 	// (CustomerRanks): their offsets and their ranks.
 	CustomerRankBytes int64
+	// ProviderRankBytes is the size of the rank-space provider rows
+	// (RankedProviders): their offsets and their entries.
+	ProviderRankBytes int64
 	// TotalBytes is the sum of the above — the whole graph footprint.
 	TotalBytes int64
 	// BytesPerLink is TotalBytes per undirected link.
@@ -260,8 +302,9 @@ func (g *Graph) MemStats() MemStats {
 		GroupedBytes:      int64(cap(g.goff)+cap(g.grp)) * int64(unsafe.Sizeof(int32(0))),
 		OrderBytes:        int64(cap(g.order)+cap(g.rank)) * int64(unsafe.Sizeof(int32(0))),
 		CustomerRankBytes: int64(cap(g.croff)+cap(g.crank)) * int64(unsafe.Sizeof(int32(0))),
+		ProviderRankBytes: int64(cap(g.proff))*int64(unsafe.Sizeof(int32(0))) + int64(cap(g.prank))*int64(unsafe.Sizeof(RankedAS{})),
 	}
-	m.TotalBytes = m.OffsetBytes + m.NeighborBytes + m.GroupedBytes + m.OrderBytes + m.CustomerRankBytes
+	m.TotalBytes = m.OffsetBytes + m.NeighborBytes + m.GroupedBytes + m.OrderBytes + m.CustomerRankBytes + m.ProviderRankBytes
 	if m.Links > 0 {
 		m.BytesPerLink = float64(m.TotalBytes) / float64(m.Links)
 	}
@@ -441,7 +484,8 @@ func (b *Builder) Degree(v int) int { return len(b.adj[v]) }
 // neighbor array), sorts each AS's segment by neighbor index, deals the
 // sorted segments out into the rows of the relationship-grouped view,
 // lists the ASes in provider-first order, with each one's rank in it, and
-// copies the customer rows of the ASes before the stubs into rank space.
+// copies the customer and provider rows of the ASes before the stubs into
+// rank space.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -488,6 +532,7 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	g.order, g.rank, g.tail = order, ranksOf(order), int32(body)
 	g.customerRanks()
+	g.rankedProviders()
 	return g, nil
 }
 

@@ -55,6 +55,7 @@ func requireSameGraph(t *testing.T, got, want *Graph) {
 	requireGroupedMatchesNeighbors(t, got)
 	requireProviderOrder(t, got)
 	requireCustomerRanks(t, got)
+	requireRankedProviders(t, got)
 }
 
 func TestGroupedViewMatchesNeighbors(t *testing.T) {
@@ -188,7 +189,9 @@ func TestRemoveLinksMatchesRebuild(t *testing.T) {
 			unsafe.SliceData(before.goff) == unsafe.SliceData(g.goff) ||
 			unsafe.SliceData(before.grp) == unsafe.SliceData(g.grp) ||
 			unsafe.SliceData(before.croff) == unsafe.SliceData(g.croff) ||
-			unsafe.SliceData(before.crank) == unsafe.SliceData(g.crank) {
+			unsafe.SliceData(before.crank) == unsafe.SliceData(g.crank) ||
+			unsafe.SliceData(before.proff) == unsafe.SliceData(g.proff) ||
+			unsafe.SliceData(before.prank) == unsafe.SliceData(g.prank) {
 			t.Fatal("RemoveLinks returned a graph that shares an adjacency array with its source")
 		}
 		if unsafe.SliceData(got.order) != unsafe.SliceData(g.order) || unsafe.SliceData(got.rank) != unsafe.SliceData(g.rank) || got.tail != g.tail {
@@ -219,6 +222,10 @@ func TestAccessorsClipCapacity(t *testing.T) {
 		}
 		if r := int(g.ProviderRanks()[v]); r < g.TailStart() {
 			rows["CustomerRanks"] = g.CustomerRanks(r)
+			if ps := g.RankedProviders(r); cap(ps) != len(ps) {
+				t.Fatalf("RankedProviders(%d): len %d, cap %d", r, len(ps), cap(ps))
+			}
+			_ = append(g.RankedProviders(r), RankedAS{Rank: -1, AS: -1})
 		}
 		for name, row := range rows {
 			if cap(row) != len(row) {

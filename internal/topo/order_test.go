@@ -92,6 +92,31 @@ func requireCustomerRanks(tb testing.TB, g *Graph) {
 	}
 }
 
+// requireRankedProviders holds RankedProviders to its contract, recounted
+// from Providers: for every rank r below TailStart, each provider of
+// ProviderOrder()[r] with its rank, which is below TailStart, ascending by
+// AS, in a row whose capacity is clipped.
+func requireRankedProviders(tb testing.TB, g *Graph) {
+	tb.Helper()
+	order, rank := g.ProviderOrder(), g.ProviderRanks()
+	for r := 0; r < g.TailStart(); r++ {
+		var want []RankedAS
+		for _, p := range g.Providers(int(order[r])) {
+			if int(rank[p]) >= g.TailStart() {
+				tb.Fatalf("provider %d of AS %d ranks %d, in the tail from %d", p, order[r], rank[p], g.TailStart())
+			}
+			want = append(want, RankedAS{Rank: rank[p], AS: p})
+		}
+		got := g.RankedProviders(r)
+		if !slices.Equal(got, want) {
+			tb.Fatalf("RankedProviders(%d) of AS %d = %v, want %v", r, order[r], got, want)
+		}
+		if cap(got) != len(got) {
+			tb.Fatalf("RankedProviders(%d): len %d, cap %d", r, len(got), cap(got))
+		}
+	}
+}
+
 // lowestReadyFirst is the order Build promises, found the slow way: again
 // and again, the lowest-indexed unlisted AS whose providers are all listed,
 // passing over the stubs, which follow in index order.
@@ -244,12 +269,12 @@ func TestProviderOrder(t *testing.T) {
 	}
 }
 
-// TestCustomerRanks: the rank-space customer rows hold their contract on
-// every way a Graph is made — Generate, Parse, a relabelling whose body
-// does not ascend, so that ranks and indices disagree, and RemoveLinks
-// cutting a provider-customer link between two ASes before the tail, a
-// stub's provider link and a peer link, each of which must drop exactly
-// the entries it names.
+// TestCustomerRanks: the rank-space customer and provider rows hold their
+// contracts on every way a Graph is made — Generate, a Write/Parse round
+// trip, a relabelling whose body does not ascend, so that ranks and indices
+// disagree, and RemoveLinks cutting a provider-customer link between two
+// ASes before the tail, a stub's provider link and a peer link, each of
+// which must drop exactly the entries it names.
 func TestCustomerRanks(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -258,6 +283,7 @@ func TestCustomerRanks(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireCustomerRanks(t, g)
+		requireRankedProviders(t, g)
 
 		var buf bytes.Buffer
 		if err := Write(&buf, g, nil); err != nil {
@@ -268,6 +294,7 @@ func TestCustomerRanks(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireCustomerRanks(t, parsed)
+		requireRankedProviders(t, parsed)
 
 		rev := make([]int, g.N())
 		for v := range rev {
@@ -278,6 +305,7 @@ func TestCustomerRanks(t *testing.T) {
 			t.Fatalf("seed %d: the relabelled body ascends; the case tests nothing", seed)
 		}
 		requireCustomerRanks(t, reversed)
+		requireRankedProviders(t, reversed)
 
 		for _, h := range []*Graph{g, reversed} {
 			var body, stub, peer *LinkRef
@@ -303,9 +331,14 @@ func TestCustomerRanks(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireCustomerRanks(t, removed)
+				requireRankedProviders(t, removed)
 				p := int(rank[body.A])
 				if got, was := len(removed.CustomerRanks(p)), len(h.CustomerRanks(p)); i == 0 && got != was-1 {
 					t.Fatalf("seed %d: cutting %v left AS %d %d customer ranks of %d", seed, *body, body.A, got, was)
+				}
+				c := int(rank[body.B])
+				if got, was := len(removed.RankedProviders(c)), len(h.RankedProviders(c)); i == 0 && got != was-1 {
+					t.Fatalf("seed %d: cutting %v left AS %d %d ranked providers of %d", seed, *body, body.B, got, was)
 				}
 			}
 		}
