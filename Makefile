@@ -80,11 +80,11 @@ span-race:
 
 # The tsdb concurrency surface: the single-writer sample path racing the
 # store's readers — TestGatherWhileSampling runs Gather, AnalyzeStore and
-# WriteDump while a sampler runs flat out — plus the simulator feeding a
+# WriteDump while a sampler runs flat out — plus netsim feeding a
 # store per epoch. (The torn-read tests of the ring itself are ring-race's.)
 tsdb-race:
 	$(GO) test -race -count=5 ./internal/obs/tsdb
-	$(GO) test -race -count=2 -run 'TSDB' ./internal/netsim ./internal/packetsim
+	$(GO) test -race -count=2 -run 'TSDB' ./internal/netsim
 
 # End-to-end convergence gate, same as CI: every failure event injected by
 # a resilience run must provably reach data-plane consistency.

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -37,6 +38,28 @@ import (
 // honours: audit.Options.Sample reads zero, negatives and values past 1
 // as "every flow".
 func validSample(v float64) bool { return v > 0 && v <= 1 }
+
+// sizeError names the first size flag out of range, or returns nil. The
+// experiments read a non-positive -n, -flows or -pairs, and a zero -rate,
+// -workers, -stream-flows or -mem-budget-mb, as "use the default"; a
+// negative value there, or a NaN or infinite rate, is a mistake.
+func sizeError(n, flows, pairs int, rate float64, workers, streamFlows, memMB int) error {
+	for _, c := range []struct {
+		name   string
+		v, min int
+	}{
+		{"-n", n, 1}, {"-flows", flows, 1}, {"-pairs", pairs, 1},
+		{"-workers", workers, 0}, {"-stream-flows", streamFlows, 0}, {"-mem-budget-mb", memMB, 0},
+	} {
+		if c.v < c.min {
+			return fmt.Errorf("%s must be at least %d, got %d", c.name, c.min, c.v)
+		}
+	}
+	if !(rate >= 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("-rate must be a finite rate >= 0, got %v", rate)
+	}
+	return nil
+}
 
 func main() {
 	var (
@@ -63,6 +86,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mifo-sim: -flight-sample must be in (0, 1], got %v\n", *fltRate)
 		os.Exit(1)
 	}
+	if err := sizeError(*n, *flows, *pairs, *rate, *workers, *streamN, *memMB); err != nil {
+		fmt.Fprintln(os.Stderr, "mifo-sim:", err)
+		os.Exit(1)
+	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)
@@ -80,7 +107,7 @@ func main() {
 	// offload series from every simulation run for the -tsdb-log dump.
 	var db *tsdb.Store
 	if *tsdbLog != "" {
-		db = tsdb.NewStore(tsdb.Options{})
+		db = tsdb.NewStore()
 	}
 	if *dbgAddr != "" {
 		srv, err := obs.ServeDebug(*dbgAddr, reg)
@@ -267,11 +294,7 @@ func run(exp string, o experiments.Options, outDir string, ps experiments.PaperS
 				float64(r.PeakRSS)/(1<<20), r.BudgetBytes>>20)
 		}
 	case "table1":
-		sum, err := experiments.TableI(o)
-		if err != nil {
-			return err
-		}
-		fmt.Print(sum)
+		return printTableI(os.Stdout, o)
 
 	case "fig7":
 		f, err := experiments.RunFig7(o)
@@ -420,18 +443,7 @@ func run(exp string, o experiments.Options, outDir string, ps experiments.PaperS
 		}
 
 	case "overhead":
-		// Extension: the control-plane cost behind Section II-B's
-		// "zero overhead" claim, measured with the message-level BGP sim.
-		ov, err := experiments.RunOverhead(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Extension: control-plane overhead of multipath schemes ==")
-		fmt.Printf("  baseline BGP:  %.0f UPDATE messages to converge one prefix\n", ov.BGPUpdatesPerPrefix)
-		fmt.Printf("  MIRO:          +%.1f negotiation messages per (src,dst) pair using alternates\n", ov.MIROMessagesPerPair)
-		fmt.Printf("  MIFO:          +%.0f messages (alternatives come from the local RIB)\n", ov.MIFOExtraMessages)
-		fmt.Printf("  BGP reconvergence after a link failure: %.2f s mean — the outage window\n", ov.ReconvergenceSec)
-		fmt.Println("  MIFO's data-plane failover bridges (cf. -exp resilience).")
+		return printOverhead(os.Stdout, o)
 
 	case "fig12": // like paperscale, not in "all": the two fig12s print results/testbed.txt
 		return printFig12(os.Stdout)
@@ -492,6 +504,33 @@ const fig12PacketMB = 20
 // printFig12 runs the paper's prototype experiment (Section V, Figs. 11
 // and 12) in the fluid model, 30 back-to-back 100 MB flows per source on
 // the six-AS testbed under BGP and under MIFO, and prints Fig. 12.
+// printTableI prints Table I, the attributes of the topology.
+func printTableI(w io.Writer, o experiments.Options) error {
+	sum, err := experiments.TableI(o)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, sum)
+	return nil
+}
+
+// printOverhead prints the extension behind Section II-B's "zero
+// overhead" claim: the control-plane cost of each scheme, measured with
+// the message-level BGP sim.
+func printOverhead(w io.Writer, o experiments.Options) error {
+	ov, err := experiments.RunOverhead(o)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "== Extension: control-plane overhead of multipath schemes ==")
+	fmt.Fprintf(w, "  baseline BGP:  %.0f UPDATE messages to converge one prefix\n", ov.BGPUpdatesPerPrefix)
+	fmt.Fprintf(w, "  MIRO:          +%.1f negotiation messages per (src,dst) pair using alternates\n", ov.MIROMessagesPerPair)
+	fmt.Fprintf(w, "  MIFO:          +%.0f messages (alternatives come from the local RIB)\n", ov.MIFOExtraMessages)
+	fmt.Fprintf(w, "  BGP reconvergence after a link failure: %.2f s mean — the outage window\n", ov.ReconvergenceSec)
+	fmt.Fprintln(w, "  MIFO's data-plane failover bridges (cf. -exp resilience).")
+	return nil
+}
+
 func printFig12(w io.Writer) error {
 	bgpRes, err := testbed.Run(testbed.Config{MIFO: false})
 	if err != nil {
@@ -532,12 +571,12 @@ func printFig12(w io.Writer) error {
 // overheads, with no fluid-model efficiency factors.
 func printFig12Packet(w io.Writer) error {
 	cfg := testbed.Config{FlowSizeBits: fig12PacketMB * 8e6}
-	bgpRes, err := testbed.RunPacketLevel(cfg, packetsim.Config{})
+	bgpRes, err := testbed.RunPacketLevel(cfg)
 	if err != nil {
 		return err
 	}
 	cfg.MIFO = true
-	mifoRes, err := testbed.RunPacketLevel(cfg, packetsim.Config{})
+	mifoRes, err := testbed.RunPacketLevel(cfg)
 	if err != nil {
 		return err
 	}

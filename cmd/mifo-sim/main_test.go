@@ -45,16 +45,60 @@ func TestFig12MatchesCommitted(t *testing.T) {
 			if err := tc.print(&got); err != nil {
 				t.Fatal(err)
 			}
-			if bytes.Equal(got.Bytes(), tc.want) {
-				return
+			sameSection(t, tc.name, got.Bytes(), tc.want)
+		})
+	}
+}
+
+// sameSection fails t at the first line where got differs from the
+// committed section want.
+func sameSection(t *testing.T, name string, got, want []byte) {
+	t.Helper()
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("line %d of the %s section: got %q, committed %q", i+1, name, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("%s section: got %d lines, committed %d", name, len(gotLines), len(wantLines))
+}
+
+// TestSimulationSectionsMatchCommitted: -exp table1 and -exp overhead
+// print their sections of the committed results/simulation.txt byte for
+// byte, with the flags `make figures` passes (the defaults). make
+// reproduce compares only the .dat files; these two sections have none.
+// The overhead section's UPDATE count and reconvergence time are what
+// bgpsim's fixed per-message delay and MRAI produce.
+func TestSimulationSectionsMatchCommitted(t *testing.T) {
+	committed, err := os.ReadFile("../../results/simulation.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := experiments.Options{N: 1000, Flows: 5000, PairSamples: 1000, Seed: 1}
+	for _, tc := range []struct {
+		name  string
+		head  string
+		print func(io.Writer, experiments.Options) error
+	}{
+		{"table1", "== Table I:", printTableI},
+		{"overhead", "== Extension: control-plane overhead", printOverhead},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The section runs from its heading to main's "# [name done
+			// in …]" timing line, which is not part of it.
+			start := bytes.Index(committed, []byte(tc.head))
+			end := bytes.Index(committed, []byte("# ["+tc.name+" done in "))
+			if start < 0 || end < start {
+				t.Fatalf("results/simulation.txt has no %s section", tc.name)
 			}
-			gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(tc.want), "\n")
-			for i := range min(len(gotLines), len(wantLines)) {
-				if gotLines[i] != wantLines[i] {
-					t.Fatalf("line %d of the %s section: got %q, committed %q", i+1, tc.name, gotLines[i], wantLines[i])
-				}
+			var got bytes.Buffer
+			if err := tc.print(&got, o); err != nil {
+				t.Fatal(err)
 			}
-			t.Fatalf("%s section: got %d lines, committed %d", tc.name, len(gotLines), len(wantLines))
+			sameSection(t, tc.name, got.Bytes(), committed[start:end])
 		})
 	}
 }
@@ -131,6 +175,37 @@ func TestFlightSampleRange(t *testing.T) {
 	} {
 		if got := validSample(tc.v); got != tc.want {
 			t.Errorf("validSample(%v) = %v, want %v", tc.v, got, tc.want)
+		}
+	}
+}
+
+// Sizes the experiments would silently replace with a default are
+// rejected; the zero "auto" values and the defaults pass.
+func TestSizeFlagsRange(t *testing.T) {
+	ok := func(n, flows, pairs int, rate float64, workers, stream, mem int) bool {
+		return sizeError(n, flows, pairs, rate, workers, stream, mem) == nil
+	}
+	for _, tc := range []struct {
+		name string
+		got  bool
+		want bool
+	}{
+		{"defaults", ok(1000, 5000, 1000, 0, 0, 0, 0), true},
+		{"explicit", ok(1, 1, 1, 3.5, 2, 10, 1024), true},
+		{"-n 0", ok(0, 5000, 1000, 0, 0, 0, 0), false},
+		{"-n -5", ok(-5, 5000, 1000, 0, 0, 0, 0), false},
+		{"-flows 0", ok(1000, 0, 1000, 0, 0, 0, 0), false},
+		{"-flows -10", ok(1000, -10, 1000, 0, 0, 0, 0), false},
+		{"-pairs 0", ok(1000, 5000, 0, 0, 0, 0, 0), false},
+		{"-rate -3", ok(1000, 5000, 1000, -3, 0, 0, 0), false},
+		{"-rate NaN", ok(1000, 5000, 1000, math.NaN(), 0, 0, 0), false},
+		{"-rate +Inf", ok(1000, 5000, 1000, math.Inf(1), 0, 0, 0), false},
+		{"-workers -1", ok(1000, 5000, 1000, 0, -1, 0, 0), false},
+		{"-stream-flows -1", ok(1000, 5000, 1000, 0, 0, -1, 0), false},
+		{"-mem-budget-mb -1", ok(1000, 5000, 1000, 0, 0, 0, -1), false},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: accepted = %v, want %v", tc.name, tc.got, tc.want)
 		}
 	}
 }

@@ -27,7 +27,7 @@ func TestFullStack(t *testing.T) {
 
 	// Control plane: message-level convergence must match the solver.
 	dst := 3
-	sim := bgpsim.New(g, dst, bgpsim.Config{})
+	sim := bgpsim.New(g, dst)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}

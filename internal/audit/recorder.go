@@ -25,12 +25,9 @@ type Options struct {
 	// it). The recorder serializes writes; buffering and closing the
 	// underlying file are the caller's job.
 	Writer io.Writer
-	// Segments is the number of ring segments hop records are sharded
-	// over, rounded up to a power of two (default 8). SegmentCap is each
-	// segment's capacity in hop records, rounded up to a power of two
-	// (default 2048). A full segment sheds records rather than stalling
-	// the forwarding engine.
-	Segments   int
+	// SegmentCap is each ring segment's capacity in hop records, rounded
+	// up to a power of two (default 2048). A full segment sheds records
+	// rather than stalling the forwarding engine.
 	SegmentCap int
 	// Registry, when non-nil, exports audit_records_total,
 	// audit_steps_total, audit_deflections_total,
@@ -38,10 +35,15 @@ type Options struct {
 	// metrics (queue depth/high-water gauges, dropped/backpressure
 	// counters).
 	Registry *obs.Registry
-	// KeepViolating bounds how many violating records are retained in
-	// memory for inspection (default 16, negative keeps none).
-	KeepViolating int
+
+	// segments is the number of ring segments hop records are sharded
+	// over, rounded up to a power of two (default 8; tests shrink it).
+	segments int
 }
+
+// keepViolating bounds how many violating records are retained in memory
+// for inspection.
+const keepViolating = 16
 
 // Stats is a snapshot of a recorder's counters.
 type Stats struct {
@@ -133,7 +135,6 @@ type Recorder struct {
 	pool                        []*journey
 	seq                         uint64
 	pubDropped, pubBackpressure int64
-	keep                        int
 
 	recTotal, stepTotal, deflTotal  *obs.Counter
 	violVec                         *obs.CounterVec
@@ -152,7 +153,6 @@ func NewRecorder(o Options) *Recorder {
 	rec := &Recorder{
 		sampleLimit: ^uint32(0),
 		inflight:    make(map[asmKey]*journey),
-		keep:        o.KeepViolating,
 	}
 	if o.Sample > 0 && o.Sample < 1 {
 		rec.sampleLimit = uint32(o.Sample * float64(^uint32(0)))
@@ -160,10 +160,7 @@ func NewRecorder(o Options) *Recorder {
 	if o.Writer != nil {
 		rec.sink = jsonl.New(o.Writer)
 	}
-	if rec.keep == 0 {
-		rec.keep = 16
-	}
-	nseg := o.Segments
+	nseg := o.segments
 	if nseg <= 0 {
 		nseg = 8
 	}
@@ -526,7 +523,7 @@ func (rec *Recorder) finish(j *journey, verdict, reason string) {
 		rec.stats.Violations++
 		rec.stats.ByInvariant[v.Invariant]++
 	}
-	if len(vs) > 0 && rec.keep > 0 && len(rec.bad) < rec.keep {
+	if len(vs) > 0 && len(rec.bad) < keepViolating {
 		bad := j.rec
 		bad.Steps = append([]Step(nil), j.rec.Steps...)
 		rec.bad = append(rec.bad, bad)
@@ -600,7 +597,7 @@ func (rec *Recorder) Stats() Stats {
 	return rec.stats
 }
 
-// ViolatingRecords returns up to KeepViolating retained records that had
+// ViolatingRecords returns up to keepViolating retained records that had
 // violations, for post-mortem inspection without a JSONL sink. Like
 // Stats, it is a drain barrier.
 func (rec *Recorder) ViolatingRecords() []Record {

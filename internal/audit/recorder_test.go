@@ -249,7 +249,7 @@ func TestRecordPathAndPathSteps(t *testing.T) {
 // path is shed and counted at once, with no backpressure event, and the
 // recorder goes on recording what does fit.
 func TestRecordPathLongerThanSegment(t *testing.T) {
-	rec := NewRecorder(Options{Segments: 1, SegmentCap: 4})
+	rec := NewRecorder(Options{segments: 1, SegmentCap: 4})
 	defer rec.Close()
 	step := func(as int32) Step { return Step{Router: -1, AS: as, Edge: EdgeDown} }
 	long := PathRecord{Flow: 1, Dst: 9, BaselineLen: 5}

@@ -25,31 +25,17 @@ import (
 	"repro/internal/topo"
 )
 
-// Config tunes the message-level dynamics.
-type Config struct {
-	// ProcDelay is per-message propagation plus processing time
-	// (default 50 ms).
-	ProcDelay float64
-	// MRAI is the per-neighbor minimum route advertisement interval
-	// (default 500 ms; RFC 4271 suggests 30 s for eBGP, which would just
-	// scale all convergence results linearly).
-	MRAI float64
-	// MaxEvents bounds the run (default 10 million).
-	MaxEvents int
-}
-
-func (c Config) withDefaults() Config {
-	if c.ProcDelay <= 0 {
-		c.ProcDelay = 0.05
-	}
-	if c.MRAI <= 0 {
-		c.MRAI = 0.5
-	}
-	if c.MaxEvents <= 0 {
-		c.MaxEvents = 10_000_000
-	}
-	return c
-}
+// The message-level dynamics are fixed.
+const (
+	// procDelay is per-message propagation plus processing time.
+	procDelay = 0.05
+	// defaultMRAI is the per-neighbor minimum route advertisement
+	// interval (RFC 4271 suggests 30 s for eBGP, which would just scale
+	// all convergence results linearly).
+	defaultMRAI = 0.5
+	// maxEvents bounds a Run.
+	maxEvents = 10_000_000
+)
 
 // route is one announced path; nil *route means "no route".
 type route struct {
@@ -101,8 +87,9 @@ type speaker struct {
 // Sim is one single-prefix BGP network.
 type Sim struct {
 	g   *topo.Graph
-	cfg Config
 	dst int
+	// mrai is defaultMRAI; tests vary it.
+	mrai float64
 
 	speakers []*speaker
 	sessions map[[2]int32]bool // down sessions are absent (true = up)
@@ -152,11 +139,11 @@ type sendRef struct {
 
 // New builds the simulator with every session up and the destination
 // originating the prefix. Call Run to converge.
-func New(g *topo.Graph, dst int, cfg Config) *Sim {
+func New(g *topo.Graph, dst int) *Sim {
 	s := &Sim{
 		g:        g,
-		cfg:      cfg.withDefaults(),
 		dst:      dst,
+		mrai:     defaultMRAI,
 		sessions: make(map[[2]int32]bool),
 	}
 	s.speakers = make([]*speaker, g.N())
@@ -191,10 +178,10 @@ func (s *Sim) sessionUp(a, b int32) bool {
 }
 
 // Run processes events until the network is quiet or budget is exhausted.
-// It returns an error if MaxEvents fires (persistent oscillation — cannot
+// It returns an error after maxEvents events (persistent oscillation — cannot
 // happen under valley-free policies, by Gao–Rexford stability).
 func (s *Sim) Run() error {
-	for n := 0; n < s.cfg.MaxEvents; n++ {
+	for n := 0; n < maxEvents; n++ {
 		ev := s.q.Pop()
 		if ev == nil {
 			s.finalizeRoots(true)
@@ -213,7 +200,7 @@ func (s *Sim) Run() error {
 		}
 	}
 	s.finalizeRoots(false)
-	return fmt.Errorf("bgpsim: exceeded %d events without converging", s.cfg.MaxEvents)
+	return fmt.Errorf("bgpsim: exceeded %d events without converging", maxEvents)
 }
 
 // finalizeRoots closes the session-event root spans opened since the
@@ -352,7 +339,7 @@ func (s *Sim) scheduleExports(sp *speaker) {
 		}
 		at := s.now
 		if last, sentBefore := sp.lastSend[nb.AS]; sentBefore {
-			if next := last + s.cfg.MRAI; next > at {
+			if next := last + s.mrai; next > at {
 				at = next
 			}
 		}
@@ -384,7 +371,7 @@ func (s *Sim) flushNeighbor(sp *speaker, neighbor int32) {
 	}
 	sp.sent[neighbor] = want
 	sp.lastSend[neighbor] = s.now
-	s.q.Push(s.now+s.cfg.ProcDelay, evDeliver, message{from: sp.as, to: neighbor, r: want})
+	s.q.Push(s.now+procDelay, evDeliver, message{from: sp.as, to: neighbor, r: want})
 }
 
 // FailLink tears down the session between a and b: both sides drop the

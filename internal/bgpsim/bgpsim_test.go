@@ -50,7 +50,7 @@ func assertMatchesStatic(t *testing.T, s *Sim, g *topo.Graph, dst int) {
 
 func TestConvergesToStaticFig2a(t *testing.T) {
 	g := fig2a(t)
-	s := New(g, 0, Config{})
+	s := New(g, 0)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestConvergesToStaticGenerated(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, dst := range []int{0, 100, 249} {
-			s := New(g, dst, Config{})
+			s := New(g, dst)
 			if err := s.Run(); err != nil {
 				t.Fatalf("seed %d dst %d: %v", seed, dst, err)
 			}
@@ -85,7 +85,7 @@ func TestValleyFreeExportInMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(g, 0, Config{})
+	s := New(g, 0)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func failoverGraph(t testing.TB) *topo.Graph {
 
 func TestFailoverReconvergence(t *testing.T) {
 	g := failoverGraph(t)
-	s := New(g, 0, Config{})
+	s := New(g, 0)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPartitionWithdrawsRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(g, 0, Config{})
+	s := New(g, 0)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPartitionWithdrawsRoutes(t *testing.T) {
 
 func TestRestoreLinkConvergesBack(t *testing.T) {
 	g := failoverGraph(t)
-	s := New(g, 0, Config{})
+	s := New(g, 0)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,8 @@ func TestMRAISlowsReconvergence(t *testing.T) {
 	// scales with MRAI.
 	reconv := func(mrai float64) float64 {
 		g := failoverGraph(t)
-		s := New(g, 0, Config{MRAI: mrai})
+		s := New(g, 0)
+		s.mrai = mrai
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +236,7 @@ func TestMessageCountScalesSanely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(g, 0, Config{})
+	s := New(g, 0)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func BenchmarkConverge300(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := New(g, i%g.N(), Config{})
+		s := New(g, i%g.N())
 		if err := s.Run(); err != nil {
 			b.Fatal(err)
 		}

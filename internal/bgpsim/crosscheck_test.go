@@ -19,7 +19,7 @@ func TestAdjRIBInMatchesStaticRIB(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst := 5
-		s := New(g, dst, Config{})
+		s := New(g, dst)
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func TestSessionEventsTraced(t *testing.T) {
 	var buf bytes.Buffer
 	tr := span.New(span.Options{Writer: &buf})
 
-	s := New(g, 0, Config{})
+	s := New(g, 0)
 	s.SetTracer(tr)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestSessionEventsTraced(t *testing.T) {
 // An untraced sim must carry zero tracing state through fail/restore.
 func TestNoTracerNoRoots(t *testing.T) {
 	g := fig2a(t)
-	s := New(g, 0, Config{})
+	s := New(g, 0)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -38,9 +38,6 @@ type Config struct {
 	// per inter-AS link, full-mesh iBGP (the paper does this for tier-1
 	// ASes in Section IV). All other ASes get a single border router.
 	ExpandASes []int
-	// CongestionThreshold overrides the routers' queue-ratio threshold
-	// when > 0.
-	CongestionThreshold float64
 }
 
 // Deployment is a fully wired MIFO network: the AS graph, the router-level
@@ -122,9 +119,6 @@ func NewDeployment(g *topo.Graph, cfg Config) *Deployment {
 		for i := 0; i < count; i++ {
 			r := d.Net.AddRouter(int32(v))
 			r.MIFOEnabled = capable(v)
-			if cfg.CongestionThreshold > 0 {
-				r.CongestionThreshold = cfg.CongestionThreshold
-			}
 			d.routersOf[v] = append(d.routersOf[v], r.ID)
 		}
 		d.egress[v] = make(map[int32]portRef, g.Degree(v))

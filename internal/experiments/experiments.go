@@ -52,13 +52,6 @@ type Options struct {
 	// should set N to Graph.N() so rate auto-scaling sees the real size.
 	Graph *topo.Graph
 
-	// CongestionThreshold, ReturnThreshold and Quality tune MIFO's control
-	// loop (zero values take netsim's defaults). Exposed for the ablation
-	// benchmarks.
-	CongestionThreshold float64
-	ReturnThreshold     float64
-	Quality             netsim.Quality
-
 	// Recorder, when non-nil, attaches the packet flight recorder to every
 	// flow-level simulation an experiment runs: each installed path is
 	// recorded as a JSONL flight record and audited online (mifo-sim's
@@ -297,12 +290,9 @@ func comparePolicies(g *topo.Graph, flows []traffic.Flow, deployment float64, o 
 		Results:    make(map[string]*netsim.Results),
 	}
 	base := netsim.Config{
-		Workers:             o.Workers,
-		CongestionThreshold: o.CongestionThreshold,
-		ReturnThreshold:     o.ReturnThreshold,
-		Quality:             o.Quality,
-		Recorder:            o.Recorder,
-		TSDB:                o.TSDB,
+		Workers:  o.Workers,
+		Recorder: o.Recorder,
+		TSDB:     o.TSDB,
 	}
 	bgpCfg, miroCfg, mifoCfg := base, base, base
 	bgpCfg.Policy = netsim.PolicyBGP

@@ -44,7 +44,7 @@ func RunOverhead(o Options) (*Overhead, error) {
 	reconv := &metrics.CDF{}
 	for i := 0; i < nPrefixes; i++ {
 		dst := rng.Intn(g.N())
-		s := bgpsim.New(g, dst, bgpsim.Config{})
+		s := bgpsim.New(g, dst)
 		if err := s.Run(); err != nil {
 			return nil, err
 		}

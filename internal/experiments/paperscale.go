@@ -193,16 +193,13 @@ func (r *PaperScale) runFlows(g *topo.Graph, o Options, cfg PaperScaleConfig) er
 		At: 0.35 * horizon, RecoverAt: 0.7 * horizon,
 	}
 	ncfg := netsim.Config{
-		Policy:              netsim.PolicyMIFO,
-		Workers:             o.Workers,
-		Failures:            []netsim.LinkFailure{failure},
-		ReconvergenceDelay:  horizon / 20,
-		CongestionThreshold: o.CongestionThreshold,
-		ReturnThreshold:     o.ReturnThreshold,
-		Quality:             o.Quality,
-		Recorder:            o.Recorder,
-		Spans:               o.Spans,
-		TSDB:                o.TSDB,
+		Policy:             netsim.PolicyMIFO,
+		Workers:            o.Workers,
+		Failures:           []netsim.LinkFailure{failure},
+		ReconvergenceDelay: horizon / 20,
+		Recorder:           o.Recorder,
+		Spans:              o.Spans,
+		TSDB:               o.TSDB,
 	}
 	start = time.Now()
 	res, err := netsim.RunStream(g, stream, dsts, flows, ncfg)

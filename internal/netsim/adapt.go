@@ -343,7 +343,7 @@ func (s *Sim) bottleneckUtil(links []int32) float64 {
 }
 
 func (s *Sim) bottleneckSpare(links []int32) float64 {
-	best := s.cfg.LinkCapacityBps
+	best := linkCapacityBps
 	for _, l := range links {
 		if sp := s.spare(l); sp < best {
 			best = sp

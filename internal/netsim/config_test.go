@@ -9,14 +9,14 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.LinkCapacityBps != 1e9 || c.CongestionThreshold != 0.95 ||
-		c.ReturnThreshold != 0.3 || c.ControlInterval != 0.005 ||
-		c.MaxSwitches != 16 || c.ReconvergenceDelay != 5 {
+	if c.CongestionThreshold != 0.95 || c.ReturnThreshold != 0.3 ||
+		c.ControlInterval != 0.005 || c.maxSwitches != 16 ||
+		c.ReconvergenceDelay != 5 {
 		t.Errorf("defaults = %+v", c)
 	}
 	// Explicit values survive.
-	c2 := Config{LinkCapacityBps: 5, MaxSwitches: 3}.withDefaults()
-	if c2.LinkCapacityBps != 5 || c2.MaxSwitches != 3 {
+	c2 := Config{ReturnThreshold: 0.5, maxSwitches: 3}.withDefaults()
+	if c2.ReturnThreshold != 0.5 || c2.maxSwitches != 3 {
 		t.Errorf("overrides lost: %+v", c2)
 	}
 }
@@ -30,7 +30,7 @@ func TestMaxSwitchesHonored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, flows, Config{Policy: PolicyMIFO, MaxSwitches: 2})
+	res, err := Run(g, flows, Config{Policy: PolicyMIFO, maxSwitches: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestMaxSwitchesHonored(t *testing.T) {
 		// A flow may reach the cap and perform at most one final switch
 		// already in flight; it must never exceed cap + 1.
 		if f.Switches > 3 {
-			t.Fatalf("flow %d switched %d times with MaxSwitches=2", f.ID, f.Switches)
+			t.Fatalf("flow %d switched %d times with maxSwitches=2", f.ID, f.Switches)
 		}
 	}
 }

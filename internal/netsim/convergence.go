@@ -31,7 +31,7 @@ func (s *Sim) tracing() bool { return s.cfg.Spans.Enabled() }
 // ensureMirror lazily builds the router-level mirror deployment.
 func (s *Sim) ensureMirror() *core.Deployment {
 	if s.mirror == nil {
-		s.mirror = core.NewDeployment(s.g, core.Config{LinkCapacityBps: s.cfg.LinkCapacityBps})
+		s.mirror = core.NewDeployment(s.g, core.Config{LinkCapacityBps: linkCapacityBps})
 		s.mirror.InstallDestinations(s.tab.All())
 		s.mirror.SetTracer(s.cfg.Spans)
 	}

@@ -48,8 +48,8 @@ func (s *Sim) handleFail(f LinkFailure) {
 // handleRecover restores the link and schedules control-plane convergence
 // back to the original best paths.
 func (s *Sim) handleRecover(f LinkFailure) {
-	s.setCapacity(s.linkID(f.A, f.B), s.cfg.LinkCapacityBps)
-	s.setCapacity(s.linkID(f.B, f.A), s.cfg.LinkCapacityBps)
+	s.setCapacity(s.linkID(f.A, f.B), linkCapacityBps)
+	s.setCapacity(s.linkID(f.B, f.A), linkCapacityBps)
 	if s.repairedTab != nil {
 		s.linkUpRepair(f)
 	}

@@ -30,7 +30,7 @@ func TestFlightRecorderAuditsMIFORun(t *testing.T) {
 	flows := hogAndReturner
 	var buf bytes.Buffer
 	rec := audit.NewRecorder(audit.Options{Writer: &buf})
-	db := tsdb.NewStore(tsdb.Options{})
+	db := tsdb.NewStore()
 	res, err := Run(g, flows, Config{Policy: PolicyMIFO, Recorder: rec, TSDB: db})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestObserversLeaveRunIdentical(t *testing.T) {
 				defer cfg.Recorder.Close()
 			}
 			if tc.db {
-				cfg.TSDB = tsdb.NewStore(tsdb.Options{})
+				cfg.TSDB = tsdb.NewStore()
 			}
 			if tc.spans {
 				cfg.Spans = span.New(span.Options{Writer: io.Discard})

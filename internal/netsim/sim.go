@@ -84,8 +84,6 @@ type Config struct {
 	Quality Quality
 	// Capable marks MIFO/MIRO-capable ASes (nil = all capable).
 	Capable []bool
-	// LinkCapacityBps is the uniform inter-AS link capacity (default 1 Gbps).
-	LinkCapacityBps float64
 	// CongestionThreshold is the utilization at which an egress link counts
 	// as congested and deflects flows (default 0.95).
 	CongestionThreshold float64
@@ -99,9 +97,6 @@ type Config struct {
 	// few-RTT granularity; coarser intervals under-sell the mechanism
 	// (see BenchmarkAblationControlInterval).
 	ControlInterval float64
-	// MaxSwitches stops adapting a flow after this many path switches
-	// (default 16); a safety valve, rarely reached thanks to hysteresis.
-	MaxSwitches int
 	// MIRO configures the MIRO baseline.
 	MIRO miro.Config
 	// Workers bounds parallelism for route precomputation (0 = all CPUs).
@@ -135,12 +130,17 @@ type Config struct {
 	// ReconvergenceDelay is how long the control plane takes to repair
 	// default routes after a failure or recovery (default 5 s).
 	ReconvergenceDelay float64
+
+	// maxSwitches stops adapting a flow after this many path switches
+	// (default 16); a safety valve, rarely reached thanks to hysteresis.
+	maxSwitches int
 }
 
+// linkCapacityBps is the uniform inter-AS link capacity, the paper's
+// 1 Gbps.
+const linkCapacityBps = 1e9
+
 func (c Config) withDefaults() Config {
-	if c.LinkCapacityBps <= 0 {
-		c.LinkCapacityBps = 1e9
-	}
 	if c.CongestionThreshold <= 0 {
 		c.CongestionThreshold = 0.95
 	}
@@ -150,8 +150,8 @@ func (c Config) withDefaults() Config {
 	if c.ControlInterval <= 0 {
 		c.ControlInterval = 0.005
 	}
-	if c.MaxSwitches <= 0 {
-		c.MaxSwitches = 16
+	if c.maxSwitches <= 0 {
+		c.maxSwitches = 16
 	}
 	if c.ReconvergenceDelay <= 0 {
 		c.ReconvergenceDelay = 5
@@ -357,7 +357,7 @@ func Run(g *topo.Graph, flows []traffic.Flow, cfg Config) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Results{Policy: s.cfg.Policy, Capacity: s.cfg.LinkCapacityBps, Flows: out, Routing: s.routing()}, nil
+	return &Results{Policy: s.cfg.Policy, Capacity: linkCapacityBps, Flows: out, Routing: s.routing()}, nil
 }
 
 // orderedFlows streams a flow slice in the given index order.
@@ -554,7 +554,7 @@ func (s *Sim) buildLinks() {
 	s.numLinks = int(s.linkOff[n])
 	s.capac = make([]float64, s.numLinks)
 	for i := range s.capac {
-		s.capac[i] = s.cfg.LinkCapacityBps
+		s.capac[i] = linkCapacityBps
 	}
 	s.load = make([]float64, s.numLinks)
 	s.fair.init(s.numLinks)
@@ -674,7 +674,7 @@ func (s *Sim) handleEpoch() {
 		moved := 0
 		for _, fi := range s.active {
 			st := s.flows[fi]
-			if st.switches >= s.cfg.MaxSwitches {
+			if st.switches >= s.cfg.maxSwitches {
 				continue
 			}
 			table := s.tab.Dest(st.Dst)

@@ -146,7 +146,7 @@ func RunStream(g *topo.Graph, src traffic.Stream, dsts []int, maxFlows int, cfg 
 	if err != nil {
 		return nil, err
 	}
-	res.Policy, res.Capacity = s.cfg.Policy, s.cfg.LinkCapacityBps
+	res.Policy, res.Capacity = s.cfg.Policy, linkCapacityBps
 	res.Flows = s.pulled
 	res.PeakActive = s.peakActive
 	res.PeakFlowSlots = len(s.flows)

@@ -21,7 +21,7 @@ func TestTSDBOffloadMatchesResults(t *testing.T) {
 		{ID: 0, Src: 1, Dst: 0, SizeBits: 100 * mb, Arrival: 0},
 		{ID: 1, Src: 1, Dst: 0, SizeBits: 200 * mb, Arrival: 0.05},
 	}
-	db := tsdb.NewStore(tsdb.Options{})
+	db := tsdb.NewStore()
 	res, err := Run(g, flows, Config{Policy: PolicyMIFO, TSDB: db})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestTSDBRunLabelsSeparateRuns(t *testing.T) {
 		{ID: 0, Src: 1, Dst: 0, SizeBits: 100 * mb, Arrival: 0},
 		{ID: 1, Src: 1, Dst: 0, SizeBits: 200 * mb, Arrival: 0.05},
 	}
-	db := tsdb.NewStore(tsdb.Options{})
+	db := tsdb.NewStore()
 	for i := 0; i < 2; i++ {
 		if _, err := Run(g, flows, Config{Policy: PolicyMIFO, TSDB: db}); err != nil {
 			t.Fatal(err)

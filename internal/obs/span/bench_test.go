@@ -12,7 +12,7 @@ import (
 // just a bench eyeball.
 
 func BenchmarkSpanRecord(b *testing.B) {
-	tr := New(Options{Segments: 8, SegmentCap: 16384})
+	tr := New(Options{segments: 8, segmentCap: 16384})
 	defer tr.Close()
 	root := tr.StartRoot("bench_record_root", 0)
 	defer root.End()
@@ -27,7 +27,7 @@ func BenchmarkSpanRecord(b *testing.B) {
 }
 
 func BenchmarkSpanRecordParallel(b *testing.B) {
-	tr := New(Options{Segments: 16, SegmentCap: 16384})
+	tr := New(Options{segments: 16, segmentCap: 16384})
 	defer tr.Close()
 	root := tr.StartRoot("bench_parallel_root", 0)
 	defer root.End()
@@ -43,7 +43,7 @@ func BenchmarkSpanRecordParallel(b *testing.B) {
 }
 
 func BenchmarkSpanDisabled(b *testing.B) {
-	tr := New(Options{Poll: time.Minute})
+	tr := New(Options{poll: time.Minute})
 	defer tr.Close()
 	tr.SetEnabled(false)
 	b.ReportAllocs()

@@ -18,24 +18,26 @@ type Options struct {
 	// the collector drains it. The collector serializes writes; buffering
 	// and closing the underlying file are the caller's job.
 	Writer io.Writer
-	// Segments is the number of ring segments span records are sharded
-	// over, rounded up to a power of two (default 8). SegmentCap is each
-	// segment's capacity in records, rounded up to a power of two
-	// (default 4096). A full segment sheds records rather than stalling
-	// the instrumented pipeline.
-	Segments   int
-	SegmentCap int
-	// Poll is the collector's drain period (default 1ms).
-	Poll time.Duration
 	// Registry, when non-nil, exports span_records_total,
 	// span_traces_total, span_dropped_total, span_backpressure_total,
 	// span_queue_depth/highwater gauges, and the per-stage duration
 	// histogram span_stage_seconds{stage}.
 	Registry *obs.Registry
-	// Clock overrides the monotonic timestamp source (nanoseconds since
-	// an arbitrary origin). Tests use it for deterministic durations; nil
-	// uses the wall clock's monotonic reading since tracer creation.
-	Clock func() int64
+
+	// The rest is for this package's tests. segments is the number of
+	// ring segments span records are sharded over, rounded up to a power
+	// of two (default 8). segmentCap is each segment's capacity in
+	// records, rounded up to a power of two (default 4096). A full
+	// segment sheds records rather than stalling the instrumented
+	// pipeline.
+	segments   int
+	segmentCap int
+	// poll is the collector's drain period (default 1ms).
+	poll time.Duration
+	// clock overrides the monotonic timestamp source (nanoseconds since
+	// an arbitrary origin) for deterministic durations; nil uses the wall
+	// clock's monotonic reading since tracer creation.
+	clock func() int64
 }
 
 // Stats is a snapshot of a tracer's counters.
@@ -81,14 +83,14 @@ type collector struct {
 func New(o Options) *Tracer {
 	t := &Tracer{
 		epoch: time.Now(),
-		clock: o.Clock,
+		clock: o.clock,
 	}
 	if t.clock == nil {
 		tscOnce.Do(calibrateTSC)
 		t.tscScale = tscScale
 		t.tscEpoch = rdtsc()
 	}
-	poll := o.Poll
+	poll := o.poll
 	if poll <= 0 {
 		poll = time.Millisecond
 	}
@@ -96,11 +98,11 @@ func New(o Options) *Tracer {
 	if o.Writer != nil {
 		t.sink = jsonl.New(o.Writer)
 	}
-	nseg := o.Segments
+	nseg := o.segments
 	if nseg <= 0 {
 		nseg = 8
 	}
-	segCap := o.SegmentCap
+	segCap := o.segmentCap
 	if segCap <= 0 {
 		segCap = 4096
 	}

@@ -21,7 +21,7 @@ func (c *fakeClock) read() int64  { return c.now }
 func TestTracerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	clk := &fakeClock{}
-	tr := New(Options{Writer: &buf, Clock: clk.read})
+	tr := New(Options{Writer: &buf, clock: clk.read})
 	defer tr.Close()
 
 	root := tr.StartRoot("conv_test_root", -1)
@@ -118,7 +118,7 @@ func TestDisabledAndNilTracer(t *testing.T) {
 }
 
 func TestChildOfZeroParentIsRoot(t *testing.T) {
-	tr := New(Options{Clock: (&fakeClock{}).read})
+	tr := New(Options{clock: (&fakeClock{}).read})
 	defer tr.Close()
 	s := tr.Start("test_orphanless_span", Context{}, 5)
 	if s.trace != s.id || s.parent != 0 {
@@ -130,7 +130,7 @@ func TestChildOfZeroParentIsRoot(t *testing.T) {
 func TestShedNotStall(t *testing.T) {
 	// One two-slot segment and a collector that only wakes for barrier
 	// commands: pushes beyond capacity must shed, never block.
-	tr := New(Options{Segments: 1, SegmentCap: 2, Poll: time.Hour})
+	tr := New(Options{segments: 1, segmentCap: 2, poll: time.Hour})
 	defer tr.Close()
 	done := make(chan struct{})
 	go func() {
@@ -159,7 +159,7 @@ func TestShedNotStall(t *testing.T) {
 
 func TestTracerMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := New(Options{Registry: reg, Clock: (&fakeClock{}).read})
+	tr := New(Options{Registry: reg, clock: (&fakeClock{}).read})
 	defer tr.Close()
 	root := tr.StartRoot("test_metrics_root", 0)
 	c1 := tr.Start("test_metrics_stage", root.Context(), 0)
@@ -258,7 +258,7 @@ func TestReadRecordsRejectsDamage(t *testing.T) {
 // (sudogs), and a drain goroutine first scheduled inside the count put them
 // there (the test flaked under -race).
 func TestRecordPathZeroAlloc(t *testing.T) {
-	tr := New(Options{Segments: 4, SegmentCap: 4096, Poll: time.Minute})
+	tr := New(Options{segments: 4, segmentCap: 4096, poll: time.Minute})
 	defer tr.Close()
 	for !leakcheck.Parked("select", "ring.(*Drainer[...]).run") {
 		runtime.Gosched()
@@ -278,7 +278,7 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 }
 
 func TestDisabledPathZeroAlloc(t *testing.T) {
-	tr := New(Options{Poll: time.Minute})
+	tr := New(Options{poll: time.Minute})
 	defer tr.Close()
 	tr.SetEnabled(false)
 	if got := testing.AllocsPerRun(200, func() {
@@ -298,7 +298,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 
 func TestConcurrentProducers(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(Options{Writer: &buf, Segments: 8, SegmentCap: 8192})
+	tr := New(Options{Writer: &buf, segments: 8, segmentCap: 8192})
 	const workers, per = 8, 500
 	done := make(chan struct{})
 	for w := 0; w < workers; w++ {

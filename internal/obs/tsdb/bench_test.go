@@ -29,7 +29,7 @@ func BenchmarkSampleVecResolved(b *testing.B) {
 
 // BenchmarkAnalyze runs episode detection over a gathered store.
 func BenchmarkAnalyze(b *testing.B) {
-	st := NewStore(Options{RawCap: 1024})
+	st := storeWithCap(1024)
 	st.SetEpisodeSpec(EpisodeSpec{Util: "bench_util", Deflections: "bench_defl", OffloadBits: "bench_off", Threshold: 0.9, Window: 10})
 	uv := st.SeriesVec("bench_util", "", "link")
 	dv := st.SeriesVec("bench_defl", "", "link")

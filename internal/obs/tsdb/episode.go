@@ -56,7 +56,7 @@ func (sp EpisodeSpec) withDefaults() EpisodeSpec {
 // attribution joined from the cumulative companion series.
 type Episode struct {
 	// Series identifies the link: the util series' label values joined
-	// by "/" (e.g. run/link for the simulators, router/port for netd).
+	// by "/" (run/link for netsim's utilization series).
 	Series string `json:"series"`
 	// Labels are the raw label values of the util series.
 	Labels []string `json:"labels,omitempty"`

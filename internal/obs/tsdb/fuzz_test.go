@@ -51,7 +51,7 @@ func FuzzReadDump(f *testing.F) {
 // utilization or deflection series or to an unlabeled one. Rings hold 16
 // raw points, so long inputs wrap them.
 func storeFrom(data []byte) *Store {
-	st := NewStore(Options{RawCap: 16})
+	st := storeWithCap(16)
 	if len(data) >= 3 {
 		st.SetEpisodeSpec(EpisodeSpec{
 			Util:        "fz_util",

@@ -11,12 +11,11 @@
 // overwritten in ring order. The store is read through Gather and its
 // dumps (WriteDump, ReadDump), which the episode analyzer consumes.
 //
-// The sample path is the contract that makes the store usable from the
-// simulators' per-epoch hooks: one writer per series, no locks, no
-// allocation (TestSampleAllocFree). Points land in
-// ring.Words, the single-writer overwriting ring of internal/ring, so
-// concurrent readers snapshot consistent windows without ever blocking
-// the writer.
+// The sample path is the contract that makes the store usable from
+// netsim's per-epoch hook, its only producer: one writer per series, no
+// locks, no allocation (TestSampleAllocFree). Points land in ring.Words,
+// the single-writer overwriting ring of internal/ring, so concurrent
+// readers snapshot consistent windows without ever blocking the writer.
 package tsdb
 
 import (
@@ -30,22 +29,9 @@ import (
 	"repro/internal/ring"
 )
 
-// Options size a Store's rings. The zero value uses defaults.
-type Options struct {
-	// RawCap is the per-series raw ring capacity in points, rounded up
-	// to a power of two (default 2048; 16 bytes per point).
-	RawCap int
-}
-
-func (o Options) withDefaults() Options {
-	if o.RawCap <= 0 {
-		o.RawCap = 2048
-	}
-	if o.RawCap < 16 {
-		o.RawCap = 16
-	}
-	return o
-}
+// defaultRawCap is each series' raw ring capacity in points (16 bytes
+// per point).
+const defaultRawCap = 2048
 
 // Store registers and owns series. Registration mirrors the obs.Registry
 // idiom — Series for an unlabeled series, SeriesVec(...).With(values)
@@ -53,9 +39,11 @@ func (o Options) withDefaults() Options {
 // is idempotent for identical shapes and panics on conflicts, like the
 // metrics registry.
 type Store struct {
-	opt  Options
-	mu   sync.Mutex
-	fams map[string]*family
+	// rawCap is the per-series raw ring capacity in points, rounded up to
+	// a power of two (defaultRawCap; tests shrink it to wrap rings).
+	rawCap int
+	mu     sync.Mutex
+	fams   map[string]*family
 	// run hands out run-scoped label values (see NextRun).
 	run atomic.Int64
 	// spec is the store's default episode-analysis configuration, set by
@@ -64,12 +52,8 @@ type Store struct {
 }
 
 // NewStore builds an empty store.
-func NewStore(opts ...Options) *Store {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	return &Store{opt: o.withDefaults(), fams: make(map[string]*family)}
+func NewStore() *Store {
+	return &Store{rawCap: defaultRawCap, fams: make(map[string]*family)}
 }
 
 // family is one named series family (all series share labels and help).
@@ -77,7 +61,7 @@ type family struct {
 	name   string
 	help   string
 	labels []string
-	opt    Options
+	rawCap int
 
 	mu     sync.Mutex
 	series map[string]*Series
@@ -112,7 +96,7 @@ func (st *Store) family(name, help string, labels []string) *family {
 		if !seriesName.MatchString(name) {
 			panic(fmt.Sprintf("tsdb: series name %q is not snake_case with a component prefix", name))
 		}
-		f = &family{name: name, help: help, labels: labels, opt: st.opt, series: make(map[string]*Series)}
+		f = &family{name: name, help: help, labels: labels, rawCap: st.rawCap, series: make(map[string]*Series)}
 		st.fams[name] = f
 		return f
 	}
@@ -128,8 +112,8 @@ func (st *Store) family(name, help string, labels []string) *family {
 }
 
 // NextRun returns a fresh run identifier (1, 2, ...). Components that
-// run repeatedly inside one process (the simulators: one run per
-// deployment point of a sweep) label their series with it so cumulative
+// run repeatedly inside one process (netsim: one run per deployment
+// point of a sweep) label their series with it so cumulative
 // counters and time axes never mix across runs.
 func (st *Store) NextRun() int64 { return st.run.Add(1) }
 
@@ -182,7 +166,7 @@ func (f *family) with(values []string) *Series {
 	if s, ok := f.series[key]; ok {
 		return s
 	}
-	s := newSeries(f.name, values, f.opt)
+	s := newSeries(f.name, values, f.rawCap)
 	f.series[key] = s
 	f.order = append(f.order, s)
 	return s
@@ -220,12 +204,12 @@ type Series struct {
 // the field order).
 const pointWords = 2
 
-func newSeries(name string, values []string, opt Options) *Series {
+func newSeries(name string, values []string, rawCap int) *Series {
 	s := &Series{
 		name:   name,
 		values: append([]string(nil), values...),
 	}
-	s.raw.Init(opt.RawCap, pointWords)
+	s.raw.Init(rawCap, pointWords)
 	return s
 }
 

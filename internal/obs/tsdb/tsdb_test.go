@@ -13,8 +13,16 @@ import (
 	"repro/internal/jsonl"
 )
 
+// storeWithCap is a store whose series rings hold n raw points, so tests
+// can wrap them.
+func storeWithCap(n int) *Store {
+	st := NewStore()
+	st.rawCap = n
+	return st
+}
+
 func TestRawRingRoundTrip(t *testing.T) {
-	st := NewStore(Options{RawCap: 16})
+	st := storeWithCap(16)
 	s := st.Series("test_series", "round trip")
 	for i := 0; i < 10; i++ {
 		s.Sample(int64(i*100), float64(i))
@@ -31,7 +39,7 @@ func TestRawRingRoundTrip(t *testing.T) {
 }
 
 func TestSeriesVecLabels(t *testing.T) {
-	st := NewStore(Options{RawCap: 16})
+	st := storeWithCap(16)
 	vec := st.SeriesVec("test_vec", "", "run", "link")
 	a := vec.With("1", "a")
 	b := vec.With("1", "b")
@@ -80,7 +88,7 @@ func TestRegistrationConflictPanics(t *testing.T) {
 // counted over 1,000 samples in one run so an amortized allocation does
 // not round to zero per call.
 func TestSampleAllocFree(t *testing.T) {
-	st := NewStore(Options{RawCap: 64})
+	st := storeWithCap(64)
 	s := st.Series("test_alloc", "")
 	ts := int64(0)
 	allocs := testing.AllocsPerRun(1, func() {
@@ -100,7 +108,7 @@ func TestSampleAllocFree(t *testing.T) {
 // in timestamp order, and each dump must read back (run under -race via
 // make tsdb-race).
 func TestGatherWhileSampling(t *testing.T) {
-	st := NewStore(Options{RawCap: 64})
+	st := storeWithCap(64)
 	st.SetEpisodeSpec(EpisodeSpec{Util: "test_util", Threshold: 0.95, Window: 5, MaxGap: 1e9})
 	s := st.SeriesVec("test_util", "link utilization", "run", "link").With("1", "7")
 
@@ -251,7 +259,7 @@ func TestEpisodeGapSplits(t *testing.T) {
 }
 
 func TestDumpRoundTrip(t *testing.T) {
-	st := NewStore(Options{RawCap: 64})
+	st := storeWithCap(64)
 	st.SetEpisodeSpec(EpisodeSpec{Util: "test_util", Threshold: 0.8, Window: 5})
 	vec := st.SeriesVec("test_util", "link utilization", "link")
 	a := vec.With("a")

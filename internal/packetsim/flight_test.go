@@ -39,7 +39,7 @@ func TestFlightRecorderAuditsPacketRun(t *testing.T) {
 	// rings for the whole run so the shed policy never fires and the
 	// exact-count assertions below hold.
 	rec := audit.NewRecorder(audit.Options{Writer: &buf, SegmentCap: 1 << 13})
-	sim := New(n, Config{Recorder: rec})
+	sim := New(n, rec)
 	// Count deflected decisions through a hook wrapped around the one New
 	// installed: the sim's event loop is single-threaded.
 	var hookDeflections int64
@@ -125,7 +125,7 @@ func TestFlightRecorderSamplingIsPerFlow(t *testing.T) {
 	}
 	sample = (float64(lo) + 1) / float64(^uint32(0))
 	rec := audit.NewRecorder(audit.Options{Sample: sample})
-	sim := New(n, Config{Recorder: rec})
+	sim := New(n, rec)
 	for _, k := range keys {
 		sim.AddFlow(FlowSpec{Key: k, Origin: a.ID, Dst: 2, SizeBytes: 100_000, After: -1})
 	}

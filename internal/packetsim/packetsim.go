@@ -14,76 +14,37 @@ package packetsim
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/audit"
 	"repro/internal/dataplane"
 	"repro/internal/eventq"
 	"repro/internal/metrics"
-	"repro/internal/obs/tsdb"
 )
 
-// Config tunes the packet-level engine.
-type Config struct {
-	// PacketBytes is the data payload per packet (paper: 1 KB).
-	PacketBytes int
-	// WireOverheadBytes is added per packet on the wire (Ethernet + IP +
-	// TCP framing; default 66, giving ~0.94 goodput at 1 KB payloads —
-	// the paper's GbE testbed baseline).
-	WireOverheadBytes int
-	// EncapOverheadBytes is the extra outer IP header carried by packets
-	// deflected across iBGP peers (default 20).
-	EncapOverheadBytes int
-	// QueuePackets is each port's tx queue capacity (default 128).
-	QueuePackets int
-	// PropDelay is the per-link propagation delay in seconds (default 50µs).
-	PropDelay float64
-	// AckDelay is the receiver-to-sender ACK latency (default 100µs).
-	AckDelay float64
-	// InitialWindow is the AIMD start window in packets (default 10).
-	InitialWindow float64
-	// MaxConsecutiveHardDrops aborts a flow whose packets keep being
+// The engine's constants are the paper's GbE testbed.
+const (
+	// packetBytes is the data payload per packet (paper: 1 KB).
+	packetBytes = 1000
+	// wireOverheadBytes is added per packet on the wire (Ethernet + IP +
+	// TCP framing), giving ~0.94 goodput at 1 KB payloads — the paper's
+	// GbE testbed baseline.
+	wireOverheadBytes = 66
+	// encapOverheadBytes is the extra outer IP header carried by packets
+	// deflected across iBGP peers.
+	encapOverheadBytes = 20
+	// queuePackets is each port's tx queue capacity.
+	queuePackets = 128
+	// propDelay is the per-link propagation delay in seconds.
+	propDelay = 50e-6
+	// ackDelay is the receiver-to-sender ACK latency in seconds.
+	ackDelay = 100e-6
+	// initialWindow is the AIMD start window in packets.
+	initialWindow = 10
+	// maxConsecutiveHardDrops aborts a flow whose packets keep being
 	// dropped by the forwarding engine itself (no route / valley-free),
-	// since no retransmission strategy can get them through (default 64).
-	MaxConsecutiveHardDrops int
-	// Recorder, when non-nil, is installed as the hop hook on every router
-	// of the network: each sampled packet's full journey is recorded and
-	// audited, and tx-queue drops finalize the journey as lost.
-	Recorder *audit.Recorder
-	// TSDB, when non-nil, receives per-port queue-ratio samples (the
-	// engine's actual congestion signal) and the 100 ms aggregate-goodput
-	// series. Port series are materialized lazily once a queue first
-	// crosses half occupancy; timestamps are virtual time in nanoseconds.
-	TSDB *tsdb.Store
-}
-
-func (c Config) withDefaults() Config {
-	if c.PacketBytes <= 0 {
-		c.PacketBytes = 1000
-	}
-	if c.WireOverheadBytes <= 0 {
-		c.WireOverheadBytes = 66
-	}
-	if c.EncapOverheadBytes <= 0 {
-		c.EncapOverheadBytes = 20
-	}
-	if c.QueuePackets <= 0 {
-		c.QueuePackets = 128
-	}
-	if c.PropDelay <= 0 {
-		c.PropDelay = 50e-6
-	}
-	if c.AckDelay <= 0 {
-		c.AckDelay = 100e-6
-	}
-	if c.InitialWindow <= 0 {
-		c.InitialWindow = 10
-	}
-	if c.MaxConsecutiveHardDrops <= 0 {
-		c.MaxConsecutiveHardDrops = 64
-	}
-	return c
-}
+	// since no retransmission strategy can get them through.
+	maxConsecutiveHardDrops = 64
+)
 
 // FlowSpec describes one transfer.
 type FlowSpec struct {
@@ -119,14 +80,16 @@ type FlowResult struct {
 	DeflectedPkts int
 	// DeliveredPkts counts distinct delivered payload packets.
 	DeliveredPkts int
-	// Aborted marks flows stopped by MaxConsecutiveHardDrops.
+	// Aborted marks flows stopped after maxConsecutiveHardDrops.
 	Aborted bool
 }
 
 // Sim is one packet-level run over a dataplane.Network.
 type Sim struct {
 	net *dataplane.Network
-	cfg Config
+	rec *audit.Recorder
+	// maxHardDrops is maxConsecutiveHardDrops; tests lower it.
+	maxHardDrops int
 
 	queues   []txQueue // indexed by portBase[router] + port
 	portBase []int
@@ -140,13 +103,6 @@ type Sim struct {
 	bucketStart float64
 	series      metrics.TimeSeries
 	totalBits   float64
-
-	// TSDB instrumentation (nil unless cfg.TSDB is set). The event loop
-	// is the single writer every series requires.
-	tsRun      string
-	tsQueueVec *tsdb.SeriesVec
-	tsQueue    []*tsdb.Series // per qindex, materialized lazily
-	tsGoodput  *tsdb.Series
 }
 
 type txQueue struct {
@@ -166,36 +122,23 @@ type inFlight struct {
 
 // New builds a simulator over an existing router network. The network's
 // routers keep whatever FIBs, thresholds and deflection policies they have;
-// queue ratios are owned by the simulator from here on.
-func New(net *dataplane.Network, cfg Config) *Sim {
-	cfg = cfg.withDefaults()
-	s := &Sim{net: net, cfg: cfg}
+// queue ratios are owned by the simulator from here on. A non-nil rec is
+// installed as the hop hook on every router: each sampled packet's full
+// journey is recorded and audited, and tx-queue drops finalize the
+// journey as lost.
+func New(net *dataplane.Network, rec *audit.Recorder) *Sim {
+	s := &Sim{net: net, rec: rec, maxHardDrops: maxConsecutiveHardDrops}
 	s.portBase = make([]int, len(net.Routers)+1)
 	for i, r := range net.Routers {
 		s.portBase[i+1] = s.portBase[i] + len(r.Ports)
 	}
 	s.queues = make([]txQueue, s.portBase[len(net.Routers)])
 	s.series.Name = "aggregate-gbps"
-	if cfg.Recorder != nil {
-		hook := cfg.Recorder.RouterHook()
+	if rec != nil {
+		hook := rec.RouterHook()
 		for _, r := range net.Routers {
 			r.Hop = hook
 		}
-	}
-	if cfg.TSDB != nil {
-		s.tsRun = strconv.FormatInt(cfg.TSDB.NextRun(), 10)
-		s.tsQueueVec = cfg.TSDB.SeriesVec("packetsim_queue_ratio", "tx-queue occupancy per output port (the congestion signal)", "run", "router", "port")
-		s.tsQueue = make([]*tsdb.Series, len(s.queues))
-		s.tsGoodput = cfg.TSDB.SeriesVec("packetsim_goodput_gbps", "aggregate delivered goodput per 100 ms bucket", "run").With(s.tsRun)
-		cfg.TSDB.SetEpisodeSpec(tsdb.EpisodeSpec{
-			Util: "packetsim_queue_ratio",
-			// A full queue deflects; sustained >=95% occupancy for a
-			// millisecond of virtual time is a congestion episode at
-			// packet granularity.
-			Threshold: 0.95,
-			Window:    1e6,
-			MaxGap:    1e8,
-		})
 	}
 	return s
 }
@@ -207,8 +150,8 @@ func (s *Sim) AddFlow(spec FlowSpec) int {
 	}
 	src := &source{
 		spec:  spec,
-		cwnd:  s.cfg.InitialWindow,
-		total: (spec.SizeBytes + s.cfg.PacketBytes - 1) / s.cfg.PacketBytes,
+		cwnd:  initialWindow,
+		total: (spec.SizeBytes + packetBytes - 1) / packetBytes,
 	}
 	s.sources = append(s.sources, src)
 	return len(s.sources) - 1
@@ -323,11 +266,7 @@ func (s *Sim) Run() (*Results, error) {
 // account adds delivered bits to the 100ms aggregate buckets.
 func (s *Sim) account(t float64) {
 	for t-s.bucketStart >= 0.1 {
-		gbps := s.bucket / 0.1 / 1e9
-		s.series.Add(s.bucketStart, gbps)
-		if s.tsGoodput != nil {
-			s.tsGoodput.Sample(int64(s.bucketStart*1e9), gbps)
-		}
+		s.series.Add(s.bucketStart, s.bucket/0.1/1e9)
 		s.bucket = 0
 		s.bucketStart += 0.1
 	}
@@ -356,7 +295,7 @@ func (s *Sim) inject(srcIdx, seq int) {
 		seq:  seq,
 		src:  srcIdx,
 		sent: s.now,
-		wire: s.cfg.PacketBytes + s.cfg.WireOverheadBytes,
+		wire: packetBytes + wireOverheadBytes,
 	}
 	s.arrive(p, src.spec.Origin, -1)
 }
@@ -373,7 +312,7 @@ func (s *Sim) arrive(p *inFlight, at dataplane.RouterID, in int) {
 	wasEncap := p.pkt.Encap
 	act := r.Forward(&p.pkt, in)
 	if wasEncap && !p.pkt.Encap {
-		p.wire -= s.cfg.EncapOverheadBytes // outer header stripped
+		p.wire -= encapOverheadBytes // outer header stripped
 	}
 	switch act.Verdict {
 	case dataplane.VerdictDeliver:
@@ -384,7 +323,7 @@ func (s *Sim) arrive(p *inFlight, at dataplane.RouterID, in int) {
 		if act.Deflected {
 			p.defl = true
 			if p.pkt.Encap {
-				p.wire += s.cfg.EncapOverheadBytes
+				p.wire += encapOverheadBytes
 			}
 		}
 		s.enqueue(p, at, act.Port)
@@ -395,11 +334,11 @@ func (s *Sim) arrive(p *inFlight, at dataplane.RouterID, in int) {
 func (s *Sim) enqueue(p *inFlight, at dataplane.RouterID, port int) {
 	qi := s.qindex(at, port)
 	q := &s.queues[qi]
-	if len(q.pkts) >= s.cfg.QueuePackets {
+	if len(q.pkts) >= queuePackets {
 		src := s.sources[p.src]
 		src.queueDrops++
-		if s.cfg.Recorder != nil {
-			s.cfg.Recorder.Lost(&p.pkt, "queue-overflow")
+		if s.rec != nil {
+			s.rec.Lost(&p.pkt, "queue-overflow")
 		}
 		s.queue.Push(s.now, evLoss, ackRef{src: p.src, seq: p.seq})
 		return
@@ -431,7 +370,7 @@ func (s *Sim) txDone(at dataplane.RouterID, port int) {
 	s.updateQueueRatio(at, port, qi)
 
 	pp := &s.net.Router(at).Ports[port]
-	s.queue.Push(s.now+s.cfg.PropDelay, evPktArrive, pktArrival{p: p, at: pp.Peer, in: pp.PeerPort})
+	s.queue.Push(s.now+propDelay, evPktArrive, pktArrival{p: p, at: pp.Peer, in: pp.PeerPort})
 
 	if len(q.pkts) > 0 {
 		s.startTx(at, port, qi)
@@ -442,19 +381,7 @@ func (s *Sim) txDone(at dataplane.RouterID, port int) {
 
 // updateQueueRatio publishes the occupancy as the congestion signal.
 func (s *Sim) updateQueueRatio(at dataplane.RouterID, port int, qi int) {
-	ratio := float64(len(s.queues[qi].pkts)) / float64(s.cfg.QueuePackets)
-	s.net.Router(at).SetQueueRatio(port, ratio)
-	if s.tsQueueVec != nil {
-		ser := s.tsQueue[qi]
-		if ser == nil {
-			if ratio < 0.5 {
-				return // only ports that actually build queues get series
-			}
-			ser = s.tsQueueVec.With(s.tsRun, strconv.Itoa(int(at)), strconv.Itoa(port))
-			s.tsQueue[qi] = ser
-		}
-		ser.Sample(int64(s.now*1e9), ratio)
-	}
+	s.net.Router(at).SetQueueRatio(port, float64(len(s.queues[qi].pkts))/queuePackets)
 }
 
 // deliver hands the payload to the destination and schedules the ACK.
@@ -463,7 +390,7 @@ func (s *Sim) deliver(p *inFlight) {
 	if p.defl {
 		src.deflected++
 	}
-	s.queue.Push(s.now+s.cfg.AckDelay, evAck, ackRef{src: p.src, seq: p.seq})
+	s.queue.Push(s.now+ackDelay, evAck, ackRef{src: p.src, seq: p.seq})
 }
 
 // hardDrop handles a forwarding-engine drop (no route, valley-free, TTL).

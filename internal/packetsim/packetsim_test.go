@@ -25,7 +25,7 @@ func line(t testing.TB) (*dataplane.Network, *dataplane.Router, *dataplane.Route
 
 func TestSingleFlowGoodput(t *testing.T) {
 	n, a, _ := line(t)
-	sim := New(n, Config{})
+	sim := New(n, nil)
 	sim.AddFlow(FlowSpec{
 		Key:    dataplane.FlowKey{SrcAddr: 1, DstAddr: 2, Proto: 6},
 		Origin: a.ID, Dst: 2, SizeBytes: 2_000_000, After: -1,
@@ -52,7 +52,7 @@ func TestSingleFlowGoodput(t *testing.T) {
 
 func TestTwoFlowsShareBottleneck(t *testing.T) {
 	n, a, _ := line(t)
-	sim := New(n, Config{})
+	sim := New(n, nil)
 	for i := 0; i < 2; i++ {
 		sim.AddFlow(FlowSpec{
 			Key:    dataplane.FlowKey{SrcAddr: uint32(i + 10), DstAddr: 2, SrcPort: uint16(i), Proto: 6},
@@ -81,7 +81,7 @@ func TestTwoFlowsShareBottleneck(t *testing.T) {
 
 func TestSequentialFlows(t *testing.T) {
 	n, a, _ := line(t)
-	sim := New(n, Config{})
+	sim := New(n, nil)
 	first := sim.AddFlow(FlowSpec{
 		Key:    dataplane.FlowKey{SrcAddr: 1, DstAddr: 2, SrcPort: 0, Proto: 6},
 		Origin: a.ID, Dst: 2, SizeBytes: 500_000, After: -1,
@@ -103,7 +103,8 @@ func TestSequentialFlows(t *testing.T) {
 func TestUnroutableFlowAborts(t *testing.T) {
 	n := dataplane.NewNetwork()
 	a := n.AddRouter(1) // no FIB entry at all
-	sim := New(n, Config{MaxConsecutiveHardDrops: 8})
+	sim := New(n, nil)
+	sim.maxHardDrops = 8
 	sim.AddFlow(FlowSpec{
 		Key:    dataplane.FlowKey{SrcAddr: 1, DstAddr: 9, Proto: 6},
 		Origin: a.ID, Dst: 9, SizeBytes: 100_000, After: -1,
@@ -122,7 +123,7 @@ func TestUnroutableFlowAborts(t *testing.T) {
 
 func TestInvalidAfter(t *testing.T) {
 	n, a, _ := line(t)
-	sim := New(n, Config{})
+	sim := New(n, nil)
 	sim.AddFlow(FlowSpec{
 		Key:    dataplane.FlowKey{SrcAddr: 1, DstAddr: 2, Proto: 6},
 		Origin: a.ID, Dst: 2, SizeBytes: 1000, After: 5,
@@ -134,7 +135,7 @@ func TestInvalidAfter(t *testing.T) {
 
 func TestEmptyRun(t *testing.T) {
 	n, _, _ := line(t)
-	sim := New(n, Config{})
+	sim := New(n, nil)
 	res, err := sim.Run()
 	if err != nil || len(res.Flows) != 0 {
 		t.Fatalf("empty run: %v, %v", res, err)
@@ -170,7 +171,7 @@ func TestEmergentDeflection(t *testing.T) {
 	}
 	run := func(mifo bool) float64 {
 		n, r1 := build(mifo)
-		sim := New(n, Config{})
+		sim := New(n, nil)
 		// Keys chosen so one hashes below the 50% share and one above.
 		keys := []dataplane.FlowKey{
 			{SrcAddr: 1, DstAddr: 4, SrcPort: 2, Proto: 6},
@@ -214,7 +215,7 @@ func TestEmergentDeflection(t *testing.T) {
 
 func TestAggregateSeriesSane(t *testing.T) {
 	n, a, _ := line(t)
-	sim := New(n, Config{})
+	sim := New(n, nil)
 	sim.AddFlow(FlowSpec{
 		Key:    dataplane.FlowKey{SrcAddr: 1, DstAddr: 2, Proto: 6},
 		Origin: a.ID, Dst: 2, SizeBytes: 30_000_000, After: -1,
@@ -239,7 +240,7 @@ func TestAggregateSeriesSane(t *testing.T) {
 func BenchmarkPacketLevel2MB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n, a, _ := line(b)
-		sim := New(n, Config{})
+		sim := New(n, nil)
 		sim.AddFlow(FlowSpec{
 			Key:    dataplane.FlowKey{SrcAddr: 1, DstAddr: 2, Proto: 6},
 			Origin: a.ID, Dst: 2, SizeBytes: 2_000_000, After: -1,

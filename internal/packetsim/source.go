@@ -81,8 +81,8 @@ func (s *Sim) ack(idx, seq int) {
 	if !src.acked[seq] {
 		src.acked[seq] = true
 		src.delivered++
-		s.bucket += float64(s.cfg.PacketBytes * 8)
-		s.totalBits += float64(s.cfg.PacketBytes * 8)
+		s.bucket += packetBytes * 8
+		s.totalBits += packetBytes * 8
 	}
 	if src.cwnd < src.ssthresh {
 		src.cwnd++ // slow start: exponential growth per RTT
@@ -113,14 +113,14 @@ func (s *Sim) loss(idx, seq int, hard bool) {
 	}
 	if hard {
 		src.consecutiveHard++
-		if src.consecutiveHard >= s.cfg.MaxConsecutiveHardDrops {
+		if src.consecutiveHard >= s.maxHardDrops {
 			src.aborted = true
 			src.running = false
 			s.onComplete(idx)
 			return
 		}
 	}
-	rtt := 2*s.cfg.AckDelay + 4*s.cfg.PropDelay
+	const rtt = 2*ackDelay + 4*propDelay
 	if src.lastCut < 0 || s.now-src.lastCut > rtt {
 		src.cwnd /= 2
 		if src.cwnd < 2 {

@@ -13,7 +13,7 @@ import (
 //
 // Flow deflection uses the paper's five-tuple hashing (DeflectShare): when
 // Rd's queue builds, the hash decides which flows move to Ra.
-func RunPacketLevel(cfg Config, pcfg packetsim.Config) (*packetsim.Results, error) {
+func RunPacketLevel(cfg Config) (*packetsim.Results, error) {
 	cfg = cfg.withDefaults()
 	tb := Build(cfg)
 	if cfg.MIFO {
@@ -32,7 +32,7 @@ func RunPacketLevel(cfg Config, pcfg packetsim.Config) (*packetsim.Results, erro
 			r.CongestionThreshold = 0.5
 		}
 	}
-	sim := packetsim.New(tb.net, pcfg)
+	sim := packetsim.New(tb.net, nil)
 	for pair, origin := range []dataplane.RouterID{tb.r1.ID, tb.r2.ID} {
 		prev := -1
 		for k := 0; k < cfg.FlowsPerPair; k++ {

@@ -14,12 +14,12 @@ func TestPacketLevelCrossValidation(t *testing.T) {
 	cfg := Config{FlowsPerPair: 4, FlowSizeBits: 2 * 8e6}
 
 	cfg.MIFO = false
-	bgpRes, err := RunPacketLevel(cfg, packetsim.Config{})
+	bgpRes, err := RunPacketLevel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.MIFO = true
-	mifoRes, err := RunPacketLevel(cfg, packetsim.Config{})
+	mifoRes, err := RunPacketLevel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

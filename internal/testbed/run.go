@@ -91,7 +91,7 @@ func Run(cfg Config) (*Result, error) {
 		// Control epoch: update Rd's congestion signal, rebalance the
 		// deflected set, and let the forwarding engine re-decide paths.
 		if t >= nextControl {
-			nextControl = t + cfg.ControlInterval
+			nextControl = t + controlInterval
 			if err := tb.controlStep(pairs, res); err != nil {
 				return nil, err
 			}
@@ -114,11 +114,11 @@ func Run(cfg Config) (*Result, error) {
 			}
 			var rate float64
 			if p.cur.onAlt {
-				rate = cfg.AltEfficiency * cfg.LinkCapacityBps / float64(nAlt)
+				rate = altEfficiency * linkCapacityBps / float64(nAlt)
 			} else {
-				rate = cfg.DefaultEfficiency * cfg.LinkCapacityBps / float64(nDef)
+				rate = defaultEfficiency * linkCapacityBps / float64(nDef)
 			}
-			sent := rate * cfg.Step
+			sent := rate * step
 			if sent >= p.cur.left {
 				// Flow completes within this step.
 				frac := p.cur.left / rate
@@ -139,7 +139,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 
-		t += cfg.Step
+		t += step
 		if t-bucketStart >= 1.0 {
 			res.Aggregate.Add(bucketStart, bucketBits/(t-bucketStart)/1e9)
 			bucketStart = t
@@ -177,7 +177,7 @@ func (tb *Testbed) controlStep(pairs []*pairState, res *Result) error {
 	case nDef == 0:
 		ratio = 0
 	case nDef == 1:
-		ratio = tb.cfg.DefaultEfficiency
+		ratio = defaultEfficiency
 	default:
 		ratio = 1.0
 	}

@@ -29,21 +29,25 @@ type Config struct {
 	FlowsPerPair int
 	// FlowSizeBits is the per-flow transfer size (default 100 MB).
 	FlowSizeBits float64
-	// LinkCapacityBps is the capacity of every link (default 1 Gbps).
-	LinkCapacityBps float64
-	// DefaultEfficiency is TCP goodput over the default path as a fraction
-	// of link rate (default 0.94, matching the paper's 0.94 Gbps BGP
-	// aggregate on a GbE testbed).
-	DefaultEfficiency float64
-	// AltEfficiency is goodput over the alternative path (default 0.80:
-	// one more AS hop plus IP-in-IP encapsulation overhead; yields the
-	// paper's ~1.7 Gbps MIFO aggregate).
-	AltEfficiency float64
-	// Step is the fluid integration step in seconds (default 1 ms).
-	Step float64
-	// ControlInterval is the deflection re-evaluation period (default 10 ms).
-	ControlInterval float64
 }
+
+// The testbed's constants are the paper's Gigabit prototype.
+const (
+	// linkCapacityBps is the capacity of every link.
+	linkCapacityBps = 1e9
+	// defaultEfficiency is TCP goodput over the default path as a
+	// fraction of link rate, matching the paper's 0.94 Gbps BGP aggregate
+	// on a GbE testbed.
+	defaultEfficiency = 0.94
+	// altEfficiency is goodput over the alternative path: one more AS hop
+	// plus IP-in-IP encapsulation overhead; yields the paper's ~1.7 Gbps
+	// MIFO aggregate.
+	altEfficiency = 0.80
+	// step is the fluid integration step in seconds.
+	step = 1e-3
+	// controlInterval is the deflection re-evaluation period in seconds.
+	controlInterval = 10e-3
+)
 
 func (c Config) withDefaults() Config {
 	if c.FlowsPerPair <= 0 {
@@ -51,21 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlowSizeBits <= 0 {
 		c.FlowSizeBits = 100 * 8e6
-	}
-	if c.LinkCapacityBps <= 0 {
-		c.LinkCapacityBps = 1e9
-	}
-	if c.DefaultEfficiency <= 0 {
-		c.DefaultEfficiency = 0.94
-	}
-	if c.AltEfficiency <= 0 {
-		c.AltEfficiency = 0.80
-	}
-	if c.Step <= 0 {
-		c.Step = 1e-3
-	}
-	if c.ControlInterval <= 0 {
-		c.ControlInterval = 10e-3
 	}
 	return c
 }
@@ -111,7 +100,7 @@ func Build(cfg Config) *Testbed {
 	tb := &Testbed{cfg: cfg, deflected: make(map[dataplane.FlowKey]bool)}
 	n := dataplane.NewNetwork()
 	tb.net = n
-	cap := cfg.LinkCapacityBps
+	const cap = linkCapacityBps
 
 	tb.r1 = n.AddRouter(1)
 	tb.r2 = n.AddRouter(2)
@@ -138,7 +127,7 @@ func Build(cfg Config) *Testbed {
 	p6b5, _ := n.Connect(tb.r6b.ID, tb.r5b.ID, dataplane.EBGP, topo.Customer, cap)
 
 	// iBGP meshes; the intra-AS fabric runs at 10x the access links.
-	icap := 10 * cap
+	const icap = 10 * cap
 	pinD, _ := n.Connect(tb.rin.ID, tb.rd.ID, dataplane.IBGP, topo.Peer, icap)
 	n.Connect(tb.rin.ID, tb.ra.ID, dataplane.IBGP, topo.Peer, icap)
 	pdA, paD := n.Connect(tb.rd.ID, tb.ra.ID, dataplane.IBGP, topo.Peer, icap)
@@ -165,12 +154,12 @@ func Build(cfg Config) *Testbed {
 	tb.rdEgressPort = pd4
 	for _, r := range n.Routers {
 		r.MIFOEnabled = cfg.MIFO
-		// Below the single-flow queue level (DefaultEfficiency), so a flow
+		// Below the single-flow queue level (defaultEfficiency), so a flow
 		// deflected to Ra stays there while one flow keeps the default
 		// port busy; the control loop only *adds* flows to the deflected
 		// set at full saturation (>= 2 flows). The gap is the hysteresis
 		// that keeps path switching stable (cf. Fig. 9).
-		r.CongestionThreshold = cfg.DefaultEfficiency - 0.05
+		r.CongestionThreshold = defaultEfficiency - 0.05
 	}
 	// Which flows move when Rd's queue builds: membership in the
 	// deflected set, maintained by the control loop below. This plays the

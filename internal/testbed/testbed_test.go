@@ -68,7 +68,7 @@ func TestBGPNeverUsesAlternative(t *testing.T) {
 	if res.AltFlowCount != 0 || res.PathSwitches != 0 {
 		t.Fatalf("BGP run used alternatives: alt=%d switches=%d", res.AltFlowCount, res.PathSwitches)
 	}
-	// Two flows share the 3->4 bottleneck: aggregate == DefaultEfficiency.
+	// Two flows share the 3->4 bottleneck: aggregate == defaultEfficiency.
 	if math.Abs(res.MeanAggregateGbps-0.94) > 0.02 {
 		t.Errorf("BGP aggregate = %v Gbps, want ~0.94", res.MeanAggregateGbps)
 	}
@@ -151,11 +151,8 @@ func TestImprovementPercent(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.FlowsPerPair != 30 || c.FlowSizeBits != 8e8 || c.LinkCapacityBps != 1e9 {
+	if c.FlowsPerPair != 30 || c.FlowSizeBits != 8e8 {
 		t.Errorf("defaults = %+v", c)
-	}
-	if c.DefaultEfficiency != 0.94 || c.AltEfficiency != 0.80 {
-		t.Errorf("efficiency defaults = %+v", c)
 	}
 }
 

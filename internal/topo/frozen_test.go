@@ -74,7 +74,7 @@ func TestGraphFrozenAcrossConsumers(t *testing.T) {
 			Failures:           []netsim.LinkFailure{{A: hub, B: peer, At: horizon / 4, RecoverAt: horizon / 2}},
 			ReconvergenceDelay: horizon / 16,
 			Spans:              tr,
-			TSDB:               tsdb.NewStore(tsdb.Options{}),
+			TSDB:               tsdb.NewStore(),
 		}
 		if _, err := netsim.Run(g, flows, cfg); err != nil {
 			t.Fatalf("%v: %v", pol, err)
@@ -97,7 +97,7 @@ func TestGraphFrozenAcrossConsumers(t *testing.T) {
 	}
 	frozen("core install and RefreshAll")
 
-	sim := bgpsim.New(g, hub, bgpsim.Config{})
+	sim := bgpsim.New(g, hub)
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
