@@ -76,11 +76,11 @@ fib-race:
 # deployment drives the whole pipeline per failure.
 span-race:
 	$(GO) test -race -count=5 ./internal/obs/span
-	$(GO) test -race -count=2 -run 'ConvergenceTracing|NoTracer|SessionEventsTraced' ./internal/netsim ./internal/bgpsim
+	$(GO) test -race -count=2 -run 'ConvergenceTracing|NoTracer' ./internal/netsim
 
 # The tsdb concurrency surface: the single-writer sample path racing the
-# store's readers — TestGatherWhileSampling runs Gather, AnalyzeStore and
-# WriteDump while a sampler runs flat out — plus netsim feeding a
+# store's readers — TestGatherWhileSampling runs Gather, Analyze over it
+# and WriteDump while a sampler runs flat out — plus netsim feeding a
 # store per epoch. (The torn-read tests of the ring itself are ring-race's.)
 tsdb-race:
 	$(GO) test -race -count=5 ./internal/obs/tsdb
@@ -130,7 +130,8 @@ figures:
 
 # The committed figures are what the code prints: regenerate every
 # results/*.dat into a temporary directory and compare each byte for byte
-# (about 100 s). The .txt files carry run timings, so they stay out of it.
+# (about 40 s on 2 vCPUs, the build included). The .txt files carry run
+# timings, so they stay out of it.
 reproduce:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/mifo-sim -exp all -o "$$tmp" > /dev/null && \

@@ -88,21 +88,6 @@ func PathViaInto(d *Dest, v, via int, buf []int) []int {
 	return d.appendPath(append(buf[:0], v), via, w)
 }
 
-// RIBSize returns the number of RIB entries at v for destination d without
-// materializing them.
-func RIBSize(g *topo.Graph, d *Dest, v int) int {
-	if v == int(d.dst) {
-		return 0
-	}
-	count := 0
-	for _, nb := range g.Neighbors(v) {
-		if w := d.announced(nb.AS); exported(w, nb.Rel) && !d.pathHolds(int(nb.AS), w, v) {
-			count++
-		}
-	}
-	return count
-}
-
 // exported reports whether a neighbour holding the route w exports it to
 // an AS for which the neighbour has relationship rel: under valley-free
 // export an AS sends every route to its customers (to whom it is a

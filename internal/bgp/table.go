@@ -20,7 +20,7 @@ import (
 // link.
 type TableStats struct {
 	// FullComputes counts per-destination three-phase runs triggered by
-	// table construction or destination addition.
+	// table construction.
 	FullComputes int64
 	// IncrementalComputes counts per-destination recomputes triggered by
 	// link up/down events (only dirty destinations are re-run). It is the
@@ -66,7 +66,7 @@ type Table struct {
 	base *topo.Graph // the intact topology
 	// cur is base minus the failed links (base itself when none), built
 	// when something asks for it: link events repair off base and a filter,
-	// so only Graph, AddDest and a repair that falls back to Compute do.
+	// so only Graph and a repair that falls back to Compute do.
 	// nil until then; curMu is for the repair workers.
 	cur     *topo.Graph
 	curMu   sync.Mutex
@@ -88,7 +88,7 @@ func (t *Table) SetTracer(tr *span.Tracer) { t.spans = tr }
 // NewTable computes tables for every destination in dsts over g, in
 // parallel with the given worker bound (0 = all CPUs), and installs them:
 // their words are ComputeAll's one block. With no destinations it returns
-// an empty Table to populate with Install or AddDest.
+// an empty Table to populate with Install.
 func NewTable(g *topo.Graph, dsts []int, workers int) *Table {
 	t := &Table{
 		base:    g,
@@ -154,16 +154,6 @@ func (t *Table) All() []*Dest {
 // same destination. The caller is responsible for d matching the Table's
 // current topology.
 func (t *Table) Install(d *Dest) { t.dests[d.dst] = d }
-
-// AddDest computes (on the current topology) and installs the table for a
-// new destination, returning it. Installed destinations are recomputed in
-// place.
-func (t *Table) AddDest(dst int) *Dest {
-	d := Compute(t.Graph(), dst)
-	t.Install(d)
-	t.stats.FullComputes++
-	return d
-}
 
 // Stats returns the accumulated computation counters.
 func (t *Table) Stats() TableStats { return t.stats }

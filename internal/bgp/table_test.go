@@ -160,22 +160,6 @@ func TestTableCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestTableAddDest computes new destinations on the current (possibly
-// degraded) topology.
-func TestTableAddDest(t *testing.T) {
-	g := tableTopology(t)
-	tab := NewTable(g, nil, 0)
-	tab.LinkDown(3, 5) // no dests yet: nothing recomputed, link still cut
-	d := tab.AddDest(5)
-	want := Compute(tab.Graph(), 5)
-	if !d.Equal(want) {
-		t.Fatal("AddDest on degraded topology diverges from scratch compute")
-	}
-	if tab.Len() != 1 || tab.Dest(5) != d {
-		t.Fatalf("table bookkeeping wrong after AddDest: len=%d", tab.Len())
-	}
-}
-
 // TestEqualAcrossGraphs: a stub's word is derived from its Dest's graph.
 // Tables towards one destination on the intact graph and on the graph
 // without the provider link a multi-homed stub routes over store the same

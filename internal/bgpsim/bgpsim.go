@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/eventq"
-	"repro/internal/obs/span"
 	"repro/internal/topo"
 )
 
@@ -101,27 +100,7 @@ type Sim struct {
 	Messages int
 	// LastChange is the time of the last best-route change anywhere.
 	LastChange float64
-
-	// Session-event tracing: FailLink/RestoreLink open a root span per
-	// event; Run finalizes them when the update queue drains.
-	spans *span.Tracer
-	open  []sessionEvent
 }
-
-// sessionEvent is a root span awaiting convergence, with the virtual
-// time its session event was injected.
-type sessionEvent struct {
-	sp span.Span
-	at float64
-}
-
-// SetTracer attaches a span tracer: every subsequent FailLink /
-// RestoreLink opens a bgp_session_down / bgp_session_up root span that
-// the next Run finalizes once the network is quiet. The root's A/B carry
-// the session endpoints and V the reconvergence latency in virtual
-// seconds (negative when the run never converged — the analyzer judges
-// such events incomplete).
-func (s *Sim) SetTracer(tr *span.Tracer) { s.spans = tr }
 
 const (
 	evDeliver = iota // a message arrives at a speaker
@@ -184,7 +163,6 @@ func (s *Sim) Run() error {
 	for n := 0; n < maxEvents; n++ {
 		ev := s.q.Pop()
 		if ev == nil {
-			s.finalizeRoots(true)
 			return nil
 		}
 		s.now = ev.Time
@@ -199,36 +177,7 @@ func (s *Sim) Run() error {
 			s.flushNeighbor(sp, ref.neighbor)
 		}
 	}
-	s.finalizeRoots(false)
 	return fmt.Errorf("bgpsim: exceeded %d events without converging", maxEvents)
-}
-
-// finalizeRoots closes the session-event root spans opened since the
-// last Run. Converged events carry V = reconvergence latency (virtual
-// seconds, clamped at zero for events that changed no best route); a run
-// that exhausted its event budget leaves V at -1, which the analyzer
-// reports as a session event without reconvergence.
-func (s *Sim) finalizeRoots(converged bool) {
-	for i := range s.open {
-		e := &s.open[i]
-		if converged {
-			lat := s.LastChange - e.at
-			if lat < 0 {
-				lat = 0
-			}
-			e.sp.V = lat
-		}
-		e.sp.End()
-	}
-	s.open = s.open[:0]
-}
-
-// trackRoot stamps a freshly opened session root and queues it for
-// finalization by Run.
-func (s *Sim) trackRoot(sp span.Span, a, b int) {
-	sp.A, sp.B = int64(a), int64(b)
-	sp.V = -1 // finalized by Run once the network reconverges
-	s.open = append(s.open, sessionEvent{sp: sp, at: s.now})
 }
 
 // deliver processes one UPDATE at its receiver.
@@ -386,9 +335,6 @@ func (s *Sim) FailLink(a, b int) error {
 		return fmt.Errorf("bgpsim: no session between %d and %d", a, b)
 	}
 	delete(s.sessions, [2]int32{ka, kb})
-	if s.spans.Enabled() {
-		s.trackRoot(s.spans.StartRoot("bgp_session_down", -1), a, b)
-	}
 	for _, pair := range [2][2]int32{{int32(a), int32(b)}, {int32(b), int32(a)}} {
 		sp := s.speakers[pair[0]]
 		delete(sp.adjIn, pair[1])
@@ -417,9 +363,6 @@ func (s *Sim) RestoreLink(a, b int) error {
 		return fmt.Errorf("bgpsim: no link between %d and %d", a, b)
 	}
 	s.sessions[[2]int32{ka, kb}] = true
-	if s.spans.Enabled() {
-		s.trackRoot(s.spans.StartRoot("bgp_session_up", -1), a, b)
-	}
 	// Fresh session: nothing has been sent on it yet.
 	for _, pair := range [2][2]int32{{int32(a), int32(b)}, {int32(b), int32(a)}} {
 		sp := s.speakers[pair[0]]

@@ -310,16 +310,6 @@ func (d *Deployment) SetLinkLoad(v, u int, bps float64) error {
 	return nil
 }
 
-// ResetLoads clears all utilization and queue signals.
-func (d *Deployment) ResetLoads() {
-	for _, r := range d.Net.Routers {
-		for p := range r.Ports {
-			r.SetUtilization(p, 0)
-			r.SetQueueRatio(p, 0)
-		}
-	}
-}
-
 // Refresh runs every daemon's control epoch once: alternative paths are
 // re-selected from the RIBs using current spare-capacity measurements and
 // each router's FIB is republished in a single batched commit. Call it

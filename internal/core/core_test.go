@@ -144,7 +144,11 @@ func TestFig2cGreedySelection(t *testing.T) {
 
 	// Tie-break check: with equal spare everywhere the daemon falls back
 	// to route preference (lowest neighbor).
-	d.ResetLoads()
+	for _, via := range []int{2, 3} {
+		if err := d.SetLinkLoad(0, via, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sel, ok = d.Daemon(0).SelectAlternative(table)
 	if !ok || sel.Alt.Via != 2 {
 		t.Errorf("equal spare: selected %d, want 2 (route-preference tie-break)", sel.Alt.Via)

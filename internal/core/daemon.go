@@ -18,19 +18,16 @@ type Daemon struct {
 	dep *Deployment
 	as  int
 	// rib is the scratch buffer RIB mining reuses across the destinations of
-	// one control epoch (see bgp.RIBInto). It makes RefreshAll and
-	// RefreshDestination unsafe to call concurrently on the same daemon; the
-	// Runtime gives each daemon exactly one goroutine, and the read-only
-	// SelectAlternative does not touch it.
+	// one control epoch (see bgp.RIBInto). It makes RefreshAll unsafe to
+	// call concurrently on the same daemon; the Runtime gives each daemon
+	// exactly one goroutine, and the read-only SelectAlternative does not
+	// touch it.
 	rib []bgp.Alt
 }
 
 func newDaemon(dep *Deployment, as int) *Daemon {
 	return &Daemon{dep: dep, as: as}
 }
-
-// AS returns the AS this daemon serves.
-func (dm *Daemon) AS() int { return dm.as }
 
 // Selection is the daemon's choice of alternative path for one destination.
 type Selection struct {
@@ -130,18 +127,12 @@ func (dm *Daemon) RefreshAllCtx(tables []*bgp.Dest, parent span.Context) {
 	}
 }
 
-// RefreshDestination re-selects the alternative for one destination and
-// rewrites the alt port on every border router of the AS: the router owning
-// the chosen link points its alt at the eBGP port; every sibling points its
-// alt at the iBGP port towards that owner (packets will be IP-in-IP
-// encapsulated to it). It is a control epoch of one destination; use
-// RefreshAll to batch.
-func (dm *Daemon) RefreshDestination(t *bgp.Dest) {
-	dm.RefreshAll([]*bgp.Dest{t})
-}
-
-// refreshInto stages one destination's alt re-selection into the epoch's
-// per-router transactions (txs parallel to routersOf[dm.as]).
+// refreshInto re-selects the alternative for one destination and stages
+// the alt port of every border router of the AS into the epoch's
+// per-router transactions (txs parallel to routersOf[dm.as]): the router
+// owning the chosen link points its alt at the eBGP port; every sibling
+// points its alt at the iBGP port towards that owner (packets will be
+// IP-in-IP encapsulated to it).
 func (dm *Daemon) refreshInto(txs []*dataplane.FIBTx, t *bgp.Dest) {
 	dst := int32(t.Dst())
 	var sel Selection

@@ -25,7 +25,7 @@ func BenchmarkSelectAlternative(b *testing.B) {
 	// worst case for per-call allocation.
 	busiest, widest := -1, 0
 	for v := 1; v < g.N(); v++ {
-		if size := bgp.RIBSize(g, table, v); size > widest {
+		if size := len(bgp.RIB(g, table, v)); size > widest {
 			if _, ok := d.Daemon(v).SelectAlternative(table); ok {
 				busiest, widest = v, size
 			}

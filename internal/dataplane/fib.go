@@ -17,9 +17,9 @@ import (
 //
 // Writers stage changes in a transaction (Begin / Set / SetAlt / Commit):
 // one control epoch's worth of alt re-selections becomes one map copy and
-// one pointer swap instead of a per-entry write lock. The single-shot
-// Set/SetAlt/ClearAlt methods remain for setup code and each cost a full
-// generation (copy + swap); batch through a transaction on any hot path.
+// one pointer swap instead of a per-entry write lock. The single-shot Set
+// remains for setup code and costs a full generation (copy + swap); batch
+// through a transaction on any hot path.
 type FIB struct {
 	cur atomic.Pointer[fibGen]
 	// mu serializes writers: a transaction holds it from Begin to Commit,
@@ -73,7 +73,7 @@ func (f *FIB) Len() int { return len(f.cur.Load().entries) }
 func (f *FIB) Generation() uint64 { return f.cur.Load().gen }
 
 // FIBTx is a staged next generation. It is created by Begin, mutated by
-// Set/SetAlt/ClearAlt, and published (atomically, all-or-nothing from the
+// Set/SetAlt/Delete, and published (atomically, all-or-nothing from the
 // reader's point of view) by Commit. A transaction holds the FIB's writer
 // lock for its whole lifetime: always Commit, and never leak one.
 type FIBTx struct {
@@ -133,9 +133,6 @@ func (tx *FIBTx) SetAlt(dst int32, alt int, via RouterID) bool {
 	return true
 }
 
-// ClearAlt stages removal of the alternative of an existing entry.
-func (tx *FIBTx) ClearAlt(dst int32) { tx.SetAlt(dst, -1, -1) }
-
 // Delete stages withdrawal of the entry for dst — the control plane lost
 // its route, so forwarding must drop as no-route rather than follow a
 // stale entry into a black hole. Deleting an absent entry is a no-op and
@@ -171,20 +168,5 @@ func (tx *FIBTx) Commit() uint64 {
 func (f *FIB) Set(dst int32, e FIBEntry) {
 	tx := f.Begin()
 	tx.Set(dst, e)
-	tx.Commit()
-}
-
-// SetAlt updates only the alternative of an existing entry. It is a no-op
-// when dst has no entry.
-func (f *FIB) SetAlt(dst int32, alt int, via RouterID) {
-	tx := f.Begin()
-	tx.SetAlt(dst, alt, via)
-	tx.Commit()
-}
-
-// ClearAlt removes the alternative of an existing entry.
-func (f *FIB) ClearAlt(dst int32) {
-	tx := f.Begin()
-	tx.ClearAlt(dst)
 	tx.Commit()
 }

@@ -45,11 +45,6 @@ func (n *Network) Connect(a, b RouterID, kind PortKind, relAtoB topo.Rel, capaci
 	return pa, pb
 }
 
-// AttachHost adds a host port to router r and returns its index.
-func (n *Network) AttachHost(r RouterID, capacityBps float64) int {
-	return n.Routers[r].AddPort(Port{Kind: Host, Peer: -1, PeerPort: -1, PeerAS: n.Routers[r].AS, CapacityBps: capacityBps})
-}
-
 // Hop records one step of a packet's journey.
 type Hop struct {
 	Router    RouterID

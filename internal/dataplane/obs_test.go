@@ -111,7 +111,9 @@ func TestHopRefusalMatchesDecidingEntry(t *testing.T) {
 				return
 			default:
 			}
-			r.FIB.SetAlt(7, alts[i], e.AltVia)
+			tx := r.FIB.Begin()
+			tx.SetAlt(7, alts[i], e.AltVia)
+			tx.Commit()
 		}
 	}()
 	p := &Packet{Dst: 7}

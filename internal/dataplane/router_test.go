@@ -17,16 +17,23 @@ func TestFIBOperations(t *testing.T) {
 	if !ok || e.Out != 2 || e.Alt != -1 {
 		t.Fatalf("lookup = %+v, %v", e, ok)
 	}
-	f.SetAlt(1, 3, 7)
+	setAlt := func(dst int32, alt int, via RouterID) bool {
+		tx := f.Begin()
+		defer tx.Commit()
+		return tx.SetAlt(dst, alt, via)
+	}
+	setAlt(1, 3, 7)
 	if e, _ = f.Lookup(1); e.Alt != 3 || e.AltVia != 7 || e.Out != 2 {
 		t.Fatalf("after SetAlt: %+v", e)
 	}
-	f.ClearAlt(1)
+	setAlt(1, -1, -1)
 	if e, _ = f.Lookup(1); e.Alt != -1 {
-		t.Fatalf("after ClearAlt: %+v", e)
+		t.Fatalf("after clearing the alternative: %+v", e)
 	}
 	// SetAlt on missing destination is a no-op.
-	f.SetAlt(9, 1, 1)
+	if setAlt(9, 1, 1) {
+		t.Fatal("SetAlt on a missing entry reported success")
+	}
 	if _, ok = f.Lookup(9); ok {
 		t.Fatal("SetAlt must not create entries")
 	}
@@ -134,15 +141,6 @@ func TestConnectRelationshipInversion(t *testing.T) {
 	}
 	if cust.Ports[pc].Peer != prov.ID || cust.Ports[pc].PeerPort != pp {
 		t.Error("peer back-references wrong on far side")
-	}
-}
-
-func TestAttachHost(t *testing.T) {
-	n := NewNetwork()
-	r := n.AddRouter(5)
-	h := n.AttachHost(r.ID, 1e9)
-	if r.Ports[h].Kind != Host || r.Ports[h].Peer != -1 {
-		t.Errorf("host port = %+v", r.Ports[h])
 	}
 }
 

@@ -73,6 +73,36 @@ func TestWireTagBitPlacement(t *testing.T) {
 	}
 }
 
+// The tag is the IPv4 reserved flag bit, so it must leave the rest of the
+// flags/fragment halfword alone.
+func TestIPReservedBitPreservesFragment(t *testing.T) {
+	p := samplePacket()
+	p.Flow.DstAddr = PrefixAddr(p.Dst)
+
+	// Turning the tag on or off changes only bit 15 of the flags/fragment
+	// halfword of the header that carries it (the inner one under
+	// IP-in-IP), plus that header's checksum.
+	for _, encap := range []bool{false, true} {
+		p.Encap, p.OuterSrc, p.OuterDst = encap, 7, 42
+		p.Tag = false
+		off := MarshalPacket(p)
+		p.Tag = true
+		on := MarshalPacket(p)
+		h := 0
+		if encap {
+			h = ipv4HeaderLen
+		}
+		if d := binary.BigEndian.Uint16(on[h+6:]) ^ binary.BigEndian.Uint16(off[h+6:]); d != 1<<15 {
+			t.Errorf("encap=%v: tag changed flags/fragment bits %#04x, want only bit 15", encap, d)
+		}
+		for i := range on {
+			if on[i] != off[i] && (i < h+6 || i >= h+12 || i == h+8 || i == h+9) {
+				t.Errorf("encap=%v: tag changed byte %d (%#02x -> %#02x)", encap, i, off[i], on[i])
+			}
+		}
+	}
+}
+
 func TestWireChecksumValidity(t *testing.T) {
 	p := samplePacket()
 	p.Flow.DstAddr = PrefixAddr(p.Dst)

@@ -98,15 +98,6 @@ func (q *Queue) Pop() *Event {
 	return nil
 }
 
-// Peek returns the earliest live event without removing it, or nil.
-func (q *Queue) Peek() *Event {
-	q.drainCanceled()
-	if len(q.heap) == 0 {
-		return nil
-	}
-	return q.heap[0]
-}
-
 // Cancel marks an event as canceled. It is safe to cancel an event that has
 // already fired or been canceled; those calls are no-ops.
 func (q *Queue) Cancel(e *Event) {

@@ -64,25 +64,6 @@ func TestCancel(t *testing.T) {
 	q.Cancel(nil)
 }
 
-func TestPeek(t *testing.T) {
-	var q Queue
-	if q.Peek() != nil {
-		t.Fatal("peek of empty queue should be nil")
-	}
-	a := q.Push(2, 0, nil)
-	b := q.Push(1, 1, nil)
-	if q.Peek() != b {
-		t.Fatal("peek should return earliest event")
-	}
-	q.Cancel(b)
-	if q.Peek() != a {
-		t.Fatal("peek should skip canceled events")
-	}
-	if q.Len() != 1 {
-		t.Fatalf("len = %d after draining canceled head, want 1", q.Len())
-	}
-}
-
 func TestEmptyAfterAllCanceled(t *testing.T) {
 	var q Queue
 	events := make([]*Event, 5)

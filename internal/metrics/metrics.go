@@ -248,47 +248,6 @@ func (ts *TimeSeries) Add(t, v float64) {
 	ts.Rows = append(ts.Rows, Row{X: t, Y: v})
 }
 
-// Max returns the largest value in the series, or 0 if empty.
-func (ts *TimeSeries) Max() float64 {
-	m := 0.0
-	for _, r := range ts.Rows {
-		if r.Y > m {
-			m = r.Y
-		}
-	}
-	return m
-}
-
-// MeanOver returns the time-weighted mean value of the series over [t0, t1],
-// treating the series as a step function. It returns 0 when the window is
-// empty or degenerate.
-func (ts *TimeSeries) MeanOver(t0, t1 float64) float64 {
-	if t1 <= t0 || len(ts.Rows) == 0 {
-		return 0
-	}
-	var area float64
-	for i, r := range ts.Rows {
-		start := r.X
-		var end float64
-		if i+1 < len(ts.Rows) {
-			end = ts.Rows[i+1].X
-		} else {
-			end = t1
-		}
-		if end <= t0 || start >= t1 {
-			continue
-		}
-		if start < t0 {
-			start = t0
-		}
-		if end > t1 {
-			end = t1
-		}
-		area += r.Y * (end - start)
-	}
-	return area / (t1 - t0)
-}
-
 // String formats the series like Series.String.
 func (ts *TimeSeries) String() string {
 	return Series{Name: ts.Name, Rows: ts.Rows}.String()

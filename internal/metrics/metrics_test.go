@@ -168,26 +168,6 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesMeanOver(t *testing.T) {
-	ts := &TimeSeries{Name: "x"}
-	ts.Add(0, 10)
-	ts.Add(1, 20)
-	ts.Add(2, 0)
-	// Step function: 10 on [0,1), 20 on [1,2), 0 after.
-	if got := ts.MeanOver(0, 2); math.Abs(got-15) > 1e-9 {
-		t.Errorf("MeanOver(0,2) = %v, want 15", got)
-	}
-	if got := ts.MeanOver(0.5, 1.5); math.Abs(got-15) > 1e-9 {
-		t.Errorf("MeanOver(0.5,1.5) = %v, want 15", got)
-	}
-	if got := ts.MeanOver(5, 5); got != 0 {
-		t.Errorf("degenerate window = %v, want 0", got)
-	}
-	if got := ts.Max(); got != 20 {
-		t.Errorf("Max = %v, want 20", got)
-	}
-}
-
 func TestSummary(t *testing.T) {
 	s := NewSummary("Table I")
 	s.Set("# of Nodes", "%d", 44340)

@@ -51,7 +51,7 @@ func TestFlightRecorderAuditsMIFORun(t *testing.T) {
 	if st.Deflections == 0 {
 		t.Fatal("scenario drifted: the recorder counted no deflections")
 	}
-	if got := tsdb.AnalyzeStore(db, tsdb.EpisodeSpec{}).TotalDeflections; got != int64(st.Deflections) {
+	if got := tsdb.Analyze(db.Gather(), db.EpisodeSpec()).TotalDeflections; got != int64(st.Deflections) {
 		t.Fatalf("tsdb series count %d deflections, recorder %d", got, st.Deflections)
 	}
 
@@ -234,7 +234,7 @@ func TestObserversLeaveRunIdentical(t *testing.T) {
 			if cfg.Recorder != nil && cfg.Recorder.Stats().Records == 0 {
 				t.Error("recorder saw no path installs")
 			}
-			if cfg.TSDB != nil && len(cfg.TSDB.Gather("netsim_link_util")) == 0 {
+			if cfg.TSDB != nil && tsdb.Analyze(cfg.TSDB.Gather(), cfg.TSDB.EpisodeSpec()).SeriesScanned == 0 {
 				t.Error("tsdb registered no link series")
 			}
 			if cfg.Spans != nil && cfg.Spans.Stats().Roots == 0 {

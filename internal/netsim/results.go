@@ -110,20 +110,6 @@ func (r *Results) DeflectionHistogram() *metrics.Histogram {
 	return h
 }
 
-// CompletionCDF returns the distribution of flow completion times in
-// seconds (Fig. 12(b)'s metric).
-func (r *Results) CompletionCDF() *metrics.CDF {
-	c := &metrics.CDF{}
-	for i := range r.Flows {
-		f := &r.Flows[i]
-		if f.Unroutable {
-			continue
-		}
-		c.Add(f.Finish - f.Arrival)
-	}
-	return c
-}
-
 // MeanThroughputMbps returns the average per-flow throughput in Mbps.
 func (r *Results) MeanThroughputMbps() float64 {
 	return r.ThroughputCDF().Mean()

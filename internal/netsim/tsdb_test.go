@@ -30,7 +30,7 @@ func TestTSDBOffloadMatchesResults(t *testing.T) {
 		t.Fatal("scenario drifted: flow 1 never deflected")
 	}
 
-	rep := tsdb.AnalyzeStore(db, tsdb.EpisodeSpec{})
+	rep := tsdb.Analyze(db.Gather(), db.EpisodeSpec())
 	if rep.SeriesScanned == 0 {
 		t.Fatal("no utilization series registered despite congestion")
 	}
@@ -80,8 +80,8 @@ func TestTSDBRunLabelsSeparateRuns(t *testing.T) {
 		}
 	}
 	runs := map[string]bool{}
-	for _, sd := range db.Gather("netsim_link_util") {
-		if len(sd.Values) > 0 {
+	for _, sd := range db.Gather() {
+		if sd.Name == "netsim_link_util" && len(sd.Values) > 0 {
 			runs[sd.Values[0]] = true
 		}
 	}

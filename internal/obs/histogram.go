@@ -50,14 +50,11 @@ func normalizeBuckets(bounds []float64) []float64 {
 	return dedup
 }
 
+// newHistogram returns an empty histogram over bounds, which register has
+// normalized.
 func newHistogram(bounds []float64) *Histogram {
-	bounds = normalizeBuckets(bounds)
 	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
-
-// NewHistogram returns a standalone histogram (not attached to a
-// registry) with the given upper bounds; nil uses DefBuckets.
-func NewHistogram(bounds []float64) *Histogram { return newHistogram(bounds) }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
@@ -100,13 +97,4 @@ func (h *Histogram) Buckets() []Bucket {
 		out[i] = Bucket{UpperBound: bound, CumulativeCount: cum}
 	}
 	return out
-}
-
-// Mean returns the average observed value, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
 }

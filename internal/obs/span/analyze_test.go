@@ -89,16 +89,12 @@ func TestAnalyzeJudgesIncompleteness(t *testing.T) {
 	// Event 3: no recompute at all.
 	b.root(RootLinkDown, 300, 310)
 
-	// Event 4: a session event from the message-level sim is complete by
-	// construction.
-	b.root(RootSessionDown, 400, 500)
-
 	// An orphan trace: spans whose root was shed.
 	b.recs = append(b.recs, Record{Trace: 9999, ID: 10000, Parent: 9999, Name: "daemon_epoch", Start: 1, End: 2})
 
 	rep := Analyze(b.recs)
-	if len(rep.Events) != 4 {
-		t.Fatalf("got %d events, want 4", len(rep.Events))
+	if len(rep.Events) != 3 {
+		t.Fatalf("got %d events, want 3", len(rep.Events))
 	}
 	if rep.Events[0].Complete {
 		t.Error("event with dirty dests and no epoch/commit/swap judged complete")
@@ -109,11 +105,8 @@ func TestAnalyzeJudgesIncompleteness(t *testing.T) {
 	if rep.Events[2].Complete {
 		t.Error("event with no recompute judged complete")
 	}
-	if !rep.Events[3].Complete {
-		t.Errorf("session event judged incomplete: %s", rep.Events[3].Why)
-	}
-	if got := rep.CompleteEvents(); got != 2 {
-		t.Errorf("CompleteEvents = %d, want 2", got)
+	if got := rep.CompleteEvents(); got != 1 {
+		t.Errorf("CompleteEvents = %d, want 1", got)
 	}
 	if rep.OrphanTraces != 1 {
 		t.Errorf("orphan traces = %d, want 1", rep.OrphanTraces)
@@ -135,7 +128,7 @@ func TestAnalyzeOrdersEventsByStart(t *testing.T) {
 
 func TestAnalyzeFoldsUnknownStages(t *testing.T) {
 	var b traceBuilder
-	r := b.root(RootSessionUp, 0, 100)
+	r := b.root(RootLinkUp, 0, 100)
 	b.child(r, "mystery_stage", 10, 20, 0)
 	rep := Analyze(b.recs)
 	if got := rep.Stage["other"]; got.Count != 1 {

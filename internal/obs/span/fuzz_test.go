@@ -19,7 +19,7 @@ func FuzzReadRecords(f *testing.F) {
 {"trace":1,"id":2,"parent":1,"name":"route_recompute","start_ns":1,"end_ns":2,"node":0,"v":1}
 {"trace":1,"id":3,"parent":2,"name":"fib_swap","start_ns":3,"end_ns":4,"node":5}`),
 		RootLinkDown, uint64(1), int64(0), int64(9), int32(-1), int64(3), int64(1), 0.5)
-	f.Add([]byte("{\"trace\":7,\"id\":0}\n\n{"), RootSessionUp, uint64(1<<63), int64(-5), int64(math.MaxInt64), int32(7), int64(-1), int64(0), -1.0)
+	f.Add([]byte("{\"trace\":7,\"id\":0}\n\n{"), "bgp_session_up", uint64(1<<63), int64(-5), int64(math.MaxInt64), int32(7), int64(-1), int64(0), -1.0)
 	f.Add([]byte(`{"trace":2,"id":4,"parent":9,"name":"daemon_epoch","start_ns":10,"end_ns":3}`), "fib_commit", uint64(2), int64(1), int64(1), int32(0), int64(0), int64(0), 0.0)
 
 	f.Fuzz(func(t *testing.T, log []byte, name string, id uint64, start, end int64, node int32, a, b int64, v float64) {

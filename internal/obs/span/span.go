@@ -39,15 +39,13 @@ func (c Context) Valid() bool { return c.Span != 0 }
 // the JSONL log. The numeric attribute fields are typed by span-name
 // convention (the convention each instrumentation site documents):
 //
-//	conv_link_down:   Node = -1, A/B = link endpoints, V = virtual event time (s)
-//	conv_link_up:     Node = -1, A/B = link endpoints, V = virtual event time (s)
-//	route_recompute:  A/B = link endpoints, V = dirty destinations recomputed
-//	dest_recompute:   Node = destination AS
-//	daemon_epoch:     Node = AS, A = destinations refreshed
-//	fib_commit:       Node = router, A = published generation
-//	fib_swap:         Node = router, A = published generation
-//	bgp_session_down: A/B = link endpoints, V = virtual reconvergence time (s)
-//	bgp_session_up:   A/B = link endpoints, V = virtual reconvergence time (s)
+//	conv_link_down:  Node = -1, A/B = link endpoints, V = virtual event time (s)
+//	conv_link_up:    Node = -1, A/B = link endpoints, V = virtual event time (s)
+//	route_recompute: A/B = link endpoints, V = dirty destinations recomputed
+//	dest_recompute:  Node = destination AS
+//	daemon_epoch:    Node = AS, A = destinations refreshed
+//	fib_commit:      Node = router, A = published generation
+//	fib_swap:        Node = router, A = published generation
 type Record struct {
 	// Trace is the root span's ID; every span of one causal tree shares it.
 	Trace uint64 `json:"trace"`

@@ -6,7 +6,7 @@ import "testing"
 // zero allocations.
 func BenchmarkSample(b *testing.B) {
 	st := NewStore()
-	s := st.Series("bench_sample", "")
+	s := st.SeriesVec("bench_sample", "").With()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -50,7 +50,7 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := AnalyzeStore(st, EpisodeSpec{})
+		rep := Analyze(st.Gather(), st.EpisodeSpec())
 		if len(rep.Episodes) == 0 {
 			b.Fatal("no episodes detected")
 		}

@@ -19,29 +19,25 @@ type SeriesDump struct {
 	Labels []string `json:"labels,omitempty"`
 	Values []string `json:"values,omitempty"`
 	Points []Point  `json:"points"`
+	// Overwritten counts the older points the series' ring overwrote:
+	// Points is only the newest window, and whatever happened before its
+	// first timestamp is missing from every analysis of it.
+	Overwritten int64 `json:"overwritten,omitempty"`
 }
 
-// Gather snapshots the named families' series (all families when no
-// names are given). Empty names are skipped, so callers can pass a
-// spec's optional fields directly.
-func (st *Store) Gather(names ...string) []SeriesDump {
-	want := map[string]bool{}
-	for _, n := range names {
-		if n != "" {
-			want[n] = true
-		}
-	}
+// Gather snapshots every series of the store: families in name order,
+// each family's series in registration order.
+func (st *Store) Gather() []SeriesDump {
 	var out []SeriesDump
 	for _, f := range st.families() {
-		if len(want) > 0 && !want[f.name] {
-			continue
-		}
 		for _, s := range f.snapshotSeries() {
+			pts, overwritten := s.Raw()
 			out = append(out, SeriesDump{
-				Name:   s.name,
-				Labels: f.labels,
-				Values: s.values,
-				Points: s.Raw(),
+				Name:        s.name,
+				Labels:      f.labels,
+				Values:      s.values,
+				Points:      pts,
+				Overwritten: overwritten,
 			})
 		}
 	}

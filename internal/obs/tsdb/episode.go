@@ -162,16 +162,6 @@ func Analyze(series []SeriesDump, spec EpisodeSpec) *Report {
 	return rep
 }
 
-// AnalyzeStore gathers the spec's families from a live store and
-// analyzes them. A zero-value spec falls back to the store's installed
-// default.
-func AnalyzeStore(st *Store, spec EpisodeSpec) *Report {
-	if spec.Util == "" {
-		spec = st.EpisodeSpec()
-	}
-	return Analyze(st.Gather(spec.Util, spec.Deflections, spec.OffloadBits), spec)
-}
-
 // detect finds the maximal at-or-above-threshold runs in one util
 // series that last at least the window and have no sampling gap wider
 // than MaxGap.

@@ -75,7 +75,7 @@ func storeFrom(data []byte) *Store {
 		case 1:
 			defl.With(link).Sample(ts, v)
 		default:
-			st.Series("fz_scalar", "unlabeled").Sample(ts, v)
+			st.SeriesVec("fz_scalar", "unlabeled").With().Sample(ts, v)
 		}
 	}
 	return st

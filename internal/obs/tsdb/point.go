@@ -43,17 +43,18 @@ func formatFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// Raw snapshots the series' retained raw points, oldest first. Once the
-// ring has wrapped a snapshot retains at most capacity-1 points (see
-// ring.Words).
-func (s *Series) Raw() []Point {
-	w := s.raw.Snapshot()
+// Raw snapshots the series' retained raw points, oldest first, and how
+// many older points the ring overwrote. Once the ring has wrapped a
+// snapshot retains at most capacity-1 points (see ring.Words).
+func (s *Series) Raw() (pts []Point, overwritten int64) {
+	w, written := s.raw.Snapshot()
+	overwritten = int64(written) - int64(len(w)/pointWords)
 	if len(w) == 0 {
-		return nil // a dump writes an empty series' points as null
+		return nil, overwritten // a dump writes an empty series' points as null
 	}
-	out := make([]Point, 0, len(w)/pointWords)
+	pts = make([]Point, 0, len(w)/pointWords)
 	for ; len(w) >= pointWords; w = w[pointWords:] {
-		out = append(out, Point{TS: int64(w[0]), V: math.Float64frombits(w[1])})
+		pts = append(pts, Point{TS: int64(w[0]), V: math.Float64frombits(w[1])})
 	}
-	return out
+	return pts, overwritten
 }

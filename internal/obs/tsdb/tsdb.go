@@ -8,8 +8,9 @@
 //
 // Each series owns a power-of-two ring of raw (timestamp, value) points.
 // Memory is fixed at registration: nothing grows, and old points are
-// overwritten in ring order. The store is read through Gather and its
-// dumps (WriteDump, ReadDump), which the episode analyzer consumes.
+// overwritten in ring order (Gather and the dumps count them). The store
+// is read through Gather and its dumps (WriteDump, ReadDump), which the
+// episode analyzer consumes.
 //
 // The sample path is the contract that makes the store usable from
 // netsim's per-epoch hook, its only producer: one writer per series, no
@@ -34,8 +35,8 @@ import (
 const defaultRawCap = 2048
 
 // Store registers and owns series. Registration mirrors the obs.Registry
-// idiom — Series for an unlabeled series, SeriesVec(...).With(values)
-// for labeled ones — and takes locks; sampling never does. Registration
+// idiom — SeriesVec(...).With(values), no labels for a scalar series —
+// and takes locks; sampling never does. Registration
 // is idempotent for identical shapes and panics on conflicts, like the
 // metrics registry.
 type Store struct {
@@ -68,18 +69,9 @@ type family struct {
 	order  []*Series // registration order, for stable dumps and listings
 }
 
-// Series registers (or returns) the unlabeled series called name.
-func (st *Store) Series(name, help string) *Series {
-	f := st.family(name, help, nil)
-	return f.with(nil)
-}
-
-// SeriesVec registers (or returns) a labeled series family; use With to
-// resolve a concrete series. Resolve handles once, off the sample path.
+// SeriesVec registers (or returns) a series family; use With to resolve
+// a concrete series. Resolve handles once, off the sample path.
 func (st *Store) SeriesVec(name, help string, labels ...string) *SeriesVec {
-	if len(labels) == 0 {
-		panic("tsdb: SeriesVec needs at least one label (use Series)")
-	}
 	return &SeriesVec{fam: st.family(name, help, labels)}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,13 +24,13 @@ func storeWithCap(n int) *Store {
 
 func TestRawRingRoundTrip(t *testing.T) {
 	st := storeWithCap(16)
-	s := st.Series("test_series", "round trip")
+	s := st.SeriesVec("test_series", "round trip").With()
 	for i := 0; i < 10; i++ {
 		s.Sample(int64(i*100), float64(i))
 	}
-	pts := s.Raw()
-	if len(pts) != 10 {
-		t.Fatalf("want 10 points, got %d", len(pts))
+	pts, overwritten := s.Raw()
+	if len(pts) != 10 || overwritten != 0 {
+		t.Fatalf("want 10 points and none overwritten, got %d and %d", len(pts), overwritten)
 	}
 	for i, p := range pts {
 		if p.TS != int64(i*100) || p.V != float64(i) {
@@ -50,7 +51,7 @@ func TestSeriesVecLabels(t *testing.T) {
 		t.Fatal("With must be idempotent")
 	}
 	a.Sample(1, 0.5)
-	if got := st.Gather("test_vec"); len(got) != 2 {
+	if got := st.Gather(); len(got) != 2 {
 		t.Fatalf("gather: want 2 series, got %d", len(got))
 	}
 	defer func() {
@@ -69,9 +70,9 @@ func TestRegistrationConflictPanics(t *testing.T) {
 		register func()
 	}{
 		{"re-registration with different labels", func() { st.SeriesVec("test_conflict", "", "run", "link") }},
-		{"a name with a '-'", func() { st.Series("netsim-link_util", "") }},
+		{"a name with a '-'", func() { st.SeriesVec("netsim-link_util", "") }},
 		{"a name with a '.'", func() { st.SeriesVec("netsim.link_util", "", "link") }},
-		{"a one-segment name", func() { st.Series("util", "") }},
+		{"a one-segment name", func() { st.SeriesVec("util", "") }},
 	} {
 		func() {
 			defer func() {
@@ -89,7 +90,7 @@ func TestRegistrationConflictPanics(t *testing.T) {
 // not round to zero per call.
 func TestSampleAllocFree(t *testing.T) {
 	st := storeWithCap(64)
-	s := st.Series("test_alloc", "")
+	s := st.SeriesVec("test_alloc", "").With()
 	ts := int64(0)
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 1000; i++ {
@@ -103,7 +104,7 @@ func TestSampleAllocFree(t *testing.T) {
 }
 
 // TestGatherWhileSampling runs every reader of a live store — Gather,
-// AnalyzeStore and WriteDump — while a writer samples flat out into a
+// Analyze over a Gather and WriteDump — while a writer samples flat out into a
 // ring small enough to wrap during a read. Each read must be whole points
 // in timestamp order, and each dump must read back (run under -race via
 // make tsdb-race).
@@ -137,7 +138,7 @@ func TestGatherWhileSampling(t *testing.T) {
 				t.Fatalf("gather %d: point %d is %+v after %+v: torn or out of order", i, j, pts[j], pts[j-1])
 			}
 		}
-		AnalyzeStore(st, EpisodeSpec{})
+		Analyze(st.Gather(), st.EpisodeSpec())
 		var buf bytes.Buffer
 		if err := st.WriteDump(jsonl.New(&buf)); err != nil {
 			t.Fatal(err)
@@ -266,7 +267,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a.Sample(int64(i), 0.9)
 	}
-	st.Series("test_scalar", "").Sample(5, 42)
+	st.SeriesVec("test_scalar", "").With().Sample(5, 42)
 
 	path := filepath.Join(t.TempDir(), "dump.jsonl")
 	sink, err := jsonl.Create(path)
@@ -301,9 +302,46 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 	// The offline analyzer sees the same episodes as the live one.
 	offline := Analyze(series, spec)
-	live := AnalyzeStore(st, EpisodeSpec{})
+	live := Analyze(st.Gather(), st.EpisodeSpec())
 	if len(offline.Episodes) != len(live.Episodes) || len(offline.Episodes) != 1 {
 		t.Fatalf("offline/live episode mismatch: %d vs %d", len(offline.Episodes), len(live.Episodes))
+	}
+}
+
+// TestDumpReportsOverwrittenPoints samples one series past its ring's
+// capacity and one not: the dump must say how many points the first lost
+// and keep saying nothing about the second, whose line stays as it was.
+func TestDumpReportsOverwrittenPoints(t *testing.T) {
+	st := storeWithCap(8)
+	st.SetEpisodeSpec(EpisodeSpec{Util: "test_util"})
+	vec := st.SeriesVec("test_util", "link utilization", "link")
+	hot, cold := vec.With("hot"), vec.With("cold")
+	for i := 0; i < 20; i++ {
+		hot.Sample(int64(i), 0.9)
+	}
+	for i := 0; i < 3; i++ {
+		cold.Sample(int64(i), 0.1)
+	}
+	var buf bytes.Buffer
+	if err := st.WriteDump(jsonl.New(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), `"overwritten":`); n != 1 {
+		t.Fatalf("%d dump lines carry an overwritten count, want 1:\n%s", n, buf.String())
+	}
+	series, _, err := ReadDump(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 2 {
+		t.Fatalf("want 2 series in dump, got %d", len(series))
+	}
+	// A wrapped ring of 8 keeps the newest 7 of the 20 points.
+	if got := series[0]; got.Overwritten != 13 || len(got.Points) != 7 || got.Points[0].TS != 13 {
+		t.Errorf("hot series: %d overwritten, %d points from %v; want 13, 7 from ts 13", got.Overwritten, len(got.Points), got.Points)
+	}
+	if got := series[1]; got.Overwritten != 0 || len(got.Points) != 3 {
+		t.Errorf("cold series: %d overwritten, %d points; want 0, 3", got.Overwritten, len(got.Points))
 	}
 }
 

@@ -65,30 +65,3 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	})
 	return out
 }
-
-// ChunkedForEach is like ForEach but hands each worker contiguous chunks of
-// the index space. It reduces scheduling overhead when fn is very cheap and
-// preserves per-chunk locality.
-func ChunkedForEach(n, workers, chunk int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if chunk <= 0 {
-		chunk = (n + workers*4 - 1) / (workers * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	nchunks := (n + chunk - 1) / chunk
-	ForEach(nchunks, workers, func(c int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
-	})
-}

@@ -39,27 +39,6 @@ func TestMapDeterministicPlacement(t *testing.T) {
 	}
 }
 
-func TestChunkedForEachCoversRange(t *testing.T) {
-	for _, tc := range []struct{ n, workers, chunk int }{
-		{1000, 4, 0}, {1000, 4, 7}, {5, 16, 3}, {1, 1, 1}, {0, 4, 10},
-	} {
-		seen := make([]atomic.Int32, tc.n)
-		ChunkedForEach(tc.n, tc.workers, tc.chunk, func(lo, hi int) {
-			if lo < 0 || hi > tc.n || lo > hi {
-				t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, tc.n)
-			}
-			for i := lo; i < hi; i++ {
-				seen[i].Add(1)
-			}
-		})
-		for i := range seen {
-			if got := seen[i].Load(); got != 1 {
-				t.Fatalf("%+v: index %d visited %d times, want 1", tc, i, got)
-			}
-		}
-	}
-}
-
 // Property: Map output is independent of worker count.
 func TestQuickMapWorkerInvariance(t *testing.T) {
 	f := func(n uint8, workers uint8) bool {

@@ -39,14 +39,16 @@ func (r *Words) Put(rec ...uint64) {
 }
 
 // Snapshot returns the retained records, oldest first, stride words
-// each.
-func (r *Words) Snapshot() []uint64 {
+// each, and the number of records ever written when it began. The
+// records before the returned ones are gone: written minus the records
+// returned is how many the writer overwrote.
+func (r *Words) Snapshot() (recs []uint64, written uint64) {
 	end := r.cur.Load()
 	lo := uint64(0)
 	if capacity := r.mask + 1; end > capacity {
 		lo = end - capacity
 	}
-	return r.read(lo, end)
+	return r.read(lo, end), end
 }
 
 // read copies records lo..end-1 (end no later than a cursor value the

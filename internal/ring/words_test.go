@@ -42,21 +42,23 @@ func newWords(capacity int) *Words {
 
 func TestWordsRoundTripAndWrap(t *testing.T) {
 	r := newWords(16)
-	if len(r.Snapshot()) != 0 {
-		t.Fatal("an empty ring has records")
+	if recs, written := r.Snapshot(); len(recs) != 0 || written != 0 {
+		t.Fatalf("an empty ring has %d words of %d records", len(recs), written)
 	}
 	for i := uint64(0); i < 10; i++ {
 		putRec(r, i)
 	}
-	if n := windowAt(r.Snapshot(), 0); n != 10 {
-		t.Fatalf("snapshot holds %d records from 0, want 10", n)
+	recs, written := r.Snapshot()
+	if n := windowAt(recs, 0); n != 10 || written != 10 {
+		t.Fatalf("snapshot holds %d records from 0 of %d written, want 10 of 10", n, written)
 	}
 	for i := uint64(10); i < 1000; i++ {
 		putRec(r, i)
 	}
 	// Once wrapped, a snapshot keeps the newest capacity-1 records.
-	if n := windowAt(r.Snapshot(), 1000-15); n != 15 {
-		t.Fatalf("snapshot of a wrapped ring of 16 holds %d records from 985, want 15", n)
+	recs, written = r.Snapshot()
+	if n := windowAt(recs, 1000-15); n != 15 || written != 1000 {
+		t.Fatalf("snapshot of a wrapped ring of 16 holds %d records from 985 of %d written, want 15 of 1000", n, written)
 	}
 }
 
@@ -76,7 +78,8 @@ func TestWordsSnapshotLeavesOutTheOpenSlot(t *testing.T) {
 	for k := uint64(0); k < r.stride; k++ {
 		r.words[base+k].Store(^uint64(0)) // the write in progress
 	}
-	if n := windowAt(r.Snapshot(), cur-capacity+1); n != capacity-1 {
+	recs, _ := r.Snapshot()
+	if n := windowAt(recs, cur-capacity+1); n != capacity-1 {
 		t.Fatalf("snapshot holds %d records from %d, want %d", n, cur-capacity+1, capacity-1)
 	}
 }
@@ -131,7 +134,15 @@ func TestWordsWriterVsReaders(t *testing.T) {
 	}
 	wg.Add(4)
 	for i := 0; i < 2; i++ {
-		go reader(r.Snapshot)
+		go reader(func() []uint64 {
+			recs, written := r.Snapshot()
+			// The window ends at the newest record the cursor covered.
+			if n := uint64(len(recs) / testStride); n > 0 && recs[0]>>3 != written-n {
+				t.Errorf("window of %d records from %d, but %d written", n, recs[0]>>3, written)
+				stop.Store(true)
+			}
+			return recs
+		})
 	}
 	for i := 0; i < 2; i++ {
 		go reader(func() []uint64 {

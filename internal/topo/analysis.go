@@ -27,15 +27,6 @@ func CustomerCone(g *Graph, v int) []int {
 // ConeSize returns the size of v's customer cone.
 func ConeSize(g *Graph, v int) int { return len(CustomerCone(g, v)) }
 
-// DegreeHistogram returns counts of ASes per degree.
-func DegreeHistogram(g *Graph) map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.N(); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
 // PathStats summarizes hop distances in the undirected topology.
 type PathStats struct {
 	// Diameter is the largest eccentricity observed from the sampled

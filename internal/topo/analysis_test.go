@@ -39,17 +39,6 @@ func TestCustomerConeDiamond(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g, err := NewBuilder(4).AddPC(0, 1).AddPC(0, 2).AddPC(0, 3).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := DegreeHistogram(g)
-	if h[3] != 1 || h[1] != 3 {
-		t.Errorf("histogram = %v, want {3:1, 1:3}", h)
-	}
-}
-
 func TestSamplePathStats(t *testing.T) {
 	// A path graph 0-1-2-3 has diameter 3 from the endpoints.
 	g, err := NewBuilder(4).AddPC(0, 1).AddPC(1, 2).AddPC(2, 3).Build()
