@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race ring-race audit-race fib-race span-race tsdb-race conv-smoke vet lint bench bench-smoke perf perf-compare fuzz figures testbed results reproduce clean
+.PHONY: all build test race ring-race audit-race fib-race span-race conv-smoke vet lint bench bench-smoke perf perf-compare fuzz figures testbed results reproduce clean
 
 # Every package with micro-benchmarks: what `make bench` measures and
 # what CI's `make bench-smoke` keeps runnable.
@@ -77,14 +77,6 @@ fib-race:
 span-race:
 	$(GO) test -race -count=5 ./internal/obs/span
 	$(GO) test -race -count=2 -run 'ConvergenceTracing|NoTracer' ./internal/netsim
-
-# The tsdb concurrency surface: the single-writer sample path racing the
-# store's readers — TestGatherWhileSampling runs Gather, Analyze over it
-# and WriteDump while a sampler runs flat out — plus netsim feeding a
-# store per epoch. (The torn-read tests of the ring itself are ring-race's.)
-tsdb-race:
-	$(GO) test -race -count=5 ./internal/obs/tsdb
-	$(GO) test -race -count=2 -run 'TSDB' ./internal/netsim
 
 # End-to-end convergence gate, same as CI: every failure event injected by
 # a resilience run must provably reach data-plane consistency.

@@ -285,14 +285,9 @@ type snapshot struct {
 	Report *tsdb.Report `json:"report"`
 	// DeflectionsByAS counts -flight's deflected journeys by deflecting AS.
 	DeflectionsByAS map[string]int `json:"deflections_by_as,omitempty"`
-	// LossySeries counts the series whose rings overwrote points;
-	// RetainedFrom is the earliest point any of them still holds. What
-	// they saw before it is missing from Links and Report.
-	LossySeries  int   `json:"lossy_series,omitempty"`
-	RetainedFrom int64 `json:"retained_from,omitempty"`
 }
 
-// linkRow is one util series' retained window, summarized.
+// linkRow is one util series, summarized.
 type linkRow struct {
 	Series string  `json:"series"`
 	Last   float64 `json:"last"`
@@ -318,12 +313,6 @@ func loadDump(in io.Reader, name string, threshold float64, window int64) (*snap
 	}
 	snap := &snapshot{Spec: spec, Report: tsdb.Analyze(series, spec)}
 	for _, sd := range series {
-		if sd.Overwritten > 0 && len(sd.Points) > 0 {
-			if snap.LossySeries == 0 || sd.Points[0].TS < snap.RetainedFrom {
-				snap.RetainedFrom = sd.Points[0].TS
-			}
-			snap.LossySeries++
-		}
 		if sd.Name != spec.Util || len(sd.Points) == 0 {
 			continue
 		}
@@ -381,10 +370,6 @@ func render(w io.Writer, snap *snapshot, topN int) {
 	rep := snap.Report
 	fmt.Fprintf(w, "util series %q  threshold %.2f  window %d  (%d series scanned)\n",
 		rep.Spec.Util, rep.Spec.Threshold, rep.Spec.Window, rep.SeriesScanned)
-	if snap.LossySeries > 0 {
-		fmt.Fprintf(w, "%d series lost their oldest points to their rings; the earliest point any of them keeps is at %d, and what came before is missing below\n",
-			snap.LossySeries, snap.RetainedFrom)
-	}
 
 	links := snap.Links[:min(topN, len(snap.Links))]
 	fmt.Fprintf(w, "\nhottest links (%d of %d):\n", len(links), len(snap.Links))

@@ -172,32 +172,3 @@ func TestJoinFlightRejectsCorruptLog(t *testing.T) {
 		})
 	}
 }
-
-// TestTSDBReportsRingLoss: a dump whose series lost points to their rings
-// says so, with the earliest point any of them keeps; a whole dump does
-// not mention loss at all.
-func TestTSDBReportsRingLoss(t *testing.T) {
-	lossy := `{"kind":"series","name":"u","labels":["link"],"values":["2->3"],"points":[[40,0.5],[50,0.4]],"overwritten":7}` + "\n"
-	for _, tc := range []struct {
-		name, dump, want string
-	}{
-		{"whole", tsdbHeader + tsdbSeries, ""},
-		{"lossy", tsdbHeader + tsdbSeries + lossy, "1 series lost their oldest points to their rings; the earliest point any of them keeps is at 40"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			if got := run([]string{"tsdb"}, strings.NewReader(tc.dump), &stdout, &stderr); got != 0 {
-				t.Fatalf("exit %d; stderr:\n%s", got, stderr.String())
-			}
-			if tc.want == "" {
-				if strings.Contains(stdout.String(), "lost") {
-					t.Fatalf("a whole dump reports loss:\n%s", stdout.String())
-				}
-				return
-			}
-			if !strings.Contains(stdout.String(), tc.want) {
-				t.Fatalf("report does not say %q:\n%s", tc.want, stdout.String())
-			}
-		})
-	}
-}

@@ -219,11 +219,10 @@ func main() {
 				fmt.Fprintln(os.Stderr, "mifo-sim: tsdb log:", err)
 				ok = false
 			}
-			series := db.Gather()
-			rep := tsdb.Analyze(series, db.EpisodeSpec())
-			fmt.Printf("# tsdb log: %d series scanned, %d congestion episodes on %d links (%d deflections, %.3g offloaded bits)%s -> %s\n",
+			rep := tsdb.Analyze(db.Gather(), db.EpisodeSpec())
+			fmt.Printf("# tsdb log: %d series scanned, %d congestion episodes on %d links (%d deflections, %.3g offloaded bits) -> %s\n",
 				rep.SeriesScanned, len(rep.Episodes), rep.LinksWithEpisodes,
-				rep.TotalDeflections, rep.TotalOffloadBits, tsdbLoss(series), *tsdbLog)
+				rep.TotalDeflections, rep.TotalOffloadBits, *tsdbLog)
 			return ok
 		}
 	}
@@ -265,24 +264,6 @@ func main() {
 }
 
 // saveSeries writes curves to <dir>/<name>.dat in gnuplot block format.
-// tsdbLoss says how many series lost their oldest points to their rings
-// and the earliest point any of them keeps, or is empty when none did.
-func tsdbLoss(series []tsdb.SeriesDump) string {
-	lossy, from := 0, int64(0)
-	for _, sd := range series {
-		if sd.Overwritten > 0 && len(sd.Points) > 0 {
-			if lossy == 0 || sd.Points[0].TS < from {
-				from = sd.Points[0].TS
-			}
-			lossy++
-		}
-	}
-	if lossy == 0 {
-		return ""
-	}
-	return fmt.Sprintf("; %d series lost their oldest points to their rings (earliest point kept: %d)", lossy, from)
-}
-
 func saveSeries(dir, name string, series ...metrics.Series) error {
 	if dir == "" {
 		return nil

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"math"
 	"os"
@@ -11,6 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/jsonl"
+	"repro/internal/obs/tsdb"
 )
 
 // TestFig12MatchesCommitted: -exp fig12 prints the fluid section of the
@@ -123,6 +127,29 @@ func TestFig7MatchesCommitted(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("fig7.dat: %d bytes, committed %d, not the same bytes", len(got), len(want))
+	}
+}
+
+// TestFig8TSDBDumpPinned: the TSDB dump of CI's observer run,
+// `-exp fig8 -n 200 -flows 500 -tsdb-log`, keeps its SHA-256. The dump's
+// series lines are written by hand, so this holds them to the bytes a
+// json.Encoder wrote for the same run (12,658 lines).
+func TestFig8TSDBDumpPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a fig8 run of ten simulations")
+	}
+	const want = "79f0fe90eee52bfaa4580242a7cc4e4d441b2462652c068650e051d064e77a6c"
+	db := tsdb.NewStore()
+	o := experiments.Options{N: 200, Flows: 500, PairSamples: 1000, Seed: 1, TSDB: db}
+	if err := run("fig8", o, "", experiments.PaperScaleConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := db.WriteDump(jsonl.New(h)); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("fig8 tsdb dump sha256 %s, want %s", got, want)
 	}
 }
 

@@ -22,13 +22,16 @@ type cutRows struct {
 	at   map[int32]int32
 	ases []int32 // the ASes that have filtered rows, rows[i] being ases[i]'s
 	rows [][4][]int32
+	far  [][]int32 // far[i]: the neighbours ases[i] lost, while reset runs
 }
 
 // rankRow indexes an endpoint's filtered CustomerRanks among its cut rows;
 // the other three are indexed by topo.Rel. A stub's is empty.
 const rankRow = 3
 
-// reset refills c for the graph g without the links in failed.
+// reset refills c for the graph g without the links in failed. Each
+// endpoint's rows are filtered by a scan of the far ends it lost, a list
+// of one or a few, so no neighbour costs a lookup in failed.
 func (c *cutRows) reset(g *topo.Graph, failed map[topo.LinkRef]bool) {
 	if words := (g.N() + 63) / 64; len(c.ends) != words {
 		c.ends, c.at = make([]uint64, words), make(map[int32]int32)
@@ -37,47 +40,62 @@ func (c *cutRows) reset(g *topo.Graph, failed map[topo.LinkRef]bool) {
 		c.ends[v>>6] = 0
 	}
 	clear(c.at)
-	c.ases, c.rows = c.ases[:0], c.rows[:0]
-	order, rank := g.ProviderOrder(), g.ProviderRanks()
+	c.ases, c.rows, c.far = c.ases[:0], c.rows[:0], c.far[:0]
 	for l := range failed {
-		for _, v := range [2]int{l.A, l.B} {
-			if _, done := c.at[int32(v)]; done {
-				continue
-			}
-			// One array for the four rows, each cut to length so that it
-			// cannot grow into the next.
-			var ranks []int32
-			if r := int(rank[v]); r < g.TailStart() {
-				ranks = g.CustomerRanks(r)
-			}
-			buf := make([]int32, 0, g.Degree(v)+len(ranks))
-			buf = appendLive(buf, g.Customers(v), v, failed)
-			nc := len(buf)
-			buf = appendLive(buf, g.Peers(v), v, failed)
-			np := len(buf)
-			buf = appendLive(buf, g.Providers(v), v, failed)
-			nq := len(buf)
-			for _, rc := range ranks {
-				if !failed[normLinkRef(v, int(order[rc]))] {
-					buf = append(buf, rc)
-				}
-			}
-			nr := len(buf)
-			rows := [4][]int32{
-				topo.Customer: buf[:nc:nc], topo.Peer: buf[nc:np:np], topo.Provider: buf[np:nq:nq],
-				rankRow: buf[nq:nr:nr],
-			}
-			c.ends[v>>6] |= 1 << (v & 63)
-			c.at[int32(v)] = int32(len(c.rows))
-			c.ases, c.rows = append(c.ases, int32(v)), append(c.rows, rows)
+		c.lose(int32(l.A), int32(l.B))
+		c.lose(int32(l.B), int32(l.A))
+	}
+	order, rank := g.ProviderOrder(), g.ProviderRanks()
+	for i, v := range c.ases {
+		far := c.far[i]
+		// One array for the four rows, each cut to length so that it
+		// cannot grow into the next.
+		var ranks []int32
+		if r := int(rank[v]); r < g.TailStart() {
+			ranks = g.CustomerRanks(r)
 		}
+		buf := make([]int32, 0, g.Degree(int(v))+len(ranks))
+		buf = appendLive(buf, g.Customers(int(v)), far)
+		nc := len(buf)
+		buf = appendLive(buf, g.Peers(int(v)), far)
+		np := len(buf)
+		buf = appendLive(buf, g.Providers(int(v)), far)
+		nq := len(buf)
+		for _, rc := range ranks {
+			if !slices.Contains(far, order[rc]) {
+				buf = append(buf, rc)
+			}
+		}
+		nr := len(buf)
+		rows := [4][]int32{
+			topo.Customer: buf[:nc:nc], topo.Peer: buf[nc:np:np], topo.Provider: buf[np:nq:nq],
+			rankRow: buf[nq:nr:nr],
+		}
+		c.ends[v>>6] |= 1 << (v & 63)
+		c.rows = append(c.rows, rows)
 	}
 }
 
-// appendLive appends to buf the neighbours in row that v has not lost.
-func appendLive(buf, row []int32, v int, failed map[topo.LinkRef]bool) []int32 {
+// lose notes that v lost its link to u, making v an endpoint of c.
+func (c *cutRows) lose(v, u int32) {
+	i, ok := c.at[v]
+	if !ok {
+		i = int32(len(c.ases))
+		c.at[v], c.ases = i, append(c.ases, v)
+		if len(c.far) < cap(c.far) {
+			c.far = c.far[:i+1]
+			c.far[i] = c.far[i][:0] // an earlier event's list, reused
+		} else {
+			c.far = append(c.far, nil)
+		}
+	}
+	c.far[i] = append(c.far[i], u)
+}
+
+// appendLive appends to buf the neighbours in row that are not in far.
+func appendLive(buf, row, far []int32) []int32 {
 	for _, u := range row {
-		if !failed[normLinkRef(v, int(u))] {
+		if !slices.Contains(far, u) {
 			buf = append(buf, u)
 		}
 	}

@@ -167,6 +167,8 @@ func BenchmarkComputePaperScale(b *testing.B) {
 // each repaired after the link's failure and after its return, one
 // goroutine, reported per dirty destination with the share of the stored
 // ASes (those with customers) the phase-3 sweep visits (swept-share).
+// CutRows is the event's serial prelude: cutRows.reset for the link's
+// failure, which filters the rows of both endpoints, the hub's included.
 func BenchmarkRepairPaperScale(b *testing.B) {
 	g, err := topo.Generate(topo.PaperScaleConfig(1))
 	if err != nil {
@@ -185,6 +187,13 @@ func BenchmarkRepairPaperScale(b *testing.B) {
 	var down, none cutRows
 	down.reset(g, map[topo.LinkRef]bool{l: true})
 	none.reset(g, nil)
+	b.Run("CutRows", func(b *testing.B) {
+		var cut cutRows
+		failed := map[topo.LinkRef]bool{l: true}
+		for i := 0; i < b.N; i++ {
+			cut.reset(g, failed)
+		}
+	})
 	sc := new(repairScratch)
 	swept := 0
 	for _, dir := range []struct {

@@ -13,8 +13,8 @@ import (
 // run-wide gauges. Link series are registered lazily — only links that
 // climb past the watermark (or actually deflect a flow) get a series —
 // so a 1000-AS topology with ~9000 directed links stays cheap: the
-// sample path touches an O(numLinks) float scan and a handful of ring
-// writes.
+// sample path touches an O(numLinks) float scan and three appends per
+// materialized link.
 //
 // Series are labeled (run, link): one simulator process runs many sims
 // (a fig8 sweep is ten), and the run label keeps their time axes and

@@ -89,3 +89,63 @@ func TestTSDBRunLabelsSeparateRuns(t *testing.T) {
 		t.Fatalf("expected 2 distinct run labels, got %v", runs)
 	}
 }
+
+// TestTSDBKeepsEveryEpoch runs a MIFO hog-and-returner past 2,048
+// control epochs, more than a series once held, and checks that the store
+// kept all of them: the run-wide series has a point for every epoch from
+// the first, one control interval apart, and every link series has a
+// point for every epoch from the one that materialized it, the congested
+// egress from the first epoch on.
+func TestTSDBKeepsEveryEpoch(t *testing.T) {
+	g := fig2aGraph(t)
+	flows := []traffic.Flow{
+		{ID: 0, Src: 1, Dst: 0, SizeBits: 1500 * mb, Arrival: 0},
+		{ID: 1, Src: 1, Dst: 0, SizeBits: 1500 * mb, Arrival: 0.05},
+	}
+	db := tsdb.NewStore()
+	cfg := Config{Policy: PolicyMIFO, TSDB: db}
+	if _, err := Run(g, flows, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var epochs []tsdb.Point
+	var links []tsdb.SeriesDump
+	for _, sd := range db.Gather() {
+		switch sd.Name {
+		case "netsim_active_flows":
+			epochs = sd.Points
+		case "netsim_link_util", "netsim_link_deflections", "netsim_link_offload_bits":
+			links = append(links, sd)
+		}
+	}
+	// The last point is the sample taken after the event loop; the ones
+	// before it are the epochs, the first one interval after the first
+	// arrival.
+	interval := int64(0.005 * 1e9) // the default ControlInterval
+	for i, p := range epochs[:max(len(epochs)-1, 0)] {
+		if want := int64(i+1) * interval; p.TS < want-1 || p.TS > want+1 {
+			t.Fatalf("epoch sample %d at %d ns, want %d: the %d epochs before it are missing", i, p.TS, want, int(p.TS/interval)-1-i)
+		}
+	}
+	if len(epochs)-1 <= 2048 {
+		t.Fatalf("scenario drifted: %d epochs, want more than 2,048", len(epochs)-1)
+	}
+	hot := 0
+	for _, sd := range links {
+		first := len(epochs) - len(sd.Points)
+		if first < 0 || sd.Points[0].TS != epochs[first].TS {
+			t.Fatalf("%s%v: %d points from %d ns, not one a sample from the epoch that materialized it on",
+				sd.Name, sd.Values, len(sd.Points), sd.Points[0].TS)
+		}
+		for i, p := range sd.Points {
+			if p.TS != epochs[first+i].TS {
+				t.Fatalf("%s%v: point %d at %d ns, want %d", sd.Name, sd.Values, i, p.TS, epochs[first+i].TS)
+			}
+		}
+		if first == 0 {
+			hot++
+		}
+	}
+	if hot == 0 {
+		t.Fatalf("no link series starts at the first epoch among %d", len(links))
+	}
+}

@@ -9,36 +9,27 @@ import (
 	"repro/internal/jsonl"
 )
 
-// SeriesDump is one series' retained raw window in portable form: what
-// Gather snapshots from a live store, what WriteDump streams to disk,
-// and what the episode analyzer consumes — the same shape online and
-// offline, so `mifo-inspect tsdb` and mifo-sim's own episode summary agree
-// by construction.
+// SeriesDump is one series' points in portable form: what Gather hands
+// out from a live store, what WriteDump streams to disk, and what the
+// episode analyzer consumes — the same shape online and offline, so
+// `mifo-inspect tsdb` and mifo-sim's own episode summary agree by
+// construction.
 type SeriesDump struct {
 	Name   string   `json:"name"`
 	Labels []string `json:"labels,omitempty"`
 	Values []string `json:"values,omitempty"`
 	Points []Point  `json:"points"`
-	// Overwritten counts the older points the series' ring overwrote:
-	// Points is only the newest window, and whatever happened before its
-	// first timestamp is missing from every analysis of it.
-	Overwritten int64 `json:"overwritten,omitempty"`
 }
 
-// Gather snapshots every series of the store: families in name order,
-// each family's series in registration order.
+// Gather lists every series of the store: families in name order, each
+// family's series in registration order. Points are the series' own
+// slices, not copies: call it once the writers are done, and do not
+// modify what it returns.
 func (st *Store) Gather() []SeriesDump {
 	var out []SeriesDump
 	for _, f := range st.families() {
 		for _, s := range f.snapshotSeries() {
-			pts, overwritten := s.Raw()
-			out = append(out, SeriesDump{
-				Name:        s.name,
-				Labels:      f.labels,
-				Values:      s.values,
-				Points:      pts,
-				Overwritten: overwritten,
-			})
+			out = append(out, SeriesDump{Name: s.name, Labels: f.labels, Values: s.values, Points: s.Raw()})
 		}
 	}
 	return out
@@ -50,9 +41,12 @@ type dumpHeader struct {
 	Spec EpisodeSpec `json:"spec"`
 }
 
-type dumpSeries struct {
-	Kind string `json:"kind"` // "series"
-	SeriesDump
+// seriesHead is a series line's fields before its points.
+type seriesHead struct {
+	Kind   string   `json:"kind"` // "series"
+	Name   string   `json:"name"`
+	Labels []string `json:"labels,omitempty"`
+	Values []string `json:"values,omitempty"`
 }
 
 // WriteDump streams the store's full contents to a JSONL sink: one
@@ -63,12 +57,43 @@ func (st *Store) WriteDump(sink *jsonl.Sink) error {
 	if err := sink.Encode(dumpHeader{Kind: "tsdb", Spec: st.EpisodeSpec()}); err != nil {
 		return err
 	}
+	var line []byte
 	for _, sd := range st.Gather() {
-		if err := sink.Encode(dumpSeries{Kind: "series", SeriesDump: sd}); err != nil {
+		var err error
+		if line, err = appendSeriesLine(line[:0], sd); err != nil {
+			return err
+		}
+		if _, err := sink.Write(line); err != nil {
 			return err
 		}
 	}
 	return sink.Flush()
+}
+
+// appendSeriesLine appends sd's dump line to b: the bytes a json.Encoder
+// writes for the line (TestSeriesLineMatchesEncoder). The points, millions
+// in a long run's dump, are appended by hand; only the head goes through
+// encoding/json, which escapes the names and label values.
+func appendSeriesLine(b []byte, sd SeriesDump) ([]byte, error) {
+	head, err := json.Marshal(seriesHead{Kind: "series", Name: sd.Name, Labels: sd.Labels, Values: sd.Values})
+	if err != nil {
+		return b, err
+	}
+	b = append(b, head[:len(head)-1]...) // without its closing brace
+	b = append(b, `,"points":`...)
+	if sd.Points == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, p := range sd.Points {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendPoint(b, p)
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...), nil
 }
 
 // ReadDump parses a dump written by WriteDump (or by hand: unknown line
@@ -102,11 +127,27 @@ func ReadDump(r io.Reader) ([]SeriesDump, EpisodeSpec, error) {
 			}
 			spec = h.Spec
 		case "series":
-			var ds dumpSeries
+			// The points decode in the same pass as the rest of the line,
+			// as bare number pairs.
+			var ds struct {
+				seriesHead
+				Points [][2]json.Number `json:"points"`
+			}
 			if err := json.Unmarshal(b, &ds); err != nil {
 				return nil, spec, fmt.Errorf("tsdb dump line %d: %w", line, err)
 			}
-			series = append(series, ds.SeriesDump)
+			sd := SeriesDump{Name: ds.Name, Labels: ds.Labels, Values: ds.Values}
+			if ds.Points != nil {
+				sd.Points = make([]Point, len(ds.Points))
+			}
+			for i, arr := range ds.Points {
+				p, err := pointOf(arr)
+				if err != nil {
+					return nil, spec, fmt.Errorf("tsdb dump line %d: point %d: %w", line, i, err)
+				}
+				sd.Points[i] = p
+			}
+			series = append(series, sd)
 		}
 	}
 	if err := sc.Err(); err != nil {

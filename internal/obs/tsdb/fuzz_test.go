@@ -48,10 +48,9 @@ func FuzzReadDump(f *testing.F) {
 
 // storeFrom builds a small store from fuzz bytes: the first three pick
 // the episode spec, every following four add one sample to a labeled
-// utilization or deflection series or to an unlabeled one. Rings hold 16
-// raw points, so long inputs wrap them.
+// utilization or deflection series or to an unlabeled one.
 func storeFrom(data []byte) *Store {
-	st := storeWithCap(16)
+	st := NewStore()
 	if len(data) >= 3 {
 		st.SetEpisodeSpec(EpisodeSpec{
 			Util:        "fz_util",

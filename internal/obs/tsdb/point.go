@@ -2,8 +2,8 @@ package tsdb
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // Point is one raw sample. It marshals compactly as [ts, v].
@@ -12,9 +12,9 @@ type Point struct {
 	V  float64
 }
 
-// MarshalJSON encodes the point as a two-element array.
+// MarshalJSON encodes the point as a two-element array, as WriteDump does.
 func (p Point) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("[%d,%s]", p.TS, formatFloat(p.V))), nil
+	return appendPoint(nil, p), nil
 }
 
 // UnmarshalJSON decodes the [ts, v] form.
@@ -23,38 +23,46 @@ func (p *Point) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &arr); err != nil {
 		return err
 	}
-	ts, err := arr[0].Int64()
+	q, err := pointOf(arr)
 	if err != nil {
 		return err
 	}
-	v, err := arr[1].Float64()
-	if err != nil {
-		return err
-	}
-	p.TS, p.V = ts, v
+	*p = q
 	return nil
 }
 
-// formatFloat keeps JSON compact and round-trippable.
-func formatFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
+// pointOf converts a decoded [ts, v] pair.
+func pointOf(arr [2]json.Number) (Point, error) {
+	ts, err := arr[0].Int64()
+	if err != nil {
+		return Point{}, err
 	}
-	return fmt.Sprintf("%g", v)
+	v, err := arr[1].Float64()
+	if err != nil {
+		return Point{}, err
+	}
+	return Point{TS: ts, V: v}, nil
 }
 
-// Raw snapshots the series' retained raw points, oldest first, and how
-// many older points the ring overwrote. Once the ring has wrapped a
-// snapshot retains at most capacity-1 points (see ring.Words).
-func (s *Series) Raw() (pts []Point, overwritten int64) {
-	w, written := s.raw.Snapshot()
-	overwritten = int64(written) - int64(len(w)/pointWords)
-	if len(w) == 0 {
-		return nil, overwritten // a dump writes an empty series' points as null
-	}
-	pts = make([]Point, 0, len(w)/pointWords)
-	for ; len(w) >= pointWords; w = w[pointWords:] {
-		pts = append(pts, Point{TS: int64(w[0]), V: math.Float64frombits(w[1])})
-	}
-	return pts, overwritten
+// appendPoint appends p's JSON form, [ts,v], to b.
+func appendPoint(b []byte, p Point) []byte {
+	b = append(b, '[')
+	b = strconv.AppendInt(b, p.TS, 10)
+	b = append(b, ',')
+	b = appendFloat(b, p.V)
+	return append(b, ']')
 }
+
+// appendFloat keeps JSON compact and round-trippable: an integral value
+// below 1e15 as an integer, anything else in the shortest form that reads
+// back exactly.
+func appendFloat(b []byte, v float64) []byte {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+// Raw returns the series' points, oldest first: the series' own slice,
+// which the caller must not modify.
+func (s *Series) Raw() []Point { return s.pts }

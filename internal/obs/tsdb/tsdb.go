@@ -1,50 +1,39 @@
-// Package tsdb is an embedded, fixed-memory time-series store for link
-// telemetry: the fourth observability layer next to internal/obs
-// (aggregated metrics), internal/audit (per-journey flight records) and
-// internal/obs/span (control-plane causality). Where a counter answers
-// "how much, ever" and a flight record answers "what happened to this
-// packet", a tsdb series answers MIFO's temporal question: which links
-// were congested, for how long, and did deflection relieve them.
+// Package tsdb is an embedded time-series store for link telemetry: the
+// fourth observability layer next to internal/obs (aggregated metrics),
+// internal/audit (per-journey flight records) and internal/obs/span
+// (control-plane causality). Where a counter answers "how much, ever" and
+// a flight record answers "what happened to this packet", a tsdb series
+// answers MIFO's temporal question: which links were congested, for how
+// long, and did deflection relieve them.
 //
-// Each series owns a power-of-two ring of raw (timestamp, value) points.
-// Memory is fixed at registration: nothing grows, and old points are
-// overwritten in ring order (Gather and the dumps count them). The store
-// is read through Gather and its dumps (WriteDump, ReadDump), which the
-// episode analyzer consumes.
+// Each series keeps every raw (timestamp, value) point it was given, in
+// one append-only slice: 16 bytes a point, so memory grows with the run
+// and nothing is lost. The store is read through Gather and its dumps
+// (WriteDump, ReadDump), which the episode analyzer consumes.
 //
-// The sample path is the contract that makes the store usable from
-// netsim's per-epoch hook, its only producer: one writer per series, no
-// locks, no allocation (TestSampleAllocFree). Points land in ring.Words,
-// the single-writer overwriting ring of internal/ring, so concurrent
-// readers snapshot consistent windows without ever blocking the writer.
+// The sample path is netsim's per-epoch hook, the store's only producer:
+// one writer per series, no locks, and an allocation only when a series'
+// slice doubles (TestSampleAllocFree). Every reader — mifo-sim's dump,
+// the bench's layers suite — reads the store after the runs that wrote
+// it have ended, so a series needs no protection from its readers.
 package tsdb
 
 import (
 	"fmt"
-	"math"
 	"regexp"
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/ring"
 )
-
-// defaultRawCap is each series' raw ring capacity in points (16 bytes
-// per point).
-const defaultRawCap = 2048
 
 // Store registers and owns series. Registration mirrors the obs.Registry
 // idiom — SeriesVec(...).With(values), no labels for a scalar series —
-// and takes locks; sampling never does. Registration
-// is idempotent for identical shapes and panics on conflicts, like the
-// metrics registry.
+// and takes locks, so concurrent runs may register series in one store;
+// sampling never does. Registration is idempotent for identical shapes
+// and panics on conflicts, like the metrics registry.
 type Store struct {
-	// rawCap is the per-series raw ring capacity in points, rounded up to
-	// a power of two (defaultRawCap; tests shrink it to wrap rings).
-	rawCap int
-	mu     sync.Mutex
-	fams   map[string]*family
+	mu   sync.Mutex
+	fams map[string]*family
 	// run hands out run-scoped label values (see NextRun).
 	run atomic.Int64
 	// spec is the store's default episode-analysis configuration, set by
@@ -54,7 +43,7 @@ type Store struct {
 
 // NewStore builds an empty store.
 func NewStore() *Store {
-	return &Store{rawCap: defaultRawCap, fams: make(map[string]*family)}
+	return &Store{fams: make(map[string]*family)}
 }
 
 // family is one named series family (all series share labels and help).
@@ -62,7 +51,6 @@ type family struct {
 	name   string
 	help   string
 	labels []string
-	rawCap int
 
 	mu     sync.Mutex
 	series map[string]*Series
@@ -88,7 +76,7 @@ func (st *Store) family(name, help string, labels []string) *family {
 		if !seriesName.MatchString(name) {
 			panic(fmt.Sprintf("tsdb: series name %q is not snake_case with a component prefix", name))
 		}
-		f = &family{name: name, help: help, labels: labels, rawCap: st.rawCap, series: make(map[string]*Series)}
+		f = &family{name: name, help: help, labels: labels, series: make(map[string]*Series)}
 		st.fams[name] = f
 		return f
 	}
@@ -158,7 +146,7 @@ func (f *family) with(values []string) *Series {
 	if s, ok := f.series[key]; ok {
 		return s
 	}
-	s := newSeries(f.name, values, f.rawCap)
+	s := &Series{name: f.name, values: append([]string(nil), values...)}
 	f.series[key] = s
 	f.order = append(f.order, s)
 	return s
@@ -182,32 +170,23 @@ func joinKey(values []string) string {
 	return key
 }
 
-// Series is one fixed-memory time series: a ring of raw points.
-// Exactly one goroutine may call Sample; any number may snapshot
-// concurrently.
+// Series is one time series: every point sampled into it, oldest first.
+// Exactly one goroutine may call Sample, and nothing may read the series
+// while it does.
 type Series struct {
 	name   string
 	values []string
-
-	raw ring.Words // pointWords per point: timestamp, value bits
+	pts    []Point
 }
 
-// pointWords is a point's size in the ring, in 64-bit words (see Raw for
-// the field order).
-const pointWords = 2
-
-func newSeries(name string, values []string, rawCap int) *Series {
-	s := &Series{
-		name:   name,
-		values: append([]string(nil), values...),
-	}
-	s.raw.Init(rawCap, pointWords)
-	return s
-}
-
-// Sample records one point. Single writer per series; timestamps must be
-// non-decreasing (the store never reorders). The point is one ring put,
-// so the path is lock- and allocation-free.
+// Sample appends one point. Single writer per series; timestamps must be
+// non-decreasing (the store never reorders). The path takes no lock and
+// allocates only when the slice is full, which it then doubles.
 func (s *Series) Sample(ts int64, v float64) {
-	s.raw.Put(uint64(ts), math.Float64bits(v))
+	if len(s.pts) == cap(s.pts) {
+		grown := make([]Point, len(s.pts), max(1, 2*len(s.pts)))
+		copy(grown, s.pts)
+		s.pts = grown
+	}
+	s.pts = append(s.pts, Point{TS: ts, V: v})
 }

@@ -18,14 +18,3 @@ func BenchmarkOffer(b *testing.B) {
 		d.Offer(uint64(i), &r, nil)
 	}
 }
-
-// BenchmarkWordsPut is one tsdb point: two words and the cursor.
-func BenchmarkWordsPut(b *testing.B) {
-	var r Words
-	r.Init(2048, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Put(uint64(i), 42)
-	}
-}

@@ -1,15 +1,11 @@
-// Package ring holds the repository's two lock-free ring shapes, so the
-// publish protocol each depends on is written — and tested — once.
+// Package ring holds the repository's lock-free ring, so the publish
+// protocol it depends on is written — and tested — once.
 //
 // Segment and Drainer are the many-writers-one-reader shape behind the
 // observers that sit on the forwarding path (the audit flight recorder,
 // the span tracer): a producer copies a fixed-size record into a ring
 // segment and returns; one background goroutine drains. A full segment
 // sheds the record instead of stalling the producer.
-//
-// Words is the one-writer-many-readers shape behind the tsdb sample and
-// bucket rings: the writer overwrites the oldest record, readers copy a
-// window and discard what the writer may have been inside meanwhile.
 //
 // Every cursor, latch and slot is unexported: the orderings below can
 // only be broken from inside this package, where its tests catch each
