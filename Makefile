@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race ring-race audit-race fib-race span-race conv-smoke vet lint bench bench-smoke perf perf-compare fuzz figures testbed results reproduce clean
+.PHONY: all build test race ring-race audit-race fib-race span-race conv-smoke vet bench bench-smoke perf perf-compare fuzz figures testbed results reproduce clean
 
 # Every package with micro-benchmarks: what `make bench` measures and
 # what CI's `make bench-smoke` keeps runnable.
@@ -21,17 +21,6 @@ vet:
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/netd
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/netd
 
-# mifolint: the repository's own analyzer suite (internal/lint), three
-# checks — lock-scope hygiene, shadowed variables and dropped errors;
-# DESIGN.md "Static invariants" says why each stays. Goroutine ownership
-# is held by internal/leakcheck, which the TestMain of every package whose
-# tests start a goroutine owner runs. mifo-lint reports its own wall time
-# on stderr. CI's lint job runs the same suite with -github. `make test`
-# needs no lint step: go test ./... runs the suite over the whole tree in
-# internal/lint's TestRepositoryLintsClean.
-lint:
-	$(GO) run ./cmd/mifo-lint ./...
-
 test: vet
 	$(GO) test ./...
 
@@ -41,8 +30,8 @@ race:
 	$(GO) test -race -count=2 ./internal/obs ./internal/netsim
 	# -short skips the single-goroutine sweeps that `make test` runs in
 	# full (bgp's every-destination oracle comparisons at N=3,000 and
-	# 44,340, the tree-wide self-lint); there is no race in them to find
-	# and the detector makes them ten times slower.
+	# 44,340); there is no race in them to find and the detector makes
+	# them ten times slower.
 	$(GO) test -race -short ./...
 
 # The two lock-free ring protocols every asynchronous observer is built

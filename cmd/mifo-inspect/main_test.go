@@ -111,6 +111,14 @@ func TestRunExitCodes(t *testing.T) {
 			t.Errorf("stderr %q does not name the write error", stderr.String())
 		}
 	})
+
+	t.Run("missing log names the open error", func(t *testing.T) {
+		var stdout, stderr bytes.Buffer
+		run([]string{"flight", filepath.Join(dir, "absent.jsonl")}, nil, &stdout, &stderr)
+		if !strings.Contains(stderr.String(), "no such file or directory") {
+			t.Errorf("stderr %q does not name the open error", stderr.String())
+		}
+	})
 }
 
 // TestNegativeFlagsAreUsageErrors: a negative count, threshold or window

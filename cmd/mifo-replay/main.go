@@ -71,7 +71,7 @@ func main() {
 		fatal(err)
 	}
 	fl, err := traffic.ReadCSV(wf)
-	wf.Close() //mifolint:ignore droppederr read-side close: ReadCSV has already consumed and validated the stream
+	wf.Close() // read side: ReadCSV has already consumed and validated the stream
 	if err != nil {
 		fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -154,10 +155,8 @@ func main() {
 		rec := audit.NewRecorder(audit.Options{Sample: *fltRate, Writer: sink, Registry: reg})
 		o.Recorder = rec
 		finishFlight = func() bool {
-			if err := rec.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "mifo-sim: flight recorder:", err)
-			}
-			if err := sink.Close(); err != nil {
+			err := errors.Join(rec.Close(), sink.Close()) // the recorder drains into the sink first
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "mifo-sim: flight log:", err)
 			}
 			st := rec.Stats()
@@ -166,7 +165,7 @@ func main() {
 			if st.Violations > 0 {
 				fmt.Fprintf(os.Stderr, "mifo-sim: AUDIT FAILURE: %d invariant violations recorded\n", st.Violations)
 			}
-			return st.Violations == 0
+			return err == nil && st.Violations == 0
 		}
 	}
 
@@ -183,19 +182,14 @@ func main() {
 		tr := span.New(span.Options{Writer: sink, Registry: reg})
 		o.Spans = tr
 		finishSpans = func() bool {
-			ok := true
-			if err := tr.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "mifo-sim: span tracer:", err)
-				ok = false
-			}
-			if err := sink.Close(); err != nil {
+			err := errors.Join(tr.Close(), sink.Close()) // the tracer drains into the sink first
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "mifo-sim: span log:", err)
-				ok = false
 			}
 			st := tr.Stats()
 			fmt.Printf("# span log: %d spans across %d failure events (%d shed) -> %s\n",
 				st.Records, st.Roots, st.Dropped, *spanLog)
-			return ok
+			return err == nil
 		}
 	}
 
@@ -273,7 +267,7 @@ func saveSeries(dir, name string, series ...metrics.Series) error {
 		return err
 	}
 	if err := metrics.WriteGnuplot(f, series...); err != nil {
-		f.Close() //mifolint:ignore droppederr best-effort close on the error path; the write error wins
+		f.Close() // best-effort close on the error path; the write error wins
 		return err
 	}
 	return f.Close()

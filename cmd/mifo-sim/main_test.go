@@ -4,16 +4,22 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"flag"
 	"io"
+	"io/fs"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/jsonl"
+	"repro/internal/metrics"
 	"repro/internal/obs/tsdb"
 )
 
@@ -234,5 +240,73 @@ func TestSizeFlagsRange(t *testing.T) {
 		if tc.got != tc.want {
 			t.Errorf("%s: accepted = %v, want %v", tc.name, tc.got, tc.want)
 		}
+	}
+}
+
+// TestMainProcess is the program itself when the test binary is started
+// with arguments after "--", as runMain does; a plain go test skips it.
+func TestMainProcess(t *testing.T) {
+	if flag.NArg() == 0 {
+		t.Skip("runs main for runMain's child processes")
+	}
+	os.Args = append([]string{"mifo-sim"}, flag.Args()...)
+	main()
+}
+
+// runMain runs the program with args in a child process and returns its
+// stderr and exit status.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestMainProcess$", "--"}, args...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		return stderr.String(), exit.ExitCode()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return stderr.String(), 0
+}
+
+// A log that could not be written fails the run: exit 1, the error on
+// stderr. /dev/full fails every write; each log gets an experiment that
+// puts records into it.
+func TestLogWriteFailuresExitOne(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skipf("no /dev/full to fail the writes: %v", err)
+	}
+	for _, tc := range []struct {
+		log, exp string
+	}{
+		{"-flight-log", "fig5a"},
+		{"-span-log", "resilience"},
+		{"-tsdb-log", "table1"},
+	} {
+		stderr, code := runMain(t, "-exp", tc.exp, "-n", "60", "-flows", "100", tc.log, "/dev/full")
+		if code != 1 || !strings.Contains(stderr, "no space left on device") {
+			t.Errorf("%s: exit %d, stderr %q; want exit 1 naming the write error", tc.log, code, stderr)
+		}
+	}
+}
+
+// saveSeries reports a .dat file it could not create or write: the
+// directory is missing, or the file is /dev/full, which fails every write.
+func TestSaveSeriesReportsWriteErrors(t *testing.T) {
+	rows := metrics.Series{Name: "s", Rows: []metrics.Row{{X: 1, Y: 2}}}
+	if err := saveSeries(filepath.Join(t.TempDir(), "absent"), "fig", rows); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("saveSeries into a missing directory: got %v, want a not-exist error", err)
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skipf("no /dev/full to fail the writes: %v", err)
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "fig.dat")); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveSeries(dir, "fig", rows); !errors.Is(err, syscall.ENOSPC) {
+		t.Errorf("saveSeries into /dev/full: got %v, want ENOSPC", err)
 	}
 }

@@ -116,6 +116,18 @@ func TestFirstErrorWins(t *testing.T) {
 	}
 }
 
+// Write keeps its error like Encode: a wrapped writer has no buffer to
+// report the failure later, so the sink is the only record of it.
+func TestWriteKeepsFirstError(t *testing.T) {
+	s := New(&failWriter{left: 4})
+	if _, err := s.Write([]byte("0123456789\n")); !errors.Is(err, errSink) {
+		t.Fatalf("write past the failure: got %v, want errSink", err)
+	}
+	if err := s.Close(); !errors.Is(err, errSink) {
+		t.Fatalf("close must report the write's error, got %v", err)
+	}
+}
+
 func TestSinkAsIOWriter(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.jsonl")
 	s, err := Create(path)

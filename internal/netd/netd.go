@@ -250,7 +250,7 @@ func NewFabric(n *dataplane.Network) (*Fabric, error) {
 func (f *Fabric) closeAll() {
 	for _, nd := range f.nodes {
 		if nd != nil {
-			nd.conn.Close() //mifolint:ignore droppederr closing a UDP socket flushes nothing, so its error leaves nothing to undo or report
+			nd.conn.Close() // a UDP socket's close flushes nothing: no error to act on
 		}
 	}
 }
@@ -655,7 +655,7 @@ func (r *run) flush() {
 			nd.sendErrors.Add(int64(len(r.buf) / r.seg))
 			r.gso = false
 			for b := r.buf; len(b) > 0; b = b[r.seg:] {
-				_, _ = nd.conn.WriteToUDPAddrPort(b[:r.seg], addr) //mifolint:ignore droppederr the failed run has counted each of its datagrams as a send error already
+				_, _ = nd.conn.WriteToUDPAddrPort(b[:r.seg], addr) // counted as send errors above
 			}
 		}
 	} else if _, err := nd.conn.WriteToUDPAddrPort(r.buf, addr); err != nil {

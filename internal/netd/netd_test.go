@@ -416,6 +416,25 @@ func TestInjectAfterStop(t *testing.T) {
 	}
 }
 
+// A datagram whose send fails is counted at the node that sent it: a
+// closed socket refuses every send. On the fallback path each datagram is
+// its own send.
+func TestFailedSendIsCounted(t *testing.T) {
+	dep := deployChain(t)
+	f := newFabric(t, dep.Net, true)
+	origin := dep.Routers(3)[0].ID
+	if err := f.nodes[origin].conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const packets = 3
+	for id := 1; id <= packets; id++ {
+		f.Inject(chainPacket(id), origin)
+	}
+	if !waitFor(t, func() bool { return f.StatsOf(origin).SendErrors == packets }) {
+		t.Fatalf("origin counts %+v, want %d send errors", f.StatsOf(origin), packets)
+	}
+}
+
 // waitFor polls cond until it holds. The fabric has no event that says a
 // counter moved, so this poll is the one sleep of the package's tests:
 // every wait goes through it and nothing paces traffic with a sleep.

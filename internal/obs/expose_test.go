@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -194,5 +195,23 @@ func checkBucketCumulativity(t *testing.T, body string) {
 		if c, ok := counts[key]; !ok || c != s.inf {
 			t.Errorf("series %s: +Inf bucket %d != _count %d", key, s.inf, c)
 		}
+	}
+}
+
+// failingWriter refuses every write, the way a closed connection does.
+type failingWriter struct{}
+
+var errConnClosed = errors.New("connection closed")
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errConnClosed }
+
+// A registry this small fits the exposition's buffer whole, so the final
+// flush is the only write that reaches the writer and its error the only
+// report that the scrape was lost.
+func TestWritePrometheusReportsFailedFlush(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("pkts_total", "packets processed").Add(7)
+	if err := r.WritePrometheus(failingWriter{}); !errors.Is(err, errConnClosed) {
+		t.Fatalf("WritePrometheus into a failing writer: got %v, want %v", err, errConnClosed)
 	}
 }

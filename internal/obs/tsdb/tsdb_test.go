@@ -317,3 +317,21 @@ func TestSeriesLineMatchesEncoder(t *testing.T) {
 		}
 	}
 }
+
+// A file-backed sink buffers the whole of a small dump, so the final
+// Flush is the only write that reaches the file: its error is WriteDump's
+// only report that the dump was lost. /dev/full fails every write.
+func TestWriteDumpReportsFailedFlush(t *testing.T) {
+	sink, err := jsonl.Create("/dev/full")
+	if err != nil {
+		t.Skipf("no /dev/full to fail the writes: %v", err)
+	}
+	st := NewStore()
+	st.SeriesVec("test_util", "link utilization", "link").With("a").Sample(1, 0.5)
+	if err := st.WriteDump(sink); err == nil {
+		t.Error("WriteDump into /dev/full reported no error")
+	}
+	if err := sink.Close(); err == nil {
+		t.Error("closing the sink after a failed dump reported no error")
+	}
+}

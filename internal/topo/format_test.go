@@ -2,6 +2,7 @@ package topo
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -93,5 +94,28 @@ func TestParseEmpty(t *testing.T) {
 	}
 	if g.N() != 0 || len(asns) != 0 {
 		t.Errorf("empty parse gave %d nodes", g.N())
+	}
+}
+
+// failingWriter refuses every write, the way a full disk does.
+type failingWriter struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// A graph this small fits Write's and WriteDOT's buffers whole, so the
+// final flush is the only write that reaches the writer: its error is the
+// writer's only report that the topology was lost.
+func TestWritersReportFailedFlush(t *testing.T) {
+	g, err := NewBuilder(3).AddPC(0, 1).AddPeer(1, 2).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(failingWriter{}, g, nil); !errors.Is(err, errDiskFull) {
+		t.Errorf("Write into a failing writer: got %v, want %v", err, errDiskFull)
+	}
+	if err := WriteDOT(failingWriter{}, g, "lost"); !errors.Is(err, errDiskFull) {
+		t.Errorf("WriteDOT into a failing writer: got %v, want %v", err, errDiskFull)
 	}
 }

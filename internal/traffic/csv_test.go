@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -52,5 +53,25 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if flows, err := ReadCSV(strings.NewReader("")); err != nil || flows != nil {
 		t.Errorf("empty input should parse to nil, got %v, %v", flows, err)
+	}
+}
+
+// failingWriter refuses every write, the way a full disk does.
+type failingWriter struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// Two flows fit the CSV writer's buffer, so the final flush is the only
+// write that reaches the writer: its error is the only report that the
+// workload was lost.
+func TestWriteCSVReportsFailedFlush(t *testing.T) {
+	flows, err := Uniform(UniformConfig{N: 50, Flows: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCSV(failingWriter{}, flows); !errors.Is(err, errDiskFull) {
+		t.Fatalf("WriteCSV into a failing writer: got %v, want %v", err, errDiskFull)
 	}
 }
