@@ -34,10 +34,10 @@ race:
 	# them ten times slower.
 	$(GO) test -race -short ./...
 
-# The two lock-free ring protocols every asynchronous observer is built
-# on (internal/ring): producers against the drain goroutine, the writer
-# against snapshot readers. These tests are what holds the publish
-# ordering; the race detector is part of how they do it.
+# The lock-free ring the flight recorder is built on (internal/ring):
+# producers against the drain goroutine and its barriers. These tests are
+# what holds the publish ordering; the race detector is part of how they
+# do it.
 ring-race:
 	$(GO) test -race -count=5 ./internal/ring
 
@@ -59,10 +59,10 @@ audit-race:
 fib-race:
 	$(GO) test -race -short -count=2 ./internal/dataplane ./internal/core ./internal/bgp
 
-# The convergence tracer's concurrency surface: producers offer spans
-# from simulator/daemon goroutines while the collector drains, counts
-# sheds, and answers Flush/Close barriers — and the netsim mirror
-# deployment drives the whole pipeline per failure.
+# The convergence tracer's concurrency surface: spans end on simulator and
+# daemon goroutines, under the tracer's one lock, while Flush and Close
+# write the batch outside it — and the netsim mirror deployment drives
+# the whole pipeline per failure.
 span-race:
 	$(GO) test -race -count=5 ./internal/obs/span
 	$(GO) test -race -count=2 -run 'ConvergenceTracing|NoTracer' ./internal/netsim

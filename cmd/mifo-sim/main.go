@@ -152,7 +152,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)
 			os.Exit(1)
 		}
-		rec := audit.NewRecorder(audit.Options{Sample: *fltRate, Writer: sink, Registry: reg})
+		rec := audit.NewRecorder(audit.Options{Sample: *fltRate, Writer: sink})
 		o.Recorder = rec
 		finishFlight = func() bool {
 			err := errors.Join(rec.Close(), sink.Close()) // the recorder drains into the sink first
@@ -179,16 +179,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)
 			os.Exit(1)
 		}
-		tr := span.New(span.Options{Writer: sink, Registry: reg})
+		tr := span.New(span.Options{Writer: sink})
 		o.Spans = tr
 		finishSpans = func() bool {
-			err := errors.Join(tr.Close(), sink.Close()) // the tracer drains into the sink first
+			err := errors.Join(tr.Close(), sink.Close()) // the tracer writes into the sink first
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "mifo-sim: span log:", err)
 			}
 			st := tr.Stats()
-			fmt.Printf("# span log: %d spans across %d failure events (%d shed) -> %s\n",
-				st.Records, st.Roots, st.Dropped, *spanLog)
+			fmt.Printf("# span log: %d spans across %d failure events -> %s\n",
+				st.Records, st.Roots, *spanLog)
 			return err == nil
 		}
 	}

@@ -7,13 +7,12 @@ import (
 
 	"repro/internal/dataplane"
 	"repro/internal/jsonl"
-	"repro/internal/obs"
 	"repro/internal/ring"
 	"repro/internal/topo"
 )
 
-// Options configure a Recorder. The zero value records every flow, keeps
-// no JSONL output, and exports no metrics.
+// Options configure a Recorder. The zero value records every flow and
+// keeps no JSONL output.
 type Options struct {
 	// Sample is the fraction of flows recorded, selected by a stable hash
 	// of the flow identity so every packet of a chosen flow is captured.
@@ -29,12 +28,6 @@ type Options struct {
 	// up to a power of two (default 2048). A full segment sheds records
 	// rather than stalling the forwarding engine.
 	SegmentCap int
-	// Registry, when non-nil, exports audit_records_total,
-	// audit_steps_total, audit_deflections_total,
-	// audit_violations_total{invariant}, and the async-sink pipeline
-	// metrics (queue depth/high-water gauges, dropped/backpressure
-	// counters).
-	Registry *obs.Registry
 
 	// segments is the number of ring segments hop records are sharded
 	// over, rounded up to a power of two (default 8; tests shrink it).
@@ -129,17 +122,11 @@ type Recorder struct {
 	// pushed back to back into one segment) skip the inflight map
 	// entirely. lastInMap records whether lastJ was also spilled to the
 	// map after an interleaving journey touched the cache.
-	lastKey                     asmKey
-	lastJ                       *journey
-	lastInMap                   bool
-	pool                        []*journey
-	seq                         uint64
-	pubDropped, pubBackpressure int64
-
-	recTotal, stepTotal, deflTotal  *obs.Counter
-	violVec                         *obs.CounterVec
-	droppedTotal, backpressureTotal *obs.Counter
-	queueDepth, queueHigh           *obs.Gauge
+	lastKey   asmKey
+	lastJ     *journey
+	lastInMap bool
+	pool      []*journey
+	seq       uint64
 }
 
 // drainPoll is how often the drainer sweeps the rings when no barrier
@@ -167,16 +154,6 @@ func NewRecorder(o Options) *Recorder {
 	segCap := o.SegmentCap
 	if segCap <= 0 {
 		segCap = 2048
-	}
-	if o.Registry != nil {
-		rec.recTotal = o.Registry.Counter("audit_records_total", "flight records finalized")
-		rec.stepTotal = o.Registry.Counter("audit_steps_total", "hops recorded across all journeys")
-		rec.deflTotal = o.Registry.Counter("audit_deflections_total", "deflected steps recorded")
-		rec.violVec = o.Registry.CounterVec("audit_violations_total", "invariant violations found by the online auditor", "invariant")
-		rec.droppedTotal = o.Registry.Counter("audit_records_dropped_total", "hop records shed because a ring segment stayed full")
-		rec.backpressureTotal = o.Registry.Counter("audit_backpressure_total", "ring-full events where a producer yielded before retrying")
-		rec.queueDepth = o.Registry.Gauge("audit_queue_depth", "hop records pending in the async ring segments")
-		rec.queueHigh = o.Registry.Gauge("audit_queue_highwater", "highest pending hop-record count observed")
 	}
 	rec.rings = ring.NewDrainer(nseg, segCap, drainPoll, rec.process, rec.barrier)
 	return rec
@@ -361,12 +338,16 @@ func stepFromHop(h dataplane.HopInfo) Step {
 
 // barrier runs on the drainer after each sweep of the rings: on Close it
 // finalizes the journeys still in flight; every time it mirrors the
-// counters and answers the barrier with the first sink error.
-func (rec *Recorder) barrier(kind ring.Barrier, load ring.Load) error {
-	if kind == ring.Close {
+// rings' shed counters into the stats snapshot and answers the barrier
+// with the first sink error.
+func (rec *Recorder) barrier(closing bool, load ring.Load) error {
+	if closing {
 		rec.loseInflight()
 	}
-	rec.publish(load)
+	rec.mu.Lock()
+	rec.stats.RingDropped = uint64(load.Dropped)
+	rec.stats.Backpressure = uint64(load.Backpressure)
+	rec.mu.Unlock()
 	if rec.sink == nil {
 		return nil
 	}
@@ -472,23 +453,11 @@ func (rec *Recorder) begin(kind string, flow uint64, dst int32, baseline int) *j
 // appendStep records a hop and checks it online (drainer only).
 func (rec *Recorder) appendStep(j *journey, s Step) {
 	j.rec.Steps = append(j.rec.Steps, s)
-	if rec.stepTotal != nil {
-		rec.stepTotal.Inc()
-	}
 	if s.Deflected {
 		j.rec.Deflections++
-		if rec.deflTotal != nil {
-			rec.deflTotal.Inc()
-		}
 	}
-	// New violations reach the metrics here; finish folds them into
-	// Stats, under the snapshot lock.
-	if n := j.chk.Step(s); n > 0 && rec.violVec != nil {
-		vs := j.chk.Violations()
-		for _, v := range vs[len(vs)-n:] {
-			rec.violVec.With(v.Invariant.String()).Inc()
-		}
-	}
+	// finish folds the violations into Stats, under the snapshot lock.
+	j.chk.Step(s)
 }
 
 // finish finalizes a journey: copies violations into the record, updates
@@ -530,9 +499,6 @@ func (rec *Recorder) finish(j *journey, verdict, reason string) {
 	}
 	rec.mu.Unlock()
 
-	if rec.recTotal != nil {
-		rec.recTotal.Inc()
-	}
 	if rec.sink != nil {
 		rec.sink.Encode(&j.rec)
 	}
@@ -555,29 +521,11 @@ func (rec *Recorder) loseInflight() {
 	}
 }
 
-// publish mirrors the rings' shed counters and queue gauges into the
-// stats snapshot and the obs registry (drainer only).
-func (rec *Recorder) publish(load ring.Load) {
-	rec.mu.Lock()
-	rec.stats.RingDropped = uint64(load.Dropped)
-	rec.stats.Backpressure = uint64(load.Backpressure)
-	rec.mu.Unlock()
-	if rec.droppedTotal == nil {
-		return
-	}
-	rec.droppedTotal.Add(load.Dropped - rec.pubDropped)
-	rec.pubDropped = load.Dropped
-	rec.backpressureTotal.Add(load.Backpressure - rec.pubBackpressure)
-	rec.pubBackpressure = load.Backpressure
-	rec.queueDepth.Set(float64(load.Depth))
-	rec.queueHigh.Set(float64(load.Highwater))
-}
-
 // Flush drains everything the hooks have pushed, so every journey that
 // has ended is on the writer, and returns the first sink error seen so
 // far.
 func (rec *Recorder) Flush() error {
-	return rec.rings.Wait(ring.Flush)
+	return rec.rings.Wait()
 }
 
 // Close drains every ring segment, finalizes journeys still in flight
@@ -591,7 +539,7 @@ func (rec *Recorder) Close() error {
 // Stats drains everything the hooks have pushed and returns a snapshot
 // of the recorder's counters.
 func (rec *Recorder) Stats() Stats {
-	rec.rings.Wait(ring.Drain) // sink errors are for Flush and Close to report
+	rec.rings.Wait() // sink errors are for Flush and Close to report
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	return rec.stats
@@ -601,7 +549,7 @@ func (rec *Recorder) Stats() Stats {
 // violations, for post-mortem inspection without a JSONL sink. Like
 // Stats, it is a drain barrier.
 func (rec *Recorder) ViolatingRecords() []Record {
-	rec.rings.Wait(ring.Drain) // as in Stats
+	rec.rings.Wait() // as in Stats
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	return append([]Record(nil), rec.bad...)

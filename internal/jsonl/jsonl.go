@@ -1,6 +1,6 @@
 // Package jsonl is the shared JSONL sink used by every component that
 // streams newline-delimited JSON to disk: the audit flight recorder, the
-// span collector, and the tsdb dump writer. It folds the plumbing those
+// span tracer, and the tsdb dump writer. It folds the plumbing those
 // sinks previously duplicated — buffered file creation, serialized
 // encoding, first-error retention, flush and close-with-first-error —
 // into one type with one error policy:

@@ -84,9 +84,9 @@ type Report struct {
 	// Stage aggregates every event's stages across the log.
 	Stage map[string]StageAgg
 	// Records is the total span count; OrphanTraces counts traces that
-	// have spans but no root record (a root shed by a full ring, or a
-	// failure event still in flight when the log was cut — either way
-	// the event cannot be proven consistent).
+	// have spans but no root record (a root still open when the tracer
+	// closed, or a log cut short — either way the event cannot be proven
+	// consistent).
 	Records      int
 	OrphanTraces int
 }
@@ -135,7 +135,7 @@ func stageKey(name string) string {
 }
 
 // Analyze reduces a span log to its failure events. Records may be in
-// any order (ring drains interleave traces).
+// any order (concurrent producers interleave traces).
 func Analyze(recs []Record) *Report {
 	rep := &Report{Records: len(recs), Stage: make(map[string]StageAgg)}
 

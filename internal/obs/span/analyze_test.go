@@ -89,7 +89,7 @@ func TestAnalyzeJudgesIncompleteness(t *testing.T) {
 	// Event 3: no recompute at all.
 	b.root(RootLinkDown, 300, 310)
 
-	// An orphan trace: spans whose root was shed.
+	// An orphan trace: spans whose root never ended.
 	b.recs = append(b.recs, Record{Trace: 9999, ID: 10000, Parent: 9999, Name: "daemon_epoch", Start: 1, End: 2})
 
 	rep := Analyze(b.recs)

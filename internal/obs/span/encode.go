@@ -7,7 +7,7 @@ import (
 	"io"
 )
 
-// The collector writes one JSON object per line (json.Encoder over
+// The tracer writes one JSON object per line (json.Encoder over
 // Record); this file is the matching reader used by tests and by
 // `mifo-inspect spans`. Span logs may be concatenated across runs — IDs are
 // only unique within one tracer, so readers that merge logs must

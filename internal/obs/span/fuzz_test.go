@@ -12,7 +12,7 @@ import (
 // FuzzReadRecords feeds arbitrary bytes to the span-log readers
 // (ReadRecords → Analyze, what `mifo-inspect spans` runs on a log file from outside
 // the process): no input may make them panic. It also writes a root and a
-// child span built from the fuzzed fields with the collector's encoder and
+// child span built from the fuzzed fields with the tracer's encoder and
 // requires ReadRecords to hand back exactly those records.
 func FuzzReadRecords(f *testing.F) {
 	f.Add([]byte(`{"trace":1,"id":1,"name":"conv_link_down","start_ns":0,"end_ns":9,"node":-1,"a":3,"b":1}

@@ -9,19 +9,20 @@
 // trace shows exactly where the LinkDown → recompute → FIB commit →
 // generation-swap race against local deflection spends its time.
 //
-// The record path follows the same shed-not-stall discipline as the audit
-// recorder: a finished span is one fixed-size record offered to a
-// ring.Drainer — no allocation, no mutex, no formatting — whose drain
-// goroutine, the collector, writes JSONL and the span_* metrics. A
-// disabled tracer costs one atomic load per Start.
+// The control path emits a few thousand spans a run, not one per packet,
+// so the record path is plain: End appends a fixed-size record to a
+// slice under one mutex, and Flush and Close write the batch as JSONL
+// outside that lock, so a producer never waits on the writer. A disabled
+// tracer costs one atomic load per Start.
 package span
 
 import (
-	"math/bits"
+	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ring"
+	"repro/internal/jsonl"
 )
 
 // Context is a span's causal identity: the trace (root span) it belongs
@@ -35,9 +36,9 @@ type Context struct {
 // Valid reports whether the context names a live span.
 func (c Context) Valid() bool { return c.Span != 0 }
 
-// Record is one finished span as drained from the rings and written to
-// the JSONL log. The numeric attribute fields are typed by span-name
-// convention (the convention each instrumentation site documents):
+// Record is one finished span as written to the JSONL log. The numeric
+// attribute fields are typed by span-name convention (the convention each
+// instrumentation site documents):
 //
 //	conv_link_down:  Node = -1, A/B = link endpoints, V = virtual event time (s)
 //	conv_link_up:    Node = -1, A/B = link endpoints, V = virtual event time (s)
@@ -94,30 +95,64 @@ type Span struct {
 // themselves roots-of-nothing and cost only the disabled-path check.
 func (s *Span) Context() Context { return Context{Trace: s.trace, Span: s.id} }
 
+// Options configure a Tracer. The zero value counts spans and writes
+// none.
+type Options struct {
+	// Writer, when non-nil, receives one JSONL line per finished span at
+	// each Flush and at Close; until then the records wait in memory.
+	// Buffering and closing the underlying file are the caller's job.
+	Writer io.Writer
+
+	// clock overrides the monotonic timestamp source (nanoseconds since
+	// an arbitrary origin) for this package's tests; nil uses the wall
+	// clock's monotonic reading since tracer creation.
+	clock func() int64
+}
+
+// Stats is a snapshot of a tracer's counters.
+type Stats struct {
+	// Records counts spans ended while the tracer was open; Roots counts
+	// the subset that were trace roots (failure events, for the
+	// convergence instrumentation).
+	Records uint64
+	Roots   uint64
+}
+
 // Tracer assigns span identities, timestamps spans on one monotonic
-// clock, and owns the rings finished spans are pushed into. A nil
+// clock, and keeps finished spans until Flush writes them. A nil
 // *Tracer is valid and permanently disabled, so instrumented code can
 // hold an optional tracer without nil checks.
 type Tracer struct {
 	enabled atomic.Bool
 	ids     atomic.Uint64
 	epoch   time.Time
-	clock   func() int64 // nil = TSC or monotonic wall clock since epoch
-	// tscEpoch/tscScale are the calibrated RDTSC clock (see clock.go);
-	// tscScale 0 means fall back to time.Since(epoch).
-	tscEpoch int64
-	tscScale uint64
+	clock   func() int64 // nil = monotonic wall clock since epoch
+	sink    *jsonl.Sink  // nil = count only
 
-	// rings carries finished spans to the collector, keyed by span ID so
-	// concurrent producers spread over segments. Order across segments
-	// does not matter: every Record carries its own timestamps and parent
-	// link, and the analyzer reassembles trees by ID.
-	rings *ring.Drainer[Record]
-	// Producers read the fields above for every span, and the collector
-	// writes its own for every record: keep them a cache line apart.
-	_ [64]byte
+	// mu guards what End touches: the pending records, the counters and
+	// the closed latch. Nothing slow runs under it.
+	mu      sync.Mutex
+	pending []Record
+	stats   Stats
+	closed  bool
 
-	collector
+	// flushMu serializes Flush and Close, so a Flush returns only once
+	// every span ended before it is on the sink. spare is the previous
+	// batch's slice, handed back to pending at the next swap so a steady
+	// tracer stops allocating.
+	flushMu sync.Mutex
+	spare   []Record
+}
+
+// New builds an enabled tracer from options. Call Close to write the
+// spans still pending.
+func New(o Options) *Tracer {
+	t := &Tracer{epoch: time.Now(), clock: o.clock}
+	if o.Writer != nil {
+		t.sink = jsonl.New(o.Writer)
+	}
+	t.enabled.Store(true)
+	return t
 }
 
 // Enabled reports whether Start records anything; it is the one-atomic-
@@ -131,20 +166,10 @@ func (t *Tracer) SetEnabled(on bool) {
 	}
 }
 
-// now reads the tracer clock: the calibrated TSC when available, the
-// runtime monotonic clock otherwise (see clock.go).
+// now reads the tracer clock.
 func (t *Tracer) now() int64 {
 	if t.clock != nil {
 		return t.clock()
-	}
-	if t.tscScale != 0 {
-		d := rdtsc() - t.tscEpoch
-		if d < 0 {
-			// Tiny cross-core TSC skew can read before the epoch sample.
-			d = 0
-		}
-		hi, lo := bits.Mul64(uint64(d), t.tscScale)
-		return int64(hi<<32 | lo>>32)
 	}
 	return int64(time.Since(t.epoch))
 }
@@ -183,11 +208,9 @@ func (t *Tracer) startLive(name string, parent Context, node int32) Span {
 	}
 }
 
-// End finishes the span and pushes its fixed-size record into a ring
-// segment. On a full segment it yields once (counted as backpressure),
-// retries, and sheds the record (counted as dropped) rather than stall
-// the caller — route recomputation and FIB commits never block on their
-// own instrumentation.
+// End finishes the span: it counts the span and, when the tracer has a
+// Writer, queues its record for the next Flush. A span ended after Close
+// is neither counted nor written.
 func (s *Span) End() {
 	if s.t == nil {
 		return
@@ -202,5 +225,68 @@ func (t *Tracer) record(s *Span) {
 		Start: s.start, End: t.now(),
 		Node: s.Node, A: s.A, B: s.B, V: s.V,
 	}
-	t.rings.Offer(s.id, &rec, nil)
+	t.mu.Lock()
+	if !t.closed {
+		t.stats.Records++
+		if rec.Parent == 0 {
+			t.stats.Roots++
+		}
+		if t.sink != nil {
+			t.pending = append(t.pending, rec)
+		}
+	}
+	t.mu.Unlock()
+}
+
+// Flush writes every span ended before the call to the sink and returns
+// the first sink error seen so far. Producers keep recording while it
+// writes.
+func (t *Tracer) Flush() error {
+	t.flushMu.Lock()
+	defer t.flushMu.Unlock()
+	return t.flushLocked()
+}
+
+// flushLocked swaps the pending batch out under mu and encodes it with
+// mu released (flushMu held).
+func (t *Tracer) flushLocked() error {
+	if t.sink == nil {
+		return nil
+	}
+	t.mu.Lock()
+	batch := t.pending
+	t.pending = t.spare[:0]
+	t.mu.Unlock()
+	for i := range batch {
+		t.sink.Encode(&batch[i])
+	}
+	t.spare = batch
+	return t.sink.Err()
+}
+
+// Close disables the tracer, writes the spans still pending, and returns
+// the first sink error. Spans still live at Close are harmless: their End
+// is dropped. Closing twice returns the retained error.
+func (t *Tracer) Close() error {
+	if t == nil {
+		return nil
+	}
+	t.enabled.Store(false)
+	t.flushMu.Lock()
+	defer t.flushMu.Unlock()
+	t.mu.Lock()
+	t.closed = true
+	t.mu.Unlock()
+	return t.flushLocked()
+}
+
+// Stats returns a snapshot of the tracer's counters. A nil tracer
+// returns zeros.
+func (t *Tracer) Stats() Stats {
+	if t == nil {
+		return Stats{}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.stats
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // BenchmarkOffer is the producer's cost of one record with the drain
-// goroutine keeping up: what audit's hop hook and span's End pay on top
-// of building the record.
+// goroutine keeping up: what audit's hop hook pays on top of building the
+// record.
 func BenchmarkOffer(b *testing.B) {
-	d := NewDrainer(8, 16384, time.Millisecond, func(*rec) {}, func(Barrier, Load) error { return nil })
+	d := NewDrainer(8, 16384, time.Millisecond, func(*rec) {}, func(bool, Load) error { return nil })
 	defer d.Close()
 	r := mkRec(0, 0, 0, 1)
 	b.ReportAllocs()

@@ -6,35 +6,20 @@ import (
 	"time"
 )
 
-// Barrier tells a Drainer's owner why its after function is being called.
-type Barrier uint8
-
-const (
-	// Tick: the poll period elapsed; nobody is waiting.
-	Tick Barrier = iota
-	// Drain: a caller waits for everything offered so far to be processed.
-	Drain
-	// Flush: as Drain, and the owner should make the result durable.
-	Flush
-	// Close: as Flush, for the last time; the drain loop exits afterwards.
-	Close
-)
-
-// Load is the drainer's own accounting, handed to the owner's after
-// function so it can mirror it into its stats and metrics.
+// Load is the drainer's shed accounting, handed to the owner's after
+// function so it can mirror it into its stats.
 type Load struct {
 	// Dropped counts records shed (a full segment, or a group no segment
 	// could ever hold); Backpressure counts full-segment events where
 	// the producer yielded once before retrying. Both are cumulative.
 	Dropped, Backpressure int64
-	// Depth is the number of records pending now; Highwater the largest
-	// number found pending at the start of a sweep.
-	Depth, Highwater uint64
 }
 
+// command is one barrier; closing marks the last, after which the drain
+// loop exits.
 type command struct {
-	kind Barrier
-	done chan error
+	closing bool
+	done    chan error
 }
 
 // Drainer is the cold half of an asynchronous observer. It owns the
@@ -54,22 +39,22 @@ type Drainer[T any] struct {
 	closed atomic.Bool
 	cmds   chan command
 	done   chan struct{}
-	// closeErr is what after(Close) returned; written before done closes.
+	// closeErr is what the closing after returned; written before done
+	// closes.
 	closeErr error
 
-	// Drain-goroutine state.
-	process   func(*T)
-	after     func(Barrier, Load) error
-	highwater uint64
+	process func(*T)
+	after   func(closing bool, load Load) error
 }
 
 // NewDrainer builds segments × segmentCap ring slots (both rounded up to
 // powers of two) and starts the drain goroutine. process is called on
 // that goroutine for every record, in place; after is called on it once
 // the segments have been swept, for every poll tick and every barrier,
-// and its result is the barrier's result. Everything process and after
-// read must be set before NewDrainer is called. Call Close when done.
-func NewDrainer[T any](segments, segmentCap int, poll time.Duration, process func(*T), after func(Barrier, Load) error) *Drainer[T] {
+// and its result is the barrier's result; closing is true only for the
+// barrier Close runs. Everything process and after read must be set
+// before NewDrainer is called. Call Close when done.
+func NewDrainer[T any](segments, segmentCap int, poll time.Duration, process func(*T), after func(closing bool, load Load) error) *Drainer[T] {
 	segments = ceilPow2(segments)
 	d := &Drainer[T]{
 		segs:    make([]Segment[T], segments),
@@ -119,19 +104,19 @@ func (d *Drainer[T]) run(tick *time.Ticker) {
 		select {
 		case c := <-d.cmds:
 			d.sweep()
-			err := d.after(c.kind, d.load())
-			if c.kind == Close {
+			err := d.after(c.closing, d.load())
+			if c.closing {
 				d.closeErr = err
 			}
 			c.done <- err
-			if c.kind == Close {
+			if c.closing {
 				return
 			}
 		case <-tick.C:
 			d.sweep()
 			// Nobody waits on a tick; the owner retains its first error
 			// and reports it at the next barrier.
-			d.after(Tick, d.load())
+			d.after(false, d.load())
 		}
 	}
 }
@@ -140,9 +125,6 @@ func (d *Drainer[T]) run(tick *time.Ticker) {
 // so a saturating producer cannot starve the command channel.
 func (d *Drainer[T]) sweep() {
 	for pass := 0; pass < 1024; pass++ {
-		if depth := d.depth(); depth > d.highwater {
-			d.highwater = depth
-		}
 		n := 0
 		for i := range d.segs {
 			n += d.segs[i].Drain(d.process)
@@ -153,28 +135,19 @@ func (d *Drainer[T]) sweep() {
 	}
 }
 
-func (d *Drainer[T]) depth() uint64 {
-	var depth uint64
-	for i := range d.segs {
-		depth += d.segs[i].Pending()
-	}
-	return depth
-}
-
 func (d *Drainer[T]) load() Load {
-	return Load{
-		Dropped:      d.dropped.Load(),
-		Backpressure: d.backpressure.Load(),
-		Depth:        d.depth(),
-		Highwater:    d.highwater,
-	}
+	return Load{Dropped: d.dropped.Load(), Backpressure: d.backpressure.Load()}
 }
 
 // Wait runs one barrier through the drain goroutine: everything offered
-// before the call is processed, after(kind) runs, and its result is
+// before the call is processed, after(false) runs, and its result is
 // returned. Once the drainer is closed Wait returns what Close returned.
-func (d *Drainer[T]) Wait(kind Barrier) error {
-	c := command{kind: kind, done: make(chan error, 1)}
+func (d *Drainer[T]) Wait() error {
+	return d.barrier(false)
+}
+
+func (d *Drainer[T]) barrier(closing bool) error {
+	c := command{closing: closing, done: make(chan error, 1)}
 	select {
 	case d.cmds <- c:
 		return <-c.done
@@ -183,12 +156,9 @@ func (d *Drainer[T]) Wait(kind Barrier) error {
 	}
 }
 
-// Close runs the Close barrier and stops the drain goroutine. Later
+// Close runs the closing barrier and stops the drain goroutine. Later
 // calls (and later Waits) return the first call's result. Records
 // offered after Close land in the segments and are never drained.
 func (d *Drainer[T]) Close() error {
-	if d.closed.Swap(true) {
-		return d.Wait(Drain)
-	}
-	return d.Wait(Close)
+	return d.barrier(!d.closed.Swap(true))
 }

@@ -12,20 +12,21 @@ import (
 // exact.
 const never = time.Hour
 
-// sinkOf is a Drainer owner in miniature: it keeps what process and
-// after saw. Only the drain goroutine writes it; the test reads it after
-// a barrier, which orders the two.
+// sinkOf is a Drainer owner in miniature, like the audit recorder: it
+// keeps what process and after saw. Only the drain goroutine writes it;
+// the test reads it after a barrier, which orders the two.
 type sinkOf struct {
-	seen     []uint64
-	barriers []Barrier
+	seen []uint64
+	// barriers records each after call's closing argument.
+	barriers []bool
 	load     Load
 	err      error
 }
 
 func (s *sinkOf) process(v *uint64) { s.seen = append(s.seen, *v) }
 
-func (s *sinkOf) after(kind Barrier, load Load) error {
-	s.barriers = append(s.barriers, kind)
+func (s *sinkOf) after(closing bool, load Load) error {
+	s.barriers = append(s.barriers, closing)
 	s.load = load
 	return s.err
 }
@@ -45,24 +46,24 @@ func TestFlushSeesEverythingOfferedBefore(t *testing.T) {
 	for v := uint64(0); v < n; v++ {
 		offer(d, v, v)
 	}
-	if err := d.Wait(Flush); err != nil {
+	if err := d.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.seen) != n {
-		t.Fatalf("Flush returned with %d of %d records processed", len(s.seen), n)
+		t.Fatalf("Wait returned with %d of %d records processed", len(s.seen), n)
 	}
-	if len(s.barriers) != 1 || s.barriers[0] != Flush {
-		t.Fatalf("after saw %v, want one Flush", s.barriers)
+	if len(s.barriers) != 1 || s.barriers[0] {
+		t.Fatalf("after saw closing=%v, want one non-closing barrier", s.barriers)
 	}
-	if s.load.Highwater != n || s.load.Depth != 0 || s.load.Dropped != 0 || s.load.Backpressure != 0 {
-		t.Fatalf("load = %+v, want highwater %d and nothing pending or shed", s.load, n)
+	if s.load != (Load{}) {
+		t.Fatalf("load = %+v, want nothing shed", s.load)
 	}
 	offer(d, 0, n)
-	if err := d.Wait(Drain); err != nil {
+	if err := d.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.seen) != n+1 || s.barriers[1] != Drain {
-		t.Fatalf("Drain returned with %d records processed, barriers %v", len(s.seen), s.barriers)
+	if len(s.seen) != n+1 || len(s.barriers) != 2 {
+		t.Fatalf("second Wait returned with %d records processed, barriers %v", len(s.seen), s.barriers)
 	}
 }
 
@@ -79,7 +80,7 @@ func TestKeyKeepsOrder(t *testing.T) {
 			offer(d, k, k<<32|i)
 		}
 	}
-	d.Wait(Drain)
+	d.Wait()
 	if len(s.seen) != keys*perKey {
 		t.Fatalf("processed %d records, want %d", len(s.seen), keys*perKey)
 	}
@@ -103,7 +104,7 @@ func TestFullSegmentSheds(t *testing.T) {
 	for v := uint64(0); v < 10; v++ {
 		offer(d, 0, v)
 	}
-	d.Wait(Drain)
+	d.Wait()
 	if len(s.seen) != 2 || s.seen[0] != 0 || s.seen[1] != 1 {
 		t.Fatalf("processed %v, want the first two records", s.seen)
 	}
@@ -121,7 +122,7 @@ func TestOversizeGroupIsDroppedNotRetried(t *testing.T) {
 	defer d.Close()
 	offer(d, 0, 1, 2, 3, 4, 5, 6)
 	offer(d, 0, 7, 8)
-	d.Wait(Drain)
+	d.Wait()
 	if s.load.Dropped != 6 || s.load.Backpressure != 0 {
 		t.Fatalf("load = %+v, want 6 dropped and no backpressure", s.load)
 	}
@@ -130,15 +131,15 @@ func TestOversizeGroupIsDroppedNotRetried(t *testing.T) {
 	}
 }
 
-// TestCloseIsIdempotentAndKeepsItsError: Close runs the Close barrier
+// TestCloseIsIdempotentAndKeepsItsError: Close runs the closing barrier
 // once; every later Close or Wait returns what that barrier returned,
 // and offers after Close neither block nor panic.
 func TestCloseIsIdempotentAndKeepsItsError(t *testing.T) {
 	s := sinkOf{err: errors.New("sink down")}
 	d := NewDrainer(2, 8, never, s.process, s.after)
 	offer(d, 0, 1)
-	if err := d.Wait(Flush); err != s.err {
-		t.Fatalf("Flush = %v, want the owner's error", err)
+	if err := d.Wait(); err != s.err {
+		t.Fatalf("Wait = %v, want the owner's error", err)
 	}
 	offer(d, 0, 2)
 	for i := 0; i < 2; i++ {
@@ -146,14 +147,14 @@ func TestCloseIsIdempotentAndKeepsItsError(t *testing.T) {
 			t.Fatalf("Close #%d = %v, want the owner's error", i+1, err)
 		}
 	}
-	if err := d.Wait(Flush); err != s.err {
-		t.Fatalf("Flush after Close = %v, want the retained error", err)
+	if err := d.Wait(); err != s.err {
+		t.Fatalf("Wait after Close = %v, want the retained error", err)
 	}
 	if len(s.seen) != 2 {
 		t.Fatalf("Close processed %d of 2 records", len(s.seen))
 	}
-	if want := []Barrier{Flush, Close}; len(s.barriers) != 2 || s.barriers[0] != want[0] || s.barriers[1] != want[1] {
-		t.Fatalf("after saw %v, want %v", s.barriers, want)
+	if len(s.barriers) != 2 || s.barriers[0] || !s.barriers[1] {
+		t.Fatalf("after saw closing=%v, want [false true]", s.barriers)
 	}
 	for v := uint64(0); v < 100; v++ {
 		offer(d, v, v)
@@ -171,10 +172,10 @@ func TestSaturatingProducerCannotStarveABarrier(t *testing.T) {
 		processed++
 		next := *v + 1
 		d.Offer(0, &next, nil)
-	}, func(Barrier, Load) error { return nil })
+	}, func(bool, Load) error { return nil })
 	defer d.Close()
 	offer(d, 0, 0)
-	if err := d.Wait(Drain); err != nil {
+	if err := d.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if processed != 1024 {

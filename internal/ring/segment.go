@@ -1,11 +1,11 @@
-// Package ring holds the repository's lock-free ring, so the publish
-// protocol it depends on is written — and tested — once.
+// Package ring holds the lock-free ring behind the one observer that sits
+// on the forwarding path, the audit flight recorder, so the publish
+// protocol it depends on is written — and tested — in one place.
 //
-// Segment and Drainer are the many-writers-one-reader shape behind the
-// observers that sit on the forwarding path (the audit flight recorder,
-// the span tracer): a producer copies a fixed-size record into a ring
-// segment and returns; one background goroutine drains. A full segment
-// sheds the record instead of stalling the producer.
+// Segment and Drainer are the many-writers-one-reader shape: a producer
+// copies a fixed-size record into a ring segment and returns; one
+// background goroutine drains. A full segment sheds the record instead of
+// stalling the producer.
 //
 // Every cursor, latch and slot is unexported: the orderings below can
 // only be broken from inside this package, where its tests catch each
@@ -40,10 +40,6 @@ func (s *Segment[T]) init(capacity int) {
 	s.buf = make([]T, capacity)
 	s.mask = uint64(capacity - 1)
 }
-
-// Pending returns how many records are buffered (approximate under
-// concurrent pushes; exact from the consumer side).
-func (s *Segment[T]) Pending() uint64 { return s.w.Load() - s.r.Load() }
 
 // TryPushN copies h and then every element of rest into the ring as one
 // block: either the whole group is buffered, contiguous and in order, or
