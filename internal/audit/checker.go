@@ -31,12 +31,11 @@ func (c *Checker) Reset() {
 // checker and invalidated by Reset.
 func (c *Checker) Violations() []Violation { return c.vs }
 
-// Step appends one hop and evaluates every invariant it can affect. It
-// returns how many new violations the hop introduced.
-func (c *Checker) Step(s Step) int {
+// Step appends one hop and evaluates every invariant it can affect; the
+// breaches it finds join Violations.
+func (c *Checker) Step(s Step) {
 	idx := c.steps
 	c.steps++
-	before := len(c.vs)
 
 	// Loop-freedom: entering an AS we already left is a forwarding loop.
 	// Consecutive steps in the same AS (iBGP hand-offs, multi-router
@@ -102,7 +101,6 @@ func (c *Checker) Step(s Step) int {
 	}
 
 	c.prevEdge = s.Edge
-	return len(c.vs) - before
 }
 
 func (c *Checker) add(inv Invariant, step int, detail string) {

@@ -174,12 +174,16 @@ func TestCheckerReset(t *testing.T) {
 	}
 }
 
+// TestCheckerStepReturnsNewViolationCount: a clean step adds no violation
+// and a tagless up edge adds exactly one, at its own step index.
 func TestCheckerStepReturnsNewViolationCount(t *testing.T) {
 	var c Checker
-	if n := c.Step(hop(1, EdgeUp, true)); n != 0 {
-		t.Fatalf("clean step reported %d violations", n)
+	c.Step(hop(1, EdgeUp, true))
+	if n := len(c.Violations()); n != 0 {
+		t.Fatalf("clean step left %d violations", n)
 	}
-	if n := c.Step(hop(2, EdgeUp, false)); n != 1 {
-		t.Fatalf("tagless up edge reported %d violations, want 1", n)
+	c.Step(hop(2, EdgeUp, false))
+	if vs := c.Violations(); len(vs) != 1 || vs[0].Step != 1 || vs[0].Invariant != InvValleyFree {
+		t.Fatalf("tagless up edge left %v, want one valley-freedom violation at step 1", vs)
 	}
 }

@@ -12,6 +12,7 @@ package bgp
 // FuzzCompactDest drives the same comparison from fuzzed inputs.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -405,21 +406,28 @@ func TestComputeMatchesOracleEveryDest(t *testing.T) {
 			t.Errorf("%d stub peer links and %d stub provider links cut: the cut graphs do not test both", stubCuts[0], stubCuts[1])
 		}
 	}()
-	for _, n := range sizes {
-		for seed := int64(1); seed <= 3; seed++ {
-			g, err := topo.Generate(topo.GenConfig{N: n, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(seed))
-			cut := removeRandomLinks(t, g, rng, n/10, &stubCuts)
-			for _, on := range []*topo.Graph{g, cut, shuffled(t, g, rng), shuffled(t, cut, rng)} {
-				for dst := 0; dst < on.N(); dst++ {
-					requireMatchesDense(t, on, Compute(on, dst), computeDenseOracle(on, dst))
+	// The graphs are built here, in order, from each seed's rng; every
+	// graph's sweep over its destinations is a parallel subtest.
+	t.Run("graphs", func(t *testing.T) {
+		for _, n := range sizes {
+			for seed := int64(1); seed <= 3; seed++ {
+				g, err := topo.Generate(topo.GenConfig{N: n, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(seed))
+				cut := removeRandomLinks(t, g, rng, n/10, &stubCuts)
+				for i, on := range []*topo.Graph{g, cut, shuffled(t, g, rng), shuffled(t, cut, rng)} {
+					t.Run(fmt.Sprintf("N=%d/seed=%d/%s", n, seed, [...]string{"intact", "cut", "relabelled", "cut-relabelled"}[i]), func(t *testing.T) {
+						t.Parallel()
+						for dst := 0; dst < on.N(); dst++ {
+							requireMatchesDense(t, on, Compute(on, dst), computeDenseOracle(on, dst))
+						}
+					})
 				}
 			}
 		}
-	}
+	})
 }
 
 // requireBatchMatchesOracle builds the tables towards dsts with ComputeAll,

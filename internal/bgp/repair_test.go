@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -140,6 +141,15 @@ type repairTally struct {
 	stubLinks                         [2]int
 }
 
+func (r *repairTally) add(o repairTally) {
+	r.cases += o.cases
+	r.changed += o.changed
+	r.fallbacks += o.fallbacks
+	r.visits += o.visits
+	r.stubLinks[0] += o.stubLinks[0]
+	r.stubLinks[1] += o.stubLinks[1]
+}
+
 // checkRepairCase pushes one (graph, background failures, toggled link,
 // destination) quadruple through repair in both directions and compares
 // with Compute on the two cut graphs.
@@ -255,26 +265,39 @@ func TestRepairMatchesCompute(t *testing.T) {
 	if testing.Short() {
 		sizes = []struct{ n, seeds, links, dests int }{{30, 6, 12, 30}, {60, 6, 12, 60}, {400, 4, 6, 40}}
 	}
-	var total repairTally
-	for _, sz := range sizes {
-		var tally repairTally
-		for seed := int64(1); seed <= int64(sz.seeds); seed++ {
-			g, err := topo.Generate(topo.GenConfig{N: sz.n, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
+	// Each (size, seed) case runs as a parallel subtest with its own rng
+	// and tally; the tallies are merged per size once every case is done.
+	var mu sync.Mutex
+	tallies := make([]repairTally, len(sizes))
+	t.Run("cases", func(t *testing.T) {
+		for i, sz := range sizes {
+			for seed := int64(1); seed <= int64(sz.seeds); seed++ {
+				t.Run(fmt.Sprintf("N=%d/seed=%d", sz.n, seed), func(t *testing.T) {
+					t.Parallel()
+					g, err := topo.Generate(topo.GenConfig{N: sz.n, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var tally repairTally
+					rng := rand.New(rand.NewSource(seed*1000 + int64(sz.n)))
+					repairCases(t, g, rng, sz.links, sz.dests, &tally)
+					repairCases(t, shuffled(t, g, rng), rng, sz.links, sz.dests, &tally)
+					mu.Lock()
+					tallies[i].add(tally)
+					mu.Unlock()
+				})
 			}
-			rng := rand.New(rand.NewSource(seed*1000 + int64(sz.n)))
-			repairCases(t, g, rng, sz.links, sz.dests, &tally)
-			repairCases(t, shuffled(t, g, rng), rng, sz.links, sz.dests, &tally)
 		}
+	})
+	var total repairTally
+	for i, sz := range sizes {
+		tally := tallies[i]
 		t.Logf("N=%d: %d cases, %d changed the table, %.2f ASes swept a case, %d fallbacks",
 			sz.n, tally.cases, tally.changed, float64(tally.visits)/float64(tally.cases), tally.fallbacks)
 		if tally.changed < tally.cases/20 {
 			t.Errorf("N=%d: only %d of %d cases changed the table", sz.n, tally.changed, tally.cases)
 		}
-		total.cases += tally.cases
-		total.stubLinks[0] += tally.stubLinks[0]
-		total.stubLinks[1] += tally.stubLinks[1]
+		total.add(tally)
 	}
 	if !testing.Short() && total.cases < 100000 {
 		t.Errorf("%d cases, want at least 100000", total.cases)
@@ -526,12 +549,16 @@ func TestRepairFallbackOnLongPaths(t *testing.T) {
 	// A provider chain 0 > 1 > ... > 69 with a shortcut 0 > 40. Towards 0
 	// every AS routes up the chain, AS 69 in 30 hops over the shortcut and
 	// in 69 without it; towards 40 nobody is further than 40 hops either way.
+	// The link x > y stands apart: taking it down dirties neither
+	// destination, and between a LinkDown and its LinkUp it keeps that
+	// LinkUp from undoing the LinkDown, so that the LinkUp repairs.
 	const last = 69
-	b := topo.NewBuilder(last + 1)
+	const x, y = last + 1, last + 2
+	b := topo.NewBuilder(last + 3)
 	for v := 0; v < last; v++ {
 		b.AddPC(v, v+1)
 	}
-	g, err := b.AddPC(0, 40).Build()
+	g, err := b.AddPC(0, 40).AddPC(x, y).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,16 +569,24 @@ func TestRepairFallbackOnLongPaths(t *testing.T) {
 	type step struct {
 		a, b      int
 		up        bool
-		fallbacks int64 // of the event; both destinations are dirty every time
+		fallbacks int64 // of the event
 	}
 	for i, s := range []step{
 		{68, last, false, 0}, // short paths before and after: repaired in place
+		{x, y, false, 0},
 		{68, last, true, 0},
+		{x, y, true, 0},
 		{0, 40, false, 1},    // towards 0 the repaired paths reach 63 hops
 		{68, last, false, 1}, // towards 0 the old table holds overflow entries
+		{x, y, false, 0},
 		{68, last, true, 1},
 		{0, 40, true, 1},
+		{x, y, true, 0},
 	} {
+		dirty := int64(2) // both destinations, on every event of the chain
+		if s.a == x {
+			dirty = 0
+		}
 		before := tab.Stats()
 		if s.up {
 			tab.LinkUp(s.a, s.b)
@@ -560,8 +595,11 @@ func TestRepairFallbackOnLongPaths(t *testing.T) {
 		}
 		checkAgainstScratch(t, tab, fmt.Sprintf("step %d", i))
 		st := tab.Stats()
-		if got := st.RepairFallbacks - before.RepairFallbacks; got != s.fallbacks || st.IncrementalComputes-before.IncrementalComputes != 2 {
-			t.Errorf("step %d: %d fallbacks of %d dirty, want %d of 2", i, got, st.IncrementalComputes-before.IncrementalComputes, s.fallbacks)
+		if got := st.RepairFallbacks - before.RepairFallbacks; got != s.fallbacks || st.IncrementalComputes-before.IncrementalComputes != dirty {
+			t.Errorf("step %d: %d fallbacks of %d dirty, want %d of %d", i, got, st.IncrementalComputes-before.IncrementalComputes, s.fallbacks, dirty)
+		}
+		if st.Restored != 0 {
+			t.Errorf("step %d: %d destinations restored, want every LinkUp repaired", i, st.Restored)
 		}
 		if st.LocalRepairs+st.RepairFallbacks != st.IncrementalComputes {
 			t.Errorf("step %d: %d local + %d fallbacks != %d incremental", i, st.LocalRepairs, st.RepairFallbacks, st.IncrementalComputes)

@@ -220,34 +220,56 @@ func genSchedule(g *topo.Graph, seed int64, rounds int) []linkEvent {
 	return s.evs
 }
 
+// scheduleUps counts the destinations a schedule's LinkUps restored from
+// the undo stack and the ones they repaired.
+type scheduleUps struct{ restored, repaired int64 }
+
 // runSchedule plays evs on a fresh Table over g and, after every event,
 // compares every installed destination with Compute on the graph cut by
-// the links the schedule has down — a set it keeps itself. If the schedule
-// leaves no link down, the tables must also equal the intact build.
-func runSchedule(g *topo.Graph, dsts []int, evs []linkEvent) error {
+// the links the schedule has down — a set it keeps itself. It also keeps a
+// model of the undo stack: a LinkUp of the link the latest outstanding
+// LinkDown took down must put back, pointer for pointer, the tables from
+// before that LinkDown and compute nothing; any other LinkUp repairs and
+// restores nothing. If the schedule leaves no link down, the tables must
+// also equal the intact build.
+func runSchedule(g *topo.Graph, dsts []int, evs []linkEvent) (scheduleUps, error) {
 	tab := NewTable(g, dsts, 0)
 	intact := tab.Clone()
 	var failed []topo.LinkRef
+	type pushed struct {
+		link   topo.LinkRef
+		before *Table
+	}
+	var undo []pushed
+	var ups scheduleUps
 	for i, e := range evs {
 		before := tab.Clone()
+		was := tab.Stats()
 		var n int
+		var restoreOf *Table // the tables the event must put back
 		if e.Up {
-			n = tab.LinkUp(e.A, e.B)
 			if j := slices.Index(failed, e.link()); j >= 0 {
 				failed = slices.Delete(failed, j, j+1)
+				if k := len(undo) - 1; k >= 0 && undo[k].link == e.link() {
+					restoreOf, undo = undo[k].before, undo[:k]
+				} else {
+					undo = nil
+				}
 			}
+			n = tab.LinkUp(e.A, e.B)
 		} else {
-			n = tab.LinkDown(e.A, e.B)
 			if !slices.Contains(failed, e.link()) && g.HasLink(e.A, e.B) {
 				failed = append(failed, e.link())
+				undo = append(undo, pushed{e.link(), before})
 			}
+			n = tab.LinkDown(e.A, e.B)
 		}
 		if tab.FailedLinks() != len(failed) {
-			return fmt.Errorf("event %d %+v: table has %d links down, the schedule %d", i, e, tab.FailedLinks(), len(failed))
+			return ups, fmt.Errorf("event %d %+v: table has %d links down, the schedule %d", i, e, tab.FailedLinks(), len(failed))
 		}
 		cut, err := topo.RemoveLinks(g, failed)
 		if err != nil {
-			return err
+			return ups, err
 		}
 		replaced := 0
 		for _, dst := range dsts {
@@ -255,26 +277,44 @@ func runSchedule(g *topo.Graph, dsts []int, evs []linkEvent) error {
 			if got != before.Dest(dst) {
 				replaced++
 			}
+			if restoreOf != nil && got != restoreOf.Dest(dst) {
+				return ups, fmt.Errorf("event %d %+v: undoing the latest LinkDown did not put back destination %d's table", i, e, dst)
+			}
 			if !got.Equal(Compute(cut, dst)) {
-				return fmt.Errorf("event %d %+v: destination %d differs from Compute with %v down", i, e, dst, failed)
+				return ups, fmt.Errorf("event %d %+v: destination %d differs from Compute with %v down", i, e, dst, failed)
 			}
 		}
 		if replaced != n {
-			return fmt.Errorf("event %d %+v: %d destinations reported dirty, %d tables replaced", i, e, n, replaced)
+			return ups, fmt.Errorf("event %d %+v: %d destinations reported dirty, %d tables replaced", i, e, n, replaced)
+		}
+		st := tab.Stats()
+		restored, computed := st.Restored-was.Restored, st.IncrementalComputes-was.IncrementalComputes
+		switch {
+		case restoreOf != nil && (restored != int64(n) || computed != 0):
+			return ups, fmt.Errorf("event %d %+v: an undo counted %d restored and %d computed of %d", i, e, restored, computed, n)
+		case restoreOf == nil && (restored != 0 || computed != int64(n)):
+			return ups, fmt.Errorf("event %d %+v: %d restored and %d computed of %d, want a repair", i, e, restored, computed, n)
+		case restoreOf != nil:
+			ups.restored += restored
+		case e.Up:
+			ups.repaired += computed
 		}
 	}
 	if len(failed) == 0 {
 		for _, dst := range dsts {
 			if !tab.Dest(dst).Equal(intact.Dest(dst)) {
-				return fmt.Errorf("every link is back and destination %d differs from the intact build", dst)
+				return ups, fmt.Errorf("every link is back and destination %d differs from the intact build", dst)
 			}
 		}
 	}
 	st := tab.Stats()
 	if st.LocalRepairs+st.RepairFallbacks != st.IncrementalComputes {
-		return fmt.Errorf("%d local repairs + %d fallbacks != %d incremental computes", st.LocalRepairs, st.RepairFallbacks, st.IncrementalComputes)
+		return ups, fmt.Errorf("%d local repairs + %d fallbacks != %d incremental computes", st.LocalRepairs, st.RepairFallbacks, st.IncrementalComputes)
 	}
-	return nil
+	if total := st.IncrementalComputes + st.Restored + st.CleanSkipped; total != st.LinkEvents*int64(len(dsts)) {
+		return ups, fmt.Errorf("%d computed + %d restored + %d skipped over %d events of %d destinations", st.IncrementalComputes, st.Restored, st.CleanSkipped, st.LinkEvents, len(dsts))
+	}
+	return ups, nil
 }
 
 // shrinkSchedule drops events one at a time for as long as the schedule
@@ -317,6 +357,7 @@ func TestTableSchedules(t *testing.T) {
 	if testing.Short() {
 		sizes = []struct{ n, seeds, rounds int }{{30, 4, 8}, {60, 3, 8}, {400, 2, 5}}
 	}
+	var ups scheduleUps
 	for _, sz := range sizes {
 		events, schedules := 0, 0
 		for seed := int64(1); seed <= int64(sz.seeds); seed++ {
@@ -329,14 +370,22 @@ func TestTableSchedules(t *testing.T) {
 				evs := genSchedule(on, seed, sz.rounds)
 				events += len(evs)
 				schedules++
-				if err := runSchedule(on, dsts, evs); err != nil {
-					small := shrinkSchedule(evs, func(e []linkEvent) bool { return runSchedule(on, dsts, e) != nil })
+				got, err := runSchedule(on, dsts, evs)
+				if err != nil {
+					fails := func(e []linkEvent) error { _, err := runSchedule(on, dsts, e); return err }
+					small := shrinkSchedule(evs, func(e []linkEvent) bool { return fails(e) != nil })
 					t.Fatalf("N=%d seed=%d relabelled=%v: %v\nshrunk from %d to %d events (%v):\n%s",
-						sz.n, seed, on != g, err, len(evs), len(small), runSchedule(on, dsts, small), scheduleLiteral(small))
+						sz.n, seed, on != g, err, len(evs), len(small), fails(small), scheduleLiteral(small))
 				}
+				ups.restored += got.restored
+				ups.repaired += got.repaired
 			}
 		}
 		t.Logf("N=%d: %d events over %d schedules", sz.n, events, schedules)
+	}
+	t.Logf("LinkUps restored %d destinations and repaired %d", ups.restored, ups.repaired)
+	if ups.restored == 0 || ups.repaired == 0 {
+		t.Errorf("LinkUps restored %d destinations and repaired %d: the schedules do not test both", ups.restored, ups.repaired)
 	}
 }
 

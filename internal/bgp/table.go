@@ -34,8 +34,13 @@ type TableStats struct {
 	// than half the graph holding customer or peer routes through the
 	// failed link).
 	RepairFallbacks int64
+	// Restored counts the destinations a LinkUp put back as they were
+	// before the LinkDown it undid (see Table), with no route computed.
+	Restored int64
 	// CleanSkipped counts destinations a link event left untouched because
-	// the dirty-set derivation proved their tables could not change.
+	// the dirty-set derivation proved their tables could not change. Every
+	// event accounts for each installed destination once, as an
+	// incremental compute, a restore or a skip.
 	CleanSkipped int64
 	// LinkEvents counts LinkDown/LinkUp calls that changed the topology.
 	LinkEvents int64
@@ -47,6 +52,7 @@ func (s *TableStats) Add(o TableStats) {
 	s.IncrementalComputes += o.IncrementalComputes
 	s.LocalRepairs += o.LocalRepairs
 	s.RepairFallbacks += o.RepairFallbacks
+	s.Restored += o.Restored
 	s.CleanSkipped += o.CleanSkipped
 	s.LinkEvents += o.LinkEvents
 }
@@ -59,6 +65,20 @@ func (s *TableStats) Add(o TableStats) {
 // (see repairScratch.repair). The incremental result is
 // byte-identical to a from-scratch recompute — TestRepairMatchesCompute,
 // TestTableSchedules and FuzzIncrementalTable enforce this.
+//
+// A table is a function of the graph and the failed set, so a LinkUp that
+// undoes the latest LinkDown needs no repair: the tables that LinkDown
+// replaced are the answer. Each LinkDown pushes its link and the tables it
+// replaced on an undo stack; a LinkUp of the link on top pops the entry
+// and reinstalls them, so nested flaps undo last in, first out. Any other
+// LinkUp, and any Install, empties the stack, and that LinkUp repairs.
+// Memory bound: every entry's link is down, so the stack is never deeper
+// than the failed set. Each of the program's callers brings a link back
+// right after taking it down, so its stack holds at most the intact
+// tables, which its intact table (netsim's, route-repair's clone) or the
+// build's shared block keeps alive anyway. Only overlapping failures keep
+// tables alive through the stack alone: at most those the failed links'
+// LinkDowns replaced.
 //
 // A Table is not safe for concurrent use; callers that share one across
 // goroutines (core.Deployment) serialize access themselves.
@@ -73,14 +93,23 @@ type Table struct {
 	failed  map[topo.LinkRef]bool
 	cut     cutRows // scratch of the link event in progress
 	dests   map[int32]*Dest
+	undo    []undoEntry // LinkDowns a LinkUp can undo, latest last
 	workers int
 	stats   TableStats
 	spans   *span.Tracer
 }
 
+// undoEntry is one LinkDown on the undo stack: the link and the tables it
+// replaced. An entry never changes once pushed, so clones share them.
+type undoEntry struct {
+	link     topo.LinkRef
+	replaced []*Dest
+}
+
 // SetTracer attaches a span tracer: every subsequent link event emits a
-// route_recompute span (with the event's endpoints and dirty count) and
-// one dest_recompute child per recomputed destination, parented to the
+// route_recompute span (with the event's endpoints and the number of
+// destinations it recomputed or restored) and one dest_recompute child per
+// recomputed destination (a restore has none), parented to the
 // context the caller passes to LinkDownCtx/LinkUpCtx. A nil tracer (the
 // default) is free.
 func (t *Table) SetTracer(tr *span.Tracer) { t.spans = tr }
@@ -98,7 +127,7 @@ func NewTable(g *topo.Graph, dsts []int, workers int) *Table {
 		workers: workers,
 	}
 	for _, d := range ComputeAll(g, dsts, workers) {
-		t.Install(d)
+		t.dests[d.dst] = d
 	}
 	t.stats.FullComputes += int64(len(dsts))
 	return t
@@ -152,8 +181,11 @@ func (t *Table) All() []*Dest {
 
 // Install records a computed table, replacing any previous one for the
 // same destination. The caller is responsible for d matching the Table's
-// current topology.
-func (t *Table) Install(d *Dest) { t.dests[d.dst] = d }
+// current topology. It empties the undo stack: a LinkUp after it repairs.
+func (t *Table) Install(d *Dest) {
+	t.undo = nil
+	t.dests[d.dst] = d
+}
 
 // Stats returns the accumulated computation counters.
 func (t *Table) Stats() TableStats { return t.stats }
@@ -193,16 +225,18 @@ func (t *Table) MemStats() TableMemStats {
 	return m
 }
 
-// Clone returns a Table sharing the (immutable) per-destination tables and
-// the topology state but with fresh counters: incremental work done on the
-// clone does not disturb the original, which is how the simulator keeps an
-// intact reference table while failures evolve a copy.
+// Clone returns a Table sharing the (immutable) per-destination tables, the
+// topology state and the undo stack's entries but with fresh counters:
+// incremental work done on the clone does not disturb the original, which
+// is how the simulator keeps an intact reference table while failures
+// evolve a copy.
 func (t *Table) Clone() *Table {
 	return &Table{
 		base:    t.base,
 		cur:     t.cur,
 		failed:  maps.Clone(t.failed),
 		dests:   maps.Clone(t.dests),
+		undo:    slices.Clone(t.undo),
 		workers: t.workers,
 		spans:   t.spans,
 	}
@@ -216,9 +250,9 @@ func (t *Table) FailedLinks() int { return len(t.failed) }
 func (t *Table) LinkFailed(a, b int) bool { return t.failed[normLinkRef(a, b)] }
 
 // LinkDown removes the undirected link (a, b) and incrementally recomputes
-// the affected destinations. It returns the number of destinations
-// recomputed, and is a no-op (returning 0) when the link does not exist or
-// is already down.
+// the affected destinations, pushing the tables it replaces on the undo
+// stack. It returns the number of destinations recomputed, and is a no-op
+// (returning 0) when the link does not exist or is already down.
 //
 // Dirty-set derivation for a removal: deleting link (a, b) withdraws
 // exactly two route offers — a's route as offered to b, and b's as offered
@@ -241,16 +275,23 @@ func (t *Table) LinkDownCtx(a, b int, parent span.Context) int {
 	sp := t.startRecompute(a, b, parent)
 	dirty := t.dirtyDests(func(d *Dest) bool { return d.usesLink(a, b) })
 	t.failed[ref] = true
+	replaced := make([]*Dest, len(dirty))
+	for i, dst := range dirty {
+		replaced[i] = t.Dest(dst)
+	}
+	t.undo = append(t.undo, undoEntry{link: ref, replaced: replaced})
 	t.recompute(dirty, a, b, false, sp.Context())
 	sp.V = float64(len(dirty))
 	sp.End()
 	return len(dirty)
 }
 
-// LinkUp restores a previously failed link and incrementally recomputes
-// the affected destinations. It returns the number of destinations
-// recomputed, and is a no-op when the link was not failed through this
-// Table.
+// LinkUp restores a previously failed link. When the link is the one the
+// latest LinkDown still on the undo stack took down, it reinstalls the
+// tables that LinkDown replaced; otherwise it empties the stack and
+// incrementally recomputes the affected destinations. It returns the
+// number of destinations restored or recomputed, and is a no-op when the
+// link was not failed through this Table.
 //
 // Dirty-set derivation for a restoration: adding link (a, b) introduces
 // exactly two new route offers — a's route offered to b and b's offered to
@@ -270,6 +311,13 @@ func (t *Table) LinkUpCtx(a, b int, parent span.Context) int {
 	}
 	sp := t.startRecompute(a, b, parent)
 	delete(t.failed, ref)
+	if n := len(t.undo); n > 0 && t.undo[n-1].link == ref {
+		restored := t.restore()
+		sp.V = float64(restored)
+		sp.End()
+		return restored
+	}
+	t.undo = nil
 	// Relationship of each endpoint as seen from the other.
 	relAB, ok := t.base.Rel(a, b) // b's role from a's viewpoint
 	if !ok {
@@ -285,6 +333,31 @@ func (t *Table) LinkUpCtx(a, b int, parent span.Context) int {
 	sp.V = float64(len(dirty))
 	sp.End()
 	return len(dirty)
+}
+
+// restore pops the top of the undo stack and reinstalls the tables its
+// LinkDown replaced, returning how many. The failed set is already the one
+// from before that LinkDown.
+func (t *Table) restore() int {
+	e := t.undo[len(t.undo)-1]
+	t.undo[len(t.undo)-1] = undoEntry{}
+	t.undo = t.undo[:len(t.undo)-1]
+	for _, d := range e.replaced {
+		t.dests[d.dst] = d
+	}
+	t.linkEvent()
+	t.stats.Restored += int64(len(e.replaced))
+	t.stats.CleanSkipped += int64(len(t.dests) - len(e.replaced))
+	return len(e.replaced)
+}
+
+// linkEvent counts a topology change and drops the cut graph it outdates.
+func (t *Table) linkEvent() {
+	t.stats.LinkEvents++
+	t.cur = nil
+	if len(t.failed) == 0 {
+		t.cur = t.base
+	}
 }
 
 // dirtyDests scans every installed destination with affected and returns
@@ -351,11 +424,7 @@ func offerWins(d *Dest, from, to int, rel topo.Rel) bool {
 // clones share them. The whole dirty set is computed, then installed: at
 // paper scale the two hub events together repair ~435 MB of words.
 func (t *Table) recompute(dirty []int, a, b int, up bool, parent span.Context) {
-	t.stats.LinkEvents++
-	t.cur = nil
-	if len(t.failed) == 0 {
-		t.cur = t.base
-	}
+	t.linkEvent()
 	t.stats.IncrementalComputes += int64(len(dirty))
 	t.stats.CleanSkipped += int64(len(t.dests) - len(dirty))
 	if len(dirty) == 0 {
@@ -376,7 +445,7 @@ func (t *Table) recompute(dirty []int, a, b int, up bool, parent span.Context) {
 		return d
 	})
 	for _, d := range fresh {
-		t.Install(d)
+		t.dests[d.dst] = d
 	}
 	t.stats.RepairFallbacks += fallbacks.Load()
 	t.stats.LocalRepairs += int64(len(dirty)) - fallbacks.Load()

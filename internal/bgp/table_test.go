@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"flag"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -82,12 +84,15 @@ func TestTableIncrementalMatchesFull(t *testing.T) {
 	if st.FullComputes != int64(g.N()) {
 		t.Errorf("FullComputes = %d, want %d (initial build only)", st.FullComputes, g.N())
 	}
-	if st.IncrementalComputes == 0 || st.CleanSkipped == 0 {
-		t.Errorf("expected both incremental work and clean skips, got %+v", st)
+	// (3,5) and (0,3) come back out of order and (0,1) after (0,3), so
+	// those LinkUps repair; (5,7) comes back right after it went down, so
+	// its LinkUp restores.
+	if st.IncrementalComputes == 0 || st.Restored == 0 || st.CleanSkipped == 0 {
+		t.Errorf("expected incremental work, restores and clean skips, got %+v", st)
 	}
-	total := st.IncrementalComputes + st.CleanSkipped
+	total := st.IncrementalComputes + st.Restored + st.CleanSkipped
 	if want := int64(len(schedule) * g.N()); total != want {
-		t.Errorf("incremental + skipped = %d, want %d (every event classifies every dest)", total, want)
+		t.Errorf("incremental + restored + skipped = %d, want %d (every event classifies every dest)", total, want)
 	}
 }
 
@@ -160,6 +165,103 @@ func TestTableCloneIsolation(t *testing.T) {
 	}
 }
 
+// TestLinkUpUndo holds both LinkUp paths to their contract. A LinkUp of
+// the link the latest outstanding LinkDown took down puts back the tables
+// from before that LinkDown, pointer for pointer, and computes nothing;
+// nested flaps undo the same way. A LinkUp out of that order, or after an
+// Install, repairs. A clone taken between a LinkDown and its LinkUp
+// undoes it too, whatever the original does meanwhile.
+func TestLinkUpUndo(t *testing.T) {
+	g, err := topo.Generate(topo.GenConfig{N: 400, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsts := allDests(g)
+	hub := busiest(g, 1)[0]
+	l1, l2 := int(g.Neighbors(hub)[0].AS), int(g.Neighbors(hub)[1].AS)
+	same := func(t *testing.T, tab, want *Table, when string) {
+		t.Helper()
+		for _, dst := range dsts {
+			if tab.Dest(dst) != want.Dest(dst) {
+				t.Fatalf("%s: destination %d's table is not the one from before the LinkDown", when, dst)
+			}
+		}
+	}
+	// event runs one link event and checks what it reports and counts:
+	// a restore of n destinations or a repair of n.
+	event := func(t *testing.T, tab *Table, up bool, u int, restore bool) int {
+		t.Helper()
+		was := tab.Stats()
+		var n int
+		if up {
+			n = tab.LinkUp(hub, u)
+		} else {
+			n = tab.LinkDown(hub, u)
+		}
+		st := tab.Stats()
+		restored, computed := st.Restored-was.Restored, st.IncrementalComputes-was.IncrementalComputes
+		if n == 0 || restore && (restored != int64(n) || computed != 0) || !restore && (restored != 0 || computed != int64(n)) {
+			t.Fatalf("link (%d,%d) up=%v: %d reported, %d restored and %d computed, want a restore=%v of all of them", hub, u, up, n, restored, computed, restore)
+		}
+		if st.IncrementalComputes+st.Restored+st.CleanSkipped != st.LinkEvents*int64(len(dsts)) {
+			t.Fatalf("link (%d,%d) up=%v: %+v does not account for every destination of every event", hub, u, up, st)
+		}
+		checkAgainstScratch(t, tab, fmt.Sprintf("link (%d,%d) up=%v", hub, u, up))
+		return n
+	}
+
+	t.Run("lifo", func(t *testing.T) {
+		tab := NewTable(g, dsts, 0)
+		s0 := tab.Clone()
+		down1 := event(t, tab, false, l1, false)
+		s1 := tab.Clone()
+		down2 := event(t, tab, false, l2, false)
+		if n := event(t, tab, true, l2, true); n != down2 {
+			t.Fatalf("LinkUp restored %d destinations, its LinkDown replaced %d", n, down2)
+		}
+		same(t, tab, s1, "after the inner LinkUp")
+		if n := event(t, tab, true, l1, true); n != down1 {
+			t.Fatalf("LinkUp restored %d destinations, its LinkDown replaced %d", n, down1)
+		}
+		same(t, tab, s0, "after the outer LinkUp")
+		if st := tab.Stats(); st.Restored != int64(down1+down2) || st.IncrementalComputes != int64(down1+down2) {
+			t.Fatalf("%+v, want %d restored and as many computed", st, down1+down2)
+		}
+	})
+	t.Run("fifo", func(t *testing.T) {
+		tab := NewTable(g, dsts, 0)
+		intact := tab.Clone()
+		event(t, tab, false, l1, false)
+		event(t, tab, false, l2, false)
+		event(t, tab, true, l1, false)
+		event(t, tab, true, l2, false) // the stack went with the first LinkUp
+		for _, dst := range dsts {
+			if !tab.Dest(dst).Equal(intact.Dest(dst)) {
+				t.Fatalf("destination %d differs from the intact build", dst)
+			}
+		}
+	})
+	t.Run("install", func(t *testing.T) {
+		tab := NewTable(g, dsts, 0)
+		event(t, tab, false, l1, false)
+		tab.Install(tab.Dest(hub))
+		event(t, tab, true, l1, false)
+	})
+	t.Run("clone", func(t *testing.T) {
+		tab := NewTable(g, dsts, 0)
+		s0 := tab.Clone()
+		event(t, tab, false, l1, false)
+		cl := tab.Clone()
+		// The original pops the entry and pushes another where it was.
+		event(t, tab, true, l1, true)
+		event(t, tab, false, l2, false)
+		event(t, cl, true, l1, true)
+		same(t, cl, s0, "the clone after its LinkUp")
+		event(t, tab, true, l2, true)
+		same(t, tab, s0, "the original after its LinkUps")
+	})
+}
+
 // TestEqualAcrossGraphs: a stub's word is derived from its Dest's graph.
 // Tables towards one destination on the intact graph and on the graph
 // without the provider link a multi-homed stub routes over store the same
@@ -216,6 +318,17 @@ func FuzzIncrementalTable(f *testing.F) {
 	f.Add(int64(0), []byte{31, 31})
 	f.Add(int64(7), []byte{69, 69})
 	f.Add(int64(6), []byte{116, 116, 140, 140})
+	const seeds = 6
+	// Links come back both right after they went down and out of order;
+	// a run of the whole corpus must see LinkUps restore and LinkUps
+	// repair. A fuzzing run spreads its cases over worker processes, none
+	// of which sees all of them.
+	var cases, restored, repaired int64
+	f.Cleanup(func() {
+		if cases >= seeds && !fuzzWorker() && (restored == 0 || repaired == 0) {
+			f.Errorf("LinkUps over %d cases restored %d destinations and repaired %d: the cases do not test both", cases, restored, repaired)
+		}
+	})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 24 {
 			ops = ops[:24] // bound the per-case schedule length
@@ -235,7 +348,11 @@ func FuzzIncrementalTable(f *testing.F) {
 		for _, op := range ops {
 			l := links[int(op)%len(links)]
 			if down[l] {
+				was := tab.Stats()
 				tab.LinkUp(l.A, l.B)
+				st := tab.Stats()
+				restored += st.Restored - was.Restored
+				repaired += st.IncrementalComputes - was.IncrementalComputes
 				delete(down, l)
 			} else {
 				tab.LinkDown(l.A, l.B)
@@ -250,7 +367,15 @@ func FuzzIncrementalTable(f *testing.F) {
 				}
 			}
 		}
+		cases++
 	})
+}
+
+// fuzzWorker reports whether this test binary is a fuzzing worker, which
+// runs only the cases the coordinator hands it.
+func fuzzWorker() bool {
+	f := flag.Lookup("test.fuzzworker")
+	return f != nil && f.Value.String() == "true"
 }
 
 // BenchmarkTableIncremental measures one link-down/link-up cycle under
@@ -346,17 +471,26 @@ func TestRecomputeFanIn(t *testing.T) {
 	tab := NewTable(g, allDests(g), 0)
 	tab.LinkDown(0, 1)
 	checkAgainstScratch(t, tab, "after fan-in LinkDown")
+	// AS 2's link to AS 0 goes down in between, so LinkUp(0, 1) is not the
+	// undo of the latest LinkDown: it repairs every destination again.
+	tab.LinkDown(2, 0)
+	checkAgainstScratch(t, tab, "after LinkDown(2, 0)")
 	tab.LinkUp(0, 1)
 	checkAgainstScratch(t, tab, "after fan-in LinkUp")
+	tab.LinkUp(2, 0)
+	checkAgainstScratch(t, tab, "after LinkUp(2, 0)")
 	st := tab.Stats()
+	if st.Restored != 0 {
+		t.Fatalf("%d destinations restored, want every LinkUp repaired", st.Restored)
+	}
 	if st.IncrementalComputes < 300 {
 		t.Fatalf("IncrementalComputes = %d, want >= 300 (all dests dirty on the down event)", st.IncrementalComputes)
 	}
 	// Towards AS 1 every other AS held a customer route over the link: a
 	// region of all but one AS is past the bound, so that one destination
 	// goes through Compute on the way down, and nothing else does (towards
-	// the others only AS 1 loses its route, and on the way up nothing is
-	// cleared).
+	// the others only AS 1 loses its route, on the way up nothing is
+	// cleared, and AS 2's link carries only AS 2's routes and those to it).
 	if st.RepairFallbacks != 1 || st.LocalRepairs != st.IncrementalComputes-1 {
 		t.Fatalf("%d fallbacks and %d local repairs of %d, want 1 fallback", st.RepairFallbacks, st.LocalRepairs, st.IncrementalComputes)
 	}

@@ -55,17 +55,9 @@ func PrefixFromAddr(addr uint32) int32 {
 // MarshalPacket serializes p as an IPv4 datagram (with an outer IP-in-IP
 // header when p.Encap is set). The inner payload carries the five-tuple as
 // a minimal TCP-like header (ports only) so the flow hash survives the
-// wire.
+// wire. It allocates once: the datagram.
 func MarshalPacket(p *Packet) []byte {
-	h := innerHeader(p)
-	h.payload = marshalPorts(p.Flow.SrcPort, p.Flow.DstPort)
-	inner := marshalIPv4(h)
-	if !p.Encap {
-		return inner
-	}
-	h = outerHeader(p)
-	h.payload = inner
-	return marshalIPv4(h)
+	return AppendPacket(make([]byte, 0, WireLen(p)), p)
 }
 
 // AppendPacket appends the bytes MarshalPacket returns for p to dst and
@@ -173,14 +165,6 @@ type ipv4Header struct {
 	payload          []byte
 }
 
-func marshalIPv4(h ipv4Header) []byte {
-	total := ipv4HeaderLen + len(h.payload)
-	b := make([]byte, total)
-	putIPv4(b, &h, total)
-	copy(b[ipv4HeaderLen:], h.payload)
-	return b
-}
-
 // putIPv4 writes h's header, checksum included, over b[:ipv4HeaderLen] for
 // a datagram of total bytes; h.payload is not looked at.
 func putIPv4(b []byte, h *ipv4Header, total int) {
@@ -246,12 +230,6 @@ func ipv4Checksum(b []byte) uint16 {
 		sum = (sum & 0xFFFF) + sum>>16
 	}
 	return ^uint16(sum)
-}
-
-func marshalPorts(src, dst uint16) []byte {
-	b := make([]byte, portsLen)
-	putPorts(b, src, dst)
-	return b
 }
 
 func putPorts(b []byte, src, dst uint16) {

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +115,33 @@ func TestWireChecksumValidity(t *testing.T) {
 	b[16] ^= 0xFF
 	if _, err := UnmarshalPacket(b); err == nil {
 		t.Error("corrupted datagram parsed successfully")
+	}
+}
+
+// TestMarshalPacketBytesAndAllocs pins the datagrams of a plain and an
+// encapsulated packet byte for byte, and requires one allocation per
+// marshal, the datagram itself: the encapsulated form is written in place,
+// not built as an inner datagram and copied behind an outer header.
+func TestMarshalPacketBytesAndAllocs(t *testing.T) {
+	plain := samplePacket()
+	plain.ID = 0xBEEF
+	encap := *plain
+	encap.Encap, encap.OuterSrc, encap.OuterDst = true, 7, 42
+	for _, c := range []struct {
+		name string
+		p    *Packet
+		want string
+	}{
+		{"plain", plain, "45000018beef80001106960b0a000001c61204d2a8cb0050"},
+		{"encap", &encap, "4500002cbeef00004004a7ae0a0000070a00002a45000018beef80001106960b0a000001c61204d2a8cb0050"},
+	} {
+		if got := hex.EncodeToString(MarshalPacket(c.p)); got != c.want {
+			t.Errorf("%s: marshaled %s, want %s", c.name, got, c.want)
+		}
+		var wire []byte
+		if n := testing.AllocsPerRun(100, func() { wire = MarshalPacket(c.p) }); n != 1 || len(wire) != WireLen(c.p) {
+			t.Errorf("%s: %v allocations per marshal of %d bytes, want 1", c.name, n, len(wire))
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/bgp"
 	"repro/internal/topo"
 )
 
@@ -59,7 +60,8 @@ func TestRunPaperScaleTableOnly(t *testing.T) {
 	if r.Routing.LinkEvents != 2 {
 		t.Fatalf("link events = %d, want 2", r.Routing.LinkEvents)
 	}
-	if r.Routing.IncrementalComputes+r.Routing.CleanSkipped != 2*250 {
+	// The LinkUp restores exactly what the LinkDown recomputed.
+	if rt := r.Routing; rt.IncrementalComputes == 0 || rt.Restored != rt.IncrementalComputes || rt.IncrementalComputes+rt.Restored+rt.CleanSkipped != 2*250 {
 		t.Fatalf("incremental accounting: %+v", r.Routing)
 	}
 	if r.Stream != nil {
@@ -67,6 +69,32 @@ func TestRunPaperScaleTableOnly(t *testing.T) {
 	}
 	if r.BudgetBytes != 0 || r.OverBudget {
 		t.Fatalf("no budget was set: %+v", r)
+	}
+}
+
+// TestPaperScaleFlapRestoresTables: after the table-only flap every table
+// is the one the build made, not a recomputed copy.
+func TestPaperScaleFlapRestoresTables(t *testing.T) {
+	g, err := topo.Generate(topo.GenConfig{N: 250, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsts := make([]int, g.N())
+	for i := range dsts {
+		dsts[i] = i
+	}
+	tab := bgp.NewTable(g, dsts, 0)
+	intact := tab.Clone()
+	a, b := hubLink(g)
+	r := &PaperScale{FailedLink: [2]int{a, b}}
+	r.flap(tab)
+	if r.Routing.IncrementalComputes == 0 {
+		t.Fatalf("LinkDown(%d, %d) recomputed nothing", a, b)
+	}
+	for _, d := range intact.All() {
+		if tab.Dest(d.Dst()) != d {
+			t.Fatalf("after recovery destination %d does not share the built table", d.Dst())
+		}
 	}
 }
 

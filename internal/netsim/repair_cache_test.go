@@ -15,9 +15,12 @@ import (
 //     equivalently cut graph (correctness),
 //   - a destination whose route tree never touches the link keeps sharing
 //     the intact table's memory through the whole cycle (no wasted work),
-//   - the counters show one incremental compute and one skip per event —
-//     where the old wholesale rebuild would have recomputed everything on
-//     every event, including the recovery back to the intact topology.
+//   - the recovery puts the intact table of destination 0 back rather than
+//     computing a copy of it, since it undoes the failure before it,
+//   - the counters show one skip per event, one incremental compute per
+//     failure and one restore for the recovery — where the old wholesale
+//     rebuild would have recomputed everything on every event, including
+//     the recovery back to the intact topology.
 func TestRepairedTableCacheAcrossFailRecoverFail(t *testing.T) {
 	// failGraph plus a stub chain under AS 0. Destinations: 0 (route tree
 	// uses link 1-3) and 2 (tree never touches 1-3: AS 3 reaches 2
@@ -61,6 +64,9 @@ func TestRepairedTableCacheAcrossFailRecoverFail(t *testing.T) {
 	s.handleRecover(link)
 	check("after recover", g)
 	clean("after recover")
+	if s.repairedTab.Dest(0) != s.tab.Dest(0) {
+		t.Fatal("after recover: destination 0 does not share the intact table again")
+	}
 	if s.repairedTab == nil {
 		t.Fatal("recovery discarded the repaired-table cache")
 	}
@@ -76,9 +82,10 @@ func TestRepairedTableCacheAcrossFailRecoverFail(t *testing.T) {
 	if st.FullComputes != 0 {
 		t.Errorf("FullComputes = %d on the clone, want 0 (tables are shared, not rebuilt)", st.FullComputes)
 	}
-	// Each event dirties exactly destination 0 and skips destination 2.
-	if st.IncrementalComputes != 3 || st.CleanSkipped != 3 {
-		t.Errorf("incremental/skipped = %d/%d, want 3/3", st.IncrementalComputes, st.CleanSkipped)
+	// Each event dirties exactly destination 0 and skips destination 2;
+	// the recovery restores what the failure replaced.
+	if st.IncrementalComputes != 2 || st.Restored != 1 || st.CleanSkipped != 3 {
+		t.Errorf("incremental/restored/skipped = %d/%d/%d, want 2/1/3", st.IncrementalComputes, st.Restored, st.CleanSkipped)
 	}
 	// The intact table never recomputed anything after construction.
 	if it := s.tab.Stats(); it.FullComputes != int64(len(dsts)) || it.IncrementalComputes != 0 {

@@ -62,7 +62,7 @@ type Event struct {
 	// Spans counts every record of the trace, root included.
 	Spans int
 	// Dirty is the number of destinations the event's route recomputes
-	// marked dirty (summed over route_recompute children).
+	// recomputed or restored (summed over route_recompute children).
 	Dirty int
 	// Convergence is the root span's duration: wall time from failure
 	// injection to data-plane consistency.

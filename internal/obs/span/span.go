@@ -42,7 +42,7 @@ func (c Context) Valid() bool { return c.Span != 0 }
 //
 //	conv_link_down:  Node = -1, A/B = link endpoints, V = virtual event time (s)
 //	conv_link_up:    Node = -1, A/B = link endpoints, V = virtual event time (s)
-//	route_recompute: A/B = link endpoints, V = dirty destinations recomputed
+//	route_recompute: A/B = link endpoints, V = destinations recomputed or restored
 //	dest_recompute:  Node = destination AS
 //	daemon_epoch:    Node = AS, A = destinations refreshed
 //	fib_commit:      Node = router, A = published generation
