@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all build test race ring-race audit-race fib-race span-race conv-smoke vet bench bench-smoke perf perf-compare fuzz figures testbed results reproduce clean
+.PHONY: all build test race audit-race fib-race span-race conv-smoke vet bench bench-smoke perf perf-compare fuzz figures testbed results reproduce clean
 
 # Every package with micro-benchmarks: what `make bench` measures and
 # what CI's `make bench-smoke` keeps runnable.
-BENCH_PKGS = . ./internal/dataplane ./internal/audit ./internal/topo ./internal/bgp ./internal/ring ./internal/obs/span ./internal/obs/tsdb ./internal/netsim ./internal/netd
+BENCH_PKGS = . ./internal/dataplane ./internal/audit ./internal/topo ./internal/bgp ./internal/obs/span ./internal/obs/tsdb ./internal/netsim ./internal/netd
 
 all: build test
 
@@ -34,19 +34,12 @@ race:
 	# them ten times slower.
 	$(GO) test -race -short ./...
 
-# The lock-free ring the flight recorder is built on (internal/ring):
-# producers against the drain goroutine and its barriers. These tests are
-# what holds the publish ordering; the race detector is part of how they
-# do it.
-ring-race:
-	$(GO) test -race -count=5 ./internal/ring
-
-# The flight recorder's concurrency surface: hop hooks fire from simulator
-# workers and netd receive loops while the drain goroutine assembles and
-# writes journeys and answers Stats/Flush/Close barriers. Stress the
-# recorder's own tests first, then the packages that drive it.
+# The flight recorder's concurrency surface: hop hooks fire from netd's
+# receive loops and senders at once and contend on the recorder's one
+# lock, against Stats, ViolatingRecords and Close. Stress the recorder's
+# own tests first, then the packages that drive it.
 audit-race:
-	$(GO) test -race -count=5 -run 'Recorder' ./internal/audit
+	$(GO) test -race -count=5 -run 'Recorder|Journeys' ./internal/audit
 	$(GO) test -race -count=2 ./internal/audit ./internal/dataplane ./internal/netsim ./internal/packetsim
 	# netd runs every fabric test over both receive paths (batched and
 	# one datagram at a time); how a burst is cut into batches differs

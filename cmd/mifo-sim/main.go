@@ -155,13 +155,13 @@ func main() {
 		rec := audit.NewRecorder(audit.Options{Sample: *fltRate, Writer: sink})
 		o.Recorder = rec
 		finishFlight = func() bool {
-			err := errors.Join(rec.Close(), sink.Close()) // the recorder drains into the sink first
+			err := errors.Join(rec.Close(), sink.Close()) // Close writes the journeys still in flight first
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "mifo-sim: flight log:", err)
 			}
 			st := rec.Stats()
-			fmt.Printf("# flight log: %d records (%d deflections, %d invariant violations, %d shed) -> %s\n",
-				st.Records, st.Deflections, st.Violations, st.RingDropped, *fltLog)
+			fmt.Printf("# flight log: %d records (%d deflections, %d invariant violations) -> %s\n",
+				st.Records, st.Deflections, st.Violations, *fltLog)
 			if st.Violations > 0 {
 				fmt.Fprintf(os.Stderr, "mifo-sim: AUDIT FAILURE: %d invariant violations recorded\n", st.Violations)
 			}

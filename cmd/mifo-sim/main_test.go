@@ -160,18 +160,17 @@ func TestFig8TSDBDumpPinned(t *testing.T) {
 }
 
 // TestSameSeedSameBytes runs two experiments that write data files twice
-// each, with the same seed into two directories, and requires every .dat
-// file to come out byte-identical: the committed results/ are only
-// reproducible if a seed fixes every byte, however the parallel workers
-// interleave.
+// each, with the same seed into two directories and a flight log beside
+// them, and requires every .dat file and the flight log to come out
+// byte-identical: the committed results/ are only reproducible if a seed
+// fixes every byte, however the parallel workers interleave.
 func TestSameSeedSameBytes(t *testing.T) {
-	o := experiments.Options{N: 120, Flows: 300, Seed: 7, Workers: 2}
 	dirs := [2]string{t.TempDir(), t.TempDir()}
 	for _, dir := range dirs {
-		for _, exp := range []string{"fig8", "fig5a"} {
-			if err := run(exp, o, dir, experiments.PaperScaleConfig{}); err != nil {
-				t.Fatalf("%s: %v", exp, err)
-			}
+		stderr, code := runMain(t, "-exp", "fig8,fig5a", "-n", "120", "-flows", "300", "-seed", "7",
+			"-workers", "2", "-o", dir, "-flight-log", filepath.Join(dir, "flight.jsonl"))
+		if code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr)
 		}
 	}
 	files, err := filepath.Glob(filepath.Join(dirs[0], "*.dat"))
@@ -181,7 +180,7 @@ func TestSameSeedSameBytes(t *testing.T) {
 	if len(files) != 2 {
 		t.Fatalf("want fig8.dat and fig5a.dat, got %v", files)
 	}
-	for _, a := range files {
+	for _, a := range append(files, filepath.Join(dirs[0], "flight.jsonl")) {
 		first, err := os.ReadFile(a)
 		if err != nil {
 			t.Fatal(err)

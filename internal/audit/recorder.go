@@ -1,13 +1,13 @@
 package audit
 
 import (
+	"cmp"
 	"io"
+	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/dataplane"
 	"repro/internal/jsonl"
-	"repro/internal/ring"
 	"repro/internal/topo"
 )
 
@@ -19,19 +19,10 @@ type Options struct {
 	// Values <= 0 or >= 1 record everything.
 	Sample float64
 	// Writer, when non-nil, receives the JSONL flight log: one line per
-	// journey, written by the drainer as soon as the journey ends (Flush
-	// and Close are the barriers after which every pushed journey is on
-	// it). The recorder serializes writes; buffering and closing the
+	// journey, written as the journey ends, on the goroutine that ended
+	// it. The recorder serializes writes; buffering and closing the
 	// underlying file are the caller's job.
 	Writer io.Writer
-	// SegmentCap is each ring segment's capacity in hop records, rounded
-	// up to a power of two (default 2048). A full segment sheds records
-	// rather than stalling the forwarding engine.
-	SegmentCap int
-
-	// segments is the number of ring segments hop records are sharded
-	// over, rounded up to a power of two (default 8; tests shrink it).
-	segments int
 }
 
 // keepViolating bounds how many violating records are retained in memory
@@ -52,36 +43,27 @@ type Stats struct {
 	// Violations is the total breach count; ByInvariant splits it.
 	Violations  uint64
 	ByInvariant [numInvariants]uint64
-	// RingDropped counts hop records shed because a ring segment stayed
-	// full, or because a flow path had more steps than a segment holds
-	// (the journeys they belonged to are incomplete or missing);
-	// Backpressure counts ring-full events where the producer yielded
-	// once before retrying.
-	RingDropped  uint64
-	Backpressure uint64
+	// RingDropped is always 0: the recorder records every hop of every
+	// sampled journey. It stays until its last reader, the benchmark's
+	// audit.shed_share, goes.
+	RingDropped uint64
 }
 
-// asmKey stitches drained hop records back into journeys. kind keeps
-// packet journeys and flow paths in separate key spaces; the packet side
-// keys on the full five-tuple plus destination and packet ID, so hash
-// collisions can never merge two journeys.
+// asmKey stitches a packet's hops into its journey: the full five-tuple
+// plus destination and packet ID, so hash collisions can never merge two
+// journeys.
 type asmKey struct {
-	flow   dataplane.FlowKey
-	flowID uint64
-	dst    int32
-	pktID  uint16
-	kind   uint8
+	flow  dataplane.FlowKey
+	dst   int32
+	pktID uint16
 }
 
-const (
-	keyPacket uint8 = iota
-	keyPath
-)
-
-// journey is one in-flight record plus its online checker.
+// journey is one in-flight record plus its online checker. start orders
+// the journeys Close finalizes.
 type journey struct {
-	rec Record
-	chk Checker
+	rec   Record
+	chk   Checker
+	start uint64
 }
 
 // Recorder is the packet flight recorder: it accumulates journeys from
@@ -89,53 +71,27 @@ type journey struct {
 // (flow granularity), checks invariants online, and streams finished
 // records as a JSONL log. All methods are safe for concurrent use.
 //
-// The record path is asynchronous: hooks offer fixed-size hop records
-// (see hoprec.go) to a ring.Drainer and return; its drain goroutine, the
-// drainer, assembles journeys, runs the invariant checker, and encodes
-// each journey as it ends. Stats, Flush, Close and ViolatingRecords are
-// synchronization barriers — each drains everything the hooks pushed
-// before the call.
+// The record path is synchronous: a sampled hop takes the recorder's one
+// lock, joins its journey, runs the invariant checker, and, when the
+// journey ends, finalizes it and encodes it to the writer before the
+// hook returns. Nothing is shed, and a single-goroutine producer writes
+// the same bytes on every run.
 type Recorder struct {
 	sampleLimit uint32
-	// rings carries hop records to the drainer. Every record of one
-	// journey is offered under the same key, so the drainer sees its hops
-	// in push order.
-	rings *ring.Drainer[hopRec]
-	// The hooks read the two fields above on every hop, and the drainer
-	// writes the ones below for every journey: keep them a cache line
-	// apart.
-	_ [64]byte
+	sink        *jsonl.Sink // serializes internally and retains the first write error
 
-	// mu guards the snapshot state shared with callers: stats and the
-	// retained violating records. The first sink error lives in the jsonl
-	// sink itself.
-	mu    sync.Mutex
-	stats Stats
-	bad   []Record
-
-	// Drainer-owned state; no locking (single goroutine). The sink
-	// serializes internally and retains the first write error.
-	sink     *jsonl.Sink
+	mu       sync.Mutex
+	closed   bool
+	stats    Stats
+	bad      []Record
 	inflight map[asmKey]*journey
-	// One-entry journey cache: consecutive hops of the same journey (the
-	// overwhelmingly common drain pattern, since a journey's hops are
-	// pushed back to back into one segment) skip the inflight map
-	// entirely. lastInMap records whether lastJ was also spilled to the
-	// map after an interleaving journey touched the cache.
-	lastKey   asmKey
-	lastJ     *journey
-	lastInMap bool
-	pool      []*journey
-	seq       uint64
+	pool     []*journey
+	started  uint64
+	seq      uint64
 }
 
-// drainPoll is how often the drainer sweeps the rings when no barrier
-// asks it to: short enough that a burst rarely fills a segment and sheds.
-const drainPoll = 2 * time.Millisecond
-
-// NewRecorder builds a recorder from options and starts its drainer.
-// Call Close when done; a recorder that is never closed leaks one
-// goroutine and never finalizes the journeys still in flight.
+// NewRecorder builds a recorder from options. It starts no goroutine;
+// Close finalizes the journeys still in flight.
 func NewRecorder(o Options) *Recorder {
 	rec := &Recorder{
 		sampleLimit: ^uint32(0),
@@ -147,15 +103,6 @@ func NewRecorder(o Options) *Recorder {
 	if o.Writer != nil {
 		rec.sink = jsonl.New(o.Writer)
 	}
-	nseg := o.segments
-	if nseg <= 0 {
-		nseg = 8
-	}
-	segCap := o.SegmentCap
-	if segCap <= 0 {
-		segCap = 2048
-	}
-	rec.rings = ring.NewDrainer(nseg, segCap, drainPoll, rec.process, rec.barrier)
 	return rec
 }
 
@@ -164,8 +111,7 @@ func NewRecorder(o Options) *Recorder {
 func (rec *Recorder) Sampled(flowHash uint32) bool { return flowHash <= rec.sampleLimit }
 
 // mix64 spreads a flow ID over 32 bits (splitmix64 finalizer) so integer
-// flow IDs sample uniformly. It is the sampling decision, part of what a
-// flight log means, so it does not share the rings' segment hash.
+// flow IDs sample uniformly.
 func mix64(x uint64) uint32 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -175,60 +121,60 @@ func mix64(x uint64) uint32 {
 	return uint32(x >> 32)
 }
 
-// journeyKey folds a journey's identity into the key its hop records are
-// offered under.
-func journeyKey(flowID uint64, dst int32, id uint16) uint64 {
-	return flowID ^ uint64(uint32(dst))<<29 ^ uint64(id)<<47
-}
-
-// hookHop is the per-forwarding-decision record path: one flow hash, a
-// sampling compare, one fixed-size hopRec copied into a lock-free ring;
-// a full ring sheds the record rather than stall the forwarding engine.
-// No allocation, no lock, no formatting; TestRecorderHotPathZeroAlloc
-// holds the allocation budget.
+// hookHop is the per-forwarding-decision record path: one flow hash and
+// a sampling compare without the lock; a sampled hop then joins its
+// journey under it. No allocation in the steady state;
+// TestRecorderHotPathZeroAlloc holds the budget.
 func (rec *Recorder) hookHop(p *dataplane.Packet, h dataplane.HopInfo) {
 	fh := p.Flow.Hash()
 	if !rec.Sampled(fh) {
 		return
 	}
-	hr := hopRec{
-		op:      opHop,
-		flow:    p.Flow,
-		flowID:  uint64(fh),
-		dst:     p.Dst,
-		pktID:   p.ID,
-		verdict: h.Verdict,
-		reason:  h.Reason,
-		step:    stepFromHop(h),
+	k := asmKey{flow: p.Flow, dst: p.Dst, pktID: p.ID}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.closed {
+		return
 	}
-	rec.rings.Offer(journeyKey(hr.flowID, hr.dst, hr.pktID), &hr, nil)
+	j, ok := rec.inflight[k]
+	if !ok {
+		j = rec.begin(KindPacket, uint64(fh), p.Dst, 0)
+		j.rec.PktID = p.ID
+		rec.inflight[k] = j
+	}
+	rec.appendStep(j, stepFromHop(h))
+	switch h.Verdict {
+	case dataplane.VerdictDeliver:
+		delete(rec.inflight, k)
+		rec.finish(j, VerdictDelivered, "")
+	case dataplane.VerdictDrop:
+		delete(rec.inflight, k)
+		rec.finish(j, VerdictDropped, h.Reason.String())
+	}
 }
 
 // RouterHook returns the hop hook to install as dataplane.Router.Hop on
 // every instrumented router. Hops of unsampled flows cost one flow hash
-// and a compare; sampled hops cost one ring push.
+// and a compare.
 func (rec *Recorder) RouterHook() dataplane.HopFunc {
 	return rec.hookHop
 }
 
 // Lost finalizes an in-flight packet journey that will never see another
 // hop — a tx-queue drop, or a transport giving up. It is a no-op for
-// unsampled or unknown packets. detail should be a constant string; it
-// is carried by reference through the ring.
+// unsampled or unknown packets, and after Close, which leaves nothing in
+// flight.
 func (rec *Recorder) Lost(p *dataplane.Packet, detail string) {
-	fh := p.Flow.Hash()
-	if !rec.Sampled(fh) {
+	if !rec.Sampled(p.Flow.Hash()) {
 		return
 	}
-	hr := hopRec{
-		op:     opLost,
-		flow:   p.Flow,
-		flowID: uint64(fh),
-		dst:    p.Dst,
-		pktID:  p.ID,
-		detail: detail,
+	k := asmKey{flow: p.Flow, dst: p.Dst, pktID: p.ID}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if j, ok := rec.inflight[k]; ok {
+		delete(rec.inflight, k)
+		rec.finish(j, VerdictLost, detail)
 	}
-	rec.rings.Offer(journeyKey(hr.flowID, hr.dst, hr.pktID), &hr, nil)
 }
 
 // PathRecord is a flow-granularity journey: one path installed for one
@@ -243,37 +189,22 @@ type PathRecord struct {
 	Steps []Step
 }
 
-// RecordPath records one installed path, running the invariant checker
-// over it off the hot path. Sampling applies per flow. The whole path is
-// pushed as one atomic ring block, so a path is either recorded complete
-// or shed complete.
+// RecordPath records one installed path whole, running the invariant
+// checker over it. Sampling applies per flow.
 func (rec *Recorder) RecordPath(pr PathRecord) {
 	if !rec.Sampled(mix64(pr.Flow)) {
 		return
 	}
-	head := hopRec{
-		op:       opPath,
-		flags:    flagPathFirst,
-		flowID:   pr.Flow,
-		dst:      pr.Dst,
-		baseline: int32(pr.BaselineLen),
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.closed {
+		return
 	}
-	var rest []hopRec
-	if len(pr.Steps) == 0 {
-		head.flags |= flagPathLast | flagPathEmpty
-	} else {
-		head.step = pr.Steps[0]
-		if len(pr.Steps) == 1 {
-			head.flags |= flagPathLast
-		} else {
-			rest = make([]hopRec, len(pr.Steps)-1)
-			for i := range rest {
-				rest[i] = hopRec{op: opPath, flowID: pr.Flow, dst: pr.Dst, step: pr.Steps[i+1]}
-			}
-			rest[len(rest)-1].flags = flagPathLast
-		}
+	j := rec.begin(KindPath, pr.Flow, pr.Dst, pr.BaselineLen)
+	for _, s := range pr.Steps {
+		rec.appendStep(j, s)
 	}
-	rec.rings.Offer(journeyKey(pr.Flow, pr.Dst, 0), &head, rest)
+	rec.finish(j, VerdictPath, "")
 }
 
 // PathSteps converts an AS-level path into checker steps against the
@@ -336,104 +267,7 @@ func stepFromHop(h dataplane.HopInfo) Step {
 	return s
 }
 
-// barrier runs on the drainer after each sweep of the rings: on Close it
-// finalizes the journeys still in flight; every time it mirrors the
-// rings' shed counters into the stats snapshot and answers the barrier
-// with the first sink error.
-func (rec *Recorder) barrier(closing bool, load ring.Load) error {
-	if closing {
-		rec.loseInflight()
-	}
-	rec.mu.Lock()
-	rec.stats.RingDropped = uint64(load.Dropped)
-	rec.stats.Backpressure = uint64(load.Backpressure)
-	rec.mu.Unlock()
-	if rec.sink == nil {
-		return nil
-	}
-	return rec.sink.Err()
-}
-
-// lookup resolves a journey through the one-entry cache, then the map.
-func (rec *Recorder) lookup(k asmKey) (*journey, bool) {
-	if rec.lastJ != nil && rec.lastKey == k {
-		return rec.lastJ, true
-	}
-	j, ok := rec.inflight[k]
-	return j, ok
-}
-
-// track makes j the cached journey, spilling the previous occupant to
-// the map. inMap says whether j is (also) in the map already.
-func (rec *Recorder) track(k asmKey, j *journey, inMap bool) {
-	if rec.lastJ != nil && rec.lastKey != k && !rec.lastInMap {
-		rec.inflight[rec.lastKey] = rec.lastJ
-	}
-	rec.lastKey, rec.lastJ, rec.lastInMap = k, j, inMap
-}
-
-// retire removes a finished journey from the cache and, if spilled, the
-// map. In the steady single-journey-at-a-time pattern this touches no
-// map at all.
-func (rec *Recorder) retire(k asmKey) {
-	if rec.lastJ != nil && rec.lastKey == k {
-		if rec.lastInMap {
-			delete(rec.inflight, k)
-		}
-		rec.lastJ = nil
-		return
-	}
-	delete(rec.inflight, k)
-}
-
-// process folds one drained hop record into its journey.
-func (rec *Recorder) process(h *hopRec) {
-	switch h.op {
-	case opHop:
-		k := asmKey{kind: keyPacket, flow: h.flow, flowID: h.flowID, dst: h.dst, pktID: h.pktID}
-		j, ok := rec.lookup(k)
-		if !ok {
-			j = rec.begin(KindPacket, h.flowID, h.dst, 0)
-			j.rec.PktID = h.pktID
-			rec.track(k, j, false)
-		} else if rec.lastJ != j || rec.lastKey != k {
-			rec.track(k, j, true)
-		}
-		rec.appendStep(j, h.step)
-		switch h.verdict {
-		case dataplane.VerdictDeliver:
-			rec.retire(k)
-			rec.finish(j, VerdictDelivered, "")
-		case dataplane.VerdictDrop:
-			rec.retire(k)
-			rec.finish(j, VerdictDropped, h.reason.String())
-		}
-	case opLost:
-		k := asmKey{kind: keyPacket, flow: h.flow, flowID: h.flowID, dst: h.dst, pktID: h.pktID}
-		if j, ok := rec.lookup(k); ok {
-			rec.retire(k)
-			rec.finish(j, VerdictLost, h.detail)
-		}
-	case opPath:
-		k := asmKey{kind: keyPath, flowID: h.flowID, dst: h.dst}
-		if h.flags&flagPathFirst != 0 {
-			rec.track(k, rec.begin(KindPath, h.flowID, h.dst, int(h.baseline)), false)
-		}
-		j, ok := rec.lookup(k)
-		if !ok {
-			return // head was shed with its tail; cannot happen with atomic pushes
-		}
-		if h.flags&flagPathEmpty == 0 {
-			rec.appendStep(j, h.step)
-		}
-		if h.flags&flagPathLast != 0 {
-			rec.retire(k)
-			rec.finish(j, VerdictPath, "")
-		}
-	}
-}
-
-// begin starts a journey from the pool (drainer only).
+// begin starts a journey from the pool (mu held).
 func (rec *Recorder) begin(kind string, flow uint64, dst int32, baseline int) *journey {
 	var j *journey
 	if n := len(rec.pool); n > 0 {
@@ -447,21 +281,23 @@ func (rec *Recorder) begin(kind string, flow uint64, dst int32, baseline int) *j
 		BaselineLen: baseline, Steps: j.rec.Steps[:0],
 	}
 	j.chk.Reset()
+	j.start = rec.started
+	rec.started++
 	return j
 }
 
-// appendStep records a hop and checks it online (drainer only).
+// appendStep records a hop and checks it online (mu held).
 func (rec *Recorder) appendStep(j *journey, s Step) {
 	j.rec.Steps = append(j.rec.Steps, s)
 	if s.Deflected {
 		j.rec.Deflections++
 	}
-	// finish folds the violations into Stats, under the snapshot lock.
 	j.chk.Step(s)
 }
 
 // finish finalizes a journey: copies violations into the record, updates
-// the stats snapshot, and encodes the record to the sink (drainer only).
+// the stats, retains a violating record, encodes the record to the sink
+// and recycles the journey (mu held).
 func (rec *Recorder) finish(j *journey, verdict, reason string) {
 	j.rec.Verdict = verdict
 	j.rec.Reason = reason
@@ -474,7 +310,6 @@ func (rec *Recorder) finish(j *journey, verdict, reason string) {
 		j.rec.Violations = nil
 	}
 
-	rec.mu.Lock()
 	rec.stats.Records++
 	rec.stats.Steps += uint64(len(j.rec.Steps))
 	rec.stats.Deflections += uint64(j.rec.Deflections)
@@ -497,7 +332,6 @@ func (rec *Recorder) finish(j *journey, verdict, reason string) {
 		bad.Steps = append([]Step(nil), j.rec.Steps...)
 		rec.bad = append(rec.bad, bad)
 	}
-	rec.mu.Unlock()
 
 	if rec.sink != nil {
 		rec.sink.Encode(&j.rec)
@@ -505,51 +339,46 @@ func (rec *Recorder) finish(j *journey, verdict, reason string) {
 	rec.pool = append(rec.pool, j)
 }
 
-// loseInflight finalizes every journey still being assembled — cached
-// and mapped (drainer only; Close path).
-func (rec *Recorder) loseInflight() {
-	if j := rec.lastJ; j != nil {
-		if rec.lastInMap {
-			delete(rec.inflight, rec.lastKey)
-		}
-		rec.lastJ = nil
-		rec.finish(j, VerdictLost, "in flight at recorder close")
-	}
-	for k, j := range rec.inflight {
-		delete(rec.inflight, k)
-		rec.finish(j, VerdictLost, "in flight at recorder close")
-	}
-}
-
-// Flush drains everything the hooks have pushed, so every journey that
-// has ended is on the writer, and returns the first sink error seen so
-// far.
+// Flush returns the first sink error seen so far. Every journey that has
+// ended is already on the writer.
 func (rec *Recorder) Flush() error {
-	return rec.rings.Wait()
+	if rec.sink == nil {
+		return nil
+	}
+	return rec.sink.Err()
 }
 
-// Close drains every ring segment, finalizes journeys still in flight
-// (verdict "lost"), stops the drainer, and returns the first sink error.
-// Hooks left installed after Close are harmless: their pushes land in
-// the rings and are never drained.
+// Close finalizes the journeys still in flight (verdict "lost"), in the
+// order they started, and returns the first sink error. Hooks called
+// after Close record nothing.
 func (rec *Recorder) Close() error {
-	return rec.rings.Close()
+	rec.mu.Lock()
+	if !rec.closed {
+		rec.closed = true
+		left := make([]*journey, 0, len(rec.inflight))
+		for _, j := range rec.inflight {
+			left = append(left, j)
+		}
+		clear(rec.inflight)
+		slices.SortFunc(left, func(a, b *journey) int { return cmp.Compare(a.start, b.start) })
+		for _, j := range left {
+			rec.finish(j, VerdictLost, "in flight at recorder close")
+		}
+	}
+	rec.mu.Unlock()
+	return rec.Flush()
 }
 
-// Stats drains everything the hooks have pushed and returns a snapshot
-// of the recorder's counters.
+// Stats returns a snapshot of the recorder's counters.
 func (rec *Recorder) Stats() Stats {
-	rec.rings.Wait() // sink errors are for Flush and Close to report
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	return rec.stats
 }
 
 // ViolatingRecords returns up to keepViolating retained records that had
-// violations, for post-mortem inspection without a JSONL sink. Like
-// Stats, it is a drain barrier.
+// violations, for post-mortem inspection without a JSONL sink.
 func (rec *Recorder) ViolatingRecords() []Record {
-	rec.rings.Wait() // as in Stats
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	return append([]Record(nil), rec.bad...)

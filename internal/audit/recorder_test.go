@@ -2,12 +2,12 @@ package audit
 
 import (
 	"bytes"
-	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dataplane"
-	"repro/internal/leakcheck"
 	"repro/internal/topo"
 )
 
@@ -50,8 +50,8 @@ func TestRecorderPacketJourney(t *testing.T) {
 		t.Fatalf("clean journey produced violations: %+v", st)
 	}
 
-	// The JSONL stream must round-trip through the reader. Flush is the
-	// barrier after which every ended journey is on the writer.
+	// The JSONL stream must round-trip through the reader. A journey is on
+	// the writer when the hop that ends it returns.
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,26 +236,28 @@ func TestRecordPathAndPathSteps(t *testing.T) {
 	}
 }
 
-// TestRecordPathLongerThanSegment: a path with more steps than a ring
-// segment holds can never be buffered. That is not congestion: the whole
-// path is shed and counted at once, with no backpressure event, and the
-// recorder goes on recording what does fit.
-func TestRecordPathLongerThanSegment(t *testing.T) {
-	rec := NewRecorder(Options{segments: 1, SegmentCap: 4})
+// TestRecordPathLongPathWhole: a long path is recorded whole, every
+// step counted, next to a short one.
+func TestRecordPathLongPathWhole(t *testing.T) {
+	var buf bytes.Buffer
+	rec := NewRecorder(Options{Writer: &buf})
 	defer rec.Close()
 	step := func(as int32) Step { return Step{Router: -1, AS: as, Edge: EdgeDown} }
 	long := PathRecord{Flow: 1, Dst: 9, BaselineLen: 5}
-	for as := int32(0); as < 6; as++ {
+	for as := int32(0); as < 10_000; as++ {
 		long.Steps = append(long.Steps, step(as))
 	}
 	rec.RecordPath(long)
 	rec.RecordPath(PathRecord{Flow: 2, Dst: 9, BaselineLen: 1, Steps: []Step{step(0), step(1)}})
-	st := rec.Stats()
-	if st.RingDropped != 6 || st.Backpressure != 0 {
-		t.Fatalf("stats = %+v, want 6 records dropped and no backpressure", st)
+	if st := rec.Stats(); st.Paths != 2 || st.Records != 2 || st.Steps != 10_002 || st.Violations != 0 {
+		t.Fatalf("stats = %+v, want 2 paths of 10,002 steps in all and no violation", st)
 	}
-	if st.Paths != 1 || st.Steps != 2 {
-		t.Fatalf("stats = %+v, want the short path recorded", st)
+	var lens []int
+	if err := ReadRecords(&buf, func(r Record) error { lens = append(lens, len(r.Steps)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(lens, []int{10_000, 2}) {
+		t.Fatalf("logged paths of %v steps, want [10000 2]", lens)
 	}
 }
 
@@ -279,8 +281,8 @@ type sinkDownError struct{}
 
 func (*sinkDownError) Error() string { return "sink down" }
 
-// TestRecorderCloseReturnsSinkError: Close must drain, write what it
-// drained, and surface the first sink error instead of swallowing it.
+// TestRecorderCloseReturnsSinkError: Close must surface the first sink
+// error instead of swallowing it.
 func TestRecorderCloseReturnsSinkError(t *testing.T) {
 	w := &failWriter{after: 0}
 	rec := NewRecorder(Options{Writer: w})
@@ -299,9 +301,9 @@ func TestRecorderCloseReturnsSinkError(t *testing.T) {
 	}
 }
 
-// TestRecorderCloseWritesFinalJourneys: a journey pushed moments before
-// Close must be drained from the rings and written, and one still in
-// flight must be written as lost — the Close ordering contract.
+// TestRecorderCloseWritesFinalJourneys: a journey ended moments before
+// Close is written, and one still in flight is written as lost — the
+// Close ordering contract.
 func TestRecorderCloseWritesFinalJourneys(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(Options{Writer: &buf})
@@ -412,20 +414,10 @@ func TestRecorderHotPathZeroAlloc(t *testing.T) {
 
 	cold.Close()
 
-	// Sampled, no sink: the full record path, and the drain goroutine
-	// assembling, checking and recycling each journey. Go's allocation
-	// accounting is process-global, so the count covers both, provided
-	// the drain goroutine does its work inside the count: each counted run
-	// waits until it has finalized every journey pushed.
-	//
-	// Every journey here has the same key, so a shed deliver hop would
-	// merge two journeys into one of three steps, and the drain goroutine
-	// would grow the pooled step slice: on a busy host a starved drain
-	// goroutine let a 2,048-record segment fill and shed, and the count
-	// read 1. The segment therefore holds everything pushed between two
-	// drains: a warm-up of 2,048 journeys, or AllocsPerRun's uncounted
-	// call plus the counted one, 2 × 2,000 journeys.
-	hot := NewRecorder(Options{SegmentCap: 1 << 13})
+	// Sampled, no sink: the full record path — the journey map, the
+	// checker, finalizing and recycling — runs on this goroutine, so the
+	// count covers all of it. A warm-up fills the pool and the map.
+	hot := NewRecorder(Options{})
 	defer hot.Close()
 	hhook := hot.RouterHook()
 	q := dataplane.Packet{Flow: dataplane.FlowKey{DstAddr: 3}, Dst: 3}
@@ -434,31 +426,88 @@ func TestRecorderHotPathZeroAlloc(t *testing.T) {
 		hhook(&q, h)
 		hhook(&q, deliver)
 	}
-	for i := 0; i < 2048; i++ {
+	for i := 0; i < 100; i++ {
 		journey()
 	}
-	want := hot.Stats().Records // drain barrier: warm-up fully processed
-	// The barrier's reply woke the drain goroutine; its next park may
-	// allocate the runtime's wait records (sudogs), so count from there.
-	for !leakcheck.Parked("select", "ring.(*Drainer[...]).run") {
-		runtime.Gosched()
-	}
 	const n = 2000
-	if got := total(1, func() {
-		for i := 0; i < n; i++ {
-			journey()
-		}
-		want += n
-		for done := false; !done; runtime.Gosched() {
-			hot.mu.Lock()
-			done = hot.stats.Records >= want
-			hot.mu.Unlock()
-		}
-	}); got != 0 {
+	if got := total(n, journey); got != 0 {
 		t.Fatalf("sampled record path allocates %v times in %d journeys, want 0", got, n)
 	}
-	if st := hot.Stats(); st.RingDropped != 0 || st.Records != want || st.Steps != 2*want {
-		t.Fatalf("stats = %+v, want %d two-step journeys and nothing shed", st, want)
+	// AllocsPerRun makes one uncounted run before the counted one.
+	const want = 100 + 2*n
+	if st := hot.Stats(); st.Records != want || st.Steps != 2*want || st.Violations != 0 {
+		t.Fatalf("stats = %+v, want %d clean two-step journeys", st, want)
+	}
+}
+
+// TestConcurrentJourneysAllRecorded: hooks on several goroutines, each
+// reusing one flow key and wrapping its packet IDs as netd's senders do,
+// must record every journey whole. A journey that lost its deliver hop
+// would take the next journey's hops of the same key; over more ASes
+// that reads as a loop that never happened.
+func TestConcurrentJourneysAllRecorded(t *testing.T) {
+	const goroutines, journeys = 4, 5000
+	rec := NewRecorder(Options{})
+	defer rec.Close()
+	hook := rec.RouterHook()
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := dataplane.Packet{Flow: dataplane.FlowKey{SrcAddr: uint32(g + 1), DstAddr: 3}, Dst: 3}
+			up := forwardHop(int32(2*g), 1, dataplane.EBGP, topo.Provider, true)
+			deliver := dataplane.HopInfo{Router: dataplane.RouterID(2*g + 1), AS: 3, Out: -1, Verdict: dataplane.VerdictDeliver}
+			for i := range journeys {
+				p.ID = uint16(i % 1024)
+				hook(&p, up)
+				hook(&p, deliver)
+			}
+		}()
+	}
+	wg.Wait()
+	st := rec.Stats()
+	if st.Records != goroutines*journeys || st.Delivered != goroutines*journeys ||
+		st.Steps != 2*goroutines*journeys || st.Violations != 0 {
+		t.Fatalf("stats = %+v, want %d delivered two-step journeys and no violation",
+			st, goroutines*journeys)
+	}
+}
+
+// TestRecorderCloseOrderAndAfter: Close finalizes the journeys in flight
+// in the order they started, so a run writes the same bytes every time,
+// and hooks called after Close record nothing.
+func TestRecorderCloseOrderAndAfter(t *testing.T) {
+	var buf bytes.Buffer
+	rec := NewRecorder(Options{Writer: &buf})
+	hook := rec.RouterHook()
+	up := forwardHop(0, 1, dataplane.EBGP, topo.Provider, true)
+	ids := []uint16{40, 7, 300, 2, 99, 1}
+	for _, id := range ids {
+		hook(&dataplane.Packet{Flow: dataplane.FlowKey{DstAddr: 3}, ID: id, Dst: 3}, up)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := &dataplane.Packet{Flow: dataplane.FlowKey{DstAddr: 3}, ID: 5, Dst: 3}
+	hook(after, up)
+	hook(after, dataplane.HopInfo{Router: 1, AS: 3, Out: -1, Verdict: dataplane.VerdictDeliver})
+	rec.RecordPath(PathRecord{Flow: 1, Dst: 3, Steps: []Step{{Router: -1, AS: 3}}})
+	if st := rec.Stats(); st.Records != uint64(len(ids)) || st.Lost != uint64(len(ids)) {
+		t.Fatalf("stats = %+v, want %d lost records and nothing after Close", st, len(ids))
+	}
+	var got []uint16
+	if err := ReadRecords(&buf, func(r Record) error {
+		if r.Seq != uint64(len(got)+1) {
+			t.Errorf("record %d has seq %d", len(got), r.Seq)
+		}
+		got = append(got, r.PktID)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, ids) {
+		t.Fatalf("Close wrote packets %v, want %v in start order", got, ids)
 	}
 }
 

@@ -9,7 +9,8 @@
 //	best-effort, and Close/Err report that first error.
 //
 // A Sink is safe for concurrent use; writers that already serialize
-// (single background drain goroutines) pay one uncontended mutex.
+// (the flight recorder encodes under its own lock) pay one uncontended
+// mutex.
 package jsonl
 
 import (

@@ -1,7 +1,7 @@
 // Package leakcheck fails a package's tests when a goroutine they started
 // is still alive after them. Every package whose tests build a goroutine
-// owner (a drainer, recorder, tracer, fabric, load monitor, debug server
-// or daemon runtime) runs it from its TestMain:
+// owner (a fabric, load monitor, debug server or daemon runtime) or start
+// goroutines of their own runs it from its TestMain:
 //
 //	func TestMain(m *testing.M) {
 //		leakcheck.Main(m)

@@ -35,10 +35,7 @@ func TestFlightRecorderAuditsPacketRun(t *testing.T) {
 	r1.Deflect = dataplane.DeflectShare(0.5)
 
 	var buf bytes.Buffer
-	// The sim bursts hops faster than the batcher encodes them; size the
-	// rings for the whole run so the shed policy never fires and the
-	// exact-count assertions below hold.
-	rec := audit.NewRecorder(audit.Options{Writer: &buf, SegmentCap: 1 << 13})
+	rec := audit.NewRecorder(audit.Options{Writer: &buf})
 	sim := New(n, rec)
 	// Count deflected decisions through a hook wrapped around the one New
 	// installed: the sim's event loop is single-threaded.
@@ -70,9 +67,17 @@ func TestFlightRecorderAuditsPacketRun(t *testing.T) {
 		t.Fatal("scenario drifted: no deflected packets")
 	}
 
+	// Every packet the sources sent, first sends and retransmissions, is
+	// one journey: delivered, dropped by a router, or lost at a queue.
 	st := rec.Stats()
-	if st.RingDropped != 0 {
-		t.Fatalf("rings shed %d records despite workload-sized capacity", st.RingDropped)
+	sent, hardDrops := 0, 0
+	for _, f := range res.Flows {
+		sent += (f.Spec.SizeBytes+packetBytes-1)/packetBytes + f.Retransmits
+		hardDrops += f.HardDrops
+	}
+	if int(st.Records) != sent || int(st.Dropped) != hardDrops {
+		t.Fatalf("recorder finalized %d journeys (%d dropped), the sources sent %d packets (%d dropped by routers)",
+			st.Records, st.Dropped, sent, hardDrops)
 	}
 	if st.Violations != 0 {
 		t.Fatalf("invariant violations in a correct MIFO run: %+v\nrecords: %+v",
