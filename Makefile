@@ -87,7 +87,8 @@ perf-compare:
 # Short fuzzing pass over every fuzz target.
 fuzz:
 	$(GO) test ./internal/dataplane -fuzz FuzzUnmarshalPacket -fuzztime 30s
-	$(GO) test ./internal/topo -fuzz FuzzParse -fuzztime 30s
+	$(GO) test ./internal/topo -fuzz '^FuzzParse$$' -fuzztime 30s
+	$(GO) test ./internal/topo -fuzz '^FuzzBuilderMatchesReference$$' -fuzztime 30s
 	$(GO) test ./internal/traffic -fuzz FuzzReadCSV -fuzztime 30s
 	$(GO) test ./internal/audit -fuzz FuzzChecker -fuzztime 30s
 	$(GO) test ./internal/audit -fuzz FuzzReadRecords -fuzztime 30s

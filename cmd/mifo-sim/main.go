@@ -19,6 +19,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -62,7 +63,11 @@ func sizeError(n, flows, pairs int, rate float64, workers, streamFlows, memMB in
 	return nil
 }
 
-func main() {
+func main() { os.Exit(sim()) }
+
+// sim runs the experiments and returns the exit status, so what it defers
+// (the CPU profile's flush, the debug server's close) runs on every path.
+func sim() (code int) {
 	var (
 		exp      = flag.String("exp", "all", "experiment: table1, fig5a, fig5b, fig5c, fig6a, fig6b, fig6c, fig7, fig8, fig9, resilience, strategy, overhead, errorbars, sensitivity, paperscale, fig12, fig12-packet, all")
 		n        = flag.Int("n", 1000, "topology size (ASes); the paper uses 44340")
@@ -81,20 +86,40 @@ func main() {
 		fltRate  = flag.Float64("flight-sample", 1.0, "fraction of flows the flight recorder samples (0..1]")
 		spanLog  = flag.String("span-log", "", "trace injected link failures to data-plane consistency as JSONL spans here (analyse with mifo-inspect spans)")
 		tsdbLog  = flag.String("tsdb-log", "", "dump per-link utilization/deflection/offload time series as JSONL here (analyse with mifo-inspect tsdb)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 	)
 	flag.Parse()
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "mifo-sim: -cpuprofile:", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close() // nothing was written; the start error is the one to report
+			fmt.Fprintln(os.Stderr, "mifo-sim: -cpuprofile:", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "mifo-sim: -cpuprofile:", err)
+				code = 1
+			}
+		}()
+	}
 	if !validSample(*fltRate) {
 		fmt.Fprintf(os.Stderr, "mifo-sim: -flight-sample must be in (0, 1], got %v\n", *fltRate)
-		os.Exit(1)
+		return 1
 	}
 	if err := sizeError(*n, *flows, *pairs, *rate, *workers, *streamN, *memMB); err != nil {
 		fmt.Fprintln(os.Stderr, "mifo-sim:", err)
-		os.Exit(1)
+		return 1
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -114,7 +139,7 @@ func main() {
 		srv, err := obs.ServeDebug(*dbgAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("# debug server on %s (/metrics, /debug/pprof/)\n", srv.URL())
 		defer srv.Close()
@@ -125,7 +150,7 @@ func main() {
 		g, err := topo.ReadFile(*topoFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)
-			os.Exit(1)
+			return 1
 		}
 		o.Graph, o.N = g, g.N()
 	}
@@ -136,7 +161,7 @@ func main() {
 		k, err := strconv.Atoi(*dests)
 		if err != nil || k <= 0 {
 			fmt.Fprintf(os.Stderr, "mifo-sim: -dests must be a positive count or 'all', got %q\n", *dests)
-			os.Exit(1)
+			return 1
 		}
 		ps.Dests = k
 	}
@@ -150,7 +175,7 @@ func main() {
 		sink, err := jsonl.Create(*fltLog)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)
-			os.Exit(1)
+			return 1
 		}
 		rec := audit.NewRecorder(audit.Options{Sample: *fltRate, Writer: sink})
 		o.Recorder = rec
@@ -177,7 +202,7 @@ func main() {
 		sink, err := jsonl.Create(*spanLog)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mifo-sim:", err)
-			os.Exit(1)
+			return 1
 		}
 		tr := span.New(span.Options{Writer: sink})
 		o.Spans = tr
@@ -250,11 +275,12 @@ func main() {
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "mifo-sim: %d/%d experiments failed\n", failed, len(list))
-		os.Exit(1)
+		return 1
 	}
 	if !clean {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // saveSeries writes curves to <dir>/<name>.dat in gnuplot block format.

@@ -291,6 +291,32 @@ func TestLogWriteFailuresExitOne(t *testing.T) {
 	}
 }
 
+// -cpuprofile writes a gzipped profile whether the run succeeds or one of
+// its experiments fails (exit 1), and a path it cannot create is exit 1
+// before anything runs.
+func TestCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		exp  string
+		code int
+	}{{"table1", 0}, {"table1,bogus", 1}} {
+		prof := filepath.Join(dir, "cpu.prof")
+		stderr, code := runMain(t, "-exp", tc.exp, "-n", "60", "-cpuprofile", prof)
+		if code != tc.code {
+			t.Fatalf("-exp %s: exit %d, want %d; stderr %q", tc.exp, code, tc.code, stderr)
+		}
+		b, err := os.ReadFile(prof)
+		if err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Fatalf("-exp %s: profile %.8x, %v; want gzip (1f 8b)", tc.exp, b, err)
+		}
+		os.Remove(prof)
+	}
+	stderr, code := runMain(t, "-exp", "table1", "-n", "60", "-cpuprofile", filepath.Join(dir, "absent", "cpu.prof"))
+	if code != 1 || !strings.Contains(stderr, "-cpuprofile") {
+		t.Errorf("unwritable -cpuprofile: exit %d, stderr %q; want exit 1 naming the flag", code, stderr)
+	}
+}
+
 // saveSeries reports a .dat file it could not create or write: the
 // directory is missing, or the file is /dev/full, which fails every write.
 func TestSaveSeriesReportsWriteErrors(t *testing.T) {

@@ -66,7 +66,30 @@ func (e EdgeClass) String() string {
 }
 
 // MarshalText renders the class as its name so JSONL records read well.
-func (e EdgeClass) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
+// A known class's name is shared, built once, so encoding a step does not
+// allocate; callers must not modify it.
+func (e EdgeClass) MarshalText() ([]byte, error) {
+	if e >= 0 && int(e) < len(edgeNames) {
+		return edgeNames[e], nil
+	}
+	return []byte(e.String()), nil
+}
+
+var edgeNames = textNames[EdgeClass](EdgeInternal + 1)
+
+// textNames returns the String of each value below n as bytes, each
+// capacity-clipped so an append to one cannot reach another.
+func textNames[T interface {
+	~int8
+	fmt.Stringer
+}](n T) [][]byte {
+	names := make([][]byte, n)
+	for v := range names {
+		b := []byte(T(v).String())
+		names[v] = b[:len(b):len(b)]
+	}
+	return names
+}
 
 // UnmarshalText parses an edge-class name.
 func (e *EdgeClass) UnmarshalText(b []byte) error {
@@ -118,8 +141,16 @@ func (v Invariant) String() string {
 	}
 }
 
-// MarshalText renders the invariant as its name.
-func (v Invariant) MarshalText() ([]byte, error) { return []byte(v.String()), nil }
+// MarshalText renders the invariant as its name, shared and built once
+// like EdgeClass's; callers must not modify it.
+func (v Invariant) MarshalText() ([]byte, error) {
+	if v >= 0 && int(v) < len(invariantNames) {
+		return invariantNames[v], nil
+	}
+	return []byte(v.String()), nil
+}
+
+var invariantNames = textNames[Invariant](numInvariants)
 
 // UnmarshalText parses an invariant name.
 func (v *Invariant) UnmarshalText(b []byte) error {

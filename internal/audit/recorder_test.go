@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"io"
 	"slices"
 	"strings"
 	"sync"
@@ -437,6 +438,52 @@ func TestRecorderHotPathZeroAlloc(t *testing.T) {
 	const want = 100 + 2*n
 	if st := hot.Stats(); st.Records != want || st.Steps != 2*want || st.Violations != 0 {
 		t.Fatalf("stats = %+v, want %d clean two-step journeys", st, want)
+	}
+}
+
+// TestRecorderSinkZeroAlloc: with a JSONL sink the record path also
+// encodes every journey, and that must not allocate either — in particular
+// MarshalText hands out each edge class's and invariant's name without
+// converting it per step. Counted as in TestRecorderHotPathZeroAlloc,
+// except under -race (raceDetector), where the JSON encoder's pool drops
+// entries by design.
+func TestRecorderSinkZeroAlloc(t *testing.T) {
+	rec := NewRecorder(Options{Writer: io.Discard})
+	defer rec.Close()
+	hook := rec.RouterHook()
+	q := dataplane.Packet{Flow: dataplane.FlowKey{DstAddr: 3}, Dst: 3}
+	up := forwardHop(0, 1, dataplane.EBGP, topo.Provider, true)
+	deliver := dataplane.HopInfo{Router: 1, AS: 3, Out: -1, Verdict: dataplane.VerdictDeliver}
+	journey := func() {
+		hook(&q, up)
+		hook(&q, deliver)
+	}
+	for i := 0; i < 100; i++ {
+		journey()
+	}
+	const n = 2000
+	if got := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			journey()
+		}
+	}); got != 0 && !raceDetector {
+		t.Fatalf("recording to a sink allocates %v times in %d journeys, want 0", got, n)
+	}
+	for _, v := range append(Invariants[:], -1) {
+		if b, _ := v.MarshalText(); string(b) != v.String() {
+			t.Errorf("Invariant(%d).MarshalText() = %q, want %q", v, b, v)
+		}
+		if b := testing.AllocsPerRun(10, func() { v.MarshalText() }); v >= 0 && b != 0 {
+			t.Errorf("Invariant(%d).MarshalText allocates %v times, want 0", v, b)
+		}
+	}
+	for e := EdgeNone; e <= EdgeInternal+1; e++ {
+		if b, _ := e.MarshalText(); string(b) != e.String() {
+			t.Errorf("EdgeClass(%d).MarshalText() = %q, want %q", e, b, e)
+		}
+	}
+	if st := rec.Stats(); st.Violations != 0 || st.Records != 100+2*n {
+		t.Fatalf("stats = %+v, want %d clean journeys", st, 100+2*n)
 	}
 }
 

@@ -278,8 +278,15 @@ func (d *Dest) Hops(v int) int {
 func (d *Dest) NextHop(v int) int { return int(d.next32(v)) }
 
 // ASPath returns the default AS-level path [src, ..., dst] following best
-// routes, or nil when src has no route.
-func (d *Dest) ASPath(src int) []int { return d.ASPathInto(src, nil) }
+// routes, or nil when src has no route. The path is sized from the route's
+// length, so it is one allocation.
+func (d *Dest) ASPath(src int) []int {
+	w := d.word(src)
+	if w == unreachableEntry {
+		return nil
+	}
+	return d.appendPath(make([]int, 0, int(d.hops16(src))+1), src, w)
+}
 
 // ASPathInto is ASPath building into buf[:0] (growing it if needed).
 // Call sites that walk a path per flow or per epoch reuse one buffer

@@ -587,6 +587,30 @@ func TestASPathIntoReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestASPathAllocatesOnce: ASPath sizes its result from the route's length,
+// stored or derived, so a path is one allocation with no spare capacity,
+// and no route is none.
+func TestASPathAllocatesOnce(t *testing.T) {
+	g, err := topo.Generate(topo.GenConfig{N: 300, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []int{0, 40, g.N() - 1} {
+		d := Compute(g, dst)
+		for src := 0; src < g.N(); src++ {
+			var path []int
+			allocs := testing.AllocsPerRun(1, func() { path = d.ASPath(src) })
+			want := 1.0
+			if d.Hops(src) < 0 {
+				want = 0
+			}
+			if allocs != want || len(path) != cap(path) || len(path) != d.Hops(src)+1 {
+				t.Fatalf("dst %d: ASPath(%d) = %v (cap %d) in %v allocations, want %d hops in %v", dst, src, path, cap(path), allocs, d.Hops(src), want)
+			}
+		}
+	}
+}
+
 // FuzzCompactDest fuzzes topology seeds and link-event schedules: after
 // every event, a sample of destinations, built as one ComputeAll batch,
 // must match the dense oracle accessor-for-accessor.

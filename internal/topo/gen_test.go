@@ -1,8 +1,12 @@
 package topo
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestGenerateBasicInvariants(t *testing.T) {
@@ -134,14 +138,88 @@ func TestGenerateHeavyTail(t *testing.T) {
 }
 
 // Property: generation never produces a P/C cycle or duplicate link for any
-// (small) size and seed — Build would reject both.
+// (small) size, seed and shape — Build would reject both — and gives every
+// AS below the tier-1s a provider. A zero draw leaves a setting at its
+// default.
 func TestQuickGenerateAlwaysValid(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		g, err := Generate(GenConfig{N: int(n%200) + 1, Seed: seed})
-		return err == nil && g != nil
+	f := func(seed int64, n, tier1, transit, meanProv, maxProv uint8) bool {
+		cfg := GenConfig{
+			N:             int(n%200) + 1,
+			Tier1:         int(tier1 % 16),
+			TransitFrac:   float64(transit%101) / 100,
+			MeanProviders: float64(meanProv%120) / 10,
+			MaxProviders:  int(maxProv % 13),
+			Seed:          seed,
+		}
+		g, err := Generate(cfg)
+		if err != nil || g.N() != cfg.N {
+			return false
+		}
+		for v := cfg.withDefaults().Tier1; v < g.N(); v++ {
+			if len(g.Providers(v)) == 0 {
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGeneratePinned holds the generator's output, through Write, to the
+// SHA-256 of the graphs the map-based Builder (refBuilder) built from the
+// same draws: the paper-scale graph, the N = 1,000 default, the sim-flows
+// benchmark graph and a small one.
+func TestGeneratePinned(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  GenConfig
+		want string
+	}{
+		{PaperScaleConfig(1), "6b72edc358c67493d9fdc7ed97b7880f8cb618af2e9db6a8b124768249cbb291"},
+		{GenConfig{N: 1000, Seed: 1}, "1abc69cefb9659281217b0fafe85b4e1c6da25b92f14eff30a8404fb2aec20be"},
+		{GenConfig{N: 400, Seed: 1}, "7028fd67312ce3afd15dead84252c24c42e0dfa7b7d3f2a1cc558d7cca985150"},
+		{GenConfig{N: 120, Seed: 3}, "3de9afb4fa71e3a72e01d2feaa0df07a0b95b7b1db60e5a7a66d5bbb6421af33"},
+	} {
+		g, err := Generate(tc.cfg)
+		if err != nil {
+			t.Fatalf("N=%d seed %d: %v", tc.cfg.N, tc.cfg.Seed, err)
+		}
+		h := sha256.New()
+		if err := Write(h, g, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("N=%d seed %d: Write hashes to %s, want %s", tc.cfg.N, tc.cfg.Seed, got, tc.want)
+		}
+	}
+}
+
+// TestGenerateFewEligibleProviders is a configuration whose stubs want
+// more providers than there are ASes to buy from: two tier-1s and no
+// transit AS, ten providers each on average. Once a stub holds both
+// tier-1s every draw repeats one, and the draws have to stop there.
+func TestGenerateFewEligibleProviders(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		g, err := Generate(GenConfig{N: 100, Tier1: 2, TransitFrac: 0.01, MeanProviders: 10, MaxProviders: 10, Seed: 1})
+		if err == nil {
+			for v := 2; v < g.N(); v++ {
+				if p := g.Providers(v); len(p) == 0 || p[len(p)-1] > 1 {
+					err = fmt.Errorf("AS %d has providers %v, want one or both tier-1s", v, p)
+					break
+				}
+			}
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Generate did not return in 30 s")
 	}
 }
 
@@ -149,6 +227,17 @@ func TestPaperScaleConfig(t *testing.T) {
 	cfg := PaperScaleConfig(1)
 	if cfg.N != 44340 {
 		t.Errorf("paper-scale N = %d, want 44340", cfg.N)
+	}
+}
+
+// BenchmarkGeneratePaperScale generates the 44,340-AS graph every
+// paper-scale figure, test and route-* workload starts from.
+func BenchmarkGeneratePaperScale(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(PaperScaleConfig(1)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -395,135 +395,207 @@ func (g *Graph) Stats() Stats {
 
 // Builder accumulates links and produces an immutable Graph.
 //
-// Link existence is tracked in a hash set keyed by the endpoint pair, so
-// duplicate detection and HasLink are O(1) regardless of degree — adding
-// the last peering link of a 5,000-neighbor hub costs the same as its
-// first (the per-AS linear scans this replaces made building hub-heavy
-// topologies quadratic in hub degree).
+// It keeps every link in one flat array that is also the link set: an
+// open-addressed hash table keyed by the endpoint pair, probed linearly
+// and doubled before it is half full, each occupied slot one link with
+// its relationship packed into the same word. Duplicate detection and
+// HasLink are O(1) regardless of degree, so adding the last peering link
+// of a 5,000-neighbor hub costs the same as its first. Beside it sits one
+// degree count per AS, which Build turns into the CSR offsets. Nothing is
+// kept per AS beyond that count: Build deals the links out into the arena
+// by counting sort instead of packing and sorting a list per AS.
 type Builder struct {
 	n     int
-	adj   [][]Neighbor
-	links map[uint64]struct{}
-	edges int // directed adjacency entries accumulated so far
+	deg   []int32  // deg[v] is v's number of neighbors so far
+	slots []uint64 // the link set, len a power of two or 0; 0 marks an empty slot
+	links int      // occupied slots
 	err   error
 }
 
+// A slot holds one link, its endpoints lo < hi and the relationship of hi
+// as seen from lo: rel<<relShift | lo<<31 | hi. AS indices fit in 31 bits
+// (Neighbor.AS is an int32), and hi > lo >= 0, so an occupied slot is
+// never 0.
+const (
+	relShift = 62
+	pairMask = 1<<relShift - 1 // lo<<31 | hi
+	hiMask   = 1<<31 - 1       // hi
+)
+
 // NewBuilder returns a Builder for a topology with n ASes and no links.
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n, adj: make([][]Neighbor, n), links: make(map[uint64]struct{})}
+	return &Builder{n: n, deg: make([]int32, n)}
 }
 
-// linkKey names the undirected pair (v, u) order-independently.
-func linkKey(v, u int) uint64 {
+// pairOf names the undirected pair (v, u) order-independently.
+func pairOf(v, u int) uint64 {
 	if v > u {
 		v, u = u, v
 	}
-	return uint64(uint32(v))<<32 | uint64(uint32(u))
+	return uint64(v)<<31 | uint64(u)
 }
 
-func (b *Builder) check(v, u int) bool {
+// find returns the slot holding pair, or the empty slot where it would go.
+// The table must have an empty slot.
+func (b *Builder) find(pair uint64) (i int, found bool) {
+	mask := len(b.slots) - 1
+	for i = int((pair * 0x9E3779B97F4A7C15) >> 32 & uint64(mask)); ; i = (i + 1) & mask {
+		switch s := b.slots[i]; {
+		case s == 0:
+			return i, false
+		case s&pairMask == pair:
+			return i, true
+		}
+	}
+}
+
+// grow doubles the table (or makes its first one) and reinserts every link.
+func (b *Builder) grow() {
+	old := b.slots
+	b.slots = make([]uint64, max(8, 2*len(old)))
+	for _, s := range old {
+		if s != 0 {
+			i, _ := b.find(s & pairMask)
+			b.slots[i] = s
+		}
+	}
+}
+
+// add records the link (v, u) with u's relationship rel as seen from v,
+// unless an earlier call failed or this one is out of range, a self-link
+// or a duplicate: the first such call sets the error Build returns.
+func (b *Builder) add(v, u int, rel Rel) {
 	if b.err != nil {
-		return false
+		return
 	}
 	if v < 0 || v >= b.n || u < 0 || u >= b.n {
 		b.err = fmt.Errorf("topo: AS index out of range: (%d, %d) with n=%d", v, u, b.n)
-		return false
+		return
 	}
 	if v == u {
 		b.err = fmt.Errorf("topo: self-link at AS %d", v)
-		return false
+		return
 	}
-	if _, dup := b.links[linkKey(v, u)]; dup {
+	if 2*(b.links+1) > len(b.slots) {
+		b.grow()
+	}
+	pair := pairOf(v, u)
+	i, dup := b.find(pair)
+	if dup {
 		b.err = fmt.Errorf("topo: duplicate link between AS %d and AS %d", v, u)
-		return false
+		return
 	}
-	return true
-}
-
-func (b *Builder) add(v, u int, rel Rel) {
-	b.links[linkKey(v, u)] = struct{}{}
-	b.adj[v] = append(b.adj[v], Neighbor{AS: int32(u), Rel: rel})
-	b.adj[u] = append(b.adj[u], Neighbor{AS: int32(v), Rel: rel.Invert()})
-	b.edges += 2
+	if v > u {
+		rel = rel.Invert()
+	}
+	b.slots[i] = uint64(rel)<<relShift | pair
+	b.links++
+	b.deg[v]++
+	b.deg[u]++
 }
 
 // AddPC records a provider–customer link: provider serves customer.
 func (b *Builder) AddPC(provider, customer int) *Builder {
-	if b.check(provider, customer) {
-		b.add(provider, customer, Customer)
-	}
+	b.add(provider, customer, Customer)
 	return b
 }
 
 // AddPeer records a settlement-free peering link between a and b.
 func (b *Builder) AddPeer(x, y int) *Builder {
-	if b.check(x, y) {
-		b.add(x, y, Peer)
-	}
+	b.add(x, y, Peer)
 	return b
 }
 
 // HasLink reports whether a link between v and u has been added so far.
 // It is a constant-time set lookup.
 func (b *Builder) HasLink(v, u int) bool {
-	if v < 0 || v >= b.n || u < 0 || u >= b.n {
+	if v < 0 || v >= b.n || u < 0 || u >= b.n || b.links == 0 {
 		return false
 	}
-	_, ok := b.links[linkKey(v, u)]
+	_, ok := b.find(pairOf(v, u))
 	return ok
 }
 
 // Degree returns the current number of neighbors of v.
-func (b *Builder) Degree(v int) int { return len(b.adj[v]) }
+func (b *Builder) Degree(v int) int { return int(b.deg[v]) }
 
 // Build validates the accumulated links and returns the Graph. The
 // provider–customer digraph must be acyclic (a Gao–Rexford assumption the
 // paper's loop-freedom proof relies on).
 //
-// Build packs the per-AS lists into the CSR arena (one offsets array, one
-// neighbor array), sorts each AS's segment by neighbor index, deals the
-// sorted segments out into the rows of the relationship-grouped view,
-// lists the ASes in provider-first order, with each one's rank in it, and
-// copies the customer and provider rows of the ASes before the stubs into
-// rank space.
+// Build lays the CSR arena out from the degrees and fills it by counting
+// sort, in three passes with one cursor per AS. Each AS's segment is its
+// lower neighbors, then its higher ones. The first pass deals every link
+// to its lower end's higher part, in table order. The second walks the
+// ASes up, copying each into the lower part of its higher neighbors, which
+// therefore fill in ascending order. The third walks them up again,
+// copying each into the higher part of its lower neighbors, which
+// overwrites the unsorted higher parts in ascending order. The grouped
+// view's row lengths are counted in the first pass and its rows dealt out
+// from the sorted segments. Build then lists the ASes in provider-first
+// order, with each one's rank in it, and copies the customer and provider
+// rows of the ASes before the stubs into rank space.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	n, edges := b.n, 2*b.links
 	g := &Graph{
-		off:  make([]int32, b.n+1),
-		nbrs: make([]Neighbor, 0, b.edges),
-		goff: make([]int32, 3*b.n+1),
-		grp:  make([]int32, b.edges),
+		off:  make([]int32, n+1),
+		nbrs: make([]Neighbor, edges),
+		goff: make([]int32, 3*n+1),
+		grp:  make([]int32, edges),
 	}
-	for v := 0; v < b.n; v++ {
-		seg := b.adj[v]
-		start := len(g.nbrs)
-		g.nbrs = append(g.nbrs, seg...)
-		pack := g.nbrs[start:]
-		sort.Slice(pack, func(i, j int) bool { return pack[i].AS < pack[j].AS })
-		g.off[v+1] = int32(len(g.nbrs))
-		for _, nb := range pack {
-			g.goff[int(nb.Rel)*b.n+v+1]++ // row lengths, summed into offsets below
-			switch nb.Rel {
-			case Customer:
-				g.pcLinks++ // counted once, from the provider side
-			case Peer:
-				if int32(v) < nb.AS {
-					g.peerLinks++
-				}
-			}
+	for v, d := range b.deg {
+		g.off[v+1] = g.off[v] + d
+	}
+	next := make([]int32, n) // where each AS's next entry goes
+	for _, s := range b.slots {
+		if s != 0 {
+			next[s&hiMask]++ // one more lower neighbor
 		}
 	}
-	for r := 0; r < 3*b.n; r++ {
+	for v := range next {
+		next[v] += g.off[v] // where v's higher part begins
+	}
+	for _, s := range b.slots {
+		if s == 0 {
+			continue
+		}
+		lo, hi, rel := int(s&pairMask>>31), int(s&hiMask), Rel(s>>relShift)
+		g.nbrs[next[lo]] = Neighbor{AS: int32(hi), Rel: rel}
+		next[lo]++
+		g.goff[int(rel)*n+lo+1]++ // row lengths, summed into offsets below
+		g.goff[int(rel.Invert())*n+hi+1]++
+		if rel == Peer {
+			g.peerLinks++
+		} else {
+			g.pcLinks++
+		}
+	}
+	// Every lower part is complete once the walk reaches its AS, so next[v]
+	// is where v's higher part begins in both walks.
+	copy(next, g.off)
+	for v := 0; v < n; v++ {
+		for _, nb := range g.nbrs[next[v]:g.off[v+1]] {
+			g.nbrs[next[nb.AS]] = Neighbor{AS: int32(v), Rel: nb.Rel.Invert()}
+			next[nb.AS]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		for _, nb := range g.nbrs[g.off[v]:next[v]] {
+			g.nbrs[next[nb.AS]] = Neighbor{AS: int32(v), Rel: nb.Rel.Invert()}
+			next[nb.AS]++
+		}
+	}
+	for r := 0; r < 3*n; r++ {
 		g.goff[r+1] += g.goff[r]
 	}
-	next := append([]int32(nil), g.goff...) // where each row's next entry goes
-	for v := 0; v < b.n; v++ {
+	for v := 0; v < n; v++ {
+		at := [3]int32{g.goff[v], g.goff[n+v], g.goff[2*n+v]} // v's next customer, peer and provider
 		for _, nb := range g.Neighbors(v) {
-			r := int(nb.Rel)*b.n + v
-			g.grp[next[r]] = nb.AS
-			next[r]++
+			g.grp[at[nb.Rel]] = nb.AS
+			at[nb.Rel]++
 		}
 	}
 	order, body, acyclic := g.providerOrder()
