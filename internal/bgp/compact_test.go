@@ -1,7 +1,7 @@
 package bgp
 
 // Equivalence suite for both the representation and the algorithm: the
-// packed 4-byte route entries must be observationally identical to the
+// packed 2-byte route entries must be observationally identical to the
 // dense class/hops/next arrays they replaced, and the computation that
 // writes them (relationship-grouped adjacency, offers from the cone, one
 // bucket queue) must pick exactly the routes of the one it replaced.
@@ -553,8 +553,8 @@ func TestComputeScratchAcrossGraphs(t *testing.T) {
 		for _, g := range []*topo.Graph{big, deep, small, big, small, deep} {
 			dst := (7 * (round + 1)) % g.N()
 			var got, want [1]*Dest
-			reused.computeBatch(g, []int{dst}, make([]uint32, g.TailStart()), got[:])
-			new(computeScratch).computeBatch(g, []int{dst}, make([]uint32, g.TailStart()), want[:])
+			reused.computeBatch(g, []int{dst}, make([]uint16, g.TailStart()), got[:])
+			new(computeScratch).computeBatch(g, []int{dst}, make([]uint16, g.TailStart()), want[:])
 			if !got[0].Equal(want[0]) {
 				t.Fatalf("round %d, N=%d, dst %d: a reused scratch and a fresh one disagree", round, g.N(), dst)
 			}
@@ -613,13 +613,19 @@ func TestASPathAllocatesOnce(t *testing.T) {
 
 // FuzzCompactDest fuzzes topology seeds and link-event schedules: after
 // every event, a sample of destinations, built as one ComputeAll batch,
-// must match the dense oracle accessor-for-accessor.
+// must match the dense oracle accessor-for-accessor. A negative seed picks
+// a wideGraph, whose rows outgrow the word's index field.
 func FuzzCompactDest(f *testing.F) {
 	f.Add(int64(1), []byte{0, 3, 7})
 	f.Add(int64(42), []byte{1, 1, 2, 2})
 	f.Add(int64(7), []byte{})
+	f.Add(int64(-1), []byte{0, 128, 200, 255})
+	f.Add(int64(-2), []byte{5, 5, 130, 131, 132})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		g, err := topo.Generate(topo.GenConfig{N: 40, Seed: seed})
+		if seed < 0 {
+			g, err = wideGraph(t, rand.New(rand.NewSource(seed))), nil
+		}
 		if err != nil {
 			t.Skip()
 		}

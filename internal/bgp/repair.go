@@ -12,26 +12,23 @@ import (
 )
 
 // cutRows is the failed-link filter of one link event: for every endpoint
-// of a failed link, its Customers, Peers and Providers rows (indexed by
-// topo.Rel) and its CustomerRanks row (at rankRow) without the neighbours
-// it has lost. Every other AS reads its rows off the intact graph, so
-// repair never needs the cut graph built. A Table keeps one and refills it
-// per event.
+// of a failed link, the neighbours it has lost, and its CustomerRanks and
+// CustomerSlots rows without them. Every other AS reads its rows off the
+// intact graph, and an endpoint reads them too, passing over what it lost,
+// so repair never needs the cut graph built and every index it writes is
+// into the intact graph's rows. A Table keeps one and refills it per event.
 type cutRows struct {
-	ends []uint64 // bitset over ASes: set for the ASes that have filtered rows
-	at   map[int32]int32
-	ases []int32 // the ASes that have filtered rows, rows[i] being ases[i]'s
-	rows [][4][]int32
-	far  [][]int32 // far[i]: the neighbours ases[i] lost, while reset runs
+	ends  []uint64 // bitset over ASes: set for the ASes that have lost links
+	at    map[int32]int32
+	ases  []int32   // the ASes that have lost links, lost[i], ranks[i] and slots[i] being ases[i]'s
+	lost  [][]int32 // the neighbours each has lost
+	ranks [][]int32 // its CustomerRanks without them; nil for a stub
+	slots [][]int32 // its CustomerSlots beside those
 }
 
-// rankRow indexes an endpoint's filtered CustomerRanks among its cut rows;
-// the other three are indexed by topo.Rel. A stub's is empty.
-const rankRow = 3
-
 // reset refills c for the graph g without the links in failed. Each
-// endpoint's rows are filtered by a scan of the far ends it lost, a list
-// of one or a few, so no neighbour costs a lookup in failed.
+// endpoint's rank and slot rows are filtered by a scan of the far ends it
+// lost, a list of one or a few, so no neighbour costs a lookup in failed.
 func (c *cutRows) reset(g *topo.Graph, failed map[topo.LinkRef]bool) {
 	if words := (g.N() + 63) / 64; len(c.ends) != words {
 		c.ends, c.at = make([]uint64, words), make(map[int32]int32)
@@ -40,39 +37,26 @@ func (c *cutRows) reset(g *topo.Graph, failed map[topo.LinkRef]bool) {
 		c.ends[v>>6] = 0
 	}
 	clear(c.at)
-	c.ases, c.rows, c.far = c.ases[:0], c.rows[:0], c.far[:0]
+	c.ases, c.lost, c.ranks, c.slots = c.ases[:0], c.lost[:0], c.ranks[:0], c.slots[:0]
 	for l := range failed {
 		c.lose(int32(l.A), int32(l.B))
 		c.lose(int32(l.B), int32(l.A))
 	}
 	order, rank := g.ProviderOrder(), g.ProviderRanks()
 	for i, v := range c.ases {
-		far := c.far[i]
-		// One array for the four rows, each cut to length so that it
-		// cannot grow into the next.
-		var ranks []int32
+		var ranks, slots []int32
 		if r := int(rank[v]); r < g.TailStart() {
-			ranks = g.CustomerRanks(r)
-		}
-		buf := make([]int32, 0, g.Degree(int(v))+len(ranks))
-		buf = appendLive(buf, g.Customers(int(v)), far)
-		nc := len(buf)
-		buf = appendLive(buf, g.Peers(int(v)), far)
-		np := len(buf)
-		buf = appendLive(buf, g.Providers(int(v)), far)
-		nq := len(buf)
-		for _, rc := range ranks {
-			if !slices.Contains(far, order[rc]) {
-				buf = append(buf, rc)
+			all := g.CustomerRanks(r)
+			buf := make([]int32, 2*len(all))
+			ranks, slots = buf[:0:len(all)], buf[len(all):len(all)]
+			for k, rc := range all {
+				if !slices.Contains(c.lost[i], order[rc]) {
+					ranks, slots = append(ranks, rc), append(slots, g.CustomerSlots(r)[k])
+				}
 			}
 		}
-		nr := len(buf)
-		rows := [4][]int32{
-			topo.Customer: buf[:nc:nc], topo.Peer: buf[nc:np:np], topo.Provider: buf[np:nq:nq],
-			rankRow: buf[nq:nr:nr],
-		}
 		c.ends[v>>6] |= 1 << (v & 63)
-		c.rows = append(c.rows, rows)
+		c.ranks, c.slots = append(c.ranks, ranks), append(c.slots, slots)
 	}
 }
 
@@ -82,33 +66,31 @@ func (c *cutRows) lose(v, u int32) {
 	if !ok {
 		i = int32(len(c.ases))
 		c.at[v], c.ases = i, append(c.ases, v)
-		if len(c.far) < cap(c.far) {
-			c.far = c.far[:i+1]
-			c.far[i] = c.far[i][:0] // an earlier event's list, reused
+		if len(c.lost) < cap(c.lost) {
+			c.lost = c.lost[:i+1]
+			c.lost[i] = c.lost[i][:0] // an earlier event's list, reused
 		} else {
-			c.far = append(c.far, nil)
+			c.lost = append(c.lost, nil)
 		}
 	}
-	c.far[i] = append(c.far[i], u)
+	c.lost[i] = append(c.lost[i], u)
 }
 
-// appendLive appends to buf the neighbours in row that are not in far.
-func appendLive(buf, row, far []int32) []int32 {
-	for _, u := range row {
-		if !slices.Contains(far, u) {
-			buf = append(buf, u)
-		}
-	}
-	return buf
-}
-
-// of returns v's filtered rows, or nil when v has lost no link and its rows
-// are the graph's.
-func (c *cutRows) of(v int32) *[4][]int32 {
+// of returns the index of v among c's endpoints, or -1 when v has lost no
+// link and its rows are the graph's.
+func (c *cutRows) of(v int32) int32 {
 	if c.ends[v>>6]&(1<<(v&63)) == 0 {
-		return nil
+		return -1
 	}
-	return &c.rows[c.at[v]]
+	return c.at[v]
+}
+
+// lostBy returns the neighbours v has lost, nil when none.
+func (c *cutRows) lostBy(v int32) []int32 {
+	if i := c.of(v); i >= 0 {
+		return c.lost[i]
+	}
+	return nil
 }
 
 // Repair gives up, and the caller runs Compute on the cut graph instead,
@@ -136,6 +118,9 @@ type crossOffer struct {
 // other than the destination announces nothing, so no stored word depends
 // on a stub's, and a stub's word follows from the stored ones when read.
 // What repair does for the stubs is the result's side table (cutStubs).
+// Its words index the intact graph's rows, old's included (see rebased),
+// and the embedded scratch's far is the far side table of the words being
+// written, which the result copies.
 type repairScratch struct {
 	computeScratch
 
@@ -143,9 +128,11 @@ type repairScratch struct {
 	g      *topo.Graph
 	cut    *cutRows
 	dst    int32
+	order  []int32  // g.ProviderOrder()
 	rank   []int32  // g.ProviderRanks()
-	old    []uint32 // the stored words before the event, read only
-	packed []uint32 // the result: old with what the event changed rewritten
+	old    []uint16 // the stored words before the event, read only
+	oldFar farTable // their far side table, read only
+	packed []uint16 // the result: old with what the event changed rewritten
 	cross  []crossOffer
 
 	region []int32 // LinkDown: the ASes whose routes are rebuilt from nothing, each once, parents before children
@@ -166,7 +153,7 @@ var repairPool = sync.Pool{New: func() any { return new(repairScratch) }}
 // that Compute itself (see repairMaxRegionShare; also when old's words are
 // not ranked by g's provider-first order). old is the table from just
 // before the event and is only read; the result is a fresh array, whatever
-// the event changed, and derives its stubs' words from g.
+// the event changed, indexes g's rows and derives its stubs' words from g.
 //
 // Compute's result is the one assignment in which every AS holds the best
 // of the routes its neighbours' words offer it (class, then length, then
@@ -197,13 +184,22 @@ func (sc *repairScratch) repair(g *topo.Graph, cut *cutRows, old *Dest, a, b int
 	if len(old.overflow) > 0 || unsafe.SliceData(old.rank) != unsafe.SliceData(rank) {
 		return nil
 	}
+	sc.old, sc.oldFar = old.packed, old.far
+	if old.g != g {
+		var ok bool
+		if sc.old, sc.oldFar, ok = rebased(old, g); !ok {
+			return nil
+		}
+	}
 	if words := (len(old.packed) + 63) / 64; len(sc.visit) < words {
 		sc.visit, sc.full = make([]uint64, words), make([]uint64, words)
 	}
-	sc.g, sc.cut, sc.dst, sc.rank, sc.old, sc.packed = g, cut, old.dst, rank, old.packed, nil
+	sc.g, sc.cut, sc.dst, sc.order, sc.rank, sc.packed = g, cut, old.dst, g.ProviderOrder(), rank, nil
 	sc.cross, sc.region = sc.cross[:0], sc.region[:0]
 	sc.bail, sc.visits = false, 0
-	defer func() { sc.g, sc.cut, sc.rank, sc.old, sc.packed = nil, nil, nil, nil, nil }()
+	defer func() {
+		sc.g, sc.cut, sc.order, sc.rank, sc.old, sc.oldFar, sc.packed = nil, nil, nil, nil, nil, nil, nil
+	}()
 
 	if up {
 		rel, _ := g.Rel(a, b) // b's role as a sees it, and so the class at a of what b announces
@@ -227,9 +223,10 @@ func (sc *repairScratch) repair(g *topo.Graph, cut *cutRows, old *Dest, a, b int
 	// Clone rather than make and copy: make clears the array the copy is
 	// about to fill, while Clone's growslice clears only the capacity past
 	// the copied length, which Clip then hides.
-	sc.packed = slices.Clip(slices.Clone(old.packed))
+	sc.packed = slices.Clip(slices.Clone(sc.old))
+	sc.far = append(sc.far[:0], sc.oldFar...)
 	for _, v := range sc.region {
-		sc.packed[rank[v]] = unreachableEntry
+		sc.set(rank[v], unreachableEntry, -1)
 	}
 	for h := range sc.buckets {
 		sc.buckets[h] = sc.buckets[h][:0]
@@ -248,14 +245,64 @@ func (sc *repairScratch) repair(g *topo.Graph, cut *cutRows, old *Dest, a, b int
 		return nil
 	}
 	d := &Dest{dst: old.dst, g: g, rank: rank, packed: sc.packed}
+	d.keepFar(sc.far)
 	if d.stubs = sc.cutStubs(d); sc.bail {
 		return nil
 	}
 	return d
 }
 
+// rebased returns old's stored words and far side table with their indices
+// into g's rows, and whether every next hop is in them: for a table
+// computed on a graph that g is the intact graph of (a fallback's Compute
+// on the cut graph), whose rows are g's without the neighbours it lost.
+func rebased(old *Dest, g *topo.Graph) ([]uint16, farTable, bool) {
+	packed := slices.Clone(old.packed)
+	var far farTable
+	order := g.ProviderOrder()
+	for r, w := range packed {
+		c := wordClass(w)
+		if c == ClassOrigin || c == ClassUnreachable {
+			continue
+		}
+		v := order[r]
+		u := old.nextOf(v, w)
+		i, ok := slices.BinarySearch(g.Related(int(v), relOf(c)), u)
+		if !ok {
+			return nil, nil, false
+		}
+		packed[r] = routeWord(int(w>>hopsShift), c, i)
+		if i >= idxEscape {
+			far = append(far, farHop{as: v, next: u})
+		}
+	}
+	slices.SortFunc(far, func(a, b farHop) int { return cmp.Compare(a.as, b.as) })
+	return packed, far, true
+}
+
 // stored reports whether v's word is stored: whether v is no stub.
 func (sc *repairScratch) stored(v int32) bool { return int(sc.rank[v]) < len(sc.old) }
+
+// set writes w, whose next hop is next, as the word of the AS ranked r, and
+// keeps the far side table in step. Only an escaped word, or one replacing
+// an escaped word, changes it: the two words' index fields then OR to
+// idxEscape, which short rows' indices seldom do otherwise.
+func (sc *repairScratch) set(r int32, w uint16, next int32) {
+	cur := sc.packed[r]
+	sc.packed[r] = w
+	if (cur|w)&idxMask == idxEscape {
+		sc.far.set(sc.order[r], next, w&idxMask == idxEscape)
+	}
+}
+
+// oldNext returns the next hop of old's word w, which the AS v held.
+func (sc *repairScratch) oldNext(v int32, w uint16) int32 {
+	c := wordClass(w)
+	if i := w & idxMask; i != idxEscape {
+		return sc.g.Related(int(v), relOf(c))[i]
+	}
+	return sc.oldFar.next(v)
+}
 
 // addSubtree puts root and every AS whose customer or peer route runs
 // through it in the region. Only an AS with a customer route announces it
@@ -273,34 +320,28 @@ func (sc *repairScratch) addSubtree(root int32) {
 	sc.region = append(sc.region, root)
 	for i := 0; i < len(sc.region); i++ {
 		v := sc.region[i]
-		if wordClass(sc.old[sc.rank[v]]) <= ClassCustomer {
-			sc.addChildren(v, sc.g.Providers(int(v)))
-			sc.addChildren(v, sc.g.Peers(int(v)))
+		if w := sc.old[sc.rank[v]]; wordClass(w) <= ClassCustomer {
+			h := int(w>>hopsShift) + 1
+			sc.addChildren(v, sc.g.Providers(int(v)), routeWord(h, ClassCustomer, 0))
+			sc.addChildren(v, sc.g.Peers(int(v)), routeWord(h, ClassPeer, 0))
 		}
 	}
 }
 
-// addChildren adds the ASes of row with stored words whose next hop is v.
+// addChildren adds the ASes of row with stored words whose next hop is v:
+// those whose old word is child but for its index, which decodes to v.
 // Each AS has one next hop, so none is added twice.
-func (sc *repairScratch) addChildren(v int32, row []int32) {
+func (sc *repairScratch) addChildren(v int32, row []int32, child uint16) {
 	for _, u := range row {
-		if r := sc.rank[u]; int(r) < len(sc.old) && sc.old[r]&nextMask == uint32(v+1) {
+		if r := sc.rank[u]; int(r) < len(sc.old) && sc.old[r]&^idxMask == child && sc.oldNext(u, sc.old[r]) == v {
 			sc.region = append(sc.region, u)
 		}
 	}
 }
 
-// row returns v's neighbours of relationship rel over links that are up.
-func (sc *repairScratch) row(v int32, rel topo.Rel) []int32 {
-	if r := sc.cut.of(v); r != nil {
-		return r[rel]
-	}
-	return sc.g.Related(int(v), rel)
-}
-
 // length returns the hops of the route w, and more than any route has when
 // w is unreachable.
-func length(w uint32) int {
+func length(w uint16) int {
 	if w == unreachableEntry {
 		return math.MaxInt
 	}
@@ -311,31 +352,53 @@ func length(w uint32) int {
 // AS whose word is now w: it holds a route of h hops, of class most or
 // better. An AS is queued again whenever its word improves, and its
 // earlier entries go stale.
-func live(w uint32, h int, most Class) bool {
+func live(w uint16, h int, most Class) bool {
 	return int(w>>hopsShift) == h && wordClass(w) <= most
 }
 
 // improves reports whether the route cand beats the route cur: by class,
-// and within a class by the word, which orders by length and then next hop.
-func improves(cur, cand uint32) bool {
+// and within a class by the word, which orders by length and then by the
+// next hop's index. Two words that carry idxEscape and are otherwise equal
+// tie here (see farTie).
+func improves(cur, cand uint16) bool {
 	cc, kc := cur>>classShift&classMask, cand>>classShift&classMask
 	return kc < cc || kc == cc && cand < cur
 }
 
-// offer presents AS v with the route cand, and when it is the better one
-// takes it and queues v to announce it in turn. A stub takes its route
-// when read.
-func (sc *repairScratch) offer(v int32, cand uint32) {
-	r := sc.rank[v]
-	if int(r) >= len(sc.packed) || !improves(sc.packed[r], cand) {
+// farTie reports whether the routes cand and cur tie on an escaped index,
+// so that their next hops' ASes decide.
+func farTie(cur, cand uint16) bool { return cand == cur && cand&idxMask == idxEscape }
+
+// take gives the AS v, ranked r, the route cand, whose next hop is u, when
+// it is the better one, and queues v to announce it in turn.
+func (sc *repairScratch) take(r, v int32, cand uint16, u int32) {
+	cur := sc.packed[r]
+	if !improves(cur, cand) && !(farTie(cur, cand) && u < sc.far.next(v)) {
 		return
 	}
-	if cand >= hopsSentinel<<hopsShift {
+	if cand>>hopsShift == hopsSentinel {
 		sc.bail = true
 		return
 	}
-	sc.packed[r] = cand
+	sc.set(r, cand, u)
 	sc.push(v, int(cand>>hopsShift))
+}
+
+// offer presents AS v with the h-hop route of class c its neighbour u
+// announces, and when it is the better one v takes it (see take). u's
+// index in v's row is looked up only when the route's class and length
+// leave it to decide. A stub takes its route when read.
+func (sc *repairScratch) offer(v int32, h int, c Class, u int32) {
+	r := sc.rank[v]
+	if int(r) >= len(sc.packed) {
+		return
+	}
+	cand := routeWord(h, c, 0) // as good as the route from any index
+	if cur := sc.packed[r]; !improves(cur, cand) && cur != cand {
+		return
+	}
+	i, _ := slices.BinarySearch(sc.g.Related(int(v), relOf(c)), u)
+	sc.take(r, v, routeWord(h, c, i), u)
 }
 
 // exportedAs returns the worst class of route an AS announces to a
@@ -362,22 +425,23 @@ func (sc *repairScratch) pull(rel topo.Rel) {
 		if sc.packed[r] != unreachableEntry || wordClass(sc.old[r]) > c {
 			continue
 		}
-		for _, u := range sc.row(v, rel) {
-			if w := announced(sc.packed, sc.rank, sc.dst, u); wordClass(w) <= most {
-				sc.offer(v, routeWord(int(w>>hopsShift)+1, c, u))
+		lost := sc.cut.lostBy(v)
+		for i, u := range sc.g.Related(int(v), rel) {
+			if w := announced(sc.packed, sc.rank, sc.dst, u); wordClass(w) <= most && !slices.Contains(lost, u) {
+				sc.take(r, v, routeWord(int(w>>hopsShift)+1, c, i), u)
 			}
 		}
 	}
 	for _, x := range sc.cross {
 		if w := announced(sc.packed, sc.rank, sc.dst, x.from); x.class == c && wordClass(w) <= most {
-			sc.offer(x.to, routeWord(int(w>>hopsShift)+1, c, x.from))
+			sc.offer(x.to, int(w>>hopsShift)+1, c, x.from)
 		}
 	}
 }
 
 // spread walks the queue, shortest routes first, and has every AS on it
-// offer its route to its neighbours of relationship rel, if it is one it
-// exports to them. Takers join the queue further on.
+// offer its route to its neighbours of relationship rel over links that are
+// up, if it is one it exports to them. Takers join the queue further on.
 func (sc *repairScratch) spread(rel topo.Rel) {
 	c := classOf(rel.Invert()) // what the route is to those who take it
 	most := exportedAs(c)
@@ -386,9 +450,11 @@ func (sc *repairScratch) spread(rel topo.Rel) {
 			if !live(sc.packed[sc.rank[v]], h, most) {
 				continue
 			}
-			cand := routeWord(h+1, c, v)
-			for _, u := range sc.row(v, rel) {
-				sc.offer(u, cand)
+			lost := sc.cut.lostBy(v)
+			for _, u := range sc.g.Related(int(v), rel) {
+				if !slices.Contains(lost, u) {
+					sc.offer(u, h+1, c, v)
+				}
 			}
 		}
 	}
@@ -467,12 +533,11 @@ func (sc *repairScratch) settle(r, v int32, full bool) {
 	sc.visits++
 	w := sc.packed[r]
 	if full && wordClass(w) >= ClassProvider {
-		w = sc.providerRoute(v)
-		sc.packed[r] = w
+		w = sc.providerRoute(r, v)
 	}
-	customers := sc.g.CustomerRanks(int(r))
-	if cut := sc.cut.of(v); cut != nil {
-		customers = cut[rankRow]
+	customers, slots := sc.g.CustomerRanks(int(r)), sc.g.CustomerSlots(int(r))
+	if i := sc.cut.of(v); i >= 0 {
+		customers, slots = sc.cut.ranks[i], sc.cut.slots[i]
 	}
 	if len(customers) == 0 {
 		return
@@ -484,18 +549,28 @@ func (sc *repairScratch) settle(r, v int32, full bool) {
 			sc.bail = true
 			return
 		}
-		cand := routeWord(h+1, ClassProvider, v)
-		for _, rc := range customers {
-			if improves(sc.packed[rc], cand) {
-				sc.packed[rc] = cand
+		cand := routeWord(h+1, ClassProvider, 0)
+		for k, rc := range customers {
+			c := cand | uint16(min(slots[k], idxEscape))
+			if cur := sc.packed[rc]; improves(cur, c) || farTie(cur, c) && v < sc.far.next(sc.order[rc]) {
+				sc.packed[rc] = c // set, written out for this hot loop
+				if (cur|c)&idxMask == idxEscape {
+					sc.far.set(sc.order[rc], v, c&idxMask == idxEscape)
+				}
 				if h+1 < length(sc.old[rc]) {
 					mark(sc.visit, rc)
 				}
 			}
 		}
 	case h > was:
-		for _, rc := range customers {
-			if sc.packed[rc]&nextMask == uint32(v+1) {
+		// A customer whose next hop is v holds the route it took from v
+		// before the event: was+1 hops, from v's slot in its row.
+		via := routeWord(was+1, ClassProvider, 0)
+		for k, rc := range customers {
+			if w := via | uint16(min(slots[k], idxEscape)); sc.packed[rc] == w {
+				if w&idxMask == idxEscape && sc.far.next(sc.order[rc]) != v {
+					continue
+				}
 				mark(sc.full, rc)
 				mark(sc.visit, rc)
 			}
@@ -503,20 +578,42 @@ func (sc *repairScratch) settle(r, v int32, full bool) {
 	}
 }
 
-// providerRoute returns the best route v's providers offer it, or
-// unreachableEntry when none has a route. No word here carries the hops
-// sentinel: old has no overflow entries and repair writes none.
-func (sc *repairScratch) providerRoute(v int32) uint32 {
-	best := bestProvider(sc.packed, sc.rank, sc.row(v, topo.Provider))
-	if best == math.MaxUint32 {
+// providerRoute gives v, which ranks r, the best route its providers over
+// links that are up offer it, or unreachableEntry when none has a route,
+// and returns it. No word here carries the hops sentinel: old has no
+// overflow entries and repair writes none.
+func (sc *repairScratch) providerRoute(r, v int32) uint16 {
+	row := sc.g.RankedProviders(int(r))
+	best := uint64(math.MaxUint64)
+	if lost := sc.cut.lostBy(v); lost != nil {
+		for j, p := range row {
+			if w := sc.packed[p.Rank]; w != unreachableEntry && !slices.Contains(lost, p.AS) {
+				best = min(best, offerKey(w, j))
+			}
+		}
+	} else {
+		for j, p := range row {
+			if w := sc.packed[p.Rank]; w != unreachableEntry {
+				best = min(best, offerKey(w, j))
+			}
+		}
+	}
+	if best == math.MaxUint64 {
+		sc.set(r, unreachableEntry, -1)
 		return unreachableEntry
 	}
-	h := int(best>>hopsShift) + 1
+	h, j := int(best>>32)+1, int(uint32(best))
 	if h >= hopsSentinel {
 		sc.bail = true
 		return unreachableEntry
 	}
-	return routeWord(h, ClassProvider, int32(best&nextMask))
+	w := routeWord(h, ClassProvider, j)
+	if j < idxEscape && sc.packed[r]&idxMask != idxEscape {
+		sc.packed[r] = w // set, for the common case
+	} else {
+		sc.set(r, w, row[j].AS)
+	}
+	return w
 }
 
 // cutStubs returns the side table of d, the repaired table: each stub with
@@ -530,14 +627,13 @@ func (sc *repairScratch) cutStubs(d *Dest) []stubWord {
 		if sc.stored(v) || v == d.dst {
 			continue
 		}
-		rows := &sc.cut.rows[i]
-		w, h := d.deriveStub(rows[topo.Peer], rows[topo.Provider])
+		w, h, next := d.deriveStub(v, sc.cut.lost[i])
 		if h >= hopsSentinel {
 			sc.bail = true
 			return nil
 		}
-		if intact, _ := d.deriveStub(sc.g.Peers(int(v)), sc.g.Providers(int(v))); w != intact {
-			out = append(out, stubWord{as: v, w: w})
+		if intact, _, via := d.deriveStub(v, nil); w != intact || next != via {
+			out = append(out, stubWord{as: v, next: next, w: w})
 		}
 	}
 	slices.SortFunc(out, func(a, b stubWord) int { return cmp.Compare(a.as, b.as) })

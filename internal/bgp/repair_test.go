@@ -32,11 +32,10 @@ func repairOnce(g *topo.Graph, failed []topo.LinkRef, old *Dest, a, b int, up bo
 	return d, sc.visits
 }
 
-// TestCutRowsMatchRemoveLinks: an endpoint's four cut rows are its rows in
-// the graph RemoveLinks makes of the same failures — Customers, Peers,
-// Providers and, for an AS before the tail, CustomerRanks — and every other
-// AS has none. The rows share one array, so each must end at its capacity:
-// an append through one reallocates instead of writing the next.
+// TestCutRowsMatchRemoveLinks: an endpoint's rows without the neighbours
+// it lost are its rows in the graph RemoveLinks makes of the same failures
+// — Customers, Peers, Providers and, for an AS before the tail, its cut
+// CustomerRanks — and every other AS has lost none.
 func TestCutRowsMatchRemoveLinks(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -72,8 +71,8 @@ func TestCutRowsMatchRemoveLinks(t *testing.T) {
 		cut.reset(g, set)
 		want := mustCut(t, g, failed)
 		for v := int32(0); int(v) < g.N(); v++ {
-			rows := cut.of(v)
-			if rows == nil {
+			i := cut.of(v)
+			if i < 0 {
 				if slices.ContainsFunc(failed, func(l topo.LinkRef) bool { return l.A == int(v) || l.B == int(v) }) {
 					t.Fatalf("seed %d: AS %d lost a link and has no cut rows", seed, v)
 				}
@@ -83,16 +82,28 @@ func TestCutRowsMatchRemoveLinks(t *testing.T) {
 			if int(rank[v]) < g.TailStart() {
 				wantRanks = want.CustomerRanks(int(rank[v]))
 			}
-			for i, w := range [4][]int32{topo.Customer: want.Customers(int(v)), topo.Peer: want.Peers(int(v)), topo.Provider: want.Providers(int(v)), rankRow: wantRanks} {
-				if !slices.Equal(rows[i], w) {
-					t.Fatalf("seed %d: AS %d's cut row %d is %v, the cut graph's %v", seed, v, i, rows[i], w)
+			if !slices.Equal(cut.ranks[i], wantRanks) {
+				t.Fatalf("seed %d: AS %d's cut rank row is %v, the cut graph's %v", seed, v, cut.ranks[i], wantRanks)
+			}
+			for _, rel := range []topo.Rel{topo.Customer, topo.Peer, topo.Provider} {
+				var kept []int32
+				for _, u := range g.Related(int(v), rel) {
+					if !slices.Contains(cut.lostBy(v), u) {
+						kept = append(kept, u)
+					}
 				}
-				if cap(rows[i]) != len(rows[i]) {
-					t.Fatalf("seed %d: AS %d's cut row %d has len %d, cap %d", seed, v, i, len(rows[i]), cap(rows[i]))
+				if w := want.Related(int(v), rel); !slices.Equal(kept, w) {
+					t.Fatalf("seed %d: AS %d's %v row without what it lost is %v, the cut graph's %v", seed, v, rel, kept, w)
 				}
 			}
 		}
 	}
+}
+
+// sameRoute reports whether a and b give v the same route: class, length
+// and next hop, whatever graphs' rows their words index.
+func sameRoute(a, b *Dest, v int) bool {
+	return a.Class(v) == b.Class(v) && a.Hops(v) == b.Hops(v) && a.NextHop(v) == b.NextHop(v)
 }
 
 func mustCut(t testing.TB, g *topo.Graph, failed []topo.LinkRef) *topo.Graph {
@@ -180,7 +191,7 @@ func checkRepairCase(t *testing.T, g *topo.Graph, bg []topo.LinkRef, l topo.Link
 		}
 		if !got.Equal(dir.want) {
 			v := 0
-			for v+1 < g.N() && got.word(v) == dir.want.word(v) {
+			for v+1 < g.N() && sameRoute(got, dir.want, v) {
 				v++
 			}
 			t.Fatalf("N=%d bg=%v link=%v up=%v dst=%d: repair differs from Compute at AS %d: got %s/%d via %d, want %s/%d via %d (old %s/%d via %d)",
@@ -455,12 +466,12 @@ func TestRepairLinkDownStopsWhereLengthHolds(t *testing.T) {
 	old, want := Compute(g, 0), Compute(mustCut(t, g, []topo.LinkRef{l}), 0)
 	var changed []int
 	for v := 0; v < g.N(); v++ {
-		if old.word(v) != want.word(v) {
+		if !sameRoute(old, want, v) {
 			changed = append(changed, v)
 		}
 	}
 	if old.NextHop(1) != 2 || !slices.Equal(changed, []int{1}) || want.NextHop(1) != 3 || want.Hops(1) != old.Hops(1) {
-		t.Fatalf("the topology no longer sets the case: words %v change, AS 1 goes via %d", changed, want.NextHop(1))
+		t.Fatalf("the topology no longer sets the case: routes %v change, AS 1 goes via %d", changed, want.NextHop(1))
 	}
 	got, visits := repairOnce(g, []topo.LinkRef{l}, old, 1, 2, false)
 	if got == nil || !got.Equal(want) {
@@ -622,7 +633,7 @@ func TestRepairNeverWritesSharedArrays(t *testing.T) {
 	}
 	tab := NewTable(g, allDests(g), 0)
 	cl := tab.Clone()
-	saved := make(map[int][]uint32)
+	saved := make(map[int][]uint16)
 	for _, d := range cl.All() {
 		saved[d.Dst()] = slices.Clone(d.packed)
 	}

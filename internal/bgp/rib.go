@@ -49,14 +49,19 @@ func RIBInto(g *topo.Graph, d *Dest, v int, buf []Alt) []Alt {
 		return nil
 	}
 	alts := buf[:0]
+	hv := d.Hops(v)
 	for _, nb := range g.Neighbors(v) {
 		// A stub other than the destination exports nothing, and reads as
 		// unreachable here without being derived (see Dest.announced).
 		w := d.announced(nb.AS)
-		if !exported(w, nb.Rel) || d.pathHolds(int(nb.AS), w, v) {
-			continue // not exported to v, or through v already (the loop filter)
+		if !exported(w, nb.Rel) {
+			continue
 		}
-		alts = append(alts, Alt{Via: nb.AS, Class: classOf(nb.Rel), Hops: d.wordHops(int(nb.AS), w) + 1})
+		h := d.wordHops(int(nb.AS), w)
+		if d.pathHolds(nb.AS, d.rank[nb.AS], int(h), int32(v), hv) {
+			continue // through v already (the loop filter)
+		}
+		alts = append(alts, Alt{Via: nb.AS, Class: classOf(nb.Rel), Hops: h + 1})
 	}
 	// Insertion sort, best-first; RIBs are small (== neighbor count).
 	for i := 1; i < len(alts); i++ {
@@ -81,11 +86,10 @@ func PathVia(d *Dest, v, via int) []int {
 // call sites that splice many candidate paths and keep at most one. The
 // result aliases buf's backing array when it fits.
 func PathViaInto(d *Dest, v, via int, buf []int) []int {
-	w := d.word(via)
-	if w == unreachableEntry {
+	if !d.Reachable(via) {
 		return nil
 	}
-	return d.appendPath(append(buf[:0], v), via, w)
+	return d.appendPath(append(buf[:0], v), via)
 }
 
 // exported reports whether a neighbour holding the route w exports it to
@@ -93,7 +97,7 @@ func PathViaInto(d *Dest, v, via int, buf []int) []int {
 // export an AS sends every route to its customers (to whom it is a
 // provider) and only customer and origin routes to its peers and
 // providers.
-func exported(w uint32, rel topo.Rel) bool {
+func exported(w uint16, rel topo.Rel) bool {
 	c := wordClass(w)
 	return c != ClassUnreachable && (rel == topo.Provider || c <= ClassCustomer)
 }

@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -85,6 +87,68 @@ func TestRIBLoopFilter(t *testing.T) {
 	}
 	if len(rib) != 1 || rib[0].Via != 3 {
 		t.Errorf("RIB at AS1 = %+v, want only the customer route via 3", rib)
+	}
+}
+
+// TestLoopFilterMatchesPaths holds the RIB's loop filter and onBestPath,
+// which stop a walk at the hop count of the AS they look for, to the paths
+// themselves: a neighbour's route is filtered exactly when its ASPath holds
+// v. Generated graphs as they are, relabelled and cut, and a wide graph,
+// from every AS towards a sample of destinations; repaired tables, whose
+// words index the intact graph's rows, too.
+func TestLoopFilterMatchesPaths(t *testing.T) {
+	var stubCuts [2]int
+	g, err := topo.Generate(topo.GenConfig{N: 300, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	cut := removeRandomLinks(t, g, rng, 30, &stubCuts)
+	filtered := 0
+	for _, on := range []*topo.Graph{g, shuffled(t, g, rng), cut, wideGraph(t, rng)} {
+		for dst := 0; dst < on.N(); dst += 7 {
+			d := Compute(on, dst)
+			for v := 0; v < on.N(); v++ {
+				var want []int32
+				for _, nb := range on.Neighbors(v) {
+					if v == dst || !exported(d.announced(nb.AS), nb.Rel) {
+						continue
+					}
+					if slices.Contains(d.ASPath(int(nb.AS)), v) {
+						filtered++
+						continue
+					}
+					want = append(want, nb.AS)
+				}
+				var got []int32
+				for _, alt := range RIB(on, d, v) {
+					got = append(got, alt.Via)
+				}
+				slices.Sort(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("N=%d dst %d: RIB at %d goes via %v, the paths allow %v", on.N(), dst, v, got, want)
+				}
+				if u := rng.Intn(on.N()); d.Reachable(u) && d.onBestPath(u, v) != slices.Contains(d.ASPath(u), v) {
+					t.Fatalf("N=%d dst %d: onBestPath(%d, %d) = %v, path %v", on.N(), dst, u, v, d.onBestPath(u, v), d.ASPath(u))
+				}
+			}
+		}
+	}
+	// Repaired tables: the hub's first link down.
+	a, b := pickLink(g)
+	tab := NewTable(g, allDests(g), 0)
+	tab.LinkDown(a, b)
+	for _, d := range tab.All() {
+		for v := 0; v < g.N(); v += 5 {
+			for _, alt := range RIB(g, d, v) {
+				if slices.Contains(d.ASPath(int(alt.Via)), v) {
+					t.Fatalf("repaired dst %d: RIB at %d keeps %d, whose path %v holds it", d.Dst(), v, alt.Via, d.ASPath(int(alt.Via)))
+				}
+			}
+		}
+	}
+	if filtered == 0 {
+		t.Fatal("no route was filtered: the test does not reach the loop filter")
 	}
 }
 

@@ -178,15 +178,21 @@ func BenchmarkRepairPaperScale(b *testing.B) {
 	peer := peers[0]
 	l := normLinkRef(hub, peer)
 	cutGraph := mustCut(b, g, []topo.LinkRef{l})
-	var with, without []*Dest
-	for _, dst := range scaleDests(g, 128) {
-		if d := Compute(g, dst); d.usesLink(hub, peer) {
-			with, without = append(with, d), append(without, Compute(cutGraph, dst))
-		}
-	}
 	var down, none cutRows
 	down.reset(g, map[topo.LinkRef]bool{l: true})
 	none.reset(g, nil)
+	// The tables the link's return repairs are those its failure left, as
+	// in a Table: repaired ones, which index the intact graph's rows.
+	var with, without []*Dest
+	for _, dst := range scaleDests(g, 128) {
+		if d := Compute(g, dst); d.usesLink(hub, peer) {
+			after := new(repairScratch).repair(g, &down, d, hub, peer, false)
+			if after == nil || !after.Equal(Compute(cutGraph, dst)) {
+				b.Fatalf("destination %d: the link's failure repairs to a table other than Compute's", dst)
+			}
+			with, without = append(with, d), append(without, after)
+		}
+	}
 	b.Run("CutRows", func(b *testing.B) {
 		var cut cutRows
 		failed := map[topo.LinkRef]bool{l: true}

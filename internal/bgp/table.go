@@ -199,8 +199,9 @@ type TableMemStats struct {
 	Entries int64
 	// PackedBytes is the size of all packed entry arrays.
 	PackedBytes int64
-	// OverflowBytes is the size of all side tables: hop overflow, and the
-	// words of stubs with failed links.
+	// OverflowBytes is the size of all side tables: hop overflow, far next
+	// hops (those not held in the Dest itself), and the routes of stubs with
+	// failed links.
 	OverflowBytes int64
 	// BytesPerDest is (PackedBytes+OverflowBytes) / Dests.
 	BytesPerDest float64
@@ -213,8 +214,11 @@ func (t *Table) MemStats() TableMemStats {
 	m := TableMemStats{Dests: len(t.dests)}
 	for _, d := range t.dests {
 		m.Entries += int64(len(d.packed))
-		m.PackedBytes += int64(cap(d.packed)) * 4
+		m.PackedBytes += int64(cap(d.packed)) * int64(unsafe.Sizeof(d.packed[0]))
 		m.OverflowBytes += int64(cap(d.overflow))*int64(unsafe.Sizeof(hopOverflow{})) + int64(cap(d.stubs))*int64(unsafe.Sizeof(stubWord{}))
+		if len(d.far) > 0 && unsafe.SliceData(d.far) != &d.farIn[0] {
+			m.OverflowBytes += int64(cap(d.far)) * int64(unsafe.Sizeof(farHop{}))
+		}
 	}
 	if m.Dests > 0 {
 		m.BytesPerDest = float64(m.PackedBytes+m.OverflowBytes) / float64(m.Dests)
@@ -422,7 +426,7 @@ func offerWins(d *Dest, from, to int, rel topo.Rel) bool {
 // attached. Each gets a fresh table, a copy of its old one with the
 // invalidated region rebuilt; the old arrays are never written, since
 // clones share them. The whole dirty set is computed, then installed: at
-// paper scale the two hub events together repair ~435 MB of words.
+// paper scale the two hub events together repair ~218 MB of words.
 func (t *Table) recompute(dirty []int, a, b int, up bool, parent span.Context) {
 	t.linkEvent()
 	t.stats.IncrementalComputes += int64(len(dirty))
@@ -455,22 +459,27 @@ func (t *Table) recompute(dirty []int, a, b int, up bool, parent span.Context) {
 // route — class, path length and next hop — at every AS. It is the
 // differential-testing oracle for incremental recomputation. Two tables on
 // one graph compare their stored words and side tables, which are
-// canonical: unreachable entries collapse to one word, and a stub has a
-// side-table word exactly when its route differs from what the graph
-// derives. Tables on different graphs derive their stubs' words from
-// different links, so they compare AS by AS.
+// canonical: unreachable entries collapse to one word, a stored word
+// escapes to far exactly when its next hop sits at index 127 or later, and
+// a stub has a side-table route exactly when it differs from what the graph
+// derives. Tables on different graphs index different rows and derive
+// their stubs' words from different links, so they compare the routes
+// decoded, AS by AS.
 func (d *Dest) Equal(o *Dest) bool {
 	if d.dst != o.dst {
 		return false
 	}
 	if d.g == o.g {
-		return slices.Equal(d.packed, o.packed) && slices.Equal(d.overflow, o.overflow) && slices.Equal(d.stubs, o.stubs)
+		return slices.Equal(d.packed, o.packed) && slices.Equal(d.overflow, o.overflow) &&
+			slices.Equal(d.far, o.far) && slices.Equal(d.stubs, o.stubs)
 	}
 	if d.g.N() != o.g.N() {
 		return false
 	}
 	for v := 0; v < d.g.N(); v++ {
-		if w := d.word(v); w != o.word(v) || w>>hopsShift == hopsSentinel && d.hops16(v) != o.hops16(v) {
+		w, h, next := d.route(v)
+		ow, oh, onext := o.route(v)
+		if wordClass(w) != wordClass(ow) || h != oh || next != onext {
 			return false
 		}
 	}

@@ -68,7 +68,7 @@ func (m *Meter) Observe(bits float64, now float64) {
 	inst := (m.pending + bits) / dt
 	m.pending = 0
 	w := math.Exp2(-dt / m.halfLife)
-	m.rate = w*m.rate + (1-w)*inst
+	m.rate = float64(w*m.rate) + float64((1-w)*inst)
 	m.lastAt = now
 	if m.gauge != nil {
 		m.gauge.Set(m.rate)

@@ -32,7 +32,7 @@ func newStat(samples []float64) Stat {
 		var ss float64
 		for _, v := range samples {
 			d := v - st.Mean
-			ss += d * d
+			ss += float64(d * d)
 		}
 		st.Std = math.Sqrt(ss / float64(st.N-1))
 	}

@@ -582,7 +582,7 @@ func (s *Sim) advance(t float64) {
 				st.stalledTime += dt
 				continue
 			}
-			st.left -= st.rate * dt
+			st.left -= float64(st.rate * dt)
 			if st.left < 0 {
 				st.left = 0
 			}
@@ -591,9 +591,9 @@ func (s *Sim) advance(t float64) {
 			// alternative choice never sets onAlt, so this accounting is
 			// MIFO data-plane offload only.
 			if st.onAlt {
-				st.offloadBits += st.rate * dt
+				st.offloadBits += float64(st.rate * dt)
 				if s.offBits != nil && st.trigLink >= 0 {
-					s.offBits[st.trigLink] += st.rate * dt
+					s.offBits[st.trigLink] += float64(st.rate * dt)
 				}
 			}
 		}

@@ -118,7 +118,7 @@ func Run(cfg Config) (*Result, error) {
 			} else {
 				rate = defaultEfficiency * linkCapacityBps / float64(nDef)
 			}
-			sent := rate * step
+			sent := float64(rate * step)
 			if sent >= p.cur.left {
 				// Flow completes within this step.
 				frac := p.cur.left / rate

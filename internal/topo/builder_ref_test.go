@@ -143,5 +143,6 @@ func (b *refBuilder) Build() (*Graph, error) {
 	g.order, g.rank, g.tail = order, ranksOf(order), int32(body)
 	g.customerRanks()
 	g.rankedProviders()
+	g.customerSlots()
 	return g, nil
 }

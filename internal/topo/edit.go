@@ -67,6 +67,7 @@ func RemoveLinks(g *Graph, remove []LinkRef) (*Graph, error) {
 	out.goff, out.grp = dropEntries(g.goff, g.grp, grpCut, func(u int32) int32 { return u })
 	out.croff, out.crank = dropEntries(g.croff, g.crank, sortedUnique(rankCut), func(r int32) int32 { return r })
 	out.proff, out.prank = dropEntries(g.proff, g.prank, sortedUnique(providerCut), func(p RankedAS) int32 { return p.AS })
+	out.customerSlots()
 	return out, nil
 }
 

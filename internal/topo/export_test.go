@@ -44,6 +44,9 @@ func Fingerprint(g *Graph) uint64 {
 	for _, x := range g.crank[:cap(g.crank)] {
 		put(x)
 	}
+	for _, x := range g.cslot[:cap(g.cslot)] {
+		put(x)
+	}
 	for _, x := range g.proff[:cap(g.proff)] {
 		put(x)
 	}

@@ -93,8 +93,10 @@ type Neighbor struct {
 // those words it keeps two more CSRs in rank space, one row for each AS
 // before TailStart: the ranks of its customers before TailStart
 // (CustomerRanks), so a walk down customer links meets no stub and needs no
-// rank lookup, and its providers with their ranks (RankedProviders), so a
-// pull from providers reads their words without one either.
+// rank lookup, with the AS's own place in each of those customers' provider
+// rows (CustomerSlots), and its providers with their ranks
+// (RankedProviders), so a pull from providers reads their words without
+// one either.
 // A 44,340-AS / 107,819-link Internet graph is ten allocations, ~3.8 MB:
 // ~1.9 MB for off+nbrs, ~1.4 MB for goff+grp, 177 KB each for order and
 // rank, 62 KB for croff+crank and 100 KB for proff+prank.
@@ -108,6 +110,7 @@ type Graph struct {
 	tail      int32      // where the stubs begin in order
 	croff     []int32    // len tail+1; the AS at rank r < tail has its customer ranks in crank[croff[r]:croff[r+1]]
 	crank     []int32    // the ranks below tail of those customers, ascending within each row
+	cslot     []int32    // beside crank: the index of the row's AS in that customer's provider row
 	proff     []int32    // len tail+1; the AS at rank r < tail has its providers in prank[proff[r]:proff[r+1]]
 	prank     []RankedAS // those providers with their ranks, ascending by AS within each row
 	pcLinks   int
@@ -196,6 +199,16 @@ func (g *Graph) CustomerRanks(r int) []int32 {
 	return g.crank[lo:hi:hi]
 }
 
+// CustomerSlots returns, beside CustomerRanks(r), the index of the AS
+// ranked r in each of those customers' Providers (and RankedProviders)
+// rows: where a route a customer learns from it sits in the customer's
+// provider row. The slice aliases the graph under the same rule as
+// Customers.
+func (g *Graph) CustomerSlots(r int) []int32 {
+	lo, hi := g.croff[r], g.croff[r+1]
+	return g.cslot[lo:hi:hi]
+}
+
 // RankedAS is an entry of a rank-space row: an AS and its rank in
 // ProviderOrder.
 type RankedAS struct {
@@ -227,6 +240,22 @@ func (g *Graph) rankedProviders() {
 		row := g.prank[g.proff[r]:g.proff[r+1]]
 		for i, p := range g.Providers(int(v)) {
 			row[i] = RankedAS{Rank: g.rank[p], AS: p}
+		}
+	}
+}
+
+// customerSlots fills the rows CustomerSlots reads from CustomerRanks and
+// the rank-space provider rows, which must be filled already.
+func (g *Graph) customerSlots() {
+	g.cslot = make([]int32, len(g.crank))
+	for r := 0; r < int(g.tail); r++ {
+		for i := g.croff[r]; i < g.croff[r+1]; i++ {
+			row := g.RankedProviders(int(g.crank[i]))
+			j := 0
+			for row[j].Rank != int32(r) {
+				j++
+			}
+			g.cslot[i] = int32(j)
 		}
 	}
 }
@@ -281,7 +310,7 @@ type MemStats struct {
 	// OrderBytes is the size of the provider-first order and its inverse.
 	OrderBytes int64
 	// CustomerRankBytes is the size of the rank-space customer rows
-	// (CustomerRanks): their offsets and their ranks.
+	// (CustomerRanks and CustomerSlots): their offsets, ranks and slots.
 	CustomerRankBytes int64
 	// ProviderRankBytes is the size of the rank-space provider rows
 	// (RankedProviders): their offsets and their entries.
@@ -301,7 +330,7 @@ func (g *Graph) MemStats() MemStats {
 		NeighborBytes:     int64(cap(g.nbrs)) * int64(unsafe.Sizeof(Neighbor{})),
 		GroupedBytes:      int64(cap(g.goff)+cap(g.grp)) * int64(unsafe.Sizeof(int32(0))),
 		OrderBytes:        int64(cap(g.order)+cap(g.rank)) * int64(unsafe.Sizeof(int32(0))),
-		CustomerRankBytes: int64(cap(g.croff)+cap(g.crank)) * int64(unsafe.Sizeof(int32(0))),
+		CustomerRankBytes: int64(cap(g.croff)+cap(g.crank)+cap(g.cslot)) * int64(unsafe.Sizeof(int32(0))),
 		ProviderRankBytes: int64(cap(g.proff))*int64(unsafe.Sizeof(int32(0))) + int64(cap(g.prank))*int64(unsafe.Sizeof(RankedAS{})),
 	}
 	m.TotalBytes = m.OffsetBytes + m.NeighborBytes + m.GroupedBytes + m.OrderBytes + m.CustomerRankBytes + m.ProviderRankBytes
@@ -605,6 +634,7 @@ func (b *Builder) Build() (*Graph, error) {
 	g.order, g.rank, g.tail = order, ranksOf(order), int32(body)
 	g.customerRanks()
 	g.rankedProviders()
+	g.customerSlots()
 	return g, nil
 }
 

@@ -112,8 +112,8 @@ func TestGraphMemStats(t *testing.T) {
 	}
 	// Order and ranks hold 4 entries each. The stubs 2 and 3 leave 0 and 1
 	// before the tail, so each rank-space CSR has 3 offsets and one entry:
-	// 0's customer 1, and 1's provider 0, an 8-byte RankedAS.
-	if m.OffsetBytes <= 0 || m.NeighborBytes <= 0 || m.GroupedBytes <= 0 || m.OrderBytes != 2*4*4 || m.CustomerRankBytes != (3+1)*4 || m.ProviderRankBytes != 3*4+8 {
+	// 0's customer 1 with its slot, and 1's provider 0, an 8-byte RankedAS.
+	if m.OffsetBytes <= 0 || m.NeighborBytes <= 0 || m.GroupedBytes <= 0 || m.OrderBytes != 2*4*4 || m.CustomerRankBytes != (3+1+1)*4 || m.ProviderRankBytes != 3*4+8 {
 		t.Fatalf("MemStats byte accounting implausible: %+v", m)
 	}
 	if m.TotalBytes != m.OffsetBytes+m.NeighborBytes+m.GroupedBytes+m.OrderBytes+m.CustomerRankBytes+m.ProviderRankBytes {

@@ -190,6 +190,7 @@ func TestRemoveLinksMatchesRebuild(t *testing.T) {
 			unsafe.SliceData(before.grp) == unsafe.SliceData(g.grp) ||
 			unsafe.SliceData(before.croff) == unsafe.SliceData(g.croff) ||
 			unsafe.SliceData(before.crank) == unsafe.SliceData(g.crank) ||
+			unsafe.SliceData(before.cslot) == unsafe.SliceData(g.cslot) ||
 			unsafe.SliceData(before.proff) == unsafe.SliceData(g.proff) ||
 			unsafe.SliceData(before.prank) == unsafe.SliceData(g.prank) {
 			t.Fatal("RemoveLinks returned a graph that shares an adjacency array with its source")
@@ -222,6 +223,7 @@ func TestAccessorsClipCapacity(t *testing.T) {
 		}
 		if r := int(g.ProviderRanks()[v]); r < g.TailStart() {
 			rows["CustomerRanks"] = g.CustomerRanks(r)
+			rows["CustomerSlots"] = g.CustomerSlots(r)
 			if ps := g.RankedProviders(r); cap(ps) != len(ps) {
 				t.Fatalf("RankedProviders(%d): len %d, cap %d", r, len(ps), cap(ps))
 			}

@@ -70,7 +70,9 @@ func requireProviderOrder(tb testing.TB, g *Graph) {
 
 // requireCustomerRanks holds CustomerRanks to its contract: for every rank
 // r below TailStart, the ranks of Customers(ProviderOrder()[r]) that are
-// below TailStart, ascending, in a row whose capacity is clipped.
+// below TailStart, ascending, in a row whose capacity is clipped; and
+// CustomerSlots beside it: the AS's index in each such customer's
+// Providers row.
 func requireCustomerRanks(tb testing.TB, g *Graph) {
 	tb.Helper()
 	order, rank := g.ProviderOrder(), g.ProviderRanks()
@@ -88,6 +90,15 @@ func requireCustomerRanks(tb testing.TB, g *Graph) {
 		}
 		if cap(got) != len(got) {
 			tb.Fatalf("CustomerRanks(%d): len %d, cap %d", r, len(got), cap(got))
+		}
+		slots := g.CustomerSlots(r)
+		if len(slots) != len(got) || cap(slots) != len(slots) {
+			tb.Fatalf("CustomerSlots(%d): len %d, cap %d, beside %d customer ranks", r, len(slots), cap(slots), len(got))
+		}
+		for i, rc := range got {
+			if j := slices.Index(g.Providers(int(order[rc])), order[r]); int32(j) != slots[i] {
+				tb.Fatalf("CustomerSlots(%d)[%d] = %d, but AS %d is at %d in customer %d's providers %v", r, i, slots[i], order[r], j, order[rc], g.Providers(int(order[rc])))
+			}
 		}
 	}
 }
