@@ -130,15 +130,20 @@ type farHop struct {
 // farTable is a far side table, sorted by AS.
 type farTable []farHop
 
+// find returns where v's entry is, or would go, and whether f has one.
+func (f farTable) find(v int32) (int, bool) {
+	return slices.BinarySearchFunc(f, v, func(h farHop, v int32) int { return cmp.Compare(h.as, v) })
+}
+
 // next returns the next hop f records for v, which it holds.
 func (f farTable) next(v int32) int32 {
-	i, _ := slices.BinarySearchFunc(f, v, func(h farHop, v int32) int { return cmp.Compare(h.as, v) })
+	i, _ := f.find(v)
 	return f[i].next
 }
 
 // set gives v the entry next when escaped, and none when not.
 func (f *farTable) set(v, next int32, escaped bool) {
-	i, ok := slices.BinarySearchFunc(*f, v, func(h farHop, v int32) int { return cmp.Compare(h.as, v) })
+	i, ok := f.find(v)
 	switch {
 	case escaped && ok:
 		(*f)[i].next = next

@@ -584,18 +584,11 @@ func (sc *repairScratch) settle(r, v int32, full bool) {
 // overflow entries and repair writes none.
 func (sc *repairScratch) providerRoute(r, v int32) uint16 {
 	row := sc.g.RankedProviders(int(r))
+	lost := sc.cut.lostBy(v)
 	best := uint64(math.MaxUint64)
-	if lost := sc.cut.lostBy(v); lost != nil {
-		for j, p := range row {
-			if w := sc.packed[p.Rank]; w != unreachableEntry && !slices.Contains(lost, p.AS) {
-				best = min(best, offerKey(w, j))
-			}
-		}
-	} else {
-		for j, p := range row {
-			if w := sc.packed[p.Rank]; w != unreachableEntry {
-				best = min(best, offerKey(w, j))
-			}
+	for j, p := range row {
+		if w := sc.packed[p.Rank]; w != unreachableEntry && !slices.Contains(lost, p.AS) {
+			best = min(best, offerKey(w, j))
 		}
 	}
 	if best == math.MaxUint64 {
